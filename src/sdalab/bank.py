@@ -64,6 +64,8 @@ class CandidateBank:
     class_indices[c] holds global sample indices sorted by confidence
     descending (ties by ascending index); class_conf[c] aligns with it.
     points is the full unlabeled coordinate array the indices refer into.
+    The row array of each class is computed on first use and kept, so a
+    bank must not be edited once retrieval has started reading it.
     """
 
     num_classes: int
@@ -72,6 +74,7 @@ class CandidateBank:
     class_indices: list = field(default_factory=list)
     class_conf: list = field(default_factory=list)
     epoch_stamp: int = 0
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def class_size(self, cls: int) -> int:
         return len(self.class_indices[cls])
@@ -79,9 +82,16 @@ class CandidateBank:
     def sizes(self) -> list:
         return [len(ix) for ix in self.class_indices]
 
+    def class_rows(self, cls: int) -> np.ndarray:
+        """Rows in points of class cls's entries, in class_indices order."""
+        if cls not in self._rows:
+            self._rows[cls] = np.array(
+                [self.index_of[i] for i in self.class_indices[cls]], dtype=np.intp
+            )
+        return self._rows[cls]
+
     def class_points(self, cls: int) -> np.ndarray:
-        rows = [self.index_of[i] for i in self.class_indices[cls]]
-        return self.points[rows]
+        return self.points[self.class_rows(cls)]
 
     def point_of(self, global_index: int) -> np.ndarray:
         return self.points[self.index_of[global_index]]
@@ -109,37 +119,83 @@ def generate_bank(
         epoch_stamp=epoch_stamp,
     )
     for cls in range(num_classes):
-        rows = np.flatnonzero(pseudo == cls)
-        keep = top_fraction_count(p, len(rows))
-        order = sorted(rows, key=lambda r: (-conf[r], indices[r]))[:keep]
-        bank.class_indices.append([int(indices[r]) for r in order])
-        bank.class_conf.append([float(conf[r]) for r in order])
+        _fill_class(bank, pseudo == cls, conf, indices, p)
     return bank
 
 
-def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
-    """Lloyd's algorithm, fixed 20 iterations, forgy init (random distinct rows)."""
-    n = len(points)
-    n_clusters = min(n_clusters, n)
-    init_rows = rng.choice(n, size=n_clusters, replace=False)
-    centroids = points[init_rows].copy()
+def _fill_class(bank: CandidateBank, members, conf, indices, p: float) -> None:
+    """Append the top-p fraction of the member rows, by confidence descending
+    and then global index ascending (unique, so the order is total)."""
+    rows = np.flatnonzero(members)
+    keep = top_fraction_count(p, len(rows))
+    order = rows[np.lexsort((indices[rows], -conf[rows]))][:keep]
+    bank.class_indices.append(indices[order].tolist())
+    bank.class_conf.append(conf[order].tolist())
+
+
+def _kmeans_per_point(bank: CandidateBank, labels, n_clusters: int, rng) -> list:
+    """Centroids of one k-means run per labeled point, on its class's bank
+    slice; None for a point whose class slice is empty.
+
+    Each run's forgy init (random distinct rows) is drawn in labeled order,
+    so the rng advances exactly as one run after another would advance it;
+    the runs of one class then iterate together.
+    """
+    runs = {}  # class -> (positions, init rows)
+    for i, y in enumerate(labels):
+        cls = int(y)
+        n = bank.class_size(cls) if cls < bank.num_classes else 0
+        if n:
+            rows = rng.choice(n, size=min(n_clusters, n), replace=False)
+            positions, inits = runs.setdefault(cls, ([], []))
+            positions.append(i)
+            inits.append(rows)
+    centroids_of = [None] * len(labels)
+    for cls, (positions, inits) in runs.items():
+        for i, centroids in zip(positions, _lloyd(bank.class_points(cls), np.stack(inits))):
+            centroids_of[i] = centroids
+    return centroids_of
+
+
+def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
+    """Lloyd's algorithm, fixed 20 iterations, for several runs at once.
+
+    init_rows[r] holds run r's initial centroid rows; returns the centroids
+    shaped (runs, clusters, dim). An empty cluster keeps its centroid.
+    Arrays are laid out coordinate first and point last, so squared
+    distances are summed one coordinate at a time, and member sums are taken
+    with bincount, one coordinate at a time with rows in index order. For
+    two-coordinate points, the only kind the lab makes, each run so gets
+    exactly the bits it would get alone from
+    ``((points - centroid) ** 2).sum(axis=-1)`` and ``members.mean(axis=0)``.
+    """
+    dim = points.shape[1]
+    runs, n_clusters = init_rows.shape
+    coords = np.ascontiguousarray(points.T)
+    centroids = coords[:, init_rows]  # (dim, runs, clusters)
+    flat_centroids = centroids.reshape(dim, runs * n_clusters)  # a view
+    offsets = (np.arange(runs) * n_clusters)[:, None]
+    weights = np.tile(coords, (1, runs))  # (dim, runs * n)
     for _ in range(20):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        for c in range(n_clusters):
-            members = points[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-    return centroids
+        sq = (coords[:, None, None, :] - centroids[:, :, :, None]) ** 2
+        d2 = sq[0]
+        for j in range(1, dim):
+            d2 = d2 + sq[j]
+        assign = (np.argmin(d2, axis=1) + offsets).ravel()  # (runs * n,)
+        counts = np.bincount(assign, minlength=runs * n_clusters)
+        filled = counts > 0
+        for j in range(dim):
+            sums = np.bincount(assign, weights=weights[j], minlength=runs * n_clusters)
+            flat_centroids[j, filled] = sums[filled] / counts[filled]
+    return centroids.transpose(1, 2, 0)
 
 
 def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> list:
     """Row indices of the k retrieved points: round-robin over centroids,
-    each yielding its next-nearest unused point; wraps to reuse when exhausted."""
-    order_per_centroid = []
-    for c in centroids:
-        d = np.linalg.norm(points - c, axis=1)
-        order_per_centroid.append(sorted(range(len(points)), key=lambda r: (d[r], r)))
+    each yielding its next-nearest unused point (ties by row); wraps to reuse
+    when exhausted."""
+    dist = np.linalg.norm(points[None, :, :] - centroids[:, None, :], axis=2)
+    order_per_centroid = np.argsort(dist, axis=1, kind="stable")
     picks = []
     depth = 0
     while len(picks) < k:
@@ -151,10 +207,10 @@ def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> 
     return picks
 
 
-def _cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - cos(a, rows of b); zero-norm vectors count as orthogonal."""
+def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """1 - cos(a, rows of b), given nb = the row norms of b; zero-norm
+    vectors count as orthogonal."""
     na = np.linalg.norm(a)
-    nb = np.linalg.norm(b, axis=1)
     denom = na * nb
     sim = np.zeros(len(b))
     ok = denom > 0.0
@@ -185,22 +241,22 @@ def retrieve_defending(
     labels = np.asarray(labeled_labels, dtype=np.int64)
     out_pts, out_lab = [], []
     fallbacks = 0
-    all_indices = None
+    if cfg.strategy == KMEANS_CENTER:
+        centroids_of = _kmeans_per_point(bank, labels, cfg.kmeans_clusters, rng)
     if cfg.strategy == UNCONDITIONED_RANDOM:
-        all_indices = [g for cls in range(bank.num_classes) for g in bank.class_indices[cls]]
-        pseudo_of = {
-            g: cls for cls in range(bank.num_classes) for g in bank.class_indices[cls]
-        }
-    for x, y in zip(labeled_points, labels):
+        pool_rows = np.concatenate([bank.class_rows(c) for c in range(bank.num_classes)])
+        pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
+    # Per-class data the model fixes for this call, computed for the first
+    # labeled point of a class and reused by the rest.
+    class_pts, candidates = {}, {}
+    for i, (x, y) in enumerate(zip(labeled_points, labels)):
         cls = int(y)
         size = bank.class_size(cls) if cls < bank.num_classes else 0
         if cfg.strategy == UNCONDITIONED_RANDOM:
-            pool = all_indices
-            draws = rng.choice(len(pool), size=cfg.k, replace=len(pool) < cfg.k)
+            draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
             for d in draws:
-                g = pool[int(d)]
-                out_pts.append(bank.point_of(g))
-                out_lab.append(pseudo_of[g])
+                out_pts.append(bank.points[pool_rows[d]])
+                out_lab.append(int(pool_labels[d]))
             continue
         if size == 0:
             fallbacks += 1
@@ -209,30 +265,33 @@ def retrieve_defending(
                     out_pts.append(np.asarray(x, dtype=np.float64))
                     out_lab.append(cls)
             continue
+        if cls not in class_pts:
+            class_pts[cls] = bank.class_points(cls)
+        pts = class_pts[cls]
         if cfg.strategy == CLASS_AWARE_RANDOM:
             draws = rng.choice(size, size=cfg.k, replace=size < cfg.k)
             for d in draws:
-                out_pts.append(bank.point_of(bank.class_indices[cls][int(d)]))
+                out_pts.append(pts[d])
                 out_lab.append(cls)
         elif cfg.strategy == KMEANS_CENTER:
-            pts = bank.class_points(cls)
-            centroids = _kmeans(pts, cfg.kmeans_clusters, rng)
-            for r in _nearest_per_centroid(pts, centroids, cfg.k):
+            for r in _nearest_per_centroid(pts, centroids_of[i], cfg.k):
                 out_pts.append(pts[r])
                 out_lab.append(cls)
         elif cfg.strategy == COSINE_DISTANT:
+            if cls not in candidates:
+                feat = nn.penultimate_features(model, pts)
+                candidates[cls] = (
+                    feat, np.linalg.norm(feat, axis=1), np.asarray(bank.class_indices[cls])
+                )
+            feat, norms, global_idx = candidates[cls]
+            # the labeled point's own features stay a one-row pass: a batched
+            # matmul is not bit-equal to the same rows done one at a time
             feat_x = nn.penultimate_features(model, np.asarray(x, dtype=float)[None, :])[0]
-            cand_pts = bank.class_points(cls)
-            cand_feat = nn.penultimate_features(model, cand_pts)
-            dist = _cosine_distance(feat_x, cand_feat)
-            order = sorted(
-                range(len(cand_pts)),
-                key=lambda r: (-dist[r], bank.class_indices[cls][r]),
-            )
+            dist = _cosine_distance(feat_x, feat, norms)
+            order = np.lexsort((global_idx, -dist))
             # fewer candidates than k wraps around deterministically
-            for i in range(cfg.k):
-                r = order[i % len(order)]
-                out_pts.append(cand_pts[r])
+            for j in range(cfg.k):
+                out_pts.append(pts[order[j % len(order)]])
                 out_lab.append(cls)
     if not out_pts:
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
@@ -271,21 +330,17 @@ def generate_bank_binary(
     indices = np.asarray(unlabeled_indices, dtype=np.int64)
     probs = nn.forward(model, unlabeled_points).probs
     thresholds = np.asarray(thresholds, dtype=float)
+    # every finding's bank reads the same pool, so they share one copy of it
+    points = np.asarray(unlabeled_points, dtype=np.float64)
+    index_of = {int(g): row for row, g in enumerate(indices)}
     banks = []
     for j in range(probs.shape[1]):
-        pseudo = (probs[:, j] >= thresholds[j]).astype(np.int64)
+        positive = probs[:, j] >= thresholds[j]
         conf = np.abs(probs[:, j] - thresholds[j])
         bank = CandidateBank(
-            num_classes=2,
-            points=np.asarray(unlabeled_points, dtype=np.float64),
-            index_of={int(g): row for row, g in enumerate(indices)},
-            epoch_stamp=epoch_stamp,
+            num_classes=2, points=points, index_of=index_of, epoch_stamp=epoch_stamp
         )
-        for value in (0, 1):
-            rows = np.flatnonzero(pseudo == value)
-            keep = top_fraction_count(p, len(rows))
-            order = sorted(rows, key=lambda r: (-conf[r], indices[r]))[:keep]
-            bank.class_indices.append([int(indices[r]) for r in order])
-            bank.class_conf.append([float(conf[r]) for r in order])
+        _fill_class(bank, ~positive, conf, indices, p)
+        _fill_class(bank, positive, conf, indices, p)
         banks.append(bank)
     return banks

@@ -138,7 +138,7 @@ def cmd_stream(args) -> int:
     )
     adapt_seed = stage_seed(cfg.stage_hash("adapt"), seed, "adapt")
     records, _ = stream_mod.run_stream(
-        pre.model, d.target_train, split, stream_cfg, cfg.adapt_config(),
+        pre.model, d.target_train, split, stream_cfg, runner.build_adapt_config(cfg, d),
         adapt_seed, test_set=d.target_test,
     )
     path = os.path.join(out, f"stream_seed{seed}.json")
@@ -194,7 +194,7 @@ def cmd_plot(args) -> int:
         adapt_seed = stage_seed(pcfg.stage_hash("adapt"), seed, "adapt")
         adapted, _ = adapt_mod.adapt(
             pre.model, runner.make_feedback(pcfg, seed, cache), d.target_train,
-            pcfg.adapt_config(), adapt_seed,
+            runner.build_adapt_config(pcfg, d), adapt_seed,
         )
         panels.append((name, adapted))
 

@@ -159,6 +159,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset.kind {kind!r}")
         if self.flat["adapt.k"] > 0 and not self.flat["rld.enabled"]:
             raise ConfigError("adapt.k > 0 requires rld.enabled = true")
+        if (
+            kind == "binary"
+            and self.flat["rld.enabled"]
+            and self.flat["adapt.k"] > 0
+            and self.flat["rld.strategy"] != bank_mod.CLASS_AWARE_RANDOM
+        ):
+            raise ConfigError(
+                f"binary mode supports class_aware_random retrieval only, got "
+                f"rld.strategy={self.flat['rld.strategy']}; use --set "
+                f"rld.strategy={bank_mod.CLASS_AWARE_RANDOM}"
+            )
         if not self.flat["run.seeds"]:
             raise ConfigError("run.seeds must not be empty")
         # Constructing the typed views exercises every domain-level invariant.

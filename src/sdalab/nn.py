@@ -142,13 +142,6 @@ class GradientSet:
             a += b
         return self
 
-    def scale_(self, factor):
-        for a in self.weights:
-            a *= factor
-        for a in self.biases:
-            a *= factor
-        return self
-
 
 def softmax_rows(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -165,13 +158,18 @@ def sigmoid(x):
     return out
 
 
-def forward(model, inputs):
-    """Run the network, keeping every intermediate needed by backward()."""
+def _checked_inputs(model, inputs):
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise ShapeError(
             f"inputs shape {inputs.shape}, expected (batch, {model.input_dim})"
         )
+    return inputs
+
+
+def forward(model, inputs):
+    """Run the network, keeping every intermediate needed by backward()."""
+    inputs = _checked_inputs(model, inputs)
     pre_acts, acts = [], []
     a = inputs
     n_layers = len(model.weights)
@@ -396,5 +394,12 @@ def confidence(model, inputs, thresholds=None):
 
 
 def penultimate_features(model, inputs):
-    """Activations of the last hidden layer, one row per input."""
-    return forward(model, inputs).activations[-1]
+    """Activations of the last hidden layer, one row per input.
+
+    Runs the hidden layers only, with the same arithmetic as forward(), so
+    the rows equal ``forward(model, inputs).activations[-1]`` bit for bit.
+    """
+    a = _checked_inputs(model, inputs)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    return a

@@ -175,6 +175,18 @@ def _build_feedback(cfg: ExperimentConfig, seed: int, cache: StageCache):
     return feedback.simulate_feedback(d.target_train, pre.model, cfg.feedback_spec(), fb_seed)
 
 
+def build_adapt_config(cfg: ExperimentConfig, d: DataBundle) -> adapt_mod.AdaptConfig:
+    """The run's AdaptConfig; fixmatch_lite's augmenter scales with the target
+    training points, so it can only be built once the data exist."""
+    augment = None
+    if cfg.flat["adapt.algorithm"] == adapt_mod.FIXMATCH_LITE:
+        weak, strong, scale = cfg.augment_fracs()
+        augment = adapt_mod.AugmenterSpec.from_points(
+            d.target_train.points, weak_frac=weak, strong_frac=strong, scale=scale
+        )
+    return cfg.adapt_config(augment=augment)
+
+
 def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> RunRecord:
     """Full pipeline for one (config, seed); deterministic given both."""
     cache = cache or StageCache()
@@ -183,14 +195,7 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
     pre = pretrain(cfg, seed, cache)
     split = make_feedback(cfg, seed, cache)
     adapt_seed = stage_seed(cfg.stage_hash("adapt"), seed, "adapt")
-
-    augment = None
-    if cfg.flat["adapt.algorithm"] == adapt_mod.FIXMATCH_LITE:
-        weak, strong, scale = cfg.augment_fracs()
-        augment = adapt_mod.AugmenterSpec.from_points(
-            d.target_train.points, weak_frac=weak, strong_frac=strong, scale=scale
-        )
-    acfg = cfg.adapt_config(augment=augment)
+    acfg = build_adapt_config(cfg, d)
 
     if cfg.head() == nn.SIGMOID:
         test_eval = lambda m: mean_auroc(m, d.target_test)

@@ -31,6 +31,142 @@ def brute_force_bank(model, points, indices, p, num_classes):
     return result
 
 
+# Reference retrieval: the per-point implementation that retrieve_defending
+# replaced, kept verbatim (one k-means run, one feature pass of the class slice
+# and one Python sort per labeled point). The fast paths must match it bit for
+# bit, because every retrieved row feeds the next SGD step.
+
+
+def reference_kmeans(points, n_clusters, rng):
+    n = len(points)
+    n_clusters = min(n_clusters, n)
+    init_rows = rng.choice(n, size=n_clusters, replace=False)
+    centroids = points[init_rows].copy()
+    for _ in range(20):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        for c in range(n_clusters):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return centroids
+
+
+def reference_nearest_per_centroid(points, centroids, k):
+    order_per_centroid = []
+    for c in centroids:
+        d = np.linalg.norm(points - c, axis=1)
+        order_per_centroid.append(sorted(range(len(points)), key=lambda r: (d[r], r)))
+    picks = []
+    depth = 0
+    while len(picks) < k:
+        for order in order_per_centroid:
+            if len(picks) == k:
+                break
+            picks.append(order[depth % len(order)])
+        depth += 1
+    return picks
+
+
+def reference_cosine_distance(a, b):
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b, axis=1)
+    denom = na * nb
+    sim = np.zeros(len(b))
+    ok = denom > 0.0
+    sim[ok] = (b[ok] @ a) / denom[ok]
+    return 1.0 - sim
+
+
+def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
+    def class_points(cls):
+        return b.points[[b.index_of[i] for i in b.class_indices[cls]]]
+
+    def features(x):
+        return nn.forward(model, x).activations[-1]
+
+    labels = np.asarray(labeled_labels, dtype=np.int64)
+    out_pts, out_lab, fallbacks = [], [], 0
+    if cfg.strategy == bank.UNCONDITIONED_RANDOM:
+        pool = [g for cls in range(b.num_classes) for g in b.class_indices[cls]]
+        pseudo_of = {g: cls for cls in range(b.num_classes) for g in b.class_indices[cls]}
+    for x, y in zip(labeled_points, labels):
+        cls = int(y)
+        size = b.class_size(cls) if cls < b.num_classes else 0
+        if cfg.strategy == bank.UNCONDITIONED_RANDOM:
+            for d in rng.choice(len(pool), size=cfg.k, replace=len(pool) < cfg.k):
+                out_pts.append(b.point_of(pool[int(d)]))
+                out_lab.append(pseudo_of[pool[int(d)]])
+            continue
+        if size == 0:
+            fallbacks += 1
+            if cfg.empty_class_fallback == bank.DUPLICATE_LABELED:
+                out_pts += [np.asarray(x, dtype=np.float64)] * cfg.k
+                out_lab += [cls] * cfg.k
+            continue
+        if cfg.strategy == bank.CLASS_AWARE_RANDOM:
+            for d in rng.choice(size, size=cfg.k, replace=size < cfg.k):
+                out_pts.append(b.point_of(b.class_indices[cls][int(d)]))
+                out_lab.append(cls)
+        elif cfg.strategy == bank.KMEANS_CENTER:
+            pts = class_points(cls)
+            centroids = reference_kmeans(pts, cfg.kmeans_clusters, rng)
+            for r in reference_nearest_per_centroid(pts, centroids, cfg.k):
+                out_pts.append(pts[r])
+                out_lab.append(cls)
+        else:
+            feat_x = features(np.asarray(x, dtype=float)[None, :])[0]
+            cand_pts = class_points(cls)
+            dist = reference_cosine_distance(feat_x, features(cand_pts))
+            order = sorted(
+                range(len(cand_pts)), key=lambda r: (-dist[r], b.class_indices[cls][r])
+            )
+            for i in range(cfg.k):
+                out_pts.append(cand_pts[order[i % len(order)]])
+                out_lab.append(cls)
+    if not out_pts:
+        return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
+    return np.stack(out_pts), np.asarray(out_lab, dtype=np.int64), fallbacks
+
+
+def relu_model():
+    """Features are relu(x), so every input in the negative quadrant has an
+    all-zero feature vector (cosine distance 1 to everything)."""
+    return nn.MlpModel(
+        [2, 2, 3], [np.eye(2), np.array([[1.0, -1.0, 0.5], [0.0, 1.0, -2.0]])],
+        [np.zeros(2), np.zeros(3)],
+    )
+
+
+def tied_bank(rng, num_classes=3, n=48, empty_class=None):
+    """A bank of n entries over few distinct points (duplicates force ties),
+    with shuffled non-contiguous global indices and random class slices."""
+    base = rng.normal(scale=2.0, size=(n // 3, 2))
+    pts = base[rng.integers(0, len(base), size=n)]
+    globals_ = rng.choice(10_000, size=n, replace=False)
+    pseudo = rng.integers(0, num_classes, size=n)
+    if empty_class is not None:
+        pseudo[pseudo == empty_class] = (empty_class + 1) % num_classes
+    class_indices = [[int(globals_[r]) for r in np.flatnonzero(pseudo == c)] for c in range(num_classes)]
+    return bank.CandidateBank(
+        num_classes=num_classes, points=pts,
+        index_of={int(g): row for row, g in enumerate(globals_)},
+        class_indices=class_indices,
+        class_conf=[[0.9] * len(ix) for ix in class_indices],
+    )
+
+
+def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
+    rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = bank.retrieve_defending(b, lab_pts, lab_y, cfg, rng_fast, model=model)
+    want = reference_retrieve(b, lab_pts, lab_y, cfg, rng_ref, model=model)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    # both consumed the same draws, so later retrievals stay in step too
+    assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
+
+
 class TestTopFractionCount:
     def test_guarded_ceil_examples(self):
         assert bank.top_fraction_count(0.4, 10) == 4
@@ -248,6 +384,48 @@ class TestKMeansCenter:
         assert {tuple(p) for p in out} <= {(0.0, 0.0), (1.0, 1.0)}
 
 
+    def test_matches_verbatim_per_point_kmeans(self):
+        rng = np.random.default_rng(41)
+        for case in range(30):
+            b = tied_bank(rng, n=int(rng.integers(6, 90)))
+            lab_y = rng.integers(0, 3, size=16)
+            # more clusters than distinct points leaves clusters empty
+            cfg = bank.RldConfig(
+                k=int(rng.integers(1, 6)), strategy=bank.KMEANS_CENTER,
+                kmeans_clusters=int(rng.integers(1, 12)),
+            )
+            assert_same_retrieval(b, rng.normal(size=(16, 2)), lab_y, cfg, case)
+
+    def test_centroids_match_verbatim_kmeans_bitwise(self):
+        rng = np.random.default_rng(42)
+        for case in range(30):
+            b = tied_bank(rng, n=int(rng.integers(6, 200)))
+            lab_y = rng.integers(0, 4, size=12)  # class 3 is not in the bank
+            clusters = int(rng.integers(1, 9))
+            rng_fast, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
+            got = bank._kmeans_per_point(b, lab_y, clusters, rng_fast)
+            for y, centroids in zip(lab_y, got):
+                if y >= b.num_classes or not b.class_size(int(y)):
+                    assert centroids is None
+                    continue
+                want = reference_kmeans(b.class_points(int(y)), clusters, rng_ref)
+                assert np.array_equal(centroids, want)
+            assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
+
+
+class TestRandomStrategiesMatchOracle:
+    @pytest.mark.parametrize("strategy", [bank.CLASS_AWARE_RANDOM, bank.UNCONDITIONED_RANDOM])
+    @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
+    def test_matches_per_point_oracle(self, strategy, fallback):
+        rng = np.random.default_rng(43)
+        for case in range(10):
+            b = tied_bank(rng, empty_class=case % 3)
+            cfg = bank.RldConfig(k=4, strategy=strategy, empty_class_fallback=fallback)
+            assert_same_retrieval(
+                b, rng.normal(size=(16, 2)), rng.integers(0, 3, size=16), cfg, case
+            )
+
+
 class TestCosineDistant:
     def test_matches_exhaustive_oracle(self):
         model = random_model(11)
@@ -274,6 +452,25 @@ class TestCosineDistant:
 
             oracle = sorted(range(5), key=lambda r: (-cos_dist(cand[r]), r))[:2]
             np.testing.assert_allclose(out, pts[oracle])
+
+    def test_one_call_matches_per_point_oracle(self):
+        # several labeled points per class in one call exercise the per-class
+        # feature cache; duplicate bank points and all-zero features tie
+        model = relu_model()
+        rng = np.random.default_rng(31)
+        for case in range(25):
+            b = tied_bank(rng)
+            lab_pts = rng.normal(scale=2.0, size=(9, 2))
+            lab_pts[::4] = -np.abs(lab_pts[::4])  # zero-feature labeled points
+            lab_y = rng.integers(0, 3, size=9)
+            lab_y[:3] = lab_y[0]  # at least three of one class
+            for k in (1, 3, 40):  # 40 exceeds some class slices: order wraps
+                cfg = bank.RldConfig(k=k, strategy=bank.COSINE_DISTANT)
+                assert_same_retrieval(b, lab_pts, lab_y, cfg, case, model=model)
+        model = random_model(32)
+        b = tied_bank(rng, empty_class=1)
+        cfg = bank.RldConfig(k=3, strategy=bank.COSINE_DISTANT)
+        assert_same_retrieval(b, rng.normal(size=(16, 2)), np.arange(16) % 3, cfg, 0, model=model)
 
     def test_requires_model(self):
         model, b = small_bank(seed=23)
@@ -318,6 +515,27 @@ class TestBinaryBanks:
                 assert probs[g, j] >= thresholds[j]
             for g in b.class_indices[0]:
                 assert probs[g, j] < thresholds[j]
+
+    def test_order_matches_sorted_oracle_with_ties(self):
+        rng = np.random.default_rng(17)
+        for case in range(20):
+            model = random_model(case, dims=(2, 8, 3), head=nn.SIGMOID)
+            n = int(rng.integers(5, 60))
+            base = rng.normal(scale=2.0, size=(max(2, n // 3), 2))
+            pts = base[rng.integers(0, len(base), size=n)]  # duplicates tie
+            globals_ = rng.choice(1000, size=n, replace=False)
+            thresholds = rng.uniform(0.3, 0.7, size=3)
+            p = float(rng.uniform(0.1, 1.0))
+            banks = bank.generate_bank_binary(model, pts, globals_, p, thresholds)
+            probs = nn.forward(model, pts).probs
+            for j, b in enumerate(banks):
+                conf = np.abs(probs[:, j] - thresholds[j])
+                for value in (0, 1):
+                    rows = [r for r in range(n) if int(probs[r, j] >= thresholds[j]) == value]
+                    keep = bank.top_fraction_count(p, len(rows))
+                    order = sorted(rows, key=lambda r: (-conf[r], globals_[r]))[:keep]
+                    assert b.class_indices[value] == [int(globals_[r]) for r in order]
+                    assert b.class_conf[value] == [float(conf[r]) for r in order]
 
     def test_filtering_keeps_most_threshold_distant(self):
         model = random_model(16, dims=(2, 8, 2), head=nn.SIGMOID)

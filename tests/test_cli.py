@@ -5,8 +5,10 @@ import warnings
 
 import pytest
 
-from sdalab import data, nn, sweep
+from sdalab import adapt as adapt_mod
+from sdalab import data, nn, runner, sweep
 from sdalab.cli import main
+from sdalab.config import load_config
 
 FAST_SETS = ["--set", "pretrain.epochs=6", "--set", "adapt.epochs=2"]
 
@@ -112,6 +114,33 @@ class TestCommands:
         assert [r["fraction"] for r in records] == [0.5, 1.0]
         assert all(r["occupancy"] <= 200 for r in records)
 
+    def test_stream_and_plot_augment_fixmatch(self, tmp_path, monkeypatch):
+        sets = ["--set", "adapt.algorithm=fixmatch_lite"] + FAST_SETS
+        cfg = load_config(None, sets[1::2])
+        want = adapt_mod.AugmenterSpec.from_points(
+            runner.make_data(cfg, 0).target_train.points, *cfg.augment_fracs()
+        )
+        seen = []
+        real_adapt = adapt_mod.adapt
+
+        def spy(model, split, train, acfg, *args, **kwargs):
+            seen.append(acfg.augment)
+            return real_adapt(model, split, train, acfg, *args, **kwargs)
+
+        monkeypatch.setattr(adapt_mod, "adapt", spy)
+        assert run_cli(["adapt", "--out", str(tmp_path)] + sets) == 0
+        code = run_cli(
+            ["stream", "--out", str(tmp_path), "--cap", "100000", "--checkpoints", "1.0"]
+            + sets
+        )
+        assert code == 0
+        assert run_cli(["plot", "--out", str(tmp_path), "--resolution", "8"] + sets) == 0
+        # adapt, one stream checkpoint, and the baseline and rld plot panels
+        assert seen == [want] * 4
+        offline = json.loads((tmp_path / "metrics_seed0.json").read_text())
+        records = json.loads((tmp_path / "stream_seed0.json").read_text())
+        assert records[-1]["test_acc"] == offline["final"]["target_test_value_adapted"]
+
     def test_stream_rejects_binary(self, tmp_path):
         code = run_cli(
             ["stream", "--out", str(tmp_path), "--set", "dataset.kind=binary"]
@@ -153,3 +182,15 @@ class TestExitCodes:
              "--set", "rld.enabled=true"] + FAST_SETS
         )
         assert code == 2
+
+    def test_binary_rld_needs_class_aware_random_up_front(self, tmp_path, monkeypatch, capsys):
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("pretraining started before the config was rejected")
+
+        monkeypatch.setattr(runner, "pretrain", no_pretrain)
+        code = run_cli(
+            ["adapt", "--out", str(tmp_path), "--set", "dataset.kind=binary",
+             "--set", "rld.enabled=true", "--set", "adapt.k=3"] + FAST_SETS
+        )
+        assert code == 2
+        assert "--set rld.strategy=class_aware_random" in capsys.readouterr().err

@@ -75,6 +75,15 @@ class TestValidation:
             ExperimentConfig({"adapt.k": 3})
         ExperimentConfig({"adapt.k": 3, "rld.enabled": True})  # fine
 
+    def test_binary_rld_strategy_checked_only_when_retrieving(self):
+        rld = {"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3}
+        with pytest.raises(ConfigError, match="rld.strategy=class_aware_random"):
+            ExperimentConfig(rld)
+        ExperimentConfig({**rld, "rld.strategy": "class_aware_random"})
+        # the default strategy is cosine_distant; without retrieval it is unused
+        ExperimentConfig({"dataset.kind": "binary"})
+        ExperimentConfig({"dataset.kind": "binary", "rld.enabled": True})
+
     def test_domain_invariants_surface(self):
         with pytest.raises(ConfigError):
             ExperimentConfig({"rld.p": 1.5, "rld.enabled": True})

@@ -410,6 +410,23 @@ class TestFeaturesAndSerialization:
         feats = nn.penultimate_features(model, np.zeros((5, 2)))
         assert feats.shape == (5, 8)
 
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("dims", [[2, 10, 10, 3], [2, 7, 4], [2, 3, 6, 5, 2]])
+    def test_features_equal_forward_activations_bitwise(self, head, dims):
+        model = make_model(dims, head=head, seed=len(dims))
+        rng = np.random.default_rng(14)
+        for rows in (1, 2, 17, 200):
+            x = rng.normal(scale=3.0, size=(rows, 2))
+            np.testing.assert_array_equal(
+                nn.penultimate_features(model, x), nn.forward(model, x).activations[-1]
+            )
+
+    def test_features_reject_bad_input_shape(self):
+        model = make_model([2, 5, 3], seed=15)
+        for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 1, 2))):
+            with pytest.raises(ShapeError):
+                nn.penultimate_features(model, bad)
+
     def test_json_round_trip(self, tmp_path):
         model = make_model([2, 5, 3], seed=13)
         path = tmp_path / "model.json"

@@ -151,6 +151,24 @@ class TestRunStream:
         for bs, bo in zip(streamed.biases, offline.biases):
             assert np.array_equal(bs, bo)
 
+    def test_non_binding_cap_matches_offline_fixmatch(self, pipeline):
+        cfg, d, pre, split = pipeline
+        fcfg = cfg.with_overrides({"adapt.algorithm": adapt_mod.FIXMATCH_LITE})
+        acfg = runner.build_adapt_config(fcfg, d)
+        assert acfg.augment is not None
+        scfg = stream.StreamConfig(memory_cap=len(d.target_train), checkpoints=(0.5, 1.0))
+        records, streamed = stream.run_stream(
+            pre.model, d.target_train, split, scfg, acfg, 7, test_set=d.target_test
+        )
+        offline, rows = adapt_mod.adapt(
+            pre.model, split, d.target_train, acfg, 7, test_set=d.target_test
+        )
+        assert records[-1]["test_acc"] == rows[-1]["test_acc"]
+        for ws, wo in zip(streamed.weights, offline.weights):
+            assert np.array_equal(ws, wo)
+        for bs, bo in zip(streamed.biases, offline.biases):
+            assert np.array_equal(bs, bo)
+
     def test_stream_deterministic(self, pipeline):
         cfg, d, pre, split = pipeline
         scfg = stream.StreamConfig(memory_cap=150, checkpoints=(0.3, 1.0))
