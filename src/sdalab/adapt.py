@@ -162,8 +162,12 @@ def build_minibatch(
     retrieval_rng: np.random.Generator,
     model: Optional[nn.MlpModel] = None,
     epoch: Optional[int] = None,
+    label_of: Optional[dict] = None,
 ) -> MiniBatch:
-    label_of = dict(split.labeled)
+    """One step's batch. label_of maps labeled index -> label; the loop
+    builds it once per run, other callers may leave it to the split."""
+    if label_of is None:
+        label_of = dict(split.labeled)
     lb_idx = labeled_sampler.take(spec.b)
     lb_points = train.points[lb_idx]
     lb_labels = np.array([label_of[int(i)] for i in lb_idx], dtype=np.int64)
@@ -294,6 +298,7 @@ def adapt(
     unlabeled_idx = split.unlabeled_indices()
     if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
+    label_of = dict(labeled_pairs)
 
     num_classes = model.output_dim
     augmenter = Augmenter(
@@ -325,7 +330,7 @@ def adapt(
             batch = build_minibatch(
                 split, train, cur_bank, cfg.batch, cfg.rld,
                 labeled_sampler, unlabeled_sampler, retrieval_rng,
-                model=model, epoch=epoch,
+                model=model, epoch=epoch, label_of=label_of,
             )
             if observer is not None:
                 observer(epoch, step, batch)
@@ -384,6 +389,36 @@ def train_supervised(
                 _, dprobs = nn.loss_bce(trace.probs, labels[idx].astype(float))
             nn.sgd_step(model, nn.backward(model, trace, dprobs), sgd_cfg, state)
     return model
+
+
+def _binary_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
+    """k class-aware random draws per picked (sample, finding, value) cell
+    from that finding's bank; returns (points, targets, mask, fallbacks),
+    with a target and mask row per point that select the cell's finding."""
+    d_rows, d_findings, d_values = [], [], []
+    fallbacks = 0
+    for _, j, value in picked:
+        b = banks[j]
+        if b.epoch_stamp != epoch:
+            raise ConfigError("stale binary candidate bank")
+        size = b.class_size(value)
+        if size == 0:
+            fallbacks += 1
+            continue
+        draws = rng.choice(size, size=k, replace=size < k)
+        d_rows.append(b.class_rows(value)[draws])
+        d_findings.append(j)
+        d_values.append(value)
+    if not d_rows:
+        return np.zeros((0, 2)), np.zeros((0, num_findings)), np.zeros((0, num_findings)), fallbacks
+    # generate_bank_binary's banks share one pool of points
+    points = banks[0].points[np.concatenate(d_rows)]
+    at = (np.arange(len(points)), np.repeat(d_findings, k))
+    targets = np.zeros((len(points), num_findings))
+    mask = np.zeros((len(points), num_findings))
+    targets[at] = np.repeat(d_values, k)
+    mask[at] = 1.0
+    return points, targets, mask, fallbacks
 
 
 def adapt_binary(
@@ -469,29 +504,13 @@ def adapt_binary(
 
             l_rld = 0.0
             if cfg.batch.k > 0:
-                d_points, d_mask, d_targets = [], [], []
-                for _, j, value in picked:
-                    b = banks[j]
-                    if b.epoch_stamp != epoch:
-                        raise ConfigError("stale binary candidate bank")
-                    size = b.class_size(value)
-                    if size == 0:
-                        fallbacks += 1
-                        continue
-                    draws = retrieval_rng.choice(size, size=cfg.batch.k, replace=size < cfg.batch.k)
-                    for d in draws:
-                        d_points.append(b.point_of(b.class_indices[value][int(d)]))
-                        row_mask = np.zeros(num_findings)
-                        row_tgt = np.zeros(num_findings)
-                        row_mask[j] = 1.0
-                        row_tgt[j] = value
-                        d_mask.append(row_mask)
-                        d_targets.append(row_tgt)
-                if d_points:
-                    trace_d = nn.forward(model, np.stack(d_points))
-                    l_rld, dprobs_d, _ = nn.loss_bce_masked(
-                        trace_d.probs, np.stack(d_targets), np.stack(d_mask)
-                    )
+                d_points, d_targets, d_mask, missing = _binary_defending(
+                    banks, picked, cfg.batch.k, retrieval_rng, num_findings, epoch
+                )
+                fallbacks += missing
+                if len(d_points):
+                    trace_d = nn.forward(model, d_points)
+                    l_rld, dprobs_d, _ = nn.loss_bce_masked(trace_d.probs, d_targets, d_mask)
                     grads = _accumulate(grads, nn.backward(model, trace_d, dprobs_d))
 
             total = l_sup + l_unsup + l_rld

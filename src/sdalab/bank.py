@@ -64,8 +64,9 @@ class CandidateBank:
     class_indices[c] holds global sample indices sorted by confidence
     descending (ties by ascending index); class_conf[c] aligns with it.
     points is the full unlabeled coordinate array the indices refer into.
-    The row array of each class is computed on first use and kept, so a
-    bank must not be edited once retrieval has started reading it.
+    The row array of each class is kept once known (the bank builders hand
+    it over, other banks compute it on first use), so a bank must not be
+    edited once retrieval has started reading it.
     """
 
     num_classes: int
@@ -115,7 +116,7 @@ def generate_bank(
     bank = CandidateBank(
         num_classes=num_classes,
         points=np.asarray(unlabeled_points, dtype=np.float64),
-        index_of={int(g): row for row, g in enumerate(indices)},
+        index_of=dict(zip(indices.tolist(), range(len(indices)))),
         epoch_stamp=epoch_stamp,
     )
     for cls in range(num_classes):
@@ -129,6 +130,7 @@ def _fill_class(bank: CandidateBank, members, conf, indices, p: float) -> None:
     rows = np.flatnonzero(members)
     keep = top_fraction_count(p, len(rows))
     order = rows[np.lexsort((indices[rows], -conf[rows]))][:keep]
+    bank._rows[len(bank.class_indices)] = order
     bank.class_indices.append(indices[order].tolist())
     bank.class_conf.append(conf[order].tolist())
 
@@ -158,7 +160,7 @@ def _kmeans_per_point(bank: CandidateBank, labels, n_clusters: int, rng) -> list
 
 
 def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
-    """Lloyd's algorithm, fixed 20 iterations, for several runs at once.
+    """Lloyd's algorithm, at most 20 iterations, for several runs at once.
 
     init_rows[r] holds run r's initial centroid rows; returns the centroids
     shaped (runs, clusters, dim). An empty cluster keeps its centroid.
@@ -168,6 +170,8 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     two-coordinate points, the only kind the lab makes, each run so gets
     exactly the bits it would get alone from
     ``((points - centroid) ** 2).sum(axis=-1)`` and ``members.mean(axis=0)``.
+    Iteration stops once no assignment changes: the update would then
+    recompute the same centroids bit for bit, and so would every later one.
     """
     dim = points.shape[1]
     runs, n_clusters = init_rows.shape
@@ -176,12 +180,16 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     flat_centroids = centroids.reshape(dim, runs * n_clusters)  # a view
     offsets = (np.arange(runs) * n_clusters)[:, None]
     weights = np.tile(coords, (1, runs))  # (dim, runs * n)
+    previous = None
     for _ in range(20):
         sq = (coords[:, None, None, :] - centroids[:, :, :, None]) ** 2
         d2 = sq[0]
         for j in range(1, dim):
             d2 = d2 + sq[j]
         assign = (np.argmin(d2, axis=1) + offsets).ravel()  # (runs * n,)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        previous = assign
         counts = np.bincount(assign, minlength=runs * n_clusters)
         filled = counts > 0
         for j in range(dim):
@@ -190,10 +198,15 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     return centroids.transpose(1, 2, 0)
 
 
-def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> list:
+def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the k retrieved points: round-robin over centroids,
     each yielding its next-nearest unused point (ties by row); wraps to reuse
     when exhausted."""
+    if k <= len(centroids):
+        # one round: each of the first k centroids yields its nearest row,
+        # the first entry of its stable argsort (distances are finite)
+        dist = np.linalg.norm(points[None, :, :] - centroids[:k, None, :], axis=2)
+        return np.argmin(dist, axis=1)
     dist = np.linalg.norm(points[None, :, :] - centroids[:, None, :], axis=2)
     order_per_centroid = np.argsort(dist, axis=1, kind="stable")
     picks = []
@@ -204,7 +217,7 @@ def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> 
                 break
             picks.append(order[depth % len(order)])
         depth += 1
-    return picks
+    return np.array(picks, dtype=np.intp)
 
 
 def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -212,8 +225,10 @@ def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray
     vectors count as orthogonal."""
     na = np.linalg.norm(a)
     denom = na * nb
-    sim = np.zeros(len(b))
     ok = denom > 0.0
+    if ok.all():
+        return 1.0 - (b @ a) / denom
+    sim = np.zeros(len(b))
     sim[ok] = (b[ok] @ a) / denom[ok]
     return 1.0 - sim
 
@@ -239,63 +254,69 @@ def retrieve_defending(
     if cfg.strategy == COSINE_DISTANT and model is None:
         raise ConfigError("cosine_distant retrieval needs the model for features")
     labels = np.asarray(labeled_labels, dtype=np.int64)
-    out_pts, out_lab = [], []
+    # Each labeled point's output rows index the gather source: bank.points,
+    # followed by the labeled points when DuplicateLabeled repeats one.
+    out_rows, out_lab = [], []
     fallbacks = 0
+    duplicated = False
     if cfg.strategy == KMEANS_CENTER:
         centroids_of = _kmeans_per_point(bank, labels, cfg.kmeans_clusters, rng)
     if cfg.strategy == UNCONDITIONED_RANDOM:
         pool_rows = np.concatenate([bank.class_rows(c) for c in range(bank.num_classes)])
         pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
     # Per-class data the model fixes for this call, computed for the first
-    # labeled point of a class and reused by the rest.
-    class_pts, candidates = {}, {}
+    # labeled point of a class and reused by the rest. Cosine picks are kept
+    # per (class, point): the same inputs select the same rows.
+    class_pts, candidates, cosine_picks = {}, {}, {}
     for i, (x, y) in enumerate(zip(labeled_points, labels)):
         cls = int(y)
         size = bank.class_size(cls) if cls < bank.num_classes else 0
         if cfg.strategy == UNCONDITIONED_RANDOM:
             draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
-            for d in draws:
-                out_pts.append(bank.points[pool_rows[d]])
-                out_lab.append(int(pool_labels[d]))
+            out_rows.append(pool_rows[draws])
+            out_lab.append(pool_labels[draws])
             continue
         if size == 0:
             fallbacks += 1
             if cfg.empty_class_fallback == DUPLICATE_LABELED:
-                for _ in range(cfg.k):
-                    out_pts.append(np.asarray(x, dtype=np.float64))
-                    out_lab.append(cls)
+                duplicated = True
+                out_rows.append(np.full(cfg.k, len(bank.points) + i))
+                out_lab.append(np.full(cfg.k, cls, dtype=np.int64))
             continue
-        if cls not in class_pts:
-            class_pts[cls] = bank.class_points(cls)
-        pts = class_pts[cls]
+        rows = bank.class_rows(cls)
         if cfg.strategy == CLASS_AWARE_RANDOM:
             draws = rng.choice(size, size=cfg.k, replace=size < cfg.k)
-            for d in draws:
-                out_pts.append(pts[d])
-                out_lab.append(cls)
+            out_rows.append(rows[draws])
         elif cfg.strategy == KMEANS_CENTER:
-            for r in _nearest_per_centroid(pts, centroids_of[i], cfg.k):
-                out_pts.append(pts[r])
-                out_lab.append(cls)
+            if cls not in class_pts:
+                class_pts[cls] = bank.class_points(cls)
+            out_rows.append(rows[_nearest_per_centroid(class_pts[cls], centroids_of[i], cfg.k)])
         elif cfg.strategy == COSINE_DISTANT:
-            if cls not in candidates:
-                feat = nn.penultimate_features(model, pts)
-                candidates[cls] = (
-                    feat, np.linalg.norm(feat, axis=1), np.asarray(bank.class_indices[cls])
-                )
-            feat, norms, global_idx = candidates[cls]
-            # the labeled point's own features stay a one-row pass: a batched
-            # matmul is not bit-equal to the same rows done one at a time
-            feat_x = nn.penultimate_features(model, np.asarray(x, dtype=float)[None, :])[0]
-            dist = _cosine_distance(feat_x, feat, norms)
-            order = np.lexsort((global_idx, -dist))
-            # fewer candidates than k wraps around deterministically
-            for j in range(cfg.k):
-                out_pts.append(pts[order[j % len(order)]])
-                out_lab.append(cls)
-    if not out_pts:
+            x = np.asarray(x, dtype=float)
+            key = (cls, x.tobytes())
+            if key not in cosine_picks:
+                if cls not in candidates:
+                    feat = nn.penultimate_features(model, bank.class_points(cls))
+                    candidates[cls] = (
+                        feat, np.linalg.norm(feat, axis=1), np.asarray(bank.class_indices[cls])
+                    )
+                feat, norms, global_idx = candidates[cls]
+                # the labeled point's own features stay a one-row pass: a
+                # batched matmul is not bit-equal to the same rows done one at
+                # a time
+                feat_x = nn.penultimate_features(model, x[None, :])[0]
+                dist = _cosine_distance(feat_x, feat, norms)
+                order = np.lexsort((global_idx, -dist))
+                # fewer candidates than k wraps around deterministically
+                cosine_picks[key] = rows[order[np.arange(cfg.k) % len(order)]]
+            out_rows.append(cosine_picks[key])
+        out_lab.append(np.full(cfg.k, cls, dtype=np.int64))
+    if not out_rows:
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
-    return np.stack(out_pts), np.asarray(out_lab, dtype=np.int64), fallbacks
+    source = bank.points
+    if duplicated:
+        source = np.concatenate([bank.points, np.asarray(labeled_points, dtype=np.float64)])
+    return source[np.concatenate(out_rows)], np.concatenate(out_lab), fallbacks
 
 
 def rld_loss(model: nn.MlpModel, def_points: np.ndarray, def_labels) -> tuple:
@@ -332,7 +353,7 @@ def generate_bank_binary(
     thresholds = np.asarray(thresholds, dtype=float)
     # every finding's bank reads the same pool, so they share one copy of it
     points = np.asarray(unlabeled_points, dtype=np.float64)
-    index_of = {int(g): row for row, g in enumerate(indices)}
+    index_of = dict(zip(indices.tolist(), range(len(indices))))
     banks = []
     for j in range(probs.shape[1]):
         positive = probs[:, j] >= thresholds[j]

@@ -172,6 +172,25 @@ class ExperimentConfig:
             )
         if not self.flat["run.seeds"]:
             raise ConfigError("run.seeds must not be empty")
+        hidden = self.flat["model.hidden"]
+        if not hidden or min(hidden) < 1:
+            raise ConfigError(
+                f"model.hidden needs at least one layer, each of width >= 1, got {hidden}"
+            )
+        if self.flat["pretrain.epochs"] < 0:
+            raise ConfigError(f"pretrain.epochs must be >= 0, got {self.flat['pretrain.epochs']}")
+        if self.flat["pretrain.batch_size"] < 1:
+            raise ConfigError(
+                f"pretrain.batch_size must be >= 1, got {self.flat['pretrain.batch_size']}"
+            )
+        # The augmenter's invariants hold or fail alike at any positive scale,
+        # so the fractions are checked as a spec of unit radius, before any
+        # points exist to scale them.
+        weak, strong, scale = self.augment_fracs()
+        try:
+            adapt_mod.AugmenterSpec(weak, strong, scale)
+        except ConfigError as exc:
+            raise ConfigError(f"augment.*: {exc}") from None
         # Constructing the typed views exercises every domain-level invariant.
         self.dataset_spec()
         self.feedback_spec()

@@ -26,19 +26,20 @@ def top1_accuracy(model: nn.MlpModel, points, labels, thresholds=None) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of the tied positions."""
+    n = len(values)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the mean rank; keep arithmetic exact
-        # in halves: mean of consecutive integers i+1..j+1 is (i+j)/2 + 1.
-        avg = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
+    ranks = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return ranks
+    ordered = values[order]
+    # a tie group starts wherever the sorted value changes (NaN != NaN, so
+    # each NaN is a group of its own)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    # sorted positions start..end (0-based) share the mean rank; keep the
+    # arithmetic exact in halves: the mean of start+1..end+1 is (start+end)/2 + 1
+    avg = (starts + ends) / 2.0 + 1.0
+    ranks[order] = np.repeat(avg, ends - starts + 1)
     return ranks
 
 

@@ -209,22 +209,25 @@ def loss_ce(probs, targets, mask=None):
     if targets.size and (targets.min() < 0 or targets.max() >= probs.shape[1]):
         raise ShapeError("class index out of range for probability matrix")
     if mask is None:
-        mask = np.ones(n)
+        n_eff = n
     else:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (n,):
             raise ShapeError(f"mask length {mask.shape}, expected ({n},)")
-    n_eff = int(round(mask.sum()))
+        n_eff = int(round(mask.sum()))
     dprobs = np.zeros_like(probs)
     if n_eff == 0:
         return 0.0, dprobs, 0
     rows = np.arange(n)
     p_t = probs[rows, targets]
     losses = -np.log(np.maximum(p_t, PROB_EPS))
-    loss = float((losses * mask).sum() / n_eff)
     # Below the floor the clamped loss is flat, so the exact derivative is 0.
     grad_vals = np.where(p_t > PROB_EPS, -1.0 / np.maximum(p_t, PROB_EPS), 0.0)
-    dprobs[rows, targets] = grad_vals * mask / n_eff
+    if mask is not None:  # without one every weight is 1.0, and x * 1.0 == x
+        losses = losses * mask
+        grad_vals = grad_vals * mask
+    loss = float(losses.sum() / n_eff)
+    dprobs[rows, targets] = grad_vals / n_eff
     return loss, dprobs, n_eff
 
 
@@ -301,16 +304,16 @@ def backward(model, trace, dprobs):
     else:
         dz = dprobs * probs * (1.0 - probs)
 
-    grads = GradientSet.zeros_like(model)
     n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        grads.weights[i][:] = a_prev.T @ dz
-        grads.biases[i][:] = dz.sum(axis=0)
+        d_weights[i] = a_prev.T @ dz
+        d_biases[i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ model.weights[i].T
             dz = da * (trace.pre_activations[i - 1] > 0.0)
-    return grads
+    return GradientSet(d_weights, d_biases)
 
 
 @dataclass

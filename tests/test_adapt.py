@@ -167,6 +167,21 @@ class TestBuildMinibatch:
                 np.random.default_rng(1),
             )
 
+    def test_label_lookup_given_once_matches_the_split(self, toy):
+        train, split, model = toy
+        spec = adapt.BatchSpec(b=9, mu=2, k=0)
+        batches = []
+        for label_of in (None, dict(split.labeled)):
+            rng = np.random.default_rng(6)
+            batches.append(adapt.build_minibatch(
+                split, train, None, spec, None,
+                adapt.CyclingSampler(split.labeled_indices(), rng),
+                adapt.CyclingSampler(split.unlabeled_indices(), rng),
+                np.random.default_rng(7), label_of=label_of,
+            ))
+        assert np.array_equal(batches[0].labeled_labels, batches[1].labeled_labels)
+        assert np.array_equal(batches[0].labeled_points, batches[1].labeled_points)
+
     def test_labeled_labels_are_ground_truth(self, toy):
         train, split, model = toy
         rng = np.random.default_rng(4)
@@ -506,6 +521,32 @@ class TestAdaptLoop:
         assert after >= before
 
 
+def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
+    """The per-draw loop adapt_binary used to run inline, kept verbatim."""
+    d_points, d_mask, d_targets = [], [], []
+    fallbacks = 0
+    for _, j, value in picked:
+        b = banks[j]
+        if b.epoch_stamp != epoch:
+            raise ConfigError("stale binary candidate bank")
+        size = b.class_size(value)
+        if size == 0:
+            fallbacks += 1
+            continue
+        draws = rng.choice(size, size=k, replace=size < k)
+        for d in draws:
+            d_points.append(b.point_of(b.class_indices[value][int(d)]))
+            row_mask = np.zeros(num_findings)
+            row_tgt = np.zeros(num_findings)
+            row_mask[j] = 1.0
+            row_tgt[j] = value
+            d_mask.append(row_mask)
+            d_targets.append(row_tgt)
+    if not d_points:
+        return None, None, None, fallbacks
+    return np.stack(d_points), np.stack(d_targets), np.stack(d_mask), fallbacks
+
+
 @pytest.fixture(scope="module")
 def binary_toy():
     spec = data.BinarySpec(
@@ -542,6 +583,39 @@ class TestAdaptBinary:
         assert records[0]["l_sup"] > 0.0
         assert records[0]["l_rld"] > 0.0
         assert len(records[0]["bank"]["sizes"]) == 2  # one bank per finding
+
+    def test_defending_draws_match_verbatim_loop(self):
+        rng = np.random.default_rng(61)
+        for case in range(30):
+            num_findings = int(rng.integers(1, 5))
+            model = nn.MlpModel.init([2, 6, num_findings], nn.SIGMOID, rng)
+            n = int(rng.integers(4, 80))
+            indices = rng.permutation(500)[:n]
+            # thresholds near 0 or 1 leave one value of a finding without entries
+            thresholds = rng.choice([0.0, 0.5, 1.01], size=num_findings)
+            banks = bank.generate_bank_binary(
+                model, rng.normal(scale=2.0, size=(n, 2)), indices,
+                float(rng.uniform(0.1, 1.0)), thresholds, epoch_stamp=case,
+            )
+            picked = [
+                (int(i), int(j), int(v)) for i, j, v in zip(
+                    rng.integers(0, 500, size=16), rng.integers(0, num_findings, size=16),
+                    rng.integers(0, 2, size=16),
+                )
+            ]
+            k = int(rng.integers(1, 6))
+            rng_fast, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
+            got = adapt._binary_defending(banks, picked, k, rng_fast, num_findings, case)
+            want = reference_binary_defending(banks, picked, k, rng_ref, num_findings, case)
+            assert got[3] == want[3]
+            if want[0] is None:
+                assert got[0].shape == (0, 2)
+            else:
+                for g, w in zip(got[:3], want[:3]):
+                    assert np.array_equal(g, w)
+            assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
+        with pytest.raises(ConfigError, match="stale"):
+            adapt._binary_defending(banks, picked, k, rng_fast, num_findings, case + 1)
 
     def test_determinism(self, binary_toy):
         target, model, splits = binary_toy

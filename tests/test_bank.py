@@ -78,6 +78,48 @@ def reference_cosine_distance(a, b):
     return 1.0 - sim
 
 
+# Lloyd's algorithm as batched before it stopped at the fixed point: always 20
+# iterations, kept verbatim as the reference for the early exit.
+def reference_lloyd(points, init_rows):
+    dim = points.shape[1]
+    runs, n_clusters = init_rows.shape
+    coords = np.ascontiguousarray(points.T)
+    centroids = coords[:, init_rows]
+    flat_centroids = centroids.reshape(dim, runs * n_clusters)
+    offsets = (np.arange(runs) * n_clusters)[:, None]
+    weights = np.tile(coords, (1, runs))
+    for _ in range(20):
+        sq = (coords[:, None, None, :] - centroids[:, :, :, None]) ** 2
+        d2 = sq[0]
+        for j in range(1, dim):
+            d2 = d2 + sq[j]
+        assign = (np.argmin(d2, axis=1) + offsets).ravel()
+        counts = np.bincount(assign, minlength=runs * n_clusters)
+        filled = counts > 0
+        for j in range(dim):
+            sums = np.bincount(assign, weights=weights[j], minlength=runs * n_clusters)
+            flat_centroids[j, filled] = sums[filled] / counts[filled]
+    return centroids.transpose(1, 2, 0)
+
+
+def lloyd_history(points, init_rows):
+    """(assignments still change on the 20th iteration, some cluster is empty
+    on some iteration) for one per-run Lloyd from the given initial rows."""
+    centroids = points[init_rows].copy()
+    previous, changing, empty = None, False, False
+    for _ in range(20):
+        assign = np.argmin(((points[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
+        changing = previous is not None and not np.array_equal(assign, previous)
+        previous = assign
+        for c in range(len(centroids)):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                empty = True
+    return changing, empty
+
+
 def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
     def class_points(cls):
         return b.points[[b.index_of[i] for i in b.class_indices[cls]]]
@@ -243,6 +285,25 @@ class TestGenerateBank:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
             bank.generate_bank(random_model(0), np.zeros((0, 2)), [], 0.4, 3)
+
+    def test_builder_hands_over_class_rows(self):
+        rng = np.random.default_rng(6)
+        for case in range(10):
+            n = int(rng.integers(5, 60))
+            pts = rng.normal(scale=2.0, size=(n, 2))
+            indices = rng.permutation(1000)[:n]
+            b = bank.generate_bank(random_model(case), pts, indices, p=0.5, num_classes=3)
+            assert_rows_handed_over(b, indices)
+
+
+def assert_rows_handed_over(b, indices):
+    """The builder's rows equal those class_rows derives through index_of."""
+    assert b.index_of == {int(g): row for row, g in enumerate(indices)}
+    assert list(b.index_of) == [int(g) for g in indices]
+    for c in range(b.num_classes):
+        want = np.array([b.index_of[i] for i in b.class_indices[c]], dtype=np.intp)
+        got = b._rows[c]  # seeded by the builder, before any class_rows call
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def small_bank(model=None, seed=2, n=40, p=0.5, epoch=0):
@@ -412,6 +473,44 @@ class TestKMeansCenter:
                 assert np.array_equal(centroids, want)
             assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
 
+    def test_lloyd_early_exit_matches_twenty_iterations(self):
+        rng = np.random.default_rng(44)
+        never_converged = emptied = 0
+        for case in range(60):
+            n = int(rng.integers(4, 160))
+            if case % 3 == 0:
+                # exponentially spaced points on a line converge slowly
+                x = np.sort(rng.exponential(size=n))
+                pts = np.stack([x, 0.01 * rng.normal(size=n)], axis=1)
+            elif case % 3 == 1:
+                # duplicated points: equal initial centroids leave clusters empty
+                base = rng.normal(size=(max(1, n // 5), 2))
+                pts = base[rng.integers(0, len(base), size=n)]
+            else:
+                pts = rng.normal(scale=2.0, size=(n, 2))
+            clusters = int(rng.integers(1, min(n, 8) + 1))
+            runs = int(rng.integers(1, 6))
+            init = np.stack([rng.choice(n, size=clusters, replace=False) for _ in range(runs)])
+            assert np.array_equal(bank._lloyd(pts, init), reference_lloyd(pts, init))
+            for rows in init:
+                changing, empty = lloyd_history(pts, rows)
+                never_converged += changing
+                emptied += empty
+        assert never_converged and emptied  # both edge cases were exercised
+
+    def test_nearest_per_centroid_matches_verbatim(self):
+        rng = np.random.default_rng(45)
+        for case in range(40):
+            base = rng.normal(size=(int(rng.integers(1, 8)), 2))
+            pts = base[rng.integers(0, len(base), size=int(rng.integers(1, 30)))]
+            n_centroids = int(rng.integers(1, 7))
+            centroids = rng.normal(size=(n_centroids, 2))
+            centroids[0] = pts[0]  # a centroid on duplicated points: ties by row
+            for k in sorted({1, max(1, n_centroids - 1), n_centroids, n_centroids + 1, 3 * n_centroids + 2}):
+                got = bank._nearest_per_centroid(pts, centroids, k)
+                want = reference_nearest_per_centroid(pts, centroids, k)
+                assert np.array_equal(got, want), (case, k)
+
 
 class TestRandomStrategiesMatchOracle:
     @pytest.mark.parametrize("strategy", [bank.CLASS_AWARE_RANDOM, bank.UNCONDITIONED_RANDOM])
@@ -424,6 +523,25 @@ class TestRandomStrategiesMatchOracle:
             assert_same_retrieval(
                 b, rng.normal(size=(16, 2)), rng.integers(0, 3, size=16), cfg, case
             )
+
+
+class TestRepeatedLabeledPoints:
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
+    def test_matches_per_point_oracle(self, strategy, fallback):
+        # a batch repeats few distinct labeled points, the same coordinates
+        # may carry two classes, and fallback rows mix with bank rows
+        model = random_model(46)
+        rng = np.random.default_rng(46)
+        for case in range(12):
+            b = tied_bank(rng, empty_class=case % 3)
+            lab_pts = rng.normal(scale=2.0, size=(5, 2))[rng.integers(0, 5, size=16)]
+            lab_y = rng.integers(0, 3, size=16)
+            lab_pts[1] = lab_pts[0]
+            lab_y[1] = (lab_y[0] + 1) % 3
+            lab_y[2] = 3  # a class the bank does not have
+            cfg = bank.RldConfig(k=3, strategy=strategy, empty_class_fallback=fallback)
+            assert_same_retrieval(b, lab_pts, lab_y, cfg, case, model=model)
 
 
 class TestCosineDistant:
@@ -471,6 +589,19 @@ class TestCosineDistant:
         b = tied_bank(rng, empty_class=1)
         cfg = bank.RldConfig(k=3, strategy=bank.COSINE_DISTANT)
         assert_same_retrieval(b, rng.normal(size=(16, 2)), np.arange(16) % 3, cfg, 0, model=model)
+
+    def test_cosine_distance_matches_verbatim(self):
+        rng = np.random.default_rng(33)
+        for case in range(60):
+            b = rng.normal(size=(int(rng.integers(1, 40)), 10))
+            a = rng.normal(size=10)
+            if case % 3 == 1:
+                b[rng.random(len(b)) < 0.3] = 0.0  # some zero-norm rows
+            elif case % 3 == 2:
+                a[:] = 0.0  # every denominator zero
+            got = bank._cosine_distance(a, b, np.linalg.norm(b, axis=1))
+            assert np.array_equal(got, reference_cosine_distance(a, b))
+
 
     def test_requires_model(self):
         model, b = small_bank(seed=23)
@@ -536,6 +667,16 @@ class TestBinaryBanks:
                     order = sorted(rows, key=lambda r: (-conf[r], globals_[r]))[:keep]
                     assert b.class_indices[value] == [int(globals_[r]) for r in order]
                     assert b.class_conf[value] == [float(conf[r]) for r in order]
+
+    def test_builder_hands_over_class_rows(self):
+        rng = np.random.default_rng(18)
+        model = random_model(18, dims=(2, 8, 3), head=nn.SIGMOID)
+        pts = rng.normal(scale=2.0, size=(40, 2))
+        indices = rng.permutation(1000)[:40]
+        banks = bank.generate_bank_binary(model, pts, indices, 0.4, [0.5, 0.45, 0.6])
+        for b in banks:
+            assert b.points is banks[0].points
+            assert_rows_handed_over(b, indices)
 
     def test_filtering_keeps_most_threshold_distant(self):
         model = random_model(16, dims=(2, 8, 2), head=nn.SIGMOID)

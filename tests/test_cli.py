@@ -194,3 +194,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--set rld.strategy=class_aware_random" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("override", [
+        "model.hidden=[0,10]",
+        "model.hidden=[-3]",
+        "pretrain.batch_size=0",
+        "pretrain.epochs=-1",
+        "augment.weak_frac=-1",
+        "augment.scale_lo=2",
+    ])
+    def test_bad_model_and_pretrain_values_exit_2_up_front(self, tmp_path, monkeypatch, override):
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("pretraining started before the config was rejected")
+
+        monkeypatch.setattr(runner, "pretrain", no_pretrain)
+        code = run_cli(
+            ["adapt", "--out", str(tmp_path), "--set", "adapt.algorithm=fixmatch_lite"]
+            + FAST_SETS + ["--set", override]
+        )
+        assert code == 2

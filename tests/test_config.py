@@ -92,6 +92,31 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig({"dataset.kind": "images"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("model.hidden", [0, 10]),
+        ("model.hidden", [-3]),
+        ("model.hidden", []),
+        ("pretrain.batch_size", 0),
+        ("pretrain.epochs", -1),
+        ("augment.weak_frac", -1.0),
+        ("augment.strong_frac", 0.01),  # below weak_frac
+        ("augment.scale_lo", 0.0),
+        ("augment.scale_lo", 2.0),
+        ("augment.scale_hi", 0.5),
+    ])
+    def test_model_pretrain_and_augment_values_checked_up_front(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[0]):
+            ExperimentConfig({key: value})
+
+    def test_boundary_values_accepted(self):
+        for flat in [
+            {"model.hidden": [1]},
+            {"pretrain.epochs": 0, "pretrain.batch_size": 1},
+            {"augment.weak_frac": 0.0, "augment.strong_frac": 0.0},
+            {"augment.scale_lo": 1.0, "augment.scale_hi": 1.0},
+        ]:
+            ExperimentConfig(flat)
+
 
 class TestTypedViews:
     def test_model_dims_per_dataset(self):

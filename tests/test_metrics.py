@@ -23,6 +23,22 @@ def pairwise_auroc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def reference_average_ranks(values):
+    """The per-element loop _average_ranks replaced, kept verbatim."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for t in range(i, j + 1):
+            ranks[order[t]] = avg
+        i = j + 1
+    return ranks
+
+
 def zero_model(outputs=3, head=nn.SOFTMAX):
     return nn.MlpModel(
         [2, 2, outputs],
@@ -75,6 +91,20 @@ class TestAuroc:
 
     def test_all_ties_is_half(self):
         assert metrics.auroc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
+
+    def test_average_ranks_match_verbatim_loop(self):
+        rng = np.random.default_rng(70)
+        cases = [np.zeros(0), np.array([np.nan]), np.array([0.0, -0.0, 0.0])]
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(0, max(1, n // 3), size=n).astype(float)  # many ties
+            values[rng.random(n) < 0.1] = np.nan
+            cases.append(values)
+            cases.append(rng.normal(size=n))
+        for values in cases:
+            assert np.array_equal(
+                metrics._average_ranks(values), reference_average_ranks(values)
+            )
 
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):

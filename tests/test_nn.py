@@ -99,6 +99,50 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+# Verbatim copies of loss_ce and backward as they were before the unmasked
+# loss stopped multiplying by ones and backward stopped zero-filling; the
+# current versions must give the same bits.
+def reference_loss_ce(probs, targets, mask=None):
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    n = probs.shape[0]
+    if mask is None:
+        mask = np.ones(n)
+    else:
+        mask = np.asarray(mask, dtype=np.float64)
+    n_eff = int(round(mask.sum()))
+    dprobs = np.zeros_like(probs)
+    if n_eff == 0:
+        return 0.0, dprobs, 0
+    rows = np.arange(n)
+    p_t = probs[rows, targets]
+    losses = -np.log(np.maximum(p_t, nn.PROB_EPS))
+    loss = float((losses * mask).sum() / n_eff)
+    grad_vals = np.where(p_t > nn.PROB_EPS, -1.0 / np.maximum(p_t, nn.PROB_EPS), 0.0)
+    dprobs[rows, targets] = grad_vals * mask / n_eff
+    return loss, dprobs, n_eff
+
+
+def reference_backward(model, trace, dprobs):
+    dprobs = np.asarray(dprobs, dtype=np.float64)
+    probs = trace.probs
+    if model.head == nn.SOFTMAX:
+        inner = (dprobs * probs).sum(axis=1, keepdims=True)
+        dz = probs * (dprobs - inner)
+    else:
+        dz = dprobs * probs * (1.0 - probs)
+    grads = nn.GradientSet.zeros_like(model)
+    n_layers = len(model.weights)
+    for i in range(n_layers - 1, -1, -1):
+        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+        grads.weights[i][:] = a_prev.T @ dz
+        grads.biases[i][:] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ model.weights[i].T
+            dz = da * (trace.pre_activations[i - 1] > 0.0)
+    return grads
+
+
 class TestLossCe:
     def test_one_hot_target_is_zero(self):
         probs = np.array([[0.0, 1.0, 0.0]])
@@ -131,6 +175,20 @@ class TestLossCe:
         expected = (-math.log(0.5) - math.log(0.75)) / 2.0
         assert n == 2
         assert loss == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_verbatim_with_and_without_mask(self):
+        rng = np.random.default_rng(8)
+        for case in range(40):
+            n = int(rng.integers(1, 120))
+            probs = rng.dirichlet(np.ones(3), size=n)
+            probs[rng.random(n) < 0.1, 0] = 0.0  # below the probability floor
+            targets = rng.integers(0, 3, size=n)
+            masks = [None, (rng.random(n) < 0.6).astype(float), np.zeros(n), np.ones(n)]
+            for mask in masks:
+                got = nn.loss_ce(probs, targets, mask=mask)
+                want = reference_loss_ce(probs, targets, mask=mask)
+                assert got[0] == want[0] and got[2] == want[2]
+                assert np.array_equal(got[1], want[1])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -192,6 +250,18 @@ class TestBackward:
         grads = nn.backward(model, trace, np.zeros_like(trace.probs))
         for g in grads.weights + grads.biases:
             assert np.all(g == 0.0)
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_matches_verbatim_zero_filled_copy(self, head):
+        rng = np.random.default_rng(9)
+        for case, dims in enumerate([[2, 5, 3], [2, 10, 10, 3], [2, 4, 6, 5, 2]]):
+            model = make_model(dims, head=head, seed=case)
+            trace = nn.forward(model, rng.normal(scale=2.0, size=(int(rng.integers(1, 90)), 2)))
+            dprobs = rng.normal(size=trace.probs.shape)
+            got = nn.backward(model, trace, dprobs)
+            want = reference_backward(model, trace, dprobs)
+            for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_stale_trace_raises(self):
         model = make_model([2, 5, 3], seed=1)
