@@ -162,12 +162,8 @@ def build_minibatch(
     retrieval_rng: np.random.Generator,
     model: Optional[nn.MlpModel] = None,
     epoch: Optional[int] = None,
-    label_of: Optional[dict] = None,
 ) -> MiniBatch:
-    """One step's batch. label_of maps labeled index -> label; the loop
-    builds it once per run, other callers may leave it to the split."""
-    if label_of is None:
-        label_of = dict(split.labeled)
+    label_of = dict(split.labeled)
     lb_idx = labeled_sampler.take(spec.b)
     lb_points = train.points[lb_idx]
     lb_labels = np.array([label_of[int(i)] for i in lb_idx], dtype=np.int64)
@@ -298,7 +294,6 @@ def adapt(
     unlabeled_idx = split.unlabeled_indices()
     if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
-    label_of = dict(labeled_pairs)
 
     num_classes = model.output_dim
     augmenter = Augmenter(
@@ -330,7 +325,7 @@ def adapt(
             batch = build_minibatch(
                 split, train, cur_bank, cfg.batch, cfg.rld,
                 labeled_sampler, unlabeled_sampler, retrieval_rng,
-                model=model, epoch=epoch, label_of=label_of,
+                model=model, epoch=epoch,
             )
             if observer is not None:
                 observer(epoch, step, batch)

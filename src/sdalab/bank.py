@@ -94,9 +94,6 @@ class CandidateBank:
     def class_points(self, cls: int) -> np.ndarray:
         return self.points[self.class_rows(cls)]
 
-    def point_of(self, global_index: int) -> np.ndarray:
-        return self.points[self.index_of[global_index]]
-
 
 def generate_bank(
     model: nn.MlpModel,
@@ -202,11 +199,6 @@ def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> 
     """Row indices of the k retrieved points: round-robin over centroids,
     each yielding its next-nearest unused point (ties by row); wraps to reuse
     when exhausted."""
-    if k <= len(centroids):
-        # one round: each of the first k centroids yields its nearest row,
-        # the first entry of its stable argsort (distances are finite)
-        dist = np.linalg.norm(points[None, :, :] - centroids[:k, None, :], axis=2)
-        return np.argmin(dist, axis=1)
     dist = np.linalg.norm(points[None, :, :] - centroids[:, None, :], axis=2)
     order_per_centroid = np.argsort(dist, axis=1, kind="stable")
     picks = []

@@ -183,14 +183,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"pretrain.batch_size must be >= 1, got {self.flat['pretrain.batch_size']}"
             )
-        # The augmenter's invariants hold or fail alike at any positive scale,
-        # so the fractions are checked as a spec of unit radius, before any
-        # points exist to scale them.
-        weak, strong, scale = self.augment_fracs()
-        try:
-            adapt_mod.AugmenterSpec(weak, strong, scale)
-        except ConfigError as exc:
-            raise ConfigError(f"augment.*: {exc}") from None
+        # Only fixmatch_lite builds an augmenter. Its invariants hold or fail
+        # alike at any positive scale, so the fractions are checked as a spec
+        # of unit radius, before any points exist to scale them.
+        if self.flat["adapt.algorithm"] == adapt_mod.FIXMATCH_LITE:
+            weak, strong, scale = self.augment_fracs()
+            try:
+                adapt_mod.AugmenterSpec(weak, strong, scale)
+            except ConfigError as exc:
+                raise ConfigError(f"augment.*: {exc}") from None
         # Constructing the typed views exercises every domain-level invariant.
         self.dataset_spec()
         self.feedback_spec()

@@ -167,21 +167,6 @@ class TestBuildMinibatch:
                 np.random.default_rng(1),
             )
 
-    def test_label_lookup_given_once_matches_the_split(self, toy):
-        train, split, model = toy
-        spec = adapt.BatchSpec(b=9, mu=2, k=0)
-        batches = []
-        for label_of in (None, dict(split.labeled)):
-            rng = np.random.default_rng(6)
-            batches.append(adapt.build_minibatch(
-                split, train, None, spec, None,
-                adapt.CyclingSampler(split.labeled_indices(), rng),
-                adapt.CyclingSampler(split.unlabeled_indices(), rng),
-                np.random.default_rng(7), label_of=label_of,
-            ))
-        assert np.array_equal(batches[0].labeled_labels, batches[1].labeled_labels)
-        assert np.array_equal(batches[0].labeled_points, batches[1].labeled_points)
-
     def test_labeled_labels_are_ground_truth(self, toy):
         train, split, model = toy
         rng = np.random.default_rng(4)
@@ -535,7 +520,7 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
             continue
         draws = rng.choice(size, size=k, replace=size < k)
         for d in draws:
-            d_points.append(b.point_of(b.class_indices[value][int(d)]))
+            d_points.append(b.points[b.index_of[b.class_indices[value][int(d)]]])
             row_mask = np.zeros(num_findings)
             row_tgt = np.zeros(num_findings)
             row_mask[j] = 1.0

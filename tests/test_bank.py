@@ -137,7 +137,7 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
         size = b.class_size(cls) if cls < b.num_classes else 0
         if cfg.strategy == bank.UNCONDITIONED_RANDOM:
             for d in rng.choice(len(pool), size=cfg.k, replace=len(pool) < cfg.k):
-                out_pts.append(b.point_of(pool[int(d)]))
+                out_pts.append(b.points[b.index_of[pool[int(d)]]])
                 out_lab.append(pseudo_of[pool[int(d)]])
             continue
         if size == 0:
@@ -148,7 +148,7 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
             continue
         if cfg.strategy == bank.CLASS_AWARE_RANDOM:
             for d in rng.choice(size, size=cfg.k, replace=size < cfg.k):
-                out_pts.append(b.point_of(b.class_indices[cls][int(d)]))
+                out_pts.append(b.points[b.index_of[b.class_indices[cls][int(d)]]])
                 out_lab.append(cls)
         elif cfg.strategy == bank.KMEANS_CENTER:
             pts = class_points(cls)
@@ -351,7 +351,7 @@ class TestClassAwareRandom:
         )
         rows = {tuple(p) for p in pts}
         allowed = {
-            tuple(b.point_of(g)) for c in (0, 2) for g in b.class_indices[c]
+            tuple(b.points[b.index_of[g]]) for c in (0, 2) for g in b.class_indices[c]
         }
         assert rows <= allowed
 

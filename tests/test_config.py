@@ -106,7 +106,11 @@ class TestValidation:
     ])
     def test_model_pretrain_and_augment_values_checked_up_front(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[0]):
-            ExperimentConfig({key: value})
+            ExperimentConfig({"adapt.algorithm": "fixmatch_lite", key: value})
+
+    def test_augment_values_unchecked_without_an_augmenter(self):
+        # pseudo_label never builds an augmenter, so it ignores augment.*
+        ExperimentConfig({"augment.weak_frac": -1.0, "augment.scale_lo": 2.0})
 
     def test_boundary_values_accepted(self):
         for flat in [
@@ -115,7 +119,7 @@ class TestValidation:
             {"augment.weak_frac": 0.0, "augment.strong_frac": 0.0},
             {"augment.scale_lo": 1.0, "augment.scale_hi": 1.0},
         ]:
-            ExperimentConfig(flat)
+            ExperimentConfig({"adapt.algorithm": "fixmatch_lite", **flat})
 
 
 class TestTypedViews:
