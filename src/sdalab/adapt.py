@@ -390,9 +390,10 @@ def _binary_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
     """k class-aware random draws per picked (sample, finding, value) cell
     from that finding's bank; returns (points, targets, mask, fallbacks),
     with a target and mask row per point that select the cell's finding."""
-    d_rows, d_findings, d_values = [], [], []
+    d_rows, used = [], []
     fallbacks = 0
-    for _, j, value in picked:
+    for cell in picked:
+        _, j, value = cell
         b = banks[j]
         if b.epoch_stamp != epoch:
             raise ConfigError("stale binary candidate bank")
@@ -402,18 +403,25 @@ def _binary_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
             continue
         draws = rng.choice(size, size=k, replace=size < k)
         d_rows.append(b.class_rows(value)[draws])
-        d_findings.append(j)
-        d_values.append(value)
+        used.append(cell)
     if not d_rows:
         return np.zeros((0, 2)), np.zeros((0, num_findings)), np.zeros((0, num_findings)), fallbacks
     # generate_bank_binary's banks share one pool of points
     points = banks[0].points[np.concatenate(d_rows)]
-    at = (np.arange(len(points)), np.repeat(d_findings, k))
-    targets = np.zeros((len(points), num_findings))
-    mask = np.zeros((len(points), num_findings))
-    targets[at] = np.repeat(d_values, k)
-    mask[at] = 1.0
+    targets, mask = _finding_cells(np.repeat(used, k, axis=0), num_findings)
     return points, targets, mask, fallbacks
+
+
+def _finding_cells(cells, num_findings) -> tuple:
+    """(targets, mask), one row per (sample, finding, value) cell: the row
+    holds the value at its finding's column, and the mask 1 there, 0 elsewhere."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+    at = (np.arange(len(cells)), cells[:, 1])
+    targets = np.zeros((len(cells), num_findings))
+    mask = np.zeros((len(cells), num_findings))
+    targets[at] = cells[:, 2]
+    mask[at] = 1.0
+    return targets, mask
 
 
 def adapt_binary(
@@ -480,11 +488,7 @@ def adapt_binary(
         for step in range(n_steps):
             picked = [cells[int(i)] for i in cell_sampler.take(cfg.batch.b)]
             lb_points = train.points[[c[0] for c in picked]]
-            lb_mask = np.zeros((cfg.batch.b, num_findings))
-            lb_targets = np.zeros((cfg.batch.b, num_findings))
-            for row, (_, j, value) in enumerate(picked):
-                lb_mask[row, j] = 1.0
-                lb_targets[row, j] = value
+            lb_targets, lb_mask = _finding_cells(picked, num_findings)
             trace = nn.forward(model, lb_points)
             l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs, lb_targets, lb_mask)
             grads = nn.backward(model, trace, dprobs)

@@ -157,8 +157,16 @@ class ExperimentConfig:
         kind = self.flat["dataset.kind"]
         if kind not in ("blobs", "moons", "binary"):
             raise ConfigError(f"unknown dataset.kind {kind!r}")
+        ratio = self.flat["split.ratio"]
+        if not 0.0 < ratio < 1.0:
+            raise ConfigError(f"split.ratio must be in (0, 1), got {ratio}")
         if self.flat["adapt.k"] > 0 and not self.flat["rld.enabled"]:
             raise ConfigError("adapt.k > 0 requires rld.enabled = true")
+        if kind == "binary" and self.flat["adapt.algorithm"] != adapt_mod.PSEUDO_LABEL:
+            raise ConfigError(
+                f"binary mode supports adapt.algorithm={adapt_mod.PSEUDO_LABEL} only, got "
+                f"{self.flat['adapt.algorithm']}"
+            )
         if (
             kind == "binary"
             and self.flat["rld.enabled"]
@@ -229,14 +237,16 @@ class ExperimentConfig:
 
     def feedback_spec(self) -> feedback.FeedbackSpec:
         policy = self.flat["feedback.policy"]
-        mixed = None
+        mixed = binary = None
         if policy == feedback.MIXED:
             mixed = (self.flat["feedback.pf_count"], self.flat["feedback.nf_count"])
+        if self.flat["dataset.kind"] == "binary":
+            binary = (self.flat["feedback.fp_count"], self.flat["feedback.fn_count"])
         return feedback.FeedbackSpec(
             policy=policy,
             per_class_count=self.flat["feedback.per_class_count"],
             mixed_counts=mixed,
-            binary_mode_counts=(self.flat["feedback.fp_count"], self.flat["feedback.fn_count"]),
+            binary_mode_counts=binary,
             fallback_on_shortage=self.flat["feedback.fallback"],
         )
 
@@ -244,6 +254,8 @@ class ExperimentConfig:
         if not self.flat["rld.enabled"]:
             return None
         clusters = self.flat["rld.kmeans_clusters"]
+        if clusters < 0:
+            raise ConfigError(f"rld.kmeans_clusters must be >= 0 (0 means k), got {clusters}")
         return bank_mod.RldConfig(
             p=self.flat["rld.p"],
             k=max(self.flat["adapt.k"], 1),

@@ -50,6 +50,13 @@ class FeedbackSpec:
                 raise ConfigError(f"bad mixed counts {self.mixed_counts}")
         elif self.per_class_count < 1:
             raise ConfigError(f"per_class_count must be >= 1, got {self.per_class_count}")
+        if self.binary_mode_counts is not None:
+            fp, fn = self.binary_mode_counts
+            if fp < 0 or fn < 0 or fp + fn < 1:
+                raise ConfigError(
+                    f"bad binary feedback counts (fp, fn) = {self.binary_mode_counts}: "
+                    "each must be >= 0 and their sum >= 1"
+                )
         if self.fallback_on_shortage not in (FALLBACK_ERROR, FALLBACK_FILL):
             raise ConfigError(f"unknown shortage fallback {self.fallback_on_shortage!r}")
 

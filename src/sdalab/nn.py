@@ -13,7 +13,7 @@ run is reproducible from its seed alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,45 @@ SIGMOID = "sigmoid"
 MODEL_FORMAT = "sdalab-model-v1"
 
 
+def _layout(weight_shapes, bias_sizes):
+    """Where each weight matrix, then each bias vector, sits in one flat
+    vector: ([(start, stop, shape), ...], [(start, stop), ...])."""
+    weights, start = [], 0
+    for rows, cols in weight_shapes:
+        weights.append((start, start + rows * cols, (rows, cols)))
+        start += rows * cols
+    biases = []
+    for size in bias_sizes:
+        biases.append((start, start + size))
+        start += size
+    return weights, biases
+
+
+def _views(flat, layout):
+    """(weights, biases) as views into ``flat`` at ``layout``."""
+    weight_spans, bias_spans = layout
+    return (
+        [flat[start:stop].reshape(shape) for start, stop, shape in weight_spans],
+        [flat[start:stop] for start, stop in bias_spans],
+    )
+
+
+def _pack(arrays):
+    """One new float64 vector holding ``arrays`` end to end, in order."""
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+
+
 class MlpModel:
     """Fully connected network: layer_dims[0] inputs -> ... -> outputs.
 
     weights[i] has shape (layer_dims[i], layer_dims[i+1]); biases[i] has
     shape (layer_dims[i+1],). ``head`` selects the output nonlinearity.
+
+    Every parameter lives in one float64 vector, ``params``: each weight
+    matrix in layer order, then each bias vector. ``weights`` and ``biases``
+    are views into it, so an in-place change to either shows in the other;
+    rebinding ``params`` or a list entry would break that link. The
+    constructor copies the given arrays and never aliases them.
     """
 
     def __init__(self, layer_dims, weights, biases, head=SOFTMAX):
@@ -53,9 +87,10 @@ class MlpModel:
             if b.shape != (layer_dims[i + 1],):
                 raise ShapeError(f"layer {i} bias shape {b.shape}, expected ({layer_dims[i + 1]},)")
         self.layer_dims = layer_dims
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.head = head
+        self._layout = _layout(zip(layer_dims[:-1], layer_dims[1:]), layer_dims[1:])
+        self.params = _pack([*weights, *biases])
+        self.weights, self.biases = _views(self.params, self._layout)
 
     @classmethod
     def init(cls, layer_dims, head, rng):
@@ -76,12 +111,7 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def copy(self):
-        return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            head=self.head,
-        )
+        return MlpModel(self.layer_dims, self.weights, self.biases, head=self.head)
 
     def to_json_dict(self):
         return {
@@ -121,25 +151,34 @@ class ForwardTrace:
     layer_dims: list
 
 
-@dataclass
 class GradientSet:
-    """d(loss)/d(parameter), shape-congruent with an MlpModel."""
+    """d(loss)/d(parameter), shape-congruent with an MlpModel.
 
-    weights: list
-    biases: list
+    ``flat`` is laid out like ``MlpModel.params``; ``weights`` and
+    ``biases`` are views into it. Built from lists, the arrays are copied.
+    """
+
+    def __init__(self, weights, biases):
+        if len(weights) != len(biases):
+            raise ShapeError("one weight and one bias gradient per layer required")
+        self.flat = _pack([*weights, *biases])
+        layout = _layout([np.shape(w) for w in weights], [np.size(b) for b in biases])
+        self.weights, self.biases = _views(self.flat, layout)
+
+    @classmethod
+    def _wrap(cls, flat, layout):
+        """A GradientSet over ``flat`` itself, without a copy."""
+        self = cls.__new__(cls)
+        self.flat = flat
+        self.weights, self.biases = _views(flat, layout)
+        return self
 
     @classmethod
     def zeros_like(cls, model):
-        return cls(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-        )
+        return cls._wrap(np.zeros_like(model.params), model._layout)
 
     def add_(self, other):
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
+        self.flat += other.flat
         return self
 
 
@@ -150,12 +189,11 @@ def softmax_rows(logits):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
+    # exp(-x) where x >= 0 and exp(x) elsewhere: it never overflows, and a
+    # NaN keeps its sign, as in the one-side-at-a-time form.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _checked_inputs(model, inputs):
@@ -220,9 +258,10 @@ def loss_ce(probs, targets, mask=None):
         return 0.0, dprobs, 0
     rows = np.arange(n)
     p_t = probs[rows, targets]
-    losses = -np.log(np.maximum(p_t, PROB_EPS))
+    clamped = np.maximum(p_t, PROB_EPS)
+    losses = -np.log(clamped)
     # Below the floor the clamped loss is flat, so the exact derivative is 0.
-    grad_vals = np.where(p_t > PROB_EPS, -1.0 / np.maximum(p_t, PROB_EPS), 0.0)
+    grad_vals = np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
     if mask is not None:  # without one every weight is 1.0, and x * 1.0 == x
         losses = losses * mask
         grad_vals = grad_vals * mask
@@ -241,7 +280,7 @@ def loss_bce(probs, targets):
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != probs.shape:
         raise ShapeError(f"targets shape {targets.shape}, expected {probs.shape}")
-    if not np.isin(targets, (0.0, 1.0)).all():
+    if not ((targets == 0.0) | (targets == 1.0)).all():
         raise ConfigError("binary targets must be 0 or 1")
     n_cells = probs.size
     p = np.maximum(probs, PROB_EPS)
@@ -304,16 +343,18 @@ def backward(model, trace, dprobs):
     else:
         dz = dprobs * probs * (1.0 - probs)
 
-    n_layers = len(model.weights)
-    d_weights, d_biases = [None] * n_layers, [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
+    # Every entry is written below, so the vector needs no zero-fill. For
+    # these 2-D float64 operands np.dot gives the bits of `@`, and writes
+    # into a view at less cost than np.matmul(out=).
+    grads = GradientSet._wrap(np.empty(model.params.size), model._layout)
+    for i in range(len(model.weights) - 1, -1, -1):
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        d_weights[i] = a_prev.T @ dz
-        d_biases[i] = dz.sum(axis=0)
+        np.dot(a_prev.T, dz, out=grads.weights[i])
+        np.add.reduce(dz, axis=0, out=grads.biases[i])
         if i > 0:
             da = dz @ model.weights[i].T
             dz = da * (trace.pre_activations[i - 1] > 0.0)
-    return GradientSet(d_weights, d_biases)
+    return grads
 
 
 @dataclass
@@ -333,35 +374,31 @@ class SgdConfig:
 
 @dataclass
 class SgdState:
-    """Momentum buffers, carried between sgd_step calls."""
+    """Momentum buffer laid out like ``MlpModel.params``, carried between
+    sgd_step calls."""
 
-    vel_weights: list = field(default_factory=list)
-    vel_biases: list = field(default_factory=list)
+    velocity: np.ndarray
 
     @classmethod
     def zeros_like(cls, model):
-        return cls(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-        )
+        return cls(np.zeros_like(model.params))
 
 
 def sgd_step(model, grads, cfg, state):
-    """In-place SGD update: v <- m*v + g + wd*theta; theta <- theta - lr*v."""
-    for i, g in enumerate(grads.weights):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite weight gradient in layer {i}")
-    for i, g in enumerate(grads.biases):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite bias gradient in layer {i}")
-    for theta, g, v in zip(model.weights, grads.weights, state.vel_weights):
-        v *= cfg.momentum
-        v += g + cfg.weight_decay * theta
-        theta -= cfg.learning_rate * v
-    for theta, g, v in zip(model.biases, grads.biases, state.vel_biases):
-        v *= cfg.momentum
-        v += g + cfg.weight_decay * theta
-        theta -= cfg.learning_rate * v
+    """In-place SGD update: v <- m*v + g + wd*theta; theta <- theta - lr*v.
+
+    Every operation is elementwise, so updating the whole parameter vector
+    at once gives the same bits as updating each array on its own.
+    """
+    if not np.isfinite(grads.flat).all():
+        for kind, arrays in (("weight", grads.weights), ("bias", grads.biases)):
+            for i, g in enumerate(arrays):
+                if not np.isfinite(g).all():
+                    raise NumericError(f"non-finite {kind} gradient in layer {i}")
+    theta, v = model.params, state.velocity
+    v *= cfg.momentum
+    v += grads.flat + cfg.weight_decay * theta
+    theta -= cfg.learning_rate * v
     return model, state
 
 

@@ -602,6 +602,27 @@ class TestAdaptBinary:
         with pytest.raises(ConfigError, match="stale"):
             adapt._binary_defending(banks, picked, k, rng_fast, num_findings, case + 1)
 
+    def test_labeled_cells_match_verbatim_loop(self):
+        rng = np.random.default_rng(62)
+        for case in range(30):
+            num_findings = int(rng.integers(1, 6))
+            b = int(rng.integers(0, 20))
+            picked = [
+                (int(i), int(j), int(v)) for i, j, v in zip(
+                    rng.integers(0, 50, size=b), rng.integers(0, num_findings, size=b),
+                    rng.integers(0, 2, size=b),
+                )
+            ]
+            # the loop adapt_binary used to fill the labelled half with, verbatim
+            lb_mask = np.zeros((b, num_findings))
+            lb_targets = np.zeros((b, num_findings))
+            for row, (_, j, value) in enumerate(picked):
+                lb_mask[row, j] = 1.0
+                lb_targets[row, j] = value
+            targets, mask = adapt._finding_cells(picked, num_findings)
+            assert targets.dtype == lb_targets.dtype and np.array_equal(targets, lb_targets)
+            assert mask.dtype == lb_mask.dtype and np.array_equal(mask, lb_mask)
+
     def test_determinism(self, binary_toy):
         target, model, splits = binary_toy
         cfg = adapt.AdaptConfig(

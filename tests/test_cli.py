@@ -1,7 +1,11 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,32 @@ class TestExitCodes:
             + FAST_SETS + ["--set", override]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["dataset.kind=binary", "feedback.fp_count=-5"],
+        ["dataset.kind=binary", "feedback.fp_count=0", "feedback.fn_count=0"],
+        ["dataset.kind=binary", "adapt.algorithm=fixmatch_lite"],
+        ["rld.enabled=true", "adapt.k=3", "rld.kmeans_clusters=-2"],
+        ["split.ratio=1.5"],
+    ])
+    def test_late_failures_exit_2_up_front(self, tmp_path, monkeypatch, capsys, overrides):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the config was rejected")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        monkeypatch.setattr(runner, "pretrain", no_stage)
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert run_cli(["adapt", "--out", str(tmp_path)] + FAST_SETS + sets) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "sdalab", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: sdalab")

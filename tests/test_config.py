@@ -3,7 +3,7 @@
 import pytest
 
 from sdalab import config as config_mod
-from sdalab import data, feedback, nn
+from sdalab import data, feedback, nn, runner
 from sdalab.config import ExperimentConfig, apply_overrides, parse_config_text, stage_seed
 from sdalab.errors import ConfigError
 
@@ -120,6 +120,44 @@ class TestValidation:
             {"augment.scale_lo": 1.0, "augment.scale_hi": 1.0},
         ]:
             ExperimentConfig({"adapt.algorithm": "fixmatch_lite", **flat})
+
+    @pytest.mark.parametrize("flat, match", [
+        ({"dataset.kind": "binary", "feedback.fp_count": -5}, "binary feedback counts"),
+        ({"dataset.kind": "binary", "feedback.fn_count": -1}, "binary feedback counts"),
+        ({"dataset.kind": "binary", "feedback.fp_count": 0, "feedback.fn_count": 0},
+         "binary feedback counts"),
+        ({"dataset.kind": "binary", "adapt.algorithm": "fixmatch_lite"},
+         "adapt.algorithm=pseudo_label"),
+        ({"rld.enabled": True, "adapt.k": 3, "rld.kmeans_clusters": -2}, "rld.kmeans_clusters"),
+        ({"split.ratio": 1.5}, "split.ratio"),
+        ({"split.ratio": 1.0}, "split.ratio"),
+        ({"split.ratio": 0.0}, "split.ratio"),
+        ({"split.ratio": -0.2}, "split.ratio"),
+    ])
+    def test_late_failures_rejected_up_front(self, flat, match, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the config was rejected")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        monkeypatch.setattr(runner, "pretrain", no_stage)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(flat)
+
+    def test_unused_counts_still_accepted_with_unchanged_hashes(self):
+        # fp/fn counts are read in binary mode only, kmeans_clusters with rld only
+        for flat, digest in [
+            ({}, "df1b9a1fc57a4d4b8e84c8532b16d2ed8cfce74e47557ad9dbc7959448455afe"),
+            ({"feedback.fp_count": -5},
+             "f3ce790e6513366881141c4234d428d65d3523cef2078fe9bb2ba59cc373f3ae"),
+            ({"dataset.kind": "binary", "feedback.fp_count": 0, "feedback.fn_count": 1},
+             "98d87aa61c4aba17426cbb56e011cea2053c2c2a79a1779c560e04b7518e0346"),
+        ]:
+            assert ExperimentConfig(flat).config_hash() == digest
+        ExperimentConfig({"rld.kmeans_clusters": -2})
+        ExperimentConfig({"split.ratio": 0.01})
+        cfg = ExperimentConfig({"dataset.kind": "binary", "feedback.fp_count": 7})
+        assert cfg.feedback_spec().binary_mode_counts == (7, 40)
+        assert ExperimentConfig({}).feedback_spec().binary_mode_counts is None
 
 
 class TestTypedViews:

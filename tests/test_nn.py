@@ -539,3 +539,223 @@ class TestDeterminism:
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(m1.biases, m2.biases):
             assert ba.tobytes() == bb.tobytes()
+
+
+# Verbatim copies of the list-based parameter code that held each weight,
+# bias, gradient and momentum array on its own: the flat-vector versions
+# must give the same bits.
+class ListModel:
+    def __init__(self, model):
+        self.layer_dims = list(model.layer_dims)
+        self.head = model.head
+        self.input_dim = model.input_dim
+        self.weights = [w.copy() for w in model.weights]
+        self.biases = [b.copy() for b in model.biases]
+
+
+class ListGradientSet:
+    def __init__(self, weights, biases):
+        self.weights = weights
+        self.biases = biases
+
+    def add_(self, other):
+        for a, b in zip(self.weights, other.weights):
+            a += b
+        for a, b in zip(self.biases, other.biases):
+            a += b
+        return self
+
+
+class ListSgdState:
+    def __init__(self, model):
+        self.vel_weights = [np.zeros_like(w) for w in model.weights]
+        self.vel_biases = [np.zeros_like(b) for b in model.biases]
+
+
+def list_backward(model, trace, dprobs):
+    dprobs = np.asarray(dprobs, dtype=np.float64)
+    probs = trace.probs
+    if model.head == nn.SOFTMAX:
+        inner = (dprobs * probs).sum(axis=1, keepdims=True)
+        dz = probs * (dprobs - inner)
+    else:
+        dz = dprobs * probs * (1.0 - probs)
+    n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+        d_weights[i] = a_prev.T @ dz
+        d_biases[i] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ model.weights[i].T
+            dz = da * (trace.pre_activations[i - 1] > 0.0)
+    return ListGradientSet(d_weights, d_biases)
+
+
+def list_sgd_step(model, grads, cfg, state):
+    for i, g in enumerate(grads.weights):
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite weight gradient in layer {i}")
+    for i, g in enumerate(grads.biases):
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite bias gradient in layer {i}")
+    for theta, g, v in zip(model.weights, grads.weights, state.vel_weights):
+        v *= cfg.momentum
+        v += g + cfg.weight_decay * theta
+        theta -= cfg.learning_rate * v
+    for theta, g, v in zip(model.biases, grads.biases, state.vel_biases):
+        v *= cfg.momentum
+        v += g + cfg.weight_decay * theta
+        theta -= cfg.learning_rate * v
+    return model, state
+
+
+def masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def three_term_grads(model, rng, backward):
+    """A step's supervised, unlabelled and defending gradients, summed."""
+    total, losses = None, []
+    for rows in (16, 112, 48):
+        trace = nn.forward(model, rng.normal(scale=2.0, size=(rows, 2)))
+        if model.head == nn.SOFTMAX:
+            loss, dprobs, _ = nn.loss_ce(trace.probs, rng.integers(0, model.layer_dims[-1], rows))
+        else:
+            targets = (rng.random(trace.probs.shape) < 0.5).astype(float)
+            mask = (rng.random(trace.probs.shape) < 0.3).astype(float)
+            loss, dprobs, _ = nn.loss_bce_masked(trace.probs, targets, mask)
+        losses.append(loss)
+        part = backward(model, trace, dprobs)
+        total = part if total is None else total.add_(part)
+    return total, losses
+
+
+def same_arrays(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want)
+    )
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_training_matches_list_based_copy_bitwise(self, head):
+        for case, dims in enumerate([[2, 10, 10, 3], [2, 6, 4], [2, 3, 7, 5, 2]]):
+            model = make_model(dims, head=head, seed=20 + case)
+            ref = ListModel(model)
+            cfg = nn.SgdConfig(0.05, momentum=0.82, weight_decay=0.015)
+            state, ref_state = nn.SgdState.zeros_like(model), ListSgdState(ref)
+            for step in range(25):
+                grads, losses = three_term_grads(model, np.random.default_rng(step), nn.backward)
+                ref_grads, ref_losses = three_term_grads(
+                    ref, np.random.default_rng(step), list_backward
+                )
+                assert losses == ref_losses
+                assert same_arrays(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases)
+                nn.sgd_step(model, grads, cfg, state)
+                list_sgd_step(ref, ref_grads, cfg, ref_state)
+                assert same_arrays(model.weights + model.biases, ref.weights + ref.biases)
+                assert np.array_equal(
+                    state.velocity, np.concatenate(
+                        [v.ravel() for v in ref_state.vel_weights + ref_state.vel_biases]
+                    )
+                )
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_three_term_sum_matches_list_based_copy(self, head):
+        model = make_model([2, 10, 10, 4], head=head, seed=30)
+        grads, _ = three_term_grads(model, np.random.default_rng(31), nn.backward)
+        ref_grads, _ = three_term_grads(ListModel(model), np.random.default_rng(31), list_backward)
+        assert same_arrays(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases)
+        assert np.array_equal(
+            grads.flat, np.concatenate([g.ravel() for g in ref_grads.weights + ref_grads.biases])
+        )
+
+    def test_gradient_set_from_lists_packs_in_model_order(self):
+        model = make_model([2, 5, 4, 3], seed=32)
+        rng = np.random.default_rng(32)
+        weights = [rng.normal(size=w.shape) for w in model.weights]
+        biases = [rng.normal(size=b.shape) for b in model.biases]
+        grads = nn.GradientSet(weights, biases)
+        assert same_arrays(grads.weights + grads.biases, weights + biases)
+        assert np.array_equal(grads.flat, np.concatenate([a.ravel() for a in weights + biases]))
+        assert grads.flat.size == model.params.size
+        for view in grads.weights + grads.biases:
+            assert np.shares_memory(view, grads.flat)
+        assert not any(np.shares_memory(a, grads.flat) for a in weights + biases)
+
+    def test_sigmoid_matches_masked_version(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, 711.0, -711.0, 800.0,
+                            -800.0, 1e-300, -1e-300, 36.0, -36.0, 745.2, -745.2])
+        rng = np.random.default_rng(33)
+        cases = [special, special.reshape(-1, 1), special[::-1].reshape(1, -1)]
+        cases += [rng.normal(scale=s, size=(n, 3)) for s, n in [(1, 1), (5, 7), (40, 33), (900, 64)]]
+        for x in cases:
+            got, want = nn.sigmoid(x), masked_sigmoid(x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_bce_target_check(self):
+        probs = np.full((1, 3), 0.25)
+        for bad in (0.5, np.nan, np.inf, -1.0):
+            with pytest.raises(ConfigError, match="0 or 1"):
+                nn.loss_bce(probs, np.array([[0.0, bad, 1.0]]))
+        # -0.0 == 0.0, so it is a valid target and gives the loss of 0.0
+        assert nn.loss_bce(probs, np.array([[-0.0, 1.0, 0.0]]))[0] == nn.loss_bce(
+            probs, np.array([[0.0, 1.0, 0.0]])
+        )[0]
+
+    def test_views_share_the_parameter_vector(self, tmp_path):
+        model = make_model([2, 6, 5, 3], seed=34)
+        path = tmp_path / "m.json"
+        model.save(path)
+        others = [model.copy(), nn.MlpModel.from_json_dict(model.to_json_dict()),
+                  nn.MlpModel.load(path)]
+        stepped = model.copy()
+        ones = nn.GradientSet([np.ones_like(w) for w in stepped.weights],
+                              [np.ones_like(b) for b in stepped.biases])
+        nn.sgd_step(stepped, ones, nn.SgdConfig(0.1, momentum=0.5), nn.SgdState.zeros_like(stepped))
+        for m in [model, stepped] + others:
+            assert m.params.flags.c_contiguous and m.params.dtype == np.float64
+            for view in m.weights + m.biases:
+                assert np.shares_memory(view, m.params)
+        for m in others:
+            assert np.array_equal(m.params, model.params)
+            assert not np.shares_memory(m.params, model.params)
+        assert np.array_equal(stepped.params, model.params - 0.1)
+        layout = np.concatenate([a.ravel() for a in model.weights + model.biases])
+        assert np.array_equal(model.params, layout)
+
+    def test_constructor_copies_its_arrays(self):
+        weights = [np.ones((2, 3)), np.ones((3, 2))]
+        biases = [np.zeros(3), np.zeros(2)]
+        model = nn.MlpModel([2, 3, 2], weights, biases)
+        for given, held in zip(weights + biases, model.weights + model.biases):
+            assert not np.shares_memory(given, held)
+        weights[0][0, 0] = 7.0
+        biases[1][0] = 7.0
+        assert model.weights[0][0, 0] == 1.0 and model.biases[1][0] == 0.0
+        model.weights[1][:] = 5.0  # an in-place change shows in params
+        assert np.count_nonzero(model.params == 5.0) == 6
+
+    @pytest.mark.parametrize("where, message", [
+        ([("w", 1), ("b", 0)], "weight gradient in layer 1"),
+        ([("w", 2), ("w", 0)], "weight gradient in layer 0"),
+        ([("b", 2), ("b", 1)], "bias gradient in layer 1"),
+        ([("b", 0)], "bias gradient in layer 0"),
+    ])
+    def test_non_finite_message_names_first_bad_array(self, where, message):
+        model = make_model([2, 4, 4, 3], seed=35)
+        grads = nn.GradientSet.zeros_like(model)
+        for kind, layer in where:
+            (grads.weights if kind == "w" else grads.biases)[layer].flat[-1] = np.inf
+        before = model.params.copy()
+        with pytest.raises(NumericError, match=f"^non-finite {message}$"):
+            nn.sgd_step(model, grads, nn.SgdConfig(0.1), nn.SgdState.zeros_like(model))
+        assert np.array_equal(model.params, before)
