@@ -1,15 +1,23 @@
-"""Semi-supervised adaptation engines and the epoch loop.
+"""Semi-supervised adaptation: one epoch loop, one step, both output heads.
 
-Two engines share one code path. The pseudo-labeling engine trains each
-unlabeled sample against its own argmax prediction (detached). The
-FixMatch-lite engine derives the pseudo label from a weakly augmented view,
-keeps it only when the weak-view confidence clears a threshold, and applies
-the loss to a strongly augmented view; the unlabeled loss is normalized by
-the full mu*B count so masked samples contribute zero.
+The loop runs on labelled units, an array of (sample index, label) rows.
+For a softmax head a unit's label is its class; for a sigmoid head over F
+findings, per-finding feedback becomes one unit per (sample, finding, value)
+cell with label 2*finding + value. A small per-head rule turns labels and
+predictions into loss targets, and builds the epoch's candidate bank (the
+per-finding banks of a sigmoid head are read as one bank of 2F classes), so
+batch assembly, retrieval and the step are shared by both heads.
 
-Defending samples enter as a third loss term and nothing else: with k=0 the
-engine is the baseline, bit for bit, because retrieval randomness lives on
-its own RNG substream.
+Each step sums three terms. The supervised term fits the labelled units.
+The unlabelled term depends on the algorithm: pseudo-labelling trains each
+unlabelled point against its own detached target (the argmax, or the
+thresholded prediction of every finding); FixMatch-lite (softmax only)
+derives the pseudo label from a weakly augmented view, keeps it only when
+the weak-view confidence clears a threshold, and applies the loss to a
+strongly augmented view, normalised by the full mu*B count so masked
+samples contribute zero. The defending term is the supervised loss on the
+retrieved (point, label) pairs: with k=0 the engine is the baseline, bit
+for bit, because retrieval randomness lives on its own RNG substream.
 """
 
 import math
@@ -126,6 +134,66 @@ class LossBreakdown:
     unsup_mask_rate: float
 
 
+class SoftmaxRule:
+    """Softmax head: a label is a class; an unlabelled target is the argmax."""
+
+    def supervised(self, probs, labels) -> tuple:
+        loss, dprobs, _ = nn.loss_ce(probs, labels)
+        return loss, dprobs
+
+    def unlabeled(self, probs) -> tuple:
+        return self.supervised(probs, nn.argmax_rows(probs))
+
+    def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
+        return bank_mod.generate_bank(
+            model, points, indices, p, model.output_dim, epoch_stamp=epoch
+        )
+
+    def sizes(self, bank: bank_mod.CandidateBank) -> list:
+        return bank.sizes()
+
+
+@dataclass
+class SigmoidRule:
+    """Sigmoid head over len(thresholds) findings: label 2*finding + value
+    names one cell, trained by BCE masked to that finding; an unlabelled
+    point's targets are its own thresholded predictions."""
+
+    thresholds: np.ndarray
+
+    def targets(self, labels) -> tuple:
+        """(targets, mask), one row per label: the row holds the value at its
+        finding's column, and the mask 1 there, 0 elsewhere."""
+        labels = np.asarray(labels, dtype=np.int64)
+        at = (np.arange(len(labels)), labels // 2)
+        targets = np.zeros((len(labels), len(self.thresholds)))
+        mask = np.zeros((len(labels), len(self.thresholds)))
+        targets[at] = labels % 2
+        mask[at] = 1.0
+        return targets, mask
+
+    def supervised(self, probs, labels) -> tuple:
+        loss, dprobs, _ = nn.loss_bce_masked(probs, *self.targets(labels))
+        return loss, dprobs
+
+    def unlabeled(self, probs) -> tuple:
+        return nn.loss_bce(probs, (probs >= self.thresholds[None, :]).astype(float))
+
+    def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
+        return bank_mod.CandidateBank.concat(
+            bank_mod.generate_bank_binary(
+                model, points, indices, p, self.thresholds, epoch_stamp=epoch
+            )
+        )
+
+    def sizes(self, bank: bank_mod.CandidateBank) -> list:
+        """Nested per finding: [[negatives, positives], ...]."""
+        return np.reshape(bank.sizes(), (-1, 2)).tolist()
+
+
+SOFTMAX_RULE = SoftmaxRule()
+
+
 class CyclingSampler:
     """Epoch-shuffled without-replacement cycling over a fixed index pool."""
 
@@ -152,8 +220,8 @@ class CyclingSampler:
 
 
 def build_minibatch(
-    split: TargetSplit,
     train: LabeledSet,
+    units: np.ndarray,
     bank: Optional[bank_mod.CandidateBank],
     spec: BatchSpec,
     rld_cfg: Optional[bank_mod.RldConfig],
@@ -163,13 +231,14 @@ def build_minibatch(
     model: Optional[nn.MlpModel] = None,
     epoch: Optional[int] = None,
 ) -> MiniBatch:
-    label_of = dict(split.labeled)
-    lb_idx = labeled_sampler.take(spec.b)
-    lb_points = train.points[lb_idx]
-    lb_labels = np.array([label_of[int(i)] for i in lb_idx], dtype=np.int64)
+    """One batch: b labelled units (labeled_sampler draws rows of the
+    (sample index, label) array units), mu*b unlabelled points and k
+    defending pairs per labelled unit."""
+    picked = units[labeled_sampler.take(spec.b)]
+    lb_points = train.points[picked[:, 0]]
+    lb_labels = picked[:, 1]
     if spec.mu > 0:
-        ulb_idx = unlabeled_sampler.take(spec.mu * spec.b)
-        ulb_points = train.points[ulb_idx]
+        ulb_points = train.points[unlabeled_sampler.take(spec.mu * spec.b)]
     else:
         ulb_points = np.zeros((0, 2))
     if spec.k > 0:
@@ -183,55 +252,30 @@ def build_minibatch(
     return MiniBatch(lb_points, lb_labels, ulb_points, def_pts, def_lab, fallbacks)
 
 
-def _accumulate(total: Optional[nn.GradientSet], part: nn.GradientSet) -> nn.GradientSet:
-    if total is None:
-        return part
-    total.add_(part)
-    return total
-
-
-def step_pseudo_label(model: nn.MlpModel, batch: MiniBatch, cfg: AdaptConfig) -> tuple:
-    """One loss/gradient evaluation: targets are the model's own argmax, detached."""
-    trace = nn.forward(model, batch.labeled_points)
-    l_sup, dprobs, _ = nn.loss_ce(trace.probs, batch.labeled_labels)
-    grads = nn.backward(model, trace, dprobs)
-
-    l_unsup = 0.0
-    mask_rate = 0.0
-    if len(batch.unlabeled_points):
-        trace_u = nn.forward(model, batch.unlabeled_points)
-        pseudo = nn.argmax_rows(trace_u.probs)
-        l_unsup, dprobs_u, _ = nn.loss_ce(trace_u.probs, pseudo)
-        grads = _accumulate(grads, nn.backward(model, trace_u, dprobs_u))
-        mask_rate = 1.0
-
-    l_rld = 0.0
-    if len(batch.defending_points):
-        l_rld, dprobs_d, trace_d = bank_mod.rld_loss(
-            model, batch.defending_points, batch.defending_labels
-        )
-        grads = _accumulate(grads, nn.backward(model, trace_d, dprobs_d))
-
-    total = l_sup + l_unsup + l_rld
-    return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
-
-
-def step_fixmatch_lite(
+def step(
     model: nn.MlpModel,
     batch: MiniBatch,
     cfg: AdaptConfig,
-    augmenter: Augmenter,
-    rng: np.random.Generator,
+    rule=SOFTMAX_RULE,
+    augmenter: Optional[Augmenter] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Weak view proposes the pseudo label, strong view takes the loss."""
+    """One loss/gradient evaluation: supervised, unlabelled and defending
+    terms; fixmatch_lite draws its augmented views from rng."""
     trace = nn.forward(model, batch.labeled_points)
-    l_sup, dprobs, _ = nn.loss_ce(trace.probs, batch.labeled_labels)
+    l_sup, dprobs = rule.supervised(trace.probs, batch.labeled_labels)
     grads = nn.backward(model, trace, dprobs)
 
     l_unsup = 0.0
     mask_rate = 0.0
     n_unlabeled = len(batch.unlabeled_points)
-    if n_unlabeled:
+    if n_unlabeled and cfg.algorithm == PSEUDO_LABEL:
+        trace_u = nn.forward(model, batch.unlabeled_points)
+        l_unsup, dprobs_u = rule.unlabeled(trace_u.probs)  # targets detached
+        grads.add_(nn.backward(model, trace_u, dprobs_u))
+        mask_rate = 1.0
+    elif n_unlabeled:
+        # weak view proposes the pseudo label, strong view takes the loss
         weak = augmenter.weak(batch.unlabeled_points, rng)
         strong = augmenter.strong(batch.unlabeled_points, rng)
         weak_probs = nn.forward(model, weak).probs  # detached: probs only
@@ -245,15 +289,15 @@ def step_fixmatch_lite(
             mean_loss, dprobs_s, _ = nn.loss_ce(trace_s.probs, pseudo, mask=mask)
             scale = n_pass / n_unlabeled  # renormalize mean-over-passing to mu*B
             l_unsup = mean_loss * scale
-            dprobs_s = dprobs_s * scale
-            grads = _accumulate(grads, nn.backward(model, trace_s, dprobs_s))
+            grads.add_(nn.backward(model, trace_s, dprobs_s * scale))
 
     l_rld = 0.0
     if len(batch.defending_points):
-        l_rld, dprobs_d, trace_d = bank_mod.rld_loss(
-            model, batch.defending_points, batch.defending_labels
-        )
-        grads = _accumulate(grads, nn.backward(model, trace_d, dprobs_d))
+        # mean over the actual pair count: k*B under DuplicateLabeled, maybe
+        # fewer under SkipWithFlag
+        trace_d = nn.forward(model, batch.defending_points)
+        l_rld, dprobs_d = rule.supervised(trace_d.probs, batch.defending_labels)
+        grads.add_(nn.backward(model, trace_d, dprobs_d))
 
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
@@ -274,7 +318,57 @@ def adapt(
     test_set: Optional[LabeledSet] = None,
     observer: Optional[Callable] = None,
 ) -> tuple:
-    """Run the adaptation loop; returns (adapted copy, per-epoch records).
+    """Adapt a softmax model; returns (adapted copy, per-epoch records).
+
+    Pools are put in canonical order regardless of how the split lists its
+    indices, so streaming replays reproduce offline runs.
+    """
+    units = np.array(sorted(split.labeled), dtype=np.int64).reshape(-1, 2)
+    unlabeled_idx = np.array(sorted(split.unlabeled), dtype=np.int64)
+    evaluate = None
+    if test_set is not None:
+        evaluate = lambda m: np.mean(nn.predict(m, test_set.points) == test_set.labels)
+    return _adapt_units(
+        model, units, unlabeled_idx, train, cfg, seed, SOFTMAX_RULE, evaluate, observer
+    )
+
+
+def adapt_binary(
+    model: nn.MlpModel,
+    splits: list,
+    train: LabeledSet,
+    thresholds,
+    cfg: AdaptConfig,
+    seed,
+    test_eval: Optional[Callable] = None,
+) -> tuple:
+    """Adapt a sigmoid model from per-finding feedback (one TargetSplit per
+    finding); returns (adapted copy, per-epoch records) whose bank sizes are
+    nested per finding. Each (sample, finding, value) cell is one unit; a
+    sample with any feedback leaves the unlabelled pool."""
+    if train.findings is None:
+        raise ConfigError("binary adaptation needs a dataset with findings")
+    if cfg.algorithm != PSEUDO_LABEL:
+        raise ConfigError("binary mode supports the pseudo-label engine only")
+    # sorted as (sample, finding, value) cells: 2*finding + value keeps their order
+    units = sorted(
+        (int(idx), 2 * j + int(value)) for j, split in enumerate(splits) for idx, value in split.labeled
+    )
+    if not units:
+        raise ConfigError("no feedback cells to adapt on")
+    units = np.array(units, dtype=np.int64)
+    unlabeled_idx = np.setdiff1d(np.arange(len(train)), units[:, 0])
+    rule = SigmoidRule(np.asarray(thresholds, dtype=float))
+    return _adapt_units(model, units, unlabeled_idx, train, cfg, seed, rule, test_eval)
+
+
+_LOGGED = ("l_sup", "l_unsup", "l_rld", "mask_rate")  # each record holds their step means
+
+
+def _adapt_units(
+    model, units, unlabeled_idx, train, cfg, seed, rule, evaluate=None, observer=None
+) -> tuple:
+    """The epoch loop over labelled units (rows of (sample index, label)).
 
     RNG discipline: three independent substreams (batch order, augmentation,
     retrieval) spawn from the seed, so enabling defending samples cannot
@@ -285,78 +379,48 @@ def adapt(
     batch_rng = np.random.default_rng(batch_ss)
     augment_rng = np.random.default_rng(augment_ss)
     retrieval_rng = np.random.default_rng(retrieval_ss)
-
-    # Canonical pool order regardless of how the split lists its indices, so
-    # streaming replays reproduce offline runs.
-    labeled_pairs = sorted(split.labeled)
-    split = TargetSplit(labeled_pairs, sorted(split.unlabeled), split.provenance)
-    labeled_idx = split.labeled_indices()
-    unlabeled_idx = split.unlabeled_indices()
     if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
 
-    num_classes = model.output_dim
-    augmenter = Augmenter(
-        cfg.augment if cfg.augment is not None else AugmenterSpec(),
-        train.points.mean(axis=0),
-    )
+    augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points.mean(axis=0))
     state = nn.SgdState.zeros_like(model)
     records = []
-    n_steps = steps_per_epoch(len(labeled_idx), len(unlabeled_idx), cfg.batch)
+    n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
 
     for epoch in range(cfg.epochs):
-        labeled_sampler = CyclingSampler(labeled_idx, batch_rng)
+        labeled_sampler = CyclingSampler(np.arange(len(units)), batch_rng)
         unlabeled_sampler = (
             CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
         )
         cur_bank = None
         if cfg.batch.k > 0:
-            cur_bank = bank_mod.generate_bank(
-                model,
-                train.points[unlabeled_idx],
-                unlabeled_idx,
-                cfg.rld.p,
-                num_classes,
-                epoch_stamp=epoch,
+            cur_bank = rule.bank(
+                model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )
-        sums = {"l_sup": 0.0, "l_unsup": 0.0, "l_rld": 0.0, "mask_rate": 0.0}
+        sums = np.zeros(len(_LOGGED))  # float64 adds, bit-equal to Python's
         fallbacks = 0
-        for step in range(n_steps):
+        for i in range(n_steps):
             batch = build_minibatch(
-                split, train, cur_bank, cfg.batch, cfg.rld,
+                train, units, cur_bank, cfg.batch, cfg.rld,
                 labeled_sampler, unlabeled_sampler, retrieval_rng,
                 model=model, epoch=epoch,
             )
             if observer is not None:
-                observer(epoch, step, batch)
-            if cfg.algorithm == PSEUDO_LABEL:
-                losses, grads = step_pseudo_label(model, batch, cfg)
-            else:
-                losses, grads = step_fixmatch_lite(model, batch, cfg, augmenter, augment_rng)
+                observer(epoch, i, batch)
+            losses, grads = step(model, batch, cfg, rule, augmenter, augment_rng)
             if not math.isfinite(losses.l_total):
                 raise NumericError(
-                    f"non-finite loss {losses.l_total} at epoch {epoch} step {step}"
+                    f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"
                 )
             nn.sgd_step(model, grads, cfg.sgd, state)
-            sums["l_sup"] += losses.l_sup
-            sums["l_unsup"] += losses.l_unsup
-            sums["l_rld"] += losses.l_rld
-            sums["mask_rate"] += losses.unsup_mask_rate
+            sums += (losses.l_sup, losses.l_unsup, losses.l_rld, losses.unsup_mask_rate)
             fallbacks += batch.fallback_events
-        record = {
-            "epoch": epoch,
-            "l_sup": sums["l_sup"] / n_steps,
-            "l_unsup": sums["l_unsup"] / n_steps,
-            "l_rld": sums["l_rld"] / n_steps,
-            "mask_rate": sums["mask_rate"] / n_steps,
-            "bank": {
-                "sizes": cur_bank.sizes() if cur_bank is not None else [],
-                "fallbacks": fallbacks,
-            },
-        }
-        if test_set is not None:
-            preds = nn.predict(model, test_set.points)
-            record["test_acc"] = float(np.mean(preds == test_set.labels))
+        record = dict(zip(_LOGGED, (sums / n_steps).tolist()), epoch=epoch, bank={
+            "sizes": rule.sizes(cur_bank) if cur_bank is not None else [],
+            "fallbacks": fallbacks,
+        })
+        if evaluate is not None:
+            record["test_acc"] = float(evaluate(model))
         records.append(record)
     return model, records
 
@@ -384,153 +448,3 @@ def train_supervised(
                 _, dprobs = nn.loss_bce(trace.probs, labels[idx].astype(float))
             nn.sgd_step(model, nn.backward(model, trace, dprobs), sgd_cfg, state)
     return model
-
-
-def _binary_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
-    """k class-aware random draws per picked (sample, finding, value) cell
-    from that finding's bank; returns (points, targets, mask, fallbacks),
-    with a target and mask row per point that select the cell's finding."""
-    d_rows, used = [], []
-    fallbacks = 0
-    for cell in picked:
-        _, j, value = cell
-        b = banks[j]
-        if b.epoch_stamp != epoch:
-            raise ConfigError("stale binary candidate bank")
-        size = b.class_size(value)
-        if size == 0:
-            fallbacks += 1
-            continue
-        draws = rng.choice(size, size=k, replace=size < k)
-        d_rows.append(b.class_rows(value)[draws])
-        used.append(cell)
-    if not d_rows:
-        return np.zeros((0, 2)), np.zeros((0, num_findings)), np.zeros((0, num_findings)), fallbacks
-    # generate_bank_binary's banks share one pool of points
-    points = banks[0].points[np.concatenate(d_rows)]
-    targets, mask = _finding_cells(np.repeat(used, k, axis=0), num_findings)
-    return points, targets, mask, fallbacks
-
-
-def _finding_cells(cells, num_findings) -> tuple:
-    """(targets, mask), one row per (sample, finding, value) cell: the row
-    holds the value at its finding's column, and the mask 1 there, 0 elsewhere."""
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-    at = (np.arange(len(cells)), cells[:, 1])
-    targets = np.zeros((len(cells), num_findings))
-    mask = np.zeros((len(cells), num_findings))
-    targets[at] = cells[:, 2]
-    mask[at] = 1.0
-    return targets, mask
-
-
-def adapt_binary(
-    model: nn.MlpModel,
-    splits: list,
-    train: LabeledSet,
-    thresholds,
-    cfg: AdaptConfig,
-    seed,
-    test_eval: Optional[Callable] = None,
-) -> tuple:
-    """Multi-output adaptation from per-finding feedback.
-
-    Labeled units are (sample, finding, value) cells; the supervised and
-    defending losses touch only their own finding's output via masked BCE.
-    The unlabeled loss trains every finding of an unlabeled sample toward its
-    own thresholded prediction (the binary analogue of the argmax target).
-    Only class-aware random retrieval is supported here.
-    """
-    if train.findings is None:
-        raise ConfigError("binary adaptation needs a dataset with findings")
-    if cfg.algorithm != PSEUDO_LABEL:
-        raise ConfigError("binary mode supports the pseudo-label engine only")
-    if cfg.batch.k > 0 and cfg.rld is not None and cfg.rld.strategy != bank_mod.CLASS_AWARE_RANDOM:
-        raise ConfigError("binary mode supports class_aware_random retrieval only")
-    model = model.copy()
-    num_findings = train.findings.shape[1]
-    thresholds = np.asarray(thresholds, dtype=float)
-    batch_ss, _, retrieval_ss = np.random.SeedSequence(seed).spawn(3)
-    batch_rng = np.random.default_rng(batch_ss)
-    retrieval_rng = np.random.default_rng(retrieval_ss)
-
-    # Flatten per-finding feedback into (sample, finding, value) cells.
-    cells = []
-    for j, split in enumerate(splits):
-        for idx, value in sorted(split.labeled):
-            cells.append((int(idx), j, int(value)))
-    cells.sort()
-    if not cells:
-        raise ConfigError("no feedback cells to adapt on")
-    labeled_samples = sorted({c[0] for c in cells})
-    unlabeled_idx = np.array(
-        sorted(set(range(len(train))) - set(labeled_samples)), dtype=np.int64
-    )
-    if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
-        raise ConfigError("mu > 0 but the unlabeled pool is empty")
-
-    state = nn.SgdState.zeros_like(model)
-    records = []
-    n_steps = steps_per_epoch(len(cells), len(unlabeled_idx), cfg.batch)
-    for epoch in range(cfg.epochs):
-        cell_sampler = CyclingSampler(np.arange(len(cells)), batch_rng)
-        unlabeled_sampler = (
-            CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
-        )
-        banks = None
-        if cfg.batch.k > 0:
-            banks = bank_mod.generate_bank_binary(
-                model, train.points[unlabeled_idx], unlabeled_idx,
-                cfg.rld.p, thresholds, epoch_stamp=epoch,
-            )
-        sums = {"l_sup": 0.0, "l_unsup": 0.0, "l_rld": 0.0}
-        fallbacks = 0
-        for step in range(n_steps):
-            picked = [cells[int(i)] for i in cell_sampler.take(cfg.batch.b)]
-            lb_points = train.points[[c[0] for c in picked]]
-            lb_targets, lb_mask = _finding_cells(picked, num_findings)
-            trace = nn.forward(model, lb_points)
-            l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs, lb_targets, lb_mask)
-            grads = nn.backward(model, trace, dprobs)
-
-            l_unsup = 0.0
-            if cfg.batch.mu > 0:
-                u_idx = unlabeled_sampler.take(cfg.batch.mu * cfg.batch.b)
-                trace_u = nn.forward(model, train.points[u_idx])
-                pseudo = (trace_u.probs >= thresholds[None, :]).astype(float)
-                l_unsup, dprobs_u = nn.loss_bce(trace_u.probs, pseudo)
-                grads = _accumulate(grads, nn.backward(model, trace_u, dprobs_u))
-
-            l_rld = 0.0
-            if cfg.batch.k > 0:
-                d_points, d_targets, d_mask, missing = _binary_defending(
-                    banks, picked, cfg.batch.k, retrieval_rng, num_findings, epoch
-                )
-                fallbacks += missing
-                if len(d_points):
-                    trace_d = nn.forward(model, d_points)
-                    l_rld, dprobs_d, _ = nn.loss_bce_masked(trace_d.probs, d_targets, d_mask)
-                    grads = _accumulate(grads, nn.backward(model, trace_d, dprobs_d))
-
-            total = l_sup + l_unsup + l_rld
-            if not math.isfinite(total):
-                raise NumericError(f"non-finite loss {total} at epoch {epoch} step {step}")
-            nn.sgd_step(model, grads, cfg.sgd, state)
-            sums["l_sup"] += l_sup
-            sums["l_unsup"] += l_unsup
-            sums["l_rld"] += l_rld
-        record = {
-            "epoch": epoch,
-            "l_sup": sums["l_sup"] / n_steps,
-            "l_unsup": sums["l_unsup"] / n_steps,
-            "l_rld": sums["l_rld"] / n_steps,
-            "mask_rate": 1.0 if cfg.batch.mu > 0 else 0.0,
-            "bank": {
-                "sizes": [b.sizes() for b in banks] if banks is not None else [],
-                "fallbacks": fallbacks,
-            },
-        }
-        if test_eval is not None:
-            record["test_acc"] = float(test_eval(model))
-        records.append(record)
-    return model, records

@@ -94,6 +94,22 @@ class CandidateBank:
     def class_points(self, cls: int) -> np.ndarray:
         return self.points[self.class_rows(cls)]
 
+    @classmethod
+    def concat(cls, banks) -> "CandidateBank":
+        """One bank whose classes are those of banks, in order; the banks must
+        share one pool of points and one epoch, as generate_bank_binary's do."""
+        first = banks[0]
+        out = cls(
+            sum(b.num_classes for b in banks), first.points, first.index_of,
+            epoch_stamp=first.epoch_stamp,
+        )
+        for b in banks:
+            for c in range(b.num_classes):
+                out._rows[len(out.class_indices)] = b.class_rows(c)
+                out.class_indices.append(b.class_indices[c])
+                out.class_conf.append(b.class_conf[c])
+        return out
+
 
 def generate_bank(
     model: nn.MlpModel,
@@ -104,32 +120,35 @@ def generate_bank(
     epoch_stamp: int = 0,
 ) -> CandidateBank:
     """Pseudo-label the pool and keep the top-p fraction per class by confidence."""
+    pool, probs = _pool(model, unlabeled_points, unlabeled_indices)
+    pseudo = nn.argmax_rows(probs)
+    conf = probs[np.arange(len(probs)), pseudo]
+    return _bank(pool, [pseudo == cls for cls in range(num_classes)], conf, p, epoch_stamp)
+
+
+def _pool(model: nn.MlpModel, unlabeled_points, unlabeled_indices) -> tuple:
+    """((points, global indices, index map), model probabilities) of a pool."""
     if len(unlabeled_points) == 0:
         raise ConfigError("cannot build a candidate bank from an empty unlabeled pool")
     indices = np.asarray(unlabeled_indices, dtype=np.int64)
-    probs = nn.forward(model, unlabeled_points).probs
-    pseudo = nn.argmax_rows(probs)
-    conf = probs[np.arange(len(probs)), pseudo]
-    bank = CandidateBank(
-        num_classes=num_classes,
-        points=np.asarray(unlabeled_points, dtype=np.float64),
-        index_of=dict(zip(indices.tolist(), range(len(indices)))),
-        epoch_stamp=epoch_stamp,
-    )
-    for cls in range(num_classes):
-        _fill_class(bank, pseudo == cls, conf, indices, p)
+    index_of = dict(zip(indices.tolist(), range(len(indices))))
+    pool = (np.asarray(unlabeled_points, dtype=np.float64), indices, index_of)
+    return pool, nn.forward(model, unlabeled_points).probs
+
+
+def _bank(pool: tuple, members: list, conf, p: float, epoch_stamp: int) -> CandidateBank:
+    """A bank with one class per row mask in members. Each class keeps the
+    top-p fraction of its rows, by confidence descending and then global
+    index ascending (unique, so the order is total)."""
+    points, indices, index_of = pool
+    bank = CandidateBank(len(members), points, index_of, epoch_stamp=epoch_stamp)
+    for rows in map(np.flatnonzero, members):
+        keep = top_fraction_count(p, len(rows))
+        order = rows[np.lexsort((indices[rows], -conf[rows]))][:keep]
+        bank._rows[len(bank.class_indices)] = order
+        bank.class_indices.append(indices[order].tolist())
+        bank.class_conf.append(conf[order].tolist())
     return bank
-
-
-def _fill_class(bank: CandidateBank, members, conf, indices, p: float) -> None:
-    """Append the top-p fraction of the member rows, by confidence descending
-    and then global index ascending (unique, so the order is total)."""
-    rows = np.flatnonzero(members)
-    keep = top_fraction_count(p, len(rows))
-    order = rows[np.lexsort((indices[rows], -conf[rows]))][:keep]
-    bank._rows[len(bank.class_indices)] = order
-    bank.class_indices.append(indices[order].tolist())
-    bank.class_conf.append(conf[order].tolist())
 
 
 def _kmeans_per_point(bank: CandidateBank, labels, n_clusters: int, rng) -> list:
@@ -311,19 +330,6 @@ def retrieve_defending(
     return source[np.concatenate(out_rows)], np.concatenate(out_lab), fallbacks
 
 
-def rld_loss(model: nn.MlpModel, def_points: np.ndarray, def_labels) -> tuple:
-    """Mean cross-entropy over defending pairs; ({loss, dprobs, trace}) or zeros.
-
-    The mean normalizer is the actual pair count, which equals k*B under
-    DuplicateLabeled and may be smaller under SkipWithFlag.
-    """
-    if len(def_points) == 0:
-        return 0.0, None, None
-    trace = nn.forward(model, def_points)
-    loss, dprobs, _ = nn.loss_ce(trace.probs, def_labels)
-    return loss, dprobs, trace
-
-
 def generate_bank_binary(
     model: nn.MlpModel,
     unlabeled_points: np.ndarray,
@@ -336,24 +342,14 @@ def generate_bank_binary(
 
     Pseudo label = thresholded prediction for that finding; confidence =
     distance from the finding's threshold. Returns a list of CandidateBank,
-    each with classes {0, 1}.
+    each with classes {0, 1}, sharing one pool of points; adaptation reads
+    them as one bank through CandidateBank.concat.
     """
-    if len(unlabeled_points) == 0:
-        raise ConfigError("cannot build a candidate bank from an empty unlabeled pool")
-    indices = np.asarray(unlabeled_indices, dtype=np.int64)
-    probs = nn.forward(model, unlabeled_points).probs
+    pool, probs = _pool(model, unlabeled_points, unlabeled_indices)
     thresholds = np.asarray(thresholds, dtype=float)
-    # every finding's bank reads the same pool, so they share one copy of it
-    points = np.asarray(unlabeled_points, dtype=np.float64)
-    index_of = dict(zip(indices.tolist(), range(len(indices))))
-    banks = []
-    for j in range(probs.shape[1]):
-        positive = probs[:, j] >= thresholds[j]
-        conf = np.abs(probs[:, j] - thresholds[j])
-        bank = CandidateBank(
-            num_classes=2, points=points, index_of=index_of, epoch_stamp=epoch_stamp
-        )
-        _fill_class(bank, ~positive, conf, indices, p)
-        _fill_class(bank, positive, conf, indices, p)
-        banks.append(bank)
-    return banks
+    positive = probs >= thresholds
+    conf = np.abs(probs - thresholds)
+    return [
+        _bank(pool, [~positive[:, j], positive[:, j]], conf[:, j], p, epoch_stamp)
+        for j in range(probs.shape[1])
+    ]

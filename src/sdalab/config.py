@@ -167,17 +167,6 @@ class ExperimentConfig:
                 f"binary mode supports adapt.algorithm={adapt_mod.PSEUDO_LABEL} only, got "
                 f"{self.flat['adapt.algorithm']}"
             )
-        if (
-            kind == "binary"
-            and self.flat["rld.enabled"]
-            and self.flat["adapt.k"] > 0
-            and self.flat["rld.strategy"] != bank_mod.CLASS_AWARE_RANDOM
-        ):
-            raise ConfigError(
-                f"binary mode supports class_aware_random retrieval only, got "
-                f"rld.strategy={self.flat['rld.strategy']}; use --set "
-                f"rld.strategy={bank_mod.CLASS_AWARE_RANDOM}"
-            )
         if not self.flat["run.seeds"]:
             raise ConfigError("run.seeds must not be empty")
         hidden = self.flat["model.hidden"]

@@ -1,11 +1,13 @@
 """Tests for augmentation, batch assembly, engine steps, and the adapt loop."""
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
 from sdalab import adapt, bank, data, feedback, nn
+from sdalab.data import LabeledSet
 from sdalab.errors import ConfigError, NumericError
 
 
@@ -21,6 +23,17 @@ def make_split(train, per_class=3, seed=0):
     chosen = {i for i, _ in labeled}
     unlabeled = [i for i in range(len(train)) if i not in chosen]
     return feedback.TargetSplit(labeled, unlabeled, provenance={"policy": "rf"})
+
+
+def units_of(split):
+    """The split's (sample index, label) rows, as the adapt loop holds them."""
+    return np.array(split.labeled, dtype=np.int64)
+
+
+def unit_sampler(split, rng):
+    """Draws rows of units_of(split), in the order a sampler over the
+    labelled indices would draw them."""
+    return adapt.CyclingSampler(np.arange(len(split.labeled)), rng)
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +125,10 @@ class TestBuildMinibatch:
             split.unlabeled_indices(), 0.4, 3,
         )
         rng = np.random.default_rng(0)
-        labeled_sampler = adapt.CyclingSampler(split.labeled_indices(), rng)
+        labeled_sampler = unit_sampler(split, rng)
         unlabeled_sampler = adapt.CyclingSampler(split.unlabeled_indices(), rng)
         mb = adapt.build_minibatch(
-            split, train, b, spec, rld_cfg, labeled_sampler, unlabeled_sampler,
+            train, units_of(split), b, spec, rld_cfg, labeled_sampler, unlabeled_sampler,
             np.random.default_rng(1),
         )
         assert len(mb.labeled_points) == 16
@@ -127,8 +140,8 @@ class TestBuildMinibatch:
         spec = adapt.BatchSpec(b=16, mu=7, k=0)
         rng = np.random.default_rng(0)
         mb = adapt.build_minibatch(
-            split, train, None, spec, None,
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), None, spec, None,
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(1),
         )
@@ -146,8 +159,8 @@ class TestBuildMinibatch:
         )
         rng = np.random.default_rng(2)
         mb = adapt.build_minibatch(
-            split, train, b, spec, rld_cfg,
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), b, spec, rld_cfg,
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(3),
         )
@@ -161,9 +174,9 @@ class TestBuildMinibatch:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
             adapt.build_minibatch(
-                split, train, None, adapt.BatchSpec(b=4, mu=0, k=2),
+                train, units_of(split), None, adapt.BatchSpec(b=4, mu=0, k=2),
                 bank.RldConfig(k=2),
-                adapt.CyclingSampler(split.labeled_indices(), rng), None,
+                unit_sampler(split, rng), None,
                 np.random.default_rng(1),
             )
 
@@ -171,8 +184,8 @@ class TestBuildMinibatch:
         train, split, model = toy
         rng = np.random.default_rng(4)
         mb = adapt.build_minibatch(
-            split, train, None, adapt.BatchSpec(b=9, mu=0, k=0), None,
-            adapt.CyclingSampler(split.labeled_indices(), rng), None,
+            train, units_of(split), None, adapt.BatchSpec(b=9, mu=0, k=0), None,
+            unit_sampler(split, rng), None,
             np.random.default_rng(5),
         )
         label_of = dict(split.labeled)
@@ -198,7 +211,7 @@ class TestStepPseudoLabel:
             train.points[:4], train.labels[:4], np.zeros((0, 2)),
             np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
         )
-        losses, grads = adapt.step_pseudo_label(model, mb, adapt.AdaptConfig())
+        losses, grads = adapt.step(model, mb, adapt.AdaptConfig())
         assert losses.l_unsup == 0.0 and losses.l_rld == 0.0
         assert losses.l_total == losses.l_sup
         assert losses.unsup_mask_rate == 0.0
@@ -209,7 +222,7 @@ class TestStepPseudoLabel:
         mb = adapt.MiniBatch(
             pts[:1], np.array([0]), pts, np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
         )
-        losses, _ = adapt.step_pseudo_label(model, mb, adapt.AdaptConfig())
+        losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
         assert losses.l_unsup == 0.0
 
     def test_decomposition_holds(self, toy):
@@ -220,12 +233,12 @@ class TestStepPseudoLabel:
         )
         rng = np.random.default_rng(1)
         mb = adapt.build_minibatch(
-            split, train, b, adapt.BatchSpec(b=8, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), b, adapt.BatchSpec(b=8, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(2),
         )
-        losses, _ = adapt.step_pseudo_label(model, mb, adapt.AdaptConfig())
+        losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
         assert abs(losses.l_total - (losses.l_sup + losses.l_unsup + losses.l_rld)) < 1e-9
         assert losses.l_rld > 0.0
 
@@ -238,13 +251,13 @@ class TestStepPseudoLabel:
             split.unlabeled_indices(), 0.5, 3,
         )
         mb = adapt.build_minibatch(
-            split, train, b, adapt.BatchSpec(b=4, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), b, adapt.BatchSpec(b=4, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(4),
         )
         cfg = adapt.AdaptConfig()
-        _, grads = adapt.step_pseudo_label(model, mb, cfg)
+        _, grads = adapt.step(model, mb, cfg)
         # Freeze the detached targets at the base parameters, then differentiate.
         pseudo = nn.argmax_rows(nn.forward(model, mb.unlabeled_points).probs)
 
@@ -268,12 +281,12 @@ class TestStepPseudoLabel:
         train, split, model = toy
         rng = np.random.default_rng(5)
         mb = adapt.build_minibatch(
-            split, train, None, adapt.BatchSpec(b=4, mu=3, k=0), None,
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), None, adapt.BatchSpec(b=4, mu=3, k=0), None,
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(6),
         )
-        _, grads = adapt.step_pseudo_label(model, mb, adapt.AdaptConfig())
+        _, grads = adapt.step(model, mb, adapt.AdaptConfig())
         frozen = model.copy()
         pseudo = nn.argmax_rows(nn.forward(frozen, mb.unlabeled_points).probs)
         trace_l = nn.forward(model, mb.labeled_points)
@@ -291,8 +304,8 @@ class TestStepFixmatchLite:
         train, split, model = toy
         rng = np.random.default_rng(8)
         return adapt.build_minibatch(
-            split, train, None, adapt.BatchSpec(b=b, mu=mu, k=0), None,
-            adapt.CyclingSampler(split.labeled_indices(), rng),
+            train, units_of(split), None, adapt.BatchSpec(b=b, mu=mu, k=0), None,
+            unit_sampler(split, rng),
             adapt.CyclingSampler(split.unlabeled_indices(), rng),
             np.random.default_rng(9),
         )
@@ -306,8 +319,8 @@ class TestStepFixmatchLite:
         train, split, model = toy
         mb = self.make_batch(toy)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=1.0)
-        losses, _ = adapt.step_fixmatch_lite(
-            model, mb, cfg, self.augmenter(train), np.random.default_rng(0)
+        losses, _ = adapt.step(
+            model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(0)
         )
         assert losses.l_unsup == 0.0
         assert losses.unsup_mask_rate == 0.0
@@ -316,8 +329,8 @@ class TestStepFixmatchLite:
         train, split, model = toy
         mb = self.make_batch(toy)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.0)
-        losses, _ = adapt.step_fixmatch_lite(
-            model, mb, cfg, self.augmenter(train), np.random.default_rng(0)
+        losses, _ = adapt.step(
+            model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(0)
         )
         assert losses.unsup_mask_rate == 1.0
         assert losses.l_unsup > 0.0
@@ -328,8 +341,8 @@ class TestStepFixmatchLite:
         rates = []
         for tau in (0.0, 0.34, 0.4, 0.6, 0.9, 1.0):
             cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-            losses, _ = adapt.step_fixmatch_lite(
-                model, mb, cfg, self.augmenter(train), np.random.default_rng(42)
+            losses, _ = adapt.step(
+                model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(42)
             )
             rates.append(losses.unsup_mask_rate)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
@@ -340,7 +353,7 @@ class TestStepFixmatchLite:
         tau = 0.4
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
         aug = self.augmenter(train)
-        losses, _ = adapt.step_fixmatch_lite(model, mb, cfg, aug, np.random.default_rng(7))
+        losses, _ = adapt.step(model, mb, cfg, augmenter=aug, rng=np.random.default_rng(7))
         # Recreate the same augmented views with the same rng sequence.
         rng = np.random.default_rng(7)
         weak = aug.weak(mb.unlabeled_points, rng)
@@ -364,7 +377,7 @@ class TestStepFixmatchLite:
         aug = self.augmenter(train)
         tau = 0.34
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-        _, grads = adapt.step_fixmatch_lite(model, mb, cfg, aug, np.random.default_rng(13))
+        _, grads = adapt.step(model, mb, cfg, augmenter=aug, rng=np.random.default_rng(13))
         rng = np.random.default_rng(13)
         weak = aug.weak(mb.unlabeled_points, rng)
         strong = aug.strong(mb.unlabeled_points, rng)
@@ -532,6 +545,170 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
     return np.stack(d_points), np.stack(d_targets), np.stack(d_mask), fallbacks
 
 
+# The binary engine as it was before binary mode ran on the shared loop,
+# kept verbatim apart from module prefixes and names. The shared engine must
+# reproduce it bit for bit wherever both draw the same defending samples:
+# always under skip_with_flag, and under duplicate_labeled while no labelled
+# cell's bank class is empty (the old engine skipped such a cell).
+
+
+def ref_accumulate(total, part):
+    if total is None:
+        return part
+    total.add_(part)
+    return total
+
+
+def ref_gathered_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
+    """k class-aware random draws per picked (sample, finding, value) cell
+    from that finding's bank; returns (points, targets, mask, fallbacks),
+    with a target and mask row per point that select the cell's finding."""
+    d_rows, used = [], []
+    fallbacks = 0
+    for cell in picked:
+        _, j, value = cell
+        b = banks[j]
+        if b.epoch_stamp != epoch:
+            raise ConfigError("stale binary candidate bank")
+        size = b.class_size(value)
+        if size == 0:
+            fallbacks += 1
+            continue
+        draws = rng.choice(size, size=k, replace=size < k)
+        d_rows.append(b.class_rows(value)[draws])
+        used.append(cell)
+    if not d_rows:
+        return np.zeros((0, 2)), np.zeros((0, num_findings)), np.zeros((0, num_findings)), fallbacks
+    # generate_bank_binary's banks share one pool of points
+    points = banks[0].points[np.concatenate(d_rows)]
+    targets, mask = ref_finding_cells(np.repeat(used, k, axis=0), num_findings)
+    return points, targets, mask, fallbacks
+
+
+def ref_finding_cells(cells, num_findings) -> tuple:
+    """(targets, mask), one row per (sample, finding, value) cell: the row
+    holds the value at its finding's column, and the mask 1 there, 0 elsewhere."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+    at = (np.arange(len(cells)), cells[:, 1])
+    targets = np.zeros((len(cells), num_findings))
+    mask = np.zeros((len(cells), num_findings))
+    targets[at] = cells[:, 2]
+    mask[at] = 1.0
+    return targets, mask
+
+
+def ref_adapt_binary(
+    model: nn.MlpModel,
+    splits: list,
+    train: LabeledSet,
+    thresholds,
+    cfg: adapt.AdaptConfig,
+    seed,
+    test_eval: Optional[Callable] = None,
+) -> tuple:
+    """Multi-output adaptation from per-finding feedback.
+
+    Labeled units are (sample, finding, value) cells; the supervised and
+    defending losses touch only their own finding's output via masked BCE.
+    The unlabeled loss trains every finding of an unlabeled sample toward its
+    own thresholded prediction (the binary analogue of the argmax target).
+    Only class-aware random retrieval is supported here.
+    """
+    if train.findings is None:
+        raise ConfigError("binary adaptation needs a dataset with findings")
+    if cfg.algorithm != adapt.PSEUDO_LABEL:
+        raise ConfigError("binary mode supports the pseudo-label engine only")
+    if cfg.batch.k > 0 and cfg.rld is not None and cfg.rld.strategy != bank.CLASS_AWARE_RANDOM:
+        raise ConfigError("binary mode supports class_aware_random retrieval only")
+    model = model.copy()
+    num_findings = train.findings.shape[1]
+    thresholds = np.asarray(thresholds, dtype=float)
+    batch_ss, _, retrieval_ss = np.random.SeedSequence(seed).spawn(3)
+    batch_rng = np.random.default_rng(batch_ss)
+    retrieval_rng = np.random.default_rng(retrieval_ss)
+
+    # Flatten per-finding feedback into (sample, finding, value) cells.
+    cells = []
+    for j, split in enumerate(splits):
+        for idx, value in sorted(split.labeled):
+            cells.append((int(idx), j, int(value)))
+    cells.sort()
+    if not cells:
+        raise ConfigError("no feedback cells to adapt on")
+    labeled_samples = sorted({c[0] for c in cells})
+    unlabeled_idx = np.array(
+        sorted(set(range(len(train))) - set(labeled_samples)), dtype=np.int64
+    )
+    if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
+        raise ConfigError("mu > 0 but the unlabeled pool is empty")
+
+    state = nn.SgdState.zeros_like(model)
+    records = []
+    n_steps = adapt.steps_per_epoch(len(cells), len(unlabeled_idx), cfg.batch)
+    for epoch in range(cfg.epochs):
+        cell_sampler = adapt.CyclingSampler(np.arange(len(cells)), batch_rng)
+        unlabeled_sampler = (
+            adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
+        )
+        banks = None
+        if cfg.batch.k > 0:
+            banks = bank.generate_bank_binary(
+                model, train.points[unlabeled_idx], unlabeled_idx,
+                cfg.rld.p, thresholds, epoch_stamp=epoch,
+            )
+        sums = {"l_sup": 0.0, "l_unsup": 0.0, "l_rld": 0.0}
+        fallbacks = 0
+        for step in range(n_steps):
+            picked = [cells[int(i)] for i in cell_sampler.take(cfg.batch.b)]
+            lb_points = train.points[[c[0] for c in picked]]
+            lb_targets, lb_mask = ref_finding_cells(picked, num_findings)
+            trace = nn.forward(model, lb_points)
+            l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs, lb_targets, lb_mask)
+            grads = nn.backward(model, trace, dprobs)
+
+            l_unsup = 0.0
+            if cfg.batch.mu > 0:
+                u_idx = unlabeled_sampler.take(cfg.batch.mu * cfg.batch.b)
+                trace_u = nn.forward(model, train.points[u_idx])
+                pseudo = (trace_u.probs >= thresholds[None, :]).astype(float)
+                l_unsup, dprobs_u = nn.loss_bce(trace_u.probs, pseudo)
+                grads = ref_accumulate(grads, nn.backward(model, trace_u, dprobs_u))
+
+            l_rld = 0.0
+            if cfg.batch.k > 0:
+                d_points, d_targets, d_mask, missing = ref_gathered_defending(
+                    banks, picked, cfg.batch.k, retrieval_rng, num_findings, epoch
+                )
+                fallbacks += missing
+                if len(d_points):
+                    trace_d = nn.forward(model, d_points)
+                    l_rld, dprobs_d, _ = nn.loss_bce_masked(trace_d.probs, d_targets, d_mask)
+                    grads = ref_accumulate(grads, nn.backward(model, trace_d, dprobs_d))
+
+            total = l_sup + l_unsup + l_rld
+            if not math.isfinite(total):
+                raise NumericError(f"non-finite loss {total} at epoch {epoch} step {step}")
+            nn.sgd_step(model, grads, cfg.sgd, state)
+            sums["l_sup"] += l_sup
+            sums["l_unsup"] += l_unsup
+            sums["l_rld"] += l_rld
+        record = {
+            "epoch": epoch,
+            "l_sup": sums["l_sup"] / n_steps,
+            "l_unsup": sums["l_unsup"] / n_steps,
+            "l_rld": sums["l_rld"] / n_steps,
+            "mask_rate": 1.0 if cfg.batch.mu > 0 else 0.0,
+            "bank": {
+                "sizes": [b.sizes() for b in banks] if banks is not None else [],
+                "fallbacks": fallbacks,
+            },
+        }
+        if test_eval is not None:
+            record["test_acc"] = float(test_eval(model))
+        records.append(record)
+    return model, records
+
+
 @pytest.fixture(scope="module")
 def binary_toy():
     spec = data.BinarySpec(
@@ -570,6 +747,8 @@ class TestAdaptBinary:
         assert len(records[0]["bank"]["sizes"]) == 2  # one bank per finding
 
     def test_defending_draws_match_verbatim_loop(self):
+        # the per-finding banks read as one bank of 2F classes, retrieved from
+        # with skip_with_flag, give what the per-draw loop gave
         rng = np.random.default_rng(61)
         for case in range(30):
             num_findings = int(rng.integers(1, 5))
@@ -589,18 +768,24 @@ class TestAdaptBinary:
                 )
             ]
             k = int(rng.integers(1, 6))
+            merged = bank.CandidateBank.concat(banks)
+            labels = [2 * j + v for _, j, v in picked]
+            cfg = bank.RldConfig(k=k, empty_class_fallback=bank.SKIP_WITH_FLAG)
             rng_fast, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
-            got = adapt._binary_defending(banks, picked, k, rng_fast, num_findings, case)
+            points, got_labels, fallbacks = bank.retrieve_defending(
+                merged, np.zeros((16, 2)), labels, cfg, rng_fast, epoch=case
+            )
             want = reference_binary_defending(banks, picked, k, rng_ref, num_findings, case)
-            assert got[3] == want[3]
+            assert fallbacks == want[3]
             if want[0] is None:
-                assert got[0].shape == (0, 2)
+                assert points.shape == (0, 2)
             else:
-                for g, w in zip(got[:3], want[:3]):
+                targets, mask = adapt.SigmoidRule(thresholds).targets(got_labels)
+                for g, w in zip((points, targets, mask), want[:3]):
                     assert np.array_equal(g, w)
             assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
         with pytest.raises(ConfigError, match="stale"):
-            adapt._binary_defending(banks, picked, k, rng_fast, num_findings, case + 1)
+            bank.retrieve_defending(merged, np.zeros((16, 2)), labels, cfg, rng_fast, epoch=case + 1)
 
     def test_labeled_cells_match_verbatim_loop(self):
         rng = np.random.default_rng(62)
@@ -619,7 +804,8 @@ class TestAdaptBinary:
             for row, (_, j, value) in enumerate(picked):
                 lb_mask[row, j] = 1.0
                 lb_targets[row, j] = value
-            targets, mask = adapt._finding_cells(picked, num_findings)
+            rule = adapt.SigmoidRule(np.full(num_findings, 0.5))
+            targets, mask = rule.targets([2 * j + v for _, j, v in picked])
             assert targets.dtype == lb_targets.dtype and np.array_equal(targets, lb_targets)
             assert mask.dtype == lb_mask.dtype and np.array_equal(mask, lb_mask)
 
@@ -640,3 +826,74 @@ class TestAdaptBinary:
         cfg = adapt.AdaptConfig(epochs=1, batch=adapt.BatchSpec(b=4, mu=0, k=0))
         with pytest.raises(ConfigError, match="findings"):
             adapt.adapt_binary(model, splits, train, [0.5, 0.5], cfg, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("mu", [0, 2])
+    # at (0, 1.01) every point is positive for finding 0 and negative for
+    # finding 1, so half the bank classes are empty from the first epoch on
+    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (0.0, 1.01)])
+    def test_matches_separate_engine(self, binary_toy, k, mu, thresholds):
+        # the separate engine skipped a cell whose bank class is empty
+        target, model, splits = binary_toy
+        rld = bank.RldConfig(p=0.4, k=k, empty_class_fallback=bank.SKIP_WITH_FLAG) if k else None
+        cfg = adapt.AdaptConfig(
+            epochs=3, sgd=nn.SgdConfig(0.01, momentum=0.9, weight_decay=0.015),
+            batch=adapt.BatchSpec(b=8, mu=mu, k=k), rld=rld,
+        )
+        test_eval = lambda m: nn.forward(m, target.points).probs.mean()
+        got, got_rows = adapt.adapt_binary(
+            model, splits, target, thresholds, cfg, seed=6, test_eval=test_eval
+        )
+        want, want_rows = ref_adapt_binary(
+            model, splits, target, thresholds, cfg, seed=6, test_eval=test_eval
+        )
+        assert np.array_equal(got.params, want.params)
+        assert got_rows == want_rows
+        if k and thresholds == (0.0, 1.01):
+            assert got_rows[0]["bank"]["fallbacks"] > 0
+
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    def test_every_strategy_and_fallback_runs_deterministically(self, binary_toy, strategy):
+        target, model, splits = binary_toy
+        thresholds = [0.5, 1.01]  # finding 1 has no positive candidates
+        adapted = []
+        for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG):
+            cfg = adapt.AdaptConfig(
+                epochs=1, sgd=nn.SgdConfig(0.01, momentum=0.9),
+                batch=adapt.BatchSpec(b=8, mu=0, k=2),
+                rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
+            )
+            a, rows_a = adapt.adapt_binary(model, splits, target, thresholds, cfg, seed=3)
+            b_, rows_b = adapt.adapt_binary(model, splits, target, thresholds, cfg, seed=3)
+            assert np.array_equal(a.params, b_.params)
+            assert rows_a == rows_b
+            assert not np.array_equal(a.params, model.params)
+            assert rows_a[0]["l_rld"] > 0.0
+            assert rows_a[0]["bank"]["sizes"][1][1] == 0
+            # unconditioned draws ignore the labelled cell's class, so never fall back
+            assert (rows_a[0]["bank"]["fallbacks"] > 0) == (strategy != bank.UNCONDITIONED_RANDOM)
+            adapted.append(a.params)
+        # the fallback decides what a cell whose class is empty trains on
+        assert np.array_equal(*adapted) == (strategy == bank.UNCONDITIONED_RANDOM)
+
+    @pytest.mark.parametrize(
+        "strategy", [bank.CLASS_AWARE_RANDOM, bank.KMEANS_CENTER, bank.COSINE_DISTANT]
+    )
+    def test_duplicate_labeled_repeats_the_cell(self, binary_toy, strategy):
+        target, model, _ = binary_toy
+        rule = adapt.SigmoidRule(np.array([0.5, 1.01]))
+        unlabeled = np.arange(40, len(target))
+        merged = rule.bank(model, target.points[unlabeled], unlabeled, 0.4, epoch=0)
+        assert merged.num_classes == 4 and merged.class_size(3) == 0  # finding 1, value 1
+        points, labels = target.points[:3], np.array([3, 0, 3])
+        cfg = bank.RldConfig(k=4, strategy=strategy, empty_class_fallback=bank.DUPLICATE_LABELED)
+        d_points, d_labels, fallbacks = bank.retrieve_defending(
+            merged, points, labels, cfg, np.random.default_rng(0), model=model, epoch=0
+        )
+        assert fallbacks == 2
+        assert np.array_equal(d_labels, np.repeat(labels, 4))
+        assert np.array_equal(d_points[:4], np.repeat(points[:1], 4, axis=0))
+        assert np.array_equal(d_points[8:], np.repeat(points[2:], 4, axis=0))
+        targets, mask = rule.targets(d_labels[8:])
+        assert np.array_equal(targets, np.tile([0.0, 1.0], (4, 1)))
+        assert np.array_equal(mask, np.tile([0.0, 1.0], (4, 1)))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sdalab import bank, nn
+from sdalab import adapt, bank, nn
 from sdalab.errors import ConfigError
 
 
@@ -611,25 +611,43 @@ class TestCosineDistant:
 
 
 class TestRldLoss:
+    """The defending (RLD) loss: the third term of adapt.step, the
+    supervised loss on the retrieved pairs."""
+
+    @staticmethod
+    def step(model, def_points, def_labels):
+        """adapt.step on one labelled point and the given pairs; returns the
+        losses, the gradients and the labelled term's own gradients."""
+        lb_points, lb_labels = np.array([[0.3, -0.2]]), np.array([1])
+        batch = adapt.MiniBatch(
+            lb_points, lb_labels, np.zeros((0, 2)), def_points, np.asarray(def_labels)
+        )
+        losses, grads = adapt.step(model, batch, adapt.AdaptConfig())
+        trace = nn.forward(model, lb_points)
+        _, dprobs, _ = nn.loss_ce(trace.probs, lb_labels)
+        return losses, grads, nn.backward(model, trace, dprobs)
+
     def test_empty_pairs_zero(self):
-        loss, dprobs, trace = bank.rld_loss(random_model(13), np.zeros((0, 2)), [])
-        assert loss == 0.0 and dprobs is None
+        losses, grads, sup = self.step(random_model(13), np.zeros((0, 2)), [])
+        assert losses.l_rld == 0.0 and losses.l_total == losses.l_sup
+        assert np.array_equal(grads.flat, sup.flat)
 
     def test_uniform_two_class_single_pair_ln2(self):
         model = nn.MlpModel(
             [2, 2, 2], [np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros(2), np.zeros(2)]
         )
-        loss, _, _ = bank.rld_loss(model, np.zeros((1, 2)), [0])
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        losses, _, _ = self.step(model, np.zeros((1, 2)), [0])
+        assert losses.l_rld == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_equals_direct_loss_ce(self):
         model = random_model(14)
         pts = np.random.default_rng(14).normal(size=(6, 2))
         labs = np.array([0, 1, 2, 0, 1, 2])
-        loss, dprobs, trace = bank.rld_loss(model, pts, labs)
-        direct, ddirect, _ = nn.loss_ce(nn.forward(model, pts).probs, labs)
-        assert loss == direct
-        np.testing.assert_array_equal(dprobs, ddirect)
+        losses, grads, sup = self.step(model, pts, labs)
+        trace = nn.forward(model, pts)
+        direct, ddirect, _ = nn.loss_ce(trace.probs, labs)
+        assert losses.l_rld == direct
+        assert np.array_equal(grads.flat, sup.flat + nn.backward(model, trace, ddirect).flat)
 
 
 class TestBinaryBanks:

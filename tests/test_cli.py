@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sdalab import adapt as adapt_mod
-from sdalab import data, nn, runner, sweep
+from sdalab import bank, data, nn, runner, sweep
 from sdalab.cli import main
 from sdalab.config import load_config
 
@@ -187,17 +187,17 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_binary_rld_needs_class_aware_random_up_front(self, tmp_path, monkeypatch, capsys):
-        def no_pretrain(*args, **kwargs):
-            raise AssertionError("pretraining started before the config was rejected")
-
-        monkeypatch.setattr(runner, "pretrain", no_pretrain)
-        code = run_cli(
-            ["adapt", "--out", str(tmp_path), "--set", "dataset.kind=binary",
-             "--set", "rld.enabled=true", "--set", "adapt.k=3"] + FAST_SETS
-        )
-        assert code == 2
-        assert "--set rld.strategy=class_aware_random" in capsys.readouterr().err
+    def test_binary_rld_runs_with_every_strategy(self, tmp_path):
+        binary_rld = ["--set", "dataset.kind=binary", "--set", "rld.enabled=true",
+                      "--set", "adapt.k=3"] + FAST_SETS
+        # no strategy set: the default, cosine_distant
+        for strategy in [None] + [s for s in bank.STRATEGIES if s != "cosine_distant"]:
+            out = tmp_path / str(strategy)
+            sets = [] if strategy is None else ["--set", f"rld.strategy={strategy}"]
+            assert run_cli(["adapt", "--out", str(out)] + binary_rld + sets) == 0
+            rows = (out / "run_seed0.jsonl").read_text().splitlines()
+            assert len(rows) == 2
+            assert len(json.loads(rows[0])["bank"]["sizes"]) == 4  # one pair per finding
 
 
     @pytest.mark.parametrize("override", [

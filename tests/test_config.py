@@ -3,7 +3,7 @@
 import pytest
 
 from sdalab import config as config_mod
-from sdalab import data, feedback, nn, runner
+from sdalab import bank, data, feedback, nn, runner
 from sdalab.config import ExperimentConfig, apply_overrides, parse_config_text, stage_seed
 from sdalab.errors import ConfigError
 
@@ -75,12 +75,14 @@ class TestValidation:
             ExperimentConfig({"adapt.k": 3})
         ExperimentConfig({"adapt.k": 3, "rld.enabled": True})  # fine
 
-    def test_binary_rld_strategy_checked_only_when_retrieving(self):
+    def test_binary_rld_takes_every_strategy(self):
         rld = {"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3}
-        with pytest.raises(ConfigError, match="rld.strategy=class_aware_random"):
-            ExperimentConfig(rld)
-        ExperimentConfig({**rld, "rld.strategy": "class_aware_random"})
-        # the default strategy is cosine_distant; without retrieval it is unused
+        assert ExperimentConfig(rld).rld_config().strategy == "cosine_distant"
+        for strategy in bank.STRATEGIES:
+            for fallback in ("duplicate_labeled", "skip_with_flag"):
+                cfg = ExperimentConfig({**rld, "rld.strategy": strategy, "rld.fallback": fallback})
+                assert cfg.rld_config().strategy == strategy
+                assert cfg.rld_config().empty_class_fallback == fallback
         ExperimentConfig({"dataset.kind": "binary"})
         ExperimentConfig({"dataset.kind": "binary", "rld.enabled": True})
 

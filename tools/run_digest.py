@@ -1,0 +1,86 @@
+"""Print one sha256 per run over a fixed matrix of configs, then their total.
+
+A run's digest covers its metrics document and every epoch row of its run
+log; a capped stream replay's covers its checkpoint records and the weights
+of its last model. Two checkouts whose totals agree wrote the same bytes for
+every run of the matrix. Run it from the root of a checkout:
+
+    python3 tools/run_digest.py            # seeds 0 and 1
+    python3 tools/run_digest.py --seeds 3 4 5
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from sdalab import runner, stream  # noqa: E402
+from sdalab.config import ExperimentConfig, stage_seed  # noqa: E402
+
+RLD = {"rld.enabled": True, "adapt.k": 3}
+# binary rld names its strategy so that older checkouts, which take only
+# class_aware_random there, run the same matrix
+BINARY_RLD = {"dataset.kind": "binary", **RLD, "rld.strategy": "class_aware_random"}
+STRATEGIES = ("class_aware_random", "unconditioned_random", "kmeans_center", "cosine_distant")
+
+MATRIX = [
+    ("baseline", {}),
+    ("moons", {"dataset.kind": "moons"}),
+    ("fixmatch", {"adapt.algorithm": "fixmatch_lite"}),
+    ("fixmatch_rld", {"adapt.algorithm": "fixmatch_lite", **RLD}),
+    ("binary", {"dataset.kind": "binary"}),
+    ("binary_rld_duplicate", {**BINARY_RLD, "rld.fallback": "duplicate_labeled"}),
+    ("binary_rld_skip", {**BINARY_RLD, "rld.fallback": "skip_with_flag"}),
+] + [(f"rld_{s}", {**RLD, "rld.strategy": s}) for s in STRATEGIES]
+
+STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rows(rows) -> str:
+    return "\n".join(json.dumps(r, sort_keys=True, separators=runner.JSON_SEPARATORS) for r in rows)
+
+
+def run_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) -> str:
+    record = runner.run_single(cfg, seed, cache)
+    return _sha(record.metrics_json() + "\n" + _rows(record.rows))
+
+
+def stream_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) -> str:
+    d = runner.make_data(cfg, seed, cache)
+    pre = runner.pretrain(cfg, seed, cache)
+    split = runner.make_feedback(cfg, seed, cache)
+    records, last = stream.run_stream(
+        pre.model, d.target_train, split, stream.StreamConfig(memory_cap=STREAM_CAP),
+        runner.build_adapt_config(cfg, d), stage_seed(cfg.stage_hash("adapt"), seed, "adapt"),
+        test_set=d.target_test,
+    )
+    weights = "".join(a.tobytes().hex() for a in last.weights + last.biases)
+    return _sha(_rows(records) + "\n" + weights)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    args = parser.parse_args(argv)
+    cache = runner.StageCache()
+    digests = []
+    for seed in args.seeds:
+        for name, overrides in MATRIX:
+            digests.append((f"{name}/seed{seed}", run_digest(ExperimentConfig(overrides), seed, cache)))
+        digests.append((f"stream_cap{STREAM_CAP}/seed{seed}",
+                        stream_digest(ExperimentConfig({}), seed, cache)))
+    for label, digest in digests:
+        print(f"{digest}  {label}")
+    print(f"{_sha(''.join(d for _, d in digests))}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
