@@ -8,6 +8,10 @@ predictions into loss targets, and builds the epoch's candidate bank (the
 per-finding banks of a sigmoid head are read as one bank of 2F classes), so
 batch assembly, retrieval and the step are shared by both heads.
 
+Each epoch starts by drawing every step's batch indices and building the
+candidate bank. Retrieval then runs once for the whole epoch, unless the
+strategy reads the model (cosine_distant), which retrieves at each step.
+
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
 unlabelled point against its own detached target (the argmax, or the
@@ -113,6 +117,10 @@ class AdaptConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch.k > 0 and self.rld is None:
             raise ConfigError("batch.k > 0 requires an rld config")
+        if self.batch.k > 0 and self.rld.k != self.batch.k:
+            raise ConfigError(
+                f"batch.k ({self.batch.k}) and rld.k ({self.rld.k}) must agree"
+            )
 
 
 @dataclass
@@ -221,35 +229,47 @@ class CyclingSampler:
 
 def build_minibatch(
     train: LabeledSet,
-    units: np.ndarray,
-    bank: Optional[bank_mod.CandidateBank],
-    spec: BatchSpec,
-    rld_cfg: Optional[bank_mod.RldConfig],
-    labeled_sampler: CyclingSampler,
-    unlabeled_sampler: Optional[CyclingSampler],
-    retrieval_rng: np.random.Generator,
-    model: Optional[nn.MlpModel] = None,
-    epoch: Optional[int] = None,
+    picked: np.ndarray,
+    unlabeled: np.ndarray,
+    defending: Optional[tuple] = None,
 ) -> MiniBatch:
-    """One batch: b labelled units (labeled_sampler draws rows of the
-    (sample index, label) array units), mu*b unlabelled points and k
-    defending pairs per labelled unit."""
-    picked = units[labeled_sampler.take(spec.b)]
-    lb_points = train.points[picked[:, 0]]
-    lb_labels = picked[:, 1]
-    if spec.mu > 0:
-        ulb_points = train.points[unlabeled_sampler.take(spec.mu * spec.b)]
-    else:
-        ulb_points = np.zeros((0, 2))
-    if spec.k > 0:
-        if bank is None:
-            raise ConfigError("k > 0 requires a candidate bank")
-        def_pts, def_lab, fallbacks = bank_mod.retrieve_defending(
-            bank, lb_points, lb_labels, rld_cfg, retrieval_rng, model=model, epoch=epoch
-        )
-    else:
-        def_pts, def_lab, fallbacks = np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0
-    return MiniBatch(lb_points, lb_labels, ulb_points, def_pts, def_lab, fallbacks)
+    """One batch from its draws: picked holds the labelled units (rows of
+    (sample index, label)), unlabeled the unlabelled sample indices, and
+    defending the (points, labels, fallback_events) retrieved for those
+    units, None for no defending pairs."""
+    if defending is None:
+        defending = (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0)
+    return MiniBatch(
+        train.points[picked[:, 0]], picked[:, 1], train.points[unlabeled], *defending
+    )
+
+
+def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tuple:
+    """Every step's draws for one epoch: labelled units shaped (steps, b, 2)
+    and unlabelled sample indices shaped (steps, mu*b). Both samplers start
+    the epoch afresh and draw from rng step by step, labelled first."""
+    labeled_sampler = CyclingSampler(np.arange(len(units)), rng)
+    unlabeled_sampler = CyclingSampler(unlabeled_idx, rng) if spec.mu > 0 else None
+    picked = np.empty((n_steps, spec.b), dtype=np.int64)
+    unlabeled = np.empty((n_steps, spec.mu * spec.b), dtype=np.int64)
+    for i in range(n_steps):
+        picked[i] = labeled_sampler.take(spec.b)
+        if unlabeled_sampler is not None:
+            unlabeled[i] = unlabeled_sampler.take(spec.mu * spec.b)
+    return units[picked], unlabeled
+
+
+def _epoch_defending(bank, points, labels, cfg, rng, model, epoch) -> Callable:
+    """Step i's defending (points, labels, fallback_events), as a function
+    of i, for an epoch whose labelled points and labels are shaped (steps, b,
+    ...). A strategy that reads the model retrieves when step i asks, from
+    the model as trained so far. The others read only the epoch's frozen bank
+    and the rng, so they retrieve for the whole epoch in one call, up front."""
+    if cfg.strategy in bank_mod.MODEL_FREE:
+        return bank_mod._retrieve_split(bank, points, labels, cfg, rng, epoch=epoch).__getitem__
+    return lambda i: bank_mod.retrieve_defending(
+        bank, points[i], labels[i], cfg, rng, model=model, epoch=epoch
+    )
 
 
 def step(
@@ -372,7 +392,10 @@ def _adapt_units(
 
     RNG discipline: three independent substreams (batch order, augmentation,
     retrieval) spawn from the seed, so enabling defending samples cannot
-    perturb the baseline's draws.
+    perturb the baseline's draws. Each epoch draws every step's batch
+    indices at its start, in the order step-by-step drawing takes, then
+    builds its bank. Retrieval runs once per epoch unless the strategy reads
+    the model; then each step retrieves from the model as trained so far.
     """
     model = model.copy()
     batch_ss, augment_ss, retrieval_ss = np.random.SeedSequence(seed).spawn(3)
@@ -388,22 +411,21 @@ def _adapt_units(
     n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
 
     for epoch in range(cfg.epochs):
-        labeled_sampler = CyclingSampler(np.arange(len(units)), batch_rng)
-        unlabeled_sampler = (
-            CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
-        )
-        cur_bank = None
+        picked, unlabeled = _draw_epoch(units, unlabeled_idx, cfg.batch, n_steps, batch_rng)
+        cur_bank = defending = None
         if cfg.batch.k > 0:
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
+            )
+            defending = _epoch_defending(
+                cur_bank, train.points[picked[..., 0]], picked[..., 1], cfg.rld,
+                retrieval_rng, model, epoch,
             )
         sums = np.zeros(len(_LOGGED))  # float64 adds, bit-equal to Python's
         fallbacks = 0
         for i in range(n_steps):
             batch = build_minibatch(
-                train, units, cur_bank, cfg.batch, cfg.rld,
-                labeled_sampler, unlabeled_sampler, retrieval_rng,
-                model=model, epoch=epoch,
+                train, picked[i], unlabeled[i], defending(i) if defending else None
             )
             if observer is not None:
                 observer(epoch, i, batch)

@@ -22,6 +22,9 @@ UNCONDITIONED_RANDOM = "unconditioned_random"
 KMEANS_CENTER = "kmeans_center"
 COSINE_DISTANT = "cosine_distant"
 STRATEGIES = (CLASS_AWARE_RANDOM, UNCONDITIONED_RANDOM, KMEANS_CENTER, COSINE_DISTANT)
+# Strategies whose picks read only the bank, the labeled points and the rng,
+# never the model.
+MODEL_FREE = (CLASS_AWARE_RANDOM, UNCONDITIONED_RANDOM, KMEANS_CENTER)
 
 DUPLICATE_LABELED = "duplicate_labeled"
 SKIP_WITH_FLAG = "skip_with_flag"
@@ -151,32 +154,32 @@ def _bank(pool: tuple, members: list, conf, p: float, epoch_stamp: int) -> Candi
     return bank
 
 
-def _kmeans_per_point(bank: CandidateBank, labels, n_clusters: int, rng) -> list:
-    """Centroids of one k-means run per labeled point, on its class's bank
-    slice; None for a point whose class slice is empty.
+def _kmeans_runs(bank: CandidateBank, labels, n_clusters: int, rng) -> dict:
+    """One k-means run per labeled point on its class's bank slice, as
+    {class: (positions, centroids)}: the positions in labels of the class's
+    points and their runs' centroids, shaped (runs, clusters, dim). A class
+    whose slice is empty has no entry.
 
     Each run's forgy init (random distinct rows) is drawn in labeled order,
     so the rng advances exactly as one run after another would advance it;
     the runs of one class then iterate together.
     """
-    runs = {}  # class -> (positions, init rows)
+    inits = {}  # class -> (positions, init rows)
     for i, y in enumerate(labels):
         cls = int(y)
         n = bank.class_size(cls) if cls < bank.num_classes else 0
         if n:
-            rows = rng.choice(n, size=min(n_clusters, n), replace=False)
-            positions, inits = runs.setdefault(cls, ([], []))
+            positions, rows = inits.setdefault(cls, ([], []))
             positions.append(i)
-            inits.append(rows)
-    centroids_of = [None] * len(labels)
-    for cls, (positions, inits) in runs.items():
-        for i, centroids in zip(positions, _lloyd(bank.class_points(cls), np.stack(inits))):
-            centroids_of[i] = centroids
-    return centroids_of
+            rows.append(rng.choice(n, size=min(n_clusters, n), replace=False))
+    return {
+        cls: (positions, _lloyd(bank.class_points(cls), np.stack(rows)))
+        for cls, (positions, rows) in inits.items()
+    }
 
 
 def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
-    """Lloyd's algorithm, at most 20 iterations, for several runs at once.
+    """Lloyd's algorithm, at most 20 iterations, for many runs at once.
 
     init_rows[r] holds run r's initial centroid rows; returns the centroids
     shaped (runs, clusters, dim). An empty cluster keeps its centroid.
@@ -186,49 +189,66 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     two-coordinate points, the only kind the lab makes, each run so gets
     exactly the bits it would get alone from
     ``((points - centroid) ** 2).sum(axis=-1)`` and ``members.mean(axis=0)``.
-    Iteration stops once no assignment changes: the update would then
-    recompute the same centroids bit for bit, and so would every later one.
+    A point joins the first of its nearest clusters, as argmin picks it: a
+    later cluster takes it only when strictly closer (bank points are
+    finite, so every distance is). A run leaves the iteration once its
+    assignment repeats: its update would then recompute the same centroids
+    bit for bit, and so would every later one.
     """
-    dim = points.shape[1]
+    dim, n = points.shape[1], len(points)
     runs, n_clusters = init_rows.shape
     coords = np.ascontiguousarray(points.T)
-    centroids = coords[:, init_rows]  # (dim, runs, clusters)
-    flat_centroids = centroids.reshape(dim, runs * n_clusters)  # a view
-    offsets = (np.arange(runs) * n_clusters)[:, None]
-    weights = np.tile(coords, (1, runs))  # (dim, runs * n)
+    centroids = coords[:, init_rows]  # (dim, live runs, clusters)
+    out = np.empty_like(centroids)
+    live = np.arange(runs)
+    weights = np.tile(coords, (1, runs))  # (dim, runs * n): m runs read the first m * n
     previous = None
     for _ in range(20):
-        sq = (coords[:, None, None, :] - centroids[:, :, :, None]) ** 2
-        d2 = sq[0]
+        d2 = (coords[0] - centroids[0, :, :, None]) ** 2  # (live runs, clusters, n)
         for j in range(1, dim):
-            d2 = d2 + sq[j]
-        assign = (np.argmin(d2, axis=1) + offsets).ravel()  # (runs * n,)
-        if previous is not None and np.array_equal(assign, previous):
-            break
+            d2 += (coords[j] - centroids[j, :, :, None]) ** 2
+        assign = np.zeros((len(live), n), dtype=np.intp)
+        nearest = d2[:, 0]  # a view, kept at the running minimum
+        for c in range(1, n_clusters):
+            assign[d2[:, c] < nearest] = c
+            np.minimum(nearest, d2[:, c], out=nearest)
+        if previous is not None:
+            moved = (assign != previous).any(axis=1)
+            if not moved.all():
+                out[:, live[~moved]] = centroids[:, ~moved]
+                live, centroids, assign = live[moved], centroids[:, moved], assign[moved]
+                if not len(live):
+                    break
         previous = assign
-        counts = np.bincount(assign, minlength=runs * n_clusters)
+        m = len(live)
+        flat = (assign + (np.arange(m) * n_clusters)[:, None]).ravel()  # (m * n,)
+        counts = np.bincount(flat, minlength=m * n_clusters)
         filled = counts > 0
+        flat_centroids = centroids.reshape(dim, m * n_clusters)  # a view
         for j in range(dim):
-            sums = np.bincount(assign, weights=weights[j], minlength=runs * n_clusters)
+            sums = np.bincount(flat, weights=weights[j, : m * n], minlength=m * n_clusters)
             flat_centroids[j, filled] = sums[filled] / counts[filled]
-    return centroids.transpose(1, 2, 0)
+    out[:, live] = centroids
+    return out.transpose(1, 2, 0)
 
 
-def _nearest_per_centroid(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
-    """Row indices of the k retrieved points: round-robin over centroids,
-    each yielding its next-nearest unused point (ties by row); wraps to reuse
-    when exhausted."""
-    dist = np.linalg.norm(points[None, :, :] - centroids[:, None, :], axis=2)
-    order_per_centroid = np.argsort(dist, axis=1, kind="stable")
-    picks = []
-    depth = 0
-    while len(picks) < k:
-        for order in order_per_centroid:
-            if len(picks) == k:
-                break
-            picks.append(order[depth % len(order)])
-        depth += 1
-    return np.array(picks, dtype=np.intp)
+def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k retrieved points of each run, shaped (runs, k), for
+    centroids shaped (runs, clusters, dim): round-robin over a run's
+    centroids, each yielding its next-nearest unused point (ties by row);
+    wraps to reuse when exhausted. A distance is sqrt(x0*x0 + x1*x1) of
+    x = point - centroid, summed coordinate by coordinate as np.linalg.norm
+    sums a point's coordinates, so its bits, and so the ties, are norm's.
+    """
+    coords, at = points.T, centroids.transpose(2, 0, 1)[..., None]
+    dist = np.zeros((*centroids.shape[:2], len(points)))  # (runs, clusters, n)
+    for j in range(len(coords)):
+        x = coords[j] - at[j]
+        dist += x * x
+    order = np.argsort(np.sqrt(dist, out=dist), axis=-1, kind="stable")
+    _, n_clusters, n = order.shape
+    pick = np.arange(k)
+    return order[:, pick % n_clusters, (pick // n_clusters) % n]
 
 
 def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -271,23 +291,29 @@ def retrieve_defending(
     fallbacks = 0
     duplicated = False
     if cfg.strategy == KMEANS_CENTER:
-        centroids_of = _kmeans_per_point(bank, labels, cfg.kmeans_clusters, rng)
+        kmeans_rows = [None] * len(labels)
+        for cls, (positions, centroids) in _kmeans_runs(
+            bank, labels, cfg.kmeans_clusters, rng
+        ).items():
+            picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
+            for i, rows in zip(positions, bank.class_rows(cls)[picks]):
+                kmeans_rows[i] = rows
     if cfg.strategy == UNCONDITIONED_RANDOM:
         pool_rows = np.concatenate([bank.class_rows(c) for c in range(bank.num_classes)])
         pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
     # Per-class data the model fixes for this call, computed for the first
     # labeled point of a class and reused by the rest. Cosine picks are kept
     # per (class, point): the same inputs select the same rows.
-    class_pts, candidates, cosine_picks = {}, {}, {}
+    candidates, cosine_picks = {}, {}
+    falls_back = _falls_back(bank, labels, cfg)
     for i, (x, y) in enumerate(zip(labeled_points, labels)):
         cls = int(y)
-        size = bank.class_size(cls) if cls < bank.num_classes else 0
         if cfg.strategy == UNCONDITIONED_RANDOM:
             draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
             out_rows.append(pool_rows[draws])
             out_lab.append(pool_labels[draws])
             continue
-        if size == 0:
+        if falls_back[i]:
             fallbacks += 1
             if cfg.empty_class_fallback == DUPLICATE_LABELED:
                 duplicated = True
@@ -296,12 +322,11 @@ def retrieve_defending(
             continue
         rows = bank.class_rows(cls)
         if cfg.strategy == CLASS_AWARE_RANDOM:
+            size = len(rows)
             draws = rng.choice(size, size=cfg.k, replace=size < cfg.k)
             out_rows.append(rows[draws])
         elif cfg.strategy == KMEANS_CENTER:
-            if cls not in class_pts:
-                class_pts[cls] = bank.class_points(cls)
-            out_rows.append(rows[_nearest_per_centroid(class_pts[cls], centroids_of[i], cfg.k)])
+            out_rows.append(kmeans_rows[i])
         elif cfg.strategy == COSINE_DISTANT:
             x = np.asarray(x, dtype=float)
             key = (cls, x.tobytes())
@@ -328,6 +353,39 @@ def retrieve_defending(
     if duplicated:
         source = np.concatenate([bank.points, np.asarray(labeled_points, dtype=np.float64)])
     return source[np.concatenate(out_rows)], np.concatenate(out_lab), fallbacks
+
+
+def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.ndarray:
+    """Whether each labeled point falls back, shaped as labels: its class
+    has no bank entries, under a strategy that retrieves from the point's
+    own class."""
+    if cfg.strategy == UNCONDITIONED_RANDOM:
+        return np.zeros(labels.shape, dtype=bool)
+    filled = np.array(bank.sizes() + [0]) > 0  # a label past the bank's classes reads the 0
+    return ~filled[np.minimum(labels, bank.num_classes)]
+
+
+def _retrieve_split(
+    bank: CandidateBank, labeled_points: np.ndarray, labeled_labels: np.ndarray,
+    cfg: RldConfig, rng: np.random.Generator, epoch: Optional[int] = None,
+) -> list:
+    """retrieve_defending's result for each group of labeled points, from
+    one call over all of them. labeled_points and labeled_labels are shaped
+    (groups, size, ...); the rng is drawn in the order of one call per group
+    after another, which for a strategy in MODEL_FREE gives every group the
+    rows its own call would give. A point yields k rows, or none when it
+    falls back under SkipWithFlag, so the rows split back by group.
+    """
+    groups, size = labeled_labels.shape
+    points, labels, _ = retrieve_defending(
+        bank, labeled_points.reshape(groups * size, -1), labeled_labels.ravel(), cfg, rng,
+        epoch=epoch,
+    )
+    fallbacks = _falls_back(bank, labeled_labels, cfg).sum(axis=1)
+    skip = cfg.empty_class_fallback == SKIP_WITH_FLAG
+    served = size - fallbacks if skip else np.full(groups, size)
+    cuts = np.cumsum(cfg.k * served)[:-1]
+    return list(zip(np.split(points, cuts), np.split(labels, cuts), fallbacks.tolist()))
 
 
 def generate_bank_binary(

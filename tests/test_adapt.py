@@ -30,10 +30,18 @@ def units_of(split):
     return np.array(split.labeled, dtype=np.int64)
 
 
-def unit_sampler(split, rng):
-    """Draws rows of units_of(split), in the order a sampler over the
-    labelled indices would draw them."""
-    return adapt.CyclingSampler(np.arange(len(split.labeled)), rng)
+def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_rng=None):
+    """An epoch's first batch as the adapt loop assembles it: the step's
+    draws from rng, then the defending pairs retrieved for its units."""
+    picked, unlabeled = adapt._draw_epoch(
+        units_of(split), split.unlabeled_indices(), spec, 1, rng
+    )
+    defending = None
+    if spec.k > 0:
+        defending = bank.retrieve_defending(
+            cur_bank, train.points[picked[0, :, 0]], picked[0, :, 1], rld_cfg, retrieval_rng
+        )
+    return adapt.build_minibatch(train, picked[0], unlabeled[0], defending)
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +132,8 @@ class TestBuildMinibatch:
             model, train.points[split.unlabeled_indices()],
             split.unlabeled_indices(), 0.4, 3,
         )
-        rng = np.random.default_rng(0)
-        labeled_sampler = unit_sampler(split, rng)
-        unlabeled_sampler = adapt.CyclingSampler(split.unlabeled_indices(), rng)
-        mb = adapt.build_minibatch(
-            train, units_of(split), b, spec, rld_cfg, labeled_sampler, unlabeled_sampler,
-            np.random.default_rng(1),
+        mb = draw_batch(
+            train, split, spec, np.random.default_rng(0), b, rld_cfg, np.random.default_rng(1)
         )
         assert len(mb.labeled_points) == 16
         assert len(mb.unlabeled_points) == 64
@@ -138,13 +142,7 @@ class TestBuildMinibatch:
     def test_baseline_composition_16_112_0(self, toy):
         train, split, model = toy
         spec = adapt.BatchSpec(b=16, mu=7, k=0)
-        rng = np.random.default_rng(0)
-        mb = adapt.build_minibatch(
-            train, units_of(split), None, spec, None,
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(1),
-        )
+        mb = draw_batch(train, split, spec, np.random.default_rng(0))
         assert len(mb.labeled_points) == 16
         assert len(mb.unlabeled_points) == 112
         assert len(mb.defending_points) == 0
@@ -157,37 +155,23 @@ class TestBuildMinibatch:
             model, train.points[split.unlabeled_indices()],
             split.unlabeled_indices(), 1.0, 3,
         )
-        rng = np.random.default_rng(2)
-        mb = adapt.build_minibatch(
-            train, units_of(split), b, spec, rld_cfg,
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(3),
+        mb = draw_batch(
+            train, split, spec, np.random.default_rng(2), b, rld_cfg, np.random.default_rng(3)
         )
         if mb.fallback_events == 0:
             np.testing.assert_array_equal(
                 mb.defending_labels, np.repeat(mb.labeled_labels, 2)
             )
 
-    def test_missing_bank_with_k_rejected(self, toy):
-        train, split, model = toy
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            adapt.build_minibatch(
-                train, units_of(split), None, adapt.BatchSpec(b=4, mu=0, k=2),
-                bank.RldConfig(k=2),
-                unit_sampler(split, rng), None,
-                np.random.default_rng(1),
-            )
+    def test_missing_bank_with_k_rejected(self):
+        # the loop builds a bank whenever k > 0, from the rld config, which
+        # the adapt config requires up front
+        with pytest.raises(ConfigError, match="requires an rld config"):
+            adapt.AdaptConfig(batch=adapt.BatchSpec(b=4, mu=0, k=2), rld=None)
 
     def test_labeled_labels_are_ground_truth(self, toy):
         train, split, model = toy
-        rng = np.random.default_rng(4)
-        mb = adapt.build_minibatch(
-            train, units_of(split), None, adapt.BatchSpec(b=9, mu=0, k=0), None,
-            unit_sampler(split, rng), None,
-            np.random.default_rng(5),
-        )
+        mb = draw_batch(train, split, adapt.BatchSpec(b=9, mu=0, k=0), np.random.default_rng(4))
         label_of = dict(split.labeled)
         # points in the batch correspond to labeled-pool indices with their labels
         for p, y in zip(mb.labeled_points, mb.labeled_labels):
@@ -231,12 +215,9 @@ class TestStepPseudoLabel:
             model, train.points[split.unlabeled_indices()],
             split.unlabeled_indices(), 0.5, 3,
         )
-        rng = np.random.default_rng(1)
-        mb = adapt.build_minibatch(
-            train, units_of(split), b, adapt.BatchSpec(b=8, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(2),
+        mb = draw_batch(
+            train, split, adapt.BatchSpec(b=8, mu=2, k=2), np.random.default_rng(1),
+            b, bank.RldConfig(p=0.5, k=2), np.random.default_rng(2),
         )
         losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
         assert abs(losses.l_total - (losses.l_sup + losses.l_unsup + losses.l_rld)) < 1e-9
@@ -245,16 +226,13 @@ class TestStepPseudoLabel:
     def test_gradient_matches_finite_differences(self, toy):
         train, split, _ = toy
         model = nn.MlpModel.init([2, 6, 3], nn.SOFTMAX, np.random.default_rng(7))
-        rng = np.random.default_rng(3)
         b = bank.generate_bank(
             model, train.points[split.unlabeled_indices()],
             split.unlabeled_indices(), 0.5, 3,
         )
-        mb = adapt.build_minibatch(
-            train, units_of(split), b, adapt.BatchSpec(b=4, mu=2, k=2), bank.RldConfig(p=0.5, k=2),
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(4),
+        mb = draw_batch(
+            train, split, adapt.BatchSpec(b=4, mu=2, k=2), np.random.default_rng(3),
+            b, bank.RldConfig(p=0.5, k=2), np.random.default_rng(4),
         )
         cfg = adapt.AdaptConfig()
         _, grads = adapt.step(model, mb, cfg)
@@ -279,13 +257,7 @@ class TestStepPseudoLabel:
         # Supplying the pseudo labels from a frozen snapshot changes nothing:
         # the engine's gradient treats them as constants.
         train, split, model = toy
-        rng = np.random.default_rng(5)
-        mb = adapt.build_minibatch(
-            train, units_of(split), None, adapt.BatchSpec(b=4, mu=3, k=0), None,
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(6),
-        )
+        mb = draw_batch(train, split, adapt.BatchSpec(b=4, mu=3, k=0), np.random.default_rng(5))
         _, grads = adapt.step(model, mb, adapt.AdaptConfig())
         frozen = model.copy()
         pseudo = nn.argmax_rows(nn.forward(frozen, mb.unlabeled_points).probs)
@@ -302,13 +274,7 @@ class TestStepPseudoLabel:
 class TestStepFixmatchLite:
     def make_batch(self, toy, mu=4, b=4):
         train, split, model = toy
-        rng = np.random.default_rng(8)
-        return adapt.build_minibatch(
-            train, units_of(split), None, adapt.BatchSpec(b=b, mu=mu, k=0), None,
-            unit_sampler(split, rng),
-            adapt.CyclingSampler(split.unlabeled_indices(), rng),
-            np.random.default_rng(9),
-        )
+        return draw_batch(train, split, adapt.BatchSpec(b=b, mu=mu, k=0), np.random.default_rng(8))
 
     def augmenter(self, train):
         return adapt.Augmenter(
@@ -441,6 +407,20 @@ class TestAdaptLoop:
         n_steps = adapt.steps_per_epoch(9, len(split.unlabeled), cfg.batch)
         assert len(seen) == 2 * n_steps
         assert set(seen) == {(8, 16, 16)}
+
+    def test_batch_k_and_rld_k_must_agree(self, toy):
+        with pytest.raises(ConfigError, match="must agree"):
+            self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=2), rld=bank.RldConfig(k=3))
+        # with k = 0 the batch holds no pairs, and rld.k is never read
+        self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=0), rld=bank.RldConfig(k=3))
+        train, split, model = toy
+        seen = []
+        cfg = self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=2), rld=bank.RldConfig(k=2))
+        adapt.adapt(
+            model, split, train, cfg, seed=0,
+            observer=lambda e, s, mb: seen.append(len(mb.defending_points)),
+        )
+        assert set(seen) == {8}
 
     def test_k_zero_matches_missing_rld_config(self, toy):
         train, split, model = toy
@@ -897,3 +877,214 @@ class TestAdaptBinary:
         targets, mask = rule.targets(d_labels[8:])
         assert np.array_equal(targets, np.tile([0.0, 1.0], (4, 1)))
         assert np.array_equal(mask, np.tile([0.0, 1.0], (4, 1)))
+
+
+# The loop as it ran before an epoch's batches were drawn up front: each step
+# drew its batch from the samplers and retrieved its defending pairs itself.
+# Kept verbatim (names prefixed ref_) as the oracle for the epoch loop.
+
+
+def ref_build_minibatch(
+    train: LabeledSet,
+    units: np.ndarray,
+    cand_bank: Optional[bank.CandidateBank],
+    spec: adapt.BatchSpec,
+    rld_cfg: Optional[bank.RldConfig],
+    labeled_sampler: adapt.CyclingSampler,
+    unlabeled_sampler: Optional[adapt.CyclingSampler],
+    retrieval_rng: np.random.Generator,
+    model: Optional[nn.MlpModel] = None,
+    epoch: Optional[int] = None,
+) -> adapt.MiniBatch:
+    """One batch: b labelled units (labeled_sampler draws rows of the
+    (sample index, label) array units), mu*b unlabelled points and k
+    defending pairs per labelled unit."""
+    picked = units[labeled_sampler.take(spec.b)]
+    lb_points = train.points[picked[:, 0]]
+    lb_labels = picked[:, 1]
+    if spec.mu > 0:
+        ulb_points = train.points[unlabeled_sampler.take(spec.mu * spec.b)]
+    else:
+        ulb_points = np.zeros((0, 2))
+    if spec.k > 0:
+        if cand_bank is None:
+            raise ConfigError("k > 0 requires a candidate bank")
+        def_pts, def_lab, fallbacks = bank.retrieve_defending(
+            cand_bank, lb_points, lb_labels, rld_cfg, retrieval_rng, model=model, epoch=epoch
+        )
+    else:
+        def_pts, def_lab, fallbacks = np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0
+    return adapt.MiniBatch(lb_points, lb_labels, ulb_points, def_pts, def_lab, fallbacks)
+
+
+def ref_adapt_units(
+    model, units, unlabeled_idx, train, cfg, seed, rule, evaluate=None, observer=None
+) -> tuple:
+    """The epoch loop over labelled units (rows of (sample index, label)).
+
+    RNG discipline: three independent substreams (batch order, augmentation,
+    retrieval) spawn from the seed, so enabling defending samples cannot
+    perturb the baseline's draws.
+    """
+    model = model.copy()
+    batch_ss, augment_ss, retrieval_ss = np.random.SeedSequence(seed).spawn(3)
+    batch_rng = np.random.default_rng(batch_ss)
+    augment_rng = np.random.default_rng(augment_ss)
+    retrieval_rng = np.random.default_rng(retrieval_ss)
+    if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
+        raise ConfigError("mu > 0 but the unlabeled pool is empty")
+
+    augmenter = adapt.Augmenter(cfg.augment or adapt.AugmenterSpec(), train.points.mean(axis=0))
+    state = nn.SgdState.zeros_like(model)
+    records = []
+    n_steps = adapt.steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
+
+    for epoch in range(cfg.epochs):
+        labeled_sampler = adapt.CyclingSampler(np.arange(len(units)), batch_rng)
+        unlabeled_sampler = (
+            adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
+        )
+        cur_bank = None
+        if cfg.batch.k > 0:
+            cur_bank = rule.bank(
+                model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
+            )
+        sums = np.zeros(len(adapt._LOGGED))  # float64 adds, bit-equal to Python's
+        fallbacks = 0
+        for i in range(n_steps):
+            batch = ref_build_minibatch(
+                train, units, cur_bank, cfg.batch, cfg.rld,
+                labeled_sampler, unlabeled_sampler, retrieval_rng,
+                model=model, epoch=epoch,
+            )
+            if observer is not None:
+                observer(epoch, i, batch)
+            losses, grads = adapt.step(model, batch, cfg, rule, augmenter, augment_rng)
+            if not math.isfinite(losses.l_total):
+                raise NumericError(
+                    f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"
+                )
+            nn.sgd_step(model, grads, cfg.sgd, state)
+            sums += (losses.l_sup, losses.l_unsup, losses.l_rld, losses.unsup_mask_rate)
+            fallbacks += batch.fallback_events
+        record = dict(zip(adapt._LOGGED, (sums / n_steps).tolist()), epoch=epoch, bank={
+            "sizes": rule.sizes(cur_bank) if cur_bank is not None else [],
+            "fallbacks": fallbacks,
+        })
+        if evaluate is not None:
+            record["test_acc"] = float(evaluate(model))
+        records.append(record)
+    return model, records
+
+
+def binary_units(splits) -> np.ndarray:
+    """adapt_binary's units: one (sample, 2*finding + value) row per cell."""
+    cells = (
+        (int(idx), 2 * j + int(value))
+        for j, split in enumerate(splits) for idx, value in split.labeled
+    )
+    return np.array(sorted(cells), dtype=np.int64)
+
+
+def assert_same_loop(model, units, unlabeled_idx, train, cfg, seed, rule) -> list:
+    """Run the epoch loop and the step-by-step oracle; every step's batch,
+    the records and the final parameters must be equal. Returns the batches."""
+    got, want = [], []
+    out, records = adapt._adapt_units(
+        model, units, unlabeled_idx, train, cfg, seed, rule,
+        observer=lambda e, i, mb: got.append((e, i, mb)),
+    )
+    ref_out, ref_records = ref_adapt_units(
+        model, units, unlabeled_idx, train, cfg, seed, rule,
+        observer=lambda e, i, mb: want.append((e, i, mb)),
+    )
+    assert [(e, i) for e, i, _ in got] == [(e, i) for e, i, _ in want]
+    for (_, _, a), (_, _, b_) in zip(got, want):
+        for name in ("labeled_points", "labeled_labels", "unlabeled_points",
+                     "defending_points", "defending_labels"):
+            assert np.array_equal(getattr(a, name), getattr(b_, name)), name
+        assert a.fallback_events == b_.fallback_events
+        assert type(a.fallback_events) is int
+    assert records == ref_records
+    assert np.array_equal(out.params, ref_out.params)
+    return [mb for _, _, mb in got]
+
+
+EPOCH_CASES = [
+    (strategy, fallback, None)
+    for strategy in (bank.CLASS_AWARE_RANDOM, bank.UNCONDITIONED_RANDOM, bank.COSINE_DISTANT)
+    for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG)
+] + [
+    # one cluster (k > clusters), clusters = k, and more clusters than any class holds
+    (bank.KMEANS_CENTER, fallback, clusters)
+    for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG)
+    for clusters in (1, 3, 40)
+]
+
+
+class TestEpochRetrieval:
+    @pytest.mark.parametrize("strategy,fallback,clusters", EPOCH_CASES)
+    def test_matches_step_by_step_loop(self, toy, strategy, fallback, clusters):
+        train, split, model = toy
+        fitted = adapt.train_supervised(
+            model.copy(), train.points, train.labels, nn.SgdConfig(0.05, momentum=0.9),
+            epochs=5, batch_size=32, rng=np.random.default_rng(0),
+        )
+        silenced = fitted.copy()
+        silenced.biases[-1][2] = -30.0  # nothing is pseudo-labelled 2: its bank class is empty
+        cfg = adapt.AdaptConfig(
+            epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
+            batch=adapt.BatchSpec(b=8, mu=2, k=3),
+            rld=bank.RldConfig(
+                p=0.1, k=3, strategy=strategy, kmeans_clusters=clusters,
+                empty_class_fallback=fallback,
+            ),
+        )
+        units = units_of(split)
+        unlabeled_idx = np.array(split.unlabeled_indices(), dtype=np.int64)
+        for m in (fitted, silenced):
+            batches = assert_same_loop(m, units, unlabeled_idx, train, cfg, 4, adapt.SOFTMAX_RULE)
+            fallbacks = sum(mb.fallback_events for mb in batches)
+            assert (fallbacks > 0) == (m is silenced and strategy != bank.UNCONDITIONED_RANDOM)
+        if clusters == 40:
+            sizes = adapt.SOFTMAX_RULE.bank(
+                fitted, train.points[unlabeled_idx], unlabeled_idx, 0.1, 0
+            ).sizes()
+            assert 0 < min(sizes) and max(sizes) < clusters
+
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
+    def test_binary_matches_step_by_step_loop(self, binary_toy, strategy, fallback):
+        target, model, splits = binary_toy
+        units = binary_units(splits)
+        unlabeled_idx = np.setdiff1d(np.arange(len(target)), units[:, 0])
+        cfg = adapt.AdaptConfig(
+            epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
+            batch=adapt.BatchSpec(b=8, mu=1, k=2),
+            rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
+        )
+        # threshold 1.01 leaves finding 1's positives empty
+        rule = adapt.SigmoidRule(np.array([0.5, 1.01]))
+        assert_same_loop(model, units, unlabeled_idx, target, cfg, 6, rule)
+
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    def test_one_retrieval_per_epoch_unless_the_model_is_read(self, toy, monkeypatch, strategy):
+        train, split, model = toy
+        calls = []
+        original = bank.retrieve_defending
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bank, "retrieve_defending", spy)
+        cfg = adapt.AdaptConfig(
+            epochs=3, batch=adapt.BatchSpec(b=8, mu=2, k=2),
+            rld=bank.RldConfig(p=0.4, k=2, strategy=strategy),
+        )
+        adapt.adapt(model, split, train, cfg, seed=0)
+        n_steps = adapt.steps_per_epoch(len(split.labeled), len(split.unlabeled), cfg.batch)
+        if strategy in bank.MODEL_FREE:
+            assert calls == [n_steps * 8] * 3
+        else:
+            assert calls == [8] * (3 * n_steps)

@@ -103,13 +103,15 @@ def reference_lloyd(points, init_rows):
 
 
 def lloyd_history(points, init_rows):
-    """(assignments still change on the 20th iteration, some cluster is empty
-    on some iteration) for one per-run Lloyd from the given initial rows."""
+    """(the iteration at which the assignment first repeats, None when it
+    never does within 20; some cluster is empty on some iteration) for one
+    per-run Lloyd from the given initial rows."""
     centroids = points[init_rows].copy()
-    previous, changing, empty = None, False, False
-    for _ in range(20):
+    previous, stop, empty = None, None, False
+    for iteration in range(1, 21):
         assign = np.argmin(((points[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
-        changing = previous is not None and not np.array_equal(assign, previous)
+        if previous is not None and np.array_equal(assign, previous) and stop is None:
+            stop = iteration
         previous = assign
         for c in range(len(centroids)):
             members = points[assign == c]
@@ -117,7 +119,7 @@ def lloyd_history(points, init_rows):
                 centroids[c] = members.mean(axis=0)
             else:
                 empty = True
-    return changing, empty
+    return stop, empty
 
 
 def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
@@ -464,13 +466,19 @@ class TestKMeansCenter:
             lab_y = rng.integers(0, 4, size=12)  # class 3 is not in the bank
             clusters = int(rng.integers(1, 9))
             rng_fast, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
-            got = bank._kmeans_per_point(b, lab_y, clusters, rng_fast)
-            for y, centroids in zip(lab_y, got):
+            centroids_of = {}
+            runs = bank._kmeans_runs(b, lab_y, clusters, rng_fast)
+            for cls, (positions, centroids) in runs.items():
+                assert len(positions) == len(centroids)
+                for i, c in zip(positions, centroids):
+                    assert lab_y[i] == cls
+                    centroids_of[i] = c
+            for i, y in enumerate(lab_y):
                 if y >= b.num_classes or not b.class_size(int(y)):
-                    assert centroids is None
+                    assert i not in centroids_of
                     continue
                 want = reference_kmeans(b.class_points(int(y)), clusters, rng_ref)
-                assert np.array_equal(centroids, want)
+                assert np.array_equal(centroids_of[i], want)
             assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
 
     def test_lloyd_early_exit_matches_twenty_iterations(self):
@@ -493,10 +501,22 @@ class TestKMeansCenter:
             init = np.stack([rng.choice(n, size=clusters, replace=False) for _ in range(runs)])
             assert np.array_equal(bank._lloyd(pts, init), reference_lloyd(pts, init))
             for rows in init:
-                changing, empty = lloyd_history(pts, rows)
-                never_converged += changing
+                stop, empty = lloyd_history(pts, rows)
+                never_converged += stop is None
                 emptied += empty
         assert never_converged and emptied  # both edge cases were exercised
+
+    def test_lloyd_many_runs_leave_at_different_iterations(self):
+        # 48 runs on one slice, as one epoch's runs of a class iterate: runs
+        # settle at different iterations and leave, others hit the 20 cap
+        rng = np.random.default_rng(46)
+        x = np.sort(rng.exponential(size=200))
+        pts = np.stack([x, 0.01 * rng.normal(size=200)], axis=1)
+        init = np.stack([rng.choice(200, size=5, replace=False) for _ in range(48)])
+        assert np.array_equal(bank._lloyd(pts, init), reference_lloyd(pts, init))
+        stops = [lloyd_history(pts, rows)[0] for rows in init]
+        assert None in stops  # some run never settles within 20 iterations
+        assert len({s for s in stops if s is not None}) > 5
 
     def test_nearest_per_centroid_matches_verbatim(self):
         rng = np.random.default_rng(45)
@@ -504,12 +524,14 @@ class TestKMeansCenter:
             base = rng.normal(size=(int(rng.integers(1, 8)), 2))
             pts = base[rng.integers(0, len(base), size=int(rng.integers(1, 30)))]
             n_centroids = int(rng.integers(1, 7))
-            centroids = rng.normal(size=(n_centroids, 2))
-            centroids[0] = pts[0]  # a centroid on duplicated points: ties by row
+            centroids = rng.normal(size=(int(rng.integers(1, 5)), n_centroids, 2))
+            centroids[0, 0] = pts[0]  # a centroid on duplicated points: ties by row
             for k in sorted({1, max(1, n_centroids - 1), n_centroids, n_centroids + 1, 3 * n_centroids + 2}):
-                got = bank._nearest_per_centroid(pts, centroids, k)
-                want = reference_nearest_per_centroid(pts, centroids, k)
-                assert np.array_equal(got, want), (case, k)
+                got = bank._nearest_picks(pts, centroids, k)
+                assert got.shape == (len(centroids), k)
+                for run, run_centroids in enumerate(centroids):
+                    want = reference_nearest_per_centroid(pts, run_centroids, k)
+                    assert np.array_equal(got[run], want), (case, k, run)
 
 
 class TestRandomStrategiesMatchOracle:
@@ -523,6 +545,30 @@ class TestRandomStrategiesMatchOracle:
             assert_same_retrieval(
                 b, rng.normal(size=(16, 2)), rng.integers(0, 3, size=16), cfg, case
             )
+
+
+class TestRetrieveSplit:
+    @pytest.mark.parametrize("strategy", bank.MODEL_FREE)
+    @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
+    def test_matches_one_call_per_group(self, strategy, fallback):
+        rng = np.random.default_rng(47)
+        for case in range(8):
+            b = tied_bank(rng, n=int(rng.integers(6, 60)), empty_class=case % 3)
+            groups, size = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            points = rng.normal(size=(groups, size, 2))
+            labels = rng.integers(0, 4, size=(groups, size))  # class 3 is not in the bank
+            cfg = bank.RldConfig(
+                k=int(rng.integers(1, 5)), strategy=strategy,
+                kmeans_clusters=int(rng.integers(1, 8)), empty_class_fallback=fallback,
+            )
+            rng_split, rng_each = np.random.default_rng(case), np.random.default_rng(case)
+            got = bank._retrieve_split(b, points, labels, cfg, rng_split)
+            assert len(got) == groups
+            for (pts, labs, fallbacks), group_points, group_labels in zip(got, points, labels):
+                want = bank.retrieve_defending(b, group_points, group_labels, cfg, rng_each)
+                assert np.array_equal(pts, want[0]) and np.array_equal(labs, want[1])
+                assert fallbacks == want[2] and type(fallbacks) is int
+            assert rng_split.integers(1 << 62) == rng_each.integers(1 << 62)
 
 
 class TestRepeatedLabeledPoints:

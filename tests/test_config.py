@@ -199,6 +199,12 @@ class TestTypedViews:
         assert (acfg.batch.b, acfg.batch.mu, acfg.batch.k) == (16, 4, 2)
         assert acfg.rld.p == 0.6 and acfg.rld.k == 2
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_adapt_k_sets_batch_and_rld_k_alike(self, k):
+        acfg = ExperimentConfig({"adapt.k": k, "rld.enabled": True}).adapt_config()
+        assert acfg.batch.k == k
+        assert acfg.rld.k == max(k, 1)  # unread at k=0, where the batch holds no pairs
+
     def test_fallback_passthrough(self):
         cfg = ExperimentConfig({"feedback.fallback": "error"})
         assert cfg.feedback_spec().fallback_on_shortage == feedback.FALLBACK_ERROR

@@ -7,13 +7,21 @@ every run of the matrix. Run it from the root of a checkout:
 
     python3 tools/run_digest.py            # seeds 0 and 1
     python3 tools/run_digest.py --seeds 3 4 5
+    python3 tools/run_digest.py --write tests/golden/run_digest_seed0.json
+
+--write stores the seed-0 digests, their total and a stamp of the numeric
+environment (numpy, BLAS, machine, SIMD features) as JSON, the golden file
+that tests/test_golden.py compares a fresh run against.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -65,20 +73,51 @@ def stream_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) ->
     return _sha(_rows(records) + "\n" + weights)
 
 
+def digests(seeds) -> list:
+    """(label, digest) of every run of the matrix, seed by seed."""
+    cache = runner.StageCache()
+    out = []
+    for seed in seeds:
+        for name, overrides in MATRIX:
+            out.append((f"{name}/seed{seed}", run_digest(ExperimentConfig(overrides), seed, cache)))
+        out.append((f"stream_cap{STREAM_CAP}/seed{seed}",
+                    stream_digest(ExperimentConfig({}), seed, cache)))
+    return out
+
+
+def total(runs) -> str:
+    return _sha("".join(d for _, d in runs))
+
+
+def environment_stamp() -> dict:
+    """What picks the floating-point kernels: numpy, its BLAS (OpenBLAS
+    chooses kernels per CPU), the machine and the SIMD features numpy found."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "machine": platform.machine(),
+        "simd": config["SIMD Extensions"]["found"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--write", metavar="PATH", help="write the seed-0 golden file to PATH")
     args = parser.parse_args(argv)
-    cache = runner.StageCache()
-    digests = []
-    for seed in args.seeds:
-        for name, overrides in MATRIX:
-            digests.append((f"{name}/seed{seed}", run_digest(ExperimentConfig(overrides), seed, cache)))
-        digests.append((f"stream_cap{STREAM_CAP}/seed{seed}",
-                        stream_digest(ExperimentConfig({}), seed, cache)))
-    for label, digest in digests:
+    if args.write:
+        runs = digests([0])
+        golden = {"stamp": environment_stamp(), "runs": dict(runs), "total": total(runs)}
+        with open(args.write, "w") as fh:
+            fh.write(json.dumps(golden, indent=1) + "\n")
+        print(f"{golden['total']}  total, written to {args.write}")
+        return 0
+    runs = digests(args.seeds)
+    for label, digest in runs:
         print(f"{digest}  {label}")
-    print(f"{_sha(''.join(d for _, d in digests))}  total")
+    print(f"{total(runs)}  total")
     return 0
 
 
