@@ -68,8 +68,8 @@ class CandidateBank:
     descending (ties by ascending index); class_conf[c] aligns with it.
     points is the full unlabeled coordinate array the indices refer into.
     The row array of each class is kept once known (the bank builders hand
-    it over, other banks compute it on first use), so a bank must not be
-    edited once retrieval has started reading it.
+    it over, other banks compute it on first use), as is layout(), so a bank
+    must not be edited once retrieval has started reading it.
     """
 
     num_classes: int
@@ -79,6 +79,7 @@ class CandidateBank:
     class_conf: list = field(default_factory=list)
     epoch_stamp: int = 0
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _layout: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def class_size(self, cls: int) -> int:
         return len(self.class_indices[cls])
@@ -96,6 +97,20 @@ class CandidateBank:
 
     def class_points(self, cls: int) -> np.ndarray:
         return self.points[self.class_rows(cls)]
+
+    def layout(self) -> tuple:
+        """(every class's rows, concatenated in class order; the points of
+        those rows; the offset of each class in them, and one past the last;
+        each class's positions in ascending global index order), kept once
+        known."""
+        if self._layout is None:
+            classes = range(self.num_classes)
+            rows = np.concatenate([self.class_rows(c) for c in classes])
+            self._layout = (
+                rows, self.points[rows], np.cumsum([0] + self.sizes()),
+                [np.argsort(self.class_indices[c], kind="stable") for c in classes],
+            )
+        return self._layout
 
     @classmethod
     def concat(cls, banks) -> "CandidateBank":
@@ -264,6 +279,43 @@ def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray
     return 1.0 - sim
 
 
+def _cosine_picks(
+    bank: CandidateBank, model: nn.MlpModel, points: np.ndarray, labels: np.ndarray, k: int
+) -> np.ndarray:
+    """Rows of the k retrieved points of each labeled point, shaped (n, k):
+    its class's entries by cosine distance from it in penultimate features,
+    farthest first, ties by ascending global index; fewer entries than k
+    wrap around. Every label must be a class with entries.
+
+    The picks are those of one point at a time with its own one-row feature
+    pass against a feature pass over its class's rows, bit for bit: a class
+    slice of one pass over two or more rows has the bits of a pass over the
+    slice alone at the default layer widths (tests/test_nn.py names the
+    shapes; a one-row class has only one order), stacked one-row products
+    have the bits of one-row products, and a stable sort over columns in
+    global index order breaks ties as lexsort on the index does. A class
+    where some norm is zero computes its distances point by point.
+    """
+    all_rows, all_points, offsets, by_index = bank.layout()
+    feats = nn.penultimate_features(model, all_points)
+    norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
+    own = nn.one_row_features(model, points)
+    own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
+    picks = np.empty((len(labels), k), dtype=np.intp)
+    for cls in np.unique(labels):
+        at = np.flatnonzero(labels == cls)
+        lo, hi = offsets[cls], offsets[cls + 1]
+        feat, nb, a = feats[lo:hi], norms[lo:hi], own[at]
+        denom = own_norms[at, None] * nb
+        if (denom > 0.0).all():
+            dist = 1.0 - (feat @ a[:, :, None])[:, :, 0] / denom
+        else:
+            dist = np.stack([_cosine_distance(x, feat, nb) for x in a])
+        ranked = np.argsort(-dist[:, by_index[cls]], axis=1, kind="stable")
+        picks[at] = all_rows[lo:hi][by_index[cls]][ranked[:, np.arange(k) % (hi - lo)]]
+    return picks
+
+
 def retrieve_defending(
     bank: CandidateBank,
     labeled_points: np.ndarray,
@@ -284,75 +336,42 @@ def retrieve_defending(
         )
     if cfg.strategy == COSINE_DISTANT and model is None:
         raise ConfigError("cosine_distant retrieval needs the model for features")
+    points = np.asarray(labeled_points, dtype=np.float64)
     labels = np.asarray(labeled_labels, dtype=np.int64)
-    # Each labeled point's output rows index the gather source: bank.points,
-    # followed by the labeled points when DuplicateLabeled repeats one.
-    out_rows, out_lab = [], []
-    fallbacks = 0
-    duplicated = False
-    if cfg.strategy == KMEANS_CENTER:
-        kmeans_rows = [None] * len(labels)
-        for cls, (positions, centroids) in _kmeans_runs(
-            bank, labels, cfg.kmeans_clusters, rng
-        ).items():
-            picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
-            for i, rows in zip(positions, bank.class_rows(cls)[picks]):
-                kmeans_rows[i] = rows
-    if cfg.strategy == UNCONDITIONED_RANDOM:
-        pool_rows = np.concatenate([bank.class_rows(c) for c in range(bank.num_classes)])
-        pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
-    # Per-class data the model fixes for this call, computed for the first
-    # labeled point of a class and reused by the rest. Cosine picks are kept
-    # per (class, point): the same inputs select the same rows.
-    candidates, cosine_picks = {}, {}
     falls_back = _falls_back(bank, labels, cfg)
-    for i, (x, y) in enumerate(zip(labeled_points, labels)):
-        cls = int(y)
-        if cfg.strategy == UNCONDITIONED_RANDOM:
+    served = np.flatnonzero(~falls_back)
+    # rows[i] indexes labeled point i's k rows in the gather source:
+    # bank.points, followed by the labeled points, which a point that falls
+    # back under DuplicateLabeled repeats
+    rows = np.repeat(np.arange(len(labels))[:, None] + len(bank.points), cfg.k, axis=1)
+    out_lab = np.repeat(labels[:, None], cfg.k, axis=1)
+    if cfg.strategy == KMEANS_CENTER:
+        runs = _kmeans_runs(bank, labels, cfg.kmeans_clusters, rng)
+        for cls, (positions, centroids) in runs.items():
+            picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
+            rows[positions] = bank.class_rows(cls)[picks]
+    elif cfg.strategy == CLASS_AWARE_RANDOM:
+        for i in served:
+            class_rows = bank.class_rows(int(labels[i]))
+            size = len(class_rows)
+            rows[i] = class_rows[rng.choice(size, size=cfg.k, replace=size < cfg.k)]
+    elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class: no point falls back
+        pool_rows = bank.layout()[0]
+        pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
+        for i in served:
             draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
-            out_rows.append(pool_rows[draws])
-            out_lab.append(pool_labels[draws])
-            continue
-        if falls_back[i]:
-            fallbacks += 1
-            if cfg.empty_class_fallback == DUPLICATE_LABELED:
-                duplicated = True
-                out_rows.append(np.full(cfg.k, len(bank.points) + i))
-                out_lab.append(np.full(cfg.k, cls, dtype=np.int64))
-            continue
-        rows = bank.class_rows(cls)
-        if cfg.strategy == CLASS_AWARE_RANDOM:
-            size = len(rows)
-            draws = rng.choice(size, size=cfg.k, replace=size < cfg.k)
-            out_rows.append(rows[draws])
-        elif cfg.strategy == KMEANS_CENTER:
-            out_rows.append(kmeans_rows[i])
-        elif cfg.strategy == COSINE_DISTANT:
-            x = np.asarray(x, dtype=float)
-            key = (cls, x.tobytes())
-            if key not in cosine_picks:
-                if cls not in candidates:
-                    feat = nn.penultimate_features(model, bank.class_points(cls))
-                    candidates[cls] = (
-                        feat, np.linalg.norm(feat, axis=1), np.asarray(bank.class_indices[cls])
-                    )
-                feat, norms, global_idx = candidates[cls]
-                # the labeled point's own features stay a one-row pass: a
-                # batched matmul is not bit-equal to the same rows done one at
-                # a time
-                feat_x = nn.penultimate_features(model, x[None, :])[0]
-                dist = _cosine_distance(feat_x, feat, norms)
-                order = np.lexsort((global_idx, -dist))
-                # fewer candidates than k wraps around deterministically
-                cosine_picks[key] = rows[order[np.arange(cfg.k) % len(order)]]
-            out_rows.append(cosine_picks[key])
-        out_lab.append(np.full(cfg.k, cls, dtype=np.int64))
-    if not out_rows:
+            rows[i], out_lab[i] = pool_rows[draws], pool_labels[draws]
+    elif len(served):  # COSINE_DISTANT, with a point to serve
+        rows[served] = _cosine_picks(bank, model, points[served], labels[served], cfg.k)
+    fallbacks = int(falls_back.sum())
+    if cfg.empty_class_fallback == SKIP_WITH_FLAG:
+        rows, out_lab = rows[served], out_lab[served]
+    if not rows.size:
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
     source = bank.points
-    if duplicated:
-        source = np.concatenate([bank.points, np.asarray(labeled_points, dtype=np.float64)])
-    return source[np.concatenate(out_rows)], np.concatenate(out_lab), fallbacks
+    if fallbacks and cfg.empty_class_fallback == DUPLICATE_LABELED:
+        source = np.concatenate([bank.points, points])
+    return source[rows.ravel()], out_lab.ravel(), fallbacks
 
 
 def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.ndarray:

@@ -252,30 +252,6 @@ def write_dataset_csv(path, parts) -> None:
                 writer.writerow(row)
 
 
-def read_dataset_csv(path) -> dict:
-    """Inverse of write_dataset_csv: {(domain, split): LabeledSet}."""
-    groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        finding_cols = [h for h in header if h.startswith("finding_")]
-        for row in reader:
-            rec = dict(zip(header, row))
-            key = (rec["domain"], rec["split"])
-            bucket = groups.setdefault(key, {"pts": [], "lab": [], "fnd": []})
-            bucket["pts"].append((float(rec["x1"]), float(rec["x2"])))
-            bucket["lab"].append(int(rec["label"]))
-            if finding_cols:
-                bucket["fnd"].append([int(rec[c]) for c in finding_cols])
-    out = {}
-    for (domain, split), bucket in groups.items():
-        findings = np.array(bucket["fnd"], dtype=np.int64) if bucket["fnd"] else None
-        out[(domain, split)] = LabeledSet(
-            np.array(bucket["pts"]), np.array(bucket["lab"]), domain, findings
-        )
-    return out
-
-
 def rms_radius(points: np.ndarray) -> float:
     """Root-mean-square distance from the centroid; the augmentation scale unit."""
     centered = points - points.mean(axis=0)

@@ -136,13 +136,6 @@ def decision_grid(model: nn.MlpModel, bounds, resolution: int, thresholds=None) 
     return DecisionGrid(tuple(bounds), resolution, preds.reshape(resolution, resolution))
 
 
-def grid_to_csv(grid: DecisionGrid, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# xmin,xmax,ymin,ymax = " + ",".join(repr(v) for v in grid.bounds) + "\n")
-        for row in grid.cells:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
 def mean_std(values) -> tuple:
     """Mean and sample standard deviation (ddof=1; zero for a single value)."""
     arr = np.asarray(values, dtype=np.float64)

@@ -439,7 +439,17 @@ def penultimate_features(model, inputs):
     Runs the hidden layers only, with the same arithmetic as forward(), so
     the rows equal ``forward(model, inputs).activations[-1]`` bit for bit.
     """
-    a = _checked_inputs(model, inputs)
+    return _hidden_layers(model, _checked_inputs(model, inputs))
+
+
+def one_row_features(model, inputs):
+    """penultimate_features of each input on its own, as a stack of one-row
+    passes: row i has the bits of ``penultimate_features(model, inputs[i:i + 1])[0]``,
+    which one pass over several rows does not promise."""
+    return _hidden_layers(model, _checked_inputs(model, inputs)[:, None, :])[:, 0]
+
+
+def _hidden_layers(model, a):
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
     return a

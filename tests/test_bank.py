@@ -200,6 +200,25 @@ def tied_bank(rng, num_classes=3, n=48, empty_class=None):
     )
 
 
+def sized_bank(rng, sizes, base=None):
+    """A bank whose class c holds sizes[c] entries, drawn with repeats from
+    the rows of base (few distinct points, so exact ties), under shuffled
+    non-contiguous global indices."""
+    n = sum(sizes)
+    if base is None:
+        base = rng.normal(scale=2.0, size=(max(n // 3, 1), 2))
+    pts = base[rng.integers(0, len(base), size=n)]
+    globals_ = rng.choice(10_000, size=n, replace=False)
+    members = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    class_indices = [[int(globals_[r]) for r in rows] for rows in members]
+    return bank.CandidateBank(
+        num_classes=len(sizes), points=pts,
+        index_of={int(g): row for row, g in enumerate(globals_)},
+        class_indices=class_indices,
+        class_conf=[[0.9] * len(ix) for ix in class_indices],
+    )
+
+
 def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
     rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = bank.retrieve_defending(b, lab_pts, lab_y, cfg, rng_fast, model=model)
@@ -648,6 +667,95 @@ class TestCosineDistant:
             got = bank._cosine_distance(a, b, np.linalg.norm(b, axis=1))
             assert np.array_equal(got, reference_cosine_distance(a, b))
 
+
+    @staticmethod
+    def check(b, lab_pts, lab_y, model, ks=(1, 3, 40), seed=0):
+        for k in ks:
+            for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG):
+                cfg = bank.RldConfig(k=k, strategy=bank.COSINE_DISTANT, empty_class_fallback=fallback)
+                assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=model)
+
+    def test_one_row_classes_inside_the_whole_bank_pass(self):
+        model = random_model(34)
+        rng = np.random.default_rng(34)
+        for case in range(10):
+            b = sized_bank(rng, [1, 9, 1, 23, 1])
+            lab_y = rng.integers(0, 5, size=16)
+            lab_y[:3] = (0, 2, 4)
+            self.check(b, rng.normal(scale=2.0, size=(16, 2)), lab_y, model, seed=case)
+
+    def test_zero_and_nonzero_norm_rows_in_one_class(self):
+        # relu features: a point in the negative quadrant has all-zero
+        # features, so its denominators are zero in every class
+        model = relu_model()
+        rng = np.random.default_rng(35)
+        for case in range(10):
+            base = rng.normal(scale=2.0, size=(12, 2))
+            base[::3] = -np.abs(base[::3])
+            b = sized_bank(rng, [20, 14, 6], base=base)
+            lab_pts = rng.normal(scale=2.0, size=(16, 2))
+            if case % 2:
+                lab_pts[::5] = -np.abs(lab_pts[::5])  # zero-norm labeled points too
+            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
+
+    def test_all_sixteen_points_in_one_class(self):
+        model = random_model(36)
+        rng = np.random.default_rng(36)
+        for case in range(10):
+            b = sized_bank(rng, [30, 45, 12])
+            self.check(b, rng.normal(scale=2.0, size=(16, 2)), np.full(16, case % 3), model, seed=case)
+
+    def test_repeated_points_without_memo(self):
+        # the same coordinates under the same class, and under another class
+        model = random_model(37)
+        rng = np.random.default_rng(37)
+        for case in range(10):
+            b = sized_bank(rng, [25, 18, 30])
+            lab_pts = rng.normal(scale=2.0, size=(3, 2))[rng.integers(0, 3, size=16)]
+            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
+
+    def test_labels_past_the_bank_and_empty_classes_fall_back(self):
+        model = random_model(38)
+        rng = np.random.default_rng(38)
+        for case in range(10):
+            b = sized_bank(rng, [12, 0, 20])
+            lab_y = rng.integers(0, 5, size=16)  # 3 and 4 are past the bank's classes
+            lab_y[:3] = (1, 3, 4)
+            self.check(b, rng.normal(scale=2.0, size=(16, 2)), lab_y, model, seed=case)
+        # every point falls back: no rows under SkipWithFlag
+        self.check(sized_bank(rng, [0, 0, 5]), rng.normal(size=(4, 2)), [0, 1, 3, 1], model)
+
+    def test_k_larger_than_a_class_wraps(self):
+        model = random_model(39)
+        rng = np.random.default_rng(39)
+        for case in range(10):
+            b = sized_bank(rng, [3, 5, 2])
+            self.check(b, rng.normal(scale=2.0, size=(16, 2)), rng.integers(0, 3, size=16), model,
+                       ks=(4, 7, 40), seed=case)
+
+    def test_exact_ties_in_large_classes(self):
+        # classes past the size where numpy's default sort stops being
+        # stable, over few distinct points: many exact ties to break by index
+        model = random_model(40)
+        rng = np.random.default_rng(40)
+        for case in range(10):
+            b = sized_bank(rng, [60, 90, 45], base=rng.normal(scale=2.0, size=(6, 2)))
+            self.check(b, rng.normal(scale=2.0, size=(16, 2)), rng.integers(0, 3, size=16), model,
+                       ks=(40, 100), seed=case)
+
+    def test_near_ties_in_the_last_bit(self):
+        # bank points that differ from one point in their last bits have
+        # cosine distances that differ in their last bits: the order among
+        # them holds only if every product, norm and quotient has the bits
+        # of the per-point computation
+        model = random_model(41, dims=(2, 10, 10, 3))
+        rng = np.random.default_rng(41)
+        for case in range(20):
+            x = rng.normal(scale=2.0, size=2)
+            base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
+            b = sized_bank(rng, [40, 40, 40], base=base)
+            lab_pts = rng.normal(scale=2.0, size=(16, 2))
+            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, ks=(40,), seed=case)
 
     def test_requires_model(self):
         model, b = small_bank(seed=23)

@@ -14,6 +14,8 @@ from sdalab import bank, data, nn, runner, sweep
 from sdalab.cli import main
 from sdalab.config import load_config
 
+from dataset_csv import read_dataset_csv
+
 FAST_SETS = ["--set", "pretrain.epochs=6", "--set", "adapt.epochs=2"]
 
 
@@ -39,7 +41,7 @@ class TestArgHandling:
         cfg.write_text("pretrain.epochs = 6\nadapt.epochs = 2\ndataset.kind = moons\n")
         code = run_cli(["gen-data", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 0
-        groups = data.read_dataset_csv(tmp_path / "dataset_seed0.csv")
+        groups = read_dataset_csv(tmp_path / "dataset_seed0.csv")
         assert set(groups) == {
             ("source", "train"), ("source", "test"),
             ("target", "train"), ("target", "test"),
@@ -50,7 +52,7 @@ class TestArgHandling:
 class TestCommands:
     def test_gen_data_round_trip(self, tmp_path):
         assert run_cli(["gen-data", "--out", str(tmp_path), "--seed", "2"]) == 0
-        groups = data.read_dataset_csv(tmp_path / "dataset_seed2.csv")
+        groups = read_dataset_csv(tmp_path / "dataset_seed2.csv")
         n = sum(len(ds) for (dom, _), ds in groups.items() if dom == "source")
         assert n == 1200
 

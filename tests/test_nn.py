@@ -496,6 +496,8 @@ class TestFeaturesAndSerialization:
         for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 1, 2))):
             with pytest.raises(ShapeError):
                 nn.penultimate_features(model, bad)
+            with pytest.raises(ShapeError):
+                nn.one_row_features(model, bad)
 
     def test_json_round_trip(self, tmp_path):
         model = make_model([2, 5, 3], seed=13)
@@ -510,6 +512,78 @@ class TestFeaturesAndSerialization:
     def test_wrong_format_rejected(self):
         with pytest.raises(ConfigError):
             nn.MlpModel.from_json_dict({"format": "something-else"})
+
+
+class TestBitEqualityFacts:
+    """What cosine_distant retrieval's array path rests on: each fact lets it
+    compute a whole step at once and still get the bits of one point and one
+    class slice at a time. Random widths, depths, scales and bank sizes; if
+    a numpy or BLAS change breaks a fact, the test named after it fails.
+
+    The row-subset fact depends on the layer shapes. With OpenBLAS 0.3.31 on
+    an AVX-512 x86-64 CPU, a row's bits also depend on the rows around it in
+    a layer with 8 or more inputs and 1 output, or with 16 or more inputs
+    and an output width of 1, 2 or 3 modulo 8. Its test draws the shapes
+    the fact covers: any first layer (2 inputs), then layers of at most 7
+    inputs, or the default hidden widths [10, 10]. At other widths the
+    retrieval's picks may differ in near ties from a pass per class slice.
+    """
+
+    CASES = 150
+
+    @staticmethod
+    def cases(seed, row_subset_shapes=False):
+        """(rng, model, bank-like points) over random shapes, scales and sizes."""
+        rng = np.random.default_rng(seed)
+        for _ in range(TestBitEqualityFacts.CASES):
+            hidden = rng.integers(1, 40, size=rng.integers(1, 4)).tolist()
+            if row_subset_shapes:  # see the class docstring
+                hidden = [[10, 10], hidden[:1], [min(w, 7) for w in hidden]][int(rng.integers(3))]
+            model = make_model([2, *hidden, 3], seed=int(rng.integers(1 << 30)))
+            scale = 10.0 ** rng.uniform(-2, 2)
+            yield rng, model, rng.normal(scale=scale, size=(int(rng.integers(2, 300)), 2))
+
+    def test_row_subset_of_multi_row_pass_equals_pass_on_subset(self):
+        for rng, model, x in self.cases(1, row_subset_shapes=True):
+            feats = nn.penultimate_features(model, x)
+            size = int(rng.integers(2, len(x) + 1))
+            lo = int(rng.integers(0, len(x) - size + 1))
+            for rows in (np.arange(lo, lo + size), rng.choice(len(x), size=size, replace=False)):
+                assert np.array_equal(nn.penultimate_features(model, x[rows]), feats[rows])
+
+    def test_stacked_one_row_passes_equal_one_row_passes(self):
+        for _, model, x in self.cases(2):
+            stacked = nn.one_row_features(model, x)
+            assert stacked.shape == (len(x), model.layer_dims[-2])
+            for i in range(len(x)):
+                assert np.array_equal(stacked[i], nn.penultimate_features(model, x[i:i + 1])[0])
+            w = model.weights[0]
+            rows = np.concatenate([x[i:i + 1] @ w for i in range(len(x))])
+            assert np.array_equal((x[:, None, :] @ w)[:, 0], rows)
+
+    def test_stacked_dots_square_rooted_equal_vector_norm(self):
+        for _, model, x in self.cases(3):
+            feats = nn.one_row_features(model, x)
+            norms = np.sqrt((feats[:, None, :] @ feats[:, :, None])[:, 0, 0])
+            assert np.array_equal(norms, [np.linalg.norm(f) for f in feats])
+
+    def test_row_norms_by_reduce_equal_linalg_norm(self):
+        for _, model, x in self.cases(4):
+            feats = nn.penultimate_features(model, x)
+            assert np.array_equal(
+                np.sqrt(np.add.reduce(feats * feats, axis=1)), np.linalg.norm(feats, axis=1)
+            )
+
+    def test_stacked_matmul_on_slice_view_equals_fresh_copy(self):
+        for rng, model, x in self.cases(5):
+            feats = nn.penultimate_features(model, x)
+            lo = int(rng.integers(0, len(x)))
+            hi = int(rng.integers(lo + 1, len(x) + 1))
+            view, fresh = feats[lo:hi], feats[lo:hi].copy()
+            points = nn.one_row_features(model, rng.normal(size=(int(rng.integers(1, 17)), 2)))
+            stacked = (view @ points[:, :, None])[:, :, 0]
+            assert np.array_equal(stacked, (fresh @ points[:, :, None])[:, :, 0])
+            assert np.array_equal(stacked, np.stack([fresh @ a for a in points]))
 
 
 class TestDeterminism:

@@ -3,14 +3,17 @@
 A run's digest covers its metrics document and every epoch row of its run
 log; a capped stream replay's covers its checkpoint records and the weights
 of its last model. Two checkouts whose totals agree wrote the same bytes for
-every run of the matrix. Run it from the root of a checkout:
+every run of the matrix. A last line gives the sha256 of the
+records_method.jsonl that `sdalab sweep --axis method` writes at its default
+seed 0 (the acceptance gate's determinism sweep). Run it from the root of a
+checkout:
 
     python3 tools/run_digest.py            # seeds 0 and 1
     python3 tools/run_digest.py --seeds 3 4 5
     python3 tools/run_digest.py --write tests/golden/run_digest_seed0.json
 
---write stores the seed-0 digests, their total and a stamp of the numeric
-environment (numpy, BLAS, machine, SIMD features) as JSON, the golden file
+--write stores the seed-0 digests, their total, the sweep records' sha256
+and a stamp of the numeric environment (numpy, BLAS, machine, SIMD features) as JSON, the golden file
 that tests/test_golden.py compares a fresh run against.
 """
 
@@ -20,17 +23,18 @@ import json
 import os
 import platform
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from sdalab import runner, stream  # noqa: E402
+from sdalab import runner, stream, sweep  # noqa: E402
 from sdalab.config import ExperimentConfig, stage_seed  # noqa: E402
 
 RLD = {"rld.enabled": True, "adapt.k": 3}
-# binary rld names its strategy so that older checkouts, which take only
-# class_aware_random there, run the same matrix
+# the fallback runs of binary rld name their strategy so that older
+# checkouts, which take only class_aware_random there, run the same matrix
 BINARY_RLD = {"dataset.kind": "binary", **RLD, "rld.strategy": "class_aware_random"}
 STRATEGIES = ("class_aware_random", "unconditioned_random", "kmeans_center", "cosine_distant")
 
@@ -42,6 +46,7 @@ MATRIX = [
     ("binary", {"dataset.kind": "binary"}),
     ("binary_rld_duplicate", {**BINARY_RLD, "rld.fallback": "duplicate_labeled"}),
     ("binary_rld_skip", {**BINARY_RLD, "rld.fallback": "skip_with_flag"}),
+    ("binary_rld_cosine", {"dataset.kind": "binary", **RLD}),
 ] + [(f"rld_{s}", {**RLD, "rld.strategy": s}) for s in STRATEGIES]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
@@ -85,6 +90,16 @@ def digests(seeds) -> list:
     return out
 
 
+def records_digest() -> str:
+    """sha256 of the records file of the method sweep at its default seed."""
+    result = sweep.run_sweep(ExperimentConfig({}), "method", runner.StageCache())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records_method.jsonl")
+        sweep.write_records_jsonl(path, result)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 def total(runs) -> str:
     return _sha("".join(d for _, d in runs))
 
@@ -109,7 +124,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.write:
         runs = digests([0])
-        golden = {"stamp": environment_stamp(), "runs": dict(runs), "total": total(runs)}
+        golden = {
+            "stamp": environment_stamp(), "runs": dict(runs), "total": total(runs),
+            "records_method": records_digest(),
+        }
         with open(args.write, "w") as fh:
             fh.write(json.dumps(golden, indent=1) + "\n")
         print(f"{golden['total']}  total, written to {args.write}")
@@ -118,6 +136,7 @@ def main(argv=None) -> int:
     for label, digest in runs:
         print(f"{digest}  {label}")
     print(f"{total(runs)}  total")
+    print(f"{records_digest()}  records_method.jsonl of the method sweep, seed 0")
     return 0
 
 
