@@ -22,6 +22,12 @@ strongly augmented view, normalised by the full mu*B count so masked
 samples contribute zero. The defending term is the supervised loss on the
 retrieved (point, label) pairs: with k=0 the engine is the baseline, bit
 for bit, because retrieval randomness lives on its own RNG substream.
+
+The three terms share one forward pass over their rows stacked (labelled,
+unlabelled, defending) and one backward pass on the stacked upstream
+gradients. FixMatch-lite's weak view rides in that pass for its
+probabilities only: its rows carry zero upstream gradient, which detaches
+them.
 """
 
 import math
@@ -281,44 +287,61 @@ def step(
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """One loss/gradient evaluation: supervised, unlabelled and defending
-    terms; fixmatch_lite draws its augmented views from rng."""
-    trace = nn.forward(model, batch.labeled_points)
-    l_sup, dprobs = rule.supervised(trace.probs, batch.labeled_labels)
-    grads = nn.backward(model, trace, dprobs)
+    terms; fixmatch_lite draws its augmented views from rng, weak first.
+
+    One forward pass runs every row, stacked: labelled, then unlabelled
+    (for fixmatch_lite the weak view, then the strong view), then
+    defending. Each term's loss and d(loss)/d(probs) come from its own
+    slice, normalised by its own count, so one backward pass on the stacked
+    upstream gradients gives the summed gradient. The weak view is detached:
+    its rows carry zero upstream gradient.
+    """
+    n_labeled = len(batch.labeled_points)
+    n_unlabeled = len(batch.unlabeled_points)
+    fixmatch = cfg.algorithm == FIXMATCH_LITE and n_unlabeled > 0
+    unlabeled = [batch.unlabeled_points]
+    if fixmatch:
+        # weak view proposes the pseudo label, strong view takes the loss;
+        # weak draws from rng first
+        unlabeled = [
+            augmenter.weak(batch.unlabeled_points, rng),
+            augmenter.strong(batch.unlabeled_points, rng),
+        ]
+    trace = nn.forward(
+        model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points])
+    )
+    probs = trace.probs
+    l_sup, dprobs_l = rule.supervised(probs[:n_labeled], batch.labeled_labels)
+    dprobs = [dprobs_l]
+    defending_at = n_labeled + n_unlabeled * len(unlabeled)
 
     l_unsup = 0.0
     mask_rate = 0.0
-    n_unlabeled = len(batch.unlabeled_points)
-    if n_unlabeled and cfg.algorithm == PSEUDO_LABEL:
-        trace_u = nn.forward(model, batch.unlabeled_points)
-        l_unsup, dprobs_u = rule.unlabeled(trace_u.probs)  # targets detached
-        grads.add_(nn.backward(model, trace_u, dprobs_u))
-        mask_rate = 1.0
-    elif n_unlabeled:
-        # weak view proposes the pseudo label, strong view takes the loss
-        weak = augmenter.weak(batch.unlabeled_points, rng)
-        strong = augmenter.strong(batch.unlabeled_points, rng)
-        weak_probs = nn.forward(model, weak).probs  # detached: probs only
+    if fixmatch:
+        weak_probs = probs[n_labeled : n_labeled + n_unlabeled]
         pseudo = nn.argmax_rows(weak_probs)
         conf = weak_probs[np.arange(n_unlabeled), pseudo]
         mask = conf >= cfg.confidence_threshold
         n_pass = int(mask.sum())
         mask_rate = n_pass / n_unlabeled
-        if n_pass:
-            trace_s = nn.forward(model, strong)
-            mean_loss, dprobs_s, _ = nn.loss_ce(trace_s.probs, pseudo, mask=mask)
-            scale = n_pass / n_unlabeled  # renormalize mean-over-passing to mu*B
-            l_unsup = mean_loss * scale
-            grads.add_(nn.backward(model, trace_s, dprobs_s * scale))
+        strong_probs = probs[n_labeled + n_unlabeled : defending_at]
+        mean_loss, dprobs_s, _ = nn.loss_ce(strong_probs, pseudo, mask=mask)
+        # renormalize mean-over-passing to mu*B
+        l_unsup = mean_loss * mask_rate
+        dprobs += [np.zeros_like(weak_probs), dprobs_s * mask_rate]
+    elif n_unlabeled:
+        l_unsup, dprobs_u = rule.unlabeled(probs[n_labeled:defending_at])  # targets detached
+        dprobs.append(dprobs_u)
+        mask_rate = 1.0
 
     l_rld = 0.0
     if len(batch.defending_points):
         # mean over the actual pair count: k*B under DuplicateLabeled, maybe
         # fewer under SkipWithFlag
-        trace_d = nn.forward(model, batch.defending_points)
-        l_rld, dprobs_d = rule.supervised(trace_d.probs, batch.defending_labels)
-        grads.add_(nn.backward(model, trace_d, dprobs_d))
+        l_rld, dprobs_d = rule.supervised(probs[defending_at:], batch.defending_labels)
+        dprobs.append(dprobs_d)
 
+    grads = nn.backward(model, trace, np.concatenate(dprobs))
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
 

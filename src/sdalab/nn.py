@@ -177,10 +177,6 @@ class GradientSet:
     def zeros_like(cls, model):
         return cls._wrap(np.zeros_like(model.params), model._layout)
 
-    def add_(self, other):
-        self.flat += other.flat
-        return self
-
 
 def softmax_rows(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)

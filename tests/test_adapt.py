@@ -188,6 +188,82 @@ def saturated_model():
     return nn.MlpModel([2, 2, 2], [w1, w2], [b1, b2])
 
 
+def toy_augmenter(points):
+    return adapt.Augmenter(adapt.AugmenterSpec.from_points(points), points.mean(axis=0))
+
+
+def step_rows(batch, cfg, augmenter, seed):
+    """The rows one step stacks, in its order, with the views drawn from
+    default_rng(seed) as the step draws them: (rows, (start, stop) of the
+    labelled, weak or unlabelled, strong or empty, and defending slices)."""
+    unlabeled = [batch.unlabeled_points]
+    if cfg.algorithm == adapt.FIXMATCH_LITE and len(batch.unlabeled_points):
+        rng = np.random.default_rng(seed)
+        weak = augmenter.weak(batch.unlabeled_points, rng)
+        unlabeled = [weak, augmenter.strong(batch.unlabeled_points, rng)]
+    parts = [batch.labeled_points, *unlabeled, batch.defending_points]
+    if len(parts) == 3:
+        parts.insert(2, np.zeros((0, 2)))
+    stops = np.cumsum([len(p) for p in parts])
+    return np.concatenate(parts), list(zip([0, *stops[:-1]], stops))
+
+
+def check_summed_loss_gradient(
+    model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, seed=0
+):
+    """Central differences of the step's summed loss, with the pseudo labels
+    and the FixMatch mask frozen at the unperturbed model, against the
+    step's one backward pass; the summed loss at the unperturbed model must
+    be the step's l_total bit for bit. Returns the step's losses."""
+    losses, grads = adapt.step(model, batch, cfg, rule, augmenter, np.random.default_rng(seed))
+    rows, (lab, unl, strong, dfd) = step_rows(batch, cfg, augmenter, seed)
+    frozen_u = nn.forward(model, rows).probs[slice(*unl)]
+    fixmatch = cfg.algorithm == adapt.FIXMATCH_LITE
+    sigmoid = isinstance(rule, adapt.SigmoidRule)
+    if sigmoid:
+        targets = (frozen_u >= rule.thresholds[None, :]).astype(float)
+    else:
+        pseudo = nn.argmax_rows(frozen_u)
+        mask = frozen_u[np.arange(len(frozen_u)), pseudo] >= cfg.confidence_threshold
+
+    def loss_fn(m):
+        p = nn.forward(m, rows).probs
+        l_sup = rule.supervised(p[slice(*lab)], batch.labeled_labels)[0]
+        l_unsup = 0.0
+        if fixmatch:
+            mean, _, _ = nn.loss_ce(p[slice(*strong)], pseudo, mask=mask)
+            l_unsup = mean * (int(mask.sum()) / len(mask))
+        elif len(frozen_u) and sigmoid:
+            l_unsup = nn.loss_bce(p[slice(*unl)], targets)[0]
+        elif len(frozen_u):
+            l_unsup = nn.loss_ce(p[slice(*unl)], pseudo)[0]
+        l_rld = 0.0
+        if dfd[1] > dfd[0]:
+            l_rld = rule.supervised(p[slice(*dfd)], batch.defending_labels)[0]
+        return l_sup + l_unsup + l_rld
+
+    assert loss_fn(model) == losses.l_total
+    from test_nn import max_rel_error, numeric_gradients
+
+    num_w, num_b = numeric_gradients(model, loss_fn)
+    assert max_rel_error(grads.weights, num_w) < 1e-4
+    assert max_rel_error(grads.biases, num_b) < 1e-4
+    return losses
+
+
+def batch_with_defending(toy, model, b, mu, k):
+    """An epoch's first batch with k defending pairs per labelled unit,
+    retrieved from a bank that model builds."""
+    train, split, _ = toy
+    cur_bank = bank.generate_bank(
+        model, train.points[split.unlabeled_indices()], split.unlabeled_indices(), 0.5, 3
+    )
+    return draw_batch(
+        train, split, adapt.BatchSpec(b=b, mu=mu, k=k), np.random.default_rng(3),
+        cur_bank, bank.RldConfig(p=0.5, k=k), np.random.default_rng(4),
+    )
+
+
 class TestStepPseudoLabel:
     def test_pure_supervised_when_mu_and_k_zero(self, toy):
         train, split, model = toy
@@ -224,51 +300,37 @@ class TestStepPseudoLabel:
         assert losses.l_rld > 0.0
 
     def test_gradient_matches_finite_differences(self, toy):
-        train, split, _ = toy
         model = nn.MlpModel.init([2, 6, 3], nn.SOFTMAX, np.random.default_rng(7))
-        b = bank.generate_bank(
-            model, train.points[split.unlabeled_indices()],
-            split.unlabeled_indices(), 0.5, 3,
+        mb = batch_with_defending(toy, model, b=4, mu=2, k=2)
+        losses = check_summed_loss_gradient(model, mb, adapt.AdaptConfig())
+        assert losses.l_unsup > 0.0 and losses.l_rld > 0.0
+
+    def test_sigmoid_rule_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        model = nn.MlpModel.init([2, 6, 2], nn.SIGMOID, rng)
+        mb = adapt.MiniBatch(
+            rng.normal(size=(5, 2)), rng.integers(0, 4, size=5), rng.normal(size=(9, 2)),
+            rng.normal(size=(10, 2)), rng.integers(0, 4, size=10),
         )
-        mb = draw_batch(
-            train, split, adapt.BatchSpec(b=4, mu=2, k=2), np.random.default_rng(3),
-            b, bank.RldConfig(p=0.5, k=2), np.random.default_rng(4),
-        )
-        cfg = adapt.AdaptConfig()
-        _, grads = adapt.step(model, mb, cfg)
-        # Freeze the detached targets at the base parameters, then differentiate.
-        pseudo = nn.argmax_rows(nn.forward(model, mb.unlabeled_points).probs)
-
-        def loss_fn(m):
-            l_sup, _, _ = nn.loss_ce(nn.forward(m, mb.labeled_points).probs, mb.labeled_labels)
-            l_unsup, _, _ = nn.loss_ce(nn.forward(m, mb.unlabeled_points).probs, pseudo)
-            l_rld, _, _ = nn.loss_ce(
-                nn.forward(m, mb.defending_points).probs, mb.defending_labels
-            )
-            return l_sup + l_unsup + l_rld
-
-        from test_nn import max_rel_error, numeric_gradients
-
-        num_w, num_b = numeric_gradients(model, loss_fn)
-        assert max_rel_error(grads.weights, num_w) < 1e-4
-        assert max_rel_error(grads.biases, num_b) < 1e-4
+        rule = adapt.SigmoidRule(np.array([0.5, 0.45]))
+        losses = check_summed_loss_gradient(model, mb, adapt.AdaptConfig(), rule)
+        assert losses.l_unsup > 0.0 and losses.l_rld > 0.0
 
     def test_targets_are_detached(self, toy):
         # Supplying the pseudo labels from a frozen snapshot changes nothing:
-        # the engine's gradient treats them as constants.
+        # the engine's gradient treats them as constants. The reference is
+        # the step's arithmetic verbatim: one pass over the stacked rows.
         train, split, model = toy
         mb = draw_batch(train, split, adapt.BatchSpec(b=4, mu=3, k=0), np.random.default_rng(5))
         _, grads = adapt.step(model, mb, adapt.AdaptConfig())
-        frozen = model.copy()
-        pseudo = nn.argmax_rows(nn.forward(frozen, mb.unlabeled_points).probs)
-        trace_l = nn.forward(model, mb.labeled_points)
-        _, dp_l, _ = nn.loss_ce(trace_l.probs, mb.labeled_labels)
-        manual = nn.backward(model, trace_l, dp_l)
-        trace_u = nn.forward(model, mb.unlabeled_points)
-        _, dp_u, _ = nn.loss_ce(trace_u.probs, pseudo)
-        manual.add_(nn.backward(model, trace_u, dp_u))
-        for a, b_ in zip(grads.weights, manual.weights):
-            np.testing.assert_array_equal(a, b_)
+        rows = np.concatenate([mb.labeled_points, mb.unlabeled_points])
+        n = len(mb.labeled_points)
+        pseudo = nn.argmax_rows(nn.forward(model.copy(), rows).probs[n:])
+        trace = nn.forward(model, rows)
+        _, dp_l, _ = nn.loss_ce(trace.probs[:n], mb.labeled_labels)
+        _, dp_u, _ = nn.loss_ce(trace.probs[n:], pseudo)
+        manual = nn.backward(model, trace, np.concatenate([dp_l, dp_u]))
+        assert np.array_equal(grads.flat, manual.flat)
 
 
 class TestStepFixmatchLite:
@@ -277,9 +339,7 @@ class TestStepFixmatchLite:
         return draw_batch(train, split, adapt.BatchSpec(b=b, mu=mu, k=0), np.random.default_rng(8))
 
     def augmenter(self, train):
-        return adapt.Augmenter(
-            adapt.AugmenterSpec.from_points(train.points), train.points.mean(axis=0)
-        )
+        return toy_augmenter(train.points)
 
     def test_tau_one_blocks_everything(self, toy):
         train, split, model = toy
@@ -336,32 +396,76 @@ class TestStepFixmatchLite:
         assert losses.l_unsup == pytest.approx(expected, abs=1e-12)
         assert losses.unsup_mask_rate == pytest.approx(passing.mean())
 
-    def test_gradient_matches_finite_differences(self, toy):
-        train, split, _ = toy
+    def gradient_case(self, toy, tau_of_conf):
+        """A batch with defending rows, and tau from the weak-view
+        confidences the step will see."""
+        train = toy[0]
         model = nn.MlpModel.init([2, 5, 3], nn.SOFTMAX, np.random.default_rng(11))
-        mb = self.make_batch(toy, mu=3, b=3)
+        mb = batch_with_defending(toy, model, b=3, mu=3, k=1)
         aug = self.augmenter(train)
-        tau = 0.34
-        cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-        _, grads = adapt.step(model, mb, cfg, augmenter=aug, rng=np.random.default_rng(13))
-        rng = np.random.default_rng(13)
-        weak = aug.weak(mb.unlabeled_points, rng)
-        strong = aug.strong(mb.unlabeled_points, rng)
-        weak_probs = nn.forward(model, weak).probs
-        pseudo = nn.argmax_rows(weak_probs)
-        conf = weak_probs[np.arange(len(weak)), pseudo]
-        mask = conf >= tau
+        cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE)
+        rows, (_, weak, _, _) = step_rows(mb, cfg, aug, 13)
+        conf = nn.forward(model, rows).probs[slice(*weak)].max(axis=1)
+        cfg.confidence_threshold = tau_of_conf(conf)
+        return model, mb, cfg, aug
 
-        def loss_fn(m):
-            l_sup, _, _ = nn.loss_ce(nn.forward(m, mb.labeled_points).probs, mb.labeled_labels)
-            mean_loss, _, _ = nn.loss_ce(nn.forward(m, strong).probs, pseudo, mask=mask)
-            return l_sup + mean_loss * mask.sum() / len(weak)
+    def test_gradient_matches_finite_differences(self, toy):
+        model, mb, cfg, aug = self.gradient_case(toy, np.median)
+        losses = check_summed_loss_gradient(model, mb, cfg, augmenter=aug, seed=13)
+        assert 0.0 < losses.unsup_mask_rate < 1.0 and losses.l_rld > 0.0
 
-        from test_nn import max_rel_error, numeric_gradients
+    def test_all_masked_gradient_matches_finite_differences(self, toy):
+        model, mb, cfg, aug = self.gradient_case(toy, lambda conf: 1.0)
+        losses = check_summed_loss_gradient(model, mb, cfg, augmenter=aug, seed=13)
+        assert losses.unsup_mask_rate == 0.0 and losses.l_unsup == 0.0
 
-        num_w, num_b = numeric_gradients(model, loss_fn)
-        assert max_rel_error(grads.weights, num_w) < 1e-4
-        assert max_rel_error(grads.biases, num_b) < 1e-4
+
+class TestStepPasses:
+    """One forward and one backward pass per step, over the stacked rows."""
+
+    @pytest.mark.parametrize("algorithm", adapt.ALGORITHMS)
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("mu", [0, 3])
+    def test_one_forward_one_backward(self, monkeypatch, algorithm, head, k, mu):
+        rng = np.random.default_rng(5)
+        b, outputs = 4, 3 if head == nn.SOFTMAX else 2
+        model = nn.MlpModel.init([2, 6, outputs], head, rng)
+        rule = adapt.SOFTMAX_RULE
+        if head == nn.SIGMOID:
+            rule = adapt.SigmoidRule(np.full(2, 0.5))
+        n_labels = outputs if head == nn.SOFTMAX else 2 * outputs
+        batch = adapt.MiniBatch(
+            rng.normal(size=(b, 2)), rng.integers(0, n_labels, size=b),
+            rng.normal(size=(mu * b, 2)),
+            rng.normal(size=(k * b, 2)), rng.integers(0, n_labels, size=k * b),
+        )
+        cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        aug = toy_augmenter(rng.normal(size=(50, 2)))
+        calls = {"forward": [], "backward": []}
+        forward, backward = nn.forward, nn.backward
+
+        def counting_forward(m, inputs):
+            calls["forward"].append(np.array(inputs))
+            return forward(m, inputs)
+
+        def counting_backward(m, trace, dprobs):
+            calls["backward"].append(np.array(dprobs))
+            return backward(m, trace, dprobs)
+
+        monkeypatch.setattr(nn, "forward", counting_forward)
+        monkeypatch.setattr(nn, "backward", counting_backward)
+        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+        assert len(calls["forward"]) == 1 and len(calls["backward"]) == 1
+        monkeypatch.undo()
+
+        rows, (_, unl, strong, _) = step_rows(batch, cfg, aug, 9)
+        assert np.array_equal(calls["forward"][0], rows)
+        (dprobs,) = calls["backward"]
+        assert dprobs.shape == (len(rows), outputs)
+        if algorithm == adapt.FIXMATCH_LITE and mu:
+            assert strong[1] > strong[0]
+            assert not dprobs[slice(*unl)].any()  # the weak view is detached
 
 
 class TestAdaptLoop:
@@ -525,18 +629,14 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
     return np.stack(d_points), np.stack(d_targets), np.stack(d_mask), fallbacks
 
 
-# The binary engine as it was before binary mode ran on the shared loop,
-# kept verbatim apart from module prefixes and names. The shared engine must
-# reproduce it bit for bit wherever both draw the same defending samples:
-# always under skip_with_flag, and under duplicate_labeled while no labelled
-# cell's bank class is empty (the old engine skipped such a cell).
-
-
-def ref_accumulate(total, part):
-    if total is None:
-        return part
-    total.add_(part)
-    return total
+# The binary engine as it was before binary mode ran on the shared loop: its
+# loop and banks verbatim apart from module prefixes and names, its step
+# ported to adapt.step's arithmetic (one forward pass over the stacked
+# labelled, unlabelled and defending rows, one backward pass). The shared
+# engine must reproduce it bit for bit wherever both draw the same
+# defending samples: always under skip_with_flag, and under
+# duplicate_labeled while no labelled cell's bank class is empty (the old
+# engine skipped such a cell).
 
 
 def ref_gathered_defending(banks, picked, k, rng, num_findings, epoch) -> tuple:
@@ -642,28 +742,38 @@ def ref_adapt_binary(
             picked = [cells[int(i)] for i in cell_sampler.take(cfg.batch.b)]
             lb_points = train.points[[c[0] for c in picked]]
             lb_targets, lb_mask = ref_finding_cells(picked, num_findings)
-            trace = nn.forward(model, lb_points)
-            l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs, lb_targets, lb_mask)
-            grads = nn.backward(model, trace, dprobs)
-
-            l_unsup = 0.0
+            u_points = np.zeros((0, 2))
             if cfg.batch.mu > 0:
                 u_idx = unlabeled_sampler.take(cfg.batch.mu * cfg.batch.b)
-                trace_u = nn.forward(model, train.points[u_idx])
-                pseudo = (trace_u.probs >= thresholds[None, :]).astype(float)
-                l_unsup, dprobs_u = nn.loss_bce(trace_u.probs, pseudo)
-                grads = ref_accumulate(grads, nn.backward(model, trace_u, dprobs_u))
-
-            l_rld = 0.0
+                u_points = train.points[u_idx]
+            d_points = np.zeros((0, 2))
             if cfg.batch.k > 0:
                 d_points, d_targets, d_mask, missing = ref_gathered_defending(
                     banks, picked, cfg.batch.k, retrieval_rng, num_findings, epoch
                 )
                 fallbacks += missing
-                if len(d_points):
-                    trace_d = nn.forward(model, d_points)
-                    l_rld, dprobs_d, _ = nn.loss_bce_masked(trace_d.probs, d_targets, d_mask)
-                    grads = ref_accumulate(grads, nn.backward(model, trace_d, dprobs_d))
+
+            # one forward over labelled, unlabelled and defending rows, one
+            # backward on their stacked upstream gradients
+            trace = nn.forward(model, np.concatenate([lb_points, u_points, d_points]))
+            n_lb, n_u = len(lb_points), len(u_points)
+            l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs[:n_lb], lb_targets, lb_mask)
+            dprobs = [dprobs]
+
+            l_unsup = 0.0
+            if n_u:
+                probs_u = trace.probs[n_lb : n_lb + n_u]
+                pseudo = (probs_u >= thresholds[None, :]).astype(float)
+                l_unsup, dprobs_u = nn.loss_bce(probs_u, pseudo)
+                dprobs.append(dprobs_u)
+
+            l_rld = 0.0
+            if len(d_points):
+                l_rld, dprobs_d, _ = nn.loss_bce_masked(
+                    trace.probs[n_lb + n_u :], d_targets, d_mask
+                )
+                dprobs.append(dprobs_d)
+            grads = nn.backward(model, trace, np.concatenate(dprobs))
 
             total = l_sup + l_unsup + l_rld
             if not math.isfinite(total):

@@ -794,14 +794,19 @@ class TestRldLoss:
         assert losses.l_rld == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_equals_direct_loss_ce(self):
+        # the pairs' rows follow the labelled row in the step's one pass; the
+        # loss is loss_ce on their slice, the gradient one backward pass of
+        # both slices' upstream gradients
         model = random_model(14)
         pts = np.random.default_rng(14).normal(size=(6, 2))
         labs = np.array([0, 1, 2, 0, 1, 2])
-        losses, grads, sup = self.step(model, pts, labs)
-        trace = nn.forward(model, pts)
-        direct, ddirect, _ = nn.loss_ce(trace.probs, labs)
+        losses, grads, _ = self.step(model, pts, labs)
+        trace = nn.forward(model, np.concatenate([[[0.3, -0.2]], pts]))
+        _, dsup, _ = nn.loss_ce(trace.probs[:1], [1])
+        direct, ddirect, _ = nn.loss_ce(trace.probs[1:], labs)
         assert losses.l_rld == direct
-        assert np.array_equal(grads.flat, sup.flat + nn.backward(model, trace, ddirect).flat)
+        want = nn.backward(model, trace, np.concatenate([dsup, ddirect]))
+        assert np.array_equal(grads.flat, want.flat)
 
 
 class TestBinaryBanks:

@@ -706,7 +706,12 @@ def three_term_grads(model, rng, backward):
             loss, dprobs, _ = nn.loss_bce_masked(trace.probs, targets, mask)
         losses.append(loss)
         part = backward(model, trace, dprobs)
-        total = part if total is None else total.add_(part)
+        if total is None:
+            total = part
+        elif isinstance(total, ListGradientSet):
+            total.add_(part)
+        else:
+            total.flat += part.flat
     return total, losses
 
 
