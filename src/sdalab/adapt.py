@@ -24,10 +24,13 @@ retrieved (point, label) pairs: with k=0 the engine is the baseline, bit
 for bit, because retrieval randomness lives on its own RNG substream.
 
 The three terms share one forward pass over their rows stacked (labelled,
-unlabelled, defending) and one backward pass on the stacked upstream
-gradients. FixMatch-lite's weak view rides in that pass for its
-probabilities only: its rows carry zero upstream gradient, which detaches
-them.
+unlabelled, defending), one loss pass and one backward pass. The loss pass
+gives every scored row one target (label, pseudo label or masked FixMatch
+target, defending label), sums each term over its own contiguous rows,
+divides by the term's own count and writes one upstream gradient for all
+three. FixMatch-lite's weak view rides in the forward pass for its
+probabilities only: its rows get no target, so zero upstream gradient,
+which detaches them.
 """
 
 import math
@@ -151,12 +154,17 @@ class LossBreakdown:
 class SoftmaxRule:
     """Softmax head: a label is a class; an unlabelled target is the argmax."""
 
-    def supervised(self, probs, labels) -> tuple:
-        loss, dprobs, _ = nn.loss_ce(probs, labels)
-        return loss, dprobs
-
-    def unlabeled(self, probs) -> tuple:
-        return self.supervised(probs, nn.argmax_rows(probs))
+    def loss(self, probs, terms, labels, defending_labels, fixmatch=None) -> tuple:
+        """(losses, dprobs, counts) of the labelled, unlabelled and defending
+        terms, in one cross-entropy pass over their rows of probs. fixmatch,
+        if given, is the strong view's (pseudo labels, passing mask)."""
+        pseudo, passing = fixmatch or (nn.argmax_rows(probs[slice(*terms[1])]), None)
+        targets = np.concatenate([labels, pseudo, defending_labels])
+        mask = None
+        if passing is not None:
+            mask = np.ones(len(targets))
+            mask[len(labels) : len(labels) + len(pseudo)] = passing
+        return nn.loss_ce(probs, targets, terms, mask)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
@@ -186,12 +194,22 @@ class SigmoidRule:
         mask[at] = 1.0
         return targets, mask
 
-    def supervised(self, probs, labels) -> tuple:
-        loss, dprobs, _ = nn.loss_bce_masked(probs, *self.targets(labels))
-        return loss, dprobs
-
-    def unlabeled(self, probs) -> tuple:
-        return nn.loss_bce(probs, (probs >= self.thresholds[None, :]).astype(float))
+    def loss(self, probs, terms, labels, defending_labels, fixmatch=None) -> tuple:
+        """As SoftmaxRule.loss, in one BCE pass. Under fixmatch (binary mode
+        runs pseudo-labelling only) the strong view keeps cross-entropy
+        against the weak argmax, in a second pass."""
+        targets, mask = self.targets(np.concatenate([labels, defending_labels]))
+        n = len(labels)
+        if fixmatch is None:
+            unlabeled = probs[slice(*terms[1])]
+            targets = np.concatenate([targets[:n], unlabeled >= self.thresholds, targets[n:]])
+            mask = np.concatenate([mask[:n], np.ones(unlabeled.shape), mask[n:]])
+            return nn.loss_bce(probs, targets, terms, mask)
+        (l_sup, l_rld), dprobs, (n_sup, n_rld) = nn.loss_bce(probs, targets, terms[::2], mask)
+        (l_unsup,), dprobs_strong, (n_pass,) = nn.loss_ce(probs, fixmatch[0], terms[1:2], fixmatch[1])
+        strong = slice(*terms[1])
+        dprobs[strong] = dprobs_strong[strong]
+        return [l_sup, l_unsup, l_rld], dprobs, [n_sup, n_pass, n_rld]
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
@@ -291,10 +309,13 @@ def step(
 
     One forward pass runs every row, stacked: labelled, then unlabelled
     (for fixmatch_lite the weak view, then the strong view), then
-    defending. Each term's loss and d(loss)/d(probs) come from its own
-    slice, normalised by its own count, so one backward pass on the stacked
-    upstream gradients gives the summed gradient. The weak view is detached:
-    its rows carry zero upstream gradient.
+    defending. One loss pass over the same probabilities scores the three
+    terms: one target per scored row (the label, the pseudo label or the
+    strong view's masked FixMatch target, the defending label), each term's
+    loss summed over its own contiguous rows and divided by its own count,
+    and one d(loss)/d(probs) for them all. The weak view's rows get no
+    target, so zero upstream gradient, which detaches them; one backward
+    pass gives the summed gradient.
     """
     n_labeled = len(batch.labeled_points)
     n_unlabeled = len(batch.unlabeled_points)
@@ -311,37 +332,31 @@ def step(
         model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points])
     )
     probs = trace.probs
-    l_sup, dprobs_l = rule.supervised(probs[:n_labeled], batch.labeled_labels)
-    dprobs = [dprobs_l]
     defending_at = n_labeled + n_unlabeled * len(unlabeled)
+    unlabeled_at = defending_at - n_unlabeled  # the strong view's rows under fixmatch
+    # each term is a mean over its own rows: the defending term's count is
+    # the actual pair count, k*B under duplicate_labeled, maybe fewer under
+    # skip_with_flag
+    terms = ((0, n_labeled), (unlabeled_at, defending_at), (defending_at, len(probs)))
+    labels = (batch.labeled_labels, batch.defending_labels)
 
-    l_unsup = 0.0
-    mask_rate = 0.0
     if fixmatch:
-        weak_probs = probs[n_labeled : n_labeled + n_unlabeled]
+        weak_probs = probs[n_labeled:unlabeled_at]
         pseudo = nn.argmax_rows(weak_probs)
-        conf = weak_probs[np.arange(n_unlabeled), pseudo]
-        mask = conf >= cfg.confidence_threshold
-        n_pass = int(mask.sum())
-        mask_rate = n_pass / n_unlabeled
-        strong_probs = probs[n_labeled + n_unlabeled : defending_at]
-        mean_loss, dprobs_s, _ = nn.loss_ce(strong_probs, pseudo, mask=mask)
+        passing = weak_probs[np.arange(n_unlabeled), pseudo] >= cfg.confidence_threshold
+        (l_sup, mean_loss, l_rld), dprobs, counts = rule.loss(
+            probs, terms, *labels, fixmatch=(pseudo, passing)
+        )
         # renormalize mean-over-passing to mu*B
+        mask_rate = counts[1] / n_unlabeled
         l_unsup = mean_loss * mask_rate
-        dprobs += [np.zeros_like(weak_probs), dprobs_s * mask_rate]
-    elif n_unlabeled:
-        l_unsup, dprobs_u = rule.unlabeled(probs[n_labeled:defending_at])  # targets detached
-        dprobs.append(dprobs_u)
-        mask_rate = 1.0
+        dprobs[unlabeled_at:defending_at] *= mask_rate
+    else:
+        # pseudo targets are detached: computed from probs, never differentiated
+        (l_sup, l_unsup, l_rld), dprobs, _ = rule.loss(probs, terms, *labels)
+        mask_rate = 1.0 if n_unlabeled else 0.0
 
-    l_rld = 0.0
-    if len(batch.defending_points):
-        # mean over the actual pair count: k*B under DuplicateLabeled, maybe
-        # fewer under SkipWithFlag
-        l_rld, dprobs_d = rule.supervised(probs[defending_at:], batch.defending_labels)
-        dprobs.append(dprobs_d)
-
-    grads = nn.backward(model, trace, np.concatenate(dprobs))
+    grads = nn.backward(model, trace, dprobs)
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
 
@@ -479,17 +494,20 @@ def train_supervised(
     batch_size: int,
     rng: np.random.Generator,
 ) -> nn.MlpModel:
-    """Plain shuffled minibatch CE training; used for source pretraining."""
+    """Plain shuffled minibatch CE (BCE for a sigmoid head) training; used
+    for source pretraining. Each epoch gathers its shuffled rows once and
+    slices them per step."""
     labels = np.asarray(labels)
+    loss = nn.loss_ce
+    if model.head != nn.SOFTMAX:
+        labels, loss = labels.astype(float), nn.loss_bce
     state = nn.SgdState.zeros_like(model)
     for _ in range(epochs):
         order = rng.permutation(len(points))
+        epoch_points, epoch_labels = points[order], labels[order]
         for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            trace = nn.forward(model, points[idx])
-            if model.head == nn.SOFTMAX:
-                _, dprobs, _ = nn.loss_ce(trace.probs, labels[idx])
-            else:
-                _, dprobs = nn.loss_bce(trace.probs, labels[idx].astype(float))
+            stop = start + batch_size
+            trace = nn.forward(model, epoch_points[start:stop])
+            _, dprobs, _ = loss(trace.probs, epoch_labels[start:stop])
             nn.sgd_step(model, nn.backward(model, trace, dprobs), sgd_cfg, state)
     return model

@@ -71,18 +71,25 @@ def youden_threshold(scores, labels) -> float:
     """Threshold maximizing sensitivity + specificity - 1; ties pick the lowest.
 
     Prediction rule matches the model head: positive iff score >= threshold.
+    Each candidate's rates come from counts in the sorted scores; the scan
+    keeps the first candidate that beats the best so far by more than 1e-15.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == 1
-    neg = labels == 0
+    if np.isnan(scores).any():
+        raise MetricError("Youden threshold of NaN scores is undefined")
+    candidates = threshold_candidates(scores)
+    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+    if len(pos) == 0 or len(neg) == 0:
+        return None  # every candidate's j is NaN, and none beats -inf
+
+    def rate(group):  # the share of the group scoring >= each candidate
+        return (len(group) - np.searchsorted(group, candidates, side="left")) / len(group)
+
     best_t, best_j = None, -np.inf
-    for t in threshold_candidates(scores):
-        tpr = float(np.mean(scores[pos] >= t))
-        fpr = float(np.mean(scores[neg] >= t))
-        j = tpr - fpr
+    for t, j in zip(candidates.tolist(), (rate(pos) - rate(neg)).tolist()):
         if j > best_j + 1e-15:
-            best_t, best_j = float(t), j
+            best_t, best_j = t, j
     return best_t
 
 

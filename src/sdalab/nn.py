@@ -12,6 +12,7 @@ run is reproducible from its seed alone.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -43,13 +44,14 @@ def _layout(weight_shapes, bias_sizes):
     return weights, biases
 
 
-def _views(flat, layout):
-    """(weights, biases) as views into ``flat`` at ``layout``."""
-    weight_spans, bias_spans = layout
-    return (
-        [flat[start:stop].reshape(shape) for start, stop, shape in weight_spans],
-        [flat[start:stop] for start, stop in bias_spans],
-    )
+def _weight_views(flat, layout):
+    """Each weight matrix as a view into ``flat`` at ``layout``."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in layout[0]]
+
+
+def _bias_views(flat, layout):
+    """Each bias vector as a view into ``flat`` at ``layout``."""
+    return [flat[start:stop] for start, stop in layout[1]]
 
 
 def _pack(arrays):
@@ -90,7 +92,8 @@ class MlpModel:
         self.head = head
         self._layout = _layout(zip(layer_dims[:-1], layer_dims[1:]), layer_dims[1:])
         self.params = _pack([*weights, *biases])
-        self.weights, self.biases = _views(self.params, self._layout)
+        self.weights = _weight_views(self.params, self._layout)
+        self.biases = _bias_views(self.params, self._layout)
 
     @classmethod
     def init(cls, layer_dims, head, rng):
@@ -155,33 +158,42 @@ class GradientSet:
     """d(loss)/d(parameter), shape-congruent with an MlpModel.
 
     ``flat`` is laid out like ``MlpModel.params``; ``weights`` and
-    ``biases`` are views into it. Built from lists, the arrays are copied.
+    ``biases`` are views into it, built when first read. Built from lists,
+    the arrays are copied.
     """
 
     def __init__(self, weights, biases):
         if len(weights) != len(biases):
             raise ShapeError("one weight and one bias gradient per layer required")
         self.flat = _pack([*weights, *biases])
-        layout = _layout([np.shape(w) for w in weights], [np.size(b) for b in biases])
-        self.weights, self.biases = _views(self.flat, layout)
+        self._layout = _layout([np.shape(w) for w in weights], [np.size(b) for b in biases])
 
     @classmethod
     def _wrap(cls, flat, layout):
         """A GradientSet over ``flat`` itself, without a copy."""
         self = cls.__new__(cls)
-        self.flat = flat
-        self.weights, self.biases = _views(flat, layout)
+        self.flat, self._layout = flat, layout
         return self
 
     @classmethod
     def zeros_like(cls, model):
         return cls._wrap(np.zeros_like(model.params), model._layout)
 
+    @functools.cached_property
+    def weights(self):
+        return _weight_views(self.flat, self._layout)
+
+    @functools.cached_property
+    def biases(self):
+        return _bias_views(self.flat, self._layout)
+
 
 def softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # the reductions .max() and .sum() make, called directly: the same bits
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def sigmoid(x):
@@ -206,114 +218,137 @@ def forward(model, inputs):
     inputs = _checked_inputs(model, inputs)
     pre_acts, acts = [], []
     a = inputs
-    n_layers = len(model.weights)
+    last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_acts.append(z)
-        if i < n_layers - 1:
+        if i < last:
             a = np.maximum(z, 0.0)
             acts.append(a)
-    logits = pre_acts[-1]
-    if model.head == SOFTMAX:
-        probs = softmax_rows(logits)
-    else:
-        probs = sigmoid(logits)
-    return ForwardTrace(
-        inputs=inputs,
-        pre_activations=pre_acts,
-        activations=acts,
-        probs=probs,
-        layer_dims=list(model.layer_dims),
-    )
+    probs = softmax_rows(z) if model.head == SOFTMAX else sigmoid(z)
+    return ForwardTrace(inputs, pre_acts, acts, probs, model.layer_dims)
 
 
-def loss_ce(probs, targets, mask=None):
-    """Mean cross-entropy against integer class targets.
+def _term_rows(terms, n_rows):
+    """(rows, bounds) for ``terms``, a list of (start, stop) row ranges of a
+    matrix with n_rows rows, in increasing order and disjoint: the rows they
+    name, in order, and each term's (start, stop) among those rows. rows is
+    None when the terms cover every row, as the default single term does."""
+    if terms is None:
+        return None, [(0, n_rows)]
+    bounds, at, end = [], 0, 0
+    for start, stop in terms:
+        if not end <= start <= stop <= n_rows:
+            raise ShapeError(f"terms {terms} are not ordered disjoint rows of {n_rows}")
+        bounds.append((at, at + stop - start))
+        at, end = at + stop - start, stop
+    if at == n_rows:
+        return None, bounds
+    return np.concatenate([np.arange(start, stop) for start, stop in terms]), bounds
 
-    Returns (loss, d_loss/d_probs, n_effective). ``mask`` holds 0/1 sample
-    weights; masked-out rows contribute nothing and the mean runs over the
-    unmasked count. An all-masked batch yields (0.0, zeros, 0) so the caller
-    can flag it instead of dividing by zero.
+
+def _term_means(values, grads, bounds, mask, cells_per_row):
+    """Each term's loss: the pairwise sum of ``values`` over its rows divided
+    by its count (its cells, or its mask's sum). ``grads`` is divided by the
+    same count in place; a term with count 0 gets loss 0.0 and zero
+    gradient. Returns (losses, counts)."""
+    losses, counts = [], []
+    for start, stop in bounds:
+        if mask is None:
+            count = (stop - start) * cells_per_row
+        else:
+            count = int(round(np.add.reduce(mask[start:stop], axis=None)))
+        if count:
+            losses.append(float(np.add.reduce(values[start:stop], axis=None)) / count)
+            grads[start:stop] /= count
+        else:
+            losses.append(0.0)
+            grads[start:stop] = 0.0
+        counts.append(count)
+    return losses, counts
+
+
+def loss_ce(probs, targets, terms=None, mask=None):
+    """Mean cross-entropy of each term against integer class targets.
+
+    ``terms`` lists each term's rows of ``probs`` as (start, stop), in
+    order; the default is one term over every row. ``targets`` holds one
+    class per row of the terms, concatenated in term order, and ``mask`` a
+    0/1 weight per such row. A term's loss is the sum over its unmasked rows
+    divided by their count; rows outside every term get no gradient.
+
+    Returns (losses, dprobs, counts): each term's loss, d(sum of the
+    losses)/d(probs), and each term's unmasked count. A term with count 0
+    has loss 0.0 and no gradient, so the caller can flag it instead of
+    dividing by zero.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    n = probs.shape[0]
-    if targets.shape != (n,):
-        raise ShapeError(f"targets shape {targets.shape}, expected ({n},)")
+    rows, bounds = _term_rows(terms, len(probs))
+    if rows is None:
+        rows = np.arange(len(probs))
+    if targets.shape != rows.shape:
+        raise ShapeError(f"targets shape {targets.shape}, expected {rows.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= probs.shape[1]):
         raise ShapeError("class index out of range for probability matrix")
-    if mask is None:
-        n_eff = n
-    else:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (n,):
-            raise ShapeError(f"mask length {mask.shape}, expected ({n},)")
-        n_eff = int(round(mask.sum()))
-    dprobs = np.zeros_like(probs)
-    if n_eff == 0:
-        return 0.0, dprobs, 0
-    rows = np.arange(n)
     p_t = probs[rows, targets]
     clamped = np.maximum(p_t, PROB_EPS)
     losses = -np.log(clamped)
     # Below the floor the clamped loss is flat, so the exact derivative is 0.
-    grad_vals = np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
-    if mask is not None:  # without one every weight is 1.0, and x * 1.0 == x
-        losses = losses * mask
-        grad_vals = grad_vals * mask
-    loss = float(losses.sum() / n_eff)
-    dprobs[rows, targets] = grad_vals / n_eff
-    return loss, dprobs, n_eff
+    grads = np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != rows.shape:
+            raise ShapeError(f"mask shape {mask.shape}, expected {rows.shape}")
+        losses *= mask
+        grads *= mask
+    term_losses, counts = _term_means(losses, grads, bounds, mask, 1)
+    dprobs = np.zeros(probs.shape)
+    dprobs[rows, targets] = grads
+    return term_losses, dprobs, counts
 
 
-def loss_bce(probs, targets):
-    """Mean binary cross-entropy over every (sample, output) cell.
+def loss_bce(probs, targets, terms=None, mask=None):
+    """Mean binary cross-entropy of each term over its (sample, output) cells.
 
-    ``targets`` is a 0/1 matrix shaped like ``probs``. Returns
-    (loss, d_loss/d_probs).
+    ``terms`` as in loss_ce. ``targets`` is a 0/1 matrix with one row per
+    row of the terms, concatenated in term order, and ``mask`` a 0/1 weight
+    per cell of it, for feedback where only some cells carry ground truth.
+    A term's loss is the sum over its unmasked cells divided by their count.
+    Returns (losses, dprobs, counts) as loss_ce does, counts in cells.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != probs.shape:
-        raise ShapeError(f"targets shape {targets.shape}, expected {probs.shape}")
-    if not ((targets == 0.0) | (targets == 1.0)).all():
+    rows, bounds = _term_rows(terms, len(probs))
+    scored = probs if rows is None else probs[rows]
+    if targets.shape != scored.shape:
+        raise ShapeError(f"targets shape {targets.shape}, expected {scored.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != scored.shape:
+            raise ShapeError(f"mask shape {mask.shape}, expected {scored.shape}")
+    positive = targets == 1.0
+    if not (positive | (targets == 0.0)).all():
         raise ConfigError("binary targets must be 0 or 1")
-    n_cells = probs.size
-    p = np.maximum(probs, PROB_EPS)
-    q = np.maximum(1.0 - probs, PROB_EPS)
-    loss = float(-(targets * np.log(p) + (1.0 - targets) * np.log(q)).sum() / n_cells)
-    dprobs = np.where(
-        targets == 1.0,
-        np.where(probs > PROB_EPS, -1.0 / p, 0.0),
-        np.where(1.0 - probs > PROB_EPS, 1.0 / q, 0.0),
+    p = np.maximum(scored, PROB_EPS)
+    complement = 1.0 - scored
+    q = np.maximum(complement, PROB_EPS)
+    cells = -(targets * np.log(p) + (1.0 - targets) * np.log(q))
+    grads = np.where(
+        positive,
+        np.where(scored > PROB_EPS, -1.0 / p, 0.0),
+        np.where(complement > PROB_EPS, 1.0 / q, 0.0),
     )
-    return loss, dprobs / n_cells
-
-
-def loss_bce_masked(probs, targets, mask):
-    """BCE restricted to cells with mask 1; mean over the masked count.
-
-    Used for per-finding feedback where only some (sample, output) cells
-    carry ground truth. Returns (loss, d_loss/d_probs, n_cells).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if targets.shape != probs.shape or mask.shape != probs.shape:
-        raise ShapeError("targets and mask must match probs shape")
-    n_eff = int(round(mask.sum()))
-    if n_eff == 0:
-        return 0.0, np.zeros_like(probs), 0
-    p = np.maximum(probs, PROB_EPS)
-    q = np.maximum(1.0 - probs, PROB_EPS)
-    cell = -(targets * np.log(p) + (1.0 - targets) * np.log(q))
-    loss = float((cell * mask).sum() / n_eff)
-    dprobs = np.where(
-        targets == 1.0,
-        np.where(probs > PROB_EPS, -1.0 / p, 0.0),
-        np.where(1.0 - probs > PROB_EPS, 1.0 / q, 0.0),
-    )
-    return loss, dprobs * mask / n_eff, n_eff
+    if mask is not None:
+        cells *= mask
+        grads *= mask
+    losses, counts = _term_means(cells, grads, bounds, mask, probs.shape[1])
+    if rows is None:
+        return losses, grads, counts
+    dprobs = np.zeros(probs.shape)
+    dprobs[rows] = grads
+    return losses, dprobs, counts
 
 
 def backward(model, trace, dprobs):
@@ -334,23 +369,27 @@ def backward(model, trace, dprobs):
         raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
     if model.head == SOFTMAX:
         # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise
-        inner = (dprobs * probs).sum(axis=1, keepdims=True)
-        dz = probs * (dprobs - inner)
+        dz = dprobs - np.add.reduce(dprobs * probs, axis=1, keepdims=True)
+        dz *= probs
     else:
-        dz = dprobs * probs * (1.0 - probs)
+        dz = dprobs * probs
+        dz *= 1.0 - probs
 
     # Every entry is written below, so the vector needs no zero-fill. For
     # these 2-D float64 operands np.dot gives the bits of `@`, and writes
     # into a view at less cost than np.matmul(out=).
-    grads = GradientSet._wrap(np.empty(model.params.size), model._layout)
-    for i in range(len(model.weights) - 1, -1, -1):
+    flat = np.empty(model.params.size)
+    weight_spans, bias_spans = model._layout
+    for i in range(len(weight_spans) - 1, -1, -1):
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        np.dot(a_prev.T, dz, out=grads.weights[i])
-        np.add.reduce(dz, axis=0, out=grads.biases[i])
+        start, stop, shape = weight_spans[i]
+        np.dot(a_prev.T, dz, out=flat[start:stop].reshape(shape))
+        start, stop = bias_spans[i]
+        np.add.reduce(dz, axis=0, out=flat[start:stop])
         if i > 0:
-            da = dz @ model.weights[i].T
-            dz = da * (trace.pre_activations[i - 1] > 0.0)
-    return grads
+            dz = dz @ model.weights[i].T
+            dz *= trace.pre_activations[i - 1] > 0.0
+    return GradientSet._wrap(flat, model._layout)
 
 
 @dataclass

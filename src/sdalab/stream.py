@@ -111,25 +111,15 @@ def run_stream(
             "occupancy": len(memory),
             "labeled_count": len(labeled_store),
         }
-        if not labeled_store:
-            # no feedback has streamed in yet; evaluate the untouched model
-            record["skipped"] = True
-            if test_set is not None:
-                record["test_acc"] = metrics.top1_accuracy(
-                    last_model, test_set.points, test_set.labels
-                )
-            records.append(record)
-            continue
-        record["skipped"] = False
-        ckpt_split = TargetSplit(list(labeled_store), list(memory.items))
-        adapted, rows = adapt_mod.adapt(
-            model, ckpt_split, train, adapt_cfg, seed, test_set=test_set
-        )
-        last_model = adapted
-        record["fallbacks"] = int(sum(r["bank"]["fallbacks"] for r in rows))
+        record["skipped"] = not labeled_store
+        if labeled_store:
+            ckpt_split = TargetSplit(list(labeled_store), list(memory.items))
+            last_model, rows = adapt_mod.adapt(model, ckpt_split, train, adapt_cfg, seed)
+            record["fallbacks"] = int(sum(r["bank"]["fallbacks"] for r in rows))
+        # with no feedback streamed in yet, the untouched model is evaluated
         if test_set is not None:
-            record["test_acc"] = rows[-1]["test_acc"] if rows else metrics.top1_accuracy(
-                adapted, test_set.points, test_set.labels
+            record["test_acc"] = metrics.top1_accuracy(
+                last_model, test_set.points, test_set.labels
             )
         records.append(record)
     return records, last_model

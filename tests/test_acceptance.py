@@ -105,9 +105,9 @@ def test_criterion_01_gradient_exactness(capsys):
                 for j in range(flat_t.size):
                     keep = flat_t[j]
                     flat_t[j] = keep + h
-                    up = loss_of(model)[0]
+                    (up,) = loss_of(model)[0]
                     flat_t[j] = keep - h
-                    down = loss_of(model)[0]
+                    (down,) = loss_of(model)[0]
                     flat_t[j] = keep
                     fd = (up - down) / (2 * h)
                     rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), 1e-4)

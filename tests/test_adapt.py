@@ -1,6 +1,7 @@
 """Tests for augmentation, batch assembly, engine steps, and the adapt loop."""
 
 import math
+from dataclasses import astuple
 from typing import Callable, Optional
 
 import numpy as np
@@ -9,6 +10,10 @@ import pytest
 from sdalab import adapt, bank, data, feedback, nn
 from sdalab.data import LabeledSet
 from sdalab.errors import ConfigError, NumericError
+from test_nn import (
+    max_rel_error, numeric_gradients, verbatim_loss_bce, verbatim_loss_bce_masked,
+    verbatim_loss_ce,
+)
 
 
 def make_split(train, per_class=3, seed=0):
@@ -208,6 +213,72 @@ def step_rows(batch, cfg, augmenter, seed):
     return np.concatenate(parts), list(zip([0, *stops[:-1]], stops))
 
 
+# adapt.step as it was before it scored its terms in one loss pass, verbatim
+# apart from module prefixes: each term takes its own loss call, through the
+# rules' supervised and unlabelled losses (inlined below as
+# verbatim_supervised and verbatim_unlabeled) on the verbatim loss functions
+# of tests/test_nn.py. The one-pass step must give its losses and gradients
+# bit for bit.
+def verbatim_supervised(rule, probs, labels):
+    if isinstance(rule, adapt.SigmoidRule):
+        loss, dprobs, _ = verbatim_loss_bce_masked(probs, *rule.targets(labels))
+    else:
+        loss, dprobs, _ = verbatim_loss_ce(probs, labels)
+    return loss, dprobs
+
+
+def verbatim_unlabeled(rule, probs):
+    if isinstance(rule, adapt.SigmoidRule):
+        return verbatim_loss_bce(probs, (probs >= rule.thresholds[None, :]).astype(float))
+    return verbatim_supervised(rule, probs, nn.argmax_rows(probs))
+
+
+def verbatim_step(model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, rng=None):
+    n_labeled = len(batch.labeled_points)
+    n_unlabeled = len(batch.unlabeled_points)
+    fixmatch = cfg.algorithm == adapt.FIXMATCH_LITE and n_unlabeled > 0
+    unlabeled = [batch.unlabeled_points]
+    if fixmatch:
+        unlabeled = [
+            augmenter.weak(batch.unlabeled_points, rng),
+            augmenter.strong(batch.unlabeled_points, rng),
+        ]
+    trace = nn.forward(
+        model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points])
+    )
+    probs = trace.probs
+    l_sup, dprobs_l = verbatim_supervised(rule, probs[:n_labeled], batch.labeled_labels)
+    dprobs = [dprobs_l]
+    defending_at = n_labeled + n_unlabeled * len(unlabeled)
+
+    l_unsup = 0.0
+    mask_rate = 0.0
+    if fixmatch:
+        weak_probs = probs[n_labeled : n_labeled + n_unlabeled]
+        pseudo = nn.argmax_rows(weak_probs)
+        conf = weak_probs[np.arange(n_unlabeled), pseudo]
+        mask = conf >= cfg.confidence_threshold
+        n_pass = int(mask.sum())
+        mask_rate = n_pass / n_unlabeled
+        strong_probs = probs[n_labeled + n_unlabeled : defending_at]
+        mean_loss, dprobs_s, _ = verbatim_loss_ce(strong_probs, pseudo, mask=mask)
+        l_unsup = mean_loss * mask_rate
+        dprobs += [np.zeros_like(weak_probs), dprobs_s * mask_rate]
+    elif n_unlabeled:
+        l_unsup, dprobs_u = verbatim_unlabeled(rule, probs[n_labeled:defending_at])
+        dprobs.append(dprobs_u)
+        mask_rate = 1.0
+
+    l_rld = 0.0
+    if len(batch.defending_points):
+        l_rld, dprobs_d = verbatim_supervised(rule, probs[defending_at:], batch.defending_labels)
+        dprobs.append(dprobs_d)
+
+    grads = nn.backward(model, trace, np.concatenate(dprobs))
+    total = l_sup + l_unsup + l_rld
+    return adapt.LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
+
+
 def check_summed_loss_gradient(
     model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, seed=0
 ):
@@ -228,23 +299,21 @@ def check_summed_loss_gradient(
 
     def loss_fn(m):
         p = nn.forward(m, rows).probs
-        l_sup = rule.supervised(p[slice(*lab)], batch.labeled_labels)[0]
+        l_sup = verbatim_supervised(rule, p[slice(*lab)], batch.labeled_labels)[0]
         l_unsup = 0.0
         if fixmatch:
-            mean, _, _ = nn.loss_ce(p[slice(*strong)], pseudo, mask=mask)
+            mean, _, _ = verbatim_loss_ce(p[slice(*strong)], pseudo, mask=mask)
             l_unsup = mean * (int(mask.sum()) / len(mask))
         elif len(frozen_u) and sigmoid:
-            l_unsup = nn.loss_bce(p[slice(*unl)], targets)[0]
+            l_unsup = verbatim_loss_bce(p[slice(*unl)], targets)[0]
         elif len(frozen_u):
-            l_unsup = nn.loss_ce(p[slice(*unl)], pseudo)[0]
+            l_unsup = verbatim_loss_ce(p[slice(*unl)], pseudo)[0]
         l_rld = 0.0
         if dfd[1] > dfd[0]:
-            l_rld = rule.supervised(p[slice(*dfd)], batch.defending_labels)[0]
+            l_rld = verbatim_supervised(rule, p[slice(*dfd)], batch.defending_labels)[0]
         return l_sup + l_unsup + l_rld
 
     assert loss_fn(model) == losses.l_total
-    from test_nn import max_rel_error, numeric_gradients
-
     num_w, num_b = numeric_gradients(model, loss_fn)
     assert max_rel_error(grads.weights, num_w) < 1e-4
     assert max_rel_error(grads.biases, num_b) < 1e-4
@@ -327,8 +396,8 @@ class TestStepPseudoLabel:
         n = len(mb.labeled_points)
         pseudo = nn.argmax_rows(nn.forward(model.copy(), rows).probs[n:])
         trace = nn.forward(model, rows)
-        _, dp_l, _ = nn.loss_ce(trace.probs[:n], mb.labeled_labels)
-        _, dp_u, _ = nn.loss_ce(trace.probs[n:], pseudo)
+        _, dp_l, _ = verbatim_loss_ce(trace.probs[:n], mb.labeled_labels)
+        _, dp_u, _ = verbatim_loss_ce(trace.probs[n:], pseudo)
         manual = nn.backward(model, trace, np.concatenate([dp_l, dp_u]))
         assert np.array_equal(grads.flat, manual.flat)
 
@@ -466,6 +535,147 @@ class TestStepPasses:
         if algorithm == adapt.FIXMATCH_LITE and mu:
             assert strong[1] > strong[0]
             assert not dprobs[slice(*unl)].any()  # the weak view is detached
+
+
+def random_step_case(head, k, mu, seed=5, outputs=None, labels_below=None):
+    """(model, rule, batch, augmenter): a random batch of 4 labelled, mu*4
+    unlabelled and k*4 defending rows; labels are drawn below labels_below
+    (default: every label the head has)."""
+    rng = np.random.default_rng(seed)
+    b = 4
+    outputs = outputs or (3 if head == nn.SOFTMAX else 2)
+    model = nn.MlpModel.init([2, 6, outputs], head, rng)
+    rule = adapt.SOFTMAX_RULE
+    if head == nn.SIGMOID:
+        rule = adapt.SigmoidRule(np.full(outputs, 0.5))
+    n_labels = labels_below or (outputs if head == nn.SOFTMAX else 2 * outputs)
+    batch = adapt.MiniBatch(
+        rng.normal(size=(b, 2)), rng.integers(0, n_labels, size=b),
+        rng.normal(size=(mu * b, 2)),
+        rng.normal(size=(k * b, 2)), rng.integers(0, n_labels, size=k * b),
+    )
+    return model, rule, batch, toy_augmenter(rng.normal(size=(50, 2)))
+
+
+def assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=9):
+    """adapt.step and verbatim_step give the same bits: every loss, the
+    mask rate, the upstream gradient and the parameter gradient."""
+    upstream = []
+    backward = nn.backward
+
+    def capturing_backward(m, trace, dprobs):
+        upstream.append(np.array(dprobs))
+        return backward(m, trace, dprobs)
+
+    monkeypatch.setattr(nn, "backward", capturing_backward)
+    got, got_grads = adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
+    want, want_grads = verbatim_step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
+    monkeypatch.undo()
+    got_fields, want_fields = astuple(got), astuple(want)
+    assert all(type(v) is float for v in got_fields)
+    assert [v.hex() for v in got_fields] == [float(v).hex() for v in want_fields]
+    assert upstream[0].tobytes() == upstream[1].tobytes()
+    assert got_grads.flat.tobytes() == want_grads.flat.tobytes()
+    return got
+
+
+class TestOneLossPass:
+    """The step scores its terms in one loss pass; it must give the bits of
+    the step that made one loss call per term (verbatim_step)."""
+
+    @pytest.mark.parametrize("algorithm", adapt.ALGORITHMS)
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("mu", [0, 3])
+    def test_matches_verbatim_step(self, monkeypatch, algorithm, head, k, mu):
+        model, rule, batch, aug = random_step_case(head, k, mu)
+        cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
+        assert (losses.l_unsup > 0.0) == bool(mu) and (losses.l_rld > 0.0) == bool(k)
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("tau, mask_rate", [(1.0, 0.0), (0.0, 1.0)])
+    def test_fixmatch_all_or_none_masked(self, monkeypatch, head, k, tau, mask_rate):
+        model, rule, batch, aug = random_step_case(head, k, mu=3, seed=6)
+        cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
+        losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
+        assert losses.unsup_mask_rate == mask_rate
+        assert (losses.l_unsup == 0.0) == (mask_rate == 0.0)
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_fixmatch_partial_masks(self, monkeypatch, head):
+        for seed in range(40):
+            model, rule, batch, aug = random_step_case(head, k=seed % 3, mu=1 + seed % 7, seed=seed)
+            weak = aug.weak(batch.unlabeled_points, np.random.default_rng(seed))
+            # tau at one of the weak view's confidences, above the lowest
+            conf = np.unique(nn.forward(model, weak).probs.max(axis=1))
+            tau = conf[np.random.default_rng(seed).integers(1, len(conf))]
+            cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
+            losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=seed)
+            assert 0.0 < losses.unsup_mask_rate < 1.0
+
+    @pytest.mark.parametrize("algorithm", adapt.ALGORITHMS)
+    def test_skip_with_flag_leaves_no_defending_rows(self, monkeypatch, toy, algorithm):
+        train, split, model = toy
+        silenced = model.copy()
+        silenced.biases[-1][2] = -30.0  # nothing is pseudo-labelled 2: its bank class is empty
+        unlabeled = split.unlabeled_indices()
+        cur_bank = bank.generate_bank(silenced, train.points[unlabeled], unlabeled, 0.5, 3)
+        assert cur_bank.class_size(2) == 0
+        labeled = np.flatnonzero(train.labels == 2)[:4]
+        cfg_rld = bank.RldConfig(p=0.5, k=2, empty_class_fallback=bank.SKIP_WITH_FLAG)
+        defending = bank.retrieve_defending(
+            cur_bank, train.points[labeled], train.labels[labeled], cfg_rld,
+            np.random.default_rng(0),
+        )
+        assert defending[0].shape == (0, 2) and defending[2] == 4
+        batch = adapt.MiniBatch(
+            train.points[labeled], train.labels[labeled], train.points[unlabeled[:12]],
+            *defending,
+        )
+        cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        losses = assert_same_step(
+            monkeypatch, silenced, batch, cfg, adapt.SOFTMAX_RULE, toy_augmenter(train.points)
+        )
+        assert losses.l_rld == 0.0 and losses.l_total == losses.l_sup + losses.l_unsup
+
+    def test_sigmoid_batch_without_one_finding(self, monkeypatch):
+        # labels below 4 name findings 0 and 1 only; finding 2 is never labelled
+        model, rule, batch, aug = random_step_case(
+            nn.SIGMOID, k=2, mu=3, seed=7, outputs=3, labels_below=4
+        )
+        assert batch.labeled_labels.max() < 4 and batch.defending_labels.max() < 4
+        losses = assert_same_step(monkeypatch, model, batch, adapt.AdaptConfig(), rule, aug)
+        assert losses.l_sup > 0.0 and losses.l_unsup > 0.0 and losses.l_rld > 0.0
+
+    @pytest.mark.parametrize("algorithm", adapt.ALGORITHMS)
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("mu", [0, 3])
+    def test_one_loss_evaluation(self, monkeypatch, algorithm, head, k, mu):
+        model, rule, batch, aug = random_step_case(head, k, mu)
+        cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("forward", "backward", "loss_ce", "loss_bce"):
+            monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
+        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+        monkeypatch.undo()
+        losses = [name for name in calls if name.startswith("loss")]
+        assert calls.count("forward") == 1 and calls.count("backward") == 1
+        if head == nn.SIGMOID and algorithm == adapt.FIXMATCH_LITE and mu:
+            # binary mode runs pseudo-labelling only; a sigmoid head under
+            # fixmatch_lite keeps cross-entropy on its strong view
+            assert losses == ["loss_bce", "loss_ce"]
+        else:
+            assert losses == ["loss_ce" if head == nn.SOFTMAX else "loss_bce"]
 
 
 class TestAdaptLoop:
@@ -632,7 +842,8 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
 # The binary engine as it was before binary mode ran on the shared loop: its
 # loop and banks verbatim apart from module prefixes and names, its step
 # ported to adapt.step's arithmetic (one forward pass over the stacked
-# labelled, unlabelled and defending rows, one backward pass). The shared
+# labelled, unlabelled and defending rows, one backward pass) with a loss
+# call per term on the verbatim loss functions. The shared
 # engine must reproduce it bit for bit wherever both draw the same
 # defending samples: always under skip_with_flag, and under
 # duplicate_labeled while no labelled cell's bank class is empty (the old
@@ -757,19 +968,19 @@ def ref_adapt_binary(
             # backward on their stacked upstream gradients
             trace = nn.forward(model, np.concatenate([lb_points, u_points, d_points]))
             n_lb, n_u = len(lb_points), len(u_points)
-            l_sup, dprobs, _ = nn.loss_bce_masked(trace.probs[:n_lb], lb_targets, lb_mask)
+            l_sup, dprobs, _ = verbatim_loss_bce_masked(trace.probs[:n_lb], lb_targets, lb_mask)
             dprobs = [dprobs]
 
             l_unsup = 0.0
             if n_u:
                 probs_u = trace.probs[n_lb : n_lb + n_u]
                 pseudo = (probs_u >= thresholds[None, :]).astype(float)
-                l_unsup, dprobs_u = nn.loss_bce(probs_u, pseudo)
+                l_unsup, dprobs_u = verbatim_loss_bce(probs_u, pseudo)
                 dprobs.append(dprobs_u)
 
             l_rld = 0.0
             if len(d_points):
-                l_rld, dprobs_d, _ = nn.loss_bce_masked(
+                l_rld, dprobs_d, _ = verbatim_loss_bce_masked(
                     trace.probs[n_lb + n_u :], d_targets, d_mask
                 )
                 dprobs.append(dprobs_d)

@@ -803,7 +803,7 @@ class TestRldLoss:
         losses, grads, _ = self.step(model, pts, labs)
         trace = nn.forward(model, np.concatenate([[[0.3, -0.2]], pts]))
         _, dsup, _ = nn.loss_ce(trace.probs[:1], [1])
-        direct, ddirect, _ = nn.loss_ce(trace.probs[1:], labs)
+        (direct,), ddirect, _ = nn.loss_ce(trace.probs[1:], labs)
         assert losses.l_rld == direct
         want = nn.backward(model, trace, np.concatenate([dsup, ddirect]))
         assert np.array_equal(grads.flat, want.flat)

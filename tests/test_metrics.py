@@ -169,6 +169,82 @@ class TestYoudenThresholds:
                     best_t, best_j = t, j
             assert metrics.youden_threshold(scores, labels) == pytest.approx(best_t)
 
+    @staticmethod
+    def verbatim_youden(scores, labels):
+        """youden_threshold as it was before it counted in sorted scores."""
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(labels)
+        pos = labels == 1
+        neg = labels == 0
+        best_t, best_j = None, -np.inf
+        for t in metrics.threshold_candidates(scores):
+            tpr = float(np.mean(scores[pos] >= t))
+            fpr = float(np.mean(scores[neg] >= t))
+            j = tpr - fpr
+            if j > best_j + 1e-15:
+                best_t, best_j = float(t), j
+        return best_t
+
+    @staticmethod
+    def youden_cases(seed):
+        """(scores, labels): random scores, heavy ties, one positive, and
+        sizes whose rates tie in exact arithmetic but not in floats."""
+        rng = np.random.default_rng(seed)
+        for case in range(300):
+            n = int(rng.integers(2, 240))
+            kind = case % 4
+            if kind == 0:
+                scores = rng.uniform(0, 1, n)
+            elif kind == 1:  # heavy ties
+                scores = rng.choice(rng.uniform(0, 1, int(rng.integers(1, 6))), n)
+            elif kind == 2:  # scores from a grid of thirds and sevenths
+                scores = rng.integers(0, 21, n) / 21.0
+            else:
+                scores = np.round(rng.uniform(0, 1, n), 1)
+            labels = rng.integers(0, 2, n)
+            if case % 5 == 0:  # a single positive
+                labels[:] = 0
+                labels[int(rng.integers(n))] = 1
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            yield scores, labels
+
+    def test_matches_verbatim_loop(self):
+        near_ties = 0
+        for scores, labels in self.youden_cases(6):
+            assert metrics.youden_threshold(scores, labels) == self.verbatim_youden(scores, labels)
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            js = [np.mean(pos >= t) - np.mean(neg >= t)
+                  for t in metrics.threshold_candidates(scores)]
+            gaps = np.abs(np.subtract.outer(js, js))
+            near_ties += bool(((gaps > 0) & (gaps <= 1e-15)).any())
+        assert near_ties > 0  # some candidates' j differ only in the last bits
+
+    def test_rounding_tie_keeps_the_lower_threshold(self):
+        # j is 3/5 - 2/5 at t = 0.625 and 2/5 - 1/5 at t = 0.875: equal in
+        # arithmetic, 4e-17 apart in floats (the later one larger); the
+        # 1e-15 margin keeps the lower threshold, where argmax would not
+        scores = np.array([0.25, 1.0, 0.5, 0.0, 0.75, 0.0, 0.25, 1.0, 1.0, 0.75])
+        labels = np.array([0, 1, 0, 1, 1, 1, 0, 1, 0, 0])
+        assert metrics.youden_threshold(scores, labels) == 0.625
+        assert self.verbatim_youden(scores, labels) == 0.625
+
+    def test_midpoints_of_adjacent_floats(self):
+        # the midpoint of two adjacent floats rounds to one of them, so a
+        # candidate can equal a score: it must still count as >= that score
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            base = rng.uniform(0, 1, 6)
+            scores = np.concatenate([base, np.nextafter(base, 2.0)])
+            labels = rng.integers(0, 2, 12)
+            labels[:2] = 0, 1
+            assert np.isin(metrics.threshold_candidates(scores), scores).any()
+            assert metrics.youden_threshold(scores, labels) == self.verbatim_youden(scores, labels)
+
+    def test_nan_scores_raise(self):
+        with pytest.raises(MetricError, match="NaN"):
+            metrics.youden_threshold(np.array([0.1, np.nan, 0.7]), np.array([0, 1, 1]))
+
     def test_source_thresholds_flags_degenerate_column(self):
         rng = np.random.default_rng(5)
         model = nn.MlpModel.init([2, 6, 2], nn.SIGMOID, rng)

@@ -146,12 +146,12 @@ def reference_backward(model, trace, dprobs):
 class TestLossCe:
     def test_one_hot_target_is_zero(self):
         probs = np.array([[0.0, 1.0, 0.0]])
-        loss, dprobs, n = nn.loss_ce(probs, [1])
+        (loss,), dprobs, (n,) = nn.loss_ce(probs, [1])
         assert loss == 0.0
         assert n == 1
 
     def test_uniform_two_class_is_ln2(self):
-        loss, _, _ = nn.loss_ce(np.array([[0.5, 0.5]]), [0])
+        (loss,), _, _ = nn.loss_ce(np.array([[0.5, 0.5]]), [0])
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_brute_force_loop(self):
@@ -160,18 +160,18 @@ class TestLossCe:
         probs /= probs.sum(axis=1, keepdims=True)
         targets = rng.integers(0, 3, size=4)
         expected = sum(-math.log(probs[i, targets[i]]) for i in range(4)) / 4.0
-        loss, _, _ = nn.loss_ce(probs, targets)
+        (loss,), _, _ = nn.loss_ce(probs, targets)
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_all_masked_batch_flags_empty(self):
         probs = np.full((3, 2), 0.5)
-        loss, dprobs, n = nn.loss_ce(probs, [0, 1, 0], mask=[0, 0, 0])
+        (loss,), dprobs, (n,) = nn.loss_ce(probs, [0, 1, 0], mask=[0, 0, 0])
         assert loss == 0.0 and n == 0
         assert np.all(dprobs == 0.0)
 
     def test_mask_restricts_mean_to_unmasked(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]])
-        loss, _, n = nn.loss_ce(probs, [0, 1, 0], mask=[1, 1, 0])
+        (loss,), _, (n,) = nn.loss_ce(probs, [0, 1, 0], mask=[1, 1, 0])
         expected = (-math.log(0.5) - math.log(0.75)) / 2.0
         assert n == 2
         assert loss == pytest.approx(expected, abs=1e-12)
@@ -185,10 +185,10 @@ class TestLossCe:
             targets = rng.integers(0, 3, size=n)
             masks = [None, (rng.random(n) < 0.6).astype(float), np.zeros(n), np.ones(n)]
             for mask in masks:
-                got = nn.loss_ce(probs, targets, mask=mask)
+                (loss,), dprobs, (n_eff,) = nn.loss_ce(probs, targets, mask=mask)
                 want = reference_loss_ce(probs, targets, mask=mask)
-                assert got[0] == want[0] and got[2] == want[2]
-                assert np.array_equal(got[1], want[1])
+                assert loss == want[0] and n_eff == want[2]
+                assert np.array_equal(dprobs, want[1])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -196,7 +196,7 @@ class TestLossCe:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(4), size=5)
         targets = rng.integers(0, 4, size=5)
-        loss, _, _ = nn.loss_ce(probs, targets)
+        (loss,), _, _ = nn.loss_ce(probs, targets)
         assert loss >= 0.0
         if loss == 0.0:
             assert np.all(probs[np.arange(5), targets] == 1.0)
@@ -206,12 +206,12 @@ class TestLossBce:
     def test_half_everywhere_is_ln2(self):
         probs = np.full((2, 3), 0.5)
         targets = np.array([[0, 1, 0], [1, 1, 0]])
-        loss, _ = nn.loss_bce(probs, targets)
+        (loss,), _, _ = nn.loss_bce(probs, targets)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_perfect_prediction_is_tiny(self):
         targets = np.array([[1.0, 0.0]])
-        loss, _ = nn.loss_bce(targets, targets)
+        (loss,), _, _ = nn.loss_bce(targets, targets)
         assert 0.0 <= loss <= -math.log(1.0 - nn.PROB_EPS) + 1e-15
 
     def test_matches_brute_force_loop(self):
@@ -225,7 +225,7 @@ class TestLossBce:
                     acc -= math.log(probs[i, j])
                 else:
                     acc -= math.log(1.0 - probs[i, j])
-        loss, _ = nn.loss_bce(probs, targets)
+        (loss,), _, _ = nn.loss_bce(probs, targets)
         assert loss == pytest.approx(acc / 6.0, abs=1e-12)
 
     def test_rejects_non_binary_targets(self):
@@ -234,12 +234,12 @@ class TestLossBce:
 
 
 def ce_loss_of_model(model, x, targets):
-    loss, _, _ = nn.loss_ce(nn.forward(model, x).probs, targets)
+    (loss,), _, _ = nn.loss_ce(nn.forward(model, x).probs, targets)
     return loss
 
 
 def bce_loss_of_model(model, x, targets):
-    loss, _ = nn.loss_bce(nn.forward(model, x).probs, targets)
+    (loss,), _, _ = nn.loss_bce(nn.forward(model, x).probs, targets)
     return loss
 
 
@@ -294,7 +294,7 @@ class TestBackward:
         targets = rng.integers(0, 2, size=(4, 4)).astype(float)
 
         trace = nn.forward(model, x)
-        _, dprobs = nn.loss_bce(trace.probs, targets)
+        _, dprobs, _ = nn.loss_bce(trace.probs, targets)
         analytic = nn.backward(model, trace, dprobs)
         num_w, num_b = numeric_gradients(model, lambda m: bce_loss_of_model(m, x, targets))
         assert max_rel_error(analytic.weights, num_w) < 1e-4
@@ -699,11 +699,13 @@ def three_term_grads(model, rng, backward):
     for rows in (16, 112, 48):
         trace = nn.forward(model, rng.normal(scale=2.0, size=(rows, 2)))
         if model.head == nn.SOFTMAX:
-            loss, dprobs, _ = nn.loss_ce(trace.probs, rng.integers(0, model.layer_dims[-1], rows))
+            (loss,), dprobs, _ = nn.loss_ce(
+                trace.probs, rng.integers(0, model.layer_dims[-1], rows)
+            )
         else:
             targets = (rng.random(trace.probs.shape) < 0.5).astype(float)
             mask = (rng.random(trace.probs.shape) < 0.3).astype(float)
-            loss, dprobs, _ = nn.loss_bce_masked(trace.probs, targets, mask)
+            (loss,), dprobs, _ = nn.loss_bce(trace.probs, targets, mask=mask)
         losses.append(loss)
         part = backward(model, trace, dprobs)
         if total is None:
@@ -838,3 +840,318 @@ class TestFlatParameters:
         with pytest.raises(NumericError, match=f"^non-finite {message}$"):
             nn.sgd_step(model, grads, nn.SgdConfig(0.1), nn.SgdState.zeros_like(model))
         assert np.array_equal(model.params, before)
+
+
+# Verbatim copies of forward, the loss functions, backward and
+# train_supervised as they were before the step scored its terms in one
+# loss pass and the training path dropped its per-call copies (module
+# prefixes aside; backward builds its gradient views up front, as it did).
+# The lean versions must give the same bits. tests/test_adapt.py builds its
+# copy of the three-call step on these losses.
+def verbatim_softmax_rows(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def verbatim_forward(model, inputs):
+    inputs = np.asarray(inputs, dtype=np.float64)
+    pre_acts, acts = [], []
+    a = inputs
+    n_layers = len(model.weights)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        pre_acts.append(z)
+        if i < n_layers - 1:
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+    logits = pre_acts[-1]
+    if model.head == nn.SOFTMAX:
+        probs = verbatim_softmax_rows(logits)
+    else:
+        probs = nn.sigmoid(logits)
+    return nn.ForwardTrace(
+        inputs=inputs,
+        pre_activations=pre_acts,
+        activations=acts,
+        probs=probs,
+        layer_dims=list(model.layer_dims),
+    )
+
+
+def verbatim_loss_ce(probs, targets, mask=None):
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    n = probs.shape[0]
+    if mask is None:
+        n_eff = n
+    else:
+        mask = np.asarray(mask, dtype=np.float64)
+        n_eff = int(round(mask.sum()))
+    dprobs = np.zeros_like(probs)
+    if n_eff == 0:
+        return 0.0, dprobs, 0
+    rows = np.arange(n)
+    p_t = probs[rows, targets]
+    clamped = np.maximum(p_t, nn.PROB_EPS)
+    losses = -np.log(clamped)
+    grad_vals = np.where(p_t > nn.PROB_EPS, -1.0 / clamped, 0.0)
+    if mask is not None:
+        losses = losses * mask
+        grad_vals = grad_vals * mask
+    loss = float(losses.sum() / n_eff)
+    dprobs[rows, targets] = grad_vals / n_eff
+    return loss, dprobs, n_eff
+
+
+def verbatim_loss_bce(probs, targets):
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    n_cells = probs.size
+    p = np.maximum(probs, nn.PROB_EPS)
+    q = np.maximum(1.0 - probs, nn.PROB_EPS)
+    loss = float(-(targets * np.log(p) + (1.0 - targets) * np.log(q)).sum() / n_cells)
+    dprobs = np.where(
+        targets == 1.0,
+        np.where(probs > nn.PROB_EPS, -1.0 / p, 0.0),
+        np.where(1.0 - probs > nn.PROB_EPS, 1.0 / q, 0.0),
+    )
+    return loss, dprobs / n_cells
+
+
+def verbatim_loss_bce_masked(probs, targets, mask):
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    n_eff = int(round(mask.sum()))
+    if n_eff == 0:
+        return 0.0, np.zeros_like(probs), 0
+    p = np.maximum(probs, nn.PROB_EPS)
+    q = np.maximum(1.0 - probs, nn.PROB_EPS)
+    cell = -(targets * np.log(p) + (1.0 - targets) * np.log(q))
+    loss = float((cell * mask).sum() / n_eff)
+    dprobs = np.where(
+        targets == 1.0,
+        np.where(probs > nn.PROB_EPS, -1.0 / p, 0.0),
+        np.where(1.0 - probs > nn.PROB_EPS, 1.0 / q, 0.0),
+    )
+    return loss, dprobs * mask / n_eff, n_eff
+
+
+def verbatim_backward(model, trace, dprobs):
+    dprobs = np.asarray(dprobs, dtype=np.float64)
+    probs = trace.probs
+    if model.head == nn.SOFTMAX:
+        inner = (dprobs * probs).sum(axis=1, keepdims=True)
+        dz = probs * (dprobs - inner)
+    else:
+        dz = dprobs * probs * (1.0 - probs)
+    grads = nn.GradientSet._wrap(np.empty(model.params.size), model._layout)
+    weights, biases = grads.weights, grads.biases
+    for i in range(len(model.weights) - 1, -1, -1):
+        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+        np.dot(a_prev.T, dz, out=weights[i])
+        np.add.reduce(dz, axis=0, out=biases[i])
+        if i > 0:
+            da = dz @ model.weights[i].T
+            dz = da * (trace.pre_activations[i - 1] > 0.0)
+    return grads
+
+
+def verbatim_train_supervised(model, points, labels, sgd_cfg, epochs, batch_size, rng):
+    labels = np.asarray(labels)
+    state = nn.SgdState.zeros_like(model)
+    for _ in range(epochs):
+        order = rng.permutation(len(points))
+        for start in range(0, len(order), batch_size):
+            idx = order[start : start + batch_size]
+            trace = verbatim_forward(model, points[idx])
+            if model.head == nn.SOFTMAX:
+                _, dprobs, _ = verbatim_loss_ce(trace.probs, labels[idx])
+            else:
+                _, dprobs = verbatim_loss_bce(trace.probs, labels[idx].astype(float))
+            nn.sgd_step(model, verbatim_backward(model, trace, dprobs), sgd_cfg, state)
+    return model
+
+
+LEAN_MODELS = [
+    (head, [2, *hidden, outputs])
+    for head, outputs in [(nn.SOFTMAX, 2), (nn.SOFTMAX, 3), (nn.SOFTMAX, 9), (nn.SIGMOID, 4)]
+    for hidden in ([10, 10], [16, 10])
+]
+
+
+def lean_cases(seed):
+    """(rng, model, inputs) for every lean-path model at 1 and 240 rows."""
+    rng = np.random.default_rng(seed)
+    for case, (head, dims) in enumerate(LEAN_MODELS):
+        model = make_model(dims, head=head, seed=seed + case)
+        for rows in (1, 240):
+            yield rng, model, rng.normal(scale=3.0, size=(rows, 2))
+
+
+def floored_probs(rng, probs):
+    """probs with some entries at 0 and 1, past both probability floors."""
+    probs = probs.copy()
+    probs[rng.random(probs.shape) < 0.05] = 0.0
+    probs[rng.random(probs.shape) < 0.05] = 1.0
+    return probs
+
+
+def split_terms(rng, n_rows, gaps):
+    """Three ordered disjoint (start, stop) terms over n_rows, some maybe
+    empty; with gaps, rows between and around them belong to none."""
+    cuts = np.sort(rng.integers(0, n_rows + 1, size=6 if gaps else 2)).tolist()
+    if gaps:
+        return [(cuts[0], cuts[1]), (cuts[2], cuts[3]), (cuts[4], cuts[5])]
+    return [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], n_rows)]
+
+
+class TestLeanPath:
+    """forward, backward, the loss functions and train_supervised against
+    their verbatim copies, bit for bit."""
+
+    def test_forward_matches_verbatim(self):
+        for _, model, x in lean_cases(40):
+            got, want = nn.forward(model, x), verbatim_forward(model, x)
+            assert same_arrays([got.inputs, got.probs], [want.inputs, want.probs])
+            assert same_arrays(got.pre_activations, want.pre_activations)
+            assert same_arrays(got.activations, want.activations)
+            assert got.layer_dims == want.layer_dims and got.layer_dims is model.layer_dims
+
+    def test_softmax_rows_leaves_logits_alone(self):
+        logits = np.random.default_rng(41).normal(scale=20.0, size=(50, 9))
+        before = logits.copy()
+        assert np.array_equal(nn.softmax_rows(logits), verbatim_softmax_rows(logits))
+        assert np.array_equal(logits, before)
+
+    def test_backward_matches_verbatim(self):
+        for rng, model, x in lean_cases(42):
+            trace = nn.forward(model, x)
+            for dprobs in (rng.normal(size=trace.probs.shape), np.zeros(trace.probs.shape)):
+                kept = dprobs.copy()
+                got = nn.backward(model, trace, dprobs)
+                assert np.array_equal(got.flat, verbatim_backward(model, trace, dprobs).flat)
+                assert np.array_equal(dprobs, kept)
+
+    def test_loss_ce_single_term_matches_verbatim(self):
+        for rng, model, x in lean_cases(43):
+            if model.head != nn.SOFTMAX:
+                continue
+            probs = floored_probs(rng, nn.forward(model, x).probs)
+            targets = rng.integers(0, probs.shape[1], size=len(probs))
+            for mask in (None, (rng.random(len(probs)) < 0.5).astype(float), np.zeros(len(probs))):
+                (loss,), dprobs, (count,) = nn.loss_ce(probs, targets, mask=mask)
+                want = verbatim_loss_ce(probs, targets, mask)
+                assert (loss, count) == (want[0], want[2])
+                assert np.array_equal(dprobs, want[1])
+
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_loss_ce_terms_match_verbatim_calls(self, gaps):
+        for rng, model, x in lean_cases(44):
+            if model.head != nn.SOFTMAX:
+                continue
+            probs = floored_probs(rng, nn.forward(model, x).probs)
+            terms = split_terms(rng, len(probs), gaps)
+            n_scored = sum(stop - start for start, stop in terms)
+            targets = rng.integers(0, probs.shape[1], size=n_scored)
+            for mask in (None, (rng.random(n_scored) < 0.5).astype(float)):
+                losses, dprobs, counts = nn.loss_ce(probs, targets, terms, mask)
+                want = np.zeros(probs.shape)
+                at = 0
+                for i, (start, stop) in enumerate(terms):
+                    part = slice(at, at + stop - start)
+                    loss, d, count = verbatim_loss_ce(
+                        probs[start:stop], targets[part], None if mask is None else mask[part]
+                    )
+                    assert (losses[i], counts[i]) == (loss, count)
+                    want[start:stop] = d
+                    at = part.stop
+                assert np.array_equal(dprobs, want)
+
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_loss_bce_matches_verbatim(self, gaps):
+        for rng, model, x in lean_cases(45):
+            if model.head != nn.SIGMOID:
+                continue
+            probs = floored_probs(rng, nn.forward(model, x).probs)
+            terms = split_terms(rng, len(probs), gaps)
+            n_scored = sum(stop - start for start, stop in terms)
+            targets = (rng.random((n_scored, probs.shape[1])) < 0.5).astype(float)
+            mask = (rng.random(targets.shape) < 0.3).astype(float)
+            if not gaps:  # one term over every row, unmasked
+                (loss,), dprobs, (count,) = nn.loss_bce(probs, targets)
+                want = verbatim_loss_bce(probs, targets)
+                assert (loss, count) == (want[0], probs.size)
+                assert np.array_equal(dprobs, want[1])
+            for term_mask in (mask, np.ones(targets.shape)):
+                losses, dprobs, counts = nn.loss_bce(probs, targets, terms, term_mask)
+                want = np.zeros(probs.shape)
+                at = 0
+                for i, (start, stop) in enumerate(terms):
+                    part = slice(at, at + stop - start)
+                    loss, d, count = verbatim_loss_bce_masked(
+                        probs[start:stop], targets[part], term_mask[part]
+                    )
+                    assert (losses[i], counts[i]) == (loss, count)
+                    want[start:stop] = d
+                    at = part.stop
+                assert np.array_equal(dprobs, want)
+
+    def test_terms_must_be_ordered_and_disjoint(self):
+        probs = np.full((6, 2), 0.5)
+        for terms in ([(0, 3), (2, 6)], [(3, 6), (0, 3)], [(0, 7)], [(4, 2)]):
+            with pytest.raises(ShapeError, match="ordered disjoint"):
+                nn.loss_ce(probs, np.zeros(6, dtype=int), terms)
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("hidden", [[10, 10], [16, 10]])
+    def test_train_supervised_matches_verbatim(self, head, hidden):
+        from sdalab import adapt
+
+        rng = np.random.default_rng(46)
+        outputs = 3 if head == nn.SOFTMAX else 4
+        points = rng.normal(scale=2.0, size=(240, 2))
+        if head == nn.SOFTMAX:
+            labels = rng.integers(0, outputs, size=240)
+        else:
+            labels = rng.integers(0, 2, size=(240, outputs))
+        model = make_model([2, *hidden, outputs], head=head, seed=47)
+        cfg = nn.SgdConfig(0.05, momentum=0.9)
+        for batch_size in (1, 64, 240):
+            got = adapt.train_supervised(
+                model.copy(), points, labels, cfg, 2, batch_size, np.random.default_rng(48)
+            )
+            want = verbatim_train_supervised(
+                model.copy(), points, labels, cfg, 2, batch_size, np.random.default_rng(48)
+            )
+            assert np.array_equal(got.params, want.params)
+
+    def test_gradient_views_are_built_on_first_read(self):
+        model = make_model([2, 10, 10, 3], seed=49)
+        trace = nn.forward(model, np.random.default_rng(49).normal(size=(5, 2)))
+        grads = nn.backward(model, trace, np.ones(trace.probs.shape))
+        assert "weights" not in vars(grads) and "biases" not in vars(grads)
+        weights, biases = grads.weights, grads.biases
+        assert grads.weights is weights and grads.biases is biases
+        weights[1][2, 3] = 7.0
+        biases[2][1] = -7.0
+        start = model._layout[0][1][0] + 2 * 10 + 3
+        assert grads.flat[start] == 7.0 and grads.flat[model._layout[1][2][0] + 1] == -7.0
+        grads.flat[:] = 0.5
+        assert all(np.all(view == 0.5) for view in weights + biases)
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_sgd_names_the_layer_of_a_non_finite_backward_gradient(self, layer):
+        model = make_model([2, 10, 10, 3], seed=50)
+        trace = nn.forward(model, np.random.default_rng(50).normal(size=(5, 2)))
+        grads = nn.backward(model, trace, np.ones(trace.probs.shape))
+        start, stop = model._layout[1][layer]
+        grads.flat[stop - 1] = np.nan
+        with pytest.raises(NumericError, match=f"^non-finite bias gradient in layer {layer}$"):
+            nn.sgd_step(model, grads, nn.SgdConfig(0.1), nn.SgdState.zeros_like(model))
+        start, stop, _ = model._layout[0][layer]
+        grads = nn.backward(model, trace, np.ones(trace.probs.shape))
+        grads.flat[start] = np.inf
+        with pytest.raises(NumericError, match=f"^non-finite weight gradient in layer {layer}$"):
+            nn.sgd_step(model, grads, nn.SgdConfig(0.1), nn.SgdState.zeros_like(model))

@@ -169,6 +169,36 @@ class TestRunStream:
         for bs, bo in zip(streamed.biases, offline.biases):
             assert np.array_equal(bs, bo)
 
+    def test_each_checkpoint_evaluated_once(self, pipeline, monkeypatch):
+        cfg, d, pre, split = pipeline
+        n = len(d.target_train)
+        order = np.random.default_rng(np.random.SeedSequence([0, 1])).permutation(n)
+        lone = TargetSplit(  # no feedback before the last item: the first checkpoint skips
+            [(int(order[-1]), int(d.target_train.labels[order[-1]]))],
+            [int(i) for i in order[:-1]],
+        )
+        evaluated = []
+        top1 = stream.metrics.top1_accuracy
+
+        def counting(model, points, labels, thresholds=None):
+            evaluated.append(model)
+            return top1(model, points, labels, thresholds)
+
+        monkeypatch.setattr(stream.metrics, "top1_accuracy", counting)
+        for fb in (split, lone):
+            evaluated.clear()
+            scfg = stream.StreamConfig(memory_cap=150, checkpoints=(0.5, 1.0))
+            records, last = stream.run_stream(
+                pre.model, d.target_train, fb, scfg, cfg.adapt_config(), 3,
+                test_set=d.target_test,
+            )
+            assert len(evaluated) == len(records) == 2 and evaluated[-1] is last
+            assert records[0]["skipped"] is (fb is lone)
+            records, _ = stream.run_stream(
+                pre.model, d.target_train, fb, scfg, cfg.adapt_config(), 3
+            )
+            assert len(evaluated) == 2 and all("test_acc" not in r for r in records)
+
     def test_stream_deterministic(self, pipeline):
         cfg, d, pre, split = pipeline
         scfg = stream.StreamConfig(memory_cap=150, checkpoints=(0.3, 1.0))

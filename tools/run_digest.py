@@ -8,7 +8,7 @@ records_method.jsonl that `sdalab sweep --axis method` writes at its default
 seed 0 (the acceptance gate's determinism sweep). Run it from the root of a
 checkout:
 
-    python3 tools/run_digest.py            # seeds 0 and 1
+    python3 tools/run_digest.py            # seeds 0, 1 and 2
     python3 tools/run_digest.py --seeds 3 4 5
     python3 tools/run_digest.py --write tests/golden/run_digest_seed0.json
 
@@ -119,7 +119,7 @@ def environment_stamp() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--write", metavar="PATH", help="write the seed-0 golden file to PATH")
     args = parser.parse_args(argv)
     if args.write:
