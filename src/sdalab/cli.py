@@ -7,6 +7,7 @@ failure, 4 feedback shortage.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -108,7 +109,14 @@ def cmd_adapt(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, out = _load(args)
-    result = sweep_mod.run_sweep(cfg, args.axis, StageCache())
+    total = len(sweep_mod.axis_cells(args.axis, cfg)) * len(cfg.seeds())
+    finished = itertools.count(1)
+
+    def progress(cell, seed, record):  # one stderr line per finished run
+        value = record.final["target_test_value_adapted"]
+        print(f"[{next(finished)}/{total}] {cell} {seed} {value:.4f}", file=sys.stderr)
+
+    result = sweep_mod.run_sweep(cfg, args.axis, StageCache(), progress)
     records_path = os.path.join(out, f"records_{args.axis}.jsonl")
     sweep_mod.write_records_jsonl(records_path, result)
     rows = result.aggregate_rows()

@@ -8,6 +8,19 @@ which is what the finite-difference tests lean on.
 
 All randomness comes from a caller-supplied ``numpy.random.Generator`` so a
 run is reproducible from its seed alone.
+
+A run takes tens of thousands of small steps on matrices 2-4 columns wide,
+so some calls take a cheaper route to the bits of the plain form
+(tests/test_nn.py checks each against it):
+- 2-D products use ``np.dot``, which gives the bits of ``@`` on the layouts
+  the layers make: a C- or F-ordered left operand, or a row slice of one,
+  times a C-ordered weight or its transpose. It need not elsewhere, for
+  instance on a left operand with strided columns. Stacks of one-row passes
+  keep ``@``: ``np.dot`` on 3-D operands forms another product.
+- Row max and row sum below 8 columns are column folds, in the order
+  numpy's axis-1 reduction takes there (``_fold_columns``).
+- ``loss_bce`` takes one log per cell: for a 0/1 target the other side's
+  term is +-0, and adding +-0 changes no log it meets.
 """
 
 from __future__ import annotations
@@ -188,11 +201,25 @@ class GradientSet:
         return _bias_views(self.flat, self._layout)
 
 
+def _fold_columns(ufunc, x):
+    """``ufunc`` folded over x's columns left to right, as an (n, 1) column.
+    Below 8 columns numpy's axis-1 reduction takes that order, so this gives
+    its bits, unless a row holds only -0.0 (the reduction may give +0.0).
+    From 8 columns numpy sums pairwise; those go to the reduction."""
+    if not 2 <= x.shape[1] < 8:
+        return ufunc.reduce(x, axis=1, keepdims=True)
+    acc = ufunc(x[:, 0], x[:, 1])
+    for j in range(2, x.shape[1]):
+        ufunc(acc, x[:, j], out=acc)
+    return acc[:, None]
+
+
 def softmax_rows(logits):
-    # the reductions .max() and .sum() make, called directly: the same bits
-    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    # The row max and row sum as column folds: the bits of .max() and .sum()
+    # (a max of -0.0 for +0.0 only moves exp(+-0) = 1; a sum here is > 0).
+    e = logits - _fold_columns(np.maximum, logits)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
+    e /= _fold_columns(np.add, e)
     return e
 
 
@@ -201,7 +228,8 @@ def sigmoid(x):
     # NaN keeps its sign, as in the one-side-at-a-time form.
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(pos, 1.0, e)
+    return np.divide(out, 1.0 + e, out=out)
 
 
 def _checked_inputs(model, inputs):
@@ -220,7 +248,7 @@ def forward(model, inputs):
     a = inputs
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w
+        z = np.dot(a, w)
         z += b
         pre_acts.append(z)
         if i < last:
@@ -290,11 +318,13 @@ def loss_ce(probs, targets, terms=None, mask=None):
         rows = np.arange(len(probs))
     if targets.shape != rows.shape:
         raise ShapeError(f"targets shape {targets.shape}, expected {rows.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= probs.shape[1]):
+    # one reduction: a negative class, seen unsigned, is at least 2**63
+    if targets.size and np.maximum.reduce(targets.view(np.uint64)) >= probs.shape[1]:
         raise ShapeError("class index out of range for probability matrix")
     p_t = probs[rows, targets]
     clamped = np.maximum(p_t, PROB_EPS)
-    losses = -np.log(clamped)
+    losses = np.log(clamped)
+    np.negative(losses, out=losses)
     # Below the floor the clamped loss is flat, so the exact derivative is 0.
     grads = np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
     if mask is not None:
@@ -331,15 +361,12 @@ def loss_bce(probs, targets, terms=None, mask=None):
     positive = targets == 1.0
     if not (positive | (targets == 0.0)).all():
         raise ConfigError("binary targets must be 0 or 1")
-    p = np.maximum(scored, PROB_EPS)
-    complement = 1.0 - scored
-    q = np.maximum(complement, PROB_EPS)
-    cells = -(targets * np.log(p) + (1.0 - targets) * np.log(q))
-    grads = np.where(
-        positive,
-        np.where(scored > PROB_EPS, -1.0 / p, 0.0),
-        np.where(complement > PROB_EPS, 1.0 / q, 0.0),
-    )
+    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1], floored
+    chosen = np.where(positive, scored, 1.0 - scored)
+    clamped = np.maximum(chosen, PROB_EPS)
+    grads = np.where(chosen > PROB_EPS, np.where(positive, -1.0, 1.0) / clamped, 0.0)
+    cells = np.log(clamped, out=clamped)
+    np.negative(cells, out=cells)
     if mask is not None:
         cells *= mask
         grads *= mask
@@ -368,8 +395,10 @@ def backward(model, trace, dprobs):
     if dprobs.shape != probs.shape:
         raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
     if model.head == SOFTMAX:
-        # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise
-        dz = dprobs - np.add.reduce(dprobs * probs, axis=1, keepdims=True)
+        # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise. A loss_ce row of
+        # g * p holds +0.0 off its target, so it is never a row of -0.0.
+        dz = dprobs * probs
+        np.subtract(dprobs, _fold_columns(np.add, dz), out=dz)
         dz *= probs
     else:
         dz = dprobs * probs
@@ -387,7 +416,7 @@ def backward(model, trace, dprobs):
         start, stop = bias_spans[i]
         np.add.reduce(dz, axis=0, out=flat[start:stop])
         if i > 0:
-            dz = dz @ model.weights[i].T
+            dz = np.dot(dz, model.weights[i].T)
             dz *= trace.pre_activations[i - 1] > 0.0
     return GradientSet._wrap(flat, model._layout)
 
@@ -474,17 +503,17 @@ def penultimate_features(model, inputs):
     Runs the hidden layers only, with the same arithmetic as forward(), so
     the rows equal ``forward(model, inputs).activations[-1]`` bit for bit.
     """
-    return _hidden_layers(model, _checked_inputs(model, inputs))
+    return _hidden_layers(model, _checked_inputs(model, inputs), np.dot)
 
 
 def one_row_features(model, inputs):
     """penultimate_features of each input on its own, as a stack of one-row
     passes: row i has the bits of ``penultimate_features(model, inputs[i:i + 1])[0]``,
     which one pass over several rows does not promise."""
-    return _hidden_layers(model, _checked_inputs(model, inputs)[:, None, :])[:, 0]
+    return _hidden_layers(model, _checked_inputs(model, inputs)[:, None, :], np.matmul)[:, 0]
 
 
-def _hidden_layers(model, a):
+def _hidden_layers(model, a, product):
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+        a = np.maximum(product(a, w) + b, 0.0)
     return a

@@ -1,0 +1,58 @@
+"""tools/bench_pairs.py's summary of paired benchmark runs, on canned runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "runs_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
+              {"name": "mean_target_value", "better": "higher"}]
+
+
+def line(runs_per_s, setup_s, target=0.85, correct=True):
+    """One run's last stdout line, as perfbench/run.py prints it."""
+    metrics = {"runs_per_s": runs_per_s, "setup_s": setup_s, "mean_target_value": target}
+    return json.dumps({"correct": correct, "attempted": 40, "failed": 0 if correct else 1,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
+
+
+def runs(parent, change):
+    return {"parent": [json.loads(x) for x in parent], "change": [json.loads(x) for x in change]}
+
+
+def row(lines, name):
+    (found,) = [x.split() for x in lines if x.startswith(name + " ")]
+    return found
+
+
+def test_medians_quartiles_and_wins():
+    parent = [line(v, 0.30) for v in (5.0, 5.2, 5.1, 5.3, 4.9)]
+    change = [line(v, s) for v, s in ((5.5, 0.29), (5.1, 0.31), (5.6, 0.29), (5.7, 0.28), (5.4, 0.30))]
+    lines, problems = bench_pairs.summarize(runs(parent, change), END_TO_END)
+    assert problems == []
+    # statistics.quantiles(n=4) of 4.9..5.3 cuts at 4.95 and 5.25
+    assert row(lines, "runs_per_s") == ["runs_per_s", "5.1", "(4.95-5.25)", "5.5", "(5.25-5.65)",
+                                        "1.078", "4/5", "yes"]
+    # lower is better: the change wins the pairs where its set-up was shorter
+    assert row(lines, "setup_s")[-2:] == ["3/5", "yes"]
+    assert row(lines, "mean_target_value")[-2:] == ["0/5", "no"]
+
+
+def test_incorrect_run_and_moved_target_are_problems():
+    parent = [line(5.0, 0.3), line(5.1, 0.3)]
+    change = [line(5.5, 0.3, correct=False), line(5.6, 0.3, target=0.86)]
+    _, problems = bench_pairs.summarize(runs(parent, change), END_TO_END)
+    assert problems == [
+        "change run 1 is not correct",
+        "mean_target_value differs between runs: [0.85, 0.86]",
+    ]
+
+
+def test_single_pair_has_zero_spread():
+    lines, problems = bench_pairs.summarize(runs([line(5.0, 0.3)], [line(4.0, 0.3)]), END_TO_END)
+    assert problems == []
+    assert row(lines, "runs_per_s")[1:] == ["5", "(5-5)", "4", "(4-4)", "0.800", "0/1", "yes"]

@@ -91,6 +91,21 @@ class TestCommands:
             "axis", "cell", "seeds", "mean", "std", "metric",
         ]
 
+    def test_sweep_reports_progress_on_stderr(self, tmp_path, capsys):
+        code = run_cli(
+            ["sweep", "--axis", "k", "--out", str(tmp_path), "--set", "run.seeds=[0]"]
+            + FAST_SETS
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        records = sweep.read_records_jsonl(tmp_path / "records_k.jsonl").records
+        assert err.splitlines() == [
+            f"[{i}/4] {r['cell']} {r['seed']} {r['value']:.4f}" for i, r in enumerate(records, 1)
+        ]
+        table = (tmp_path / "aggregate_k.txt").read_text()
+        written = ("records_k.jsonl", "aggregate_k.csv", "aggregate_k.txt")
+        assert out == table + f"wrote {', '.join(str(tmp_path / name) for name in written)}\n"
+
     def test_report_recomputes_aggregate(self, tmp_path):
         records = tmp_path / "records.jsonl"
         result = sweep.SweepResult(

@@ -518,7 +518,9 @@ class TestBitEqualityFacts:
     """What cosine_distant retrieval's array path rests on: each fact lets it
     compute a whole step at once and still get the bits of one point and one
     class slice at a time. Random widths, depths, scales and bank sizes; if
-    a numpy or BLAS change breaks a fact, the test named after it fails.
+    a numpy or BLAS change breaks a fact, the test named after it fails. The
+    last three facts are what the training step's cheaper calls rest on:
+    np.dot for `@`, and column folds for axis-1 reductions.
 
     The row-subset fact depends on the layer shapes. With OpenBLAS 0.3.31 on
     an AVX-512 x86-64 CPU, a row's bits also depend on the rows around it in
@@ -584,6 +586,62 @@ class TestBitEqualityFacts:
             stacked = (view @ points[:, :, None])[:, :, 0]
             assert np.array_equal(stacked, (fresh @ points[:, :, None])[:, :, 0])
             assert np.array_equal(stacked, np.stack([fresh @ a for a in points]))
+
+    @staticmethod
+    def layouts(rng, rows, cols):
+        """A random (rows, cols) matrix as a C-ordered array, an F-ordered
+        array and a strided view of every other row of a wider matrix (its
+        columns adjacent, as in a row slice or a column block of a batch)."""
+        values = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(rows, cols))
+        wide = np.zeros((2 * rows, cols + 3))
+        wide[::2, 2 : 2 + cols] = values
+        return values, np.asfortranarray(values), wide[::2, 2 : 2 + cols]
+
+    def test_dot_equals_matmul_for_2d_operands(self):
+        # Right operands as the layers have them: a C-ordered weight, and an
+        # F-ordered one as its transpose is. The nn module docstring names
+        # the layouts where the two products differ.
+        rng = np.random.default_rng(6)
+        for rows in (1, 240):
+            for inner in range(1, 33):
+                for cols in range(1, 33):
+                    weight = rng.normal(size=(inner, cols))
+                    for a in self.layouts(rng, rows, inner):
+                        for w in (weight, np.asfortranarray(weight)):
+                            assert np.array_equal(np.dot(a, w), a @ w), (rows, inner, cols)
+
+    def test_column_folds_equal_axis_1_reductions(self):
+        rng = np.random.default_rng(7)
+        for cols in range(2, 8):
+            for rows in range(1, 601):
+                x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(rows, cols))
+                x[rng.random(x.shape) < 0.1] = 0.0
+                total, top = x[:, 0].copy(), x[:, 0].copy()
+                for j in range(1, cols):
+                    total += x[:, j]
+                    np.maximum(top, x[:, j], out=top)
+                assert np.array_equal(total, np.add.reduce(x, axis=1)), (rows, cols)
+                assert np.array_equal(top, np.maximum.reduce(x, axis=1)), (rows, cols)
+        for cols in range(1, 13):  # the helper, reductions at the other widths included
+            x = rng.normal(size=(int(rng.integers(1, 300)), cols))
+            for ufunc in (np.add, np.maximum):
+                want = ufunc.reduce(x, axis=1, keepdims=True)
+                assert same_bits(nn._fold_columns(ufunc, x), want)
+
+    def test_cross_entropy_head_row_is_never_all_negative_zero(self):
+        # _fold_columns's precondition at backward's softmax head, for
+        # upstream gradients from loss_ce: masked rows, rows outside every
+        # term and probabilities of 0 and 1 included
+        for rng, model, x in lean_cases(8):
+            if model.head != nn.SOFTMAX:
+                continue
+            probs = floored_probs(rng, nn.forward(model, x).probs)
+            terms = split_terms(rng, len(probs), gaps=True)
+            n_scored = sum(stop - start for start, stop in terms)
+            targets = rng.integers(0, probs.shape[1], size=n_scored)
+            for mask in (None, (rng.random(n_scored) < 0.5).astype(float), np.zeros(n_scored)):
+                inner = nn.loss_ce(probs, targets, terms, mask)[1] * probs
+                assert not np.any(np.all((inner == 0.0) & np.signbit(inner), axis=1))
 
 
 class TestDeterminism:
@@ -974,6 +1032,93 @@ def verbatim_train_supervised(model, points, labels, sgd_cfg, epochs, batch_size
     return model
 
 
+# Verbatim copies of softmax_rows, sigmoid, loss_bce and backward as they
+# were before the row reductions became column folds, the 2-D products went
+# through np.dot and loss_bce took one log per cell (module prefixes aside).
+def reduced_softmax_rows(logits):
+    # the reductions .max() and .sum() make, called directly: the same bits
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
+
+
+def two_sided_sigmoid(x):
+    # exp(-x) where x >= 0 and exp(x) elsewhere: it never overflows, and a
+    # NaN keeps its sign, as in the one-side-at-a-time form.
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def two_log_loss_bce(probs, targets, terms=None, mask=None):
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    rows, bounds = nn._term_rows(terms, len(probs))
+    scored = probs if rows is None else probs[rows]
+    if targets.shape != scored.shape:
+        raise ShapeError(f"targets shape {targets.shape}, expected {scored.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != scored.shape:
+            raise ShapeError(f"mask shape {mask.shape}, expected {scored.shape}")
+    positive = targets == 1.0
+    if not (positive | (targets == 0.0)).all():
+        raise ConfigError("binary targets must be 0 or 1")
+    p = np.maximum(scored, nn.PROB_EPS)
+    complement = 1.0 - scored
+    q = np.maximum(complement, nn.PROB_EPS)
+    cells = -(targets * np.log(p) + (1.0 - targets) * np.log(q))
+    grads = np.where(
+        positive,
+        np.where(scored > nn.PROB_EPS, -1.0 / p, 0.0),
+        np.where(complement > nn.PROB_EPS, 1.0 / q, 0.0),
+    )
+    if mask is not None:
+        cells *= mask
+        grads *= mask
+    losses, counts = nn._term_means(cells, grads, bounds, mask, probs.shape[1])
+    if rows is None:
+        return losses, grads, counts
+    dprobs = np.zeros(probs.shape)
+    dprobs[rows] = grads
+    return losses, dprobs, counts
+
+
+def reduced_backward(model, trace, dprobs):
+    if trace.layer_dims != model.layer_dims:
+        raise ShapeError(
+            f"trace built for dims {trace.layer_dims}, model has {model.layer_dims}"
+        )
+    dprobs = np.asarray(dprobs, dtype=np.float64)
+    probs = trace.probs
+    if dprobs.shape != probs.shape:
+        raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
+    if model.head == nn.SOFTMAX:
+        # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise
+        dz = dprobs - np.add.reduce(dprobs * probs, axis=1, keepdims=True)
+        dz *= probs
+    else:
+        dz = dprobs * probs
+        dz *= 1.0 - probs
+    flat = np.empty(model.params.size)
+    weight_spans, bias_spans = model._layout
+    for i in range(len(weight_spans) - 1, -1, -1):
+        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+        start, stop, shape = weight_spans[i]
+        np.dot(a_prev.T, dz, out=flat[start:stop].reshape(shape))
+        start, stop = bias_spans[i]
+        np.add.reduce(dz, axis=0, out=flat[start:stop])
+        if i > 0:
+            dz = dz @ model.weights[i].T
+            dz *= trace.pre_activations[i - 1] > 0.0
+    return nn.GradientSet._wrap(flat, model._layout)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 LEAN_MODELS = [
     (head, [2, *hidden, outputs])
     for head, outputs in [(nn.SOFTMAX, 2), (nn.SOFTMAX, 3), (nn.SOFTMAX, 9), (nn.SIGMOID, 4)]
@@ -1097,6 +1242,77 @@ class TestLeanPath:
                     want[start:stop] = d
                     at = part.stop
                 assert np.array_equal(dprobs, want)
+
+    def test_softmax_rows_matches_reduced_copy(self):
+        rng = np.random.default_rng(51)
+        for cols in (2, 3, 9, *range(1, 13)):
+            for rows in (1, 64, 240):
+                logits = rng.normal(scale=10.0 ** rng.uniform(-2, 3), size=(rows, cols))
+                logits[rng.random(logits.shape) < 0.1] = 0.0
+                logits[rng.random(logits.shape) < 0.1] = -0.0
+                logits[rng.random(rows) < 0.2] = 1.5  # rows of ties
+                assert same_bits(nn.softmax_rows(logits), reduced_softmax_rows(logits))
+
+    def test_sigmoid_matches_two_sided_copy(self):
+        rng = np.random.default_rng(52)
+        special = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 800.0, -800.0,
+                   1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([special, rng.normal(scale=20.0, size=500)]).reshape(-1, 4)
+        got = nn.sigmoid(x)
+        assert same_bits(got, two_sided_sigmoid(x))
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all() and np.array_equal(np.signbit(got[nan]), np.signbit(x[nan]))
+
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_loss_bce_matches_two_log_copy(self, gaps):
+        rng = np.random.default_rng(53)
+        eps = nn.PROB_EPS
+        values = np.array([0.0, eps / 2, eps, 0.5, 1.0 - eps, 1.0])
+        for with_nan in (False, True):
+            probs = rng.choice(values, size=(240, 4))
+            probs[rng.random(probs.shape) < 0.3] = rng.random()
+            if with_nan:
+                probs[rng.random(probs.shape) < 0.05] = np.nan
+            terms = split_terms(rng, len(probs), gaps)
+            n_scored = sum(stop - start for start, stop in terms)
+            targets = (rng.random((n_scored, 4)) < 0.5).astype(float)
+            mask = (rng.random(targets.shape) < 0.5).astype(float)
+            calls = [(targets, terms, mask), (targets, terms, None)]
+            if not gaps:  # one term over every row
+                calls.append(((rng.random(probs.shape) < 0.5).astype(float), None, None))
+            for args in calls:
+                got, want = nn.loss_bce(probs, *args), two_log_loss_bce(probs, *args)
+                assert [float.hex(x) for x in got[0]] == [float.hex(x) for x in want[0]]
+                assert same_bits(got[1], want[1]) and got[2] == want[2]
+
+    def test_backward_matches_reduced_copy(self):
+        for rng, model, x in lean_cases(54):
+            trace = nn.forward(model, x)
+            probs = trace.probs
+            terms = split_terms(rng, len(probs), gaps=True)
+            n_scored = sum(stop - start for start, stop in terms)
+            upstream = [rng.normal(size=probs.shape), np.zeros(probs.shape)]
+            if model.head == nn.SOFTMAX:
+                targets = rng.integers(0, probs.shape[1], size=n_scored)
+                for mask in (None, (rng.random(n_scored) < 0.5).astype(float)):
+                    upstream.append(nn.loss_ce(probs, targets, terms, mask)[1])
+            else:
+                targets = (rng.random((n_scored, probs.shape[1])) < 0.5).astype(float)
+                upstream.append(nn.loss_bce(probs, targets, terms)[1])
+            for dprobs in upstream:
+                got = nn.backward(model, trace, dprobs)
+                assert same_bits(got.flat, reduced_backward(model, trace, dprobs).flat)
+
+    def test_loss_ce_rejects_out_of_range_targets(self):
+        probs = np.full((6, 3), 1.0 / 3.0)
+        for bad in (-1, 3, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+            targets = np.array([0, 1, 2, 0, bad, 1])
+            with pytest.raises(ShapeError, match="class index out of range"):
+                nn.loss_ce(probs, targets)
+            with pytest.raises(ShapeError, match="class index out of range"):
+                nn.loss_ce(probs, targets[3:], [(1, 2), (3, 5)])
+        assert nn.loss_ce(probs, np.array([0, 1, 2, 2, 1, 0]))[2] == [6]
+        assert nn.loss_ce(probs[:0], np.array([], dtype=np.int64))[2] == [0]
 
     def test_terms_must_be_ordered_and_disjoint(self):
         probs = np.full((6, 2), 0.5)
