@@ -42,7 +42,7 @@ import numpy as np
 from . import bank as bank_mod
 from . import nn
 from .data import LabeledSet, rms_radius
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .feedback import TargetSplit
 
 PSEUDO_LABEL = "pseudo_label"
@@ -194,22 +194,15 @@ class SigmoidRule:
         mask[at] = 1.0
         return targets, mask
 
-    def loss(self, probs, terms, labels, defending_labels, fixmatch=None) -> tuple:
-        """As SoftmaxRule.loss, in one BCE pass. Under fixmatch (binary mode
-        runs pseudo-labelling only) the strong view keeps cross-entropy
-        against the weak argmax, in a second pass."""
+    def loss(self, probs, terms, labels, defending_labels) -> tuple:
+        """As SoftmaxRule.loss without fixmatch (binary mode runs
+        pseudo-labelling only), in one BCE pass."""
         targets, mask = self.targets(np.concatenate([labels, defending_labels]))
         n = len(labels)
-        if fixmatch is None:
-            unlabeled = probs[slice(*terms[1])]
-            targets = np.concatenate([targets[:n], unlabeled >= self.thresholds, targets[n:]])
-            mask = np.concatenate([mask[:n], np.ones(unlabeled.shape), mask[n:]])
-            return nn.loss_bce(probs, targets, terms, mask)
-        (l_sup, l_rld), dprobs, (n_sup, n_rld) = nn.loss_bce(probs, targets, terms[::2], mask)
-        (l_unsup,), dprobs_strong, (n_pass,) = nn.loss_ce(probs, fixmatch[0], terms[1:2], fixmatch[1])
-        strong = slice(*terms[1])
-        dprobs[strong] = dprobs_strong[strong]
-        return [l_sup, l_unsup, l_rld], dprobs, [n_sup, n_pass, n_rld]
+        unlabeled = probs[slice(*terms[1])]
+        targets = np.concatenate([targets[:n], unlabeled >= self.thresholds, targets[n:]])
+        mask = np.concatenate([mask[:n], np.ones(unlabeled.shape), mask[n:]])
+        return nn.loss_bce(probs, targets, terms, mask)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
@@ -303,9 +296,11 @@ def step(
     rule=SOFTMAX_RULE,
     augmenter: Optional[Augmenter] = None,
     rng: Optional[np.random.Generator] = None,
+    buffers: Optional[nn.StepBuffers] = None,
 ) -> tuple:
     """One loss/gradient evaluation: supervised, unlabelled and defending
     terms; fixmatch_lite draws its augmented views from rng, weak first.
+    The passes run in ``buffers`` if given (see the nn module docstring).
 
     One forward pass runs every row, stacked: labelled, then unlabelled
     (for fixmatch_lite the weak view, then the strong view), then
@@ -317,6 +312,8 @@ def step(
     target, so zero upstream gradient, which detaches them; one backward
     pass gives the summed gradient.
     """
+    if cfg.algorithm == FIXMATCH_LITE and isinstance(rule, SigmoidRule):
+        raise ConfigError("binary mode supports the pseudo-label engine only")
     n_labeled = len(batch.labeled_points)
     n_unlabeled = len(batch.unlabeled_points)
     fixmatch = cfg.algorithm == FIXMATCH_LITE and n_unlabeled > 0
@@ -329,7 +326,7 @@ def step(
             augmenter.strong(batch.unlabeled_points, rng),
         ]
     trace = nn.forward(
-        model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points])
+        model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points]), buffers
     )
     probs = trace.probs
     defending_at = n_labeled + n_unlabeled * len(unlabeled)
@@ -356,7 +353,7 @@ def step(
         (l_sup, l_unsup, l_rld), dprobs, _ = rule.loss(probs, terms, *labels)
         mask_rate = 1.0 if n_unlabeled else 0.0
 
-    grads = nn.backward(model, trace, dprobs)
+    grads = nn.backward(model, trace, dprobs, buffers)
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
 
@@ -444,7 +441,7 @@ def _adapt_units(
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
 
     augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points.mean(axis=0))
-    state = nn.SgdState.zeros_like(model)
+    state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
     records = []
     n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
 
@@ -467,7 +464,7 @@ def _adapt_units(
             )
             if observer is not None:
                 observer(epoch, i, batch)
-            losses, grads = step(model, batch, cfg, rule, augmenter, augment_rng)
+            losses, grads = step(model, batch, cfg, rule, augmenter, augment_rng, buffers)
             if not math.isfinite(losses.l_total):
                 raise NumericError(
                     f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"
@@ -495,19 +492,22 @@ def train_supervised(
     rng: np.random.Generator,
 ) -> nn.MlpModel:
     """Plain shuffled minibatch CE (BCE for a sigmoid head) training; used
-    for source pretraining. Each epoch gathers its shuffled rows once and
-    slices them per step."""
-    labels = np.asarray(labels)
-    loss = nn.loss_ce
-    if model.head != nn.SOFTMAX:
-        labels, loss = labels.astype(float), nn.loss_bce
-    state = nn.SgdState.zeros_like(model)
+    for source pretraining. The labels are checked once, as the loss checks
+    them, and each step takes the loss's gradient only. Each epoch gathers
+    its shuffled rows once and slices them per step."""
+    softmax = model.head == nn.SOFTMAX
+    targets = np.asarray(labels, dtype=np.int64 if softmax else np.float64)
+    expect = (len(targets),) if softmax else (len(targets), model.output_dim)
+    if targets.shape != expect:
+        raise ShapeError(f"targets shape {targets.shape}, expected {expect}")
+    targets = nn._checked_targets(targets, model.output_dim if softmax else None)
+    state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
     for _ in range(epochs):
         order = rng.permutation(len(points))
-        epoch_points, epoch_labels = points[order], labels[order]
+        epoch_points, epoch_targets = points[order], targets[order]
         for start in range(0, len(order), batch_size):
             stop = start + batch_size
-            trace = nn.forward(model, epoch_points[start:stop])
-            _, dprobs, _ = loss(trace.probs, epoch_labels[start:stop])
-            nn.sgd_step(model, nn.backward(model, trace, dprobs), sgd_cfg, state)
+            trace = nn.forward(model, epoch_points[start:stop], buffers)
+            dprobs = nn._term_gradient(model, trace.probs, epoch_targets[start:stop])
+            nn.sgd_step(model, nn.backward(model, trace, dprobs, buffers), sgd_cfg, state)
     return model

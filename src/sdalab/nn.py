@@ -21,6 +21,16 @@ so some calls take a cheaper route to the bits of the plain form
   numpy's axis-1 reduction takes there (``_fold_columns``).
 - ``loss_bce`` takes one log per cell: for a 0/1 target the other side's
   term is +-0, and adding +-0 changes no log it meets.
+
+A training loop hands one ``StepBuffers`` to each ``forward`` and
+``backward``: they write into its arrays for their row count and its one
+gradient, so a step allocates no array that scales with the batch, except
+the sigmoid head's temporaries (a sigmoid through ``where=`` ran slower).
+What they return then holds until the next call with the same buffers;
+without buffers every array is new. ``out=`` keeps the bits: ``np.dot``
+into a C-ordered array is the same BLAS call, a ufunc computes a cell alike
+wherever it goes, and ``sgd_step``'s ``theta*wd + g`` is ``g + wd*theta``
+(IEEE ops commute).
 """
 
 from __future__ import annotations
@@ -201,39 +211,72 @@ class GradientSet:
         return _bias_views(self.flat, self._layout)
 
 
-def _fold_columns(ufunc, x):
-    """``ufunc`` folded over x's columns left to right, as an (n, 1) column.
-    Below 8 columns numpy's axis-1 reduction takes that order, so this gives
-    its bits, unless a row holds only -0.0 (the reduction may give +0.0).
-    From 8 columns numpy sums pairwise; those go to the reduction."""
+class StepBuffers:
+    """One training loop's workspace for one model (module docstring): the
+    _RowArrays of each batch row count, made at first use, and a gradient."""
+
+    def __init__(self, model, empty=np.empty):
+        self.dims, self.empty, self.by_rows = model.layer_dims, empty, {}
+        flat, layout = np.empty(model.params.size), model._layout
+        self.gradient = GradientSet._wrap(flat, layout)
+        self.views = _weight_views(flat, layout), _bias_views(flat, layout)
+
+    def rows(self, n):
+        if n not in self.by_rows:
+            self.by_rows[n] = _RowArrays(self.dims, n, self.empty)
+        return self.by_rows[n]
+
+
+def _no_array(shape, dtype=None):
+    return None
+
+
+class _RowArrays:
+    """The out= arrays of a forward and a backward pass over n rows, from
+    ``empty``; from _no_array each is None, so numpy makes its own."""
+
+    def __init__(self, dims, n, empty):
+        self.z = [empty((n, w)) for w in dims[1:]]  # and dz: per layer, head last
+        self.dz = [empty((n, w)) for w in dims[1:]]
+        self.a = [empty((n, w)) for w in dims[1:-1]]  # and relu: per hidden layer
+        self.relu = [empty((n, w), bool) for w in dims[1:-1]]
+        self.probs, self.col = empty((n, dims[-1])), empty(n)  # col: a softmax row fold
+
+
+def _fold_columns(ufunc, x, out=None):
+    """``ufunc`` folded over x's columns left to right, as an (n, 1) column
+    (into ``out``, if given). Below 8 columns numpy's axis-1 reduction takes
+    that order, so this gives its bits, unless a row holds only -0.0 (the
+    reduction may give +0.0). From 8 columns numpy sums pairwise; those go
+    to the reduction."""
     if not 2 <= x.shape[1] < 8:
         return ufunc.reduce(x, axis=1, keepdims=True)
-    acc = ufunc(x[:, 0], x[:, 1])
+    acc = ufunc(x[:, 0], x[:, 1], out=out)
     for j in range(2, x.shape[1]):
         ufunc(acc, x[:, j], out=acc)
     return acc[:, None]
 
 
-def softmax_rows(logits):
+def softmax_rows(logits, out=None, col=None):
     # The row max and row sum as column folds: the bits of .max() and .sum()
     # (a max of -0.0 for +0.0 only moves exp(+-0) = 1; a sum here is > 0).
-    e = logits - _fold_columns(np.maximum, logits)
+    e = np.subtract(logits, _fold_columns(np.maximum, logits, col), out=out)
     np.exp(e, out=e)
-    e /= _fold_columns(np.add, e)
+    e /= _fold_columns(np.add, e, col)
     return e
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     # exp(-x) where x >= 0 and exp(x) elsewhere: it never overflows, and a
     # NaN keeps its sign, as in the one-side-at-a-time form.
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
-    out = np.where(pos, 1.0, e)
-    return np.divide(out, 1.0 + e, out=out)
+    return np.divide(np.where(pos, 1.0, e), 1.0 + e, out=out)
 
 
 def _checked_inputs(model, inputs):
-    inputs = np.asarray(inputs, dtype=np.float64)
+    # C-ordered, as np.dot's bits can depend on the layout (copies no C input)
+    inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise ShapeError(
             f"inputs shape {inputs.shape}, expected (batch, {model.input_dim})"
@@ -241,20 +284,25 @@ def _checked_inputs(model, inputs):
     return inputs
 
 
-def forward(model, inputs):
+def forward(model, inputs, buffers=None):
     """Run the network, keeping every intermediate needed by backward()."""
     inputs = _checked_inputs(model, inputs)
+    n = len(inputs)
+    out = _RowArrays(model.layer_dims, n, _no_array) if buffers is None else buffers.rows(n)
     pre_acts, acts = [], []
     a = inputs
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.dot(a, w)
+        z = np.dot(a, w, out=out.z[i])
         z += b
         pre_acts.append(z)
         if i < last:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=out.a[i])
             acts.append(a)
-    probs = softmax_rows(z) if model.head == SOFTMAX else sigmoid(z)
+    if model.head == SOFTMAX:
+        probs = softmax_rows(z, out.probs, out.col)
+    else:
+        probs = sigmoid(z, out.probs)
     return ForwardTrace(inputs, pre_acts, acts, probs, model.layer_dims)
 
 
@@ -318,15 +366,10 @@ def loss_ce(probs, targets, terms=None, mask=None):
         rows = np.arange(len(probs))
     if targets.shape != rows.shape:
         raise ShapeError(f"targets shape {targets.shape}, expected {rows.shape}")
-    # one reduction: a negative class, seen unsigned, is at least 2**63
-    if targets.size and np.maximum.reduce(targets.view(np.uint64)) >= probs.shape[1]:
-        raise ShapeError("class index out of range for probability matrix")
-    p_t = probs[rows, targets]
-    clamped = np.maximum(p_t, PROB_EPS)
-    losses = np.log(clamped)
+    _checked_targets(targets, probs.shape[1])
+    clamped, grads = _ce_cells(probs, rows, targets)
+    losses = np.log(clamped, out=clamped)
     np.negative(losses, out=losses)
-    # Below the floor the clamped loss is flat, so the exact derivative is 0.
-    grads = np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != rows.shape:
@@ -337,6 +380,28 @@ def loss_ce(probs, targets, terms=None, mask=None):
     dprobs = np.zeros(probs.shape)
     dprobs[rows, targets] = grads
     return term_losses, dprobs, counts
+
+
+def _checked_targets(targets, n_classes=None):
+    """Targets as loss_ce (given n_classes) or loss_bce checks their values:
+    classes, returned as they are, or 0/1 cells, returned as which are 1."""
+    if n_classes is not None:
+        # one reduction: a negative class, seen unsigned, is at least 2**63
+        if targets.size and np.maximum.reduce(targets.view(np.uint64)) >= n_classes:
+            raise ShapeError("class index out of range for probability matrix")
+        return targets
+    positive = targets == 1.0
+    if not (positive | (targets == 0.0)).all():
+        raise ConfigError("binary targets must be 0 or 1")
+    return positive
+
+
+def _ce_cells(probs, rows, targets):
+    """Each scored row's target probability, floored, and d(-log)/d(p)."""
+    p_t = probs[rows, targets]
+    clamped = np.maximum(p_t, PROB_EPS)
+    # Below the floor the clamped loss is flat, so the exact derivative is 0.
+    return clamped, np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
 
 
 def loss_bce(probs, targets, terms=None, mask=None):
@@ -358,13 +423,7 @@ def loss_bce(probs, targets, terms=None, mask=None):
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != scored.shape:
             raise ShapeError(f"mask shape {mask.shape}, expected {scored.shape}")
-    positive = targets == 1.0
-    if not (positive | (targets == 0.0)).all():
-        raise ConfigError("binary targets must be 0 or 1")
-    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1], floored
-    chosen = np.where(positive, scored, 1.0 - scored)
-    clamped = np.maximum(chosen, PROB_EPS)
-    grads = np.where(chosen > PROB_EPS, np.where(positive, -1.0, 1.0) / clamped, 0.0)
+    clamped, grads = _bce_cells(scored, _checked_targets(targets))
     cells = np.log(clamped, out=clamped)
     np.negative(cells, out=cells)
     if mask is not None:
@@ -378,7 +437,26 @@ def loss_bce(probs, targets, terms=None, mask=None):
     return losses, dprobs, counts
 
 
-def backward(model, trace, dprobs):
+def _bce_cells(scored, positive):
+    """Each cell's target probability, floored, and d(-log)/d(scored)."""
+    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1], floored
+    chosen = np.where(positive, scored, 1.0 - scored)
+    clamped = np.maximum(chosen, PROB_EPS)
+    return clamped, np.where(chosen > PROB_EPS, np.where(positive, -1.0, 1.0) / clamped, 0.0)
+
+
+def _term_gradient(model, probs, targets):
+    """dprobs of model's loss for one unmasked term over every row, from the
+    loss's own cells without its values; targets from _checked_targets."""
+    if model.head != SOFTMAX:
+        return _bce_cells(probs, targets)[1] / probs.size
+    rows = np.arange(len(probs))
+    dprobs = np.zeros(probs.shape)
+    dprobs[rows, targets] = _ce_cells(probs, rows, targets)[1] / len(probs)
+    return dprobs
+
+
+def backward(model, trace, dprobs, buffers=None):
     """Exact gradients of a scalar loss given d(loss)/d(probabilities).
 
     Pushes the upstream gradient through the head (softmax Jacobian or
@@ -394,31 +472,29 @@ def backward(model, trace, dprobs):
     probs = trace.probs
     if dprobs.shape != probs.shape:
         raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
+    work = buffers or StepBuffers(model, _no_array)
+    out = work.rows(len(probs))
+    dz = np.multiply(dprobs, probs, out=out.dz[-1])
     if model.head == SOFTMAX:
         # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise. A loss_ce row of
         # g * p holds +0.0 off its target, so it is never a row of -0.0.
-        dz = dprobs * probs
-        np.subtract(dprobs, _fold_columns(np.add, dz), out=dz)
+        np.subtract(dprobs, _fold_columns(np.add, dz, out.col), out=dz)
         dz *= probs
     else:
-        dz = dprobs * probs
         dz *= 1.0 - probs
 
     # Every entry is written below, so the vector needs no zero-fill. For
     # these 2-D float64 operands np.dot gives the bits of `@`, and writes
     # into a view at less cost than np.matmul(out=).
-    flat = np.empty(model.params.size)
-    weight_spans, bias_spans = model._layout
-    for i in range(len(weight_spans) - 1, -1, -1):
+    weight_grads, bias_grads = work.views
+    for i in range(len(weight_grads) - 1, -1, -1):
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        start, stop, shape = weight_spans[i]
-        np.dot(a_prev.T, dz, out=flat[start:stop].reshape(shape))
-        start, stop = bias_spans[i]
-        np.add.reduce(dz, axis=0, out=flat[start:stop])
+        np.dot(a_prev.T, dz, out=weight_grads[i])
+        np.add.reduce(dz, axis=0, out=bias_grads[i])
         if i > 0:
-            dz = np.dot(dz, model.weights[i].T)
-            dz *= trace.pre_activations[i - 1] > 0.0
-    return GradientSet._wrap(flat, model._layout)
+            dz = np.dot(dz, model.weights[i].T, out=out.dz[i - 1])
+            dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=out.relu[i - 1])
+    return work.gradient
 
 
 @dataclass
@@ -439,13 +515,14 @@ class SgdConfig:
 @dataclass
 class SgdState:
     """Momentum buffer laid out like ``MlpModel.params``, carried between
-    sgd_step calls."""
+    sgd_step calls, and a vector of that size for the step's temporaries."""
 
     velocity: np.ndarray
+    scratch: np.ndarray
 
     @classmethod
     def zeros_like(cls, model):
-        return cls(np.zeros_like(model.params))
+        return cls(np.zeros_like(model.params), np.empty_like(model.params))
 
 
 def sgd_step(model, grads, cfg, state):
@@ -459,10 +536,10 @@ def sgd_step(model, grads, cfg, state):
             for i, g in enumerate(arrays):
                 if not np.isfinite(g).all():
                     raise NumericError(f"non-finite {kind} gradient in layer {i}")
-    theta, v = model.params, state.velocity
+    theta, v, tmp = model.params, state.velocity, state.scratch
     v *= cfg.momentum
-    v += grads.flat + cfg.weight_decay * theta
-    theta -= cfg.learning_rate * v
+    v += np.add(np.multiply(theta, cfg.weight_decay, out=tmp), grads.flat, out=tmp)
+    theta -= np.multiply(v, cfg.learning_rate, out=tmp)
     return model, state
 
 

@@ -511,16 +511,18 @@ class TestStepPasses:
         )
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
         aug = toy_augmenter(rng.normal(size=(50, 2)))
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+            return
         calls = {"forward": [], "backward": []}
         forward, backward = nn.forward, nn.backward
 
-        def counting_forward(m, inputs):
+        def counting_forward(m, inputs, buffers=None):
             calls["forward"].append(np.array(inputs))
-            return forward(m, inputs)
+            return forward(m, inputs, buffers)
 
-        def counting_backward(m, trace, dprobs):
+        def counting_backward(m, trace, dprobs, buffers=None):
             calls["backward"].append(np.array(dprobs))
-            return backward(m, trace, dprobs)
+            return backward(m, trace, dprobs, buffers)
 
         monkeypatch.setattr(nn, "forward", counting_forward)
         monkeypatch.setattr(nn, "backward", counting_backward)
@@ -557,15 +559,33 @@ def random_step_case(head, k, mu, seed=5, outputs=None, labels_below=None):
     return model, rule, batch, toy_augmenter(rng.normal(size=(50, 2)))
 
 
+def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+    """For a sigmoid rule under fixmatch_lite, which binary mode does not
+    run: check that step raises ConfigError before any forward, loss or
+    backward pass, and return True. False for any other pair."""
+    if not (isinstance(rule, adapt.SigmoidRule) and cfg.algorithm == adapt.FIXMATCH_LITE):
+        return False
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before the rejection")
+
+    for name in ("forward", "backward", "loss_ce", "loss_bce"):
+        monkeypatch.setattr(nn, name, no_pass)
+    with pytest.raises(ConfigError, match="pseudo-label engine only"):
+        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+    monkeypatch.undo()
+    return True
+
+
 def assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=9):
     """adapt.step and verbatim_step give the same bits: every loss, the
     mask rate, the upstream gradient and the parameter gradient."""
     upstream = []
     backward = nn.backward
 
-    def capturing_backward(m, trace, dprobs):
+    def capturing_backward(m, trace, dprobs, buffers=None):
         upstream.append(np.array(dprobs))
-        return backward(m, trace, dprobs)
+        return backward(m, trace, dprobs, buffers)
 
     monkeypatch.setattr(nn, "backward", capturing_backward)
     got, got_grads = adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
@@ -590,6 +610,8 @@ class TestOneLossPass:
     def test_matches_verbatim_step(self, monkeypatch, algorithm, head, k, mu):
         model, rule, batch, aug = random_step_case(head, k, mu)
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+            return
         losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
         assert (losses.l_unsup > 0.0) == bool(mu) and (losses.l_rld > 0.0) == bool(k)
 
@@ -599,6 +621,8 @@ class TestOneLossPass:
     def test_fixmatch_all_or_none_masked(self, monkeypatch, head, k, tau, mask_rate):
         model, rule, batch, aug = random_step_case(head, k, mu=3, seed=6)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+            return
         losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
         assert losses.unsup_mask_rate == mask_rate
         assert (losses.l_unsup == 0.0) == (mask_rate == 0.0)
@@ -612,6 +636,8 @@ class TestOneLossPass:
             conf = np.unique(nn.forward(model, weak).probs.max(axis=1))
             tau = conf[np.random.default_rng(seed).integers(1, len(conf))]
             cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
+            if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+                return
             losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=seed)
             assert 0.0 < losses.unsup_mask_rate < 1.0
 
@@ -656,6 +682,8 @@ class TestOneLossPass:
     def test_one_loss_evaluation(self, monkeypatch, algorithm, head, k, mu):
         model, rule, batch, aug = random_step_case(head, k, mu)
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+            return
         calls = []
 
         def counting(name, fn):
@@ -670,12 +698,7 @@ class TestOneLossPass:
         monkeypatch.undo()
         losses = [name for name in calls if name.startswith("loss")]
         assert calls.count("forward") == 1 and calls.count("backward") == 1
-        if head == nn.SIGMOID and algorithm == adapt.FIXMATCH_LITE and mu:
-            # binary mode runs pseudo-labelling only; a sigmoid head under
-            # fixmatch_lite keeps cross-entropy on its strong view
-            assert losses == ["loss_bce", "loss_ce"]
-        else:
-            assert losses == ["loss_ce" if head == nn.SOFTMAX else "loss_bce"]
+        assert losses == ["loss_ce" if head == nn.SOFTMAX else "loss_bce"]
 
 
 class TestAdaptLoop:

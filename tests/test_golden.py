@@ -14,6 +14,9 @@ and give the old and new totals in CHANGES.md.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,15 +32,37 @@ def load_run_digest():
     return module
 
 
+def skip_under_another_stamp(golden_stamp, stamp):
+    if stamp != golden_stamp:
+        pytest.skip(f"golden digests were written under {golden_stamp}; this host is {stamp}")
+
+
 @pytest.fixture(scope="module")
 def golden_and_tool():
     """The golden file and the digest tool; skips under another stamp."""
     run_digest = load_run_digest()
     golden = json.loads(GOLDEN.read_text())
-    stamp = run_digest.environment_stamp()
-    if stamp != golden["stamp"]:
-        pytest.skip(f"golden digests were written under {golden['stamp']}; this host is {stamp}")
+    skip_under_another_stamp(golden["stamp"], run_digest.environment_stamp())
     return golden, run_digest
+
+
+def test_other_blas_kernels_skip_the_comparison():
+    # OpenBLAS picks its kernels by CPU at load time; forcing another core
+    # in a child process must change the stamp, so that a host running
+    # other kernels skips the digests, naming both stamps, and never fails
+    golden = json.loads(GOLDEN.read_text())["stamp"]
+    if golden["blas_core"] in (None, "Haswell"):
+        pytest.skip(f"the golden stamp names the BLAS core {golden['blas_core']}")
+    code = "import json, run_digest; print(json.dumps(run_digest.environment_stamp()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "tools", capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, check=True,
+    )
+    stamp = json.loads(child.stdout)
+    assert stamp != golden
+    with pytest.raises(pytest.skip.Exception) as skipped:
+        skip_under_another_stamp(golden, stamp)
+    assert str(golden) in str(skipped.value) and str(stamp) in str(skipped.value)
 
 
 def test_seed0_digests_match_golden(golden_and_tool):

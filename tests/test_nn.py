@@ -628,6 +628,19 @@ class TestBitEqualityFacts:
                 want = ufunc.reduce(x, axis=1, keepdims=True)
                 assert same_bits(nn._fold_columns(ufunc, x), want)
 
+    def test_forward_on_a_strided_view_equals_forward_on_its_copy(self):
+        # np.dot's bits can depend on the left operand's layout; forward
+        # reads C-ordered rows whatever layout the caller passes
+        rng = np.random.default_rng(10)
+        for rows in (1, 16, 64, 240):
+            for width in range(1, 33):
+                for outputs in (2, 3, 4, 11):
+                    view = rng.normal(size=(2 * rows, 2 * width))[::2, ::2]
+                    model = make_model([width, 10, outputs], seed=width)
+                    got, want = nn.forward(model, view), nn.forward(model, view.copy())
+                    assert same_bits(got.probs, want.probs), (rows, width, outputs)
+                    assert same_arrays(got.pre_activations, want.pre_activations)
+
     def test_cross_entropy_head_row_is_never_all_negative_zero(self):
         # _fold_columns's precondition at backward's softmax head, for
         # upstream gradients from loss_ce: masked rows, rows outside every
@@ -1371,3 +1384,105 @@ class TestLeanPath:
         grads.flat[start] = np.inf
         with pytest.raises(NumericError, match=f"^non-finite weight gradient in layer {layer}$"):
             nn.sgd_step(model, grads, nn.SgdConfig(0.1), nn.SgdState.zeros_like(model))
+
+
+class TestStepBuffers:
+    """One StepBuffers per training loop gives the bits of unbuffered passes,
+    and what it returns holds as the nn module docstring says."""
+
+    @staticmethod
+    def batches(head, outputs, counts, steps=25, seed=60):
+        rng = np.random.default_rng(seed)
+        for step in range(steps):
+            n = counts[step % len(counts)]
+            if head == nn.SOFTMAX:
+                labels = rng.integers(0, outputs, size=n)
+            else:
+                labels = (rng.random((n, outputs)) < 0.5).astype(float)
+            yield rng.normal(scale=2.0, size=(n, 2)), labels
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    @pytest.mark.parametrize("counts", [[1], [16], [64], [128], [176], [240], [16, 176, 1, 240, 64, 128]])
+    def test_buffered_steps_match_unbuffered(self, head, counts):
+        # the buffered loop takes the gradient alone, as pretraining does;
+        # the unbuffered one takes it from the loss function
+        outputs = 3 if head == nn.SOFTMAX else 4
+        loss = nn.loss_ce if head == nn.SOFTMAX else nn.loss_bce
+        cfg = nn.SgdConfig(0.05, momentum=0.9, weight_decay=1e-3)
+        runs = []
+        for buffered in (False, True):
+            model = make_model([2, 10, 10, outputs], head=head, seed=61)
+            buffers = nn.StepBuffers(model) if buffered else None
+            state = nn.SgdState.zeros_like(model)
+            record = []
+            for x, labels in self.batches(head, outputs, counts):
+                trace = nn.forward(model, x, buffers)
+                losses, dprobs, _ = loss(trace.probs, labels)
+                if buffered:
+                    width = outputs if head == nn.SOFTMAX else None
+                    targets = nn._checked_targets(np.asarray(labels), width)
+                    dprobs = nn._term_gradient(model, trace.probs, targets)
+                grads = nn.backward(model, trace, dprobs, buffers)
+                record += [[float(v).hex() for v in losses], trace.probs.tobytes(),
+                           dprobs.tobytes(), grads.flat.tobytes()]
+                nn.sgd_step(model, grads, cfg, state)
+                record += [model.params.tobytes(), state.velocity.tobytes()]
+            runs.append(record)
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def results(trace, grads):
+        return [trace.inputs, *trace.pre_activations, *trace.activations, trace.probs, grads.flat]
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_unbuffered_results_share_no_memory(self, head):
+        model = make_model([2, 10, 10, 3], head=head, seed=62)
+        x = np.random.default_rng(62).normal(size=(16, 2))
+        passes = []
+        for _ in range(2):
+            trace = nn.forward(model, x)
+            passes.append(self.results(trace, nn.backward(model, trace, np.ones((16, 3)))))
+        first, second = passes
+        assert not any(np.shares_memory(a, b) for a in first[1:] for b in second[1:])
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_buffered_results_hold_until_the_next_call(self, head):
+        model = make_model([2, 10, 10, 3], head=head, seed=63)
+        rng = np.random.default_rng(63)
+        buffers = nn.StepBuffers(model)
+        trace = nn.forward(model, rng.normal(size=(16, 2)), buffers)
+        grads = nn.backward(model, trace, rng.normal(size=(16, 3)), buffers)
+        kept = [a.copy() for a in self.results(trace, grads)]
+        other = nn.forward(model, rng.normal(size=(8, 2)), buffers)  # another row count
+        assert same_arrays(self.results(trace, grads)[1:-1], kept[1:-1])
+        again = nn.forward(model, rng.normal(size=(16, 2)), buffers)
+        again_grads = nn.backward(model, again, rng.normal(size=(16, 3)), buffers)
+        assert again_grads is grads and not np.shares_memory(other.probs, again.probs)
+        now = zip(self.results(trace, grads), self.results(again, again_grads), kept)
+        for old, new, before in list(now)[1:]:
+            assert np.shares_memory(old, new) and not np.array_equal(old, before)
+
+    @pytest.mark.parametrize("head, bad, error, message", [
+        (nn.SOFTMAX, -1, ShapeError, "class index out of range"),
+        (nn.SOFTMAX, 3, ShapeError, "class index out of range"),
+        (nn.SIGMOID, 0.5, ConfigError, "binary targets must be 0 or 1"),
+    ])
+    def test_train_supervised_checks_labels_before_any_step(self, head, bad, error, message):
+        from sdalab import adapt
+
+        rng = np.random.default_rng(64)
+        points = rng.normal(size=(240, 2))
+        last = np.random.default_rng(65).permutation(240)[-1]  # in the first epoch's last batch
+        if head == nn.SOFTMAX:
+            labels = rng.integers(0, 3, size=240)
+            labels[last] = bad
+        else:
+            labels = rng.integers(0, 2, size=(240, 3)).astype(float)
+            labels[last, 2] = bad
+        model = make_model([2, 10, 10, 3], head=head, seed=64)
+        before = model.params.copy()
+        with pytest.raises(error, match=message):
+            adapt.train_supervised(
+                model, points, labels, nn.SgdConfig(0.05), 2, 16, np.random.default_rng(65)
+            )
+        assert model.params.tobytes() == before.tobytes()

@@ -13,11 +13,13 @@ checkout:
     python3 tools/run_digest.py --write tests/golden/run_digest_seed0.json
 
 --write stores the seed-0 digests, their total, the sweep records' sha256
-and a stamp of the numeric environment (numpy, BLAS, machine, SIMD features) as JSON, the golden file
-that tests/test_golden.py compares a fresh run against.
+and a stamp of the numeric environment (numpy, BLAS and the core whose
+kernels it runs, machine, SIMD features) as JSON, the golden file that
+tests/test_golden.py compares a fresh run against.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -104,14 +106,31 @@ def total(runs) -> str:
     return _sha("".join(d for _, d in runs))
 
 
+def openblas_core():
+    """The name of the CPU core whose kernels numpy's bundled OpenBLAS runs
+    (OPENBLAS_CORETYPE overrides its own pick), or None where the library
+    does not expose it."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        # dlsym on numpy's extension also searches the libraries it loaded
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment_stamp() -> dict:
-    """What picks the floating-point kernels: numpy, its BLAS (OpenBLAS
-    chooses kernels per CPU), the machine and the SIMD features numpy found."""
+    """What picks the floating-point kernels: numpy, its BLAS and the core
+    whose kernels OpenBLAS runs, the machine and the SIMD features numpy
+    found."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
+        "blas_core": openblas_core(),
         "machine": platform.machine(),
         "simd": config["SIMD Extensions"]["found"],
     }
