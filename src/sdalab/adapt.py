@@ -20,8 +20,9 @@ derives the pseudo label from a weakly augmented view, keeps it only when
 the weak-view confidence clears a threshold, and applies the loss to a
 strongly augmented view, normalised by the full mu*B count so masked
 samples contribute zero. The defending term is the supervised loss on the
-retrieved (point, label) pairs: with k=0 the engine is the baseline, bit
-for bit, because retrieval randomness lives on its own RNG substream.
+retrieved (point, label) pairs: without an rld config the engine is the
+baseline, bit for bit, because retrieval randomness lives on its own RNG
+substream.
 
 The three terms share one forward pass over their rows stacked (labelled,
 unlabelled, defending), one loss pass and one backward pass. The loss pass
@@ -98,17 +99,19 @@ class Augmenter:
 class BatchSpec:
     b: int = 16
     mu: int = 7
-    k: int = 0
 
     def __post_init__(self):
         if self.b < 1:
             raise ConfigError(f"labeled batch size must be >= 1, got {self.b}")
-        if self.mu < 0 or self.k < 0:
-            raise ConfigError("mu and k must be >= 0")
+        if self.mu < 0:
+            raise ConfigError(f"mu must be >= 0, got {self.mu}")
 
 
 @dataclass
 class AdaptConfig:
+    """One adaptation's settings. rld, when given, adds the defending term:
+    each labeled unit retrieves rld.k pairs from the epoch's bank."""
+
     algorithm: str = PSEUDO_LABEL
     confidence_threshold: float = 0.95
     epochs: int = 30
@@ -124,12 +127,6 @@ class AdaptConfig:
             raise ConfigError(f"tau must be in [0,1], got {self.confidence_threshold}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch.k > 0 and self.rld is None:
-            raise ConfigError("batch.k > 0 requires an rld config")
-        if self.batch.k > 0 and self.rld.k != self.batch.k:
-            raise ConfigError(
-                f"batch.k ({self.batch.k}) and rld.k ({self.rld.k}) must agree"
-            )
 
 
 @dataclass
@@ -448,7 +445,7 @@ def _adapt_units(
     for epoch in range(cfg.epochs):
         picked, unlabeled = _draw_epoch(units, unlabeled_idx, cfg.batch, n_steps, batch_rng)
         cur_bank = defending = None
-        if cfg.batch.k > 0:
+        if cfg.rld is not None:
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )

@@ -9,7 +9,7 @@ decision boundary through regions the model still classifies confidently.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,9 @@ def top_fraction_count(p: float, n: int) -> int:
 
 @dataclass
 class RldConfig:
+    """Retrieval settings: the bank's filtering rate p, and k, the number of
+    defending samples each labeled point retrieves (k has no other home)."""
+
     p: float = 0.4
     k: int = 3
     strategy: str = CLASS_AWARE_RANDOM
@@ -60,73 +63,69 @@ class RldConfig:
             raise ConfigError("kmeans_clusters must be >= 1")
 
 
-@dataclass
 class CandidateBank:
-    """Per-class confident pseudo-labeled entries, frozen for one epoch.
+    """Per-class confident pseudo-labeled entries of one pool, frozen for one epoch.
 
-    class_indices[c] holds global sample indices sorted by confidence
-    descending (ties by ascending index); class_conf[c] aligns with it.
-    points is the full unlabeled coordinate array the indices refer into.
-    The row array of each class is kept once known (the bank builders hand
-    it over, other banks compute it on first use), as is layout(), so a bank
-    must not be edited once retrieval has started reading it.
+    points and indices are the pool: its coordinates and the global sample
+    index of each of its rows, all distinct. rows holds every entry's row in
+    points, class by class, each class by confidence descending and then
+    index ascending; conf aligns with rows. Class c's entries are
+    rows[offsets[c]:offsets[c + 1]], and the same slice of index_order holds
+    their positions in that slice in ascending index order. The constructor
+    builds every array once; they are read-only after.
     """
 
-    num_classes: int
-    points: np.ndarray
-    index_of: dict  # global sample index -> row in points
-    class_indices: list = field(default_factory=list)
-    class_conf: list = field(default_factory=list)
-    epoch_stamp: int = 0
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _layout: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, points, indices, class_rows, class_conf, p=1.0, epoch_stamp=0):
+        """class_rows[c] holds class c's candidate rows in points and
+        class_conf[c] their confidences; the class keeps the top-p fraction."""
+        self.points = points
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.epoch_stamp = epoch_stamp
+        rows, conf, index_order = [], [], []
+        for cand, cand_conf in zip(class_rows, class_conf):
+            cand = np.asarray(cand, dtype=np.intp)
+            cand_conf = np.asarray(cand_conf, dtype=np.float64)
+            order = np.lexsort((self.indices[cand], -cand_conf))
+            keep = order[: top_fraction_count(p, len(cand))]
+            rows.append(cand[keep])
+            conf.append(cand_conf[keep])
+            index_order.append(np.argsort(self.indices[rows[-1]], kind="stable"))
+        self.rows = np.concatenate(rows)
+        self.conf = np.concatenate(conf)
+        self.index_order = np.concatenate(index_order)
+        self.offsets = np.cumsum([0] + [len(r) for r in rows])
+        for array in (self.rows, self.conf, self.index_order, self.offsets):
+            array.setflags(write=False)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.offsets) - 1
 
     def class_size(self, cls: int) -> int:
-        return len(self.class_indices[cls])
+        return int(self.offsets[cls + 1] - self.offsets[cls])
 
     def sizes(self) -> list:
-        return [len(ix) for ix in self.class_indices]
+        return np.diff(self.offsets).tolist()
 
     def class_rows(self, cls: int) -> np.ndarray:
-        """Rows in points of class cls's entries, in class_indices order."""
-        if cls not in self._rows:
-            self._rows[cls] = np.array(
-                [self.index_of[i] for i in self.class_indices[cls]], dtype=np.intp
-            )
-        return self._rows[cls]
+        return self.rows[self.offsets[cls] : self.offsets[cls + 1]]
+
+    def class_conf(self, cls: int) -> np.ndarray:
+        return self.conf[self.offsets[cls] : self.offsets[cls + 1]]
+
+    def class_indices(self, cls: int) -> np.ndarray:
+        return self.indices[self.class_rows(cls)]
 
     def class_points(self, cls: int) -> np.ndarray:
         return self.points[self.class_rows(cls)]
-
-    def layout(self) -> tuple:
-        """(every class's rows, concatenated in class order; the points of
-        those rows; the offset of each class in them, and one past the last;
-        each class's positions in ascending global index order), kept once
-        known."""
-        if self._layout is None:
-            classes = range(self.num_classes)
-            rows = np.concatenate([self.class_rows(c) for c in classes])
-            self._layout = (
-                rows, self.points[rows], np.cumsum([0] + self.sizes()),
-                [np.argsort(self.class_indices[c], kind="stable") for c in classes],
-            )
-        return self._layout
 
     @classmethod
     def concat(cls, banks) -> "CandidateBank":
         """One bank whose classes are those of banks, in order; the banks must
         share one pool of points and one epoch, as generate_bank_binary's do."""
         first = banks[0]
-        out = cls(
-            sum(b.num_classes for b in banks), first.points, first.index_of,
-            epoch_stamp=first.epoch_stamp,
-        )
-        for b in banks:
-            for c in range(b.num_classes):
-                out._rows[len(out.class_indices)] = b.class_rows(c)
-                out.class_indices.append(b.class_indices[c])
-                out.class_conf.append(b.class_conf[c])
-        return out
+        classes = [(b.class_rows(c), b.class_conf(c)) for b in banks for c in range(b.num_classes)]
+        return cls(first.points, first.indices, *zip(*classes), epoch_stamp=first.epoch_stamp)
 
 
 def generate_bank(
@@ -145,28 +144,18 @@ def generate_bank(
 
 
 def _pool(model: nn.MlpModel, unlabeled_points, unlabeled_indices) -> tuple:
-    """((points, global indices, index map), model probabilities) of a pool."""
+    """((points, global indices), model probabilities) of a pool."""
     if len(unlabeled_points) == 0:
         raise ConfigError("cannot build a candidate bank from an empty unlabeled pool")
-    indices = np.asarray(unlabeled_indices, dtype=np.int64)
-    index_of = dict(zip(indices.tolist(), range(len(indices))))
-    pool = (np.asarray(unlabeled_points, dtype=np.float64), indices, index_of)
+    pool = (np.asarray(unlabeled_points, dtype=np.float64), unlabeled_indices)
     return pool, nn.forward(model, unlabeled_points).probs
 
 
 def _bank(pool: tuple, members: list, conf, p: float, epoch_stamp: int) -> CandidateBank:
-    """A bank with one class per row mask in members. Each class keeps the
-    top-p fraction of its rows, by confidence descending and then global
-    index ascending (unique, so the order is total)."""
-    points, indices, index_of = pool
-    bank = CandidateBank(len(members), points, index_of, epoch_stamp=epoch_stamp)
-    for rows in map(np.flatnonzero, members):
-        keep = top_fraction_count(p, len(rows))
-        order = rows[np.lexsort((indices[rows], -conf[rows]))][:keep]
-        bank._rows[len(bank.class_indices)] = order
-        bank.class_indices.append(indices[order].tolist())
-        bank.class_conf.append(conf[order].tolist())
-    return bank
+    """A bank with one class per row mask in members, conf giving each
+    pool row's confidence."""
+    rows = [np.flatnonzero(m) for m in members]
+    return CandidateBank(*pool, rows, [conf[r] for r in rows], p, epoch_stamp)
 
 
 def _kmeans_runs(bank: CandidateBank, labels, n_clusters: int, rng) -> dict:
@@ -266,19 +255,6 @@ def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndar
     return order[:, pick % n_clusters, (pick // n_clusters) % n]
 
 
-def _cosine_distance(a: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """1 - cos(a, rows of b), given nb = the row norms of b; zero-norm
-    vectors count as orthogonal."""
-    na = np.linalg.norm(a)
-    denom = na * nb
-    ok = denom > 0.0
-    if ok.all():
-        return 1.0 - (b @ a) / denom
-    sim = np.zeros(len(b))
-    sim[ok] = (b[ok] @ a) / denom[ok]
-    return 1.0 - sim
-
-
 def _cosine_picks(
     bank: CandidateBank, model: nn.MlpModel, points: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
@@ -293,11 +269,11 @@ def _cosine_picks(
     slice alone at the default layer widths (tests/test_nn.py names the
     shapes; a one-row class has only one order), stacked one-row products
     have the bits of one-row products, and a stable sort over columns in
-    global index order breaks ties as lexsort on the index does. A class
-    where some norm is zero computes its distances point by point.
+    global index order breaks ties as lexsort on the index does. A zero norm
+    counts as orthogonal: its cosine is 0, its distance 1.
     """
-    all_rows, all_points, offsets, by_index = bank.layout()
-    feats = nn.penultimate_features(model, all_points)
+    rows, offsets, index_order = bank.rows, bank.offsets, bank.index_order
+    feats = nn.penultimate_features(model, bank.points[rows])
     norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
     own = nn.one_row_features(model, points)
     own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
@@ -305,14 +281,12 @@ def _cosine_picks(
     for cls in np.unique(labels):
         at = np.flatnonzero(labels == cls)
         lo, hi = offsets[cls], offsets[cls + 1]
-        feat, nb, a = feats[lo:hi], norms[lo:hi], own[at]
-        denom = own_norms[at, None] * nb
-        if (denom > 0.0).all():
-            dist = 1.0 - (feat @ a[:, :, None])[:, :, 0] / denom
-        else:
-            dist = np.stack([_cosine_distance(x, feat, nb) for x in a])
-        ranked = np.argsort(-dist[:, by_index[cls]], axis=1, kind="stable")
-        picks[at] = all_rows[lo:hi][by_index[cls]][ranked[:, np.arange(k) % (hi - lo)]]
+        denom = own_norms[at, None] * norms[lo:hi]
+        dots = (feats[lo:hi] @ own[at][:, :, None])[:, :, 0]
+        dist = 1.0 - np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        order = index_order[lo:hi]
+        ranked = np.argsort(-dist[:, order], axis=1, kind="stable")
+        picks[at] = rows[lo:hi][order][ranked[:, np.arange(k) % (hi - lo)]]
     return picks
 
 
@@ -356,7 +330,7 @@ def retrieve_defending(
             size = len(class_rows)
             rows[i] = class_rows[rng.choice(size, size=cfg.k, replace=size < cfg.k)]
     elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class: no point falls back
-        pool_rows = bank.layout()[0]
+        pool_rows = bank.rows
         pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
         for i in served:
             draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)

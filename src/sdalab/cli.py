@@ -18,7 +18,7 @@ from . import adapt as adapt_mod
 from . import data, metrics, runner, svgplot
 from . import stream as stream_mod
 from . import sweep as sweep_mod
-from .config import load_config, stage_seed
+from .config import load_config
 from .errors import ConfigError, MetricError, NumericError, ShapeError, ShortageError
 from .runner import JSON_SEPARATORS, StageCache
 
@@ -144,10 +144,9 @@ def cmd_stream(args) -> int:
     stream_cfg = stream_mod.StreamConfig(
         memory_cap=args.cap, checkpoints=tuple(args.checkpoints)
     )
-    adapt_seed = stage_seed(cfg.stage_hash("adapt"), seed, "adapt")
     records, _ = stream_mod.run_stream(
         pre.model, d.target_train, split, stream_cfg, runner.build_adapt_config(cfg, d),
-        adapt_seed, test_set=d.target_test,
+        runner.adapt_seed(cfg, seed), test_set=d.target_test,
     )
     path = os.path.join(out, f"stream_seed{seed}.json")
     with open(path, "w") as fh:
@@ -199,10 +198,9 @@ def cmd_plot(args) -> int:
     )
     panels = [("source", pre.model)]
     for name, pcfg in (("baseline", baseline_cfg), ("rld", rld_cfg)):
-        adapt_seed = stage_seed(pcfg.stage_hash("adapt"), seed, "adapt")
         adapted, _ = adapt_mod.adapt(
             pre.model, runner.make_feedback(pcfg, seed, cache), d.target_train,
-            runner.build_adapt_config(pcfg, d), adapt_seed,
+            runner.build_adapt_config(pcfg, d), runner.adapt_seed(pcfg, seed),
         )
         panels.append((name, adapted))
 

@@ -189,9 +189,11 @@ class ExperimentConfig:
                 adapt_mod.AugmenterSpec(weak, strong, scale)
             except ConfigError as exc:
                 raise ConfigError(f"augment.*: {exc}") from None
-        # Constructing the typed views exercises every domain-level invariant.
+        # Constructing the typed views exercises every domain-level invariant;
+        # rld_config on its own too, since adapt_config leaves it out at k = 0.
         self.dataset_spec()
         self.feedback_spec()
+        self.rld_config()
         self.adapt_config()
         self.pretrain_sgd()
 
@@ -268,9 +270,8 @@ class ExperimentConfig:
             batch=adapt_mod.BatchSpec(
                 b=self.flat["adapt.batch_b"],
                 mu=self.flat["adapt.batch_mu"],
-                k=self.flat["adapt.k"],
             ),
-            rld=self.rld_config(),
+            rld=self.rld_config() if self.flat["adapt.k"] > 0 else None,
             augment=augment,
         )
 

@@ -143,11 +143,10 @@ def simulate_feedback(
     train: LabeledSet, source_model: nn.MlpModel, spec: FeedbackSpec, seed
 ) -> TargetSplit:
     """Select the labeled pool per the policy; everything else stays unlabeled."""
-    if spec.policy == NBF_CE:
-        return simulate_feedback_nbf_ce(train, source_model, spec, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     probs = nn.forward(source_model, train.points).probs
     preds = nn.argmax_rows(probs)
+    conf = probs[np.arange(len(train)), preds]
     correct = preds == train.labels
     shortage: dict = {}
     labeled = []
@@ -162,7 +161,12 @@ def simulate_feedback(
                     f"{spec.per_class_count} requested"
                 )
             picks = _draw(members, spec.per_class_count, rng)
-        elif spec.policy == NBF:
+        elif spec.policy == NBF_CE and len(wrong_pool) >= spec.per_class_count:
+            # the most confident errors, ties by ascending index; a class with
+            # too few errors falls back as NBF does
+            order = np.lexsort((wrong_pool, -conf[wrong_pool]))
+            picks = sorted(int(i) for i in wrong_pool[order[: spec.per_class_count]])
+        elif spec.policy in (NBF, NBF_CE):
             picks = _take_with_fallback(
                 wrong_pool, right_pool, spec.per_class_count, cls,
                 spec.fallback_on_shortage, rng, shortage,
@@ -207,53 +211,6 @@ def simulate_feedback(
             "policy": spec.policy,
             "per_class_count": spec.per_class_count,
             "mixed_counts": list(spec.mixed_counts) if spec.mixed_counts else None,
-            "seed": int(seed),
-            "shortage": shortage,
-        },
-    )
-
-
-def simulate_feedback_nbf_ce(
-    train: LabeledSet, source_model: nn.MlpModel, spec: FeedbackSpec, seed
-) -> TargetSplit:
-    """Most-confident errors per class; ties broken by ascending sample index."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    probs = nn.forward(source_model, train.points).probs
-    preds = nn.argmax_rows(probs)
-    conf = probs[np.arange(len(train)), preds]
-    correct = preds == train.labels
-    shortage: dict = {}
-    labeled = []
-    for cls in range(train.num_classes):
-        members = np.flatnonzero(train.labels == cls)
-        wrong_pool = members[~correct[members]]
-        m = spec.per_class_count
-        if len(wrong_pool) >= m:
-            order = sorted(wrong_pool, key=lambda i: (-conf[i], i))
-            picks = sorted(int(i) for i in order[:m])
-        elif spec.fallback_on_shortage == FALLBACK_ERROR:
-            raise ShortageError(
-                f"class {cls}: requested {m} misclassified samples, "
-                f"only {len(wrong_pool)} available"
-            )
-        else:
-            right_pool = members[correct[members]]
-            missing = m - len(wrong_pool)
-            if len(right_pool) < missing:
-                raise ShortageError(f"class {cls}: shortage of {missing} cannot be filled")
-            shortage[str(cls)] = missing
-            picks = sorted(int(i) for i in wrong_pool) + _draw(right_pool, missing, rng)
-            picks.sort()
-        labeled.extend((int(i), int(cls)) for i in picks)
-    labeled.sort()
-    labeled_set = set(i for i, _ in labeled)
-    unlabeled = [int(i) for i in range(len(train)) if i not in labeled_set]
-    return TargetSplit(
-        labeled,
-        unlabeled,
-        provenance={
-            "policy": NBF_CE,
-            "per_class_count": spec.per_class_count,
             "seed": int(seed),
             "shortage": shortage,
         },

@@ -563,17 +563,6 @@ def predict(model, inputs, thresholds=None):
     return (probs >= thresholds).astype(np.int64)
 
 
-def confidence(model, inputs, thresholds=None):
-    """Max softmax probability per sample, or |p - threshold| per output."""
-    probs = forward(model, inputs).probs
-    if model.head == SOFTMAX:
-        return probs.max(axis=1)
-    if thresholds is None:
-        raise ConfigError("sigmoid head needs one threshold per output")
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    return np.abs(probs - thresholds)
-
-
 def penultimate_features(model, inputs):
     """Activations of the last hidden layer, one row per input.
 

@@ -187,6 +187,11 @@ def build_adapt_config(cfg: ExperimentConfig, d: DataBundle) -> adapt_mod.AdaptC
     return cfg.adapt_config(augment=augment)
 
 
+def adapt_seed(cfg: ExperimentConfig, seed: int) -> int:
+    """The seed of the run's adaptation stage."""
+    return stage_seed(cfg.stage_hash("adapt"), seed, "adapt")
+
+
 def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> RunRecord:
     """Full pipeline for one (config, seed); deterministic given both."""
     cache = cache or StageCache()
@@ -194,13 +199,12 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
     d = make_data(cfg, seed, cache)
     pre = pretrain(cfg, seed, cache)
     split = make_feedback(cfg, seed, cache)
-    adapt_seed = stage_seed(cfg.stage_hash("adapt"), seed, "adapt")
     acfg = build_adapt_config(cfg, d)
 
     if cfg.head() == nn.SIGMOID:
         test_eval = lambda m: mean_auroc(m, d.target_test)
         adapted, rows = adapt_mod.adapt_binary(
-            pre.model, split, d.target_train, pre.thresholds, acfg, adapt_seed,
+            pre.model, split, d.target_train, pre.thresholds, acfg, adapt_seed(cfg, seed),
             test_eval=test_eval,
         )
         final_metric = {"metric": "mean_auroc", "test_value": test_eval(adapted)}
@@ -210,7 +214,7 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
                 shortages[f"finding{j}:{key}"] = missing
     else:
         adapted, rows = adapt_mod.adapt(
-            pre.model, split, d.target_train, acfg, adapt_seed, test_set=d.target_test
+            pre.model, split, d.target_train, acfg, adapt_seed(cfg, seed), test_set=d.target_test
         )
         final_metric = {
             "metric": "test_acc",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sdalab import adapt, bank, data, feedback, nn
+from sdalab.config import ExperimentConfig
 from sdalab.data import LabeledSet
 from sdalab.errors import ConfigError, NumericError
 from test_nn import (
@@ -42,7 +43,7 @@ def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_r
         units_of(split), split.unlabeled_indices(), spec, 1, rng
     )
     defending = None
-    if spec.k > 0:
+    if rld_cfg is not None:
         defending = bank.retrieve_defending(
             cur_bank, train.points[picked[0, :, 0]], picked[0, :, 1], rld_cfg, retrieval_rng
         )
@@ -131,7 +132,7 @@ class TestCyclingSampler:
 class TestBuildMinibatch:
     def test_rld_composition_16_64_48(self, toy):
         train, split, model = toy
-        spec = adapt.BatchSpec(b=16, mu=4, k=3)
+        spec = adapt.BatchSpec(b=16, mu=4)
         rld_cfg = bank.RldConfig(p=0.4, k=3)
         b = bank.generate_bank(
             model, train.points[split.unlabeled_indices()],
@@ -146,7 +147,7 @@ class TestBuildMinibatch:
 
     def test_baseline_composition_16_112_0(self, toy):
         train, split, model = toy
-        spec = adapt.BatchSpec(b=16, mu=7, k=0)
+        spec = adapt.BatchSpec(b=16, mu=7)
         mb = draw_batch(train, split, spec, np.random.default_rng(0))
         assert len(mb.labeled_points) == 16
         assert len(mb.unlabeled_points) == 112
@@ -154,7 +155,7 @@ class TestBuildMinibatch:
 
     def test_defending_labels_match_paired_ground_truth(self, toy):
         train, split, model = toy
-        spec = adapt.BatchSpec(b=9, mu=1, k=2)
+        spec = adapt.BatchSpec(b=9, mu=1)
         rld_cfg = bank.RldConfig(p=1.0, k=2)
         b = bank.generate_bank(
             model, train.points[split.unlabeled_indices()],
@@ -168,15 +169,9 @@ class TestBuildMinibatch:
                 mb.defending_labels, np.repeat(mb.labeled_labels, 2)
             )
 
-    def test_missing_bank_with_k_rejected(self):
-        # the loop builds a bank whenever k > 0, from the rld config, which
-        # the adapt config requires up front
-        with pytest.raises(ConfigError, match="requires an rld config"):
-            adapt.AdaptConfig(batch=adapt.BatchSpec(b=4, mu=0, k=2), rld=None)
-
     def test_labeled_labels_are_ground_truth(self, toy):
         train, split, model = toy
-        mb = draw_batch(train, split, adapt.BatchSpec(b=9, mu=0, k=0), np.random.default_rng(4))
+        mb = draw_batch(train, split, adapt.BatchSpec(b=9, mu=0), np.random.default_rng(4))
         label_of = dict(split.labeled)
         # points in the batch correspond to labeled-pool indices with their labels
         for p, y in zip(mb.labeled_points, mb.labeled_labels):
@@ -328,7 +323,7 @@ def batch_with_defending(toy, model, b, mu, k):
         model, train.points[split.unlabeled_indices()], split.unlabeled_indices(), 0.5, 3
     )
     return draw_batch(
-        train, split, adapt.BatchSpec(b=b, mu=mu, k=k), np.random.default_rng(3),
+        train, split, adapt.BatchSpec(b=b, mu=mu), np.random.default_rng(3),
         cur_bank, bank.RldConfig(p=0.5, k=k), np.random.default_rng(4),
     )
 
@@ -361,7 +356,7 @@ class TestStepPseudoLabel:
             split.unlabeled_indices(), 0.5, 3,
         )
         mb = draw_batch(
-            train, split, adapt.BatchSpec(b=8, mu=2, k=2), np.random.default_rng(1),
+            train, split, adapt.BatchSpec(b=8, mu=2), np.random.default_rng(1),
             b, bank.RldConfig(p=0.5, k=2), np.random.default_rng(2),
         )
         losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
@@ -390,7 +385,7 @@ class TestStepPseudoLabel:
         # the engine's gradient treats them as constants. The reference is
         # the step's arithmetic verbatim: one pass over the stacked rows.
         train, split, model = toy
-        mb = draw_batch(train, split, adapt.BatchSpec(b=4, mu=3, k=0), np.random.default_rng(5))
+        mb = draw_batch(train, split, adapt.BatchSpec(b=4, mu=3), np.random.default_rng(5))
         _, grads = adapt.step(model, mb, adapt.AdaptConfig())
         rows = np.concatenate([mb.labeled_points, mb.unlabeled_points])
         n = len(mb.labeled_points)
@@ -405,7 +400,7 @@ class TestStepPseudoLabel:
 class TestStepFixmatchLite:
     def make_batch(self, toy, mu=4, b=4):
         train, split, model = toy
-        return draw_batch(train, split, adapt.BatchSpec(b=b, mu=mu, k=0), np.random.default_rng(8))
+        return draw_batch(train, split, adapt.BatchSpec(b=b, mu=mu), np.random.default_rng(8))
 
     def augmenter(self, train):
         return toy_augmenter(train.points)
@@ -707,7 +702,7 @@ class TestAdaptLoop:
             algorithm=adapt.PSEUDO_LABEL,
             epochs=2,
             sgd=nn.SgdConfig(0.01, momentum=0.9),
-            batch=adapt.BatchSpec(b=4, mu=2, k=0),
+            batch=adapt.BatchSpec(b=4, mu=2),
         )
         defaults.update(kw)
         return adapt.AdaptConfig(**defaults)
@@ -733,7 +728,7 @@ class TestAdaptLoop:
         train, split, model = toy
         seen = []
         cfg = self.small_cfg(
-            batch=adapt.BatchSpec(b=8, mu=2, k=2), rld=bank.RldConfig(p=0.4, k=2)
+            batch=adapt.BatchSpec(b=8, mu=2), rld=bank.RldConfig(p=0.4, k=2)
         )
         adapt.adapt(
             model, split, train, cfg, seed=1,
@@ -745,26 +740,25 @@ class TestAdaptLoop:
         assert len(seen) == 2 * n_steps
         assert set(seen) == {(8, 16, 16)}
 
-    def test_batch_k_and_rld_k_must_agree(self, toy):
-        with pytest.raises(ConfigError, match="must agree"):
-            self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=2), rld=bank.RldConfig(k=3))
-        # with k = 0 the batch holds no pairs, and rld.k is never read
-        self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=0), rld=bank.RldConfig(k=3))
+    def test_rld_k_sets_the_pairs_per_unit(self, toy):
+        # k lives in the rld config only: each labelled unit gets rld.k pairs
         train, split, model = toy
-        seen = []
-        cfg = self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1, k=2), rld=bank.RldConfig(k=2))
-        adapt.adapt(
-            model, split, train, cfg, seed=0,
-            observer=lambda e, s, mb: seen.append(len(mb.defending_points)),
-        )
-        assert set(seen) == {8}
+        for k in (2, 3):
+            seen = []
+            cfg = self.small_cfg(batch=adapt.BatchSpec(b=4, mu=1), rld=bank.RldConfig(k=k))
+            adapt.adapt(
+                model, split, train, cfg, seed=0,
+                observer=lambda e, s, mb: seen.append(len(mb.defending_points)),
+            )
+            assert set(seen) == {4 * k}
 
     def test_k_zero_matches_missing_rld_config(self, toy):
+        # rld enabled at adapt.k = 0 gives no rld config: the baseline's run
         train, split, model = toy
-        cfg_base = self.small_cfg(batch=adapt.BatchSpec(b=8, mu=3, k=0), rld=None)
-        cfg_k0 = self.small_cfg(
-            batch=adapt.BatchSpec(b=8, mu=3, k=0), rld=bank.RldConfig(p=0.4, k=3)
-        )
+        flat = {"adapt.epochs": 2, "adapt.batch_b": 8, "adapt.batch_mu": 3}
+        cfg_base = ExperimentConfig(flat).adapt_config()
+        cfg_k0 = ExperimentConfig({**flat, "rld.enabled": True, "rld.p": 0.3}).adapt_config()
+        assert cfg_k0.rld is None and cfg_k0 == cfg_base
         out1, rec1 = adapt.adapt(model, split, train, cfg_base, seed=9, test_set=train)
         out2, rec2 = adapt.adapt(model, split, train, cfg_k0, seed=9, test_set=train)
         assert rec1 == rec2
@@ -776,7 +770,7 @@ class TestAdaptLoop:
         stamps = []
         cfg = self.small_cfg(
             epochs=3,
-            batch=adapt.BatchSpec(b=4, mu=2, k=1),
+            batch=adapt.BatchSpec(b=4, mu=2),
             rld=bank.RldConfig(p=0.4, k=1),
         )
         orig = bank.generate_bank
@@ -798,7 +792,7 @@ class TestAdaptLoop:
     def test_records_follow_schema(self, toy):
         train, split, model = toy
         cfg = self.small_cfg(
-            batch=adapt.BatchSpec(b=4, mu=2, k=1), rld=bank.RldConfig(p=0.4, k=1)
+            batch=adapt.BatchSpec(b=4, mu=2), rld=bank.RldConfig(p=0.4, k=1)
         )
         _, records = adapt.adapt(model, split, train, cfg, seed=3, test_set=train)
         for i, rec in enumerate(records):
@@ -829,7 +823,7 @@ class TestAdaptLoop:
         split = make_split(t_train, per_class=3, seed=13)
         cfg = adapt.AdaptConfig(
             algorithm=adapt.PSEUDO_LABEL, epochs=10,
-            sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=16, mu=7, k=0),
+            sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=16, mu=7),
         )
         adapted, _ = adapt.adapt(model, split, t_train, cfg, seed=14, test_set=t_test)
         after = float(np.mean(nn.predict(adapted, t_test.points) == t_test.labels))
@@ -850,7 +844,7 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
             continue
         draws = rng.choice(size, size=k, replace=size < k)
         for d in draws:
-            d_points.append(b.points[b.index_of[b.class_indices[value][int(d)]]])
+            d_points.append(b.points[b.class_rows(value)[int(d)]])
             row_mask = np.zeros(num_findings)
             row_tgt = np.zeros(num_findings)
             row_mask[j] = 1.0
@@ -932,7 +926,7 @@ def ref_adapt_binary(
         raise ConfigError("binary adaptation needs a dataset with findings")
     if cfg.algorithm != adapt.PSEUDO_LABEL:
         raise ConfigError("binary mode supports the pseudo-label engine only")
-    if cfg.batch.k > 0 and cfg.rld is not None and cfg.rld.strategy != bank.CLASS_AWARE_RANDOM:
+    if cfg.rld is not None and cfg.rld.strategy != bank.CLASS_AWARE_RANDOM:
         raise ConfigError("binary mode supports class_aware_random retrieval only")
     model = model.copy()
     num_findings = train.findings.shape[1]
@@ -965,7 +959,7 @@ def ref_adapt_binary(
             adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
         )
         banks = None
-        if cfg.batch.k > 0:
+        if cfg.rld is not None:
             banks = bank.generate_bank_binary(
                 model, train.points[unlabeled_idx], unlabeled_idx,
                 cfg.rld.p, thresholds, epoch_stamp=epoch,
@@ -981,9 +975,9 @@ def ref_adapt_binary(
                 u_idx = unlabeled_sampler.take(cfg.batch.mu * cfg.batch.b)
                 u_points = train.points[u_idx]
             d_points = np.zeros((0, 2))
-            if cfg.batch.k > 0:
+            if cfg.rld is not None:
                 d_points, d_targets, d_mask, missing = ref_gathered_defending(
-                    banks, picked, cfg.batch.k, retrieval_rng, num_findings, epoch
+                    banks, picked, cfg.rld.k, retrieval_rng, num_findings, epoch
                 )
                 fallbacks += missing
 
@@ -1060,7 +1054,7 @@ class TestAdaptBinary:
         target, model, splits = binary_toy
         cfg = adapt.AdaptConfig(
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
-            batch=adapt.BatchSpec(b=8, mu=2, k=2), rld=bank.RldConfig(p=0.4, k=2),
+            batch=adapt.BatchSpec(b=8, mu=2), rld=bank.RldConfig(p=0.4, k=2),
         )
         out, records = adapt.adapt_binary(
             model, splits, target, [0.5, 0.5], cfg, seed=0
@@ -1137,7 +1131,7 @@ class TestAdaptBinary:
         target, model, splits = binary_toy
         cfg = adapt.AdaptConfig(
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
-            batch=adapt.BatchSpec(b=8, mu=2, k=0),
+            batch=adapt.BatchSpec(b=8, mu=2),
         )
         a, _ = adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=4)
         b_, _ = adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=4)
@@ -1147,7 +1141,7 @@ class TestAdaptBinary:
     def test_requires_findings(self, toy, binary_toy):
         train, split, _ = toy
         _, model, splits = binary_toy
-        cfg = adapt.AdaptConfig(epochs=1, batch=adapt.BatchSpec(b=4, mu=0, k=0))
+        cfg = adapt.AdaptConfig(epochs=1, batch=adapt.BatchSpec(b=4, mu=0))
         with pytest.raises(ConfigError, match="findings"):
             adapt.adapt_binary(model, splits, train, [0.5, 0.5], cfg, seed=0)
 
@@ -1162,7 +1156,7 @@ class TestAdaptBinary:
         rld = bank.RldConfig(p=0.4, k=k, empty_class_fallback=bank.SKIP_WITH_FLAG) if k else None
         cfg = adapt.AdaptConfig(
             epochs=3, sgd=nn.SgdConfig(0.01, momentum=0.9, weight_decay=0.015),
-            batch=adapt.BatchSpec(b=8, mu=mu, k=k), rld=rld,
+            batch=adapt.BatchSpec(b=8, mu=mu), rld=rld,
         )
         test_eval = lambda m: nn.forward(m, target.points).probs.mean()
         got, got_rows = adapt.adapt_binary(
@@ -1184,7 +1178,7 @@ class TestAdaptBinary:
         for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG):
             cfg = adapt.AdaptConfig(
                 epochs=1, sgd=nn.SgdConfig(0.01, momentum=0.9),
-                batch=adapt.BatchSpec(b=8, mu=0, k=2),
+                batch=adapt.BatchSpec(b=8, mu=0),
                 rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
             )
             a, rows_a = adapt.adapt_binary(model, splits, target, thresholds, cfg, seed=3)
@@ -1250,7 +1244,7 @@ def ref_build_minibatch(
         ulb_points = train.points[unlabeled_sampler.take(spec.mu * spec.b)]
     else:
         ulb_points = np.zeros((0, 2))
-    if spec.k > 0:
+    if rld_cfg is not None:
         if cand_bank is None:
             raise ConfigError("k > 0 requires a candidate bank")
         def_pts, def_lab, fallbacks = bank.retrieve_defending(
@@ -1289,7 +1283,7 @@ def ref_adapt_units(
             adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
         )
         cur_bank = None
-        if cfg.batch.k > 0:
+        if cfg.rld is not None:
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )
@@ -1378,7 +1372,7 @@ class TestEpochRetrieval:
         silenced.biases[-1][2] = -30.0  # nothing is pseudo-labelled 2: its bank class is empty
         cfg = adapt.AdaptConfig(
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
-            batch=adapt.BatchSpec(b=8, mu=2, k=3),
+            batch=adapt.BatchSpec(b=8, mu=2),
             rld=bank.RldConfig(
                 p=0.1, k=3, strategy=strategy, kmeans_clusters=clusters,
                 empty_class_fallback=fallback,
@@ -1404,7 +1398,7 @@ class TestEpochRetrieval:
         unlabeled_idx = np.setdiff1d(np.arange(len(target)), units[:, 0])
         cfg = adapt.AdaptConfig(
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
-            batch=adapt.BatchSpec(b=8, mu=1, k=2),
+            batch=adapt.BatchSpec(b=8, mu=1),
             rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
         )
         # threshold 1.01 leaves finding 1's positives empty
@@ -1423,7 +1417,7 @@ class TestEpochRetrieval:
 
         monkeypatch.setattr(bank, "retrieve_defending", spy)
         cfg = adapt.AdaptConfig(
-            epochs=3, batch=adapt.BatchSpec(b=8, mu=2, k=2),
+            epochs=3, batch=adapt.BatchSpec(b=8, mu=2),
             rld=bank.RldConfig(p=0.4, k=2, strategy=strategy),
         )
         adapt.adapt(model, split, train, cfg, seed=0)

@@ -124,7 +124,7 @@ def lloyd_history(points, init_rows):
 
 def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
     def class_points(cls):
-        return b.points[[b.index_of[i] for i in b.class_indices[cls]]]
+        return b.points[b.class_rows(cls)]
 
     def features(x):
         return nn.forward(model, x).activations[-1]
@@ -132,15 +132,15 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
     labels = np.asarray(labeled_labels, dtype=np.int64)
     out_pts, out_lab, fallbacks = [], [], 0
     if cfg.strategy == bank.UNCONDITIONED_RANDOM:
-        pool = [g for cls in range(b.num_classes) for g in b.class_indices[cls]]
-        pseudo_of = {g: cls for cls in range(b.num_classes) for g in b.class_indices[cls]}
+        pool = [(int(r), cls) for cls in range(b.num_classes) for r in b.class_rows(cls)]
     for x, y in zip(labeled_points, labels):
         cls = int(y)
         size = b.class_size(cls) if cls < b.num_classes else 0
         if cfg.strategy == bank.UNCONDITIONED_RANDOM:
             for d in rng.choice(len(pool), size=cfg.k, replace=len(pool) < cfg.k):
-                out_pts.append(b.points[b.index_of[pool[int(d)]]])
-                out_lab.append(pseudo_of[pool[int(d)]])
+                row, pseudo = pool[int(d)]
+                out_pts.append(b.points[row])
+                out_lab.append(pseudo)
             continue
         if size == 0:
             fallbacks += 1
@@ -150,7 +150,7 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
             continue
         if cfg.strategy == bank.CLASS_AWARE_RANDOM:
             for d in rng.choice(size, size=cfg.k, replace=size < cfg.k):
-                out_pts.append(b.points[b.index_of[b.class_indices[cls][int(d)]]])
+                out_pts.append(b.points[b.class_rows(cls)[int(d)]])
                 out_lab.append(cls)
         elif cfg.strategy == bank.KMEANS_CENTER:
             pts = class_points(cls)
@@ -163,7 +163,7 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
             cand_pts = class_points(cls)
             dist = reference_cosine_distance(feat_x, features(cand_pts))
             order = sorted(
-                range(len(cand_pts)), key=lambda r: (-dist[r], b.class_indices[cls][r])
+                range(len(cand_pts)), key=lambda r: (-dist[r], b.class_indices(cls)[r])
             )
             for i in range(cfg.k):
                 out_pts.append(cand_pts[order[i % len(order)]])
@@ -182,6 +182,14 @@ def relu_model():
     )
 
 
+def pool_bank(pts, globals_, class_rows):
+    """A bank over the pool (pts, globals_) whose class c holds the rows
+    class_rows[c]. Confidences take three values, so a class's order by
+    confidence, then index, is neither its row order nor its index order."""
+    conf = 0.7 + 0.1 * (np.asarray(globals_) % 3)
+    return bank.CandidateBank(pts, globals_, class_rows, [conf[rows] for rows in class_rows])
+
+
 def tied_bank(rng, num_classes=3, n=48, empty_class=None):
     """A bank of n entries over few distinct points (duplicates force ties),
     with shuffled non-contiguous global indices and random class slices."""
@@ -191,13 +199,7 @@ def tied_bank(rng, num_classes=3, n=48, empty_class=None):
     pseudo = rng.integers(0, num_classes, size=n)
     if empty_class is not None:
         pseudo[pseudo == empty_class] = (empty_class + 1) % num_classes
-    class_indices = [[int(globals_[r]) for r in np.flatnonzero(pseudo == c)] for c in range(num_classes)]
-    return bank.CandidateBank(
-        num_classes=num_classes, points=pts,
-        index_of={int(g): row for row, g in enumerate(globals_)},
-        class_indices=class_indices,
-        class_conf=[[0.9] * len(ix) for ix in class_indices],
-    )
+    return pool_bank(pts, globals_, [np.flatnonzero(pseudo == c) for c in range(num_classes)])
 
 
 def sized_bank(rng, sizes, base=None):
@@ -209,14 +211,7 @@ def sized_bank(rng, sizes, base=None):
         base = rng.normal(scale=2.0, size=(max(n // 3, 1), 2))
     pts = base[rng.integers(0, len(base), size=n)]
     globals_ = rng.choice(10_000, size=n, replace=False)
-    members = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
-    class_indices = [[int(globals_[r]) for r in rows] for rows in members]
-    return bank.CandidateBank(
-        num_classes=len(sizes), points=pts,
-        index_of={int(g): row for row, g in enumerate(globals_)},
-        class_indices=class_indices,
-        class_conf=[[0.9] * len(ix) for ix in class_indices],
-    )
+    return pool_bank(pts, globals_, np.split(rng.permutation(n), np.cumsum(sizes)[:-1]))
 
 
 def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
@@ -254,7 +249,7 @@ class TestGenerateBank:
         assert sum(b.sizes()) == 40
         pseudo = nn.predict(model, pts)
         for c in range(3):
-            assert sorted(b.class_indices[c]) == np.flatnonzero(pseudo == c).tolist()
+            assert sorted(b.class_indices(c).tolist()) == np.flatnonzero(pseudo == c).tolist()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -267,7 +262,7 @@ class TestGenerateBank:
             b = bank.generate_bank(model, pts, indices, p=p, num_classes=3)
             oracle = brute_force_bank(model, pts, indices, p, 3)
             for c in range(3):
-                assert b.class_indices[c] == oracle[c], f"case {case} class {c}"
+                assert b.class_indices(c).tolist() == oracle[c], f"case {case} class {c}"
 
     def test_retained_confidences_dominate_discarded(self):
         model = random_model(3)
@@ -278,12 +273,12 @@ class TestGenerateBank:
         pseudo = nn.argmax_rows(probs)
         conf = probs[np.arange(50), pseudo]
         for c in range(3):
-            kept = set(b.class_indices[c])
+            kept = set(b.class_indices(c).tolist())
             members = np.flatnonzero(pseudo == c)
             dropped = [i for i in members if i not in kept]
             if kept and dropped:
                 assert min(conf[list(kept)]) >= max(conf[dropped]) - 1e-15
-            assert b.class_conf[c] == sorted(b.class_conf[c], reverse=True)
+            assert b.class_conf(c).tolist() == sorted(b.class_conf(c).tolist(), reverse=True)
 
     def test_pseudo_labels_match_list_class(self):
         model = random_model(4)
@@ -291,7 +286,7 @@ class TestGenerateBank:
         b = bank.generate_bank(model, pts, np.arange(30), p=0.5, num_classes=3)
         pseudo = nn.predict(model, pts)
         for c in range(3):
-            for g in b.class_indices[c]:
+            for g in b.class_indices(c):
                 assert pseudo[g] == c
 
     def test_frozen_model_reproducibility(self, tmp_path):
@@ -301,7 +296,8 @@ class TestGenerateBank:
         path = tmp_path / "m.json"
         model.save(path)
         b2 = bank.generate_bank(nn.MlpModel.load(path), pts, np.arange(25), p=0.4, num_classes=3)
-        assert b1.class_indices == b2.class_indices
+        for name in ("indices", "rows", "conf", "offsets", "index_order"):
+            assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
@@ -314,17 +310,24 @@ class TestGenerateBank:
             pts = rng.normal(scale=2.0, size=(n, 2))
             indices = rng.permutation(1000)[:n]
             b = bank.generate_bank(random_model(case), pts, indices, p=0.5, num_classes=3)
-            assert_rows_handed_over(b, indices)
+            assert_bank_arrays(b, indices)
 
 
-def assert_rows_handed_over(b, indices):
-    """The builder's rows equal those class_rows derives through index_of."""
-    assert b.index_of == {int(g): row for row, g in enumerate(indices)}
-    assert list(b.index_of) == [int(g) for g in indices]
+def assert_bank_arrays(b, indices):
+    """The bank's arrays as CandidateBank states them: the pool's indices,
+    intp rows into the pool class by class, confidence descending and then
+    index ascending within a class, each class's index order, all read-only."""
+    assert b.indices.dtype == np.int64 and b.indices.tolist() == [int(g) for g in indices]
+    assert b.rows.dtype == np.intp and 0 <= b.rows.min() and b.rows.max() < len(indices)
+    assert len(b.rows) == len(b.conf) == len(b.index_order) == b.offsets[-1]
+    assert b.offsets[0] == 0 and b.sizes() == np.diff(b.offsets).tolist()
     for c in range(b.num_classes):
-        want = np.array([b.index_of[i] for i in b.class_indices[c]], dtype=np.intp)
-        got = b._rows[c]  # seeded by the builder, before any class_rows call
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        keys = list(zip((-b.class_conf(c)).tolist(), b.class_indices(c).tolist()))
+        assert keys == sorted(keys)
+        order = b.index_order[b.offsets[c] : b.offsets[c + 1]]
+        assert b.class_indices(c)[order].tolist() == sorted(b.class_indices(c).tolist())
+    for array in (b.rows, b.conf, b.index_order, b.offsets):
+        assert not array.flags.writeable
 
 
 def small_bank(model=None, seed=2, n=40, p=0.5, epoch=0):
@@ -351,10 +354,7 @@ class TestClassAwareRandom:
         model = random_model(7)
         # Construct a bank manually with one entry for class 1.
         pts = np.array([[5.0, 5.0]])
-        b = bank.CandidateBank(
-            num_classes=3, points=pts, index_of={77: 0},
-            class_indices=[[], [77], []], class_conf=[[], [0.9], []],
-        )
+        b = bank.CandidateBank(pts, [77], [[], [0], []], [[], [0.9], []])
         cfg = bank.RldConfig(k=3)
         out, labs, fb = bank.retrieve_defending(
             b, np.zeros((1, 2)), [1], cfg, np.random.default_rng(1)
@@ -371,17 +371,12 @@ class TestClassAwareRandom:
             b, np.zeros((3, 2)), lab_y, cfg, np.random.default_rng(2)
         )
         rows = {tuple(p) for p in pts}
-        allowed = {
-            tuple(b.points[b.index_of[g]]) for c in (0, 2) for g in b.class_indices[c]
-        }
+        allowed = {tuple(q) for c in (0, 2) for q in b.class_points(c)}
         assert rows <= allowed
 
     def test_empty_class_duplicate_fallback(self):
         model = random_model(9)
-        b = bank.CandidateBank(
-            num_classes=3, points=np.zeros((1, 2)), index_of={0: 0},
-            class_indices=[[0], [], []], class_conf=[[0.5], [], []],
-        )
+        b = bank.CandidateBank(np.zeros((1, 2)), [0], [[0], [], []], [[0.5], [], []])
         cfg = bank.RldConfig(k=2, empty_class_fallback=bank.DUPLICATE_LABELED)
         x = np.array([[3.0, -1.0]])
         pts, labs, fb = bank.retrieve_defending(b, x, [1], cfg, np.random.default_rng(3))
@@ -390,10 +385,7 @@ class TestClassAwareRandom:
         np.testing.assert_array_equal(labs, [1, 1])
 
     def test_empty_class_skip_fallback(self):
-        b = bank.CandidateBank(
-            num_classes=3, points=np.zeros((1, 2)), index_of={0: 0},
-            class_indices=[[0], [], []], class_conf=[[0.5], [], []],
-        )
+        b = bank.CandidateBank(np.zeros((1, 2)), [0], [[0], [], []], [[0.5], [], []])
         cfg = bank.RldConfig(k=2, empty_class_fallback=bank.SKIP_WITH_FLAG)
         pts, labs, fb = bank.retrieve_defending(
             b, np.array([[3.0, -1.0], [0.0, 0.0]]), [1, 0], cfg, np.random.default_rng(3)
@@ -440,10 +432,7 @@ class TestKMeansCenter:
         cluster_a = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
         cluster_b = np.array([[10.0, 10.0], [10.2, 10.0], [10.0, 10.2]])
         pts = np.concatenate([cluster_a, cluster_b])
-        b = bank.CandidateBank(
-            num_classes=1, points=pts, index_of={i: i for i in range(6)},
-            class_indices=[[0, 1, 2, 3, 4, 5]], class_conf=[[0.9] * 6],
-        )
+        b = bank.CandidateBank(pts, np.arange(6), [np.arange(6)], [[0.9] * 6])
         cfg = bank.RldConfig(k=2, strategy=bank.KMEANS_CENTER, kmeans_clusters=2)
         out, labs, _ = bank.retrieve_defending(
             b, np.zeros((1, 2)), [0], cfg, np.random.default_rng(5)
@@ -454,10 +443,7 @@ class TestKMeansCenter:
 
     def test_cluster_count_exceeding_bank_size_clamps(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        b = bank.CandidateBank(
-            num_classes=1, points=pts, index_of={0: 0, 1: 1},
-            class_indices=[[0, 1]], class_conf=[[0.9, 0.8]],
-        )
+        b = bank.CandidateBank(pts, [0, 1], [[0, 1]], [[0.9, 0.8]])
         cfg = bank.RldConfig(k=3, strategy=bank.KMEANS_CENTER, kmeans_clusters=5)
         out, labs, _ = bank.retrieve_defending(
             b, np.zeros((1, 2)), [0], cfg, np.random.default_rng(6)
@@ -615,10 +601,7 @@ class TestCosineDistant:
         rng = np.random.default_rng(11)
         for case in range(20):
             pts = rng.normal(scale=2.0, size=(5, 2))
-            b = bank.CandidateBank(
-                num_classes=1, points=pts, index_of={i: i for i in range(5)},
-                class_indices=[[0, 1, 2, 3, 4]], class_conf=[[0.9] * 5],
-            )
+            b = bank.CandidateBank(pts, np.arange(5), [np.arange(5)], [[0.9] * 5])
             x = rng.normal(scale=2.0, size=(1, 2))
             cfg = bank.RldConfig(k=2, strategy=bank.COSINE_DISTANT)
             out, labs, _ = bank.retrieve_defending(
@@ -654,19 +637,6 @@ class TestCosineDistant:
         b = tied_bank(rng, empty_class=1)
         cfg = bank.RldConfig(k=3, strategy=bank.COSINE_DISTANT)
         assert_same_retrieval(b, rng.normal(size=(16, 2)), np.arange(16) % 3, cfg, 0, model=model)
-
-    def test_cosine_distance_matches_verbatim(self):
-        rng = np.random.default_rng(33)
-        for case in range(60):
-            b = rng.normal(size=(int(rng.integers(1, 40)), 10))
-            a = rng.normal(size=10)
-            if case % 3 == 1:
-                b[rng.random(len(b)) < 0.3] = 0.0  # some zero-norm rows
-            elif case % 3 == 2:
-                a[:] = 0.0  # every denominator zero
-            got = bank._cosine_distance(a, b, np.linalg.norm(b, axis=1))
-            assert np.array_equal(got, reference_cosine_distance(a, b))
-
 
     @staticmethod
     def check(b, lab_pts, lab_y, model, ks=(1, 3, 40), seed=0):
@@ -819,9 +789,9 @@ class TestBinaryBanks:
         assert len(banks) == 3
         for j, b in enumerate(banks):
             assert sum(b.sizes()) == 30
-            for g in b.class_indices[1]:
+            for g in b.class_indices(1):
                 assert probs[g, j] >= thresholds[j]
-            for g in b.class_indices[0]:
+            for g in b.class_indices(0):
                 assert probs[g, j] < thresholds[j]
 
     def test_order_matches_sorted_oracle_with_ties(self):
@@ -842,8 +812,8 @@ class TestBinaryBanks:
                     rows = [r for r in range(n) if int(probs[r, j] >= thresholds[j]) == value]
                     keep = bank.top_fraction_count(p, len(rows))
                     order = sorted(rows, key=lambda r: (-conf[r], globals_[r]))[:keep]
-                    assert b.class_indices[value] == [int(globals_[r]) for r in order]
-                    assert b.class_conf[value] == [float(conf[r]) for r in order]
+                    assert b.class_indices(value).tolist() == [int(globals_[r]) for r in order]
+                    assert b.class_conf(value).tolist() == [float(conf[r]) for r in order]
 
     def test_builder_hands_over_class_rows(self):
         rng = np.random.default_rng(18)
@@ -853,7 +823,30 @@ class TestBinaryBanks:
         banks = bank.generate_bank_binary(model, pts, indices, 0.4, [0.5, 0.45, 0.6])
         for b in banks:
             assert b.points is banks[0].points
-            assert_rows_handed_over(b, indices)
+            assert_bank_arrays(b, indices)
+
+    def test_concat_equals_one_constructor_call(self):
+        # concat of the per-finding banks, each cut to its top-p fraction, is
+        # the bank one constructor call cuts from every (finding, value) class
+        rng = np.random.default_rng(19)
+        model = random_model(19, dims=(2, 8, 3), head=nn.SIGMOID)
+        pts = rng.normal(scale=2.0, size=(40, 2))
+        indices = rng.permutation(1000)[:40]
+        thresholds = np.array([0.5, 0.45, 0.6])
+        banks = bank.generate_bank_binary(model, pts, indices, 0.4, thresholds, epoch_stamp=2)
+        merged = bank.CandidateBank.concat(banks)
+        probs = nn.forward(model, pts).probs
+        conf = np.abs(probs - thresholds)
+        classes = [(j, np.flatnonzero((probs[:, j] >= thresholds[j]) == value))
+                   for j in range(3) for value in (False, True)]
+        want = bank.CandidateBank(
+            pts, indices, [rows for _, rows in classes], [conf[rows, j] for j, rows in classes],
+            p=0.4, epoch_stamp=2,
+        )
+        for name in ("points", "indices", "rows", "conf", "offsets", "index_order"):
+            got, expected = getattr(merged, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert merged.epoch_stamp == 2 and merged.num_classes == 6
 
     def test_filtering_keeps_most_threshold_distant(self):
         model = random_model(16, dims=(2, 8, 2), head=nn.SIGMOID)
@@ -868,7 +861,7 @@ class TestBinaryBanks:
                 members = np.flatnonzero(pseudo == value)
                 expect = bank.top_fraction_count(0.4, len(members))
                 assert b.class_size(value) == expect
-                kept = b.class_indices[value]
+                kept = b.class_indices(value).tolist()
                 dropped = [i for i in members if i not in set(kept)]
                 if kept and dropped:
                     assert min(conf[kept]) >= max(conf[dropped]) - 1e-15

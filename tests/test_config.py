@@ -196,14 +196,26 @@ class TestTypedViews:
             {"adapt.k": 2, "rld.enabled": True, "adapt.batch_mu": 4, "rld.p": 0.6}
         )
         acfg = cfg.adapt_config()
-        assert (acfg.batch.b, acfg.batch.mu, acfg.batch.k) == (16, 4, 2)
+        assert (acfg.batch.b, acfg.batch.mu) == (16, 4)
         assert acfg.rld.p == 0.6 and acfg.rld.k == 2
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_adapt_k_sets_batch_and_rld_k_alike(self, k):
+        # k lives in the rld config only; at k = 0 there is no defending term
         acfg = ExperimentConfig({"adapt.k": k, "rld.enabled": True}).adapt_config()
-        assert acfg.batch.k == k
-        assert acfg.rld.k == max(k, 1)  # unread at k=0, where the batch holds no pairs
+        assert acfg.rld is None if k == 0 else acfg.rld.k == k
+
+    @pytest.mark.parametrize("key, value", [
+        ("rld.p", 5.0),
+        ("rld.strategy", "nearest"),
+        ("rld.fallback", "retry"),
+        ("rld.kmeans_clusters", -2),
+    ])
+    def test_rld_at_k_zero_is_left_out_but_checked(self, key, value):
+        flat = {"rld.enabled": True, "adapt.k": 0}
+        assert ExperimentConfig(flat).adapt_config().rld is None
+        with pytest.raises(ConfigError):
+            ExperimentConfig({**flat, key: value})
 
     def test_fallback_passthrough(self):
         cfg = ExperimentConfig({"feedback.fallback": "error"})

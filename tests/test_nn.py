@@ -413,30 +413,6 @@ class TestPredictAndConfidence:
         with pytest.raises(ConfigError):
             nn.predict(model, np.zeros((1, 2)))
 
-    def test_confidence_softmax_max_prob(self):
-        model = nn.MlpModel(
-            [2, 2, 2],
-            [np.zeros((2, 2)), np.zeros((2, 2))],
-            [np.zeros(2), np.array([math.log(1.0), math.log(9.0)])],
-        )
-        conf = nn.confidence(model, np.zeros((1, 2)))
-        assert conf[0] == pytest.approx(0.9, abs=1e-12)
-
-    def test_confidence_uniform_is_one_over_c(self):
-        model = nn.MlpModel(
-            [2, 2, 4],
-            [np.zeros((2, 2)), np.zeros((2, 4))],
-            [np.zeros(2), np.zeros(4)],
-        )
-        conf = nn.confidence(model, np.zeros((2, 2)))
-        np.testing.assert_allclose(conf, 0.25)
-
-    def test_confidence_sigmoid_distance_from_threshold(self):
-        model = make_model([2, 3, 1 + 1], head=nn.SIGMOID, seed=9)
-        probs = nn.forward(model, np.ones((3, 2))).probs
-        conf = nn.confidence(model, np.ones((3, 2)), thresholds=[0.5, 0.5])
-        np.testing.assert_allclose(conf, np.abs(probs - 0.5), atol=1e-15)
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_argmax_invariant_under_monotone_logit_transform(self, seed):

@@ -50,8 +50,8 @@ class TestAxisCells:
         comps = []
         for _, ov in cells:
             acfg = base.with_overrides(ov).adapt_config()
-            comps.append((acfg.batch.b, acfg.batch.mu * acfg.batch.b,
-                          acfg.batch.k * acfg.batch.b))
+            k = acfg.rld.k if acfg.rld is not None else 0
+            comps.append((acfg.batch.b, acfg.batch.mu * acfg.batch.b, k * acfg.batch.b))
         assert comps == [(16, 112, 0), (16, 112, 48), (16, 64, 48)]
 
     def test_strategy_axis(self):

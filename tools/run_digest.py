@@ -49,7 +49,12 @@ MATRIX = [
     ("binary_rld_duplicate", {**BINARY_RLD, "rld.fallback": "duplicate_labeled"}),
     ("binary_rld_skip", {**BINARY_RLD, "rld.fallback": "skip_with_flag"}),
     ("binary_rld_cosine", {"dataset.kind": "binary", **RLD}),
-] + [(f"rld_{s}", {**RLD, "rld.strategy": s}) for s in STRATEGIES]
+] + [(f"rld_{s}", {**RLD, "rld.strategy": s}) for s in STRATEGIES] + [
+    # one branch each of a path shared with the runs above: simulate_feedback's
+    # nbf_ce pick, and the adapt config that rld enabled at k = 0 builds
+    ("nbf_ce", {"feedback.policy": "nbf_ce"}),
+    ("rld_on_k0", {"rld.enabled": True, "adapt.k": 0}),
+]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
 
