@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 CLASS_AWARE_RANDOM = "class_aware_random"
 UNCONDITIONED_RANDOM = "unconditioned_random"
@@ -70,8 +70,12 @@ class CandidateBank:
     index of each of its rows, all distinct. rows holds every entry's row in
     points, class by class, each class by confidence descending and then
     index ascending; conf aligns with rows. Class c's entries are
-    rows[offsets[c]:offsets[c + 1]], and the same slice of index_order holds
-    their positions in that slice in ascending index order. The constructor
+    rows[offsets[c]:offsets[c + 1]], and counts[c] is their number.
+
+    cosine_distant retrieval reads two more arrays: entry_points, the points
+    of rows in rows' order, and index_map, whose row c holds the positions in
+    rows of class c's entries in ascending global index order, padded with
+    the class's first position to the largest class's size. The constructor
     builds every array once; they are read-only after.
     """
 
@@ -81,7 +85,7 @@ class CandidateBank:
         self.points = points
         self.indices = np.asarray(indices, dtype=np.int64)
         self.epoch_stamp = epoch_stamp
-        rows, conf, index_order = [], [], []
+        rows, conf, by_index = [], [], []
         for cand, cand_conf in zip(class_rows, class_conf):
             cand = np.asarray(cand, dtype=np.intp)
             cand_conf = np.asarray(cand_conf, dtype=np.float64)
@@ -89,23 +93,28 @@ class CandidateBank:
             keep = order[: top_fraction_count(p, len(cand))]
             rows.append(cand[keep])
             conf.append(cand_conf[keep])
-            index_order.append(np.argsort(self.indices[rows[-1]], kind="stable"))
+            by_index.append(np.argsort(self.indices[rows[-1]], kind="stable"))
         self.rows = np.concatenate(rows)
         self.conf = np.concatenate(conf)
-        self.index_order = np.concatenate(index_order)
-        self.offsets = np.cumsum([0] + [len(r) for r in rows])
-        for array in (self.rows, self.conf, self.index_order, self.offsets):
+        self.counts = np.array([len(r) for r in rows], dtype=np.intp)
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        self.entry_points = np.asarray(points, dtype=np.float64)[self.rows]
+        self.index_map = np.repeat(self.offsets[:-1, None], self.counts.max(), axis=1)
+        for c, order in enumerate(by_index):
+            self.index_map[c, : len(order)] += order
+        for array in (self.rows, self.conf, self.counts, self.offsets, self.entry_points,
+                      self.index_map):
             array.setflags(write=False)
 
     @property
     def num_classes(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.counts)
 
     def class_size(self, cls: int) -> int:
-        return int(self.offsets[cls + 1] - self.offsets[cls])
+        return int(self.counts[cls])
 
     def sizes(self) -> list:
-        return np.diff(self.offsets).tolist()
+        return self.counts.tolist()
 
     def class_rows(self, cls: int) -> np.ndarray:
         return self.rows[self.offsets[cls] : self.offsets[cls + 1]]
@@ -265,29 +274,68 @@ def _cosine_picks(
 
     The picks are those of one point at a time with its own one-row feature
     pass against a feature pass over its class's rows, bit for bit: a class
-    slice of one pass over two or more rows has the bits of a pass over the
-    slice alone at the default layer widths (tests/test_nn.py names the
-    shapes; a one-row class has only one order), stacked one-row products
-    have the bits of one-row products, and a stable sort over columns in
-    global index order breaks ties as lexsort on the index does. A zero norm
-    counts as orthogonal: its cosine is 0, its distance 1.
+    slice of one pass over the bank has the bits of a pass over the slice
+    alone at the default layer widths (tests/test_nn.py names the shapes; a
+    one-row class has only one order), and stacked one-row passes and
+    products have the bits of one-row ones. The points are taken in class
+    order so that each class's dot products are one stacked matrix-vector
+    product with its slice, the only per-class call; the slice stays the
+    matrix because a row's bits depend on the matrix's height and the row's
+    place in it, so a product with the whole bank would move last bits.
+    index_map then lays each point's distances out in its class's index
+    order, where _farthest's first maximum is the entry that lexsort on the
+    index ranks first. A zero norm counts as orthogonal: its cosine is 0,
+    its distance 1.
     """
-    rows, offsets, index_order = bank.rows, bank.offsets, bank.index_order
-    feats = nn.penultimate_features(model, bank.points[rows])
+    feats = nn.penultimate_features(model, bank.entry_points)
     norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
-    own = nn.one_row_features(model, points)
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    own = nn.one_row_features(model, points[order])
     own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
-    picks = np.empty((len(labels), k), dtype=np.intp)
-    for cls in np.unique(labels):
-        at = np.flatnonzero(labels == cls)
-        lo, hi = offsets[cls], offsets[cls + 1]
-        denom = own_norms[at, None] * norms[lo:hi]
-        dots = (feats[lo:hi] @ own[at][:, :, None])[:, :, 0]
-        dist = 1.0 - np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        order = index_order[lo:hi]
-        ranked = np.argsort(-dist[:, order], axis=1, kind="stable")
-        picks[at] = rows[lo:hi][order][ranked[:, np.arange(k) % (hi - lo)]]
+    n, entries = len(labels), len(bank.rows)
+    dots = np.empty((n, entries))  # a point reads its own class's columns only
+    offsets = bank.offsets.tolist()
+    bounds = np.searchsorted(labels, np.arange(bank.num_classes + 1)).tolist()
+    for lo, hi, first, last in zip(offsets, offsets[1:], bounds, bounds[1:]):
+        if first < last:  # points first:last are of this class
+            dots[first:last, lo:hi] = (feats[lo:hi] @ own[first:last, :, None])[:, :, 0]
+    cols = bank.index_map[labels]
+    denom = own_norms[:, None] * norms.take(cols)
+    at = np.arange(n)[:, None]
+    dist = np.divide(dots.take(cols + entries * at), denom, out=np.zeros_like(denom),
+                     where=denom > 0.0)
+    np.subtract(1.0, dist, out=dist)
+    picks = np.empty((n, k), dtype=np.intp)
+    picks[order] = bank.rows.take(cols[at, _farthest(dist, bank.counts[labels], k)])
     return picks
+
+
+_ABOVE_MIN = np.nextafter(np.finfo(np.float64).min, 0.0)
+
+
+def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k largest of row i's first sizes[i] (at least 1)
+    entries of dist, shaped (n, k), as ``np.argsort(-dist[i, :sizes[i]],
+    kind="stable")`` ranks them: ties go to the lower column and NaN ranks
+    last. A row with fewer than k entries repeats them from its first.
+    Overwrites dist.
+
+    k rounds of argmax, each knocking its pick out with -inf: argmax
+    returns the first maximum, and -0.0 equals 0.0 under it as under the
+    sort. So that -inf stays below every entry, an entry of -inf first
+    becomes the float just above the lowest finite one, and NaN the lowest
+    finite one; no cosine distance is either of those two floats.
+    """
+    np.maximum(dist, _ABOVE_MIN, out=dist)  # -inf rises; NaN stays NaN
+    np.fmax(dist, np.finfo(np.float64).min, out=dist)  # NaN rises below it
+    np.putmask(dist, np.arange(dist.shape[1]) >= sizes[:, None], -np.inf)
+    at = np.arange(len(dist))
+    picks = np.empty((len(dist), min(k, dist.shape[1])), dtype=np.intp)
+    for r in range(picks.shape[1]):
+        picks[:, r] = dist.argmax(axis=1)
+        dist[at, picks[:, r]] = -np.inf
+    return picks[at[:, None], np.arange(k) % sizes[:, None]]
 
 
 def retrieve_defending(
@@ -312,6 +360,8 @@ def retrieve_defending(
         raise ConfigError("cosine_distant retrieval needs the model for features")
     points = np.asarray(labeled_points, dtype=np.float64)
     labels = np.asarray(labeled_labels, dtype=np.int64)
+    if len(labels) and labels.min() < 0:
+        raise ShapeError(f"labels must be >= 0, got {int(labels.min())}")
     falls_back = _falls_back(bank, labels, cfg)
     served = np.flatnonzero(~falls_back)
     # rows[i] indexes labeled point i's k rows in the gather source:
@@ -331,7 +381,7 @@ def retrieve_defending(
             rows[i] = class_rows[rng.choice(size, size=cfg.k, replace=size < cfg.k)]
     elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class: no point falls back
         pool_rows = bank.rows
-        pool_labels = np.repeat(np.arange(bank.num_classes), bank.sizes())
+        pool_labels = np.repeat(np.arange(bank.num_classes), bank.counts)
         for i in served:
             draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
             rows[i], out_lab[i] = pool_rows[draws], pool_labels[draws]
@@ -354,7 +404,7 @@ def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.n
     own class."""
     if cfg.strategy == UNCONDITIONED_RANDOM:
         return np.zeros(labels.shape, dtype=bool)
-    filled = np.array(bank.sizes() + [0]) > 0  # a label past the bank's classes reads the 0
+    filled = np.append(bank.counts > 0, False)  # a label past the bank's classes reads the False
     return ~filled[np.minimum(labels, bank.num_classes)]
 
 

@@ -253,9 +253,9 @@ def simulate_feedback_binary(
                 picks += sorted(int(i) for i in pool)
             else:
                 picks += _draw(pool, m, rng)
-        picks = sorted(set(picks))
-        labeled = [(int(i), int(truth[i])) for i in picks]
-        unlabeled = [int(i) for i in range(len(train)) if i not in set(picks)]
+        picked = set(picks)
+        labeled = [(int(i), int(truth[i])) for i in sorted(picked)]
+        unlabeled = [int(i) for i in range(len(train)) if i not in picked]
         splits.append(
             TargetSplit(
                 labeled,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdalab import adapt, bank, nn
-from sdalab.errors import ConfigError
+from sdalab.errors import ConfigError, ShapeError
 
 
 def random_model(seed=0, dims=(2, 16, 3), head=nn.SOFTMAX):
@@ -296,7 +296,7 @@ class TestGenerateBank:
         path = tmp_path / "m.json"
         model.save(path)
         b2 = bank.generate_bank(nn.MlpModel.load(path), pts, np.arange(25), p=0.4, num_classes=3)
-        for name in ("indices", "rows", "conf", "offsets", "index_order"):
+        for name in ("indices", "rows", "conf", "counts", "offsets", "entry_points", "index_map"):
             assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
     def test_empty_pool_rejected(self):
@@ -316,17 +316,23 @@ class TestGenerateBank:
 def assert_bank_arrays(b, indices):
     """The bank's arrays as CandidateBank states them: the pool's indices,
     intp rows into the pool class by class, confidence descending and then
-    index ascending within a class, each class's index order, all read-only."""
+    index ascending within a class, the entries' points in that order, and
+    each class's positions in index order padded with its first, all
+    read-only."""
     assert b.indices.dtype == np.int64 and b.indices.tolist() == [int(g) for g in indices]
     assert b.rows.dtype == np.intp and 0 <= b.rows.min() and b.rows.max() < len(indices)
-    assert len(b.rows) == len(b.conf) == len(b.index_order) == b.offsets[-1]
-    assert b.offsets[0] == 0 and b.sizes() == np.diff(b.offsets).tolist()
+    assert len(b.rows) == len(b.conf) == len(b.entry_points) == b.offsets[-1]
+    assert b.offsets[0] == 0 and b.sizes() == np.diff(b.offsets).tolist() == b.counts.tolist()
+    assert b.index_map.dtype == np.intp and b.index_map.shape == (b.num_classes, max(b.sizes()))
+    assert np.array_equal(b.entry_points, np.asarray(b.points)[b.rows])
     for c in range(b.num_classes):
         keys = list(zip((-b.class_conf(c)).tolist(), b.class_indices(c).tolist()))
         assert keys == sorted(keys)
-        order = b.index_order[b.offsets[c] : b.offsets[c + 1]]
-        assert b.class_indices(c)[order].tolist() == sorted(b.class_indices(c).tolist())
-    for array in (b.rows, b.conf, b.index_order, b.offsets):
+        size, first = b.class_size(c), b.offsets[c]
+        assert b.indices[b.rows[b.index_map[c, :size]]].tolist() == sorted(b.class_indices(c).tolist())
+        assert sorted(b.index_map[c, :size].tolist()) == list(range(first, first + size))
+        assert (b.index_map[c, size:] == first).all()
+    for array in (b.rows, b.conf, b.counts, b.offsets, b.entry_points, b.index_map):
         assert not array.flags.writeable
 
 
@@ -717,13 +723,16 @@ class TestCosineDistant:
         # bank points that differ from one point in their last bits have
         # cosine distances that differ in their last bits: the order among
         # them holds only if every product, norm and quotient has the bits
-        # of the per-point computation
+        # of the per-point computation. Class sizes take every residue mod
+        # 4, as a matrix-vector product runs its last rows through other
+        # kernels.
         model = random_model(41, dims=(2, 10, 10, 3))
         rng = np.random.default_rng(41)
+        sizes = [[40, 37, 42], [37, 42, 39], [42, 39, 41], [39, 41, 40]]
         for case in range(20):
             x = rng.normal(scale=2.0, size=2)
             base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
-            b = sized_bank(rng, [40, 40, 40], base=base)
+            b = sized_bank(rng, sizes[case % 4], base=base)
             lab_pts = rng.normal(scale=2.0, size=(16, 2))
             self.check(b, lab_pts, rng.integers(0, 3, size=16), model, ks=(40,), seed=case)
 
@@ -732,6 +741,98 @@ class TestCosineDistant:
         cfg = bank.RldConfig(k=1, strategy=bank.COSINE_DISTANT)
         with pytest.raises(ConfigError, match="model"):
             bank.retrieve_defending(b, np.zeros((1, 2)), [0], cfg, np.random.default_rng(0))
+
+
+class TestFarthest:
+    """bank._farthest, k knock-out rounds of argmax, against a stable
+    argsort of each row's entries."""
+
+    @staticmethod
+    def argsort_picks(dist, sizes, k):
+        return np.stack([np.argsort(-row[:size], kind="stable")[np.arange(k) % size]
+                         for row, size in zip(dist, sizes)])
+
+    def check(self, dist, sizes, k):
+        got = bank._farthest(dist.copy(), sizes, k)
+        assert np.array_equal(got, self.argsort_picks(dist, sizes, k)), (dist, sizes, k)
+
+    def test_ties_signed_zeros_one_entry_rows_and_k_past_the_size(self):
+        rng = np.random.default_rng(50)
+        for case in range(300):
+            n, width = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+            values = np.array([-0.0, 0.0, 0.5, 1.0, -1.0, 2.0])[: int(rng.integers(1, 7))]
+            dist = values[rng.integers(0, len(values), size=(n, width))]
+            if case % 2:
+                dist += rng.normal(size=(n, width)) * (rng.random((n, width)) < 0.5)
+            sizes = rng.integers(1, width + 1, size=n)
+            sizes[: n // 4] = 1
+            for k in (1, 2, 3, width, width + 3):
+                self.check(dist, sizes, k)
+
+    def test_non_finite_distances_rank_as_the_sort_ranks_them(self):
+        # NaN last, -inf just before it, inf first; all of them can tie
+        rng = np.random.default_rng(51)
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+        for _ in range(300):
+            n, width = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            dist = rng.normal(size=(n, width))
+            hit = rng.random((n, width)) < rng.uniform(0.1, 1.0)
+            dist[hit] = special[rng.integers(0, len(special), size=int(hit.sum()))]
+            sizes = rng.integers(1, width + 1, size=n)
+            for k in (1, 3, width + 2):
+                self.check(dist, sizes, k)
+
+
+def argsort_cosine_picks(b, model, points, labels, k):
+    """Per point, the class slice's cosine distances as reference_retrieve
+    computes them, ranked by a stable argsort over the class's entries in
+    index order, which puts NaN distances last (reference_retrieve's
+    Python sort has no order for NaN)."""
+    picks = []
+    for x, cls in zip(points, labels):
+        rows = b.class_rows(int(cls))
+        feats = nn.forward(model, b.points[rows]).activations[-1]
+        own = nn.forward(model, x[None, :]).activations[-1][0]
+        by_index = np.argsort(b.indices[rows], kind="stable")
+        dist = reference_cosine_distance(own, feats)[by_index]
+        picks.append(rows[by_index][np.argsort(-dist, kind="stable")[np.arange(k) % len(rows)]])
+    return np.stack(picks)
+
+
+class TestCosineNonFinite:
+    def test_overflowing_features_rank_as_the_sort_ranks_them(self):
+        # points of 1e300 give infinite features and norms: distances of 1
+        # (an infinite norm against finite dots), and NaN where an infinite
+        # dot meets an infinite norm or a zero feature meets an infinite one
+        rng = np.random.default_rng(52)
+        model = random_model(52, dims=(2, 10, 10, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for case in range(20):
+                b = sized_bank(rng, [30, 25, 12])
+                huge = rng.random(len(b.points)) < 0.3
+                pts = np.where(huge[:, None], b.points * 1e300, b.points)
+                b = bank.CandidateBank(pts, b.indices, [b.class_rows(c) for c in range(3)],
+                                       [b.class_conf(c) for c in range(3)])
+                lab_pts = rng.normal(scale=2.0, size=(16, 2))
+                lab_pts[::3] *= 1e300
+                labels = rng.integers(0, 3, size=16)
+                for k in (3, 40):
+                    got = bank._cosine_picks(b, model, lab_pts, labels, k)
+                    assert np.array_equal(got, argsort_cosine_picks(b, model, lab_pts, labels, k))
+
+
+class TestNegativeLabels:
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    def test_rejected_up_front(self, strategy):
+        # unchecked, a label of -1 or -2 indexes another class or the slot
+        # past the bank's classes, or fails inside Generator.choice
+        model, b = small_bank(seed=10)
+        cfg = bank.RldConfig(k=2, strategy=strategy)
+        for bad in (-1, -2):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ShapeError, match=f"got {bad}"):
+                bank.retrieve_defending(b, np.zeros((3, 2)), [0, bad, 1], cfg, rng, model=model)
+            assert rng.integers(1 << 62) == np.random.default_rng(0).integers(1 << 62)
 
 
 class TestRldLoss:
@@ -843,7 +944,7 @@ class TestBinaryBanks:
             pts, indices, [rows for _, rows in classes], [conf[rows, j] for j, rows in classes],
             p=0.4, epoch_stamp=2,
         )
-        for name in ("points", "indices", "rows", "conf", "offsets", "index_order"):
+        for name in ("points", "indices", "rows", "conf", "counts", "offsets", "entry_points", "index_map"):
             got, expected = getattr(merged, name), getattr(want, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
         assert merged.epoch_stamp == 2 and merged.num_classes == 6

@@ -56,3 +56,31 @@ def test_single_pair_has_zero_spread():
     lines, problems = bench_pairs.summarize(runs([line(5.0, 0.3)], [line(4.0, 0.3)]), END_TO_END)
     assert problems == []
     assert row(lines, "runs_per_s")[1:] == ["5", "(5-5)", "4", "(4-4)", "0.800", "0/1", "yes"]
+
+
+def test_several_workloads_print_one_table_each_and_fail_on_any(monkeypatch, capsys, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    sides = {"parent": "parent", str(tmp_path): "change"}
+    calls = []
+
+    def run_once(checkout, workload, args):
+        calls.append((sides[checkout], workload))
+        moved = (sides[checkout], workload) == ("change", "strategy")
+        return json.loads(line(5.0, 0.3, target=0.86 if moved else 0.85))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", "parent", "--change", str(tmp_path), "--seed", "1", "--pairs", "2",
+            "--workload", "method", "strategy", "engines"]
+    assert bench_pairs.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    # each workload runs its pairs in turn, alternating which side goes first
+    assert [w for _, w in calls] == ["method"] * 4 + ["strategy"] * 4 + ["engines"] * 4
+    assert [side for side, _ in calls[:4]] == ["parent", "change", "change", "parent"]
+    assert [x for x in out if x.startswith("workload ")] == [
+        "workload method", "workload strategy", "workload engines"]
+    assert len([x for x in out if x.startswith("runs_per_s ")]) == 3
+    assert [x for x in out if x.startswith("FAILED")] == [
+        "FAILED strategy: mean_target_value differs between runs: [0.85, 0.86]"]
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, args: json.loads(
+        line(5.0, 0.3)))
+    assert bench_pairs.main(argv) == 0

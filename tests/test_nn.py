@@ -505,6 +505,13 @@ class TestBitEqualityFacts:
     the fact covers: any first layer (2 inputs), then layers of at most 7
     inputs, or the default hidden widths [10, 10]. At other widths the
     retrieval's picks may differ in near ties from a pass per class slice.
+
+    A matrix-vector product's bits for a row depend on the matrix's height
+    and the row's place in it (OpenBLAS runs the last height % 4 rows
+    through narrower kernels), so a product with the whole bank does not
+    give a row the bits of its product with its class slice; retrieval
+    keeps one product per class slice, and the height test pins what that
+    product gives.
     """
 
     CASES = 150
@@ -562,6 +569,23 @@ class TestBitEqualityFacts:
             stacked = (view @ points[:, :, None])[:, :, 0]
             assert np.array_equal(stacked, (fresh @ points[:, :, None])[:, :, 0])
             assert np.array_equal(stacked, np.stack([fresh @ a for a in points]))
+
+    # the penultimate widths of every model the tests and the shipped config
+    # build, and a few past them
+    FEATURE_WIDTHS = (2, 3, 4, 5, 6, 8, 10, 16, 24)
+
+    def test_class_slice_products_equal_per_point_products_at_every_height(self):
+        # cosine_distant's one per-class call: a class slice times every
+        # point of the class, stacked, against each point's own
+        # matrix-vector product with the slice, for slices of 1 to 400 rows
+        rng = np.random.default_rng(11)
+        for width in self.FEATURE_WIDTHS:
+            for height in range(1, 401):
+                scale = 10.0 ** rng.uniform(-2, 2)
+                feats = np.maximum(rng.normal(scale=scale, size=(height, width)), 0.0)
+                own = np.maximum(rng.normal(size=(int(rng.integers(1, 9)), width)), 0.0)
+                stacked = (feats @ own[:, :, None])[:, :, 0]
+                assert np.array_equal(stacked, np.stack([feats @ a for a in own])), (width, height)
 
     @staticmethod
     def layouts(rng, rows, cols):

@@ -1,19 +1,20 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload engines \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload method strategy engines \
         --seed 7 --pairs 10 --seconds 36
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, one after
-the other; which side goes first alternates from pair to pair, so a drift in
-the machine's speed does not favour one side. Then it prints, for every
-end-to-end metric that BENCHMARK.json lists, each side's median and
-quartiles, the ratio of the medians, how many pairs the change won (in the
-metric's better direction), and whether the medians differ by more than the
-parent's interquartile range.
+For each workload in turn, each pair runs `perfbench/run.py --trace 0` once
+in each checkout, one after the other; which side goes first alternates from
+pair to pair, so a drift in the machine's speed does not favour one side.
+Then it prints the workload's table: for every end-to-end metric that
+BENCHMARK.json lists, each side's median and quartiles, the ratio of the
+medians, how many pairs the change won (in the metric's better direction),
+and whether the medians differ by more than the parent's interquartile range.
 
-It exits 1 when a run is not `correct` or when `mean_target_value` differs
-between any two runs (the metric is deterministic per seed, so a difference
-means the output moved), and 2 when a run fails to produce its JSON line.
+It exits 1 when, in any workload, a run is not `correct` or
+`mean_target_value` differs between two runs (the metric is deterministic
+per seed, so a difference means the output moved), and 2 when a run fails
+to produce its JSON line.
 """
 
 import argparse
@@ -26,9 +27,10 @@ import sys
 SIDES = ("parent", "change")
 
 
-def run_once(checkout, args):
-    """The last JSON line of one `perfbench/run.py --trace 0` run in checkout."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+def run_once(checkout, workload, args):
+    """The last JSON line of one `perfbench/run.py --trace 0` run of workload
+    in checkout."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -70,11 +72,26 @@ def summarize(runs, end_to_end):
     return lines, problems
 
 
+def run_pairs(dirs, workload, args) -> dict:
+    """{"parent": [doc, ...], "change": [doc, ...]} of args.pairs alternating
+    pairs of runs of workload."""
+    runs = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            runs[side].append(run_once(dirs[side], workload, args))
+        values = ", ".join(f"{side} {runs[side][-1]['metrics']['runs_per_s']['value']:.4f}"
+                           for side in SIDES)
+        print(f"{workload} pair {pair + 1}/{args.pairs} ({order[0]} first): runs_per_s {values}",
+              flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=36)
@@ -82,24 +99,20 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     dirs = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in SIDES}
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            try:
-                runs[side].append(run_once(dirs[side], args))
-            except (RuntimeError, json.JSONDecodeError) as exc:
-                print(f"bench_pairs: {exc}", file=sys.stderr)
-                return 2
-        values = ", ".join(f"{side} {runs[side][-1]['metrics']['runs_per_s']['value']:.4f}"
-                           for side in SIDES)
-        print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): runs_per_s {values}",
-              flush=True)
-    lines, problems = summarize(runs, end_to_end)
-    print("\n".join(lines))
-    for problem in problems:
-        print(f"FAILED {problem}")
-    return 1 if problems else 0
+    failed = False
+    for workload in args.workload:
+        try:
+            runs = run_pairs(dirs, workload, args)
+        except (RuntimeError, json.JSONDecodeError) as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 2
+        lines, problems = summarize(runs, end_to_end)
+        print(f"workload {workload}")
+        print("\n".join(lines))
+        for problem in problems:
+            print(f"FAILED {workload}: {problem}")
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

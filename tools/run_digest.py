@@ -2,7 +2,9 @@
 
 A run's digest covers its metrics document and every epoch row of its run
 log; a capped stream replay's covers its checkpoint records and the weights
-of its last model. Two checkouts whose totals agree wrote the same bytes for
+of its last model. One constructed case, retrieval_ties, covers retrieval
+from a bank built so that tie-breaks decide the picks, which the runs'
+banks never need. Two checkouts whose totals agree wrote the same bytes for
 every run of the matrix. A last line gives the sha256 of the
 records_method.jsonl that `sdalab sweep --axis method` writes at its default
 seed 0 (the acceptance gate's determinism sweep). Run it from the root of a
@@ -31,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from sdalab import runner, stream, sweep  # noqa: E402
+from sdalab import bank, nn, runner, stream, sweep  # noqa: E402
 from sdalab.config import ExperimentConfig, stage_seed  # noqa: E402
 
 RLD = {"rld.enabled": True, "adapt.k": 3}
@@ -85,6 +87,36 @@ def stream_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) ->
     return _sha(_rows(records) + "\n" + weights)
 
 
+def ties_digest(seed: int) -> str:
+    """retrieve_defending under cosine_distant and kmeans_center from a bank
+    whose points tie: each of six directions at scales 1, 2 and 4, every
+    point twice, two directions a class, under shuffled global indices and
+    two confidences. The model has no biases, so a point's features scale
+    with it and the three scales of a direction lie at one cosine distance,
+    bit for bit; twin points tie in every k-means distance, and forgy inits
+    that draw both twins start two equal centroids."""
+    rng = np.random.default_rng(seed)
+    directions = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -0.5], [-0.25, 1.0],
+                           [0.75, 0.5]])
+    points = np.repeat(directions[:, None] * [[1.0], [2.0], [4.0]], 2, axis=1).reshape(-1, 2)
+    weights = [np.array([[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]]), np.eye(3)]
+    model = nn.MlpModel([2, 3, 3], weights, [np.zeros(3), np.zeros(3)])
+    classes = np.arange(len(points)) // 6 % 3  # two directions a class
+    conf = 0.8 + 0.1 * (np.arange(len(points)) % 2)
+    members = [np.flatnonzero(classes == c) for c in range(3)]
+    b = bank.CandidateBank(
+        points, rng.permutation(1000)[: len(points)], members, [conf[m] for m in members]
+    )
+    labeled = np.concatenate([directions, 2.0 * directions[:2]])
+    labels = np.arange(len(labeled)) % 3
+    out = []
+    for strategy in ("cosine_distant", "kmeans_center"):
+        cfg = bank.RldConfig(k=5, strategy=strategy, kmeans_clusters=3)
+        got, got_labels, fallbacks = bank.retrieve_defending(b, labeled, labels, cfg, rng, model)
+        out.append(got.tobytes().hex() + got_labels.tobytes().hex() + str(fallbacks))
+    return _sha("\n".join(out))
+
+
 def digests(seeds) -> list:
     """(label, digest) of every run of the matrix, seed by seed."""
     cache = runner.StageCache()
@@ -94,6 +126,7 @@ def digests(seeds) -> list:
             out.append((f"{name}/seed{seed}", run_digest(ExperimentConfig(overrides), seed, cache)))
         out.append((f"stream_cap{STREAM_CAP}/seed{seed}",
                     stream_digest(ExperimentConfig({}), seed, cache)))
+        out.append((f"retrieval_ties/seed{seed}", ties_digest(seed)))
     return out
 
 
