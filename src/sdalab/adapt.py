@@ -53,41 +53,44 @@ ALGORITHMS = (PSEUDO_LABEL, FIXMATCH_LITE)
 
 @dataclass
 class AugmenterSpec:
-    weak_noise_std: float = 0.0
-    strong_noise_std: float = 0.0
+    """Jitter sigmas as fractions of the data's RMS radius, and the strong
+    view's scale range; the Augmenter turns the fractions into sigmas."""
+
+    weak_frac: float = 0.0
+    strong_frac: float = 0.0
     strong_scale_range: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.weak_noise_std < 0 or self.strong_noise_std < self.weak_noise_std:
+        if self.weak_frac < 0 or self.strong_frac < self.weak_frac:
             raise ConfigError(
-                f"need 0 <= weak ({self.weak_noise_std}) <= strong ({self.strong_noise_std})"
+                f"need 0 <= weak ({self.weak_frac}) <= strong ({self.strong_frac})"
             )
         lo, hi = self.strong_scale_range
         if not (0.0 < lo <= 1.0 <= hi):
             raise ConfigError(f"scale range must satisfy 0 < lo <= 1 <= hi, got {lo}, {hi}")
 
-    @classmethod
-    def from_points(cls, points, weak_frac=0.03, strong_frac=0.15, scale=(0.9, 1.1)):
-        radius = rms_radius(np.asarray(points))
-        return cls(weak_frac * radius, strong_frac * radius, tuple(scale))
-
 
 class Augmenter:
-    """2-D analogue of weak/strong image augmentation, centered on the data."""
+    """2-D analogue of weak/strong image augmentation, centered on the data
+    and scaled by its RMS radius."""
 
-    def __init__(self, spec: AugmenterSpec, centroid):
+    def __init__(self, spec: AugmenterSpec, points):
+        points = np.asarray(points, dtype=np.float64)
+        radius = rms_radius(points)
         self.spec = spec
-        self.centroid = np.asarray(centroid, dtype=np.float64)
+        self.weak_std = spec.weak_frac * radius
+        self.strong_std = spec.strong_frac * radius
+        self.centroid = points.mean(axis=0)
 
     def weak(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.spec.weak_noise_std == 0.0:
+        if self.weak_std == 0.0:
             return points
-        return points + rng.normal(scale=self.spec.weak_noise_std, size=points.shape)
+        return points + rng.normal(scale=self.weak_std, size=points.shape)
 
     def strong(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = points
-        if self.spec.strong_noise_std > 0.0:
-            out = out + rng.normal(scale=self.spec.strong_noise_std, size=points.shape)
+        if self.strong_std > 0.0:
+            out = out + rng.normal(scale=self.strong_std, size=points.shape)
         lo, hi = self.spec.strong_scale_range
         if not (lo == 1.0 and hi == 1.0):
             scales = rng.uniform(lo, hi, size=(len(points), 1))
@@ -437,7 +440,7 @@ def _adapt_units(
     if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
 
-    augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points.mean(axis=0))
+    augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points)
     state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
     records = []
     n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)

@@ -137,15 +137,17 @@ def cmd_stream(args) -> int:
     cfg, out = _load(args)
     if cfg.flat["dataset.kind"] == "binary":
         raise ConfigError("streaming mode supports the multiclass datasets only")
+    stream_cfg = stream_mod.StreamConfig(
+        memory_cap=args.cap, checkpoints=tuple(args.checkpoints)
+    )
+    acfg = cfg.adapt_config()
+    stream_mod.check_memory_fits(stream_cfg, acfg)
     seed = _one_seed(cfg, args)
     d = runner.make_data(cfg, seed)
     pre = runner.pretrain(cfg, seed)
     split = runner.make_feedback(cfg, seed)
-    stream_cfg = stream_mod.StreamConfig(
-        memory_cap=args.cap, checkpoints=tuple(args.checkpoints)
-    )
     records, _ = stream_mod.run_stream(
-        pre.model, d.target_train, split, stream_cfg, runner.build_adapt_config(cfg, d),
+        pre.model, d.target_train, split, stream_cfg, acfg,
         runner.adapt_seed(cfg, seed), test_set=d.target_test,
     )
     path = os.path.join(out, f"stream_seed{seed}.json")
@@ -186,6 +188,7 @@ def cmd_plot(args) -> int:
     cfg, out = _load(args)
     if cfg.flat["dataset.kind"] == "binary":
         raise ConfigError("plotting supports the multiclass datasets only")
+    metrics.check_resolution(args.resolution)
     seed = _one_seed(cfg, args)
     cache = StageCache()
     d = runner.make_data(cfg, seed, cache)
@@ -193,14 +196,12 @@ def cmd_plot(args) -> int:
     split = runner.make_feedback(cfg, seed, cache)
 
     baseline_cfg = cfg.with_overrides({"adapt.k": 0, "rld.enabled": False})
-    rld_cfg = cfg.with_overrides(
-        {"rld.enabled": True, "adapt.k": cfg.flat["adapt.k"] or 3}
-    )
+    rld_cfg = cfg.with_overrides(sweep_mod.rld_on(cfg))
     panels = [("source", pre.model)]
     for name, pcfg in (("baseline", baseline_cfg), ("rld", rld_cfg)):
         adapted, _ = adapt_mod.adapt(
             pre.model, runner.make_feedback(pcfg, seed, cache), d.target_train,
-            runner.build_adapt_config(pcfg, d), runner.adapt_seed(pcfg, seed),
+            pcfg.adapt_config(), runner.adapt_seed(pcfg, seed),
         )
         panels.append((name, adapted))
 

@@ -180,15 +180,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"pretrain.batch_size must be >= 1, got {self.flat['pretrain.batch_size']}"
             )
-        # Only fixmatch_lite builds an augmenter. Its invariants hold or fail
-        # alike at any positive scale, so the fractions are checked as a spec
-        # of unit radius, before any points exist to scale them.
-        if self.flat["adapt.algorithm"] == adapt_mod.FIXMATCH_LITE:
-            weak, strong, scale = self.augment_fracs()
-            try:
-                adapt_mod.AugmenterSpec(weak, strong, scale)
-            except ConfigError as exc:
-                raise ConfigError(f"augment.*: {exc}") from None
         # Constructing the typed views exercises every domain-level invariant;
         # rld_config on its own too, since adapt_config leaves it out at k = 0.
         self.dataset_spec()
@@ -255,9 +246,18 @@ class ExperimentConfig:
             empty_class_fallback=self.flat["rld.fallback"],
         )
 
-    def adapt_config(self, augment=None) -> adapt_mod.AdaptConfig:
-        # Noise stds scale with the data (fractions of RMS radius), so the
-        # augmenter spec is supplied by the runner once points exist.
+    def adapt_config(self) -> adapt_mod.AdaptConfig:
+        augment = None
+        # only fixmatch_lite builds an augmenter; the others ignore augment.*
+        if self.flat["adapt.algorithm"] == adapt_mod.FIXMATCH_LITE:
+            try:
+                augment = adapt_mod.AugmenterSpec(
+                    self.flat["augment.weak_frac"],
+                    self.flat["augment.strong_frac"],
+                    (self.flat["augment.scale_lo"], self.flat["augment.scale_hi"]),
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"augment.*: {exc}") from None
         return adapt_mod.AdaptConfig(
             algorithm=self.flat["adapt.algorithm"],
             confidence_threshold=self.flat["adapt.confidence_threshold"],
@@ -273,13 +273,6 @@ class ExperimentConfig:
             ),
             rld=self.rld_config() if self.flat["adapt.k"] > 0 else None,
             augment=augment,
-        )
-
-    def augment_fracs(self) -> tuple:
-        return (
-            self.flat["augment.weak_frac"],
-            self.flat["augment.strong_frac"],
-            (self.flat["augment.scale_lo"], self.flat["augment.scale_hi"]),
         )
 
     def seeds(self) -> list:

@@ -119,6 +119,13 @@ def _draw(pool: np.ndarray, m: int, rng: np.random.Generator) -> list:
     return sorted(int(pool[j]) for j in chosen)
 
 
+def _top(pool: np.ndarray, score: np.ndarray, m: int) -> list:
+    """The m indices of pool with the highest score, ties by ascending
+    index, in ascending order."""
+    order = np.lexsort((pool, -score))
+    return sorted(int(i) for i in pool[order[:m]])
+
+
 def _take_with_fallback(primary, secondary, m, cls, fallback, rng, shortage):
     """Fill m picks from primary, spilling into secondary when allowed."""
     if len(primary) >= m:
@@ -154,18 +161,17 @@ def simulate_feedback(
         members = np.flatnonzero(train.labels == cls)
         wrong_pool = members[~correct[members]]
         right_pool = members[correct[members]]
+        if spec.policy in (RF, ENTROPY) and len(members) < spec.per_class_count:
+            raise ShortageError(
+                f"class {cls}: only {len(members)} samples for "
+                f"{spec.per_class_count} requested"
+            )
         if spec.policy == RF:
-            if len(members) < spec.per_class_count:
-                raise ShortageError(
-                    f"class {cls}: only {len(members)} samples for "
-                    f"{spec.per_class_count} requested"
-                )
             picks = _draw(members, spec.per_class_count, rng)
         elif spec.policy == NBF_CE and len(wrong_pool) >= spec.per_class_count:
-            # the most confident errors, ties by ascending index; a class with
-            # too few errors falls back as NBF does
-            order = np.lexsort((wrong_pool, -conf[wrong_pool]))
-            picks = sorted(int(i) for i in wrong_pool[order[: spec.per_class_count]])
+            # the most confident errors; a class with too few errors falls
+            # back as NBF does
+            picks = _top(wrong_pool, conf[wrong_pool], spec.per_class_count)
         elif spec.policy in (NBF, NBF_CE):
             picks = _take_with_fallback(
                 wrong_pool, right_pool, spec.per_class_count, cls,
@@ -190,14 +196,7 @@ def simulate_feedback(
                     spec.fallback_on_shortage, rng, shortage,
                 )
         elif spec.policy == ENTROPY:
-            if len(members) < spec.per_class_count:
-                raise ShortageError(
-                    f"class {cls}: only {len(members)} samples for "
-                    f"{spec.per_class_count} requested"
-                )
-            ent = prediction_entropy(probs[members])
-            order = sorted(range(len(members)), key=lambda j: (-ent[j], members[j]))
-            picks = sorted(int(members[j]) for j in order[: spec.per_class_count])
+            picks = _top(members, prediction_entropy(probs[members]), spec.per_class_count)
         else:
             raise ConfigError(f"unhandled policy {spec.policy}")
         labeled.extend((int(i), int(cls)) for i in picks)

@@ -124,12 +124,16 @@ class DecisionGrid:
     cells: np.ndarray  # (resolution, resolution); [row, col] = (y index, x index)
 
 
+def check_resolution(resolution: int) -> None:
+    if resolution < 2:
+        raise ConfigError(f"resolution must be >= 2, got {resolution}")
+
+
 def decision_grid(model: nn.MlpModel, bounds, resolution: int, thresholds=None) -> DecisionGrid:
     """Predicted class at each cell center; sigmoid heads encode the 0/1
     outputs as a bitmask (finding j contributes 2**j)."""
     xmin, xmax, ymin, ymax = bounds
-    if resolution < 2:
-        raise ConfigError(f"resolution must be >= 2, got {resolution}")
+    check_resolution(resolution)
     if xmin >= xmax or ymin >= ymax:
         raise ConfigError(f"inverted bounds {bounds}")
     xs = xmin + (np.arange(resolution) + 0.5) * (xmax - xmin) / resolution

@@ -9,6 +9,7 @@ so the final checkpoint with a non-binding cap reproduces the offline run.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,27 +43,13 @@ class StreamConfig:
             last = f
 
 
-class FifoMemory:
-    """Bounded insert-order store of sample indices."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.items = []
-        self.occupancy_trace = []
-
-    def push(self, idx: int) -> None:
-        self.items.append(idx)
-        if len(self.items) > self.cap:
-            self.items.pop(0)
-        assert len(self.items) <= self.cap
-        self.occupancy_trace.append(len(self.items))
-
-    def note(self) -> None:
-        # labeled items bypass the memory but still mark a stream tick
-        self.occupancy_trace.append(len(self.items))
-
-    def __len__(self):
-        return len(self.items)
+def check_memory_fits(stream_cfg: StreamConfig, adapt_cfg: adapt_mod.AdaptConfig) -> None:
+    """Reject a memory too small to hold one unlabelled batch."""
+    if adapt_cfg.batch.mu > 0 and stream_cfg.memory_cap < adapt_cfg.batch.mu * adapt_cfg.batch.b:
+        raise ConfigError(
+            f"memory_cap {stream_cfg.memory_cap} is smaller than one unlabeled "
+            f"batch ({adapt_cfg.batch.mu}*{adapt_cfg.batch.b})"
+        )
 
 
 def run_stream(
@@ -78,11 +65,7 @@ def run_stream(
 
     Returns (checkpoint record list, model from the last checkpoint).
     """
-    if adapt_cfg.batch.mu > 0 and stream_cfg.memory_cap < adapt_cfg.batch.mu * adapt_cfg.batch.b:
-        raise ConfigError(
-            f"memory_cap {stream_cfg.memory_cap} is smaller than one unlabeled "
-            f"batch ({adapt_cfg.batch.mu}*{adapt_cfg.batch.b})"
-        )
+    check_memory_fits(stream_cfg, adapt_cfg)
     n = len(train)
     label_of = dict(split.labeled)
     order = np.random.default_rng(np.random.SeedSequence([seed, 1])).permutation(n)
@@ -92,7 +75,7 @@ def run_stream(
             f"checkpoint fractions collide at stream length {n}: {stream_cfg.checkpoints}"
         )
 
-    memory = FifoMemory(stream_cfg.memory_cap)
+    memory = deque(maxlen=stream_cfg.memory_cap)  # FIFO: a full deque drops its oldest
     labeled_store = []
     records = []
     last_model = model.copy()
@@ -100,9 +83,8 @@ def run_stream(
         idx = int(idx)
         if idx in label_of:
             labeled_store.append((idx, label_of[idx]))
-            memory.note()
         else:
-            memory.push(idx)
+            memory.append(idx)
         if pos not in triggers:
             continue
         record = {
@@ -113,7 +95,7 @@ def run_stream(
         }
         record["skipped"] = not labeled_store
         if labeled_store:
-            ckpt_split = TargetSplit(list(labeled_store), list(memory.items))
+            ckpt_split = TargetSplit(list(labeled_store), list(memory))
             last_model, rows = adapt_mod.adapt(model, ckpt_split, train, adapt_cfg, seed)
             record["fallbacks"] = int(sum(r["bank"]["fallbacks"] for r in rows))
         # with no feedback streamed in yet, the untouched model is evaluated

@@ -77,7 +77,8 @@ class SweepResult:
         return rows
 
 
-def _rld_on(base: ExperimentConfig) -> dict:
+def rld_on(base: ExperimentConfig) -> dict:
+    """The overrides that turn rld on at the base's k, or at 3 if it has none."""
     k = base.flat["adapt.k"] if base.flat["adapt.k"] > 0 else 3
     return {"rld.enabled": True, "adapt.k": k}
 
@@ -91,7 +92,7 @@ def axis_cells(axis: str, base: ExperimentConfig) -> list:
                 (f"{policy}:baseline",
                  {"feedback.policy": policy, "adapt.k": 0, "rld.enabled": False})
             )
-            cells.append((f"{policy}:rld", {"feedback.policy": policy, **_rld_on(base)}))
+            cells.append((f"{policy}:rld", {"feedback.policy": policy, **rld_on(base)}))
         return cells
     if axis == "k":
         return [
@@ -99,13 +100,13 @@ def axis_cells(axis: str, base: ExperimentConfig) -> list:
         ]
     if axis == "p":
         return [
-            (repr(p), {**_rld_on(base), "rld.p": p}) for p in (0.2, 0.4, 0.6, 0.8)
+            (repr(p), {**rld_on(base), "rld.p": p}) for p in (0.2, 0.4, 0.6, 0.8)
         ]
     if axis == "ratio":
         return [(name, dict(ov)) for name, ov in RATIO_CELLS]
     if axis == "strategy":
         return [
-            (s, {**_rld_on(base), "rld.strategy": s}) for s in bank_mod.STRATEGIES
+            (s, {**rld_on(base), "rld.strategy": s}) for s in bank_mod.STRATEGIES
         ]
     if axis == "pfnf":
         return [

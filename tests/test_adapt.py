@@ -58,28 +58,32 @@ def toy():
     return target, split, model
 
 
+# centroid (0, 0) and RMS radius 1: each fraction is the sigma itself
+UNIT_RADIUS = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
 class TestAugmenter:
     def test_zero_weak_noise_is_identity(self):
-        aug = adapt.Augmenter(adapt.AugmenterSpec(0.0, 0.5), centroid=(0, 0))
+        aug = adapt.Augmenter(adapt.AugmenterSpec(0.0, 0.5), UNIT_RADIUS)
         pts = np.random.default_rng(0).normal(size=(10, 2))
         out = aug.weak(pts, np.random.default_rng(1))
         assert out is pts
 
     def test_degenerate_strong_is_identity(self):
-        aug = adapt.Augmenter(adapt.AugmenterSpec(0.0, 0.0, (1.0, 1.0)), centroid=(0, 0))
+        aug = adapt.Augmenter(adapt.AugmenterSpec(0.0, 0.0, (1.0, 1.0)), UNIT_RADIUS)
         pts = np.random.default_rng(0).normal(size=(10, 2))
         assert aug.strong(pts, np.random.default_rng(1)) is pts
 
     def test_weak_noise_variance_monte_carlo(self):
         sigma = 0.3
-        aug = adapt.Augmenter(adapt.AugmenterSpec(sigma, sigma), centroid=(0, 0))
+        aug = adapt.Augmenter(adapt.AugmenterSpec(sigma, sigma), UNIT_RADIUS)
         pts = np.zeros((100_000, 2))
         delta = aug.weak(pts, np.random.default_rng(2)) - pts
         assert abs(delta.var() - sigma**2) < 0.05 * sigma**2
 
     def test_strong_scale_moves_along_centroid_ray(self):
-        aug = adapt.Augmenter(
-            adapt.AugmenterSpec(0.0, 0.0, (0.9, 1.1)), centroid=(1.0, 1.0)
+        aug = adapt.Augmenter(  # centroid (1, 1)
+            adapt.AugmenterSpec(0.0, 0.0, (0.9, 1.1)), UNIT_RADIUS + 1.0
         )
         pts = np.array([[3.0, 2.0], [0.0, 5.0], [-2.0, 0.5]])
         out = aug.strong(pts, np.random.default_rng(3))
@@ -90,11 +94,12 @@ class TestAugmenter:
             assert row[0] == pytest.approx(row[1], abs=1e-12)
             assert 0.9 <= row[0] <= 1.1
 
-    def test_from_points_uses_rms_radius(self):
-        pts = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-        spec = adapt.AugmenterSpec.from_points(pts, weak_frac=0.1, strong_frac=0.2)
-        assert spec.weak_noise_std == pytest.approx(0.1 * math.sqrt(2.0))
-        assert spec.strong_noise_std == pytest.approx(0.2 * math.sqrt(2.0))
+    def test_sigmas_scale_with_rms_radius(self):
+        pts = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) + 5.0
+        aug = adapt.Augmenter(adapt.AugmenterSpec(0.1, 0.2), pts)
+        assert aug.weak_std == pytest.approx(0.1 * math.sqrt(2.0))
+        assert aug.strong_std == pytest.approx(0.2 * math.sqrt(2.0))
+        assert np.array_equal(aug.centroid, [5.0, 5.0])
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigError):
@@ -189,7 +194,7 @@ def saturated_model():
 
 
 def toy_augmenter(points):
-    return adapt.Augmenter(adapt.AugmenterSpec.from_points(points), points.mean(axis=0))
+    return adapt.Augmenter(adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)), points)
 
 
 def step_rows(batch, cfg, augmenter, seed):
@@ -1272,7 +1277,7 @@ def ref_adapt_units(
     if cfg.batch.mu > 0 and len(unlabeled_idx) == 0:
         raise ConfigError("mu > 0 but the unlabeled pool is empty")
 
-    augmenter = adapt.Augmenter(cfg.augment or adapt.AugmenterSpec(), train.points.mean(axis=0))
+    augmenter = adapt.Augmenter(cfg.augment or adapt.AugmenterSpec(), train.points)
     state = nn.SgdState.zeros_like(model)
     records = []
     n_steps = adapt.steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)

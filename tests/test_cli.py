@@ -137,10 +137,8 @@ class TestCommands:
 
     def test_stream_and_plot_augment_fixmatch(self, tmp_path, monkeypatch):
         sets = ["--set", "adapt.algorithm=fixmatch_lite"] + FAST_SETS
-        cfg = load_config(None, sets[1::2])
-        want = adapt_mod.AugmenterSpec.from_points(
-            runner.make_data(cfg, 0).target_train.points, *cfg.augment_fracs()
-        )
+        want = load_config(None, sets[1::2]).adapt_config().augment
+        assert want == adapt_mod.AugmenterSpec(0.03, 0.15, (0.9, 1.1))
         seen = []
         real_adapt = adapt_mod.adapt
 
@@ -251,6 +249,24 @@ class TestExitCodes:
         monkeypatch.setattr(runner, "pretrain", no_stage)
         sets = [arg for o in overrides for arg in ("--set", o)]
         assert run_cli(["adapt", "--out", str(tmp_path)] + FAST_SETS + sets) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("args", [
+        ["plot", "--resolution", "1"],
+        ["plot", "--resolution", "1", "--set", "rld.strategy=kmeans_center"],
+        ["stream", "--cap", "0"],
+        ["stream", "--cap", "100"],  # below one unlabelled batch, 7*16
+        ["stream", "--checkpoints", "0.7", "0.5"],
+        ["stream", "--checkpoints", "0.5", "1.5"],
+    ])
+    def test_bad_flags_exit_2_before_any_stage(self, tmp_path, monkeypatch, capsys, args):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the flags were rejected")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        monkeypatch.setattr(runner, "pretrain", no_stage)
+        assert run_cli(args + ["--out", str(tmp_path)] + FAST_SETS) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 

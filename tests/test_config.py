@@ -2,6 +2,7 @@
 
 import pytest
 
+from sdalab import adapt as adapt_mod
 from sdalab import config as config_mod
 from sdalab import bank, data, feedback, nn, runner
 from sdalab.config import ExperimentConfig, apply_overrides, parse_config_text, stage_seed
@@ -198,6 +199,12 @@ class TestTypedViews:
         acfg = cfg.adapt_config()
         assert (acfg.batch.b, acfg.batch.mu) == (16, 4)
         assert acfg.rld.p == 0.6 and acfg.rld.k == 2
+
+    def test_adapt_config_carries_the_augmenter_under_fixmatch_only(self):
+        flat = {"augment.weak_frac": 0.05, "augment.strong_frac": 0.2, "augment.scale_hi": 1.3}
+        assert ExperimentConfig(flat).adapt_config().augment is None
+        acfg = ExperimentConfig({**flat, "adapt.algorithm": "fixmatch_lite"}).adapt_config()
+        assert acfg.augment == adapt_mod.AugmenterSpec(0.05, 0.2, (0.9, 1.3))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_adapt_k_sets_batch_and_rld_k_alike(self, k):

@@ -184,6 +184,52 @@ class TestConfidentErrors:
         assert split.provenance["shortage"] == {"0": 2}
 
 
+def sorted_top(pool, score, m):
+    """The entropy pick as a Python sort: score descending, ties by index."""
+    order = sorted(range(len(pool)), key=lambda j: (-score[j], pool[j]))
+    return sorted(int(pool[j]) for j in order[:m])
+
+
+class TestEntropyPick:
+    SCORES = np.array([0.0, -0.0, 0.5, 0.25, 1e-300])  # ties, and both zeros
+
+    def test_top_matches_sorted_reference(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 25))
+            pool = rng.permutation(1000)[:n]
+            score = rng.choice(self.SCORES, size=n)
+            m = int(rng.integers(1, n + 1))
+            assert feedback._top(pool, score, m) == sorted_top(pool, score, m)
+
+    def test_tied_entropies_match_sorted_reference(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        n, c, m = 60, 3, 4
+        labels = rng.integers(0, c, size=n)
+        train = data.LabeledSet(rng.normal(size=(n, 2)), labels, data.TARGET)
+        model = nn.MlpModel.init([2, 8, c], nn.SOFTMAX, rng)
+        spec = feedback.FeedbackSpec(policy=feedback.ENTROPY, per_class_count=m)
+        classes = [np.flatnonzero(labels == cls) for cls in range(c)]
+        for case in range(20):
+            ent = rng.choice(self.SCORES, size=n)
+            # simulate_feedback scores the classes in order, one call each
+            members = iter(classes)
+            monkeypatch.setattr(feedback, "prediction_entropy", lambda probs: ent[next(members)])
+            split = feedback.simulate_feedback(train, model, spec, seed=case)
+            for cls, pool in enumerate(classes):
+                got = [i for i, y in split.labeled if y == cls]
+                assert got == sorted_top(pool, ent[pool], m)
+
+    @pytest.mark.parametrize("policy", [feedback.RF, feedback.ENTROPY])
+    def test_class_smaller_than_the_quota_is_a_shortage(self, policy):
+        rng = np.random.default_rng(2)
+        train = data.LabeledSet(rng.normal(size=(7, 2)), np.array([0] * 5 + [1] * 2), data.TARGET)
+        model = nn.MlpModel.init([2, 8, 2], nn.SOFTMAX, rng)
+        spec = feedback.FeedbackSpec(policy=policy, per_class_count=3)
+        with pytest.raises(ShortageError, match="class 1: only 2 samples for 3 requested"):
+            feedback.simulate_feedback(train, model, spec, seed=0)
+
+
 class TestShortage:
     def test_perfect_model_nbf_error(self):
         # Train labels equal to the model's own predictions leave no errors.

@@ -1,11 +1,12 @@
 """Tests for the single-run pipeline: staging, caching, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sdalab import runner
+from sdalab import adapt, runner
 from sdalab.config import ExperimentConfig
 
 FAST = {
@@ -113,6 +114,24 @@ class TestRunSingle:
         assert r.final["metric"] == "mean_auroc"
         assert 0.0 <= r.final["target_test_value_adapted"] <= 1.0
         assert len(r.rows) == 2
+
+    def test_fixmatch_adapt_config_alone_gives_run_single_rows(self):
+        # cfg.adapt_config() is the run's whole AdaptConfig, augmenter included
+        cfg = fast_cfg(**{"adapt.algorithm": "fixmatch_lite"})
+        cache = runner.StageCache()
+        record = runner.run_single(cfg, 0, cache)
+        d = runner.make_data(cfg, 0, cache)
+        pre, split = runner.pretrain(cfg, 0, cache), runner.make_feedback(cfg, 0, cache)
+        acfg = cfg.adapt_config()
+
+        def rows(acfg):
+            return adapt.adapt(
+                pre.model, split, d.target_train, acfg, runner.adapt_seed(cfg, 0),
+                test_set=d.target_test,
+            )[1]
+
+        assert rows(acfg) == record.rows
+        assert rows(dataclasses.replace(acfg, augment=None)) != record.rows
 
     def test_seed_changes_outcome(self):
         a = runner.run_single(fast_cfg(), 0)

@@ -40,31 +40,6 @@ class TestStreamConfig:
         assert stream.StreamConfig(memory_cap=200).checkpoints == (0.1, 0.4, 0.7, 1.0)
 
 
-class TestFifoMemory:
-    def test_occupancy_never_exceeds_cap(self):
-        mem = stream.FifoMemory(100)
-        for i in range(1000):
-            mem.push(i)
-        assert len(mem) == 100
-        assert max(mem.occupancy_trace) == 100
-        # fills linearly, then pins at the cap from item 100 onward
-        assert mem.occupancy_trace[:100] == list(range(1, 101))
-        assert set(mem.occupancy_trace[100:]) == {100}
-
-    def test_fifo_eviction_order(self):
-        mem = stream.FifoMemory(3)
-        for i in range(5):
-            mem.push(i)
-        assert mem.items == [2, 3, 4]
-
-    def test_note_marks_tick_without_insert(self):
-        mem = stream.FifoMemory(3)
-        mem.push(0)
-        mem.note()
-        assert mem.items == [0]
-        assert mem.occupancy_trace == [1, 1]
-
-
 class TestRunStream:
     def test_cap_below_one_batch_rejected(self, pipeline):
         cfg, d, pre, split = pipeline
@@ -103,6 +78,32 @@ class TestRunStream:
         assert records[-1]["occupancy"] == cap
         # all feedback has streamed in by the end
         assert records[-1]["labeled_count"] == len(split.labeled)
+
+    @pytest.mark.parametrize("cap", [112, 150])
+    def test_memory_holds_the_last_cap_unlabeled_items(self, pipeline, monkeypatch, cap):
+        cfg, d, pre, split = pipeline
+        pools = []
+        real_adapt = adapt_mod.adapt
+
+        def spy(model, ckpt_split, *args, **kwargs):
+            pools.append(ckpt_split.unlabeled)
+            return real_adapt(model, ckpt_split, *args, **kwargs)
+
+        monkeypatch.setattr(adapt_mod, "adapt", spy)
+        scfg = stream.StreamConfig(memory_cap=cap, checkpoints=(0.5, 1.0))
+        records, _ = stream.run_stream(
+            pre.model, d.target_train, split, scfg, cfg.adapt_config(), 0
+        )
+        n = len(d.target_train)
+        order = np.random.default_rng(np.random.SeedSequence([0, 1])).permutation(n)
+        labeled = {i for i, _ in split.labeled}
+        assert len(pools) == len(records) == 2
+        for pool, record in zip(pools, records):
+            # the cap binds at both checkpoints; oldest first, evicted first
+            seen = [int(i) for i in order[: record["items_seen"]] if int(i) not in labeled]
+            assert len(seen) > cap
+            assert pool == seen[-cap:]
+            assert record["occupancy"] == cap
 
     def test_labeled_counts_monotone(self, pipeline):
         cfg, d, pre, split = pipeline
@@ -154,7 +155,7 @@ class TestRunStream:
     def test_non_binding_cap_matches_offline_fixmatch(self, pipeline):
         cfg, d, pre, split = pipeline
         fcfg = cfg.with_overrides({"adapt.algorithm": adapt_mod.FIXMATCH_LITE})
-        acfg = runner.build_adapt_config(fcfg, d)
+        acfg = fcfg.adapt_config()
         assert acfg.augment is not None
         scfg = stream.StreamConfig(memory_cap=len(d.target_train), checkpoints=(0.5, 1.0))
         records, streamed = stream.run_stream(

@@ -34,7 +34,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from sdalab import bank, nn, runner, stream, sweep  # noqa: E402
-from sdalab.config import ExperimentConfig, stage_seed  # noqa: E402
+from sdalab.config import ExperimentConfig  # noqa: E402
 
 RLD = {"rld.enabled": True, "adapt.k": 3}
 # the fallback runs of binary rld name their strategy so that older
@@ -80,8 +80,7 @@ def stream_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) ->
     split = runner.make_feedback(cfg, seed, cache)
     records, last = stream.run_stream(
         pre.model, d.target_train, split, stream.StreamConfig(memory_cap=STREAM_CAP),
-        runner.build_adapt_config(cfg, d), stage_seed(cfg.stage_hash("adapt"), seed, "adapt"),
-        test_set=d.target_test,
+        cfg.adapt_config(), runner.adapt_seed(cfg, seed), test_set=d.target_test,
     )
     weights = "".join(a.tobytes().hex() for a in last.weights + last.biases)
     return _sha(_rows(records) + "\n" + weights)
