@@ -8,9 +8,17 @@ predictions into loss targets, and builds the epoch's candidate bank (the
 per-finding banks of a sigmoid head are read as one bank of 2F classes), so
 batch assembly, retrieval and the step are shared by both heads.
 
-Each epoch starts by drawing every step's batch indices and building the
-candidate bank. Retrieval then runs once for the whole epoch, unless the
-strategy reads the model (cosine_distant), which retrieves at each step.
+Each epoch starts by laying out everything the model does not decide, for
+every step at once (build_minibatch): the batch indices, drawn in the
+order step-by-step drawing takes; the candidate bank and, unless the
+strategy reads the model (cosine_distant), the defending pairs of the
+whole epoch; each step's stacked input rows, from one gather; and each
+step's loss targets and mask, checked once, with the term bounds and the
+counts that do not depend on the model. A step then computes only what
+the current model decides: the cosine_distant picks (written into the
+step's defending rows), FixMatch-lite's augmented views (written over
+their rows), the pseudo labels or FixMatch's mask (written into the
+targets), and the passes.
 
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
@@ -154,17 +162,21 @@ class LossBreakdown:
 class SoftmaxRule:
     """Softmax head: a label is a class; an unlabelled target is the argmax."""
 
-    def loss(self, probs, terms, labels, defending_labels, fixmatch=None) -> tuple:
-        """(losses, dprobs, counts) of the labelled, unlabelled and defending
-        terms, in one cross-entropy pass over their rows of probs. fixmatch,
-        if given, is the strong view's (pseudo labels, passing mask)."""
-        pseudo, passing = fixmatch or (nn.argmax_rows(probs[slice(*terms[1])]), None)
-        targets = np.concatenate([labels, pseudo, defending_labels])
-        mask = None
-        if passing is not None:
-            mask = np.ones(len(targets))
-            mask[len(labels) : len(labels) + len(pseudo)] = passing
-        return nn.loss_ce(probs, targets, terms, mask)
+    def epoch_targets(self, labels, pseudo, n_outputs) -> tuple:
+        """(targets, mask) of an epoch's scored rows, labels shaped (steps,
+        rows): the classes, checked once, and no mask. The rows at pseudo
+        (a slice) take pseudo labels, written by pseudo_targets each step."""
+        nn._checked_targets(labels.reshape(-1), n_outputs)
+        return labels, None
+
+    @staticmethod
+    def pseudo_targets(probs, out) -> None:
+        nn.argmax_rows(probs, out)
+
+    @staticmethod
+    def loss(probs, rows, targets, bounds, counts, mask) -> tuple:
+        """(losses, dprobs) of the terms in one cross-entropy pass."""
+        return nn._ce_terms(probs, rows, targets, bounds, counts, mask)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
@@ -194,15 +206,21 @@ class SigmoidRule:
         mask[at] = 1.0
         return targets, mask
 
-    def loss(self, probs, terms, labels, defending_labels) -> tuple:
-        """As SoftmaxRule.loss without fixmatch (binary mode runs
-        pseudo-labelling only), in one BCE pass."""
-        targets, mask = self.targets(np.concatenate([labels, defending_labels]))
-        n = len(labels)
-        unlabeled = probs[slice(*terms[1])]
-        targets = np.concatenate([targets[:n], unlabeled >= self.thresholds, targets[n:]])
-        mask = np.concatenate([mask[:n], np.ones(unlabeled.shape), mask[n:]])
-        return nn.loss_bce(probs, targets, terms, mask)
+    def epoch_targets(self, labels, pseudo, n_outputs=None) -> tuple:
+        """As SoftmaxRule.epoch_targets: which target cells are 1, and the
+        mask, every cell of a pseudo-labelled row unmasked."""
+        targets, mask = (a.reshape(*labels.shape, -1) for a in self.targets(labels.reshape(-1)))
+        mask[:, pseudo] = 1.0
+        return nn._checked_targets(targets), mask
+
+    def pseudo_targets(self, probs, out) -> None:
+        np.greater_equal(probs, self.thresholds, out=out)
+
+    @staticmethod
+    def loss(probs, rows, targets, bounds, counts, mask) -> tuple:
+        """As SoftmaxRule.loss in one BCE pass; every row is scored, as
+        binary mode runs pseudo-labelling only."""
+        return nn._bce_terms(probs, targets, bounds, counts, mask)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
@@ -219,74 +237,142 @@ class SigmoidRule:
 SOFTMAX_RULE = SoftmaxRule()
 
 
-class CyclingSampler:
-    """Epoch-shuffled without-replacement cycling over a fixed index pool."""
+def _views(cfg: AdaptConfig, u: int) -> int:
+    """How many times a step's u unlabelled points enter its forward pass:
+    twice under fixmatch_lite (the weak view and the strong view), else once."""
+    return 2 if cfg.algorithm == FIXMATCH_LITE and u else 1
 
-    def __init__(self, pool, rng: np.random.Generator):
-        self.pool = np.asarray(pool, dtype=np.int64)
-        if len(self.pool) == 0:
-            raise ConfigError("cannot sample from an empty pool")
-        self.rng = rng
-        self.order = rng.permutation(self.pool)
-        self.pos = 0
 
-    def take(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if self.pos == len(self.order):
-                self.order = self.rng.permutation(self.pool)
-                self.pos = 0
-            grab = min(n - filled, len(self.order) - self.pos)
-            out[filled : filled + grab] = self.order[self.pos : self.pos + grab]
-            self.pos += grab
-            filled += grab
-        return out
+class _Epoch:
+    """Every step of one epoch, laid out once (module docstring).
+
+    Row i of inputs holds step i's forward input, stacked: b labelled rows,
+    u unlabelled rows, then defending[i] defending rows; under fixmatch_lite
+    the unlabelled rows come twice, as the weak view's slot and then the
+    strong view's, each holding the raw points until the step writes its
+    view there. Row i of labels, targets and mask (when there is a mask) holds
+    the step's scored rows, all but the weak view's, in the same order: the
+    labelled ones, u pseudo-labelled ones (labels holds a placeholder
+    there) and the defending ones; rows holds where each sits in the forward
+    input. Steps with fewer defending rows than the most leave their tails
+    unused, so each step's rows are a contiguous prefix of its row.
+    """
+
+    def __init__(self, inputs, labels, b, u, defending, fallbacks, cfg, rule, n_outputs):
+        if cfg.algorithm == FIXMATCH_LITE and isinstance(rule, SigmoidRule):
+            raise ConfigError("binary mode supports the pseudo-label engine only")
+        self.inputs, self.labels, self.b, self.u, self.rule = inputs, labels, b, u, rule
+        self.defending, self.fallbacks = defending, fallbacks
+        self.views = _views(cfg, u)
+        self.head = b + self.views * u  # where the defending rows start
+        self.rows = np.arange(labels.shape[1])
+        self.rows[b:] += self.head - b - u
+        self.targets, self.mask = rule.epoch_targets(labels, slice(b, b + u), n_outputs)
+        if self.views == 2:
+            self.mask = np.ones(labels.shape)
+
+    @classmethod
+    def of_batch(cls, batch: "MiniBatch", cfg, rule, n_outputs) -> "_Epoch":
+        """One step, from a batch of points."""
+        b, u = len(batch.labeled_points), len(batch.unlabeled_points)
+        inputs = np.concatenate([
+            batch.labeled_points, *[batch.unlabeled_points] * _views(cfg, u),
+            batch.defending_points,
+        ])
+        labels = np.concatenate(  # as loss_ce casts its targets
+            [batch.labeled_labels, np.zeros(u), batch.defending_labels]
+        ).astype(np.int64)
+        return cls(inputs[None], labels[None], b, u, [len(batch.defending_points)],
+                   [batch.fallback_events], cfg, rule, n_outputs)
+
+    def put_defending(self, i, points) -> None:
+        """Step i's defending points, retrieved as the step runs, into the
+        slot laid out for them (their labels are there already)."""
+        d = self.defending[i]
+        if len(points) != d:
+            raise ShapeError(f"step {i} retrieved {len(points)} defending points for {d} rows")
+        self.inputs[i, self.head : self.head + d] = points
+
+    def batch(self, i) -> "MiniBatch":
+        """Step i as a MiniBatch of views, its unlabelled points copied under
+        fixmatch_lite, where the step writes its views over their slots."""
+        b, u, d = self.b, self.u, self.defending[i]
+        unlabeled = self.inputs[i, b : b + u]
+        return MiniBatch(
+            self.inputs[i, :b], self.labels[i, :b],
+            unlabeled.copy() if self.views == 2 else unlabeled,
+            self.inputs[i, self.head : self.head + d], self.labels[i, b + u : b + u + d],
+            self.fallbacks[i],
+        )
 
 
 def build_minibatch(
     train: LabeledSet,
     picked: np.ndarray,
     unlabeled: np.ndarray,
-    defending: Optional[tuple] = None,
-) -> MiniBatch:
-    """One batch from its draws: picked holds the labelled units (rows of
-    (sample index, label)), unlabeled the unlabelled sample indices, and
-    defending the (points, labels, fallback_events) retrieved for those
-    units, None for no defending pairs."""
-    if defending is None:
-        defending = (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0)
-    return MiniBatch(
-        train.points[picked[:, 0]], picked[:, 1], train.points[unlabeled], *defending
+    defending: Optional[tuple],
+    cfg: AdaptConfig,
+    rule,
+    n_outputs: int,
+) -> _Epoch:
+    """Every step of one epoch, laid out from its draws: picked holds each
+    step's labelled units (steps, b, 2), unlabeled its unlabelled sample
+    indices (steps, mu*b), and defending the epoch's defending rows as
+    bank._retrieve_split gives them, None for no defending pairs. One
+    gather from train.points fills the labelled and unlabelled rows of
+    every step; the defending points go into their slots, unless they are
+    retrieved step by step (points None)."""
+    steps, u = unlabeled.shape
+    points, d_labels, counts, fallbacks = defending or (
+        None, np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps
     )
+    room = max(counts)  # the most defending rows of any step
+    blank = np.zeros((steps, room), dtype=np.int64)
+    inputs = train.points[
+        np.concatenate([picked[..., 0], *[unlabeled] * _views(cfg, u), blank], axis=1)
+    ]
+    labels = np.concatenate([picked[..., 1], np.zeros((steps, u), dtype=np.int64), blank], axis=1)
+    if room:
+        used = np.arange(room) < np.array(counts)[:, None]
+        labels[:, -room:][used] = d_labels
+        if points is not None:
+            inputs[:, -room:][used] = points
+    return _Epoch(inputs, labels, picked.shape[1], u, counts, fallbacks, cfg, rule, n_outputs)
 
 
 def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tuple:
     """Every step's draws for one epoch: labelled units shaped (steps, b, 2)
-    and unlabelled sample indices shaped (steps, mu*b). Both samplers start
-    the epoch afresh and draw from rng step by step, labelled first."""
-    labeled_sampler = CyclingSampler(np.arange(len(units)), rng)
-    unlabeled_sampler = CyclingSampler(unlabeled_idx, rng) if spec.mu > 0 else None
-    picked = np.empty((n_steps, spec.b), dtype=np.int64)
-    unlabeled = np.empty((n_steps, spec.mu * spec.b), dtype=np.int64)
-    for i in range(n_steps):
-        picked[i] = labeled_sampler.take(spec.b)
-        if unlabeled_sampler is not None:
-            unlabeled[i] = unlabeled_sampler.take(spec.mu * spec.b)
-    return units[picked], unlabeled
+    and unlabelled sample indices shaped (steps, mu*b).
 
-
-def _epoch_defending(bank, points, labels, cfg, rng, model, epoch) -> Callable:
-    """Step i's defending (points, labels, fallback_events), as a function
-    of i, for an epoch whose labelled points and labels are shaped (steps, b,
-    ...). A strategy that reads the model retrieves when step i asks, from
-    the model as trained so far. The others read only the epoch's frozen bank
-    and the rng, so they retrieve for the whole epoch in one call, up front."""
-    if cfg.strategy in bank_mod.MODEL_FREE:
-        return bank_mod._retrieve_split(bank, points, labels, cfg, rng, epoch=epoch).__getitem__
-    return lambda i: bank_mod.retrieve_defending(
-        bank, points[i], labels[i], cfg, rng, model=model, epoch=epoch
-    )
+    Each pool is read without replacement through one permutation after
+    another, drawn afresh each epoch: a pool of size P draws its first
+    permutation as the epoch starts and its j-th (j >= 1) in the step that
+    first reads element j*P, the labelled pool first within a step. The rng
+    is called in that order, as step-by-step cycling samplers would call it.
+    Each permutation shuffles its own copy of the pool in place, which is
+    what rng.permutation does, with the same draws.
+    """
+    pools = [(np.arange(len(units)), spec.b)]
+    if spec.mu > 0:
+        pools.append((unlabeled_idx, spec.mu * spec.b))
+    schedule, orders = [], []  # schedule: (step, pool, permutation), step -1 as the epoch starts
+    for p, (pool, per_step) in enumerate(pools):
+        size = len(pool)
+        if size == 0:
+            raise ConfigError("cannot sample from an empty pool")
+        needed = -(-n_steps * per_step // size)
+        schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
+        orders.append(np.tile(pool, needed))
+    for _, p, j in sorted(schedule):
+        size = len(pools[p][0])
+        rng.shuffle(orders[p][j * size : (j + 1) * size])
+    draws = [
+        order[: n_steps * per_step].reshape(n_steps, per_step)
+        for order, (_, per_step) in zip(orders, pools)
+    ]
+    if spec.mu == 0:
+        draws.append(np.empty((n_steps, 0), dtype=np.int64))
+    return units[draws[0]], draws[1]
 
 
 def step(
@@ -298,61 +384,61 @@ def step(
     rng: Optional[np.random.Generator] = None,
     buffers: Optional[nn.StepBuffers] = None,
 ) -> tuple:
-    """One loss/gradient evaluation: supervised, unlabelled and defending
-    terms; fixmatch_lite draws its augmented views from rng, weak first.
-    The passes run in ``buffers`` if given (see the nn module docstring).
+    """One loss/gradient evaluation of batch: supervised, unlabelled and
+    defending terms; fixmatch_lite draws its augmented views from rng, weak
+    first. The passes run in ``buffers`` if given (see the nn module
+    docstring). The batch is laid out as a one-step epoch; the epoch loop
+    takes the same step on its own layout."""
+    return _step(model, _Epoch.of_batch(batch, cfg, rule, model.output_dim), 0, cfg,
+                 augmenter, rng, buffers)
 
-    One forward pass runs every row, stacked: labelled, then unlabelled
-    (for fixmatch_lite the weak view, then the strong view), then
-    defending. One loss pass over the same probabilities scores the three
-    terms: one target per scored row (the label, the pseudo label or the
-    strong view's masked FixMatch target, the defending label), each term's
-    loss summed over its own contiguous rows and divided by its own count,
-    and one d(loss)/d(probs) for them all. The weak view's rows get no
-    target, so zero upstream gradient, which detaches them; one backward
-    pass gives the summed gradient.
-    """
-    if cfg.algorithm == FIXMATCH_LITE and isinstance(rule, SigmoidRule):
-        raise ConfigError("binary mode supports the pseudo-label engine only")
-    n_labeled = len(batch.labeled_points)
-    n_unlabeled = len(batch.unlabeled_points)
-    fixmatch = cfg.algorithm == FIXMATCH_LITE and n_unlabeled > 0
-    unlabeled = [batch.unlabeled_points]
+
+def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
+    """Step i of epoch (module docstring): one forward pass over its rows,
+    stacked labelled, unlabelled (for fixmatch_lite the weak view, then the
+    strong view), defending; one loss pass that scores each term over its
+    own contiguous rows and divides by its own count; one backward pass.
+    The weak view's rows get no target, so zero upstream gradient, which
+    detaches them. Only what the model decides is computed here: the views,
+    the pseudo labels (or FixMatch's mask) and the losses."""
+    b, u, d, rule = epoch.b, epoch.u, epoch.defending[i], epoch.rule
+    defending_at = epoch.head
+    unlabeled_at = defending_at - u  # the strong view's rows under fixmatch
+    scored = b + u + d
+    inputs, targets = epoch.inputs[i, : defending_at + d], epoch.targets[i, :scored]
+    mask = None if epoch.mask is None else epoch.mask[i, :scored]
+    fixmatch = epoch.views == 2
     if fixmatch:
         # weak view proposes the pseudo label, strong view takes the loss;
         # weak draws from rng first
-        unlabeled = [
-            augmenter.weak(batch.unlabeled_points, rng),
-            augmenter.strong(batch.unlabeled_points, rng),
-        ]
-    trace = nn.forward(
-        model, np.concatenate([batch.labeled_points, *unlabeled, batch.defending_points]), buffers
-    )
+        weak, strong = slice(b, unlabeled_at), slice(unlabeled_at, defending_at)
+        inputs[weak] = augmenter.weak(inputs[weak], rng)
+        inputs[strong] = augmenter.strong(inputs[strong], rng)
+    trace = nn.forward(model, inputs, buffers)
     probs = trace.probs
-    defending_at = n_labeled + n_unlabeled * len(unlabeled)
-    unlabeled_at = defending_at - n_unlabeled  # the strong view's rows under fixmatch
-    # each term is a mean over its own rows: the defending term's count is
-    # the actual pair count, k*B under duplicate_labeled, maybe fewer under
-    # skip_with_flag
-    terms = ((0, n_labeled), (unlabeled_at, defending_at), (defending_at, len(probs)))
-    labels = (batch.labeled_labels, batch.defending_labels)
-
+    # each term is a mean over its own rows (the unlabelled term's over its
+    # target cells): the defending term's count is the actual pair count,
+    # k*B under duplicate_labeled, maybe fewer under skip_with_flag
+    counts = [b, targets[b : b + u].size, d]
     if fixmatch:
-        weak_probs = probs[n_labeled:unlabeled_at]
-        pseudo = nn.argmax_rows(weak_probs)
-        passing = weak_probs[np.arange(n_unlabeled), pseudo] >= cfg.confidence_threshold
-        (l_sup, mean_loss, l_rld), dprobs, counts = rule.loss(
-            probs, terms, *labels, fixmatch=(pseudo, passing)
-        )
-        # renormalize mean-over-passing to mu*B
-        mask_rate = counts[1] / n_unlabeled
-        l_unsup = mean_loss * mask_rate
-        dprobs[unlabeled_at:defending_at] *= mask_rate
+        weak_probs = probs[b:unlabeled_at]
+        pseudo = nn.argmax_rows(weak_probs, targets[b : b + u])
+        passing = weak_probs[np.arange(u), pseudo] >= cfg.confidence_threshold
+        mask[b : b + u] = passing
+        counts[1] = int(np.count_nonzero(passing))
     else:
         # pseudo targets are detached: computed from probs, never differentiated
-        (l_sup, l_unsup, l_rld), dprobs, _ = rule.loss(probs, terms, *labels)
-        mask_rate = 1.0 if n_unlabeled else 0.0
-
+        rule.pseudo_targets(probs[unlabeled_at:defending_at], targets[b : b + u])
+    bounds = ((0, b), (b, b + u), (b + u, scored))
+    (l_sup, l_unsup, l_rld), dprobs = rule.loss(
+        probs, epoch.rows[:scored], targets, bounds, counts, mask
+    )
+    mask_rate = 1.0 if u else 0.0
+    if fixmatch:
+        # renormalize mean-over-passing to mu*B
+        mask_rate = counts[1] / u
+        l_unsup *= mask_rate
+        dprobs[unlabeled_at:defending_at] *= mask_rate
     grads = nn.backward(model, trace, dprobs, buffers)
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
@@ -452,26 +538,31 @@ def _adapt_units(
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )
-            defending = _epoch_defending(
-                cur_bank, train.points[picked[..., 0]], picked[..., 1], cfg.rld,
-                retrieval_rng, model, epoch,
+            labeled = train.points[picked[..., 0]], picked[..., 1]
+            defending = bank_mod._retrieve_split(
+                cur_bank, *labeled, cfg.rld, retrieval_rng, epoch=epoch
             )
+        batches = build_minibatch(
+            train, picked, unlabeled, defending, cfg, rule, model.output_dim
+        )
         sums = np.zeros(len(_LOGGED))  # float64 adds, bit-equal to Python's
-        fallbacks = 0
         for i in range(n_steps):
-            batch = build_minibatch(
-                train, picked[i], unlabeled[i], defending(i) if defending else None
-            )
+            if defending is not None and defending[0] is None:
+                # the strategy reads the model: retrieve from it as trained so far
+                batches.put_defending(i, bank_mod.retrieve_defending(
+                    cur_bank, labeled[0][i], labeled[1][i], cfg.rld, retrieval_rng,
+                    model=model, epoch=epoch,
+                )[0])
             if observer is not None:
-                observer(epoch, i, batch)
-            losses, grads = step(model, batch, cfg, rule, augmenter, augment_rng, buffers)
+                observer(epoch, i, batches.batch(i))
+            losses, grads = _step(model, batches, i, cfg, augmenter, augment_rng, buffers)
             if not math.isfinite(losses.l_total):
                 raise NumericError(
                     f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"
                 )
             nn.sgd_step(model, grads, cfg.sgd, state)
             sums += (losses.l_sup, losses.l_unsup, losses.l_rld, losses.unsup_mask_rate)
-            fallbacks += batch.fallback_events
+        fallbacks = sum(batches.fallbacks)
         record = dict(zip(_LOGGED, (sums / n_steps).tolist()), epoch=epoch, bank={
             "sizes": rule.sizes(cur_bank) if cur_bank is not None else [],
             "fallbacks": fallbacks,

@@ -368,7 +368,7 @@ def retrieve_defending(
     # bank.points, followed by the labeled points, which a point that falls
     # back under DuplicateLabeled repeats
     rows = np.repeat(np.arange(len(labels))[:, None] + len(bank.points), cfg.k, axis=1)
-    out_lab = np.repeat(labels[:, None], cfg.k, axis=1)
+    out_lab = _own_labels(labels, falls_back, cfg)
     if cfg.strategy == KMEANS_CENTER:
         runs = _kmeans_runs(bank, labels, cfg.kmeans_clusters, rng)
         for cls, (positions, centroids) in runs.items():
@@ -379,7 +379,8 @@ def retrieve_defending(
             class_rows = bank.class_rows(int(labels[i]))
             size = len(class_rows)
             rows[i] = class_rows[rng.choice(size, size=cfg.k, replace=size < cfg.k)]
-    elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class: no point falls back
+    elif cfg.strategy == UNCONDITIONED_RANDOM:
+        # from every class: no point falls back, so out_lab has every point's row
         pool_rows = bank.rows
         pool_labels = np.repeat(np.arange(bank.num_classes), bank.counts)
         for i in served:
@@ -389,7 +390,7 @@ def retrieve_defending(
         rows[served] = _cosine_picks(bank, model, points[served], labels[served], cfg.k)
     fallbacks = int(falls_back.sum())
     if cfg.empty_class_fallback == SKIP_WITH_FLAG:
-        rows, out_lab = rows[served], out_lab[served]
+        rows = rows[served]
     if not rows.size:
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
     source = bank.points
@@ -408,27 +409,45 @@ def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.n
     return ~filled[np.minimum(labels, bank.num_classes)]
 
 
+def _own_labels(labels: np.ndarray, falls_back: np.ndarray, cfg: RldConfig) -> np.ndarray:
+    """The defending labels of the labeled points that are served, (served,
+    k): each point's own label k times, as every strategy but
+    unconditioned_random labels its rows. Under SkipWithFlag a point that
+    falls back is not served; otherwise every point is."""
+    if cfg.empty_class_fallback == SKIP_WITH_FLAG:
+        labels = labels[~falls_back]
+    return np.repeat(labels.reshape(-1, 1), cfg.k, axis=1)
+
+
 def _retrieve_split(
     bank: CandidateBank, labeled_points: np.ndarray, labeled_labels: np.ndarray,
     cfg: RldConfig, rng: np.random.Generator, epoch: Optional[int] = None,
-) -> list:
-    """retrieve_defending's result for each group of labeled points, from
-    one call over all of them. labeled_points and labeled_labels are shaped
-    (groups, size, ...); the rng is drawn in the order of one call per group
-    after another, which for a strategy in MODEL_FREE gives every group the
-    rows its own call would give. A point yields k rows, or none when it
-    falls back under SkipWithFlag, so the rows split back by group.
+) -> tuple:
+    """retrieve_defending's rows for groups of labeled points, shaped
+    (groups, size, ...), laid out group after group: (points, labels,
+    counts, fallbacks), the last two per group as lists of ints. A point
+    yields k rows, or none when it falls back under SkipWithFlag.
+
+    A strategy in MODEL_FREE retrieves for every group in one call, drawing
+    the rng in the order of one call per group after another, which gives
+    each group the rows its own call would give. cosine_distant reads the
+    model, so its points are left to one call per group as training goes
+    (points is None); its labels are known already (_own_labels).
     """
     groups, size = labeled_labels.shape
-    points, labels, _ = retrieve_defending(
-        bank, labeled_points.reshape(groups * size, -1), labeled_labels.ravel(), cfg, rng,
-        epoch=epoch,
-    )
-    fallbacks = _falls_back(bank, labeled_labels, cfg).sum(axis=1)
+    falls_back = _falls_back(bank, labeled_labels, cfg)
     skip = cfg.empty_class_fallback == SKIP_WITH_FLAG
+    if cfg.strategy in MODEL_FREE:
+        points, labels, _ = retrieve_defending(
+            bank, labeled_points.reshape(groups * size, -1), labeled_labels.ravel(), cfg, rng,
+            epoch=epoch,
+        )
+    else:
+        points = None
+        labels = _own_labels(labeled_labels, falls_back, cfg).ravel()
+    fallbacks = falls_back.sum(axis=1)
     served = size - fallbacks if skip else np.full(groups, size)
-    cuts = np.cumsum(cfg.k * served)[:-1]
-    return list(zip(np.split(points, cuts), np.split(labels, cuts), fallbacks.tolist()))
+    return points, labels, (cfg.k * served).tolist(), fallbacks.tolist()
 
 
 def generate_bank_binary(

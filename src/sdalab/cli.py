@@ -144,6 +144,7 @@ def cmd_stream(args) -> int:
     stream_mod.check_memory_fits(stream_cfg, acfg)
     seed = _one_seed(cfg, args)
     d = runner.make_data(cfg, seed)
+    stream_mod.checkpoint_positions(stream_cfg, len(d.target_train))  # before any costly stage
     pre = runner.pretrain(cfg, seed)
     split = runner.make_feedback(cfg, seed)
     records, _ = stream_mod.run_stream(

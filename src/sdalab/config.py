@@ -160,6 +160,8 @@ class ExperimentConfig:
         ratio = self.flat["split.ratio"]
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"split.ratio must be in (0, 1), got {ratio}")
+        if self.flat["adapt.k"] < 0:
+            raise ConfigError(f"adapt.k must be >= 0, got {self.flat['adapt.k']}")
         if self.flat["adapt.k"] > 0 and not self.flat["rld.enabled"]:
             raise ConfigError("adapt.k > 0 requires rld.enabled = true")
         if kind == "binary" and self.flat["adapt.algorithm"] != adapt_mod.PSEUDO_LABEL:

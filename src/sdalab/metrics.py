@@ -25,21 +25,25 @@ def top1_accuracy(model: nn.MlpModel, points, labels, thresholds=None) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the average of the tied positions."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
+    """1-based ranks along each row of values (a vector is one row), ties
+    sharing the average of the tied positions."""
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="stable")
+    ranks = np.empty(values.shape, dtype=np.float64)
     if n == 0:
         return ranks
-    ordered = values[order]
+    ordered = np.take_along_axis(values, order, axis=-1)
     # a tie group starts wherever the sorted value changes (NaN != NaN, so
     # each NaN is a group of its own)
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], n) - 1
-    # sorted positions start..end (0-based) share the mean rank; keep the
-    # arithmetic exact in halves: the mean of start+1..end+1 is (start+end)/2 + 1
-    avg = (starts + ends) / 2.0 + 1.0
-    ranks[order] = np.repeat(avg, ends - starts + 1)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.roll(starts, -1, axis=-1)
+    at = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, at, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, at, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    # sorted positions first..last (0-based) share the mean rank; keep the
+    # arithmetic exact in halves: the mean of first+1..last+1 is (first+last)/2 + 1
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
     return ranks
 
 
@@ -49,14 +53,27 @@ def auroc(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricError("scores and labels must be equal-length vectors")
-    pos = int(np.sum(labels == 1))
-    neg = int(np.sum(labels == 0))
-    if pos + neg != len(labels):
-        raise MetricError("labels must be 0/1")
-    if pos == 0 or neg == 0:
-        raise MetricError("AUROC undefined: need at least one positive and one negative")
-    ranks = _average_ranks(scores)
-    u = float(np.sum(ranks[labels == 1])) - pos * (pos + 1) / 2.0
+    return float(auroc_columns(scores[:, None], labels[:, None])[0])
+
+
+def auroc_columns(scores, labels) -> np.ndarray:
+    """auroc of each column of the (n, F) scores against the same column of
+    labels, all ranked in one pass; the first column without an AUROC
+    raises as auroc would. Ranks are multiples of 0.5 no larger than n, so
+    every sum is exact in any order and each column gets auroc's bits."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 2:
+        raise MetricError("scores and labels must be matrices of one shape")
+    scores, labels = scores.T, labels.T  # a finding per row: each rank runs along a row
+    positive = labels == 1
+    pos, neg = positive.sum(axis=1), (labels == 0).sum(axis=1)
+    for p, q in zip(pos.tolist(), neg.tolist()):
+        if p + q != labels.shape[1]:
+            raise MetricError("labels must be 0/1")
+        if p == 0 or q == 0:
+            raise MetricError("AUROC undefined: need at least one positive and one negative")
+    u = np.where(positive, _average_ranks(scores), 0.0).sum(axis=1) - pos * (pos + 1) / 2.0
     return u / (pos * neg)
 
 

@@ -324,25 +324,60 @@ def _term_rows(terms, n_rows):
     return np.concatenate([np.arange(start, stop) for start, stop in terms]), bounds
 
 
-def _term_means(values, grads, bounds, mask, cells_per_row):
-    """Each term's loss: the pairwise sum of ``values`` over its rows divided
-    by its count (its cells, or its mask's sum). ``grads`` is divided by the
-    same count in place; a term with count 0 gets loss 0.0 and zero
-    gradient. Returns (losses, counts)."""
-    losses, counts = [], []
-    for start, stop in bounds:
-        if mask is None:
-            count = (stop - start) * cells_per_row
-        else:
-            count = int(round(np.add.reduce(mask[start:stop], axis=None)))
+def _counts(bounds, mask, cells_per_row):
+    """Each term's count: its cells, or the sum of its mask."""
+    if mask is None:
+        return [(stop - start) * cells_per_row for start, stop in bounds]
+    return [int(round(np.add.reduce(mask[start:stop], axis=None))) for start, stop in bounds]
+
+
+def _term_losses(chosen, sign, bounds, counts, mask=None):
+    """The loss core of loss_ce and loss_bce, on checked arrays. ``chosen``
+    holds each scored cell's probability of its target, ``sign`` -1 where
+    that is p and +1 where it is 1 - p. Each cell's loss is -log of chosen
+    floored at PROB_EPS, and its gradient sign / floored (0 where the floor
+    binds: the clamped loss is flat there), both times ``mask`` if given.
+    Each term's loss is the pairwise sum of its rows' cells, bounds giving
+    its (start, stop), divided by its count; its gradient rows are divided
+    by the same count in place. A term with count 0 gets loss 0.0 and zero
+    gradient. Returns (losses, grads)."""
+    clamped, grads = _floored(chosen, sign)
+    cells = np.log(clamped, out=clamped)
+    np.negative(cells, out=cells)
+    if mask is not None:
+        cells *= mask
+        grads *= mask
+    losses = []
+    for (start, stop), count in zip(bounds, counts):
         if count:
-            losses.append(float(np.add.reduce(values[start:stop], axis=None)) / count)
+            losses.append(float(np.add.reduce(cells[start:stop], axis=None)) / count)
             grads[start:stop] /= count
         else:
             losses.append(0.0)
             grads[start:stop] = 0.0
-        counts.append(count)
-    return losses, counts
+    return losses, grads
+
+
+def _floored(chosen, sign):
+    """chosen floored at PROB_EPS, and d(-log)/d(p) through it: sign over
+    the floored value, 0 where the floor binds."""
+    clamped = np.maximum(chosen, PROB_EPS)
+    return clamped, np.where(chosen > PROB_EPS, sign / clamped, 0.0)
+
+
+def _ce_terms(probs, rows, targets, bounds, counts, mask=None):
+    """loss_ce on checked arrays: rows are the scored rows of probs, an
+    index array, and targets their classes. Returns (losses, dprobs)."""
+    losses, grads = _term_losses(probs[rows, targets], -1.0, bounds, counts, mask)
+    dprobs = np.zeros(probs.shape)
+    dprobs[rows, targets] = grads
+    return losses, dprobs
+
+
+def _bce_terms(scored, positive, bounds, counts, mask=None):
+    """loss_bce on checked arrays, over every row of scored; positive says
+    which target cells are 1. Returns (losses, dscored)."""
+    return _term_losses(*_bce_chosen(scored, positive), bounds, counts, mask)
 
 
 def loss_ce(probs, targets, terms=None, mask=None):
@@ -367,19 +402,19 @@ def loss_ce(probs, targets, terms=None, mask=None):
     if targets.shape != rows.shape:
         raise ShapeError(f"targets shape {targets.shape}, expected {rows.shape}")
     _checked_targets(targets, probs.shape[1])
-    clamped, grads = _ce_cells(probs, rows, targets)
-    losses = np.log(clamped, out=clamped)
-    np.negative(losses, out=losses)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != rows.shape:
-            raise ShapeError(f"mask shape {mask.shape}, expected {rows.shape}")
-        losses *= mask
-        grads *= mask
-    term_losses, counts = _term_means(losses, grads, bounds, mask, 1)
-    dprobs = np.zeros(probs.shape)
-    dprobs[rows, targets] = grads
-    return term_losses, dprobs, counts
+    mask = _checked_mask(mask, rows.shape)
+    counts = _counts(bounds, mask, 1)
+    losses, dprobs = _ce_terms(probs, rows, targets, bounds, counts, mask)
+    return losses, dprobs, counts
+
+
+def _checked_mask(mask, shape):
+    if mask is None:
+        return None
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != shape:
+        raise ShapeError(f"mask shape {mask.shape}, expected {shape}")
+    return mask
 
 
 def _checked_targets(targets, n_classes=None):
@@ -394,14 +429,6 @@ def _checked_targets(targets, n_classes=None):
     if not (positive | (targets == 0.0)).all():
         raise ConfigError("binary targets must be 0 or 1")
     return positive
-
-
-def _ce_cells(probs, rows, targets):
-    """Each scored row's target probability, floored, and d(-log)/d(p)."""
-    p_t = probs[rows, targets]
-    clamped = np.maximum(p_t, PROB_EPS)
-    # Below the floor the clamped loss is flat, so the exact derivative is 0.
-    return clamped, np.where(p_t > PROB_EPS, -1.0 / clamped, 0.0)
 
 
 def loss_bce(probs, targets, terms=None, mask=None):
@@ -419,17 +446,10 @@ def loss_bce(probs, targets, terms=None, mask=None):
     scored = probs if rows is None else probs[rows]
     if targets.shape != scored.shape:
         raise ShapeError(f"targets shape {targets.shape}, expected {scored.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != scored.shape:
-            raise ShapeError(f"mask shape {mask.shape}, expected {scored.shape}")
-    clamped, grads = _bce_cells(scored, _checked_targets(targets))
-    cells = np.log(clamped, out=clamped)
-    np.negative(cells, out=cells)
-    if mask is not None:
-        cells *= mask
-        grads *= mask
-    losses, counts = _term_means(cells, grads, bounds, mask, probs.shape[1])
+    mask = _checked_mask(mask, scored.shape)
+    positive = _checked_targets(targets)
+    counts = _counts(bounds, mask, probs.shape[1])
+    losses, grads = _bce_terms(scored, positive, bounds, counts, mask)
     if rows is None:
         return losses, grads, counts
     dprobs = np.zeros(probs.shape)
@@ -437,22 +457,20 @@ def loss_bce(probs, targets, terms=None, mask=None):
     return losses, dprobs, counts
 
 
-def _bce_cells(scored, positive):
-    """Each cell's target probability, floored, and d(-log)/d(scored)."""
-    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1], floored
-    chosen = np.where(positive, scored, 1.0 - scored)
-    clamped = np.maximum(chosen, PROB_EPS)
-    return clamped, np.where(chosen > PROB_EPS, np.where(positive, -1.0, 1.0) / clamped, 0.0)
+def _bce_chosen(scored, positive):
+    """Each cell's probability of its target, and the sign of d(that)/d(scored)."""
+    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1]
+    return np.where(positive, scored, 1.0 - scored), np.where(positive, -1.0, 1.0)
 
 
 def _term_gradient(model, probs, targets):
     """dprobs of model's loss for one unmasked term over every row, from the
     loss's own cells without its values; targets from _checked_targets."""
     if model.head != SOFTMAX:
-        return _bce_cells(probs, targets)[1] / probs.size
+        return _floored(*_bce_chosen(probs, targets))[1] / probs.size
     rows = np.arange(len(probs))
     dprobs = np.zeros(probs.shape)
-    dprobs[rows, targets] = _ce_cells(probs, rows, targets)[1] / len(probs)
+    dprobs[rows, targets] = _floored(probs[rows, targets], -1.0)[1] / len(probs)
     return dprobs
 
 
@@ -543,9 +561,9 @@ def sgd_step(model, grads, cfg, state):
     return model, state
 
 
-def argmax_rows(matrix):
+def argmax_rows(matrix, out=None):
     """Rowwise argmax; ties resolve to the lowest index (np.argmax contract)."""
-    return np.argmax(matrix, axis=1)
+    return np.argmax(matrix, axis=1, out=out)
 
 
 def predict(model, inputs, thresholds=None):

@@ -100,11 +100,7 @@ def _build_data(cfg: ExperimentConfig, seed: int) -> DataBundle:
 def mean_auroc(model: nn.MlpModel, dataset: data.LabeledSet) -> float:
     """Average AUROC across findings; the binary-mode headline metric."""
     probs = nn.forward(model, dataset.points).probs
-    scores = [
-        metrics.auroc(probs[:, j], dataset.findings[:, j])
-        for j in range(dataset.findings.shape[1])
-    ]
-    return float(np.mean(scores))
+    return float(np.mean(metrics.auroc_columns(probs, dataset.findings)))
 
 
 def pretrain(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> PretrainBundle:

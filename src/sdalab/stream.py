@@ -52,6 +52,17 @@ def check_memory_fits(stream_cfg: StreamConfig, adapt_cfg: adapt_mod.AdaptConfig
         )
 
 
+def checkpoint_positions(stream_cfg: StreamConfig, n: int) -> dict:
+    """{stream position: fraction} of each checkpoint on a stream of n
+    items; rejects fractions that land on one position."""
+    triggers = {int(math.ceil(f * n)): f for f in stream_cfg.checkpoints}
+    if len(triggers) < len(stream_cfg.checkpoints):
+        raise ConfigError(
+            f"checkpoint fractions collide at stream length {n}: {stream_cfg.checkpoints}"
+        )
+    return triggers
+
+
 def run_stream(
     model: nn.MlpModel,
     train: LabeledSet,
@@ -69,11 +80,7 @@ def run_stream(
     n = len(train)
     label_of = dict(split.labeled)
     order = np.random.default_rng(np.random.SeedSequence([seed, 1])).permutation(n)
-    triggers = {int(math.ceil(f * n)): f for f in stream_cfg.checkpoints}
-    if len(triggers) < len(stream_cfg.checkpoints):
-        raise ConfigError(
-            f"checkpoint fractions collide at stream length {n}: {stream_cfg.checkpoints}"
-        )
+    triggers = checkpoint_positions(stream_cfg, n)
 
     memory = deque(maxlen=stream_cfg.memory_cap)  # FIFO: a full deque drops its oldest
     labeled_store = []

@@ -10,7 +10,7 @@ import pytest
 from sdalab import adapt, bank, data, feedback, nn
 from sdalab.config import ExperimentConfig
 from sdalab.data import LabeledSet
-from sdalab.errors import ConfigError, NumericError
+from sdalab.errors import ConfigError, NumericError, ShapeError
 from test_nn import (
     max_rel_error, numeric_gradients, verbatim_loss_bce, verbatim_loss_bce_masked,
     verbatim_loss_ce,
@@ -38,16 +38,48 @@ def units_of(split):
 
 def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_rng=None):
     """An epoch's first batch as the adapt loop assembles it: the step's
-    draws from rng, then the defending pairs retrieved for its units."""
+    draws from rng, the defending pairs retrieved for its units, and the
+    epoch laid out by build_minibatch, read back as step 0's MiniBatch."""
     picked, unlabeled = adapt._draw_epoch(
         units_of(split), split.unlabeled_indices(), spec, 1, rng
     )
     defending = None
     if rld_cfg is not None:
-        defending = bank.retrieve_defending(
-            cur_bank, train.points[picked[0, :, 0]], picked[0, :, 1], rld_cfg, retrieval_rng
+        defending = bank._retrieve_split(
+            cur_bank, train.points[picked[..., 0]], picked[..., 1], rld_cfg, retrieval_rng
         )
-    return adapt.build_minibatch(train, picked[0], unlabeled[0], defending)
+    cfg = adapt.AdaptConfig(batch=spec)
+    n_outputs = int(train.labels.max()) + 1
+    return adapt.build_minibatch(
+        train, picked, unlabeled, defending, cfg, adapt.SOFTMAX_RULE, n_outputs
+    ).batch(0)
+
+
+class CyclingSampler:
+    """Epoch-shuffled without-replacement cycling over a fixed index pool:
+    the sampler the epoch loop drew its batches with before it drew a whole
+    epoch at once, kept verbatim as the oracle for adapt._draw_epoch."""
+
+    def __init__(self, pool, rng: np.random.Generator):
+        self.pool = np.asarray(pool, dtype=np.int64)
+        if len(self.pool) == 0:
+            raise ConfigError("cannot sample from an empty pool")
+        self.rng = rng
+        self.order = rng.permutation(self.pool)
+        self.pos = 0
+
+    def take(self, n: int) -> np.ndarray:
+        out = np.empty(n, dtype=np.int64)
+        filled = 0
+        while filled < n:
+            if self.pos == len(self.order):
+                self.order = self.rng.permutation(self.pool)
+                self.pos = 0
+            grab = min(n - filled, len(self.order) - self.pos)
+            out[filled : filled + grab] = self.order[self.pos : self.pos + grab]
+            self.pos += grab
+            filled += grab
+        return out
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +143,19 @@ class TestAugmenter:
 class TestCyclingSampler:
     def test_one_epoch_covers_pool_exactly_once(self):
         pool = np.arange(10, 30)
-        sampler = adapt.CyclingSampler(pool, np.random.default_rng(0))
+        sampler = CyclingSampler(pool, np.random.default_rng(0))
         seen = np.concatenate([sampler.take(7), sampler.take(7), sampler.take(6)])
         assert sorted(seen.tolist()) == pool.tolist()
 
     def test_cycles_reshuffle(self):
         pool = np.arange(5)
-        sampler = adapt.CyclingSampler(pool, np.random.default_rng(1))
+        sampler = CyclingSampler(pool, np.random.default_rng(1))
         first = sampler.take(5)
         second = sampler.take(5)
         assert sorted(first.tolist()) == sorted(second.tolist()) == pool.tolist()
 
     def test_take_spanning_boundary_keeps_counts(self):
-        sampler = adapt.CyclingSampler(np.arange(6), np.random.default_rng(2))
+        sampler = CyclingSampler(np.arange(6), np.random.default_rng(2))
         batch = sampler.take(10)
         assert len(batch) == 10
         counts = np.bincount(batch, minlength=6)
@@ -131,7 +163,47 @@ class TestCyclingSampler:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
-            adapt.CyclingSampler([], np.random.default_rng(0))
+            CyclingSampler([], np.random.default_rng(0))
+
+
+# (labelled units, unlabelled pool, mu) at b = 16: pools smaller than a batch,
+# exact multiples of it and of mu*b, pools that wrap mid-step, and mu = 0
+DRAW_CASES = [
+    (labeled, pool, mu)
+    for labeled in (1, 3, 9, 15, 16, 17, 32, 45, 48)
+    for pool in (1, 5, 16, 112, 113, 224, 950)
+    for mu in (0, 1, 7)
+]
+
+
+class TestDrawEpoch:
+    @pytest.mark.parametrize("labeled, pool, mu", DRAW_CASES)
+    def test_matches_cycling_samplers(self, labeled, pool, mu):
+        # the samplers are made afresh each epoch and draw step by step,
+        # labelled first; the epoch draw must pick the same units and
+        # leave the rng where they leave it
+        spec = adapt.BatchSpec(b=16, mu=mu)
+        units = np.stack([np.arange(labeled) * 3 + 1, np.arange(labeled) % 4], axis=1)
+        unlabeled_idx = np.arange(pool) * 2
+        n_steps = adapt.steps_per_epoch(labeled, pool, spec)
+        seed = labeled * 1000 + pool * 10 + mu
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            picked, unlabeled = adapt._draw_epoch(units, unlabeled_idx, spec, n_steps, rng)
+            labeled_sampler = CyclingSampler(np.arange(labeled), ref_rng)
+            unlabeled_sampler = CyclingSampler(unlabeled_idx, ref_rng) if mu else None
+            assert picked.shape == (n_steps, 16, 2) and unlabeled.shape == (n_steps, mu * 16)
+            for i in range(n_steps):
+                assert np.array_equal(picked[i], units[labeled_sampler.take(16)])
+                if mu:
+                    assert np.array_equal(unlabeled[i], unlabeled_sampler.take(mu * 16))
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    def test_empty_pool_rejected(self):
+        spec = adapt.BatchSpec(b=4, mu=1)
+        with pytest.raises(ConfigError, match="empty pool"):
+            adapt._draw_epoch(np.zeros((0, 2), dtype=np.int64), np.arange(5), spec, 1,
+                              np.random.default_rng(0))
 
 
 class TestBuildMinibatch:
@@ -182,6 +254,33 @@ class TestBuildMinibatch:
         for p, y in zip(mb.labeled_points, mb.labeled_labels):
             matches = [i for i, lab in split.labeled if np.allclose(train.points[i], p)]
             assert any(label_of[i] == y for i in matches)
+
+    def test_step_retrieval_fills_its_slot_or_raises(self, toy):
+        # cosine_distant's points arrive as the step runs; a retrieval of
+        # the wrong length must not pass, a single row (which would
+        # broadcast over the slot) included
+        train, split, model = toy
+        unlabeled_idx = split.unlabeled_indices()
+        cur_bank = bank.generate_bank(model, train.points[unlabeled_idx], unlabeled_idx, 1.0, 3)
+        rld_cfg = bank.RldConfig(p=1.0, k=2, strategy=bank.COSINE_DISTANT)
+        picked, unlabeled = adapt._draw_epoch(
+            units_of(split), unlabeled_idx, adapt.BatchSpec(b=4, mu=1), 2, np.random.default_rng(5)
+        )
+        labeled = train.points[picked[..., 0]], picked[..., 1]
+        defending = bank._retrieve_split(cur_bank, *labeled, rld_cfg, np.random.default_rng(6))
+        epoch = adapt.build_minibatch(
+            train, picked, unlabeled, defending, adapt.AdaptConfig(), adapt.SOFTMAX_RULE, 3
+        )
+        points, labels, _ = bank.retrieve_defending(
+            cur_bank, labeled[0][1], labeled[1][1], rld_cfg, None, model=model
+        )
+        for wrong in (points[:1], points[:-1], np.concatenate([points, points[:1]])):
+            with pytest.raises(ShapeError, match="step 1 retrieved"):
+                epoch.put_defending(1, wrong)
+        epoch.put_defending(1, points)
+        mb = epoch.batch(1)
+        assert np.array_equal(mb.defending_points, points)
+        assert np.array_equal(mb.defending_labels, labels)
 
 
 def saturated_model():
@@ -569,7 +668,7 @@ def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass ran before the rejection")
 
-    for name in ("forward", "backward", "loss_ce", "loss_bce"):
+    for name in ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms"):
         monkeypatch.setattr(nn, name, no_pass)
     with pytest.raises(ConfigError, match="pseudo-label engine only"):
         adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
@@ -692,13 +791,16 @@ class TestOneLossPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("forward", "backward", "loss_ce", "loss_bce"):
+        names = ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms")
+        for name in names:
             monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
         adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
         monkeypatch.undo()
-        losses = [name for name in calls if name.startswith("loss")]
+        # the step's targets are checked as the batch is laid out, so its one
+        # loss pass goes to the unchecked core of loss_ce or loss_bce
+        losses = [name for name in calls if "loss" in name or "terms" in name]
         assert calls.count("forward") == 1 and calls.count("backward") == 1
-        assert losses == ["loss_ce" if head == nn.SOFTMAX else "loss_bce"]
+        assert losses == ["_ce_terms" if head == nn.SOFTMAX else "_bce_terms"]
 
 
 class TestAdaptLoop:
@@ -959,9 +1061,9 @@ def ref_adapt_binary(
     records = []
     n_steps = adapt.steps_per_epoch(len(cells), len(unlabeled_idx), cfg.batch)
     for epoch in range(cfg.epochs):
-        cell_sampler = adapt.CyclingSampler(np.arange(len(cells)), batch_rng)
+        cell_sampler = CyclingSampler(np.arange(len(cells)), batch_rng)
         unlabeled_sampler = (
-            adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
+            CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
         )
         banks = None
         if cfg.rld is not None:
@@ -1233,8 +1335,8 @@ def ref_build_minibatch(
     cand_bank: Optional[bank.CandidateBank],
     spec: adapt.BatchSpec,
     rld_cfg: Optional[bank.RldConfig],
-    labeled_sampler: adapt.CyclingSampler,
-    unlabeled_sampler: Optional[adapt.CyclingSampler],
+    labeled_sampler: CyclingSampler,
+    unlabeled_sampler: Optional[CyclingSampler],
     retrieval_rng: np.random.Generator,
     model: Optional[nn.MlpModel] = None,
     epoch: Optional[int] = None,
@@ -1283,9 +1385,9 @@ def ref_adapt_units(
     n_steps = adapt.steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
 
     for epoch in range(cfg.epochs):
-        labeled_sampler = adapt.CyclingSampler(np.arange(len(units)), batch_rng)
+        labeled_sampler = CyclingSampler(np.arange(len(units)), batch_rng)
         unlabeled_sampler = (
-            adapt.CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
+            CyclingSampler(unlabeled_idx, batch_rng) if cfg.batch.mu > 0 else None
         )
         cur_bank = None
         if cfg.rld is not None:
@@ -1394,6 +1496,29 @@ class TestEpochRetrieval:
                 fitted, train.points[unlabeled_idx], unlabeled_idx, 0.1, 0
             ).sizes()
             assert 0 < min(sizes) and max(sizes) < clusters
+
+    @pytest.mark.parametrize("strategy", [bank.CLASS_AWARE_RANDOM, bank.COSINE_DISTANT, None])
+    def test_fixmatch_matches_step_by_step_loop(self, toy, strategy):
+        # the views are written over the raw points in the epoch's layout;
+        # under skip_with_flag the silenced class leaves steps uneven
+        train, split, model = toy
+        silenced = model.copy()
+        silenced.biases[-1][2] = -30.0
+        rld = None
+        if strategy is not None:
+            rld = bank.RldConfig(p=0.3, k=2, strategy=strategy,
+                                 empty_class_fallback=bank.SKIP_WITH_FLAG)
+        cfg = adapt.AdaptConfig(
+            algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.6, epochs=2,
+            sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2), rld=rld,
+            augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
+        )
+        unlabeled_idx = np.array(split.unlabeled_indices(), dtype=np.int64)
+        batches = assert_same_loop(
+            silenced, units_of(split), unlabeled_idx, train, cfg, 5, adapt.SOFTMAX_RULE
+        )
+        if strategy is not None:
+            assert len({len(mb.defending_points) for mb in batches}) > 1
 
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])

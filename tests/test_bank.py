@@ -559,9 +559,12 @@ class TestRandomStrategiesMatchOracle:
 
 
 class TestRetrieveSplit:
-    @pytest.mark.parametrize("strategy", bank.MODEL_FREE)
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
     def test_matches_one_call_per_group(self, strategy, fallback):
+        # cosine_distant leaves its points to the step (None) but lays out
+        # its labels and counts, which must be the ones its calls give
+        model = random_model(47)
         rng = np.random.default_rng(47)
         for case in range(8):
             b = tied_bank(rng, n=int(rng.integers(6, 60)), empty_class=case % 3)
@@ -573,12 +576,23 @@ class TestRetrieveSplit:
                 kmeans_clusters=int(rng.integers(1, 8)), empty_class_fallback=fallback,
             )
             rng_split, rng_each = np.random.default_rng(case), np.random.default_rng(case)
-            got = bank._retrieve_split(b, points, labels, cfg, rng_split)
-            assert len(got) == groups
-            for (pts, labs, fallbacks), group_points, group_labels in zip(got, points, labels):
-                want = bank.retrieve_defending(b, group_points, group_labels, cfg, rng_each)
-                assert np.array_equal(pts, want[0]) and np.array_equal(labs, want[1])
-                assert fallbacks == want[2] and type(fallbacks) is int
+            got, got_labels, counts, fallbacks = bank._retrieve_split(
+                b, points, labels, cfg, rng_split
+            )
+            assert (got is None) == (strategy not in bank.MODEL_FREE)
+            assert len(counts) == len(fallbacks) == groups
+            cuts = np.cumsum(counts)[:-1]
+            got_points = [None] * groups if got is None else np.split(got, cuts)
+            for pts, labs, count, flagged, group_points, group_labels in zip(
+                got_points, np.split(got_labels, cuts), counts, fallbacks, points, labels
+            ):
+                want = bank.retrieve_defending(
+                    b, group_points, group_labels, cfg, rng_each, model=model
+                )
+                assert pts is None or np.array_equal(pts, want[0])
+                assert np.array_equal(labs, want[1]) and labs.dtype == want[1].dtype
+                assert count == len(want[0]) and type(count) is int
+                assert flagged == want[2] and type(flagged) is int
             assert rng_split.integers(1 << 62) == rng_each.integers(1 << 62)
 
 

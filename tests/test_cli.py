@@ -160,6 +160,20 @@ class TestCommands:
         records = json.loads((tmp_path / "stream_seed0.json").read_text())
         assert records[-1]["test_acc"] == offline["final"]["target_test_value_adapted"]
 
+    def test_stream_rejects_colliding_checkpoints_before_pretraining(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        stages = []
+        for name in ("pretrain", "make_feedback"):
+            monkeypatch.setattr(runner, name, lambda *a, name=name, **k: stages.append(name))
+        code = run_cli(
+            ["stream", "--out", str(tmp_path), "--checkpoints", "0.0001", "0.0002"]
+            + FAST_SETS
+        )
+        assert code == 2
+        assert "collide at stream length 960" in capsys.readouterr().err
+        assert stages == []
+
     def test_stream_rejects_binary(self, tmp_path):
         code = run_cli(
             ["stream", "--out", str(tmp_path), "--set", "dataset.kind=binary"]

@@ -76,6 +76,12 @@ class TestValidation:
             ExperimentConfig({"adapt.k": 3})
         ExperimentConfig({"adapt.k": 3, "rld.enabled": True})  # fine
 
+    def test_negative_k_rejected(self):
+        # sweep.rld_on would read it as k = 3, the adaptation as no rld at all
+        for rld in (False, True):
+            with pytest.raises(ConfigError, match="adapt.k must be >= 0"):
+                ExperimentConfig({"adapt.k": -2, "rld.enabled": rld})
+
     def test_binary_rld_takes_every_strategy(self):
         rld = {"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3}
         assert ExperimentConfig(rld).rld_config().strategy == "cosine_distant"

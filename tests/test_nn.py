@@ -1090,12 +1090,30 @@ def two_log_loss_bce(probs, targets, terms=None, mask=None):
     if mask is not None:
         cells *= mask
         grads *= mask
-    losses, counts = nn._term_means(cells, grads, bounds, mask, probs.shape[1])
+    losses, counts = verbatim_term_means(cells, grads, bounds, mask, probs.shape[1])
     if rows is None:
         return losses, grads, counts
     dprobs = np.zeros(probs.shape)
     dprobs[rows] = grads
     return losses, dprobs, counts
+
+
+def verbatim_term_means(values, grads, bounds, mask, cells_per_row):
+    # nn._term_means as it was before the loss core took precomputed counts
+    losses, counts = [], []
+    for start, stop in bounds:
+        if mask is None:
+            count = (stop - start) * cells_per_row
+        else:
+            count = int(round(np.add.reduce(mask[start:stop], axis=None)))
+        if count:
+            losses.append(float(np.add.reduce(values[start:stop], axis=None)) / count)
+            grads[start:stop] /= count
+        else:
+            losses.append(0.0)
+            grads[start:stop] = 0.0
+        counts.append(count)
+    return losses, counts
 
 
 def reduced_backward(model, trace, dprobs):
@@ -1486,3 +1504,73 @@ class TestStepBuffers:
                 model, points, labels, nn.SgdConfig(0.05), 2, 16, np.random.default_rng(65)
             )
         assert model.params.tobytes() == before.tobytes()
+
+
+def loss_core_case(rng, head, n_terms_rows, skip, outputs=3):
+    """probs over the terms' rows with `skip` unscored rows (FixMatch's weak
+    view) after the first term, some cells at or below the floor, and a 0/1
+    mask that masks whole terms and single cells."""
+    rows = sum(n_terms_rows) + skip
+    probs = rng.random((rows, outputs))
+    probs[rng.random(probs.shape) < 0.1] = rng.choice([0.0, 1e-13, nn.PROB_EPS])
+    if head == nn.SOFTMAX:
+        probs /= probs.sum(axis=1, keepdims=True) + 1.0
+    terms, at = [], 0
+    for i, n in enumerate(n_terms_rows):
+        terms.append((at, at + n))
+        at += n + (skip if i == 0 else 0)
+    return probs, terms
+
+
+class TestLossCore:
+    """The rules call the loss core on arrays checked once per epoch; it must
+    give the bits of the public, checked loss_ce and loss_bce."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("skip", [0, 5])
+    def test_ce_core_matches_loss_ce(self, masked, skip):
+        rng = np.random.default_rng(81 + skip)
+        negative_zeros = 0
+        for case in range(60):
+            sizes = [int(n) for n in rng.integers(0, 9, size=3)]
+            probs, terms = loss_core_case(rng, nn.SOFTMAX, sizes, skip)
+            rows = np.concatenate([np.arange(a, b) for a, b in terms]).astype(np.int64)
+            targets = rng.integers(0, 3, size=len(rows))
+            mask = None
+            if masked:
+                mask = (rng.random(len(rows)) < 0.6).astype(float)
+                if case % 3 == 0:
+                    mask[: sizes[0]] = 0.0  # a term whose count is 0
+            want = nn.loss_ce(probs, targets, terms, mask)
+            bounds = list(zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)))
+            counts = [n if mask is None else int(np.count_nonzero(mask[a:b]))
+                      for n, (a, b) in zip(sizes, bounds)]
+            got = nn._ce_terms(probs, rows, targets, bounds, counts, mask)
+            assert counts == want[2]
+            assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+            assert got[1].tobytes() == want[1].tobytes()
+            negative_zeros += int(np.count_nonzero(np.signbit(got[1]) & (got[1] == 0.0)))
+        # a masked cell of a term with a count has gradient -1/p * 0 = -0.0
+        assert (negative_zeros > 0) == masked
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bce_core_matches_loss_bce(self, masked):
+        rng = np.random.default_rng(83)
+        for case in range(60):
+            sizes = [int(n) for n in rng.integers(0, 9, size=3)]
+            probs, terms = loss_core_case(rng, nn.SIGMOID, sizes, 0, outputs=4)
+            targets = (rng.random(probs.shape) < 0.5).astype(float)
+            mask = None
+            if masked:
+                mask = (rng.random(probs.shape) < 0.4).astype(float)
+                if case % 3 == 0:
+                    mask[sizes[0] : sizes[0] + sizes[1]] = 0.0  # a term whose count is 0
+            want = nn.loss_bce(probs, targets, terms, mask)
+            bounds = terms
+            counts = [4 * (b - a) if mask is None else int(np.count_nonzero(mask[a:b]))
+                      for a, b in bounds]
+            got = nn._bce_terms(probs, targets == 1.0, bounds, counts, mask)
+            assert counts == want[2]
+            assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+            assert got[1].tobytes() == want[1].tobytes()
+

@@ -56,6 +56,10 @@ MATRIX = [
     # nbf_ce pick, and the adapt config that rld enabled at k = 0 builds
     ("nbf_ce", {"feedback.policy": "nbf_ce"}),
     ("rld_on_k0", {"rld.enabled": True, "adapt.k": 0}),
+    # draw schedules the stock configs never reach: no unlabelled batch, and
+    # a labelled pool (45 units) that is no multiple of the batch (16)
+    ("mu0", {"adapt.batch_mu": 0}),
+    ("pcc15", {"feedback.per_class_count": 15}),
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
