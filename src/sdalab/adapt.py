@@ -599,6 +599,6 @@ def train_supervised(
         for start in range(0, len(order), batch_size):
             stop = start + batch_size
             trace = nn.forward(model, epoch_points[start:stop], buffers)
-            dprobs = nn._term_gradient(model, trace.probs, epoch_targets[start:stop])
+            dprobs = nn._term_gradient(model, trace.probs, epoch_targets[start:stop], buffers)
             nn.sgd_step(model, nn.backward(model, trace, dprobs, buffers), sgd_cfg, state)
     return model

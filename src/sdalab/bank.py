@@ -71,6 +71,8 @@ class CandidateBank:
     points, class by class, each class by confidence descending and then
     index ascending; conf aligns with rows. Class c's entries are
     rows[offsets[c]:offsets[c + 1]], and counts[c] is their number.
+    no_entries[c] tells whether class c has none; its last cell, True,
+    stands for every label past the bank's classes.
 
     cosine_distant retrieval reads two more arrays: entry_points, the points
     of rows in rows' order, and index_map, whose row c holds the positions in
@@ -98,12 +100,13 @@ class CandidateBank:
         self.conf = np.concatenate(conf)
         self.counts = np.array([len(r) for r in rows], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        self.no_entries = np.append(self.counts == 0, True)
         self.entry_points = np.asarray(points, dtype=np.float64)[self.rows]
         self.index_map = np.repeat(self.offsets[:-1, None], self.counts.max(), axis=1)
         for c, order in enumerate(by_index):
             self.index_map[c, : len(order)] += order
-        for array in (self.rows, self.conf, self.counts, self.offsets, self.entry_points,
-                      self.index_map):
+        for array in (self.rows, self.conf, self.counts, self.offsets, self.no_entries,
+                      self.entry_points, self.index_map):
             array.setflags(write=False)
 
     @property
@@ -177,10 +180,10 @@ def _kmeans_runs(bank: CandidateBank, labels, n_clusters: int, rng) -> dict:
     so the rng advances exactly as one run after another would advance it;
     the runs of one class then iterate together.
     """
+    sizes = bank.sizes() + [0]  # a label past the bank's classes reads the 0
     inits = {}  # class -> (positions, init rows)
-    for i, y in enumerate(labels):
-        cls = int(y)
-        n = bank.class_size(cls) if cls < bank.num_classes else 0
+    for i, cls in enumerate(np.minimum(labels, bank.num_classes).tolist()):
+        n = sizes[cls]
         if n:
             positions, rows = inits.setdefault(cls, ([], []))
             positions.append(i)
@@ -196,70 +199,98 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
 
     init_rows[r] holds run r's initial centroid rows; returns the centroids
     shaped (runs, clusters, dim). An empty cluster keeps its centroid.
-    Arrays are laid out coordinate first and point last, so squared
-    distances are summed one coordinate at a time, and member sums are taken
-    with bincount, one coordinate at a time with rows in index order. For
-    two-coordinate points, the only kind the lab makes, each run so gets
-    exactly the bits it would get alone from
+    Arrays are laid out coordinate first, then cluster, then run, and point
+    last, so squared distances are summed one coordinate at a time, and
+    member sums are taken with bincount, one coordinate at a time with rows
+    in index order. For two-coordinate points, the only kind the lab makes,
+    each run so gets exactly the bits it would get alone from
     ``((points - centroid) ** 2).sum(axis=-1)`` and ``members.mean(axis=0)``.
     A point joins the first of its nearest clusters, as argmin picks it: a
     later cluster takes it only when strictly closer (bank points are
     finite, so every distance is). A run leaves the iteration once its
     assignment repeats: its update would then recompute the same centroids
-    bit for bit, and so would every later one.
+    bit for bit, and so would every later one. The live runs stay a prefix
+    of buffers made once per call, which every step writes through out=.
     """
     dim, n = points.shape[1], len(points)
     runs, n_clusters = init_rows.shape
     coords = np.ascontiguousarray(points.T)
-    centroids = coords[:, init_rows]  # (dim, live runs, clusters)
-    out = np.empty_like(centroids)
+    centroids = coords.take(init_rows.T, axis=1)  # (dim, clusters, live runs), C-ordered
+    out = np.empty((runs, n_clusters, dim))
     live = np.arange(runs)
     weights = np.tile(coords, (1, runs))  # (dim, runs * n): m runs read the first m * n
-    previous = None
-    for _ in range(20):
-        d2 = (coords[0] - centroids[0, :, :, None]) ** 2  # (live runs, clusters, n)
-        for j in range(1, dim):
-            d2 += (coords[j] - centroids[j, :, :, None]) ** 2
-        assign = np.zeros((len(live), n), dtype=np.intp)
-        nearest = d2[:, 0]  # a view, kept at the running minimum
+    # The m live runs read work[:, :, :m] and the first m rows of the
+    # others; a bin numbers cluster c of live run r as c * m + r.
+    work = np.empty((dim, n_clusters, runs, n))
+    assign, previous = np.empty((runs, n), np.intp), np.empty((runs, n), np.intp)
+    hit, bins = np.empty((runs, n), bool), np.empty((runs, n), np.intp)
+    run_bins = np.arange(runs)[:, None]
+    m = runs
+    for iteration in range(20):
+        parts, now, mask = work[:, :, :m], assign[:m], hit[:m]
+        dist = _squared_distances(coords, centroids, parts)
+        now.fill(0)
+        nearest = dist[0]  # kept at the running minimum
         for c in range(1, n_clusters):
-            assign[d2[:, c] < nearest] = c
-            np.minimum(nearest, d2[:, c], out=nearest)
-        if previous is not None:
-            moved = (assign != previous).any(axis=1)
+            np.putmask(now, np.less(dist[c], nearest, out=mask), c)
+            np.minimum(nearest, dist[c], out=nearest)
+        if iteration:
+            moved = np.not_equal(now, previous[:m], out=mask).any(axis=1)
             if not moved.all():
-                out[:, live[~moved]] = centroids[:, ~moved]
-                live, centroids, assign = live[moved], centroids[:, moved], assign[moved]
-                if not len(live):
-                    break
-        previous = assign
-        m = len(live)
-        flat = (assign + (np.arange(m) * n_clusters)[:, None]).ravel()  # (m * n,)
-        counts = np.bincount(flat, minlength=m * n_clusters)
+                out[live[~moved]] = centroids[:, :, ~moved].T
+                live, centroids = live[moved], centroids.compress(moved, axis=2)
+                m = len(live)
+                if not m:
+                    return out
+                assign[:m] = now[moved]
+                now = assign[:m]
+        assign, previous = previous, assign
+        flat = np.add(np.multiply(now, m, out=bins[:m]), run_bins[:m], out=bins[:m]).ravel()
+        counts = np.bincount(flat, minlength=n_clusters * m)
         filled = counts > 0
-        flat_centroids = centroids.reshape(dim, m * n_clusters)  # a view
+        flat_centroids = centroids.reshape(dim, n_clusters * m)  # a view
         for j in range(dim):
-            sums = np.bincount(flat, weights=weights[j, : m * n], minlength=m * n_clusters)
-            flat_centroids[j, filled] = sums[filled] / counts[filled]
-    out[:, live] = centroids
-    return out.transpose(1, 2, 0)
+            sums = np.bincount(flat, weights=weights[j, : m * n], minlength=n_clusters * m)
+            np.divide(sums, counts, out=flat_centroids[j], where=filled)
+    out[live] = centroids.T
+    return out
+
+
+def _squared_distances(coords: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The squared distance of every point from every centroid, shaped
+    (a, b, n): work[0], the rest of work (dim, a, b, n) overwritten. coords
+    holds the n points coordinate first, (dim, n); centroids is shaped
+    (dim, a, b). Each is (x0 - c0)**2 + (x1 - c1)**2 + ..., summed one
+    coordinate at a time from the first."""
+    # each centroid is spread over its row before the subtraction: numpy
+    # subtracts a broadcast per-row scalar several times slower
+    np.copyto(work, centroids[..., None])
+    np.square(np.subtract(coords[:, None, None], work, out=work), out=work)
+    for part in work[1:]:
+        work[0] += part
+    return work[0]
 
 
 def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
     """Rows of the k retrieved points of each run, shaped (runs, k), for
     centroids shaped (runs, clusters, dim): round-robin over a run's
-    centroids, each yielding its next-nearest unused point (ties by row);
-    wraps to reuse when exhausted. A distance is sqrt(x0*x0 + x1*x1) of
+    centroids, each yielding the next point in its own nearest-first order
+    (ties by row), wrapping to its nearest once it has yielded every point.
+    A centroid's order knows nothing of the others', so two centroids of a
+    run may yield the same row. A distance is sqrt(x0*x0 + x1*x1) of
     x = point - centroid, summed coordinate by coordinate as np.linalg.norm
     sums a point's coordinates, so its bits, and so the ties, are norm's.
+
+    The orders are a stable argsort's, taken only as deep as the picks
+    read: _farthest on the negated distances ranks them nearest first,
+    ties to the lower row, NaN last.
     """
-    coords, at = points.T, centroids.transpose(2, 0, 1)[..., None]
-    dist = np.zeros((*centroids.shape[:2], len(points)))  # (runs, clusters, n)
-    for j in range(len(coords)):
-        x = coords[j] - at[j]
-        dist += x * x
-    order = np.argsort(np.sqrt(dist, out=dist), axis=-1, kind="stable")
-    _, n_clusters, n = order.shape
+    work = np.empty((points.shape[1], *centroids.shape[:2], len(points)))
+    dist = _squared_distances(points.T, centroids.transpose(2, 0, 1), work)  # (runs, clusters, n)
+    runs, n_clusters, n = dist.shape
+    depth = min(-(-k // n_clusters), n)
+    dist = np.negative(np.sqrt(dist, out=dist), out=dist).reshape(runs * n_clusters, n)
+    order = _farthest(dist, np.full(len(dist), n), depth).reshape(runs, n_clusters, depth)
     pick = np.arange(k)
     return order[:, pick % n_clusters, (pick // n_clusters) % n]
 
@@ -325,7 +356,8 @@ def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
     returns the first maximum, and -0.0 equals 0.0 under it as under the
     sort. So that -inf stays below every entry, an entry of -inf first
     becomes the float just above the lowest finite one, and NaN the lowest
-    finite one; no cosine distance is either of those two floats.
+    finite one; no cosine distance or negated point distance (at most
+    sqrt of the largest float where finite) is either of those two floats.
     """
     np.maximum(dist, _ABOVE_MIN, out=dist)  # -inf rises; NaN stays NaN
     np.fmax(dist, np.finfo(np.float64).min, out=dist)  # NaN rises below it
@@ -351,6 +383,11 @@ def retrieve_defending(
 
     Returns (points, labels, fallback_events). With DuplicateLabeled the output
     always has k * len(labeled) rows; SkipWithFlag may return fewer.
+
+    The model-free strategies draw the rng with one rng.choice call per
+    served point, in labeled order (unconditioned_random serves every
+    point); those calls fix the picks, so the rest works per class or per
+    call.
     """
     if epoch is not None and epoch != bank.epoch_stamp:
         raise ConfigError(
@@ -363,40 +400,44 @@ def retrieve_defending(
     if len(labels) and labels.min() < 0:
         raise ShapeError(f"labels must be >= 0, got {int(labels.min())}")
     falls_back = _falls_back(bank, labels, cfg)
-    served = np.flatnonzero(~falls_back)
-    # rows[i] indexes labeled point i's k rows in the gather source:
-    # bank.points, followed by the labeled points, which a point that falls
-    # back under DuplicateLabeled repeats
-    rows = np.repeat(np.arange(len(labels))[:, None] + len(bank.points), cfg.k, axis=1)
-    out_lab = _own_labels(labels, falls_back, cfg)
+    fallbacks = int(np.count_nonzero(falls_back))
+    served = np.flatnonzero(~falls_back) if fallbacks else slice(None)  # indexes labels
+    labels_served = labels[served]
+    out_lab = None  # the served points' own labels, unless the strategy draws others
+    # rows: the k rows in bank.points of each served point
     if cfg.strategy == KMEANS_CENTER:
-        runs = _kmeans_runs(bank, labels, cfg.kmeans_clusters, rng)
+        rows = np.empty((len(labels_served), cfg.k), dtype=np.intp)
+        runs = _kmeans_runs(bank, labels_served, cfg.kmeans_clusters, rng)
         for cls, (positions, centroids) in runs.items():
             picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
             rows[positions] = bank.class_rows(cls)[picks]
     elif cfg.strategy == CLASS_AWARE_RANDOM:
-        for i in served:
-            class_rows = bank.class_rows(int(labels[i]))
-            size = len(class_rows)
-            rows[i] = class_rows[rng.choice(size, size=cfg.k, replace=size < cfg.k)]
-    elif cfg.strategy == UNCONDITIONED_RANDOM:
-        # from every class: no point falls back, so out_lab has every point's row
-        pool_rows = bank.rows
-        pool_labels = np.repeat(np.arange(bank.num_classes), bank.counts)
-        for i in served:
-            draws = rng.choice(len(pool_rows), size=cfg.k, replace=len(pool_rows) < cfg.k)
-            rows[i], out_lab[i] = pool_rows[draws], pool_labels[draws]
-    elif len(served):  # COSINE_DISTANT, with a point to serve
-        rows[served] = _cosine_picks(bank, model, points[served], labels[served], cfg.k)
-    fallbacks = int(falls_back.sum())
-    if cfg.empty_class_fallback == SKIP_WITH_FLAG:
-        rows = rows[served]
+        sizes = bank.sizes()
+        draws = [rng.choice(sizes[y], size=cfg.k, replace=sizes[y] < cfg.k)
+                 for y in labels_served.tolist()]
+        draws = np.array(draws, dtype=np.intp).reshape(-1, cfg.k)
+        rows = bank.rows[bank.offsets[labels_served][:, None] + draws]
+    elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class; no point falls back
+        total = len(bank.rows)
+        draws = [rng.choice(total, size=cfg.k, replace=total < cfg.k) for _ in range(len(labels))]
+        draws = np.array(draws, dtype=np.intp).reshape(-1, cfg.k)
+        rows = bank.rows[draws]
+        out_lab = np.repeat(np.arange(bank.num_classes), bank.counts)[draws.ravel()]
+    elif len(labels_served):  # COSINE_DISTANT, with a point to serve
+        rows = _cosine_picks(bank, model, points[served], labels_served, cfg.k)
+    else:
+        rows = np.zeros((0, cfg.k), dtype=np.intp)
+    if out_lab is None:
+        out_lab = _own_labels(labels, falls_back, cfg)
+    if fallbacks and cfg.empty_class_fallback == DUPLICATE_LABELED:
+        # a point that falls back repeats itself k times: its rows index the
+        # labeled points, appended to bank.points
+        table = np.repeat(np.arange(len(labels))[:, None] + len(bank.points), cfg.k, axis=1)
+        table[served] = rows
+        return np.concatenate([bank.points, points])[table.ravel()], out_lab, fallbacks
     if not rows.size:
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
-    source = bank.points
-    if fallbacks and cfg.empty_class_fallback == DUPLICATE_LABELED:
-        source = np.concatenate([bank.points, points])
-    return source[rows.ravel()], out_lab.ravel(), fallbacks
+    return bank.points.take(rows.ravel(), axis=0), out_lab, fallbacks
 
 
 def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.ndarray:
@@ -405,18 +446,17 @@ def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.n
     own class."""
     if cfg.strategy == UNCONDITIONED_RANDOM:
         return np.zeros(labels.shape, dtype=bool)
-    filled = np.append(bank.counts > 0, False)  # a label past the bank's classes reads the False
-    return ~filled[np.minimum(labels, bank.num_classes)]
+    return bank.no_entries.take(labels, mode="clip")  # labels are >= 0
 
 
 def _own_labels(labels: np.ndarray, falls_back: np.ndarray, cfg: RldConfig) -> np.ndarray:
-    """The defending labels of the labeled points that are served, (served,
-    k): each point's own label k times, as every strategy but
+    """The defending labels of the labeled points that are served, flat:
+    each point's own label k times, as every strategy but
     unconditioned_random labels its rows. Under SkipWithFlag a point that
     falls back is not served; otherwise every point is."""
     if cfg.empty_class_fallback == SKIP_WITH_FLAG:
         labels = labels[~falls_back]
-    return np.repeat(labels.reshape(-1, 1), cfg.k, axis=1)
+    return np.repeat(labels, cfg.k)
 
 
 def _retrieve_split(
@@ -444,7 +484,7 @@ def _retrieve_split(
         )
     else:
         points = None
-        labels = _own_labels(labeled_labels, falls_back, cfg).ravel()
+        labels = _own_labels(labeled_labels, falls_back, cfg)
     fallbacks = falls_back.sum(axis=1)
     served = size - fallbacks if skip else np.full(groups, size)
     return points, labels, (cfg.k * served).tolist(), fallbacks.tolist()

@@ -232,8 +232,9 @@ def _no_array(shape, dtype=None):
 
 
 class _RowArrays:
-    """The out= arrays of a forward and a backward pass over n rows, from
-    ``empty``; from _no_array each is None, so numpy makes its own."""
+    """The out= arrays of a forward pass, a softmax loss gradient and a
+    backward pass over n rows, from ``empty``; from _no_array each is None,
+    so numpy makes its own."""
 
     def __init__(self, dims, n, empty):
         self.z = [empty((n, w)) for w in dims[1:]]  # and dz: per layer, head last
@@ -241,6 +242,10 @@ class _RowArrays:
         self.a = [empty((n, w)) for w in dims[1:-1]]  # and relu: per hidden layer
         self.relu = [empty((n, w), bool) for w in dims[1:-1]]
         self.probs, self.col = empty((n, dims[-1])), empty(n)  # col: a softmax row fold
+        # _term_gradient's softmax dprobs, and its flat cells: each row's
+        # first, then its target's
+        self.dprobs, self.cells = empty((n, dims[-1])), empty(n, np.intp)
+        self.first_cells = None if self.cells is None else np.arange(0, n * dims[-1], dims[-1])
 
 
 def _fold_columns(ufunc, x, out=None):
@@ -463,15 +468,18 @@ def _bce_chosen(scored, positive):
     return np.where(positive, scored, 1.0 - scored), np.where(positive, -1.0, 1.0)
 
 
-def _term_gradient(model, probs, targets):
+def _term_gradient(model, probs, targets, buffers):
     """dprobs of model's loss for one unmasked term over every row, from the
-    loss's own cells without its values; targets from _checked_targets."""
+    loss's own cells without its values; targets from _checked_targets. A
+    softmax head's dprobs is the StepBuffers' array for len(probs) rows,
+    zeroed and written in place; it holds until the next such call."""
     if model.head != SOFTMAX:
         return _floored(*_bce_chosen(probs, targets))[1] / probs.size
-    rows = np.arange(len(probs))
-    dprobs = np.zeros(probs.shape)
-    dprobs[rows, targets] = _floored(probs[rows, targets], -1.0)[1] / len(probs)
-    return dprobs
+    work = buffers.rows(len(probs))
+    cells = np.add(work.first_cells, targets, out=work.cells)
+    work.dprobs.fill(0.0)
+    work.dprobs.put(cells, _floored(probs.take(cells), -1.0)[1] / len(probs))
+    return work.dprobs
 
 
 def backward(model, trace, dprobs, buffers=None):

@@ -544,6 +544,27 @@ class TestKMeansCenter:
                     want = reference_nearest_per_centroid(pts, run_centroids, k)
                     assert np.array_equal(got[run], want), (case, k, run)
 
+    def test_nearest_picks_tie_at_overflowing_distances(self):
+        # points scaled by 1e200 lie at an infinite distance from every
+        # centroid (their squares overflow), so those distances tie and go
+        # by row; duplicated points tie too. Each centroid walks its own
+        # order, so a run's two equal centroids yield the same rows.
+        rng = np.random.default_rng(48)
+        shared = 0
+        with np.errstate(over="ignore"):
+            for case in range(30):
+                pts = rng.normal(size=(4, 2))[rng.integers(0, 4, size=int(rng.integers(2, 14)))]
+                pts[rng.random(len(pts)) < 0.5] *= 1e200
+                centroids = rng.normal(size=(int(rng.integers(1, 4)), 3, 2))
+                centroids[:, 1] = centroids[:, 0]
+                for k in (1, 2, 3, 5, 3 * len(pts) + 2):
+                    got = bank._nearest_picks(pts, centroids, k)
+                    for run, run_centroids in enumerate(centroids):
+                        want = reference_nearest_per_centroid(pts, run_centroids, k)
+                        assert np.array_equal(got[run], want), (case, k, run)
+                        shared += k >= 2 and got[run, 0] == got[run, 1]
+        assert shared
+
 
 class TestRandomStrategiesMatchOracle:
     @pytest.mark.parametrize("strategy", [bank.CLASS_AWARE_RANDOM, bank.UNCONDITIONED_RANDOM])

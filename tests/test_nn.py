@@ -1439,7 +1439,7 @@ class TestStepBuffers:
                 if buffered:
                     width = outputs if head == nn.SOFTMAX else None
                     targets = nn._checked_targets(np.asarray(labels), width)
-                    dprobs = nn._term_gradient(model, trace.probs, targets)
+                    dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
                 grads = nn.backward(model, trace, dprobs, buffers)
                 record += [[float(v).hex() for v in losses], trace.probs.tobytes(),
                            dprobs.tobytes(), grads.flat.tobytes()]

@@ -60,6 +60,11 @@ MATRIX = [
     # a labelled pool (45 units) that is no multiple of the batch (16)
     ("mu0", {"adapt.batch_mu": 0}),
     ("pcc15", {"feedback.per_class_count": 15}),
+    # k-means retrieval off its stock shape: picks that wrap a run's two
+    # centroids (k = 5), and a whole run under skip_with_flag
+    ("kmeans_c2_k5", {**RLD, "rld.strategy": "kmeans_center", "adapt.k": 5,
+                      "rld.kmeans_clusters": 2}),
+    ("kmeans_skip", {**RLD, "rld.strategy": "kmeans_center", "rld.fallback": "skip_with_flag"}),
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
