@@ -42,6 +42,7 @@ probabilities only: its rows get no target, so zero upstream gradient,
 which detaches them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -174,9 +175,10 @@ class SoftmaxRule:
         nn.argmax_rows(probs, out)
 
     @staticmethod
-    def loss(probs, rows, targets, bounds, counts, mask) -> tuple:
-        """(losses, dprobs) of the terms in one cross-entropy pass."""
-        return nn._ce_terms(probs, rows, targets, bounds, counts, mask)
+    def loss(probs, rows, targets, bounds, counts, mask, work) -> tuple:
+        """(losses, dprobs) of the terms in one cross-entropy pass, written
+        into work (nn._LossArrays for len(probs) rows)."""
+        return nn._ce_terms(probs, rows, targets, bounds, counts, mask, work)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
@@ -217,10 +219,10 @@ class SigmoidRule:
         np.greater_equal(probs, self.thresholds, out=out)
 
     @staticmethod
-    def loss(probs, rows, targets, bounds, counts, mask) -> tuple:
+    def loss(probs, rows, targets, bounds, counts, mask, work) -> tuple:
         """As SoftmaxRule.loss in one BCE pass; every row is scored, as
         binary mode runs pseudo-labelling only."""
-        return nn._bce_terms(probs, targets, bounds, counts, mask)
+        return nn._bce_terms(probs, targets, bounds, counts, mask, work)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
@@ -350,7 +352,10 @@ def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tup
     first reads element j*P, the labelled pool first within a step. The rng
     is called in that order, as step-by-step cycling samplers would call it.
     Each permutation shuffles its own copy of the pool in place, which is
-    what rng.permutation does, with the same draws.
+    what rng.permutation does, with the same draws. A pool's copies are the
+    rows of one (permutations, P) tile, and each run of its permutations
+    with no draw from the other pool between them is one rng.permuted call
+    over those rows, which draws what shuffling row after row draws.
     """
     pools = [(np.arange(len(units)), spec.b)]
     if spec.mu > 0:
@@ -362,12 +367,13 @@ def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tup
             raise ConfigError("cannot sample from an empty pool")
         needed = -(-n_steps * per_step // size)
         schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
-        orders.append(np.tile(pool, needed))
-    for _, p, j in sorted(schedule):
-        size = len(pools[p][0])
-        rng.shuffle(orders[p][j * size : (j + 1) * size])
+        orders.append(np.tile(pool, (needed, 1)))
+    for p, run in itertools.groupby(sorted(schedule), key=lambda event: event[1]):
+        rows = [j for _, _, j in run]  # consecutive permutations of pool p
+        block = orders[p][rows[0] : rows[-1] + 1]
+        rng.permuted(block, axis=1, out=block)
     draws = [
-        order[: n_steps * per_step].reshape(n_steps, per_step)
+        order.reshape(-1)[: n_steps * per_step].reshape(n_steps, per_step)
         for order, (_, per_step) in zip(orders, pools)
     ]
     if spec.mu == 0:
@@ -402,6 +408,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
     detaches them. Only what the model decides is computed here: the views,
     the pseudo labels (or FixMatch's mask) and the losses."""
     b, u, d, rule = epoch.b, epoch.u, epoch.defending[i], epoch.rule
+    work = buffers or nn.StepBuffers(model)
     defending_at = epoch.head
     unlabeled_at = defending_at - u  # the strong view's rows under fixmatch
     scored = b + u + d
@@ -414,7 +421,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
         weak, strong = slice(b, unlabeled_at), slice(unlabeled_at, defending_at)
         inputs[weak] = augmenter.weak(inputs[weak], rng)
         inputs[strong] = augmenter.strong(inputs[strong], rng)
-    trace = nn.forward(model, inputs, buffers)
+    trace = nn.forward(model, inputs, work)
     probs = trace.probs
     # each term is a mean over its own rows (the unlabelled term's over its
     # target cells): the defending term's count is the actual pair count,
@@ -431,7 +438,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
         rule.pseudo_targets(probs[unlabeled_at:defending_at], targets[b : b + u])
     bounds = ((0, b), (b, b + u), (b + u, scored))
     (l_sup, l_unsup, l_rld), dprobs = rule.loss(
-        probs, epoch.rows[:scored], targets, bounds, counts, mask
+        probs, epoch.rows[:scored], targets, bounds, counts, mask, work.rows(len(probs)).loss
     )
     mask_rate = 1.0 if u else 0.0
     if fixmatch:
@@ -439,7 +446,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
         mask_rate = counts[1] / u
         l_unsup *= mask_rate
         dprobs[unlabeled_at:defending_at] *= mask_rate
-    grads = nn.backward(model, trace, dprobs, buffers)
+    grads = nn.backward(model, trace, dprobs, work)
     total = l_sup + l_unsup + l_rld
     return LossBreakdown(l_sup, l_unsup, l_rld, total, mask_rate), grads
 
@@ -545,7 +552,7 @@ def _adapt_units(
         batches = build_minibatch(
             train, picked, unlabeled, defending, cfg, rule, model.output_dim
         )
-        sums = np.zeros(len(_LOGGED))  # float64 adds, bit-equal to Python's
+        l_sup = l_unsup = l_rld = mask_rate = 0.0  # the step sums: float64 adds
         for i in range(n_steps):
             if defending is not None and defending[0] is None:
                 # the strategy reads the model: retrieve from it as trained so far
@@ -561,9 +568,13 @@ def _adapt_units(
                     f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"
                 )
             nn.sgd_step(model, grads, cfg.sgd, state)
-            sums += (losses.l_sup, losses.l_unsup, losses.l_rld, losses.unsup_mask_rate)
+            l_sup += losses.l_sup
+            l_unsup += losses.l_unsup
+            l_rld += losses.l_rld
+            mask_rate += losses.unsup_mask_rate
         fallbacks = sum(batches.fallbacks)
-        record = dict(zip(_LOGGED, (sums / n_steps).tolist()), epoch=epoch, bank={
+        means = (s / n_steps for s in (l_sup, l_unsup, l_rld, mask_rate))
+        record = dict(zip(_LOGGED, means), epoch=epoch, bank={
             "sizes": rule.sizes(cur_bank) if cur_bank is not None else [],
             "fallbacks": fallbacks,
         })

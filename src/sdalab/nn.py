@@ -18,25 +18,44 @@ so some calls take a cheaper route to the bits of the plain form
   instance on a left operand with strided columns. Stacks of one-row passes
   keep ``@``: ``np.dot`` on 3-D operands forms another product.
 - Row max and row sum below 8 columns are column folds, in the order
-  numpy's axis-1 reduction takes there (``_fold_columns``).
+  numpy's axis-1 reduction takes there (``_Fold``).
+- Bias sums are ``np.einsum('ij->j')`` from 2 columns. There it sums the
+  rows in order from +0.0, as ``np.add.reduce(axis=0)`` does, so the two
+  give the same bits (signed zeros, NaN and inf included). It costs less
+  from about 96 rows (``EINSUM_ROWS``; below, its fixed cost is higher).
+  At 1 column ``add.reduce`` sums pairwise and the two differ, so a 1-wide
+  layer keeps it. A BLAS product with a ones vector gives neither's bits.
 - ``loss_bce`` takes one log per cell: for a 0/1 target the other side's
   term is +-0, and adding +-0 changes no log it meets.
 
 A training loop hands one ``StepBuffers`` to each ``forward`` and
-``backward``: they write into its arrays for their row count and its one
-gradient, so a step allocates no array that scales with the batch, except
-the sigmoid head's temporaries (a sigmoid through ``where=`` ran slower).
-What they return then holds until the next call with the same buffers;
-without buffers every array is new. ``out=`` keeps the bits: ``np.dot``
-into a C-ordered array is the same BLAS call, a ufunc computes a cell alike
-wherever it goes, and ``sgd_step``'s ``theta*wd + g`` is ``g + wd*theta``
-(IEEE ops commute).
+``backward`` and to the loss core. A pass runs on the buffers' plan for its
+row count (``_RowArrays``): every array it writes and every view of them it
+reads (the head's column views and fold column, the activations'
+transposes), and one ``ForwardTrace``, all made once. So a step allocates
+no array that scales with the batch, except the sigmoid head's temporaries
+(a sigmoid through ``where=``, and BCE's target picks by mask, ran slower).
+What a buffered call returns holds until the next call with the same
+buffers for the same row count. An unbuffered call runs on a new plan, so
+every array it returns is new. The buffers keep nothing of the model: the
+weights, and their transposes, are read per call, so models of one shape
+may share them. ``out=`` keeps the bits: ``np.dot`` into a C-ordered array
+is the same BLAS call, a ufunc computes a cell alike wherever it goes, and
+``sgd_step``'s ``theta*wd + g`` is ``g + wd*theta`` (IEEE ops commute).
+
+What is left is numpy's per-call floor. On a 64-row [2, 10, 10, 3] step
+(2-core Xeon, numpy 2.4.6, in-process minima) a forward pass takes about
+19 us: about 1 us per product and per ReLU, 1.5 us per bias add, and 6 us
+for the softmax's seven numpy calls. Bias adds and bias sums run one numpy
+inner loop per row on matrices this narrow, so they cost more than the
+products.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +65,10 @@ from .errors import ConfigError, NumericError, ShapeError
 # Floor applied to probabilities inside logs. Keeps losses finite; well below
 # every tolerance used in tests.
 PROB_EPS = 1e-12
+
+# From this many rows a bias sum of 2 or more columns takes np.einsum,
+# which costs less there than np.add.reduce (module docstring)
+EINSUM_ROWS = 96
 
 SOFTMAX = "softmax"
 SIGMOID = "sigmoid"
@@ -176,6 +199,11 @@ class ForwardTrace:
     probs: np.ndarray
     layer_dims: list
 
+    @functools.cached_property
+    def transposed(self):
+        """Each hidden activation's transpose, as backward reads them."""
+        return [a.T for a in self.activations]
+
 
 class GradientSet:
     """d(loss)/d(parameter), shape-congruent with an MlpModel.
@@ -213,61 +241,108 @@ class GradientSet:
 
 class StepBuffers:
     """One training loop's workspace for one model (module docstring): the
-    _RowArrays of each batch row count, made at first use, and a gradient."""
+    _RowArrays plan of each batch row count, made at first use, and a
+    gradient. It keeps nothing of the model's values, so models of the same
+    dims and head may share it."""
 
-    def __init__(self, model, empty=np.empty):
-        self.dims, self.empty, self.by_rows = model.layer_dims, empty, {}
+    def __init__(self, model):
+        self.dims, self.head, self.by_rows = model.layer_dims, model.head, {}
         flat, layout = np.empty(model.params.size), model._layout
         self.gradient = GradientSet._wrap(flat, layout)
         self.views = _weight_views(flat, layout), _bias_views(flat, layout)
 
     def rows(self, n):
         if n not in self.by_rows:
-            self.by_rows[n] = _RowArrays(self.dims, n, self.empty)
+            self.by_rows[n] = _RowArrays(self.dims, self.head, n)
         return self.by_rows[n]
 
 
-def _no_array(shape, dtype=None):
-    return None
-
-
 class _RowArrays:
-    """The out= arrays of a forward pass, a softmax loss gradient and a
-    backward pass over n rows, from ``empty``; from _no_array each is None,
-    so numpy makes its own."""
+    """The plan of every pass over n rows: the arrays a forward pass, a
+    backward pass and the loss core write, and every view of them a pass
+    reads (the head's column views and their fold column; the activations'
+    transposes, which its one ForwardTrace keeps). What only backward or the
+    loss reads is made at first use, so a forward pass alone, as unbuffered
+    evaluation runs it, makes no more than it writes."""
 
-    def __init__(self, dims, n, empty):
-        self.z = [empty((n, w)) for w in dims[1:]]  # and dz: per layer, head last
-        self.dz = [empty((n, w)) for w in dims[1:]]
-        self.a = [empty((n, w)) for w in dims[1:-1]]  # and relu: per hidden layer
-        self.relu = [empty((n, w), bool) for w in dims[1:-1]]
-        self.probs, self.col = empty((n, dims[-1])), empty(n)  # col: a softmax row fold
-        # _term_gradient's softmax dprobs, and its flat cells: each row's
-        # first, then its target's
-        self.dprobs, self.cells = empty((n, dims[-1])), empty(n, np.intp)
-        self.first_cells = None if self.cells is None else np.arange(0, n * dims[-1], dims[-1])
+    def __init__(self, dims, head, n):
+        self.head = head
+        self.z = [np.empty((n, w)) for w in dims[1:]]  # per layer, head last
+        self.a = [np.empty((n, w)) for w in dims[1:-1]]  # per hidden layer
+        self.probs, self.col = np.empty((n, dims[-1])), np.empty(n)  # col: the head's row folds
+        self.logit_fold, self.prob_fold = _Fold(self.z[-1], self.col), _Fold(self.probs, self.col)
+        self.trace = ForwardTrace(None, self.z, self.a, self.probs, dims)
+        self.einsum = [w > 1 and n >= EINSUM_ROWS for w in dims[1:]]  # per layer's bias sum
+
+    @functools.cached_property
+    def dz(self):  # per layer, head last
+        return [np.empty(z.shape) for z in self.z]
+
+    @functools.cached_property
+    def relu(self):  # per hidden layer
+        return [np.empty(a.shape, bool) for a in self.a]
+
+    @functools.cached_property
+    def dz_fold(self):
+        return _Fold(self.dz[-1], self.col)
+
+    @functools.cached_property
+    def loss(self):
+        return _LossArrays(*self.probs.shape, self.head == SIGMOID)
 
 
-def _fold_columns(ufunc, x, out=None):
-    """``ufunc`` folded over x's columns left to right, as an (n, 1) column
-    (into ``out``, if given). Below 8 columns numpy's axis-1 reduction takes
-    that order, so this gives its bits, unless a row holds only -0.0 (the
-    reduction may give +0.0). From 8 columns numpy sums pairwise; those go
-    to the reduction."""
-    if not 2 <= x.shape[1] < 8:
-        return ufunc.reduce(x, axis=1, keepdims=True)
-    acc = ufunc(x[:, 0], x[:, 1], out=out)
-    for j in range(2, x.shape[1]):
-        ufunc(acc, x[:, j], out=acc)
-    return acc[:, None]
+class _LossArrays:
+    """The loss core's arrays for n rows of ``width`` outputs: each scored
+    value's gradient and whether the floor spares it (one value per row
+    under cross-entropy, its target's cell; per cell under BCE), and
+    cross-entropy's flat cells (a row's first, then its target's), their
+    probabilities and the dprobs it scatters into."""
+
+    def __init__(self, n, width, per_cell=False):
+        shape = (n, width) if per_cell else (n,)
+        self.grads, self.above = np.empty(shape), np.empty(shape, bool)
+        self.chosen, self.cells = np.empty(n), np.empty(n, np.intp)
+        self.dprobs, self.first_cells = np.empty((n, width)), np.arange(0, n * width, width)
 
 
-def softmax_rows(logits, out=None, col=None):
+class _Fold:
+    """A row fold of x planned once: x's column views, and acc and its
+    (n, 1) view, where it folds. Below 8 columns a fold runs ufunc over the
+    columns left to right, the order numpy's axis-1 reduction takes there,
+    so it gives the reduction's bits, unless a row holds only -0.0 (the
+    reduction may give +0.0). From 8 columns numpy sums pairwise; those
+    (and a single column) go to the reduction."""
+
+    __slots__ = ("x", "acc", "column", "cols")
+
+    def __init__(self, x, acc):
+        self.x, self.acc, self.column = x, acc, acc[:, None]
+        self.cols = [x[:, j] for j in range(x.shape[1])] if 2 <= x.shape[1] < 8 else None
+
+    def __call__(self, ufunc):
+        """The (n, 1) fold of x by ufunc."""
+        cols, acc = self.cols, self.acc
+        if cols is None:
+            return ufunc.reduce(self.x, axis=1, keepdims=True)
+        ufunc(cols[0], cols[1], out=acc)
+        for j in range(2, len(cols)):
+            ufunc(acc, cols[j], out=acc)
+        return self.column
+
+
+def softmax_rows(logits):
     # The row max and row sum as column folds: the bits of .max() and .sum()
     # (a max of -0.0 for +0.0 only moves exp(+-0) = 1; a sum here is > 0).
-    e = np.subtract(logits, _fold_columns(np.maximum, logits, col), out=out)
+    probs = np.empty(np.shape(logits))
+    col = np.empty(len(probs))
+    return _softmax(logits, _Fold(logits, col), _Fold(probs, col))
+
+
+def _softmax(logits, logit_fold, prob_fold):
+    """softmax_rows into prob_fold's array, with the given folds."""
+    e = np.subtract(logits, logit_fold(np.maximum), out=prob_fold.x)
     np.exp(e, out=e)
-    e /= _fold_columns(np.add, e, col)
+    e /= prob_fold(np.add)
     return e
 
 
@@ -290,25 +365,22 @@ def _checked_inputs(model, inputs):
 
 
 def forward(model, inputs, buffers=None):
-    """Run the network, keeping every intermediate needed by backward()."""
-    inputs = _checked_inputs(model, inputs)
-    n = len(inputs)
-    out = _RowArrays(model.layer_dims, n, _no_array) if buffers is None else buffers.rows(n)
-    pre_acts, acts = [], []
-    a = inputs
-    last = len(model.weights) - 1
+    """Run the network, keeping every intermediate needed by backward(): in
+    the plan of buffers for len(inputs) rows, else in a new plan."""
+    inputs, n = _checked_inputs(model, inputs), len(inputs)
+    plan = _RowArrays(model.layer_dims, model.head, n) if buffers is None else buffers.rows(n)
+    a, last = inputs, len(plan.a)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.dot(a, w, out=out.z[i])
+        z = np.dot(a, w, out=plan.z[i])
         z += b
-        pre_acts.append(z)
         if i < last:
-            a = np.maximum(z, 0.0, out=out.a[i])
-            acts.append(a)
+            a = np.maximum(z, 0.0, out=plan.a[i])
     if model.head == SOFTMAX:
-        probs = softmax_rows(z, out.probs, out.col)
+        _softmax(z, plan.logit_fold, plan.prob_fold)
     else:
-        probs = sigmoid(z, out.probs)
-    return ForwardTrace(inputs, pre_acts, acts, probs, model.layer_dims)
+        sigmoid(z, plan.probs)
+    plan.trace.inputs = inputs
+    return plan.trace
 
 
 def _term_rows(terms, n_rows):
@@ -336,7 +408,7 @@ def _counts(bounds, mask, cells_per_row):
     return [int(round(np.add.reduce(mask[start:stop], axis=None))) for start, stop in bounds]
 
 
-def _term_losses(chosen, sign, bounds, counts, mask=None):
+def _term_losses(chosen, sign, bounds, counts, mask, grads, above):
     """The loss core of loss_ce and loss_bce, on checked arrays. ``chosen``
     holds each scored cell's probability of its target, ``sign`` -1 where
     that is p and +1 where it is 1 - p. Each cell's loss is -log of chosen
@@ -345,9 +417,9 @@ def _term_losses(chosen, sign, bounds, counts, mask=None):
     Each term's loss is the pairwise sum of its rows' cells, bounds giving
     its (start, stop), divided by its count; its gradient rows are divided
     by the same count in place. A term with count 0 gets loss 0.0 and zero
-    gradient. Returns (losses, grads)."""
-    clamped, grads = _floored(chosen, sign)
-    cells = np.log(clamped, out=clamped)
+    gradient. chosen becomes the cells' losses; grads (and above, scratch)
+    are written. Returns (losses, grads)."""
+    cells = np.log(_floored(chosen, sign, grads, above), out=chosen)
     np.negative(cells, out=cells)
     if mask is not None:
         cells *= mask
@@ -363,26 +435,42 @@ def _term_losses(chosen, sign, bounds, counts, mask=None):
     return losses, grads
 
 
-def _floored(chosen, sign):
-    """chosen floored at PROB_EPS, and d(-log)/d(p) through it: sign over
-    the floored value, 0 where the floor binds."""
-    clamped = np.maximum(chosen, PROB_EPS)
-    return clamped, np.where(chosen > PROB_EPS, sign / clamped, 0.0)
+def _floored(chosen, sign, grads, above):
+    """chosen floored at PROB_EPS in place, and d(-log)/d(p) through the
+    floor into grads: sign over the floored value, 0.0 where the floor
+    binds or chosen is NaN (above: where it does not)."""
+    np.greater(chosen, PROB_EPS, out=above)
+    clamped = np.maximum(chosen, PROB_EPS, out=chosen)
+    grads.fill(0.0)
+    np.divide(sign, clamped, out=grads, where=above)
+    return clamped
 
 
-def _ce_terms(probs, rows, targets, bounds, counts, mask=None):
+def _ce_terms(probs, rows, targets, bounds, counts, mask=None, work=None):
     """loss_ce on checked arrays: rows are the scored rows of probs, an
-    index array, and targets their classes. Returns (losses, dprobs)."""
-    losses, grads = _term_losses(probs[rows, targets], -1.0, bounds, counts, mask)
-    dprobs = np.zeros(probs.shape)
-    dprobs[rows, targets] = grads
-    return losses, dprobs
+    index array, and targets their classes. The scored cells are flat
+    indices into probs (take, then put into a zeroed dprobs). Writes into
+    work, the _LossArrays of len(probs) rows (default: new ones). Returns
+    (losses, dprobs)."""
+    work = work or _LossArrays(*probs.shape)
+    m = len(rows)
+    cells = np.multiply(rows, probs.shape[1], out=work.cells[:m])
+    cells += targets
+    # "clip" reads without numpy's bounds-check buffer: targets are checked
+    chosen = probs.take(cells, out=work.chosen[:m], mode="clip")
+    losses, grads = _term_losses(chosen, -1.0, bounds, counts, mask, work.grads[:m], work.above[:m])
+    work.dprobs.fill(0.0)
+    work.dprobs.put(cells, grads)
+    return losses, work.dprobs
 
 
-def _bce_terms(scored, positive, bounds, counts, mask=None):
+def _bce_terms(scored, positive, bounds, counts, mask=None, work=None):
     """loss_bce on checked arrays, over every row of scored; positive says
-    which target cells are 1. Returns (losses, dscored)."""
-    return _term_losses(*_bce_chosen(scored, positive), bounds, counts, mask)
+    which target cells are 1. Writes into work, per-cell _LossArrays of
+    len(scored) rows (default: new ones). Returns (losses, dscored)."""
+    work = work or _LossArrays(*scored.shape, per_cell=True)
+    return _term_losses(*_bce_chosen(scored, positive), bounds, counts, mask,
+                        work.grads, work.above)
 
 
 def loss_ce(probs, targets, terms=None, mask=None):
@@ -463,22 +551,27 @@ def loss_bce(probs, targets, terms=None, mask=None):
 
 
 def _bce_chosen(scored, positive):
-    """Each cell's probability of its target, and the sign of d(that)/d(scored)."""
+    """Each cell's probability of its target, and the sign of d(that)/d(scored),
+    as new arrays (np.where ran faster than writes into buffers by mask)."""
     # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1]
     return np.where(positive, scored, 1.0 - scored), np.where(positive, -1.0, 1.0)
 
 
 def _term_gradient(model, probs, targets, buffers):
     """dprobs of model's loss for one unmasked term over every row, from the
-    loss's own cells without its values; targets from _checked_targets. A
-    softmax head's dprobs is the StepBuffers' array for len(probs) rows,
-    zeroed and written in place; it holds until the next such call."""
+    loss's own cells without its values; targets from _checked_targets. It
+    is an array of the StepBuffers' plan for len(probs) rows, written in
+    place; it holds until the next such call."""
+    work = buffers.rows(len(probs)).loss
     if model.head != SOFTMAX:
-        return _floored(*_bce_chosen(probs, targets))[1] / probs.size
-    work = buffers.rows(len(probs))
+        _floored(*_bce_chosen(probs, targets), work.grads, work.above)
+        work.grads /= probs.size
+        return work.grads
     cells = np.add(work.first_cells, targets, out=work.cells)
+    _floored(probs.take(cells, out=work.chosen, mode="clip"), -1.0, work.grads, work.above)
+    work.grads /= len(probs)
     work.dprobs.fill(0.0)
-    work.dprobs.put(cells, _floored(probs.take(cells), -1.0)[1] / len(probs))
+    work.dprobs.put(cells, work.grads)
     return work.dprobs
 
 
@@ -489,6 +582,9 @@ def backward(model, trace, dprobs, buffers=None):
     elementwise sigmoid derivative), then through each affine+ReLU layer:
 
         dW_l = a_{l-1}^T dz_l,  db_l = sum(dz_l),  dz_{l-1} = (dz_l W_l^T) * [z_{l-1} > 0]
+
+    It writes into the plan of buffers for len(dprobs) rows and buffers'
+    gradient, else into a new plan and gradient.
     """
     if trace.layer_dims != model.layer_dims:
         raise ShapeError(
@@ -498,13 +594,13 @@ def backward(model, trace, dprobs, buffers=None):
     probs = trace.probs
     if dprobs.shape != probs.shape:
         raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
-    work = buffers or StepBuffers(model, _no_array)
-    out = work.rows(len(probs))
-    dz = np.multiply(dprobs, probs, out=out.dz[-1])
+    work = buffers or StepBuffers(model)
+    plan = work.rows(len(probs))
+    dz = np.multiply(dprobs, probs, out=plan.dz[-1])
     if model.head == SOFTMAX:
         # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise. A loss_ce row of
         # g * p holds +0.0 off its target, so it is never a row of -0.0.
-        np.subtract(dprobs, _fold_columns(np.add, dz, out.col), out=dz)
+        np.subtract(dprobs, plan.dz_fold(np.add), out=dz)
         dz *= probs
     else:
         dz *= 1.0 - probs
@@ -513,13 +609,16 @@ def backward(model, trace, dprobs, buffers=None):
     # these 2-D float64 operands np.dot gives the bits of `@`, and writes
     # into a view at less cost than np.matmul(out=).
     weight_grads, bias_grads = work.views
+    transposed = trace.transposed
     for i in range(len(weight_grads) - 1, -1, -1):
-        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        np.dot(a_prev.T, dz, out=weight_grads[i])
-        np.add.reduce(dz, axis=0, out=bias_grads[i])
+        np.dot(transposed[i - 1] if i else trace.inputs.T, dz, out=weight_grads[i])
+        if plan.einsum[i]:
+            np.einsum("ij->j", dz, out=bias_grads[i])
+        else:
+            np.add.reduce(dz, axis=0, out=bias_grads[i])
         if i > 0:
-            dz = np.dot(dz, model.weights[i].T, out=out.dz[i - 1])
-            dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=out.relu[i - 1])
+            dz = np.dot(dz, model.weights[i].T, out=plan.dz[i - 1])
+            dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=plan.relu[i - 1])
     return work.gradient
 
 
@@ -557,7 +656,9 @@ def sgd_step(model, grads, cfg, state):
     Every operation is elementwise, so updating the whole parameter vector
     at once gives the same bits as updating each array on its own.
     """
-    if not np.isfinite(grads.flat).all():
+    # a finite sum of squares has no NaN or inf term; an infinite one may
+    # come from finite entries whose squares overflow, which step as any do
+    if not math.isfinite(np.dot(grads.flat, grads.flat)):
         for kind, arrays in (("weight", grads.weights), ("bias", grads.biases)):
             for i, g in enumerate(arrays):
                 if not np.isfinite(g).all():

@@ -9,8 +9,9 @@ spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "runs_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
-              {"name": "mean_target_value", "better": "higher"}]
+END_TO_END = [{"name": "runs_per_s", "better": "higher", "bound": 0.24},
+              {"name": "setup_s", "better": "lower", "bound": 0.25},
+              {"name": "mean_target_value", "better": "higher", "bound": 0.24}]
 
 
 def line(runs_per_s, setup_s, target=0.85, correct=True):
@@ -27,6 +28,12 @@ def runs(parent, change):
 def row(lines, name):
     (found,) = [x.split() for x in lines if x.startswith(name + " ")]
     return found
+
+
+def verdicts(lines, name):
+    """(claim, bound) of the metric's verdict line."""
+    (found,) = [x for x in lines if x.startswith(f"verdict {name}: ")]
+    return found.split(" claim ")[1].split()[0], found.split("; bound ")[1].split()[0]
 
 
 def test_medians_quartiles_and_wins():
@@ -83,4 +90,48 @@ def test_several_workloads_print_one_table_each_and_fail_on_any(monkeypatch, cap
         "FAILED strategy: mean_target_value differs between runs: [0.85, 0.86]"]
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, args: json.loads(
         line(5.0, 0.3)))
+    assert bench_pairs.main(argv) == 0
+
+
+def test_claim_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parent_iqr():
+    parent = [5.0, 5.2, 5.1, 5.3, 4.9, 5.0, 5.2, 5.1, 5.3, 4.9]  # IQR 4.975-5.225
+    cases = [
+        ([p + 0.5 for p in parent], "yes"),  # 10/10, gap 0.5
+        ([p + 0.5 for p in parent[:9]] + [parent[9]], "yes"),  # 9/10: a tie counts for neither
+        ([p + 0.5 for p in parent[:8]] + parent[8:], "no"),  # 8/10
+        ([p + 0.2 for p in parent], "no"),  # 10/10, but the gap is within the IQR
+    ]
+    for change, claim in cases:
+        lines, _ = bench_pairs.summarize(
+            runs([line(v, 0.3) for v in parent], [line(v, 0.3) for v in change]), END_TO_END)
+        assert verdicts(lines, "runs_per_s") == (claim, "kept")
+    # a lower-is-better metric claims a fall
+    lines, _ = bench_pairs.summarize(
+        runs([line(5.0, s) for s in (0.30, 0.31, 0.29, 0.30)],
+             [line(5.0, s) for s in (0.20, 0.21, 0.19, 0.20)]), END_TO_END)
+    assert verdicts(lines, "setup_s") == ("yes", "kept")
+    assert verdicts(lines, "runs_per_s") == ("no", "kept")
+
+
+def test_bound_is_broken_past_the_metrics_relative_bound():
+    parent = [line(5.0, 0.20)] * 4
+    # runs_per_s: 22 % below the parent is within its 24 % bound, 28 % is
+    # not; setup_s (lower is better): 22 % above is within its 25 %, 28 % not
+    for factor, bound in ((0.78, "kept"), (0.72, "broken")):
+        change = [line(5.0 * factor, 0.20 * (2 - factor))] * 4
+        lines, _ = bench_pairs.summarize(runs(parent, change), END_TO_END)
+        assert verdicts(lines, "runs_per_s") == ("no", bound)
+        assert verdicts(lines, "setup_s") == ("no", bound)
+        assert verdicts(lines, "mean_target_value") == ("no", "kept")
+    (found,) = [x for x in lines if x.startswith("verdict runs_per_s: ")]
+    assert found.endswith("bound broken (median 28.00% worse, bound 24%)")
+
+
+def test_verdicts_leave_the_exit_code_alone(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    sides = {"parent": 5.0, str(tmp_path): 2.0}  # the change breaks the runs_per_s bound
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, args: json.loads(
+        line(sides[checkout], 0.3)))
+    argv = ["--parent", "parent", "--change", str(tmp_path), "--seed", "1", "--pairs", "2",
+            "--workload", "engines"]
     assert bench_pairs.main(argv) == 0

@@ -392,6 +392,41 @@ class TestSgd:
         with pytest.raises(NumericError, match="layer 0"):
             nn.sgd_step(model, grads, nn.SgdConfig(0.1), state=nn.SgdState.zeros_like(model))
 
+    def test_finite_gradients_whose_squares_overflow_step_as_the_parent(self):
+        # sgd_step checks finiteness by one dot product, which overflows here
+        rng = np.random.default_rng(70)
+        model = make_model([2, 4, 4, 3], seed=70)
+        ref = model.copy()
+        cfg = nn.SgdConfig(0.01, momentum=0.9, weight_decay=1e-3)
+        state, ref_state = nn.SgdState.zeros_like(model), nn.SgdState.zeros_like(ref)
+        for _ in range(3):
+            grads = nn.GradientSet.zeros_like(model)
+            grads.flat[:] = rng.choice([1e200, -1e200], size=grads.flat.size) * rng.random(grads.flat.size)
+            with np.errstate(over="ignore"):
+                assert np.isfinite(grads.flat).all() and np.dot(grads.flat, grads.flat) == np.inf
+                nn.sgd_step(model, grads, cfg, state)
+            parent_sgd_step(ref, grads, cfg, ref_state)
+            assert model.params.tobytes() == ref.params.tobytes()
+            assert state.velocity.tobytes() == ref_state.velocity.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["weight", "bias"])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_non_finite_entry_names_its_array_and_changes_nothing(self, value, kind, layer):
+        rng = np.random.default_rng(71)
+        model = make_model([2, 4, 4, 3], seed=71)
+        cfg = nn.SgdConfig(0.05, momentum=0.9, weight_decay=1e-3)
+        state = nn.SgdState.zeros_like(model)
+        grads = nn.GradientSet.zeros_like(model)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        nn.sgd_step(model, grads, cfg, state)  # a velocity that is not zero
+        arrays = grads.weights if kind == "weight" else grads.biases
+        arrays[layer].flat[int(rng.integers(arrays[layer].size))] = value
+        params, velocity = model.params.tobytes(), state.velocity.tobytes()
+        with pytest.raises(NumericError, match=f"^non-finite {kind} gradient in layer {layer}$"):
+            nn.sgd_step(model, grads, cfg, state)
+        assert model.params.tobytes() == params and state.velocity.tobytes() == velocity
+
 
 class TestPredictAndConfidence:
     def test_argmax_and_documented_tie_break(self):
@@ -626,7 +661,40 @@ class TestBitEqualityFacts:
             x = rng.normal(size=(int(rng.integers(1, 300)), cols))
             for ufunc in (np.add, np.maximum):
                 want = ufunc.reduce(x, axis=1, keepdims=True)
-                assert same_bits(nn._fold_columns(ufunc, x), want)
+                assert same_bits(nn._Fold(x, np.empty(len(x)))(ufunc), want)
+
+    def test_einsum_column_sums_equal_row_axis_reductions(self):
+        # backward's bias sums from 2 columns: both sum the rows in order
+        # from +0.0 (at 1 column add.reduce sums pairwise, so they differ)
+        rng = np.random.default_rng(12)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        for cols in range(2, 17):
+            for rows in range(1, 301):
+                x = rng.normal(size=(rows, cols)) * np.exp(rng.normal(scale=8.0, size=(rows, cols)))
+                if rows % 3 == 0:
+                    x[rng.random(x.shape) < 0.05] = rng.choice(specials)
+                if rows % 4 == 0:
+                    x[:, rng.integers(cols)] = rng.choice([0.0, -0.0])  # a column of zeros
+                got, want = np.empty(cols), np.empty(cols)
+                np.einsum("ij->j", x, out=got)
+                np.add.reduce(x, axis=0, out=want)
+                assert same_bits(got, want), (rows, cols)
+
+    def test_permuted_rows_equal_row_by_row_shuffles(self):
+        # _draw_epoch's one call per run of a pool's permutations: rows of a
+        # block within a tile, as many as the run has
+        for seed in range(40):
+            for needed in (1, 2, 3, 16):
+                for size in (1, 2, 9, 45, 112, 950):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    tile = np.tile(np.arange(size) * 3 + 1, (needed + 2, 1))
+                    want = tile.copy()
+                    block = tile[1 : needed + 1]
+                    rng.permuted(block, axis=1, out=block)
+                    for row in want[1 : needed + 1]:
+                        ref.shuffle(row)
+                    assert np.array_equal(tile, want), (seed, needed, size)
+                    assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
     def test_forward_on_a_strided_view_equals_forward_on_its_copy(self):
         # np.dot's bits can depend on the left operand's layout; forward
@@ -642,7 +710,7 @@ class TestBitEqualityFacts:
                     assert same_arrays(got.pre_activations, want.pre_activations)
 
     def test_cross_entropy_head_row_is_never_all_negative_zero(self):
-        # _fold_columns's precondition at backward's softmax head, for
+        # _Fold's precondition at backward's softmax head, for
         # upstream gradients from loss_ce: masked rows, rows outside every
         # term and probabilities of 0 and 1 included
         for rng, model, x in lean_cases(8):
@@ -1029,6 +1097,62 @@ def verbatim_backward(model, trace, dprobs):
     return grads
 
 
+def parent_sgd_step(model, grads, cfg, state):
+    # nn.sgd_step as it was before its finiteness check took one dot
+    # product (module prefixes aside)
+    if not np.isfinite(grads.flat).all():
+        for kind, arrays in (("weight", grads.weights), ("bias", grads.biases)):
+            for i, g in enumerate(arrays):
+                if not np.isfinite(g).all():
+                    raise NumericError(f"non-finite {kind} gradient in layer {i}")
+    theta, v, tmp = model.params, state.velocity, state.scratch
+    v *= cfg.momentum
+    v += np.add(np.multiply(theta, cfg.weight_decay, out=tmp), grads.flat, out=tmp)
+    theta -= np.multiply(v, cfg.learning_rate, out=tmp)
+    return model, state
+
+
+def parent_fold_columns(ufunc, x, out=None):
+    # nn._fold_columns as it was before the passes ran on per-row-count plans
+    if not 2 <= x.shape[1] < 8:
+        return ufunc.reduce(x, axis=1, keepdims=True)
+    acc = ufunc(x[:, 0], x[:, 1], out=out)
+    for j in range(2, x.shape[1]):
+        ufunc(acc, x[:, j], out=acc)
+    return acc[:, None]
+
+
+def parent_backward(model, trace, dprobs):
+    # nn.backward, unbuffered, as it was before the passes ran on
+    # per-row-count plans and the bias sums took einsum (module prefixes
+    # aside; without buffers every out= array was None)
+    if trace.layer_dims != model.layer_dims:
+        raise ShapeError(
+            f"trace built for dims {trace.layer_dims}, model has {model.layer_dims}"
+        )
+    dprobs = np.asarray(dprobs, dtype=np.float64)
+    probs = trace.probs
+    if dprobs.shape != probs.shape:
+        raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
+    dz = np.multiply(dprobs, probs, out=None)
+    if model.head == nn.SOFTMAX:
+        np.subtract(dprobs, parent_fold_columns(np.add, dz, None), out=dz)
+        dz *= probs
+    else:
+        dz *= 1.0 - probs
+    flat = np.empty(model.params.size)
+    weight_grads = nn._weight_views(flat, model._layout)
+    bias_grads = nn._bias_views(flat, model._layout)
+    for i in range(len(weight_grads) - 1, -1, -1):
+        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+        np.dot(a_prev.T, dz, out=weight_grads[i])
+        np.add.reduce(dz, axis=0, out=bias_grads[i])
+        if i > 0:
+            dz = np.dot(dz, model.weights[i].T, out=None)
+            dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=None)
+    return nn.GradientSet._wrap(flat, model._layout)
+
+
 def verbatim_train_supervised(model, points, labels, sgd_cfg, epochs, batch_size, rng):
     labels = np.asarray(labels)
     state = nn.SgdState.zeros_like(model)
@@ -1334,6 +1458,23 @@ class TestLeanPath:
                 got = nn.backward(model, trace, dprobs)
                 assert same_bits(got.flat, reduced_backward(model, trace, dprobs).flat)
 
+    @pytest.mark.parametrize("head, dims", [(nn.SOFTMAX, [2, 1, 10, 3]), (nn.SIGMOID, [2, 10, 1])])
+    def test_backward_with_a_one_wide_layer_matches_parent_copy(self, head, dims):
+        # a 1-wide layer's bias sum stays np.add.reduce, which sums pairwise
+        # there, where einsum sums in order (TestBitEqualityFacts)
+        rng = np.random.default_rng(55)
+        for case in range(12):
+            model = make_model(dims, head=head, seed=55 + case)
+            model.biases[0][:] = 1.0  # keeps a 1-wide ReLU layer open
+            buffers = nn.StepBuffers(model)
+            for rows in (1, 7, 9, 16, 64, 128, 176, 240, 300):
+                x = rng.normal(scale=3.0, size=(rows, 2))
+                dprobs = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(rows, dims[-1]))
+                want = parent_backward(model, nn.forward(model, x), dprobs).flat
+                got = nn.backward(model, nn.forward(model, x, buffers), dprobs, buffers).flat
+                assert same_bits(got, want), (case, rows)
+                assert same_bits(nn.backward(model, nn.forward(model, x), dprobs).flat, want)
+
     def test_loss_ce_rejects_out_of_range_targets(self):
         probs = np.full((6, 3), 1.0 / 3.0)
         for bad in (-1, 3, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
@@ -1446,6 +1587,37 @@ class TestStepBuffers:
                 nn.sgd_step(model, grads, cfg, state)
                 record += [model.params.tobytes(), state.velocity.tobytes()]
             runs.append(record)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_models_of_one_shape_may_share_buffers(self, head):
+        # two models step in turn on one StepBuffers, each updated in place
+        # between its calls; each gets its unbuffered bits, so the buffers
+        # hold no view of either model (such as a weight transpose)
+        outputs = 3 if head == nn.SOFTMAX else 4
+        loss = nn.loss_ce if head == nn.SOFTMAX else nn.loss_bce
+        cfg = nn.SgdConfig(0.05, momentum=0.9, weight_decay=1e-3)
+        runs = []
+        for shared in (False, True):
+            models = [make_model([2, 10, 10, outputs], head=head, seed=s) for s in (66, 67)]
+            states = [nn.SgdState.zeros_like(m) for m in models]
+            buffers = nn.StepBuffers(models[0]) if shared else None
+            records = [[], []]
+            for x, labels in self.batches(head, outputs, [16, 176, 64, 1], steps=12, seed=68):
+                width = outputs if head == nn.SOFTMAX else None
+                targets = nn._checked_targets(np.asarray(labels), width)
+                for model, state, record in zip(models, states, records):
+                    trace = nn.forward(model, x, buffers)
+                    if shared:
+                        dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
+                    else:
+                        dprobs = loss(trace.probs, labels)[1]
+                    grads = nn.backward(model, trace, dprobs, buffers)
+                    record += [trace.probs.tobytes(), dprobs.tobytes(), grads.flat.tobytes()]
+                    nn.sgd_step(model, grads, cfg, state)
+                    record.append(model.params.tobytes())
+            assert records[0] != records[1]
+            runs.append(records)
         assert runs[0] == runs[1]
 
     @staticmethod

@@ -10,6 +10,14 @@ Then it prints the workload's table: for every end-to-end metric that
 BENCHMARK.json lists, each side's median and quartiles, the ratio of the
 medians, how many pairs the change won (in the metric's better direction),
 and whether the medians differ by more than the parent's interquartile range.
+Under the table it prints two verdicts per metric:
+- claim: "yes" when the change won at least 9 in 10 of the pairs (a tie
+  counts for neither side) and its median is better than the parent's by
+  more than the parent's interquartile range, else "no";
+- bound: "broken" when the change's median is worse than the parent's by
+  more than the metric's BENCHMARK.json bound, taken relative to the
+  parent's median, else "kept".
+The verdicts do not change the exit code.
 
 It exits 1 when, in any workload, a run is not `correct` or
 `mean_target_value` differs between two runs (the metric is deterministic
@@ -19,6 +27,7 @@ to produce its JSON line.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -46,10 +55,29 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
+CLAIM_WINS = 0.9  # the share of pairs a claimed gain must win
+
+
+def verdict(spec, parent_median, parent_iqr, gain, wins, pairs):
+    """One metric's claim and bound verdicts (module docstring), spec its
+    BENCHMARK.json entry and gain the change's median minus the parent's,
+    signed so that a gain is better."""
+    claim = "yes" if wins >= CLAIM_WINS * pairs and gain > parent_iqr else "no"
+    if parent_median:
+        worse = -gain / abs(parent_median)
+    else:
+        worse = 0.0 if gain >= 0 else math.inf
+    bound = "broken" if worse > spec["bound"] else "kept"
+    return (f"verdict {spec['name']}: claim {claim} ({wins}/{pairs} pairs won, median gain "
+            f"{gain:.4g}, parent IQR {parent_iqr:.4g}); bound {bound} (median "
+            f"{abs(worse):.2%} {'worse' if worse > 0 else 'better'}, bound {spec['bound']:.0%})")
+
+
 def summarize(runs, end_to_end):
     """(report lines, problems) for runs = {"parent": [doc, ...], "change":
     [doc, ...]}, the i-th doc of each side from pair i, and end_to_end the
-    BENCHMARK.json list of {"name", "better"}."""
+    BENCHMARK.json list of {"name", "better", "bound"}: the table, then a
+    "verdict" line per metric."""
     problems = [f"{side} run {i + 1} is not correct"
                 for side in SIDES for i, doc in enumerate(runs[side]) if not doc["correct"]]
     targets = {doc["metrics"]["mean_target_value"]["value"]
@@ -58,6 +86,7 @@ def summarize(runs, end_to_end):
         problems.append(f"mean_target_value differs between runs: {sorted(targets)}")
     lines = [f"{'metric':<18}  {'parent median (q1-q3)':<28}  {'change median (q1-q3)':<28}"
              f"  {'ratio':>6}  wins  gap>IQR"]
+    judged = []
     for spec in end_to_end:
         name = spec["name"]
         parent, change = ([doc["metrics"][name]["value"] for doc in runs[side]] for side in SIDES)
@@ -69,7 +98,8 @@ def summarize(runs, end_to_end):
         lines.append(f"{name:<18}  {f'{pm:.6g} ({p1:.6g}-{p3:.6g})':<28}  "
                      f"{f'{cm:.6g} ({c1:.6g}-{c3:.6g})':<28}  {ratio:>6}  "
                      f"{wins}/{len(parent)}  {gap}")
-    return lines, problems
+        judged.append(verdict(spec, pm, p3 - p1, sign * (cm - pm), wins, len(parent)))
+    return lines + judged, problems
 
 
 def run_pairs(dirs, workload, args) -> dict:
