@@ -163,6 +163,8 @@ class LossBreakdown:
 class SoftmaxRule:
     """Softmax head: a label is a class; an unlabelled target is the argmax."""
 
+    head = nn.SOFTMAX
+
     def epoch_targets(self, labels, pseudo, n_outputs) -> tuple:
         """(targets, mask) of an epoch's scored rows, labels shaped (steps,
         rows): the classes, checked once, and no mask. The rows at pseudo
@@ -196,6 +198,7 @@ class SigmoidRule:
     point's targets are its own thresholded predictions."""
 
     thresholds: np.ndarray
+    head = nn.SIGMOID
 
     def targets(self, labels) -> tuple:
         """(targets, mask), one row per label: the row holds the value at its
@@ -261,8 +264,6 @@ class _Epoch:
     """
 
     def __init__(self, inputs, labels, b, u, defending, fallbacks, cfg, rule, n_outputs):
-        if cfg.algorithm == FIXMATCH_LITE and isinstance(rule, SigmoidRule):
-            raise ConfigError("binary mode supports the pseudo-label engine only")
         self.inputs, self.labels, self.b, self.u, self.rule = inputs, labels, b, u, rule
         self.defending, self.fallbacks = defending, fallbacks
         self.views = _views(cfg, u)
@@ -272,20 +273,6 @@ class _Epoch:
         self.targets, self.mask = rule.epoch_targets(labels, slice(b, b + u), n_outputs)
         if self.views == 2:
             self.mask = np.ones(labels.shape)
-
-    @classmethod
-    def of_batch(cls, batch: "MiniBatch", cfg, rule, n_outputs) -> "_Epoch":
-        """One step, from a batch of points."""
-        b, u = len(batch.labeled_points), len(batch.unlabeled_points)
-        inputs = np.concatenate([
-            batch.labeled_points, *[batch.unlabeled_points] * _views(cfg, u),
-            batch.defending_points,
-        ])
-        labels = np.concatenate(  # as loss_ce casts its targets
-            [batch.labeled_labels, np.zeros(u), batch.defending_labels]
-        ).astype(np.int64)
-        return cls(inputs[None], labels[None], b, u, [len(batch.defending_points)],
-                   [batch.fallback_events], cfg, rule, n_outputs)
 
     def put_defending(self, i, points) -> None:
         """Step i's defending points, retrieved as the step runs, into the
@@ -381,25 +368,7 @@ def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tup
     return units[draws[0]], draws[1]
 
 
-def step(
-    model: nn.MlpModel,
-    batch: MiniBatch,
-    cfg: AdaptConfig,
-    rule=SOFTMAX_RULE,
-    augmenter: Optional[Augmenter] = None,
-    rng: Optional[np.random.Generator] = None,
-    buffers: Optional[nn.StepBuffers] = None,
-) -> tuple:
-    """One loss/gradient evaluation of batch: supervised, unlabelled and
-    defending terms; fixmatch_lite draws its augmented views from rng, weak
-    first. The passes run in ``buffers`` if given (see the nn module
-    docstring). The batch is laid out as a one-step epoch; the epoch loop
-    takes the same step on its own layout."""
-    return _step(model, _Epoch.of_batch(batch, cfg, rule, model.output_dim), 0, cfg,
-                 augmenter, rng, buffers)
-
-
-def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
+def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) -> tuple:
     """Step i of epoch (module docstring): one forward pass over its rows,
     stacked labelled, unlabelled (for fixmatch_lite the weak view, then the
     strong view), defending; one loss pass that scores each term over its
@@ -408,7 +377,6 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, buffers) -> tuple:
     detaches them. Only what the model decides is computed here: the views,
     the pseudo labels (or FixMatch's mask) and the losses."""
     b, u, d, rule = epoch.b, epoch.u, epoch.defending[i], epoch.rule
-    work = buffers or nn.StepBuffers(model)
     defending_at = epoch.head
     unlabeled_at = defending_at - u  # the strong view's rows under fixmatch
     scored = b + u + d
@@ -525,6 +493,8 @@ def _adapt_units(
     builds its bank. Retrieval runs once per epoch unless the strategy reads
     the model; then each step retrieves from the model as trained so far.
     """
+    if model.head != rule.head:
+        raise ConfigError(f"this entry point adapts a {rule.head} head, got a {model.head} model")
     model = model.copy()
     batch_ss, augment_ss, retrieval_ss = np.random.SeedSequence(seed).spawn(3)
     batch_rng = np.random.default_rng(batch_ss)

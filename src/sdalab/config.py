@@ -169,6 +169,10 @@ class ExperimentConfig:
                 f"binary mode supports adapt.algorithm={adapt_mod.PSEUDO_LABEL} only, got "
                 f"{self.flat['adapt.algorithm']}"
             )
+        unread = {key: self.flat[key] for key in ("feedback.policy", "feedback.per_class_count")}
+        if kind == "binary" and any(value != DEFAULTS[key] for key, value in unread.items()):
+            raise ConfigError(f"binary mode draws feedback.fp_count/fn_count cells per finding and "
+                              f"reads neither of {unread}; keep both at their defaults")
         if not self.flat["run.seeds"]:
             raise ConfigError("run.seeds must not be empty")
         hidden = self.flat["model.hidden"]

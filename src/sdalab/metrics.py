@@ -8,20 +8,13 @@ from . import nn
 from .errors import ConfigError, MetricError
 
 
-def top1_accuracy(model: nn.MlpModel, points, labels, thresholds=None) -> float:
-    """Fraction of samples whose prediction equals ground truth.
-
-    With a sigmoid head, labels is a 0/1 matrix and a sample counts as
-    correct only when every output matches.
-    """
+def top1_accuracy(model: nn.MlpModel, points, labels) -> float:
+    """Fraction of samples whose predicted class equals ground truth."""
     points = np.asarray(points)
     if len(points) == 0:
         raise MetricError("accuracy of an empty set is undefined")
-    preds = nn.predict(model, points, thresholds=thresholds)
-    labels = np.asarray(labels)
-    if preds.ndim == 2:
-        return float(np.mean(np.all(preds == labels, axis=1)))
-    return float(np.mean(preds == labels))
+    preds = nn.predict(model, points)
+    return float(np.mean(preds == np.asarray(labels)))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -146,9 +139,8 @@ def check_resolution(resolution: int) -> None:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
 
 
-def decision_grid(model: nn.MlpModel, bounds, resolution: int, thresholds=None) -> DecisionGrid:
-    """Predicted class at each cell center; sigmoid heads encode the 0/1
-    outputs as a bitmask (finding j contributes 2**j)."""
+def decision_grid(model: nn.MlpModel, bounds, resolution: int) -> DecisionGrid:
+    """Predicted class at each cell center."""
     xmin, xmax, ymin, ymax = bounds
     check_resolution(resolution)
     if xmin >= xmax or ymin >= ymax:
@@ -157,10 +149,7 @@ def decision_grid(model: nn.MlpModel, bounds, resolution: int, thresholds=None) 
     ys = ymin + (np.arange(resolution) + 0.5) * (ymax - ymin) / resolution
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    preds = nn.predict(model, pts, thresholds=thresholds)
-    if preds.ndim == 2:
-        weights = 2 ** np.arange(preds.shape[1], dtype=np.int64)
-        preds = preds @ weights
+    preds = nn.predict(model, pts)
     return DecisionGrid(tuple(bounds), resolution, preds.reshape(resolution, resolution))
 
 

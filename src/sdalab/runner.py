@@ -9,7 +9,7 @@ and feedback split.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,65 @@ def mean_auroc(model: nn.MlpModel, dataset: data.LabeledSet) -> float:
     return float(np.mean(metrics.auroc_columns(probs, dataset.findings)))
 
 
+class _SoftmaxHead:
+    """Classification: class labels, scored by top-1 accuracy; the feedback
+    is one TargetSplit."""
+
+    metric = "test_acc"
+
+    def targets(self, labeled):
+        return labeled.labels
+
+    def score(self, model, labeled) -> float:
+        return metrics.top1_accuracy(model, labeled.points, labeled.labels)
+
+    def thresholds(self, model, source_test) -> tuple:
+        return None, None
+
+    def feedback(self, d, pre, spec, seed):
+        return feedback.simulate_feedback(d.target_train, pre.model, spec, seed)
+
+    def adapt(self, d, pre, split, acfg, seed) -> tuple:
+        return adapt_mod.adapt(pre.model, split, d.target_train, acfg, seed, d.target_test)
+
+    def shortages(self, split) -> dict:
+        return dict(split.provenance.get("shortage", {}))
+
+
+class _SigmoidHead:
+    """Multi-finding diagnosis: finding matrices, scored by mean AUROC; the
+    feedback is one TargetSplit per finding, at operating points chosen on
+    held-out source data and then frozen."""
+
+    metric = "mean_auroc"
+
+    def targets(self, labeled):
+        return labeled.findings
+
+    def score(self, model, labeled) -> float:
+        return mean_auroc(model, labeled)
+
+    def thresholds(self, model, source_test) -> tuple:
+        return metrics.source_thresholds(model, source_test.points, source_test.findings)
+
+    def feedback(self, d, pre, spec, seed) -> list:
+        return feedback.simulate_feedback_binary(d.target_train, pre.model, spec, pre.thresholds, seed)
+
+    def adapt(self, d, pre, splits, acfg, seed) -> tuple:
+        return adapt_mod.adapt_binary(
+            pre.model, splits, d.target_train, pre.thresholds, acfg, seed,
+            test_eval=lambda m: mean_auroc(m, d.target_test),
+        )
+
+    def shortages(self, splits) -> dict:
+        return {f"finding{j}:{key}": missing for j, s in enumerate(splits)
+                for key, missing in s.provenance.get("shortage", {}).items()}
+
+
+# one task per cfg.head(); its methods look each stage up in its module when called
+_HEADS = {nn.SOFTMAX: _SoftmaxHead(), nn.SIGMOID: _SigmoidHead()}
+
+
 def pretrain(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> PretrainBundle:
     cache = cache or StageCache()
     key = (cfg.stage_hash("pretrain"), seed)
@@ -110,47 +169,25 @@ def pretrain(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Pret
         cache.pretrained, key, lambda: _build_pretrained(cfg, seed, cache)
     )
     # hand out a copy so downstream training can never corrupt the cache
-    return PretrainBundle(
-        bundle.model.copy(),
-        bundle.source_test_acc,
-        bundle.target_test_acc,
-        bundle.thresholds,
-        bundle.degenerate_flags,
-    )
+    return replace(bundle, model=bundle.model.copy())
 
 
 def _build_pretrained(cfg: ExperimentConfig, seed: int, cache: StageCache) -> PretrainBundle:
     d = make_data(cfg, seed, cache)
     rng = np.random.default_rng(stage_seed(cfg.stage_hash("pretrain"), seed, "train"))
     model = nn.MlpModel.init(cfg.model_dims(), cfg.head(), rng)
-    if cfg.head() == nn.SIGMOID:
-        labels = d.source_train.findings
-    else:
-        labels = d.source_train.labels
+    head = _HEADS[model.head]
     adapt_mod.train_supervised(
         model,
         d.source_train.points,
-        labels,
+        head.targets(d.source_train),
         cfg.pretrain_sgd(),
         cfg.flat["pretrain.epochs"],
         cfg.flat["pretrain.batch_size"],
         rng,
     )
-    if cfg.head() == nn.SIGMOID:
-        # operating points chosen on held-out source data, then frozen
-        thresholds, flags = metrics.source_thresholds(
-            model, d.source_test.points, d.source_test.findings
-        )
-        return PretrainBundle(
-            model,
-            mean_auroc(model, d.source_test),
-            mean_auroc(model, d.target_test),
-            list(thresholds),
-            list(flags),
-        )
-    src_acc = metrics.top1_accuracy(model, d.source_test.points, d.source_test.labels)
-    tgt_acc = metrics.top1_accuracy(model, d.target_test.points, d.target_test.labels)
-    return PretrainBundle(model, src_acc, tgt_acc)
+    src_value, tgt_value = head.score(model, d.source_test), head.score(model, d.target_test)
+    return PretrainBundle(model, src_value, tgt_value, *head.thresholds(model, d.source_test))
 
 
 def make_feedback(cfg: ExperimentConfig, seed: int, cache: StageCache = None):
@@ -164,11 +201,7 @@ def _build_feedback(cfg: ExperimentConfig, seed: int, cache: StageCache):
     d = make_data(cfg, seed, cache)
     pre = pretrain(cfg, seed, cache)
     fb_seed = stage_seed(cfg.stage_hash("feedback"), seed, "select")
-    if cfg.head() == nn.SIGMOID:
-        return feedback.simulate_feedback_binary(
-            d.target_train, pre.model, cfg.feedback_spec(), pre.thresholds, fb_seed
-        )
-    return feedback.simulate_feedback(d.target_train, pre.model, cfg.feedback_spec(), fb_seed)
+    return _HEADS[cfg.head()].feedback(d, pre, cfg.feedback_spec(), fb_seed)
 
 
 def adapt_seed(cfg: ExperimentConfig, seed: int) -> int:
@@ -183,39 +216,16 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
     d = make_data(cfg, seed, cache)
     pre = pretrain(cfg, seed, cache)
     split = make_feedback(cfg, seed, cache)
-    acfg = cfg.adapt_config()
-
-    if cfg.head() == nn.SIGMOID:
-        test_eval = lambda m: mean_auroc(m, d.target_test)
-        adapted, rows = adapt_mod.adapt_binary(
-            pre.model, split, d.target_train, pre.thresholds, acfg, adapt_seed(cfg, seed),
-            test_eval=test_eval,
-        )
-        final_metric = {"metric": "mean_auroc", "test_value": test_eval(adapted)}
-        shortages = {}
-        for j, s in enumerate(split):
-            for key, missing in s.provenance.get("shortage", {}).items():
-                shortages[f"finding{j}:{key}"] = missing
-    else:
-        adapted, rows = adapt_mod.adapt(
-            pre.model, split, d.target_train, acfg, adapt_seed(cfg, seed), test_set=d.target_test
-        )
-        final_metric = {
-            "metric": "test_acc",
-            "test_value": metrics.top1_accuracy(
-                adapted, d.target_test.points, d.target_test.labels
-            ),
-        }
-        shortages = dict(split.provenance.get("shortage", {}))
-
+    head = _HEADS[cfg.head()]
+    adapted, rows = head.adapt(d, pre, split, cfg.adapt_config(), adapt_seed(cfg, seed))
     final = {
         "source_test_acc": pre.source_test_acc,
         "target_test_acc_source_model": pre.target_test_acc,
-        "target_test_value_adapted": final_metric["test_value"],
-        "metric": final_metric["metric"],
+        "target_test_value_adapted": head.score(adapted, d.target_test),
+        "metric": head.metric,
     }
     flags = {
-        "shortages": shortages,
+        "shortages": head.shortages(split),
         "bank_fallbacks": int(sum(r["bank"]["fallbacks"] for r in rows)),
     }
     record = RunRecord(cfg.config_hash(), seed, rows, final, flags)

@@ -55,6 +55,24 @@ def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_r
     ).batch(0)
 
 
+def one_step(model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, rng=None):
+    """The epoch loop's step on one batch: the batch laid out as a one-step
+    epoch by adapt.build_minibatch, as the loop lays out its epochs, then
+    adapt._step; fixmatch_lite draws its views from rng, weak first.
+    Returns (losses, gradients)."""
+    b, u, d = (len(batch.labeled_points), len(batch.unlabeled_points),
+               len(batch.defending_points))
+    train = LabeledSet(np.concatenate([batch.labeled_points, batch.unlabeled_points]),
+                       np.zeros(b + u), data.TARGET)
+    picked = np.stack([np.arange(b), batch.labeled_labels], axis=1).astype(np.int64)
+    defending = (batch.defending_points, np.asarray(batch.defending_labels, dtype=np.int64),
+                 [d], [batch.fallback_events])
+    epoch = adapt.build_minibatch(
+        train, picked[None], np.arange(b, b + u)[None], defending, cfg, rule, model.output_dim
+    )
+    return adapt._step(model, epoch, 0, cfg, augmenter, rng, nn.StepBuffers(model))
+
+
 class CyclingSampler:
     """Epoch-shuffled without-replacement cycling over a fixed index pool:
     the sampler the epoch loop drew its batches with before it drew a whole
@@ -312,7 +330,7 @@ def step_rows(batch, cfg, augmenter, seed):
     return np.concatenate(parts), list(zip([0, *stops[:-1]], stops))
 
 
-# adapt.step as it was before it scored its terms in one loss pass, verbatim
+# The step as it was before it scored its terms in one loss pass, verbatim
 # apart from module prefixes: each term takes its own loss call, through the
 # rules' supervised and unlabelled losses (inlined below as
 # verbatim_supervised and verbatim_unlabeled) on the verbatim loss functions
@@ -385,7 +403,7 @@ def check_summed_loss_gradient(
     and the FixMatch mask frozen at the unperturbed model, against the
     step's one backward pass; the summed loss at the unperturbed model must
     be the step's l_total bit for bit. Returns the step's losses."""
-    losses, grads = adapt.step(model, batch, cfg, rule, augmenter, np.random.default_rng(seed))
+    losses, grads = one_step(model, batch, cfg, rule, augmenter, np.random.default_rng(seed))
     rows, (lab, unl, strong, dfd) = step_rows(batch, cfg, augmenter, seed)
     frozen_u = nn.forward(model, rows).probs[slice(*unl)]
     fixmatch = cfg.algorithm == adapt.FIXMATCH_LITE
@@ -439,7 +457,7 @@ class TestStepPseudoLabel:
             train.points[:4], train.labels[:4], np.zeros((0, 2)),
             np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
         )
-        losses, grads = adapt.step(model, mb, adapt.AdaptConfig())
+        losses, grads = one_step(model, mb, adapt.AdaptConfig())
         assert losses.l_unsup == 0.0 and losses.l_rld == 0.0
         assert losses.l_total == losses.l_sup
         assert losses.unsup_mask_rate == 0.0
@@ -450,7 +468,7 @@ class TestStepPseudoLabel:
         mb = adapt.MiniBatch(
             pts[:1], np.array([0]), pts, np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
         )
-        losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
+        losses, _ = one_step(model, mb, adapt.AdaptConfig())
         assert losses.l_unsup == 0.0
 
     def test_decomposition_holds(self, toy):
@@ -463,7 +481,7 @@ class TestStepPseudoLabel:
             train, split, adapt.BatchSpec(b=8, mu=2), np.random.default_rng(1),
             b, bank.RldConfig(p=0.5, k=2), np.random.default_rng(2),
         )
-        losses, _ = adapt.step(model, mb, adapt.AdaptConfig())
+        losses, _ = one_step(model, mb, adapt.AdaptConfig())
         assert abs(losses.l_total - (losses.l_sup + losses.l_unsup + losses.l_rld)) < 1e-9
         assert losses.l_rld > 0.0
 
@@ -490,7 +508,7 @@ class TestStepPseudoLabel:
         # the step's arithmetic verbatim: one pass over the stacked rows.
         train, split, model = toy
         mb = draw_batch(train, split, adapt.BatchSpec(b=4, mu=3), np.random.default_rng(5))
-        _, grads = adapt.step(model, mb, adapt.AdaptConfig())
+        _, grads = one_step(model, mb, adapt.AdaptConfig())
         rows = np.concatenate([mb.labeled_points, mb.unlabeled_points])
         n = len(mb.labeled_points)
         pseudo = nn.argmax_rows(nn.forward(model.copy(), rows).probs[n:])
@@ -513,7 +531,7 @@ class TestStepFixmatchLite:
         train, split, model = toy
         mb = self.make_batch(toy)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=1.0)
-        losses, _ = adapt.step(
+        losses, _ = one_step(
             model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(0)
         )
         assert losses.l_unsup == 0.0
@@ -523,7 +541,7 @@ class TestStepFixmatchLite:
         train, split, model = toy
         mb = self.make_batch(toy)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.0)
-        losses, _ = adapt.step(
+        losses, _ = one_step(
             model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(0)
         )
         assert losses.unsup_mask_rate == 1.0
@@ -535,7 +553,7 @@ class TestStepFixmatchLite:
         rates = []
         for tau in (0.0, 0.34, 0.4, 0.6, 0.9, 1.0):
             cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-            losses, _ = adapt.step(
+            losses, _ = one_step(
                 model, mb, cfg, augmenter=self.augmenter(train), rng=np.random.default_rng(42)
             )
             rates.append(losses.unsup_mask_rate)
@@ -547,7 +565,7 @@ class TestStepFixmatchLite:
         tau = 0.4
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
         aug = self.augmenter(train)
-        losses, _ = adapt.step(model, mb, cfg, augmenter=aug, rng=np.random.default_rng(7))
+        losses, _ = one_step(model, mb, cfg, augmenter=aug, rng=np.random.default_rng(7))
         # Recreate the same augmented views with the same rng sequence.
         rng = np.random.default_rng(7)
         weak = aug.weak(mb.unlabeled_points, rng)
@@ -610,7 +628,7 @@ class TestStepPasses:
         )
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
         aug = toy_augmenter(rng.normal(size=(50, 2)))
-        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
             return
         calls = {"forward": [], "backward": []}
         forward, backward = nn.forward, nn.backward
@@ -625,7 +643,7 @@ class TestStepPasses:
 
         monkeypatch.setattr(nn, "forward", counting_forward)
         monkeypatch.setattr(nn, "backward", counting_backward)
-        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+        one_step(model, batch, cfg, rule, aug, np.random.default_rng(9))
         assert len(calls["forward"]) == 1 and len(calls["backward"]) == 1
         monkeypatch.undo()
 
@@ -658,10 +676,11 @@ def random_step_case(head, k, mu, seed=5, outputs=None, labels_below=None):
     return model, rule, batch, toy_augmenter(rng.normal(size=(50, 2)))
 
 
-def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
     """For a sigmoid rule under fixmatch_lite, which binary mode does not
-    run: check that step raises ConfigError before any forward, loss or
-    backward pass, and return True. False for any other pair."""
+    run: check that adapt.adapt_binary, given the batch's labelled cells as
+    its feedback, raises ConfigError before any forward, loss or backward
+    pass, and return True. False for any other pair."""
     if not (isinstance(rule, adapt.SigmoidRule) and cfg.algorithm == adapt.FIXMATCH_LITE):
         return False
 
@@ -670,14 +689,22 @@ def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
 
     for name in ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms"):
         monkeypatch.setattr(nn, name, no_pass)
+    points = np.concatenate([batch.labeled_points, batch.unlabeled_points])
+    findings = np.zeros((len(points), len(rule.thresholds)), dtype=np.int64)
+    train = LabeledSet(points, np.zeros(len(points)), data.TARGET, findings)
+    cells = [(i, int(y)) for i, y in enumerate(batch.labeled_labels)]
+    splits = [
+        feedback.TargetSplit([(i, y % 2) for i, y in cells if y // 2 == j], [])
+        for j in range(len(rule.thresholds))
+    ]
     with pytest.raises(ConfigError, match="pseudo-label engine only"):
-        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+        adapt.adapt_binary(model, splits, train, rule.thresholds, cfg, 9)
     monkeypatch.undo()
     return True
 
 
 def assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=9):
-    """adapt.step and verbatim_step give the same bits: every loss, the
+    """one_step and verbatim_step give the same bits: every loss, the
     mask rate, the upstream gradient and the parameter gradient."""
     upstream = []
     backward = nn.backward
@@ -687,7 +714,7 @@ def assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=9):
         return backward(m, trace, dprobs, buffers)
 
     monkeypatch.setattr(nn, "backward", capturing_backward)
-    got, got_grads = adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
+    got, got_grads = one_step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
     want, want_grads = verbatim_step(model, batch, cfg, rule, aug, np.random.default_rng(seed))
     monkeypatch.undo()
     got_fields, want_fields = astuple(got), astuple(want)
@@ -709,7 +736,7 @@ class TestOneLossPass:
     def test_matches_verbatim_step(self, monkeypatch, algorithm, head, k, mu):
         model, rule, batch, aug = random_step_case(head, k, mu)
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
-        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
             return
         losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
         assert (losses.l_unsup > 0.0) == bool(mu) and (losses.l_rld > 0.0) == bool(k)
@@ -720,7 +747,7 @@ class TestOneLossPass:
     def test_fixmatch_all_or_none_masked(self, monkeypatch, head, k, tau, mask_rate):
         model, rule, batch, aug = random_step_case(head, k, mu=3, seed=6)
         cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
             return
         losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug)
         assert losses.unsup_mask_rate == mask_rate
@@ -735,7 +762,7 @@ class TestOneLossPass:
             conf = np.unique(nn.forward(model, weak).probs.max(axis=1))
             tau = conf[np.random.default_rng(seed).integers(1, len(conf))]
             cfg = adapt.AdaptConfig(algorithm=adapt.FIXMATCH_LITE, confidence_threshold=tau)
-            if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+            if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
                 return
             losses = assert_same_step(monkeypatch, model, batch, cfg, rule, aug, seed=seed)
             assert 0.0 < losses.unsup_mask_rate < 1.0
@@ -781,7 +808,7 @@ class TestOneLossPass:
     def test_one_loss_evaluation(self, monkeypatch, algorithm, head, k, mu):
         model, rule, batch, aug = random_step_case(head, k, mu)
         cfg = adapt.AdaptConfig(algorithm=algorithm, confidence_threshold=0.5)
-        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule, aug):
+        if rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
             return
         calls = []
 
@@ -794,7 +821,7 @@ class TestOneLossPass:
         names = ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms")
         for name in names:
             monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
-        adapt.step(model, batch, cfg, rule, aug, np.random.default_rng(9))
+        one_step(model, batch, cfg, rule, aug, np.random.default_rng(9))
         monkeypatch.undo()
         # the step's targets are checked as the batch is laid out, so its one
         # loss pass goes to the unchecked core of loss_ce or loss_bce
@@ -965,7 +992,7 @@ def reference_binary_defending(banks, picked, k, rng, num_findings, epoch):
 
 # The binary engine as it was before binary mode ran on the shared loop: its
 # loop and banks verbatim apart from module prefixes and names, its step
-# ported to adapt.step's arithmetic (one forward pass over the stacked
+# ported to the step's arithmetic (one forward pass over the stacked
 # labelled, unlabelled and defending rows, one backward pass) with a loss
 # call per term on the verbatim loss functions. The shared
 # engine must reproduce it bit for bit wherever both draw the same
@@ -1324,6 +1351,38 @@ class TestAdaptBinary:
         assert np.array_equal(mask, np.tile([0.0, 1.0], (4, 1)))
 
 
+class TestEntryPointHeads:
+    """Each entry point adapts its own head: a model of the other head is
+    rejected before any bank is built and before any pass."""
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bank or a pass ran before the rejection")
+
+        for name in ("forward", "backward", "_ce_terms", "_bce_terms"):
+            monkeypatch.setattr(nn, name, no_work)
+        for name in ("generate_bank", "generate_bank_binary"):
+            monkeypatch.setattr(bank, name, no_work)
+
+    def test_adapt_rejects_a_sigmoid_model(self, monkeypatch, toy):
+        train, split, _ = toy
+        model = nn.MlpModel.init([2, 6, 3], nn.SIGMOID, np.random.default_rng(0))
+        cfg = adapt.AdaptConfig(epochs=1, rld=bank.RldConfig(p=0.5, k=2))
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ConfigError, match="adapts a softmax head, got a sigmoid model"):
+            adapt.adapt(model, split, train, cfg, seed=0)
+
+    def test_adapt_binary_rejects_a_softmax_model(self, monkeypatch, binary_toy):
+        target, _, splits = binary_toy
+        model = nn.MlpModel.init([2, 6, 2], nn.SOFTMAX, np.random.default_rng(0))
+        cfg = adapt.AdaptConfig(epochs=1, rld=bank.RldConfig(p=0.5, k=2))
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ConfigError, match="adapts a sigmoid head, got a softmax model"):
+            adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=0)
+
+
+
 # The loop as it ran before an epoch's batches were drawn up front: each step
 # drew its batch from the samplers and retrieved its defending pairs itself.
 # Kept verbatim (names prefixed ref_) as the oracle for the epoch loop.
@@ -1404,7 +1463,7 @@ def ref_adapt_units(
             )
             if observer is not None:
                 observer(epoch, i, batch)
-            losses, grads = adapt.step(model, batch, cfg, rule, augmenter, augment_rng)
+            losses, grads = one_step(model, batch, cfg, rule, augmenter, augment_rng)
             if not math.isfinite(losses.l_total):
                 raise NumericError(
                     f"non-finite loss {losses.l_total} at epoch {epoch} step {i}"

@@ -7,6 +7,7 @@ import pytest
 
 from sdalab import adapt, bank, nn
 from sdalab.errors import ConfigError, ShapeError
+from test_adapt import one_step
 
 
 def random_model(seed=0, dims=(2, 16, 3), head=nn.SOFTMAX):
@@ -871,18 +872,18 @@ class TestNegativeLabels:
 
 
 class TestRldLoss:
-    """The defending (RLD) loss: the third term of adapt.step, the
+    """The defending (RLD) loss: the third term of the adaptation step, the
     supervised loss on the retrieved pairs."""
 
     @staticmethod
     def step(model, def_points, def_labels):
-        """adapt.step on one labelled point and the given pairs; returns the
+        """The adaptation step on one labelled point and the given pairs; returns the
         losses, the gradients and the labelled term's own gradients."""
         lb_points, lb_labels = np.array([[0.3, -0.2]]), np.array([1])
         batch = adapt.MiniBatch(
             lb_points, lb_labels, np.zeros((0, 2)), def_points, np.asarray(def_labels)
         )
-        losses, grads = adapt.step(model, batch, adapt.AdaptConfig())
+        losses, grads = one_step(model, batch, adapt.AdaptConfig())
         trace = nn.forward(model, lb_points)
         _, dprobs, _ = nn.loss_ce(trace.probs, lb_labels)
         return losses, grads, nn.backward(model, trace, dprobs)

@@ -254,6 +254,8 @@ class TestExitCodes:
         ["dataset.kind=binary", "adapt.algorithm=fixmatch_lite"],
         ["rld.enabled=true", "adapt.k=3", "rld.kmeans_clusters=-2"],
         ["split.ratio=1.5"],
+        ["dataset.kind=binary", "feedback.policy=rf"],
+        ["dataset.kind=binary", "feedback.per_class_count=10"],
     ])
     def test_late_failures_exit_2_up_front(self, tmp_path, monkeypatch, capsys, overrides):
         def no_stage(*args, **kwargs):

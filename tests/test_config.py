@@ -142,6 +142,9 @@ class TestValidation:
         ({"split.ratio": 1.0}, "split.ratio"),
         ({"split.ratio": 0.0}, "split.ratio"),
         ({"split.ratio": -0.2}, "split.ratio"),
+        ({"dataset.kind": "binary", "feedback.policy": "rf"}, "feedback.policy"),
+        ({"dataset.kind": "binary", "feedback.per_class_count": 10},
+         "feedback.per_class_count"),
     ])
     def test_late_failures_rejected_up_front(self, flat, match, monkeypatch):
         def no_stage(*args, **kwargs):

@@ -74,12 +74,11 @@ class TestTop1Accuracy:
         with pytest.raises(MetricError):
             metrics.top1_accuracy(zero_model(), np.zeros((0, 2)), [])
 
-    def test_sigmoid_rows_must_fully_match(self):
-        model = zero_model(outputs=2, head=nn.SIGMOID)  # probs 0.5 -> predicts 1
-        pts = np.zeros((4, 2))
-        labels = np.array([[1, 1], [1, 0], [0, 1], [0, 0]])
-        acc = metrics.top1_accuracy(model, pts, labels, thresholds=[0.5, 0.5])
-        assert acc == 0.25
+    def test_sigmoid_model_rejected(self):
+        # a sigmoid head has no top-1 class: binary mode is scored by mean AUROC
+        model = zero_model(outputs=2, head=nn.SIGMOID)
+        with pytest.raises(ConfigError, match="sigmoid head"):
+            metrics.top1_accuracy(model, np.zeros((4, 2)), [0, 1, 0, 1])
 
 
 class TestAuroc:
@@ -298,11 +297,11 @@ class TestDecisionGrid:
                 y = ymin + (r + 0.5) * (ymax - ymin) / res
                 assert grid.cells[r, c] == nn.predict(model, np.array([[x, y]]))[0]
 
-    def test_sigmoid_bitmask_encoding(self):
+    def test_sigmoid_model_rejected(self):
+        # the grid holds one class per cell; sdalab plot refuses binary mode
         model = zero_model(outputs=2, head=nn.SIGMOID)
-        grid = metrics.decision_grid(model, (-1, 1, -1, 1), 2, thresholds=[0.4, 0.6])
-        # probs are 0.5 everywhere: output0 = 1 (0.5 >= 0.4), output1 = 0 -> mask 1
-        assert np.all(grid.cells == 1)
+        with pytest.raises(ConfigError, match="sigmoid head"):
+            metrics.decision_grid(model, (-1, 1, -1, 1), 2)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):

@@ -133,6 +133,26 @@ class TestRunSingle:
         assert rows(acfg) == record.rows
         assert rows(dataclasses.replace(acfg, augment=None)) != record.rows
 
+    def test_binary_adapt_config_alone_gives_run_single_rows(self):
+        # binary mode's twin: pre.thresholds, cfg.adapt_config() and the
+        # adapt seed are all run_single hands adapt_binary
+        cfg = fast_cfg(**{"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3})
+        cache = runner.StageCache()
+        record = runner.run_single(cfg, 0, cache)
+        d = runner.make_data(cfg, 0, cache)
+        pre, splits = runner.pretrain(cfg, 0, cache), runner.make_feedback(cfg, 0, cache)
+
+        def test_eval(model):
+            return runner.mean_auroc(model, d.target_test)
+
+        adapted, rows = adapt.adapt_binary(
+            pre.model, splits, d.target_train, pre.thresholds, cfg.adapt_config(),
+            runner.adapt_seed(cfg, 0), test_eval=test_eval,
+        )
+        assert rows == record.rows
+        assert record.final["metric"] == "mean_auroc"
+        assert test_eval(adapted).hex() == record.final["target_test_value_adapted"].hex()
+
     def test_seed_changes_outcome(self):
         a = runner.run_single(fast_cfg(), 0)
         b = runner.run_single(fast_cfg(), 1)

@@ -181,9 +181,9 @@ class TestRunStream:
         evaluated = []
         top1 = stream.metrics.top1_accuracy
 
-        def counting(model, points, labels, thresholds=None):
+        def counting(model, points, labels):
             evaluated.append(model)
-            return top1(model, points, labels, thresholds)
+            return top1(model, points, labels)
 
         monkeypatch.setattr(stream.metrics, "top1_accuracy", counting)
         for fb in (split, lone):
