@@ -170,28 +170,94 @@ def _bank(pool: tuple, members: list, conf, p: float, epoch_stamp: int) -> Candi
     return CandidateBank(*pool, rows, [conf[r] for r in rows], p, epoch_stamp)
 
 
+def _choices(rng: np.random.Generator, sizes, k: int, replace: bool) -> np.ndarray:
+    """Row r of the result, shaped (len(sizes), k), is
+    ``rng.choice(n, size=k, replace=False)`` for n = sizes[r], the rows drawn
+    one call after another: the values, and the rng's state after, are
+    those of the calls. A row with n < k is the call's per-row contract:
+    ``rng.choice(n, size=k, replace=True)`` when replace is set, else
+    ``rng.choice(n, size=n, replace=False)`` in its first n columns, the
+    rest -1.
+
+    It mirrors numpy 2's Generator.choice without replacement
+    (numpy/random/_generator.pyx): Floyd's algorithm takes, for j = n-k ..
+    n-1, v in [0, j], and keeps v unless an earlier pick holds it, else j;
+    then _shuffle_int swaps column i with a draw in [0, i] for i = k-1 ..
+    1. A draw in [0, j] for j < 2**32 - 1 is random_bounded_uint64's
+    Lemire path (buffered_bounded_lemire_uint32 in
+    numpy/random/src/distributions/distributions.c): one 32-bit word w
+    gives (w * (j+1)) >> 32, and only where (w * (j+1)) mod 2**32 < j+1
+    may w be rejected for a further word; j = 0 takes no word. So all the
+    rows' words are one ``rng.integers(0, 2**32, dtype=np.uint32)`` call,
+    which reads the same next_uint32 stream, its buffered half included.
+    Where a word may be rejected, or a row leaves that path (n < k, numpy's
+    tail shuffle at n > 10000 with k > n // 50, or n >= 2**32), the rng is
+    set back and each row is drawn by its own call. tests/test_bank.py
+    checks the values and the state against the calls, so a numpy whose
+    choice draws otherwise fails there.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rows = len(sizes)
+    if rows and (sizes.min() < k or sizes.max() >= 1 << 32
+                 or np.any((sizes > 10000) & (k > sizes // 50))):
+        return _choices_each(rng, sizes, k, replace)
+    # a row's bounds j + 1 in draw order: Floyd's, then the shuffle's
+    bounds = np.empty((rows, 2 * k - 1), dtype=np.uint64)
+    bounds[:, :k] = sizes[:, None] + np.arange(1 - k, 1)
+    bounds[:, k:] = np.arange(k, 1, -1)
+    drawn = bounds > 1
+    words = np.zeros_like(bounds)
+    state = rng.bit_generator.state
+    words[drawn] = rng.integers(0, 1 << 32, size=np.count_nonzero(drawn), dtype=np.uint32)
+    scaled = np.multiply(words, bounds, out=words)
+    if np.any(((scaled & 0xFFFFFFFF) < bounds) & drawn):
+        rng.bit_generator.state = state
+        return _choices_each(rng, sizes, k, replace)
+    values = (scaled >> 32).astype(np.int64)
+    out = np.empty((rows, k), dtype=np.int64)
+    for t in range(k):
+        taken = (out[:, :t] == values[:, t, None]).any(axis=1)
+        out[:, t] = np.where(taken, sizes - k + t, values[:, t])
+    at = np.arange(rows)
+    for i, swap in zip(range(k - 1, 0, -1), values[:, k:].T):
+        held = out[at, swap]
+        out[at, swap] = out[:, i]
+        out[:, i] = held
+    return out
+
+
+def _choices_each(rng: np.random.Generator, sizes: np.ndarray, k: int,
+                  replace: bool) -> np.ndarray:
+    """_choices one rng.choice call per row."""
+    out = np.full((len(sizes), k), -1, dtype=np.int64)
+    for r, n in enumerate(sizes.tolist()):
+        size = k if n >= k or replace else n
+        out[r, :size] = rng.choice(n, size=size, replace=replace and n < k)
+    return out
+
+
 def _kmeans_runs(bank: CandidateBank, labels, n_clusters: int, rng) -> dict:
     """One k-means run per labeled point on its class's bank slice, as
     {class: (positions, centroids)}: the positions in labels of the class's
     points and their runs' centroids, shaped (runs, clusters, dim). A class
     whose slice is empty has no entry.
 
-    Each run's forgy init (random distinct rows) is drawn in labeled order,
-    so the rng advances exactly as one run after another would advance it;
-    the runs of one class then iterate together.
+    Each run's forgy init (min(clusters, n) distinct rows of the class's n)
+    is drawn in labeled order by one _choices call, so the rng advances
+    exactly as one run after another would advance it; the runs of one
+    class then iterate together.
     """
-    sizes = bank.sizes() + [0]  # a label past the bank's classes reads the 0
-    inits = {}  # class -> (positions, init rows)
-    for i, cls in enumerate(np.minimum(labels, bank.num_classes).tolist()):
-        n = sizes[cls]
-        if n:
-            positions, rows = inits.setdefault(cls, ([], []))
-            positions.append(i)
-            rows.append(rng.choice(n, size=min(n_clusters, n), replace=False))
-    return {
-        cls: (positions, _lloyd(bank.class_points(cls), np.stack(rows)))
-        for cls, (positions, rows) in inits.items()
-    }
+    classes = np.minimum(labels, bank.num_classes)  # past the bank's classes: size 0
+    sizes = np.append(bank.counts, 0)[classes]
+    live = np.flatnonzero(sizes)
+    inits = _choices(rng, sizes[live], n_clusters, replace=False)
+    order = np.argsort(classes[live], kind="stable")
+    found, starts = np.unique(classes[live][order], return_index=True)
+    runs = {}
+    for cls, group in zip(found.tolist(), np.split(order, starts[1:])):
+        width = min(n_clusters, bank.class_size(cls))
+        runs[cls] = (live[group], _lloyd(bank.class_points(cls), inits[group, :width]))
+    return runs
 
 
 def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
@@ -384,10 +450,11 @@ def retrieve_defending(
     Returns (points, labels, fallback_events). With DuplicateLabeled the output
     always has k * len(labeled) rows; SkipWithFlag may return fewer.
 
-    The model-free strategies draw the rng with one rng.choice call per
-    served point, in labeled order (unconditioned_random serves every
-    point); those calls fix the picks, so the rest works per class or per
-    call.
+    The model-free strategies draw every served point's rows with one
+    _choices call (unconditioned_random serves every point): one rng call
+    takes the words that one rng.choice call per served point, in labeled
+    order, would take, and yields the same values. Those draws fix the
+    picks, so the rest works per class.
     """
     if epoch is not None and epoch != bank.epoch_stamp:
         raise ConfigError(
@@ -412,15 +479,10 @@ def retrieve_defending(
             picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
             rows[positions] = bank.class_rows(cls)[picks]
     elif cfg.strategy == CLASS_AWARE_RANDOM:
-        sizes = bank.sizes()
-        draws = [rng.choice(sizes[y], size=cfg.k, replace=sizes[y] < cfg.k)
-                 for y in labels_served.tolist()]
-        draws = np.array(draws, dtype=np.intp).reshape(-1, cfg.k)
+        draws = _choices(rng, bank.counts[labels_served], cfg.k, replace=True)
         rows = bank.rows[bank.offsets[labels_served][:, None] + draws]
     elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class; no point falls back
-        total = len(bank.rows)
-        draws = [rng.choice(total, size=cfg.k, replace=total < cfg.k) for _ in range(len(labels))]
-        draws = np.array(draws, dtype=np.intp).reshape(-1, cfg.k)
+        draws = _choices(rng, np.full(len(labels), len(bank.rows)), cfg.k, replace=True)
         rows = bank.rows[draws]
         out_lab = np.repeat(np.arange(bank.num_classes), bank.counts)[draws.ravel()]
     elif len(labels_served):  # COSINE_DISTANT, with a point to serve
@@ -470,9 +532,11 @@ def _retrieve_split(
 
     A strategy in MODEL_FREE retrieves for every group in one call, drawing
     the rng in the order of one call per group after another, which gives
-    each group the rows its own call would give. cosine_distant reads the
-    model, so its points are left to one call per group as training goes
-    (points is None); its labels are known already (_own_labels).
+    each group the rows its own call would give: an epoch's draws are one
+    rng call for the words that one rng.choice call per point would take.
+    cosine_distant reads the model, so its points are left to one call per
+    group as training goes (points is None); its labels are known already
+    (_own_labels).
     """
     groups, size = labeled_labels.shape
     falls_back = _falls_back(bank, labeled_labels, cfg)

@@ -1,9 +1,12 @@
 """Tests for candidate-bank filtering and defending-sample retrieval."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdalab import adapt, bank, nn
 from sdalab.errors import ConfigError, ShapeError
@@ -223,7 +226,7 @@ def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
     # both consumed the same draws, so later retrievals stay in step too
-    assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestTopFractionCount:
@@ -344,6 +347,76 @@ def small_bank(model=None, seed=2, n=40, p=0.5, epoch=0):
     b = bank.generate_bank(model, pts, np.arange(n), p=p, num_classes=3, epoch_stamp=epoch)
     assert min(b.sizes()) >= 3, "fixture bank must populate every class"
     return model, b
+
+
+def one_choice_per_row(rng, sizes, k, replace):
+    """The calls bank._choices stands for: one rng.choice per row, in order;
+    a row of n < k drawn with replacement when replace is set, else as a
+    permutation of its n values padded with -1."""
+    out = np.full((len(sizes), k), -1, dtype=np.int64)
+    for r, n in enumerate(sizes):
+        if n >= k:
+            out[r] = rng.choice(n, size=k, replace=False)
+        elif replace:
+            out[r] = rng.choice(n, size=k, replace=True)
+        else:
+            out[r, :n] = rng.choice(n, size=n, replace=False)
+    return out
+
+
+def choice_batch(case, rng):
+    """(sizes, k) of one batch of rows of the given kind."""
+    rows = int(rng.integers(1, 40))
+    if case == "empty":
+        return [], int(rng.integers(1, 6))
+    if case == "tail":
+        # n near 50 * k, about 10000 to 12000: numpy shuffles a tail where
+        # n > 10000 and k > n // 50, and runs Floyd's algorithm elsewhere
+        k = int(rng.integers(201, 240))
+        return (50 * k + rng.integers(-60, 60, size=int(rng.integers(1, 4)))).tolist(), k
+    if case == "rejecting":
+        # Lemire's rejection test fires on most words, so the batch replays
+        k = int(rng.integers(2, 5))
+        return rng.integers(3 << 30, 1 << 32, size=int(rng.integers(6, 12))).tolist(), k
+    k = int(rng.integers(2 if case == "short" else 1, 7))
+    sizes = rng.integers(k, 90, size=rows)
+    if case == "n_equals_k":  # the draw in [0, 0] takes no word
+        sizes[rng.random(rows) < 0.5] = k
+    elif case == "short":
+        short = rng.random(rows) < 0.3
+        sizes[short] = rng.integers(1, k, size=np.count_nonzero(short))
+    return sizes.tolist(), k
+
+
+class TestChoices:
+    @pytest.mark.parametrize(
+        "case", ["empty", "small", "n_equals_k", "short", "rejecting", "tail"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+    def test_matches_one_call_per_row(self, case, seed, words_before, replace):
+        sizes, k = choice_batch(case, np.random.default_rng(seed))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref):  # an odd count leaves PCG64 a buffered 32-bit half
+            g.integers(0, 1 << 32, size=words_before, dtype=np.uint32)
+        with mock.patch.object(bank, "_choices_each", wraps=bank._choices_each) as each:
+            got = bank._choices(rng, sizes, k, replace)
+        want = one_choice_per_row(ref, sizes, k, replace)
+        assert got.shape == (len(sizes), k) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if case == "rejecting" or any(n < k for n in sizes):
+            assert each.called
+
+    def test_an_epoch_of_small_classes_takes_one_rng_call(self):
+        # blobs-sized: 144 points an epoch, each class's bank above k
+        sizes = np.random.default_rng(5).integers(3, 200, size=144).tolist()
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        with mock.patch.object(bank, "_choices_each", wraps=bank._choices_each) as each:
+            got = bank._choices(rng, sizes, 3, replace=True)
+        assert not each.called
+        assert np.array_equal(got, one_choice_per_row(ref, sizes, 3, True))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestClassAwareRandom:
@@ -491,7 +564,7 @@ class TestKMeansCenter:
                     continue
                 want = reference_kmeans(b.class_points(int(y)), clusters, rng_ref)
                 assert np.array_equal(centroids_of[i], want)
-            assert rng_fast.integers(1 << 62) == rng_ref.integers(1 << 62)
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
     def test_lloyd_early_exit_matches_twenty_iterations(self):
         rng = np.random.default_rng(44)
@@ -615,7 +688,7 @@ class TestRetrieveSplit:
                 assert np.array_equal(labs, want[1]) and labs.dtype == want[1].dtype
                 assert count == len(want[0]) and type(count) is int
                 assert flagged == want[2] and type(flagged) is int
-            assert rng_split.integers(1 << 62) == rng_each.integers(1 << 62)
+            assert rng_split.bit_generator.state == rng_each.bit_generator.state
 
 
 class TestRepeatedLabeledPoints:
@@ -868,7 +941,7 @@ class TestNegativeLabels:
             rng = np.random.default_rng(0)
             with pytest.raises(ShapeError, match=f"got {bad}"):
                 bank.retrieve_defending(b, np.zeros((3, 2)), [0, bad, 1], cfg, rng, model=model)
-            assert rng.integers(1 << 62) == np.random.default_rng(0).integers(1 << 62)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestRldLoss:

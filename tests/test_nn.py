@@ -694,7 +694,7 @@ class TestBitEqualityFacts:
                     for row in want[1 : needed + 1]:
                         ref.shuffle(row)
                     assert np.array_equal(tile, want), (seed, needed, size)
-                    assert rng.integers(1 << 62) == ref.integers(1 << 62)
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_forward_on_a_strided_view_equals_forward_on_its_copy(self):
         # np.dot's bits can depend on the left operand's layout; forward

@@ -65,6 +65,11 @@ MATRIX = [
     ("kmeans_c2_k5", {**RLD, "rld.strategy": "kmeans_center", "adapt.k": 5,
                       "rld.kmeans_clusters": 2}),
     ("kmeans_skip", {**RLD, "rld.strategy": "kmeans_center", "rld.fallback": "skip_with_flag"}),
+] + [
+    # banks of one to three entries a class (p = 0.005), so some classes
+    # hold fewer than k: the draws that take one rng.choice call per point
+    (f"tiny_bank_{s}", {**RLD, "rld.strategy": s, "rld.p": 0.005})
+    for s in ("class_aware_random", "kmeans_center")
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
