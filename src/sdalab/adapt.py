@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bank as bank_mod
-from . import nn
+from . import metrics, nn
 from .data import LabeledSet, rms_radius
 from .errors import ConfigError, NumericError, ShapeError
 from .feedback import TargetSplit
@@ -443,7 +443,7 @@ def adapt(
     unlabeled_idx = np.array(sorted(split.unlabeled), dtype=np.int64)
     evaluate = None
     if test_set is not None:
-        evaluate = lambda m: np.mean(nn.predict(m, test_set.points) == test_set.labels)
+        evaluate = lambda m: metrics.top1_accuracy(m, test_set.points, test_set.labels)
     return _adapt_units(
         model, units, unlabeled_idx, train, cfg, seed, SOFTMAX_RULE, evaluate, observer
     )

@@ -107,6 +107,16 @@ def cmd_adapt(args) -> int:
     return 0
 
 
+def _write_aggregate(result, csv_path, table_path) -> None:
+    """Write a sweep's aggregate as CSV and as a table, and print the table."""
+    rows = result.aggregate_rows()
+    sweep_mod.write_aggregate_csv(csv_path, rows)
+    table = sweep_mod.format_table(rows)
+    with open(table_path, "w") as fh:
+        fh.write(table)
+    print(table, end="")
+
+
 def cmd_sweep(args) -> int:
     cfg, out = _load(args)
     total = len(sweep_mod.axis_cells(args.axis, cfg)) * len(cfg.seeds())
@@ -119,14 +129,9 @@ def cmd_sweep(args) -> int:
     result = sweep_mod.run_sweep(cfg, args.axis, StageCache(), progress)
     records_path = os.path.join(out, f"records_{args.axis}.jsonl")
     sweep_mod.write_records_jsonl(records_path, result)
-    rows = result.aggregate_rows()
     csv_path = os.path.join(out, f"aggregate_{args.axis}.csv")
-    sweep_mod.write_aggregate_csv(csv_path, rows)
-    table = sweep_mod.format_table(rows)
     table_path = os.path.join(out, f"aggregate_{args.axis}.txt")
-    with open(table_path, "w") as fh:
-        fh.write(table)
-    print(table, end="")
+    _write_aggregate(result, csv_path, table_path)
     for failure in result.failures:
         print(f"failed cell {failure['cell']} seed {failure['seed']}: {failure['error']}")
     print(f"wrote {records_path}, {csv_path}, {table_path}")
@@ -166,14 +171,9 @@ def cmd_stream(args) -> int:
 
 def cmd_report(args) -> int:
     result = sweep_mod.read_records_jsonl(args.records)
-    rows = result.aggregate_rows()
     base, _ = os.path.splitext(args.records)
     csv_path = args.out_csv or base + "_aggregate.csv"
-    sweep_mod.write_aggregate_csv(csv_path, rows)
-    table = sweep_mod.format_table(rows)
-    with open(base + "_aggregate.txt", "w") as fh:
-        fh.write(table)
-    print(table, end="")
+    _write_aggregate(result, csv_path, base + "_aggregate.txt")
     print(f"wrote {csv_path}")
     return 0
 

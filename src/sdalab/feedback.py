@@ -9,7 +9,6 @@ is most sure about. The binary mode hands out per-finding feedback from the
 false-positive and false-negative pools.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,7 +66,7 @@ class TargetSplit:
 
     labeled: list  # [(index, ground-truth label), ...]
     unlabeled: list  # [index, ...]
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)  # {"shortage": {class or pool: missing}}
 
     def __post_init__(self):
         overlap = set(i for i, _ in self.labeled) & set(self.unlabeled)
@@ -82,30 +81,6 @@ class TargetSplit:
 
     def unlabeled_indices(self) -> np.ndarray:
         return np.array(self.unlabeled, dtype=np.int64)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labeled": [[int(i), int(y)] for i, y in self.labeled],
-            "unlabeled": [int(i) for i in self.unlabeled],
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TargetSplit":
-        return cls(
-            labeled=[(int(i), int(y)) for i, y in obj["labeled"]],
-            unlabeled=[int(i) for i in obj["unlabeled"]],
-            provenance=obj.get("provenance", {}),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "TargetSplit":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def prediction_entropy(probs: np.ndarray) -> np.ndarray:
@@ -203,17 +178,7 @@ def simulate_feedback(
     labeled.sort()
     labeled_set = set(i for i, _ in labeled)
     unlabeled = [int(i) for i in range(len(train)) if i not in labeled_set]
-    return TargetSplit(
-        labeled,
-        unlabeled,
-        provenance={
-            "policy": spec.policy,
-            "per_class_count": spec.per_class_count,
-            "mixed_counts": list(spec.mixed_counts) if spec.mixed_counts else None,
-            "seed": int(seed),
-            "shortage": shortage,
-        },
-    )
+    return TargetSplit(labeled, unlabeled, provenance={"shortage": shortage})
 
 
 def simulate_feedback_binary(
@@ -255,18 +220,5 @@ def simulate_feedback_binary(
         picked = set(picks)
         labeled = [(int(i), int(truth[i])) for i in sorted(picked)]
         unlabeled = [int(i) for i in range(len(train)) if i not in picked]
-        splits.append(
-            TargetSplit(
-                labeled,
-                unlabeled,
-                provenance={
-                    "policy": "binary",
-                    "finding": j,
-                    "fp_count": fp_count,
-                    "fn_count": fn_count,
-                    "seed": int(seed),
-                    "shortage": shortage,
-                },
-            )
-        )
+        splits.append(TargetSplit(labeled, unlabeled, provenance={"shortage": shortage}))
     return splits

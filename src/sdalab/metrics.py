@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import LabeledSet
 from .errors import ConfigError, MetricError
 
 
@@ -15,6 +16,12 @@ def top1_accuracy(model: nn.MlpModel, points, labels) -> float:
         raise MetricError("accuracy of an empty set is undefined")
     preds = nn.predict(model, points)
     return float(np.mean(preds == np.asarray(labels)))
+
+
+def mean_auroc(model: nn.MlpModel, dataset: LabeledSet) -> float:
+    """Average AUROC across findings; the binary-mode headline metric."""
+    probs = nn.forward(model, dataset.points).probs
+    return float(np.mean(auroc_columns(probs, dataset.findings)))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

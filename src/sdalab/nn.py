@@ -486,6 +486,10 @@ def loss_ce(probs, targets, terms=None, mask=None):
     losses)/d(probs), and each term's unmasked count. A term with count 0
     has loss 0.0 and no gradient, so the caller can flag it instead of
     dividing by zero.
+
+    No training path calls this or loss_bce, since the step and pretraining
+    run the core on targets checked once; both stay as the checked reference
+    that the README, gate criterion 01 and TestLossCore hold the core to.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)

@@ -97,12 +97,6 @@ def _build_data(cfg: ExperimentConfig, seed: int) -> DataBundle:
     return DataBundle(src_tr, src_te, tgt_tr, tgt_te)
 
 
-def mean_auroc(model: nn.MlpModel, dataset: data.LabeledSet) -> float:
-    """Average AUROC across findings; the binary-mode headline metric."""
-    probs = nn.forward(model, dataset.points).probs
-    return float(np.mean(metrics.auroc_columns(probs, dataset.findings)))
-
-
 class _SoftmaxHead:
     """Classification: class labels, scored by top-1 accuracy; the feedback
     is one TargetSplit."""
@@ -139,7 +133,7 @@ class _SigmoidHead:
         return labeled.findings
 
     def score(self, model, labeled) -> float:
-        return mean_auroc(model, labeled)
+        return metrics.mean_auroc(model, labeled)
 
     def thresholds(self, model, source_test) -> tuple:
         return metrics.source_thresholds(model, source_test.points, source_test.findings)
@@ -150,7 +144,7 @@ class _SigmoidHead:
     def adapt(self, d, pre, splits, acfg, seed) -> tuple:
         return adapt_mod.adapt_binary(
             pre.model, splits, d.target_train, pre.thresholds, acfg, seed,
-            test_eval=lambda m: mean_auroc(m, d.target_test),
+            test_eval=lambda m: metrics.mean_auroc(m, d.target_test),
         )
 
     def shortages(self, splits) -> dict:
@@ -217,11 +211,13 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
     pre = pretrain(cfg, seed, cache)
     split = make_feedback(cfg, seed, cache)
     head = _HEADS[cfg.head()]
-    adapted, rows = head.adapt(d, pre, split, cfg.adapt_config(), adapt_seed(cfg, seed))
+    _, rows = head.adapt(d, pre, split, cfg.adapt_config(), adapt_seed(cfg, seed))
     final = {
         "source_test_acc": pre.source_test_acc,
         "target_test_acc_source_model": pre.target_test_acc,
-        "target_test_value_adapted": head.score(adapted, d.target_test),
+        # the loop scores the model on the target test set after each epoch;
+        # with no epoch the adapted model is the source model
+        "target_test_value_adapted": rows[-1]["test_acc"] if rows else pre.target_test_acc,
         "metric": head.metric,
     }
     flags = {

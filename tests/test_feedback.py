@@ -343,17 +343,6 @@ class TestBinaryFeedback:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path, setup):
-        model, target, _ = setup
-        spec = feedback.FeedbackSpec(policy=feedback.RF, per_class_count=2)
-        split = feedback.simulate_feedback(target, model, spec, seed=5)
-        path = tmp_path / "split.json"
-        split.save(path)
-        back = feedback.TargetSplit.load(path)
-        assert back.labeled == split.labeled
-        assert back.unlabeled == split.unlabeled
-        assert back.provenance["policy"] == feedback.RF
-
     def test_overlap_rejected(self):
         with pytest.raises(ConfigError):
             feedback.TargetSplit(labeled=[(0, 1)], unlabeled=[0, 1])

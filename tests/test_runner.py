@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sdalab import adapt, runner
+from sdalab import adapt, metrics, runner
 from sdalab.config import ExperimentConfig
 
 FAST = {
@@ -115,6 +115,32 @@ class TestRunSingle:
         assert 0.0 <= r.final["target_test_value_adapted"] <= 1.0
         assert len(r.rows) == 2
 
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"adapt.algorithm": "fixmatch_lite"},
+        {"dataset.kind": "binary"},
+        {"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3},
+    ], ids=["pseudo_label", "fixmatch_lite", "binary", "binary_rld"])
+    def test_adapted_value_is_the_last_epoch_score(self, extra):
+        r = runner.run_single(fast_cfg(**extra), 0)
+        assert r.final["target_test_value_adapted"].hex() == r.rows[-1]["test_acc"].hex()
+
+    @pytest.mark.parametrize("kind", ["blobs", "binary"])
+    def test_zero_epochs_value_is_the_source_model_score(self, kind):
+        r = runner.run_single(fast_cfg(**{"dataset.kind": kind, "adapt.epochs": 0}), 0)
+        assert r.rows == []
+        final = r.final
+        assert final["target_test_value_adapted"].hex() == final["target_test_acc_source_model"].hex()
+
+    def test_each_model_is_scored_once(self, monkeypatch):
+        # pretraining scores the source model on both test sets, and the
+        # loop scores the model after each of its 2 epochs; nothing else
+        calls = []
+        top1 = metrics.top1_accuracy
+        monkeypatch.setattr(metrics, "top1_accuracy", lambda *a: calls.append(1) or top1(*a))
+        runner.run_single(fast_cfg(), 0)
+        assert len(calls) == 2 + 2
+
     def test_fixmatch_adapt_config_alone_gives_run_single_rows(self):
         # cfg.adapt_config() is the run's whole AdaptConfig, augmenter included
         cfg = fast_cfg(**{"adapt.algorithm": "fixmatch_lite"})
@@ -143,7 +169,7 @@ class TestRunSingle:
         pre, splits = runner.pretrain(cfg, 0, cache), runner.make_feedback(cfg, 0, cache)
 
         def test_eval(model):
-            return runner.mean_auroc(model, d.target_test)
+            return metrics.mean_auroc(model, d.target_test)
 
         adapted, rows = adapt.adapt_binary(
             pre.model, splits, d.target_train, pre.thresholds, cfg.adapt_config(),
