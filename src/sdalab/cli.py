@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Subcommands: gen-data, pretrain, adapt, sweep, stream, report, plot.
-All take `--config FILE` plus repeatable `--set key=value` overrides.
+All but report take `--config FILE` plus repeatable `--set key=value` overrides.
 Exit codes: 0 success, 2 configuration/shape/metric error, 3 numeric
 failure, 4 feedback shortage.
 """
@@ -23,7 +23,10 @@ from .errors import ConfigError, MetricError, NumericError, ShapeError, Shortage
 from .runner import JSON_SEPARATORS, StageCache
 
 
-def _add_common(parser):
+def _add_command(sub, name, func, help, one_seed=True):
+    """A subcommand that takes --config, --set and --out, and --seed where it
+    runs one seed."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", help="config file of 'dotted.key = value' lines")
     parser.add_argument(
         "--set",
@@ -34,6 +37,10 @@ def _add_common(parser):
         help="override one config key (repeatable)",
     )
     parser.add_argument("--out", help="output directory (default: config output.dir)")
+    if one_seed:
+        parser.add_argument("--seed", type=int)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _load(args):
@@ -44,9 +51,7 @@ def _load(args):
 
 
 def _one_seed(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return cfg.seeds()[0]
+    return args.seed if args.seed is not None else cfg.seeds()[0]
 
 
 def cmd_gen_data(args) -> int:
@@ -148,10 +153,11 @@ def cmd_stream(args) -> int:
     acfg = cfg.adapt_config()
     stream_mod.check_memory_fits(stream_cfg, acfg)
     seed = _one_seed(cfg, args)
-    d = runner.make_data(cfg, seed)
+    cache = StageCache()
+    d = runner.make_data(cfg, seed, cache)
     stream_mod.checkpoint_positions(stream_cfg, len(d.target_train))  # before any costly stage
-    pre = runner.pretrain(cfg, seed)
-    split = runner.make_feedback(cfg, seed)
+    pre = runner.pretrain(cfg, seed, cache)
+    split = runner.make_feedback(cfg, seed, cache)
     records, _ = stream_mod.run_stream(
         pre.model, d.target_train, split, stream_cfg, acfg,
         runner.adapt_seed(cfg, seed), test_set=d.target_test,
@@ -163,7 +169,7 @@ def cmd_stream(args) -> int:
         print(
             f"checkpoint {rec['fraction']:.2f}: items {rec['items_seen']}, "
             f"memory {rec['occupancy']}, labeled {rec['labeled_count']}, "
-            f"test acc {rec.get('test_acc', float('nan')):.4f}"
+            f"test acc {rec['test_acc']:.4f}"
         )
     print(f"wrote {path}")
     return 0
@@ -196,13 +202,12 @@ def cmd_plot(args) -> int:
     pre = runner.pretrain(cfg, seed, cache)
     split = runner.make_feedback(cfg, seed, cache)
 
-    baseline_cfg = cfg.with_overrides({"adapt.k": 0, "rld.enabled": False})
-    rld_cfg = cfg.with_overrides(sweep_mod.rld_on(cfg))
     panels = [("source", pre.model)]
-    for name, pcfg in (("baseline", baseline_cfg), ("rld", rld_cfg)):
+    baseline = {"adapt.k": 0, "rld.enabled": False}
+    for name, overrides in (("baseline", baseline), ("rld", sweep_mod.rld_on(cfg))):
+        pcfg = cfg.with_overrides(overrides)
         adapted, _ = adapt_mod.adapt(
-            pre.model, runner.make_feedback(pcfg, seed, cache), d.target_train,
-            pcfg.adapt_config(), runner.adapt_seed(pcfg, seed),
+            pre.model, split, d.target_train, pcfg.adapt_config(), runner.adapt_seed(pcfg, seed)
         )
         panels.append((name, adapted))
 
@@ -235,29 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write dataset CSVs for one seed")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gen_data)
+    _add_command(sub, "gen-data", cmd_gen_data, "write dataset CSVs for one seed")
+    _add_command(sub, "pretrain", cmd_pretrain, "train the source model, report accuracies")
+    _add_command(sub, "adapt", cmd_adapt, "run one adaptation (full pipeline)")
 
-    p = sub.add_parser("pretrain", help="train the source model, report accuracies")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("adapt", help="run one adaptation (full pipeline)")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_adapt)
-
-    p = sub.add_parser("sweep", help="run one ablation axis over all seeds")
-    _add_common(p)
+    p = _add_command(sub, "sweep", cmd_sweep, "run one ablation axis over all seeds",
+                     one_seed=False)
     p.add_argument("--axis", required=True, choices=sweep_mod.AXES)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("stream", help="run the streaming protocol for one seed")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
+    p = _add_command(sub, "stream", cmd_stream, "run the streaming protocol for one seed")
     p.add_argument("--cap", type=int, default=5000, help="memory bank capacity")
     p.add_argument(
         "--checkpoints",
@@ -266,18 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(stream_mod.DEFAULT_CHECKPOINTS),
         help="stream fractions that trigger adaptation",
     )
-    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("report", help="aggregate a records JSONL into CSV + table")
     p.add_argument("--records", required=True)
     p.add_argument("--out-csv", dest="out_csv")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("plot", help="decision-boundary SVGs: source, baseline, rld")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
+    p = _add_command(sub, "plot", cmd_plot, "decision-boundary SVGs: source, baseline, rld")
     p.add_argument("--resolution", type=int, default=80)
-    p.set_defaults(func=cmd_plot)
 
     return parser
 

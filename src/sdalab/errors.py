@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES): configuration
+Each class maps to one CLI exit code (see cli.main): configuration
 problems, numeric failures during training, and feedback-pool shortages are
 distinguishable by the caller.
 """

@@ -79,9 +79,6 @@ class TargetSplit:
     def labeled_labels(self) -> np.ndarray:
         return np.array([y for _, y in self.labeled], dtype=np.int64)
 
-    def unlabeled_indices(self) -> np.ndarray:
-        return np.array(self.unlabeled, dtype=np.int64)
-
 
 def prediction_entropy(probs: np.ndarray) -> np.ndarray:
     p = np.maximum(probs, nn.PROB_EPS)

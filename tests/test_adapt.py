@@ -41,7 +41,7 @@ def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_r
     draws from rng, the defending pairs retrieved for its units, and the
     epoch laid out by build_minibatch, read back as step 0's MiniBatch."""
     picked, unlabeled = adapt._draw_epoch(
-        units_of(split), split.unlabeled_indices(), spec, 1, rng
+        units_of(split), np.array(split.unlabeled), spec, 1, rng
     )
     defending = None
     if rld_cfg is not None:
@@ -230,8 +230,8 @@ class TestBuildMinibatch:
         spec = adapt.BatchSpec(b=16, mu=4)
         rld_cfg = bank.RldConfig(p=0.4, k=3)
         b = bank.generate_bank(
-            model, train.points[split.unlabeled_indices()],
-            split.unlabeled_indices(), 0.4, 3,
+            model, train.points[np.array(split.unlabeled)],
+            np.array(split.unlabeled), 0.4, 3,
         )
         mb = draw_batch(
             train, split, spec, np.random.default_rng(0), b, rld_cfg, np.random.default_rng(1)
@@ -253,8 +253,8 @@ class TestBuildMinibatch:
         spec = adapt.BatchSpec(b=9, mu=1)
         rld_cfg = bank.RldConfig(p=1.0, k=2)
         b = bank.generate_bank(
-            model, train.points[split.unlabeled_indices()],
-            split.unlabeled_indices(), 1.0, 3,
+            model, train.points[np.array(split.unlabeled)],
+            np.array(split.unlabeled), 1.0, 3,
         )
         mb = draw_batch(
             train, split, spec, np.random.default_rng(2), b, rld_cfg, np.random.default_rng(3)
@@ -278,7 +278,7 @@ class TestBuildMinibatch:
         # the wrong length must not pass, a single row (which would
         # broadcast over the slot) included
         train, split, model = toy
-        unlabeled_idx = split.unlabeled_indices()
+        unlabeled_idx = np.array(split.unlabeled)
         cur_bank = bank.generate_bank(model, train.points[unlabeled_idx], unlabeled_idx, 1.0, 3)
         rld_cfg = bank.RldConfig(p=1.0, k=2, strategy=bank.COSINE_DISTANT)
         picked, unlabeled = adapt._draw_epoch(
@@ -442,7 +442,7 @@ def batch_with_defending(toy, model, b, mu, k):
     retrieved from a bank that model builds."""
     train, split, _ = toy
     cur_bank = bank.generate_bank(
-        model, train.points[split.unlabeled_indices()], split.unlabeled_indices(), 0.5, 3
+        model, train.points[np.array(split.unlabeled)], np.array(split.unlabeled), 0.5, 3
     )
     return draw_batch(
         train, split, adapt.BatchSpec(b=b, mu=mu), np.random.default_rng(3),
@@ -474,8 +474,8 @@ class TestStepPseudoLabel:
     def test_decomposition_holds(self, toy):
         train, split, model = toy
         b = bank.generate_bank(
-            model, train.points[split.unlabeled_indices()],
-            split.unlabeled_indices(), 0.5, 3,
+            model, train.points[np.array(split.unlabeled)],
+            np.array(split.unlabeled), 0.5, 3,
         )
         mb = draw_batch(
             train, split, adapt.BatchSpec(b=8, mu=2), np.random.default_rng(1),
@@ -772,7 +772,7 @@ class TestOneLossPass:
         train, split, model = toy
         silenced = model.copy()
         silenced.biases[-1][2] = -30.0  # nothing is pseudo-labelled 2: its bank class is empty
-        unlabeled = split.unlabeled_indices()
+        unlabeled = np.array(split.unlabeled)
         cur_bank = bank.generate_bank(silenced, train.points[unlabeled], unlabeled, 0.5, 3)
         assert cur_bank.class_size(2) == 0
         labeled = np.flatnonzero(train.labels == 2)[:4]
@@ -1545,7 +1545,7 @@ class TestEpochRetrieval:
             ),
         )
         units = units_of(split)
-        unlabeled_idx = np.array(split.unlabeled_indices(), dtype=np.int64)
+        unlabeled_idx = np.array(split.unlabeled, dtype=np.int64)
         for m in (fitted, silenced):
             batches = assert_same_loop(m, units, unlabeled_idx, train, cfg, 4, adapt.SOFTMAX_RULE)
             fallbacks = sum(mb.fallback_events for mb in batches)
@@ -1572,7 +1572,7 @@ class TestEpochRetrieval:
             sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2), rld=rld,
             augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
         )
-        unlabeled_idx = np.array(split.unlabeled_indices(), dtype=np.int64)
+        unlabeled_idx = np.array(split.unlabeled, dtype=np.int64)
         batches = assert_same_loop(
             silenced, units_of(split), unlabeled_idx, train, cfg, 5, adapt.SOFTMAX_RULE
         )

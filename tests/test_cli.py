@@ -191,6 +191,23 @@ class TestCommands:
             assert text.startswith("<svg ")
             assert "<circle" in text
 
+    @pytest.mark.parametrize(
+        "command", [["stream"], ["plot", "--resolution", "8"], ["adapt"]], ids=lambda c: c[0]
+    )
+    def test_each_command_builds_each_stage_once(self, tmp_path, monkeypatch, command):
+        calls = []
+        for module, name in ((data, "make_blobs_pair"), (adapt_mod, "train_supervised")):
+            real = getattr(module, name)
+
+            def spy(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        assert run_cli(command + ["--out", str(tmp_path)] + FAST_SETS) == 0
+        # one dataset and one source model, whatever the command adapts
+        assert sorted(calls) == ["make_blobs_pair", "train_supervised"], calls
+
 
 class TestExitCodes:
     def test_shortage_is_4(self, tmp_path):

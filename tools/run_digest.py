@@ -4,8 +4,10 @@ A run's digest covers its metrics document and every epoch row of its run
 log; a capped stream replay's covers its checkpoint records and the weights
 of its last model. One constructed case, retrieval_ties, covers retrieval
 from a bank built so that tie-breaks decide the picks, which the runs'
-banks never need. Two checkouts whose totals agree wrote the same bytes for
-every run of the matrix. A last line gives the sha256 of the
+banks never need. Two CLI cases, cli_stream and cli_plot, cover the files
+that `sdalab stream` and `sdalab plot` write (not their stdout, which names
+the output directory). Two checkouts whose totals agree wrote the same bytes
+for every run of the matrix. A last line gives the sha256 of the
 records_method.jsonl that `sdalab sweep --axis method` writes at its default
 seed 0 (the acceptance gate's determinism sweep). Run it from the root of a
 checkout:
@@ -21,8 +23,10 @@ tests/test_golden.py compares a fresh run against.
 """
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import os
 import platform
@@ -33,7 +37,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from sdalab import bank, nn, runner, stream, sweep  # noqa: E402
+from sdalab import bank, cli, nn, runner, stream, sweep  # noqa: E402
 from sdalab.config import ExperimentConfig  # noqa: E402
 
 RLD = {"rld.enabled": True, "adapt.k": 3}
@@ -73,6 +77,12 @@ MATRIX = [
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
+
+# the commands that assemble the stages themselves, at stock settings
+CLI_CASES = [
+    ("cli_stream", ["stream", "--cap", "300"]),
+    ("cli_plot", ["plot", "--resolution", "16"]),
+]
 
 
 def _sha(text: str) -> str:
@@ -130,6 +140,20 @@ def ties_digest(seed: int) -> str:
     return _sha("\n".join(out))
 
 
+def cli_digest(argv, seed: int) -> str:
+    """sha256 over the name and bytes of every file `sdalab` writes for argv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--seed", str(seed), "--out", tmp])
+        if code != 0:
+            raise RuntimeError(f"sdalab {' '.join(argv)} exited {code}")
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                h.update(name.encode() + b"\n" + fh.read())
+        return h.hexdigest()
+
+
 def digests(seeds) -> list:
     """(label, digest) of every run of the matrix, seed by seed."""
     cache = runner.StageCache()
@@ -140,6 +164,8 @@ def digests(seeds) -> list:
         out.append((f"stream_cap{STREAM_CAP}/seed{seed}",
                     stream_digest(ExperimentConfig({}), seed, cache)))
         out.append((f"retrieval_ties/seed{seed}", ties_digest(seed)))
+        for name, argv in CLI_CASES:
+            out.append((f"{name}/seed{seed}", cli_digest(argv, seed)))
     return out
 
 
