@@ -372,19 +372,24 @@ def _cosine_picks(
     The picks are those of one point at a time with its own one-row feature
     pass against a feature pass over its class's rows, bit for bit: a class
     slice of one pass over the bank has the bits of a pass over the slice
-    alone at the default layer widths (tests/test_nn.py names the shapes; a
-    one-row class has only one order), and stacked one-row passes and
-    products have the bits of one-row ones. The points are taken in class
-    order so that each class's dot products are one stacked matrix-vector
-    product with its slice, the only per-class call; the slice stays the
-    matrix because a row's bits depend on the matrix's height and the row's
-    place in it, so a product with the whole bank would move last bits.
-    index_map then lays each point's distances out in its class's index
-    order, where _farthest's first maximum is the entry that lexsort on the
-    index ranks first. A zero norm counts as orthogonal: its cosine is 0,
-    its distance 1.
+    alone if no hidden layer past the first has over 7 inputs, and at the
+    default widths [10, 10] (tests/test_nn.py); at other widths each class
+    takes a pass of its own. Stacked one-row passes and products have the
+    bits of one-row ones. The points are taken in class order so that each
+    class's dot products are one stacked matrix-vector product with its
+    slice, the only other per-class call; the slice stays the matrix because
+    a row's bits depend on the matrix's height and the row's place in it,
+    so a product with the whole bank would move last bits. index_map then
+    lays each point's distances out in its class's index order, where
+    _farthest's first maximum is the entry that lexsort on the index ranks
+    first. A zero norm counts as orthogonal: its cosine is 0, its distance 1.
     """
-    feats = nn.penultimate_features(model, bank.entry_points)
+    offsets = bank.offsets.tolist()
+    if model.layer_dims[1:-1] == [10, 10] or max(model.layer_dims[1:-2], default=0) <= 7:
+        feats = nn.penultimate_features(model, bank.entry_points)
+    else:  # other widths: one pass per class slice
+        feats = np.concatenate([nn.penultimate_features(model, bank.entry_points[lo:hi])
+                                for lo, hi in zip(offsets, offsets[1:]) if lo < hi])
     norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
     order = np.argsort(labels, kind="stable")
     labels = labels[order]
@@ -392,7 +397,6 @@ def _cosine_picks(
     own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
     n, entries = len(labels), len(bank.rows)
     dots = np.empty((n, entries))  # a point reads its own class's columns only
-    offsets = bank.offsets.tolist()
     bounds = np.searchsorted(labels, np.arange(bank.num_classes + 1)).tolist()
     for lo, hi, first, last in zip(offsets, offsets[1:], bounds, bounds[1:]):
         if first < last:  # points first:last are of this class

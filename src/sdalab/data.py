@@ -221,9 +221,10 @@ def split_train_test(dataset: LabeledSet, ratio: float, seed) -> tuple:
     train_idx, test_idx = [], []
     for cls in np.unique(dataset.labels):
         members = np.flatnonzero(dataset.labels == cls)
-        if len(members) < 2:
-            raise ConfigError(f"class {cls} has {len(members)} samples; cannot split")
         n_train = int(math.floor(ratio * len(members) + 0.5))
+        if not 0 < n_train < len(members):
+            raise ConfigError(f"class {cls}: split ratio {ratio} sends {n_train} of its "
+                              f"{len(members)} samples to train; each side needs one")
         perm = rng.permutation(members)
         train_idx.extend(perm[:n_train].tolist())
         test_idx.extend(perm[n_train:].tolist())

@@ -62,7 +62,9 @@ class FeedbackSpec:
 
 @dataclass
 class TargetSplit:
-    """Partition of the target training indices into labeled and unlabeled."""
+    """Partition of the target training indices into labeled and unlabeled.
+    A binary-mode split holds one finding's labelled cells and no unlabeled
+    list: the adaptation pools every sample with no cell in any finding."""
 
     labeled: list  # [(index, ground-truth label), ...]
     unlabeled: list  # [index, ...]
@@ -187,8 +189,8 @@ def simulate_feedback_binary(
 ) -> list:
     """Per-finding splits drawn from the false-positive and false-negative pools.
 
-    Returns one TargetSplit per finding; a sample can carry feedback for one
-    finding while remaining unlabeled for another.
+    Returns one TargetSplit per finding, its labelled cells only; a sample
+    can carry feedback for one finding and none for another.
     """
     if spec.binary_mode_counts is None:
         raise ConfigError("binary mode requires binary_mode_counts = (fp, fn)")
@@ -214,8 +216,6 @@ def simulate_feedback_binary(
                 picks += sorted(int(i) for i in pool)
             else:
                 picks += _draw(pool, m, rng)
-        picked = set(picks)
-        labeled = [(int(i), int(truth[i])) for i in sorted(picked)]
-        unlabeled = [int(i) for i in range(len(train)) if i not in picked]
-        splits.append(TargetSplit(labeled, unlabeled, provenance={"shortage": shortage}))
+        labeled = [(int(i), int(truth[i])) for i in sorted(set(picks))]
+        splits.append(TargetSplit(labeled, [], provenance={"shortage": shortage}))
     return splits

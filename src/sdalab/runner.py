@@ -106,17 +106,13 @@ class _SoftmaxHead:
     def targets(self, labeled):
         return labeled.labels
 
-    def score(self, model, labeled) -> float:
-        return metrics.top1_accuracy(model, labeled.points, labeled.labels)
+    score = staticmethod(adapt_mod.SoftmaxRule.score)
 
     def thresholds(self, model, source_test) -> tuple:
         return None, None
 
     def feedback(self, d, pre, spec, seed):
         return feedback.simulate_feedback(d.target_train, pre.model, spec, seed)
-
-    def adapt(self, d, pre, split, acfg, seed) -> tuple:
-        return adapt_mod.adapt(pre.model, split, d.target_train, acfg, seed, d.target_test)
 
     def shortages(self, split) -> dict:
         return dict(split.provenance.get("shortage", {}))
@@ -132,20 +128,13 @@ class _SigmoidHead:
     def targets(self, labeled):
         return labeled.findings
 
-    def score(self, model, labeled) -> float:
-        return metrics.mean_auroc(model, labeled)
+    score = staticmethod(adapt_mod.SigmoidRule.score)
 
     def thresholds(self, model, source_test) -> tuple:
         return metrics.source_thresholds(model, source_test.points, source_test.findings)
 
     def feedback(self, d, pre, spec, seed) -> list:
         return feedback.simulate_feedback_binary(d.target_train, pre.model, spec, pre.thresholds, seed)
-
-    def adapt(self, d, pre, splits, acfg, seed) -> tuple:
-        return adapt_mod.adapt_binary(
-            pre.model, splits, d.target_train, pre.thresholds, acfg, seed,
-            test_eval=lambda m: metrics.mean_auroc(m, d.target_test),
-        )
 
     def shortages(self, splits) -> dict:
         return {f"finding{j}:{key}": missing for j, s in enumerate(splits)
@@ -210,8 +199,11 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
     d = make_data(cfg, seed, cache)
     pre = pretrain(cfg, seed, cache)
     split = make_feedback(cfg, seed, cache)
+    _, rows = adapt_mod.adapt(
+        pre.model, split, d.target_train, cfg.adapt_config(), adapt_seed(cfg, seed),
+        d.target_test, thresholds=pre.thresholds,
+    )
     head = _HEADS[cfg.head()]
-    _, rows = head.adapt(d, pre, split, cfg.adapt_config(), adapt_seed(cfg, seed))
     final = {
         "source_test_acc": pre.source_test_acc,
         "target_test_acc_source_model": pre.target_test_acc,

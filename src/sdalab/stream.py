@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapt as adapt_mod
-from . import metrics, nn
+from . import nn
 from .data import LabeledSet
 from .errors import ConfigError
 from .feedback import TargetSplit
@@ -107,8 +107,6 @@ def run_stream(
             record["fallbacks"] = int(sum(r["bank"]["fallbacks"] for r in rows))
         # with no feedback streamed in yet, the untouched model is evaluated
         if test_set is not None:
-            record["test_acc"] = metrics.top1_accuracy(
-                last_model, test_set.points, test_set.labels
-            )
+            record["test_acc"] = adapt_mod.SOFTMAX_RULE.score(last_model, test_set)
         records.append(record)
     return records, last_model

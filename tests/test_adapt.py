@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from sdalab import adapt, bank, data, feedback, nn
+from sdalab import adapt, bank, data, feedback, metrics, nn
 from sdalab.config import ExperimentConfig
 from sdalab.data import LabeledSet
 from sdalab.errors import ConfigError, NumericError, ShapeError
@@ -678,8 +678,8 @@ def random_step_case(head, k, mu, seed=5, outputs=None, labels_below=None):
 
 def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
     """For a sigmoid rule under fixmatch_lite, which binary mode does not
-    run: check that adapt.adapt_binary, given the batch's labelled cells as
-    its feedback, raises ConfigError before any forward, loss or backward
+    run: check that adapt.adapt, given the batch's labelled cells as its
+    feedback, raises ConfigError before any forward, loss or backward
     pass, and return True. False for any other pair."""
     if not (isinstance(rule, adapt.SigmoidRule) and cfg.algorithm == adapt.FIXMATCH_LITE):
         return False
@@ -698,7 +698,7 @@ def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
         for j in range(len(rule.thresholds))
     ]
     with pytest.raises(ConfigError, match="pseudo-label engine only"):
-        adapt.adapt_binary(model, splits, train, rule.thresholds, cfg, 9)
+        adapt.adapt(model, splits, train, cfg, 9, thresholds=rule.thresholds)
     monkeypatch.undo()
     return True
 
@@ -1190,9 +1190,7 @@ class TestAdaptBinary:
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
             batch=adapt.BatchSpec(b=8, mu=2), rld=bank.RldConfig(p=0.4, k=2),
         )
-        out, records = adapt.adapt_binary(
-            model, splits, target, [0.5, 0.5], cfg, seed=0
-        )
+        out, records = adapt.adapt(model, splits, target, cfg, seed=0, thresholds=[0.5, 0.5])
         assert len(records) == 2
         assert records[0]["l_sup"] > 0.0
         assert records[0]["l_rld"] > 0.0
@@ -1267,8 +1265,8 @@ class TestAdaptBinary:
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
             batch=adapt.BatchSpec(b=8, mu=2),
         )
-        a, _ = adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=4)
-        b_, _ = adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=4)
+        a, _ = adapt.adapt(model, splits, target, cfg, seed=4, thresholds=[0.5, 0.5])
+        b_, _ = adapt.adapt(model, splits, target, cfg, seed=4, thresholds=[0.5, 0.5])
         for wa, wb in zip(a.weights, b_.weights):
             assert wa.tobytes() == wb.tobytes()
 
@@ -1277,7 +1275,7 @@ class TestAdaptBinary:
         _, model, splits = binary_toy
         cfg = adapt.AdaptConfig(epochs=1, batch=adapt.BatchSpec(b=4, mu=0))
         with pytest.raises(ConfigError, match="findings"):
-            adapt.adapt_binary(model, splits, train, [0.5, 0.5], cfg, seed=0)
+            adapt.adapt(model, splits, train, cfg, seed=0, thresholds=[0.5, 0.5])
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("mu", [0, 2])
@@ -1292,12 +1290,12 @@ class TestAdaptBinary:
             epochs=3, sgd=nn.SgdConfig(0.01, momentum=0.9, weight_decay=0.015),
             batch=adapt.BatchSpec(b=8, mu=mu), rld=rld,
         )
-        test_eval = lambda m: nn.forward(m, target.points).probs.mean()
-        got, got_rows = adapt.adapt_binary(
-            model, splits, target, thresholds, cfg, seed=6, test_eval=test_eval
+        got, got_rows = adapt.adapt(
+            model, splits, target, cfg, seed=6, test_set=target, thresholds=thresholds
         )
         want, want_rows = ref_adapt_binary(
-            model, splits, target, thresholds, cfg, seed=6, test_eval=test_eval
+            model, splits, target, thresholds, cfg, seed=6,
+            test_eval=lambda m: metrics.mean_auroc(m, target),
         )
         assert np.array_equal(got.params, want.params)
         assert got_rows == want_rows
@@ -1315,8 +1313,8 @@ class TestAdaptBinary:
                 batch=adapt.BatchSpec(b=8, mu=0),
                 rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
             )
-            a, rows_a = adapt.adapt_binary(model, splits, target, thresholds, cfg, seed=3)
-            b_, rows_b = adapt.adapt_binary(model, splits, target, thresholds, cfg, seed=3)
+            a, rows_a = adapt.adapt(model, splits, target, cfg, seed=3, thresholds=thresholds)
+            b_, rows_b = adapt.adapt(model, splits, target, cfg, seed=3, thresholds=thresholds)
             assert np.array_equal(a.params, b_.params)
             assert rows_a == rows_b
             assert not np.array_equal(a.params, model.params)
@@ -1352,8 +1350,9 @@ class TestAdaptBinary:
 
 
 class TestEntryPointHeads:
-    """Each entry point adapts its own head: a model of the other head is
-    rejected before any bank is built and before any pass."""
+    """The model's head picks the rule: a sigmoid model without thresholds
+    and a softmax model with them are rejected before any bank is built and
+    before any pass."""
 
     @staticmethod
     def forbid_work(monkeypatch):
@@ -1370,7 +1369,7 @@ class TestEntryPointHeads:
         model = nn.MlpModel.init([2, 6, 3], nn.SIGMOID, np.random.default_rng(0))
         cfg = adapt.AdaptConfig(epochs=1, rld=bank.RldConfig(p=0.5, k=2))
         self.forbid_work(monkeypatch)
-        with pytest.raises(ConfigError, match="adapts a softmax head, got a sigmoid model"):
+        with pytest.raises(ConfigError, match="a sigmoid model needs thresholds"):
             adapt.adapt(model, split, train, cfg, seed=0)
 
     def test_adapt_binary_rejects_a_softmax_model(self, monkeypatch, binary_toy):
@@ -1378,8 +1377,52 @@ class TestEntryPointHeads:
         model = nn.MlpModel.init([2, 6, 2], nn.SOFTMAX, np.random.default_rng(0))
         cfg = adapt.AdaptConfig(epochs=1, rld=bank.RldConfig(p=0.5, k=2))
         self.forbid_work(monkeypatch)
-        with pytest.raises(ConfigError, match="adapts a sigmoid head, got a softmax model"):
+        with pytest.raises(ConfigError, match="a softmax model takes no thresholds"):
             adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, seed=0)
+
+    def test_adapt_rejects_thresholds_on_a_softmax_model(self, monkeypatch, toy):
+        train, split, model = toy
+        cfg = adapt.AdaptConfig(epochs=1, rld=bank.RldConfig(p=0.5, k=2))
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ConfigError, match="a softmax model takes no thresholds"):
+            adapt.adapt(model, split, train, cfg, seed=0, thresholds=[0.5, 0.5, 0.5])
+
+
+class TestRuleUnits:
+    """The rules derive the loop's units and pool from the feedback."""
+
+    def test_softmax_units_are_the_split_in_canonical_order(self, toy):
+        train, split, _ = toy
+        units, pool = adapt.SOFTMAX_RULE.units(split, train)
+        assert np.array_equal(units, units_of(split))
+        assert np.array_equal(pool, np.array(split.unlabeled))
+        shuffled = feedback.TargetSplit(split.labeled[::-1], split.unlabeled[::-1])
+        got = adapt.SOFTMAX_RULE.units(shuffled, train)
+        assert all(np.array_equal(g, w) for g, w in zip(got, (units, pool)))
+
+    def test_sigmoid_pool_is_every_sample_with_no_cell(self, binary_toy):
+        target, _, splits = binary_toy
+        assert all(split.unlabeled == [] for split in splits)
+        units, pool = adapt.SigmoidRule(np.array([0.5, 0.5])).units(splits, target)
+        assert np.array_equal(units, binary_units(splits))
+        with_cell = {i for split in splits for i, _ in split.labeled}
+        assert pool.dtype == np.int64
+        assert pool.tolist() == [i for i in range(len(target)) if i not in with_cell]
+
+    def test_sigmoid_rule_rejects_feedback_with_no_cell(self, binary_toy):
+        target, _, splits = binary_toy
+        empty = [feedback.TargetSplit([], []) for _ in splits]
+        with pytest.raises(ConfigError, match="no feedback cells"):
+            adapt.SigmoidRule(np.array([0.5, 0.5])).units(empty, target)
+
+    def test_adapt_binary_is_adapt_with_thresholds(self, binary_toy):
+        target, model, splits = binary_toy
+        cfg = adapt.AdaptConfig(epochs=2, batch=adapt.BatchSpec(b=8, mu=2),
+                                rld=bank.RldConfig(p=0.4, k=2))
+        got = adapt.adapt_binary(model, splits, target, [0.5, 0.5], cfg, 7, test_set=target)
+        want = adapt.adapt(model, splits, target, cfg, 7, target, thresholds=[0.5, 0.5])
+        assert np.array_equal(got[0].params, want[0].params)
+        assert got[1] == want[1] and "test_acc" in got[1][0]
 
 
 
@@ -1482,7 +1525,7 @@ def ref_adapt_units(
 
 
 def binary_units(splits) -> np.ndarray:
-    """adapt_binary's units: one (sample, 2*finding + value) row per cell."""
+    """A sigmoid head's units: one (sample, 2*finding + value) row per cell."""
     cells = (
         (int(idx), 2 * j + int(value))
         for j, split in enumerate(splits) for idx, value in split.labeled
@@ -1490,16 +1533,19 @@ def binary_units(splits) -> np.ndarray:
     return np.array(sorted(cells), dtype=np.int64)
 
 
-def assert_same_loop(model, units, unlabeled_idx, train, cfg, seed, rule) -> list:
-    """Run the epoch loop and the step-by-step oracle; every step's batch,
-    the records and the final parameters must be equal. Returns the batches."""
+def assert_same_loop(model, fb, train, cfg, seed, thresholds=None) -> list:
+    """Run adapt.adapt on the feedback fb, and the step-by-step oracle on the
+    units and pool that the head's rule derives from the same feedback;
+    every step's batch, the records and the final parameters must be equal.
+    Returns the batches."""
+    rule = adapt.SOFTMAX_RULE if thresholds is None else adapt.SigmoidRule(np.asarray(thresholds))
     got, want = [], []
-    out, records = adapt._adapt_units(
-        model, units, unlabeled_idx, train, cfg, seed, rule,
+    out, records = adapt.adapt(
+        model, fb, train, cfg, seed, thresholds=thresholds,
         observer=lambda e, i, mb: got.append((e, i, mb)),
     )
     ref_out, ref_records = ref_adapt_units(
-        model, units, unlabeled_idx, train, cfg, seed, rule,
+        model, *rule.units(fb, train), train, cfg, seed, rule,
         observer=lambda e, i, mb: want.append((e, i, mb)),
     )
     assert [(e, i) for e, i, _ in got] == [(e, i) for e, i, _ in want]
@@ -1544,10 +1590,9 @@ class TestEpochRetrieval:
                 empty_class_fallback=fallback,
             ),
         )
-        units = units_of(split)
         unlabeled_idx = np.array(split.unlabeled, dtype=np.int64)
         for m in (fitted, silenced):
-            batches = assert_same_loop(m, units, unlabeled_idx, train, cfg, 4, adapt.SOFTMAX_RULE)
+            batches = assert_same_loop(m, split, train, cfg, 4)
             fallbacks = sum(mb.fallback_events for mb in batches)
             assert (fallbacks > 0) == (m is silenced and strategy != bank.UNCONDITIONED_RANDOM)
         if clusters == 40:
@@ -1572,10 +1617,7 @@ class TestEpochRetrieval:
             sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2), rld=rld,
             augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
         )
-        unlabeled_idx = np.array(split.unlabeled, dtype=np.int64)
-        batches = assert_same_loop(
-            silenced, units_of(split), unlabeled_idx, train, cfg, 5, adapt.SOFTMAX_RULE
-        )
+        batches = assert_same_loop(silenced, split, train, cfg, 5)
         if strategy is not None:
             assert len({len(mb.defending_points) for mb in batches}) > 1
 
@@ -1583,16 +1625,13 @@ class TestEpochRetrieval:
     @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
     def test_binary_matches_step_by_step_loop(self, binary_toy, strategy, fallback):
         target, model, splits = binary_toy
-        units = binary_units(splits)
-        unlabeled_idx = np.setdiff1d(np.arange(len(target)), units[:, 0])
         cfg = adapt.AdaptConfig(
             epochs=2, sgd=nn.SgdConfig(0.01, momentum=0.9),
             batch=adapt.BatchSpec(b=8, mu=1),
             rld=bank.RldConfig(p=0.4, k=2, strategy=strategy, empty_class_fallback=fallback),
         )
         # threshold 1.01 leaves finding 1's positives empty
-        rule = adapt.SigmoidRule(np.array([0.5, 1.01]))
-        assert_same_loop(model, units, unlabeled_idx, target, cfg, 6, rule)
+        assert_same_loop(model, splits, target, cfg, 6, thresholds=[0.5, 1.01])
 
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     def test_one_retrieval_per_epoch_unless_the_model_is_read(self, toy, monkeypatch, strategy):

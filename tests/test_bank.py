@@ -845,6 +845,24 @@ class TestCosineDistant:
             lab_pts = rng.normal(scale=2.0, size=(16, 2))
             self.check(b, lab_pts, rng.integers(0, 3, size=16), model, ks=(40,), seed=case)
 
+    def test_picks_at_a_width_where_slice_features_move(self):
+        # at hidden widths [16, 10] a row of one feature pass over the whole
+        # bank need not have the bits of a pass over its class slice alone
+        # (30 of the 60 slices below differ), so retrieval takes a pass per class;
+        # the picks are the per-class reference's, random banks and near
+        # ties alike
+        model = random_model(42, dims=(2, 16, 10, 3))
+        rng = np.random.default_rng(42)
+        for case in range(20):
+            sizes = rng.integers(1, 50, size=3).tolist()
+            base = None
+            if case % 2:
+                x = rng.normal(scale=2.0, size=2)
+                base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
+            b = sized_bank(rng, sizes, base=base)
+            lab_pts = rng.normal(scale=2.0, size=(16, 2))
+            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
+
     def test_requires_model(self):
         model, b = small_bank(seed=23)
         cfg = bank.RldConfig(k=1, strategy=bank.COSINE_DISTANT)

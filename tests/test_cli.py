@@ -285,6 +285,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("ratio", ["0.999", "0.001"])
+    def test_split_ratio_that_empties_a_side_exits_2_before_pretraining(
+        self, tmp_path, monkeypatch, capsys, ratio
+    ):
+        # 0.999 leaves a class no test sample, 0.001 no train sample
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretraining started before the split was rejected")
+
+        monkeypatch.setattr(adapt_mod, "train_supervised", no_pretraining)
+        code = run_cli(["adapt", "--out", str(tmp_path), "--set", f"split.ratio={ratio}"] + FAST_SETS)
+        assert code == 2
+        assert "split ratio" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["plot", "--resolution", "1"],
         ["plot", "--resolution", "1", "--set", "rld.strategy=kmeans_center"],

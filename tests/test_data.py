@@ -138,9 +138,25 @@ class TestSplit:
         assert np.bincount(train.labels).tolist() == [3, 3]
 
     def test_tiny_class_rejected(self):
+        # a class too small for the ratio leaves one side empty: class 0's
+        # two samples all round to train at 0.8, and so does class 1's one
         ds = data.LabeledSet(np.zeros((3, 2)), np.array([0, 0, 1]), data.SOURCE)
+        with pytest.raises(ConfigError, match="class 0"):
+            data.split_train_test(ds, 0.8, seed=0)
+        ds = data.LabeledSet(np.zeros((6, 2)), np.array([0, 0, 0, 0, 0, 1]), data.SOURCE)
         with pytest.raises(ConfigError, match="class 1"):
             data.split_train_test(ds, 0.8, seed=0)
+
+    @pytest.mark.parametrize("ratio", [0.999, 0.001])
+    def test_ratio_that_empties_a_side_rejected(self, ratio):
+        # 60 samples a class: round(0.999 * 60) = 60 leaves no test sample,
+        # round(0.001 * 60) = 0 no train sample
+        ds = data.LabeledSet(np.zeros((120, 2)), np.repeat([0, 1], 60), data.SOURCE)
+        with pytest.raises(ConfigError, match="class 0: split ratio"):
+            data.split_train_test(ds, ratio, seed=0)
+        train, test = data.split_train_test(ds, 0.01, seed=0)
+        assert np.bincount(train.labels).tolist() == [1, 1]
+        assert np.bincount(test.labels).tolist() == [59, 59]
 
     def test_findings_travel_with_the_split(self):
         rng = np.random.default_rng(3)

@@ -301,6 +301,16 @@ class TestBinaryFeedback:
                 assert truth[idx] == y
                 assert preds[idx, j] != truth[idx]  # all feedback comes from errors
 
+    def test_splits_hold_their_cells_only(self, binary_setup):
+        # the adaptation pools every sample with no cell in any finding, so a
+        # split lists no unlabelled pool of its own
+        model, target = binary_setup
+        spec = feedback.FeedbackSpec(binary_mode_counts=(40, 40))
+        for split in feedback.simulate_feedback_binary(target, model, spec, [0.5, 0.5], seed=2):
+            assert split.unlabeled == []
+            indices = [i for i, _ in split.labeled]
+            assert len(indices) == 80 and indices == sorted(set(indices))
+
     def test_fp_only_composition(self, binary_setup):
         model, target = binary_setup
         thresholds = [0.5, 0.5]

@@ -539,7 +539,7 @@ class TestBitEqualityFacts:
     and an output width of 1, 2 or 3 modulo 8. Its test draws the shapes
     the fact covers: any first layer (2 inputs), then layers of at most 7
     inputs, or the default hidden widths [10, 10]. At other widths the
-    retrieval's picks may differ in near ties from a pass per class slice.
+    retrieval takes one feature pass per class slice.
 
     A matrix-vector product's bits for a row depend on the matrix's height
     and the row's place in it (OpenBLAS runs the last height % 4 rows

@@ -161,23 +161,45 @@ class TestRunSingle:
 
     def test_binary_adapt_config_alone_gives_run_single_rows(self):
         # binary mode's twin: pre.thresholds, cfg.adapt_config() and the
-        # adapt seed are all run_single hands adapt_binary
+        # adapt seed are all run_single hands adapt.adapt
         cfg = fast_cfg(**{"dataset.kind": "binary", "rld.enabled": True, "adapt.k": 3})
         cache = runner.StageCache()
         record = runner.run_single(cfg, 0, cache)
         d = runner.make_data(cfg, 0, cache)
         pre, splits = runner.pretrain(cfg, 0, cache), runner.make_feedback(cfg, 0, cache)
 
-        def test_eval(model):
+        def score(model):
             return metrics.mean_auroc(model, d.target_test)
 
-        adapted, rows = adapt.adapt_binary(
-            pre.model, splits, d.target_train, pre.thresholds, cfg.adapt_config(),
-            runner.adapt_seed(cfg, 0), test_eval=test_eval,
+        adapted, rows = adapt.adapt(
+            pre.model, splits, d.target_train, cfg.adapt_config(), runner.adapt_seed(cfg, 0),
+            test_set=d.target_test, thresholds=pre.thresholds,
         )
         assert rows == record.rows
         assert record.final["metric"] == "mean_auroc"
-        assert test_eval(adapted).hex() == record.final["target_test_value_adapted"].hex()
+        assert score(adapted).hex() == record.final["target_test_value_adapted"].hex()
+
+    @pytest.mark.parametrize("kind", ["blobs", "binary"])
+    def test_one_adapt_call_for_either_head(self, monkeypatch, kind):
+        # both heads reach the loop through adapt.adapt, once a run; the
+        # binary-named alias is never called, so a tracer that sums calls
+        # over both names counts each run once
+        calls = []
+        original = adapt.adapt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["thresholds"])
+            return original(*args, **kwargs)
+
+        def no_alias(*args, **kwargs):
+            raise AssertionError("run_single called adapt.adapt_binary")
+
+        monkeypatch.setattr(adapt, "adapt", spy)
+        monkeypatch.setattr(adapt, "adapt_binary", no_alias)
+        cfg = fast_cfg(**{"dataset.kind": kind})
+        runner.run_single(cfg, 0)
+        assert len(calls) == 1
+        assert (calls[0] is None) == (kind == "blobs")
 
     def test_seed_changes_outcome(self):
         a = runner.run_single(fast_cfg(), 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdalab import adapt as adapt_mod
-from sdalab import runner, stream
+from sdalab import metrics, runner, stream
 from sdalab.config import ExperimentConfig
 from sdalab.errors import ConfigError
 from sdalab.feedback import TargetSplit
@@ -179,13 +179,13 @@ class TestRunStream:
             [int(i) for i in order[:-1]],
         )
         evaluated = []
-        top1 = stream.metrics.top1_accuracy
+        top1 = metrics.top1_accuracy
 
         def counting(model, points, labels):
             evaluated.append(model)
             return top1(model, points, labels)
 
-        monkeypatch.setattr(stream.metrics, "top1_accuracy", counting)
+        monkeypatch.setattr(metrics, "top1_accuracy", counting)
         for fb in (split, lone):
             evaluated.clear()
             scfg = stream.StreamConfig(memory_cap=150, checkpoints=(0.5, 1.0))

@@ -74,6 +74,10 @@ MATRIX = [
     # hold fewer than k: the draws that take one rng.choice call per point
     (f"tiny_bank_{s}", {**RLD, "rld.strategy": s, "rld.p": 0.005})
     for s in ("class_aware_random", "kmeans_center")
+] + [
+    # cosine_distant at hidden widths [16, 10], where a class slice of one
+    # feature pass over the bank need not have the bits of a pass over it alone
+    ("rld_cosine_h16_10", {**RLD, "model.hidden": [16, 10]}),
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
