@@ -381,7 +381,9 @@ def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tup
             raise ConfigError("cannot sample from an empty pool")
         needed = -(-n_steps * per_step // size)
         schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
-        orders.append(np.tile(pool, (needed, 1)))
+        order = np.empty((needed, size), pool.dtype)
+        order[:] = pool
+        orders.append(order)
     for p, run in itertools.groupby(sorted(schedule), key=lambda event: event[1]):
         rows = [j for _, _, j in run]  # consecutive permutations of pool p
         block = orders[p][rows[0] : rows[-1] + 1]

@@ -206,7 +206,7 @@ def _choices(rng: np.random.Generator, sizes, k: int, replace: bool) -> np.ndarr
     bounds[:, :k] = sizes[:, None] + np.arange(1 - k, 1)
     bounds[:, k:] = np.arange(k, 1, -1)
     drawn = bounds > 1
-    words = np.zeros_like(bounds)
+    words = np.zeros(bounds.shape, np.uint64)
     state = rng.bit_generator.state
     words[drawn] = rng.integers(0, 1 << 32, size=np.count_nonzero(drawn), dtype=np.uint32)
     scaled = np.multiply(words, bounds, out=words)
@@ -284,7 +284,8 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     centroids = coords.take(init_rows.T, axis=1)  # (dim, clusters, live runs), C-ordered
     out = np.empty((runs, n_clusters, dim))
     live = np.arange(runs)
-    weights = np.tile(coords, (1, runs))  # (dim, runs * n): m runs read the first m * n
+    weights = np.empty((dim, runs * n))  # m runs read the first m * n of each row
+    weights.reshape(dim, runs, n)[:] = coords[:, None]
     # The m live runs read work[:, :, :m] and the first m rows of the
     # others; a bin numbers cluster c of live run r as c * m + r.
     work = np.empty((dim, n_clusters, runs, n))
@@ -391,20 +392,20 @@ def _cosine_picks(
         feats = np.concatenate([nn.penultimate_features(model, bank.entry_points[lo:hi])
                                 for lo, hi in zip(offsets, offsets[1:]) if lo < hi])
     norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
-    order = np.argsort(labels, kind="stable")
+    order = labels.argsort(kind="stable")
     labels = labels[order]
     own = nn.one_row_features(model, points[order])
     own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
     n, entries = len(labels), len(bank.rows)
     dots = np.empty((n, entries))  # a point reads its own class's columns only
-    bounds = np.searchsorted(labels, np.arange(bank.num_classes + 1)).tolist()
+    bounds = labels.searchsorted(np.arange(bank.num_classes + 1)).tolist()
     for lo, hi, first, last in zip(offsets, offsets[1:], bounds, bounds[1:]):
         if first < last:  # points first:last are of this class
             dots[first:last, lo:hi] = (feats[lo:hi] @ own[first:last, :, None])[:, :, 0]
     cols = bank.index_map[labels]
     denom = own_norms[:, None] * norms.take(cols)
     at = np.arange(n)[:, None]
-    dist = np.divide(dots.take(cols + entries * at), denom, out=np.zeros_like(denom),
+    dist = np.divide(dots.take(cols + entries * at), denom, out=np.zeros(denom.shape),
                      where=denom > 0.0)
     np.subtract(1.0, dist, out=dist)
     picks = np.empty((n, k), dtype=np.intp)
@@ -522,7 +523,7 @@ def _own_labels(labels: np.ndarray, falls_back: np.ndarray, cfg: RldConfig) -> n
     falls back is not served; otherwise every point is."""
     if cfg.empty_class_fallback == SKIP_WITH_FLAG:
         labels = labels[~falls_back]
-    return np.repeat(labels, cfg.k)
+    return labels.repeat(cfg.k)
 
 
 def _retrieve_split(

@@ -14,36 +14,40 @@ def top1_accuracy(model: nn.MlpModel, points, labels) -> float:
     points = np.asarray(points)
     if len(points) == 0:
         raise MetricError("accuracy of an empty set is undefined")
-    preds = nn.predict(model, points)
-    return float(np.mean(preds == np.asarray(labels)))
+    hits = nn.predict(model, points) == np.asarray(labels)
+    return float(np.add.reduce(hits, dtype=np.float64) / hits.size)  # np.mean's arithmetic
 
 
 def mean_auroc(model: nn.MlpModel, dataset: LabeledSet) -> float:
     """Average AUROC across findings; the binary-mode headline metric."""
     probs = nn.forward(model, dataset.points).probs
-    return float(np.mean(auroc_columns(probs, dataset.findings)))
+    columns = auroc_columns(probs, dataset.findings)
+    return float(np.add.reduce(columns) / len(columns))  # np.mean's arithmetic
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks along each row of values (a vector is one row), ties
     sharing the average of the tied positions."""
     n = values.shape[-1]
-    order = np.argsort(values, axis=-1, kind="stable")
     ranks = np.empty(values.shape, dtype=np.float64)
     if n == 0:
         return ranks
-    ordered = np.take_along_axis(values, order, axis=-1)
+    # where each row's sorted entries sit in values, and in ranks, as flat indices
+    at = values.argsort(axis=-1, kind="stable")
+    at += np.arange(0, values.size, n).reshape(*values.shape[:-1], 1)
+    ordered = values.take(at)
     # a tie group starts wherever the sorted value changes (NaN != NaN, so
-    # each NaN is a group of its own)
-    starts = np.ones(values.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.roll(starts, -1, axis=-1)
-    at = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, at, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, at, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    # each NaN is a group of its own); it ends where the next one starts
+    starts, ends = np.empty(values.shape, dtype=bool), np.empty(values.shape, dtype=bool)
+    starts[..., 0] = ends[..., -1] = True
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    ends[..., :-1] = starts[..., 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
     # sorted positions first..last (0-based) share the mean rank; keep the
     # arithmetic exact in halves: the mean of first+1..last+1 is (first+last)/2 + 1
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    ranks.put(at, (first + last) / 2.0 + 1.0)
     return ranks
 
 

@@ -12,19 +12,25 @@ run is reproducible from its seed alone.
 A run takes tens of thousands of small steps on matrices 2-4 columns wide,
 so some calls take a cheaper route to the bits of the plain form
 (tests/test_nn.py checks each against it):
-- 2-D products use ``np.dot``, which gives the bits of ``@`` on the layouts
+- The passes call numpy's C functions directly: ``_dot`` is
+  ``np.dot.__wrapped__``, ``_where`` is ``np.where.__wrapped__`` and
+  ``_c_einsum`` is the ``c_einsum`` that ``np.einsum`` calls (unless asked
+  to optimize). The wrappers only dispatch in Python before calling them,
+  at 0.3-4 us a call, so the bits are theirs. ``argmax_rows`` calls
+  ``ndarray.argmax``, which ``np.argmax`` calls.
+- 2-D products use ``_dot``, which gives the bits of ``@`` on the layouts
   the layers make: a C- or F-ordered left operand, or a row slice of one,
   times a C-ordered weight or its transpose. It need not elsewhere, for
   instance on a left operand with strided columns. Stacks of one-row passes
   keep ``@``: ``np.dot`` on 3-D operands forms another product.
 - Row max and row sum below 8 columns are column folds, in the order
   numpy's axis-1 reduction takes there (``_Fold``).
-- Bias sums are ``np.einsum('ij->j')`` from 2 columns. There it sums the
-  rows in order from +0.0, as ``np.add.reduce(axis=0)`` does, so the two
-  give the same bits (signed zeros, NaN and inf included). It costs less
-  from about 96 rows (``EINSUM_ROWS``; below, its fixed cost is higher).
-  At 1 column ``add.reduce`` sums pairwise and the two differ, so a 1-wide
-  layer keeps it. A BLAS product with a ones vector gives neither's bits.
+- Bias sums are ``_c_einsum('ij->j')`` from 2 columns, at every row count.
+  There it sums the rows in order from +0.0, as ``np.add.reduce(axis=0)``
+  does, so the two give the same bits (signed zeros, NaN and inf included),
+  and it costs less from 1 row up. At 1 column ``add.reduce`` sums pairwise
+  and the two differ, so a 1-wide layer keeps it. A BLAS product with a
+  ones vector gives neither's bits.
 - ``loss_bce`` takes one log per cell: for a 0/1 target the other side's
   term is +-0, and adding +-0 changes no log it meets.
 
@@ -45,10 +51,11 @@ is the same BLAS call, a ufunc computes a cell alike wherever it goes, and
 
 What is left is numpy's per-call floor. On a 64-row [2, 10, 10, 3] step
 (2-core Xeon, numpy 2.4.6, in-process minima) a forward pass takes about
-19 us: about 1 us per product and per ReLU, 1.5 us per bias add, and 6 us
-for the softmax's seven numpy calls. Bias adds and bias sums run one numpy
-inner loop per row on matrices this narrow, so they cost more than the
-products.
+16 us: about 1 us per product and 0.8 us per ReLU, 1.4 us per bias add, and
+6 us for the softmax's seven numpy calls. A bias sum takes 0.8-1.7 us from
+1 to 176 rows, against 0.9-5.4 us for ``add.reduce``. Bias adds run one
+numpy inner loop per row on matrices this narrow, so they cost more than
+the products.
 """
 
 from __future__ import annotations
@@ -62,13 +69,17 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 # Floor applied to probabilities inside logs. Keeps losses finite; well below
 # every tolerance used in tests.
 PROB_EPS = 1e-12
 
-# From this many rows a bias sum of 2 or more columns takes np.einsum,
-# which costs less there than np.add.reduce (module docstring)
-EINSUM_ROWS = 96
+# The C functions behind np.dot and np.where (module docstring)
+_dot, _where = np.dot.__wrapped__, np.where.__wrapped__
 
 SOFTMAX = "softmax"
 SIGMOID = "sigmoid"
@@ -272,7 +283,7 @@ class _RowArrays:
         self.probs, self.col = np.empty((n, dims[-1])), np.empty(n)  # col: the head's row folds
         self.logit_fold, self.prob_fold = _Fold(self.z[-1], self.col), _Fold(self.probs, self.col)
         self.trace = ForwardTrace(None, self.z, self.a, self.probs, dims)
-        self.einsum = [w > 1 and n >= EINSUM_ROWS for w in dims[1:]]  # per layer's bias sum
+        self.layers = tuple(zip(self.z, [*self.a, None]))  # (z, relu out or None) per layer
 
     @functools.cached_property
     def dz(self):  # per layer, head last
@@ -350,8 +361,8 @@ def sigmoid(x, out=None):
     # exp(-x) where x >= 0 and exp(x) elsewhere: it never overflows, and a
     # NaN keeps its sign, as in the one-side-at-a-time form.
     pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.divide(np.where(pos, 1.0, e), 1.0 + e, out=out)
+    e = np.exp(_where(pos, -x, x))
+    return np.divide(_where(pos, 1.0, e), 1.0 + e, out=out)
 
 
 def _checked_inputs(model, inputs):
@@ -369,12 +380,12 @@ def forward(model, inputs, buffers=None):
     the plan of buffers for len(inputs) rows, else in a new plan."""
     inputs, n = _checked_inputs(model, inputs), len(inputs)
     plan = _RowArrays(model.layer_dims, model.head, n) if buffers is None else buffers.rows(n)
-    a, last = inputs, len(plan.a)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.dot(a, w, out=plan.z[i])
+    a = inputs
+    for w, b, (z, relu) in zip(model.weights, model.biases, plan.layers):
+        _dot(a, w, z)
         z += b
-        if i < last:
-            a = np.maximum(z, 0.0, out=plan.a[i])
+        if relu is not None:
+            a = np.maximum(z, 0.0, out=relu)
     if model.head == SOFTMAX:
         _softmax(z, plan.logit_fold, plan.prob_fold)
     else:
@@ -558,7 +569,7 @@ def _bce_chosen(scored, positive):
     """Each cell's probability of its target, and the sign of d(that)/d(scored),
     as new arrays (np.where ran faster than writes into buffers by mask)."""
     # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1]
-    return np.where(positive, scored, 1.0 - scored), np.where(positive, -1.0, 1.0)
+    return _where(positive, scored, 1.0 - scored), _where(positive, -1.0, 1.0)
 
 
 def _term_gradient(model, probs, targets, buffers):
@@ -615,13 +626,13 @@ def backward(model, trace, dprobs, buffers=None):
     weight_grads, bias_grads = work.views
     transposed = trace.transposed
     for i in range(len(weight_grads) - 1, -1, -1):
-        np.dot(transposed[i - 1] if i else trace.inputs.T, dz, out=weight_grads[i])
-        if plan.einsum[i]:
-            np.einsum("ij->j", dz, out=bias_grads[i])
+        _dot(transposed[i - 1] if i else trace.inputs.T, dz, weight_grads[i])
+        if len(bias_grads[i]) > 1:
+            _c_einsum("ij->j", dz, out=bias_grads[i])
         else:
             np.add.reduce(dz, axis=0, out=bias_grads[i])
         if i > 0:
-            dz = np.dot(dz, model.weights[i].T, out=plan.dz[i - 1])
+            dz = _dot(dz, model.weights[i].T, plan.dz[i - 1])
             dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=plan.relu[i - 1])
     return work.gradient
 
@@ -662,7 +673,7 @@ def sgd_step(model, grads, cfg, state):
     """
     # a finite sum of squares has no NaN or inf term; an infinite one may
     # come from finite entries whose squares overflow, which step as any do
-    if not math.isfinite(np.dot(grads.flat, grads.flat)):
+    if not math.isfinite(_dot(grads.flat, grads.flat)):
         for kind, arrays in (("weight", grads.weights), ("bias", grads.biases)):
             for i, g in enumerate(arrays):
                 if not np.isfinite(g).all():
@@ -676,7 +687,7 @@ def sgd_step(model, grads, cfg, state):
 
 def argmax_rows(matrix, out=None):
     """Rowwise argmax; ties resolve to the lowest index (np.argmax contract)."""
-    return np.argmax(matrix, axis=1, out=out)
+    return matrix.argmax(1, out)
 
 
 def predict(model, inputs, thresholds=None):
@@ -700,7 +711,7 @@ def penultimate_features(model, inputs):
     Runs the hidden layers only, with the same arithmetic as forward(), so
     the rows equal ``forward(model, inputs).activations[-1]`` bit for bit.
     """
-    return _hidden_layers(model, _checked_inputs(model, inputs), np.dot)
+    return _hidden_layers(model, _checked_inputs(model, inputs), _dot)
 
 
 def one_row_features(model, inputs):

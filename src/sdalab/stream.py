@@ -8,7 +8,6 @@ and adapts on the current memory contents plus all feedback seen so far,
 so the final checkpoint with a non-binding cap reproduces the offline run.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import adapt as adapt_mod
 from . import nn
+from .bank import top_fraction_count
 from .data import LabeledSet
 from .errors import ConfigError
 from .feedback import TargetSplit
@@ -54,8 +54,9 @@ def check_memory_fits(stream_cfg: StreamConfig, adapt_cfg: adapt_mod.AdaptConfig
 
 def checkpoint_positions(stream_cfg: StreamConfig, n: int) -> dict:
     """{stream position: fraction} of each checkpoint on a stream of n
-    items; rejects fractions that land on one position."""
-    triggers = {int(math.ceil(f * n)): f for f in stream_cfg.checkpoints}
+    items, the position ceil(f*n) guarded against float artifacts (0.07*800
+    lands on 56, not 57); rejects fractions that land on one position."""
+    triggers = {top_fraction_count(f, n): f for f in stream_cfg.checkpoints}
     if len(triggers) < len(stream_cfg.checkpoints):
         raise ConfigError(
             f"checkpoint fractions collide at stream length {n}: {stream_cfg.checkpoints}"

@@ -1,7 +1,7 @@
 """Tests for augmentation, batch assembly, engine steps, and the adapt loop."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -1654,3 +1654,76 @@ class TestEpochRetrieval:
             assert calls == [n_steps * 8] * 3
         else:
             assert calls == [8] * (3 * n_steps)
+
+
+# numpy's Python-level functions whose C code the training path calls
+# directly (nn module docstring)
+WRAPPERS = ("dot", "einsum", "argmax", "tile", "zeros_like")
+
+
+def wrapper_calls(monkeypatch, run) -> dict:
+    """How often run() calls each of numpy's WRAPPERS."""
+    counts = dict.fromkeys(WRAPPERS, 0)
+    with monkeypatch.context() as patch:
+        for name in WRAPPERS:
+            def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            patch.setattr(np, name, counted)
+        run()
+    return counts
+
+
+WRAPPER_CASES = {
+    "pseudo_label": {},
+    "fixmatch_lite": dict(
+        algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.6,
+        augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
+    ),
+    "binary": dict(rld=bank.RldConfig(p=0.4, k=2)),
+    "rld_cosine_distant": dict(rld=bank.RldConfig(p=0.4, k=2, strategy=bank.COSINE_DISTANT)),
+    "rld_kmeans_center": dict(
+        rld=bank.RldConfig(p=0.4, k=3, strategy=bank.KMEANS_CENTER, kmeans_clusters=3)
+    ),
+}
+
+
+class TestNoWrappersPerEpoch:
+    """No step and no epoch calls one of numpy's WRAPPERS: a run of 2 epochs
+    calls each as often as a run of 1. Calls made once per run may stay."""
+
+    @pytest.mark.parametrize("case", list(WRAPPER_CASES))
+    def test_adapt(self, toy, binary_toy, monkeypatch, case):
+        train, fb, model = toy
+        thresholds = None
+        if case == "binary":
+            (train, model, fb), thresholds = binary_toy, [0.5, 0.5]
+        cfg = adapt.AdaptConfig(
+            sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2),
+            **WRAPPER_CASES[case],
+        )
+        counts = [
+            wrapper_calls(monkeypatch, lambda: adapt.adapt(
+                model, fb, train, replace(cfg, epochs=epochs), seed=0, test_set=train,
+                thresholds=thresholds,
+            ))
+            for epochs in (1, 2)
+        ]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("head", [nn.SOFTMAX, nn.SIGMOID])
+    def test_train_supervised(self, toy, binary_toy, monkeypatch, head):
+        train, _, model = toy
+        labels = train.labels
+        if head == nn.SIGMOID:
+            train, model, _ = binary_toy
+            labels = train.findings
+        counts = [
+            wrapper_calls(monkeypatch, lambda: adapt.train_supervised(
+                model.copy(), train.points, labels, nn.SgdConfig(0.05, momentum=0.9),
+                epochs=epochs, batch_size=32, rng=np.random.default_rng(0),
+            ))
+            for epochs in (1, 2)
+        ]
+        assert counts[0] == counts[1]

@@ -663,9 +663,21 @@ class TestBitEqualityFacts:
                 want = ufunc.reduce(x, axis=1, keepdims=True)
                 assert same_bits(nn._Fold(x, np.empty(len(x)))(ufunc), want)
 
+    def test_products_and_bias_sums_are_numpys_c_functions(self):
+        # what np.dot, np.where and np.einsum call past their Python-level
+        # dispatch, so the layers get the bits that the wrappers give
+        try:
+            from numpy._core.multiarray import c_einsum
+        except ImportError:  # numpy 1.x
+            from numpy.core.multiarray import c_einsum
+        assert nn._dot is np.dot.__wrapped__
+        assert nn._where is np.where.__wrapped__
+        assert nn._c_einsum is c_einsum
+
     def test_einsum_column_sums_equal_row_axis_reductions(self):
-        # backward's bias sums from 2 columns: both sum the rows in order
-        # from +0.0 (at 1 column add.reduce sums pairwise, so they differ)
+        # backward's bias sums from 2 columns, at every row count: both sum
+        # the rows in order from +0.0 (at 1 column add.reduce sums pairwise,
+        # so they differ)
         rng = np.random.default_rng(12)
         specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
         for cols in range(2, 17):
@@ -676,7 +688,7 @@ class TestBitEqualityFacts:
                 if rows % 4 == 0:
                     x[:, rng.integers(cols)] = rng.choice([0.0, -0.0])  # a column of zeros
                 got, want = np.empty(cols), np.empty(cols)
-                np.einsum("ij->j", x, out=got)
+                nn._c_einsum("ij->j", x, out=got)
                 np.add.reduce(x, axis=0, out=want)
                 assert same_bits(got, want), (rows, cols)
 

@@ -39,6 +39,12 @@ class TestStreamConfig:
     def test_default_checkpoints(self):
         assert stream.StreamConfig(memory_cap=200).checkpoints == (0.1, 0.4, 0.7, 1.0)
 
+    def test_positions_ignore_float_artifacts(self):
+        # 0.07, 0.14 and 0.55 of moons' 800-row target stream each come out
+        # a hair above a whole number; a bare ceil moved them one item late
+        scfg = stream.StreamConfig(memory_cap=200, checkpoints=(0.07, 0.14, 0.55))
+        assert stream.checkpoint_positions(scfg, 800) == {56: 0.07, 112: 0.14, 440: 0.55}
+
 
 class TestRunStream:
     def test_cap_below_one_batch_rejected(self, pipeline):
