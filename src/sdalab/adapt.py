@@ -6,7 +6,8 @@ findings, per-finding feedback becomes one unit per (sample, finding, value)
 cell with label 2*finding + value. The model's head picks a small rule that
 derives units and pool from the feedback, turns labels and predictions into
 loss targets, builds the epoch's bank (a sigmoid head's per-finding banks
-read as one of 2F classes) and scores, so one loop serves both heads.
+read as one of 2F classes) and scores, so one loop serves both heads. It is
+the head's one object: the runner's stages read their per-head steps there.
 
 Each epoch starts by laying out everything the model does not decide, for
 every step at once (build_minibatch): the batch indices, drawn in the
@@ -50,10 +51,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bank as bank_mod
+from . import feedback as feedback_mod
 from . import metrics, nn
 from .data import LabeledSet, rms_radius
 from .errors import ConfigError, NumericError, ShapeError
-from .feedback import TargetSplit
 
 PSEUDO_LABEL = "pseudo_label"
 FIXMATCH_LITE = "fixmatch_lite"
@@ -161,12 +162,30 @@ class LossBreakdown:
 
 
 class SoftmaxRule:
-    """Softmax head: a label is a class; an unlabelled target is the argmax."""
+    """Softmax head: a label is a class, scored by top-1 accuracy; the
+    feedback is one TargetSplit; an unlabelled target is the argmax."""
 
     head = nn.SOFTMAX
+    metric = "test_acc"
 
     @staticmethod
-    def units(split: TargetSplit, train) -> tuple:
+    def labels_of(labeled):
+        return labeled.labels
+
+    @staticmethod
+    def operating_points(model, source_test) -> tuple:
+        return None, None  # no thresholds, so no degenerate flags
+
+    @staticmethod
+    def feedback(train, model, thresholds, spec, seed) -> feedback_mod.TargetSplit:
+        return feedback_mod.simulate_feedback(train, model, spec, seed)
+
+    @staticmethod
+    def shortages(split) -> dict:
+        return dict(split.provenance.get("shortage", {}))
+
+    @staticmethod
+    def units(split: feedback_mod.TargetSplit, train) -> tuple:
         """(units, pool) of one split, each in canonical order however the
         split lists it, so streaming replays reproduce offline runs."""
         units = np.array(sorted(split.labeled), dtype=np.int64).reshape(-1, 2)
@@ -204,12 +223,32 @@ class SoftmaxRule:
 
 @dataclass
 class SigmoidRule:
-    """Sigmoid head over len(thresholds) findings: label 2*finding + value
-    names one cell, trained by BCE masked to that finding; an unlabelled
-    point's targets are its own thresholded predictions."""
+    """Sigmoid head over len(thresholds) findings, scored by mean AUROC: the
+    feedback is one TargetSplit per finding, at operating points chosen on
+    held-out source data and then frozen; label 2*finding + value names one
+    cell, trained by BCE masked to that finding; an unlabelled point's
+    targets are its own thresholded predictions."""
 
     thresholds: np.ndarray
     head = nn.SIGMOID
+    metric = "mean_auroc"
+
+    @staticmethod
+    def labels_of(labeled):
+        return labeled.findings
+
+    @staticmethod
+    def operating_points(model, source_test) -> tuple:
+        return metrics.source_thresholds(model, source_test.points, source_test.findings)
+
+    @staticmethod
+    def feedback(train, model, thresholds, spec, seed) -> list:
+        return feedback_mod.simulate_feedback_binary(train, model, spec, thresholds, seed)
+
+    @staticmethod
+    def shortages(splits) -> dict:
+        return {f"finding{j}:{key}": missing for j, s in enumerate(splits)
+                for key, missing in s.provenance.get("shortage", {}).items()}
 
     @staticmethod
     def units(splits: list, train) -> tuple:
@@ -267,6 +306,8 @@ class SigmoidRule:
 
 
 SOFTMAX_RULE = SoftmaxRule()
+# the runner's stages call static members, which look each stage up in its module
+RULES = {nn.SOFTMAX: SoftmaxRule, nn.SIGMOID: SigmoidRule}
 
 
 def _views(cfg: AdaptConfig, u: int) -> int:

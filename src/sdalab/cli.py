@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import adapt as adapt_mod
-from . import data, metrics, runner, svgplot
+from . import data, metrics, nn, runner, svgplot
 from . import stream as stream_mod
 from . import sweep as sweep_mod
 from .config import load_config
@@ -145,7 +145,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stream(args) -> int:
     cfg, out = _load(args)
-    if cfg.flat["dataset.kind"] == "binary":
+    if cfg.head() != nn.SOFTMAX:
         raise ConfigError("streaming mode supports the multiclass datasets only")
     stream_cfg = stream_mod.StreamConfig(
         memory_cap=args.cap, checkpoints=tuple(args.checkpoints)
@@ -193,7 +193,7 @@ def _plot_bounds(points, margin=0.08):
 
 def cmd_plot(args) -> int:
     cfg, out = _load(args)
-    if cfg.flat["dataset.kind"] == "binary":
+    if cfg.head() != nn.SOFTMAX:
         raise ConfigError("plotting supports the multiclass datasets only")
     metrics.check_resolution(args.resolution)
     seed = _one_seed(cfg, args)

@@ -326,10 +326,18 @@ def stage_seed(stage_hash: str, seed: int, tag: str = "") -> int:
     return int(digest[:16], 16)
 
 
-def load_config(path=None, overrides=None) -> ExperimentConfig:
-    flat = {}
-    if path is not None:
+def read_text(path, what: str) -> str:
+    """The text of a file named on the command line; a file that is missing
+    or cannot be read as text raises ConfigError, naming it and why."""
+    try:
         with open(path) as fh:
-            flat = parse_config_text(fh.read())
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not text ({exc.reason})"
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from None
+
+
+def load_config(path=None, overrides=None) -> ExperimentConfig:
+    flat = {} if path is None else parse_config_text(read_text(path, "config"))
     flat = apply_overrides(flat, overrides)
     return ExperimentConfig(flat)

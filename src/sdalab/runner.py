@@ -5,6 +5,9 @@ seed), so runs that share a stage configuration share that stage's outputs
 exactly. A StageCache exploits this across sweep cells: two cells that differ
 only in the adaptation settings reuse the same datasets, pretrained model,
 and feedback split.
+
+What a stage does per output head lives in the head's one object, its rule
+in adapt.RULES, looked up from the model's or the config's head.
 """
 
 import json
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adapt as adapt_mod
-from . import data, feedback, metrics, nn
+from . import data, nn
 from .config import ExperimentConfig, stage_seed
 
 JSON_SEPARATORS = (",", ":")
@@ -80,7 +83,8 @@ def make_data(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Dat
 def _build_data(cfg: ExperimentConfig, seed: int) -> DataBundle:
     spec = cfg.dataset_spec()
     kind = cfg.flat["dataset.kind"]
-    data_seed = stage_seed(cfg.stage_hash("data"), seed, "generate")
+    stage = cfg.stage_hash("data")
+    data_seed = stage_seed(stage, seed, "generate")
     if kind == "blobs":
         source, target = data.make_blobs_pair(spec, data_seed)
     elif kind == "moons":
@@ -88,61 +92,9 @@ def _build_data(cfg: ExperimentConfig, seed: int) -> DataBundle:
     else:
         source, target = data.make_binary_pair(spec, data_seed)
     ratio = cfg.flat["split.ratio"]
-    src_tr, src_te = data.split_train_test(
-        source, ratio, stage_seed(cfg.stage_hash("data"), seed, "split-source")
-    )
-    tgt_tr, tgt_te = data.split_train_test(
-        target, ratio, stage_seed(cfg.stage_hash("data"), seed, "split-target")
-    )
+    src_tr, src_te = data.split_train_test(source, ratio, stage_seed(stage, seed, "split-source"))
+    tgt_tr, tgt_te = data.split_train_test(target, ratio, stage_seed(stage, seed, "split-target"))
     return DataBundle(src_tr, src_te, tgt_tr, tgt_te)
-
-
-class _SoftmaxHead:
-    """Classification: class labels, scored by top-1 accuracy; the feedback
-    is one TargetSplit."""
-
-    metric = "test_acc"
-
-    def targets(self, labeled):
-        return labeled.labels
-
-    score = staticmethod(adapt_mod.SoftmaxRule.score)
-
-    def thresholds(self, model, source_test) -> tuple:
-        return None, None
-
-    def feedback(self, d, pre, spec, seed):
-        return feedback.simulate_feedback(d.target_train, pre.model, spec, seed)
-
-    def shortages(self, split) -> dict:
-        return dict(split.provenance.get("shortage", {}))
-
-
-class _SigmoidHead:
-    """Multi-finding diagnosis: finding matrices, scored by mean AUROC; the
-    feedback is one TargetSplit per finding, at operating points chosen on
-    held-out source data and then frozen."""
-
-    metric = "mean_auroc"
-
-    def targets(self, labeled):
-        return labeled.findings
-
-    score = staticmethod(adapt_mod.SigmoidRule.score)
-
-    def thresholds(self, model, source_test) -> tuple:
-        return metrics.source_thresholds(model, source_test.points, source_test.findings)
-
-    def feedback(self, d, pre, spec, seed) -> list:
-        return feedback.simulate_feedback_binary(d.target_train, pre.model, spec, pre.thresholds, seed)
-
-    def shortages(self, splits) -> dict:
-        return {f"finding{j}:{key}": missing for j, s in enumerate(splits)
-                for key, missing in s.provenance.get("shortage", {}).items()}
-
-
-# one task per cfg.head(); its methods look each stage up in its module when called
-_HEADS = {nn.SOFTMAX: _SoftmaxHead(), nn.SIGMOID: _SigmoidHead()}
 
 
 def pretrain(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> PretrainBundle:
@@ -159,18 +111,13 @@ def _build_pretrained(cfg: ExperimentConfig, seed: int, cache: StageCache) -> Pr
     d = make_data(cfg, seed, cache)
     rng = np.random.default_rng(stage_seed(cfg.stage_hash("pretrain"), seed, "train"))
     model = nn.MlpModel.init(cfg.model_dims(), cfg.head(), rng)
-    head = _HEADS[model.head]
+    rule = adapt_mod.RULES[model.head]
     adapt_mod.train_supervised(
-        model,
-        d.source_train.points,
-        head.targets(d.source_train),
-        cfg.pretrain_sgd(),
-        cfg.flat["pretrain.epochs"],
-        cfg.flat["pretrain.batch_size"],
-        rng,
+        model, d.source_train.points, rule.labels_of(d.source_train), cfg.pretrain_sgd(),
+        cfg.flat["pretrain.epochs"], cfg.flat["pretrain.batch_size"], rng,
     )
-    src_value, tgt_value = head.score(model, d.source_test), head.score(model, d.target_test)
-    return PretrainBundle(model, src_value, tgt_value, *head.thresholds(model, d.source_test))
+    src_value, tgt_value = rule.score(model, d.source_test), rule.score(model, d.target_test)
+    return PretrainBundle(model, src_value, tgt_value, *rule.operating_points(model, d.source_test))
 
 
 def make_feedback(cfg: ExperimentConfig, seed: int, cache: StageCache = None):
@@ -184,7 +131,8 @@ def _build_feedback(cfg: ExperimentConfig, seed: int, cache: StageCache):
     d = make_data(cfg, seed, cache)
     pre = pretrain(cfg, seed, cache)
     fb_seed = stage_seed(cfg.stage_hash("feedback"), seed, "select")
-    return _HEADS[cfg.head()].feedback(d, pre, cfg.feedback_spec(), fb_seed)
+    rule = adapt_mod.RULES[cfg.head()]
+    return rule.feedback(d.target_train, pre.model, pre.thresholds, cfg.feedback_spec(), fb_seed)
 
 
 def adapt_seed(cfg: ExperimentConfig, seed: int) -> int:
@@ -203,17 +151,17 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
         pre.model, split, d.target_train, cfg.adapt_config(), adapt_seed(cfg, seed),
         d.target_test, thresholds=pre.thresholds,
     )
-    head = _HEADS[cfg.head()]
+    rule = adapt_mod.RULES[cfg.head()]
     final = {
         "source_test_acc": pre.source_test_acc,
         "target_test_acc_source_model": pre.target_test_acc,
         # the loop scores the model on the target test set after each epoch;
         # with no epoch the adapted model is the source model
         "target_test_value_adapted": rows[-1]["test_acc"] if rows else pre.target_test_acc,
-        "metric": head.metric,
+        "metric": rule.metric,
     }
     flags = {
-        "shortages": head.shortages(split),
+        "shortages": rule.shortages(split),
         "bank_fallbacks": int(sum(r["bank"]["fallbacks"] for r in rows)),
     }
     record = RunRecord(cfg.config_hash(), seed, rows, final, flags)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import bank as bank_mod
 from . import feedback
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_text
 from .errors import ConfigError, SdalabError
 from .metrics import mean_std
 from .runner import JSON_SEPARATORS, StageCache, run_single
@@ -173,17 +173,17 @@ def write_records_jsonl(path, result: SweepResult) -> None:
 
 def read_records_jsonl(path) -> SweepResult:
     records, failures, axis = [], [], ""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for number, line in enumerate(read_text(path, "records").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
             doc = json.loads(line)
-            axis = doc.get("axis", axis)
-            if "error" in doc:
-                failures.append(doc)
-            else:
-                records.append(doc)
+        except json.JSONDecodeError:
+            doc = None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"records {path} line {number}: not a JSON object")
+        axis = doc.get("axis", axis)
+        (failures if "error" in doc else records).append(doc)
     return SweepResult(axis or "records", records, failures)
 
 

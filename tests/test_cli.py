@@ -181,6 +181,21 @@ class TestCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command, message", [
+        ("stream", "error: streaming mode supports the multiclass datasets only\n"),
+        ("plot", "error: plotting supports the multiclass datasets only\n"),
+    ])
+    def test_binary_refusal_comes_from_the_head_before_any_stage(
+        self, tmp_path, monkeypatch, capsys, command, message
+    ):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before binary mode was refused")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        sets = ["--set", "dataset.kind=binary"] + FAST_SETS
+        assert run_cli([command, "--out", str(tmp_path)] + sets) == 2
+        assert capsys.readouterr().err == message
+
     def test_plot_writes_three_svgs(self, tmp_path):
         code = run_cli(
             ["plot", "--out", str(tmp_path), "--resolution", "16"] + FAST_SETS
@@ -284,6 +299,37 @@ class TestExitCodes:
         assert run_cli(["adapt", "--out", str(tmp_path)] + FAST_SETS + sets) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_text"])
+    def test_unreadable_config_file_exits_2_in_one_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_text":
+            path.write_bytes(b"\xff\xfe\x00adapt.epochs = 2\n")
+        code = run_cli(["adapt", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if kind != "not_text":  # a locale that decodes the bytes reports the bad line
+            assert f"cannot read config {path}: " in err
+
+    def test_missing_records_file_exits_2_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        assert run_cli(["report", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read records {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"])
+    def test_records_line_that_is_no_json_object_exits_2_naming_it(self, tmp_path, capsys, bad):
+        path = tmp_path / "records.jsonl"
+        good = json.dumps({"axis": "k", "cell": "a", "seed": 0, "metric": "test_acc",
+                           "value": 0.5, "source_model_value": 0.4})
+        path.write_text(good + "\n\n" + bad + "\n")
+        assert run_cli(["report", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: records {path} line 3: not a JSON object\n"
+        assert not (tmp_path / "records_aggregate.csv").exists()
 
     @pytest.mark.parametrize("ratio", ["0.999", "0.001"])
     def test_split_ratio_that_empties_a_side_exits_2_before_pretraining(

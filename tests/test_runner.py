@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sdalab import adapt, metrics, runner
+from sdalab import adapt, feedback, metrics, runner
 from sdalab.config import ExperimentConfig
 
 FAST = {
@@ -200,6 +200,40 @@ class TestRunSingle:
         runner.run_single(cfg, 0)
         assert len(calls) == 1
         assert (calls[0] is None) == (kind == "blobs")
+
+    @pytest.mark.parametrize("kind", ["blobs", "binary"])
+    def test_stages_reach_feedback_and_thresholds_through_their_modules(
+        self, monkeypatch, kind
+    ):
+        # a spy bound on the module sees the head rule's call, as the
+        # benchmark's tracer wrappers do: one feedback simulation a run and,
+        # in binary mode, one threshold pick
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        binary = kind == "binary"
+        simulator = "simulate_feedback_binary" if binary else "simulate_feedback"
+        spy(feedback, simulator)
+        spy(metrics, "source_thresholds")
+        # counts no split can fill, so every head reports shortages
+        extra = {"feedback.fp_count": 500} if binary else {"feedback.per_class_count": 200}
+        record = runner.run_single(fast_cfg(**{"dataset.kind": kind, **extra}), 0)
+        assert calls == ({simulator: 1, "source_thresholds": 1} if binary else {simulator: 1})
+        shortages = record.flags["shortages"]
+        assert shortages and all(v > 0 for v in shortages.values())
+        if binary:  # every finding runs short of 500 false positives
+            keys = {f"finding{j}:{side}" for j in range(4) for side in ("fp", "fn")}
+            assert {f"finding{j}:fp" for j in range(4)} <= set(shortages) <= keys
+        else:  # and every class of 200 errors
+            assert set(shortages) == {"0", "1", "2"}
 
     def test_seed_changes_outcome(self):
         a = runner.run_single(fast_cfg(), 0)

@@ -4,13 +4,14 @@ A run's digest covers its metrics document and every epoch row of its run
 log; a capped stream replay's covers its checkpoint records and the weights
 of its last model. One constructed case, retrieval_ties, covers retrieval
 from a bank built so that tie-breaks decide the picks, which the runs'
-banks never need. Two CLI cases, cli_stream and cli_plot, cover the files
-that `sdalab stream` and `sdalab plot` write (not their stdout, which names
-the output directory). Two checkouts whose totals agree wrote the same bytes
-for every run of the matrix. A last line gives the sha256 of the
-records_method.jsonl that `sdalab sweep --axis method` writes at its default
-seed 0 (the acceptance gate's determinism sweep). Run it from the root of a
-checkout:
+banks never need. Three CLI cases, cli_stream, cli_plot and
+cli_pretrain_binary, cover the files that `sdalab stream`, `sdalab plot`
+and a binary `sdalab pretrain` (its model, thresholds and degenerate flags)
+write (not their stdout, which names the output directory). Two checkouts
+whose totals agree wrote the same bytes for every run of the matrix. A last
+line gives the sha256 of the records_method.jsonl that `sdalab sweep --axis
+method` writes at its default seed 0 (the acceptance gate's determinism
+sweep). Run it from the root of a checkout:
 
     python3 tools/run_digest.py            # seeds 0, 1 and 2
     python3 tools/run_digest.py --seeds 3 4 5
@@ -86,6 +87,7 @@ STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fit
 CLI_CASES = [
     ("cli_stream", ["stream", "--cap", "300"]),
     ("cli_plot", ["plot", "--resolution", "16"]),
+    ("cli_pretrain_binary", ["pretrain", "--set", "dataset.kind=binary"]),
 ]
 
 
