@@ -155,7 +155,7 @@ class ExperimentConfig:
 
     def _validate(self):
         kind = self.flat["dataset.kind"]
-        if kind not in ("blobs", "moons", "binary"):
+        if kind not in data.KINDS:
             raise ConfigError(f"unknown dataset.kind {kind!r}")
         ratio = self.flat["split.ratio"]
         if not 0.0 < ratio < 1.0:
@@ -164,13 +164,14 @@ class ExperimentConfig:
             raise ConfigError(f"adapt.k must be >= 0, got {self.flat['adapt.k']}")
         if self.flat["adapt.k"] > 0 and not self.flat["rld.enabled"]:
             raise ConfigError("adapt.k > 0 requires rld.enabled = true")
-        if kind == "binary" and self.flat["adapt.algorithm"] != adapt_mod.PSEUDO_LABEL:
+        sigmoid = self.head() == nn.SIGMOID
+        if sigmoid and self.flat["adapt.algorithm"] != adapt_mod.PSEUDO_LABEL:
             raise ConfigError(
                 f"binary mode supports adapt.algorithm={adapt_mod.PSEUDO_LABEL} only, got "
                 f"{self.flat['adapt.algorithm']}"
             )
         unread = {key: self.flat[key] for key in ("feedback.policy", "feedback.per_class_count")}
-        if kind == "binary" and any(value != DEFAULTS[key] for key, value in unread.items()):
+        if sigmoid and any(value != DEFAULTS[key] for key, value in unread.items()):
             raise ConfigError(f"binary mode draws feedback.fp_count/fn_count cells per finding and "
                               f"reads neither of {unread}; keep both at their defaults")
         if not self.flat["run.seeds"]:
@@ -197,26 +198,16 @@ class ExperimentConfig:
     # -- typed views ------------------------------------------------------
 
     def dataset_spec(self):
-        kind = self.flat["dataset.kind"]
-        if kind == "blobs":
-            return data.BlobsSpec()
-        if kind == "moons":
-            return data.MoonsSpec()
-        return data.BinarySpec(num_findings=self.flat["dataset.num_findings"])
-
-    def num_classes(self) -> int:
-        kind = self.flat["dataset.kind"]
-        if kind == "blobs":
-            return data.BlobsSpec().num_classes
-        if kind == "moons":
-            return 2
-        return self.flat["dataset.num_findings"]  # sigmoid outputs
+        spec_cls = data.KINDS[self.flat["dataset.kind"]]
+        if spec_cls is data.BinarySpec:
+            return spec_cls(num_findings=self.flat["dataset.num_findings"])
+        return spec_cls()
 
     def head(self) -> str:
-        return nn.SIGMOID if self.flat["dataset.kind"] == "binary" else nn.SOFTMAX
+        return nn.SIGMOID if data.KINDS[self.flat["dataset.kind"]] is data.BinarySpec else nn.SOFTMAX
 
     def model_dims(self) -> list:
-        return [2] + list(self.flat["model.hidden"]) + [self.num_classes()]
+        return [2] + list(self.flat["model.hidden"]) + [self.dataset_spec().outputs]
 
     def pretrain_sgd(self) -> nn.SgdConfig:
         return nn.SgdConfig(
@@ -228,7 +219,7 @@ class ExperimentConfig:
         mixed = binary = None
         if policy == feedback.MIXED:
             mixed = (self.flat["feedback.pf_count"], self.flat["feedback.nf_count"])
-        if self.flat["dataset.kind"] == "binary":
+        if self.head() == nn.SIGMOID:
             binary = (self.flat["feedback.fp_count"], self.flat["feedback.fn_count"])
         return feedback.FeedbackSpec(
             policy=policy,

@@ -1,10 +1,11 @@
 """Synthetic 2-D dataset pairs with a controlled source-to-target shift.
 
-Two generators are provided: isotropic Gaussian blobs and two interleaving
-half-circles ("moons"). A target domain is always an independent draw from
-the same generator pushed through a rigid transform (rotation about the
-draw's centroid, then translation), so the shift is known exactly and can
-be inverted in tests.
+KINDS maps each dataset kind to its spec: isotropic Gaussian blobs, two
+interleaving half-circles ("moons"), or blobs plus linear findings
+("binary"). make_pair draws any kind's pair; a target domain is always an
+independent draw from the same spec pushed through a rigid transform
+(rotation about the draw's centroid, then translation), so the shift is
+known exactly and can be inverted in tests.
 """
 
 import csv
@@ -106,9 +107,24 @@ class BlobsSpec:
         if self.std <= 0:
             raise ConfigError(f"std must be positive, got {self.std}")
 
+    @property
+    def outputs(self) -> int:
+        return self.num_classes
+
+    def sample(self, rng: np.random.Generator):
+        per = self.samples_per_class
+        points = np.concatenate(
+            [
+                np.asarray(center, dtype=float) + rng.normal(scale=self.std, size=(per, 2))
+                for center in self.class_centers
+            ]
+        )
+        return points, np.repeat(np.arange(self.num_classes, dtype=np.int64), per)
+
 
 @dataclass
 class MoonsSpec:
+    outputs = 2  # the two half-circles
     samples_per_class: int = 500
     noise_std: float = 0.12
     target_transform: ShiftSpec = field(
@@ -120,6 +136,14 @@ class MoonsSpec:
             raise ConfigError("moons need at least one sample per class")
         if self.noise_std <= 0:
             raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
+
+    def sample(self, rng: np.random.Generator):
+        per = self.samples_per_class
+        t = np.linspace(0.0, math.pi, per)
+        upper = np.stack([np.cos(t), np.sin(t)], axis=1)
+        lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
+        points = np.concatenate([upper, lower]) + rng.normal(scale=self.noise_std, size=(2 * per, 2))
+        return points, np.repeat(np.arange(self.outputs, dtype=np.int64), per)
 
 
 @dataclass
@@ -146,44 +170,9 @@ class BinarySpec:
             if not 0.0 < q < 1.0:
                 raise ConfigError(f"prevalence must be in (0,1), got {q}")
 
-
-def _sample_blobs(spec: BlobsSpec, rng: np.random.Generator):
-    per = spec.samples_per_class
-    points = np.concatenate(
-        [
-            np.asarray(center, dtype=float) + rng.normal(scale=spec.std, size=(per, 2))
-            for center in spec.class_centers
-        ]
-    )
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per)
-    return points, labels
-
-
-def make_blobs_pair(spec: BlobsSpec, seed) -> tuple:
-    """Independent source/target draws; target pushed through the shift."""
-    src_ss, tgt_ss = np.random.SeedSequence(seed).spawn(2)
-    src_pts, src_lab = _sample_blobs(spec, np.random.default_rng(src_ss))
-    tgt_pts, tgt_lab = _sample_blobs(spec, np.random.default_rng(tgt_ss))
-    tgt_pts = spec.target_transform.apply(tgt_pts, tgt_lab)
-    return LabeledSet(src_pts, src_lab, SOURCE), LabeledSet(tgt_pts, tgt_lab, TARGET)
-
-
-def _sample_moons(spec: MoonsSpec, rng: np.random.Generator):
-    per = spec.samples_per_class
-    t = np.linspace(0.0, math.pi, per)
-    upper = np.stack([np.cos(t), np.sin(t)], axis=1)
-    lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
-    points = np.concatenate([upper, lower]) + rng.normal(scale=spec.noise_std, size=(2 * per, 2))
-    labels = np.repeat(np.arange(2, dtype=np.int64), per)
-    return points, labels
-
-
-def make_moons_pair(spec: MoonsSpec, seed) -> tuple:
-    src_ss, tgt_ss = np.random.SeedSequence(seed).spawn(2)
-    src_pts, src_lab = _sample_moons(spec, np.random.default_rng(src_ss))
-    tgt_pts, tgt_lab = _sample_moons(spec, np.random.default_rng(tgt_ss))
-    tgt_pts = spec.target_transform.apply(tgt_pts, tgt_lab)
-    return LabeledSet(src_pts, src_lab, SOURCE), LabeledSet(tgt_pts, tgt_lab, TARGET)
+    @property
+    def outputs(self) -> int:
+        return self.num_findings  # one sigmoid per finding
 
 
 def finding_boundaries(spec: BinarySpec, source_points: np.ndarray, seed) -> list:
@@ -205,12 +194,24 @@ def assign_findings(points: np.ndarray, boundaries: list) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def make_binary_pair(spec: BinarySpec, seed) -> tuple:
-    source, target = make_blobs_pair(spec.blobs, seed)
-    boundaries = finding_boundaries(spec, source.points, seed)
-    source.findings = assign_findings(source.points, boundaries)
-    target.findings = assign_findings(target.points, boundaries)
-    return source, target
+KINDS = {"blobs": BlobsSpec, "moons": MoonsSpec, "binary": BinarySpec}
+
+
+def make_pair(spec, seed) -> tuple:
+    """Independent source/target draws of a KINDS spec, the target pushed
+    through the shift. A binary pair is its blobs pair plus findings whose
+    boundaries are calibrated on the source cloud."""
+    if isinstance(spec, BinarySpec):
+        source, target = make_pair(spec.blobs, seed)
+        boundaries = finding_boundaries(spec, source.points, seed)
+        source.findings = assign_findings(source.points, boundaries)
+        target.findings = assign_findings(target.points, boundaries)
+        return source, target
+    src_ss, tgt_ss = np.random.SeedSequence(seed).spawn(2)
+    src_pts, src_lab = spec.sample(np.random.default_rng(src_ss))
+    tgt_pts, tgt_lab = spec.sample(np.random.default_rng(tgt_ss))
+    tgt_pts = spec.target_transform.apply(tgt_pts, tgt_lab)
+    return LabeledSet(src_pts, src_lab, SOURCE), LabeledSet(tgt_pts, tgt_lab, TARGET)
 
 
 def split_train_test(dataset: LabeledSet, ratio: float, seed) -> tuple:

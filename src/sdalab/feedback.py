@@ -131,48 +131,35 @@ def simulate_feedback(
     correct = preds == train.labels
     shortage: dict = {}
     labeled = []
+    m = spec.per_class_count
+    # pbf is mixed with all m labels correct, nbf (and nbf_ce's fallback)
+    # with all m wrong; only mixed names the pool in its shortage keys
+    pf, nf = {PBF: (m, 0), MIXED: spec.mixed_counts}.get(spec.policy, (0, m))
+    pf_tag, nf_tag = (":pf", ":nf") if spec.policy == MIXED else ("", "")
     for cls in range(train.num_classes):
         members = np.flatnonzero(train.labels == cls)
         wrong_pool = members[~correct[members]]
         right_pool = members[correct[members]]
-        if spec.policy in (RF, ENTROPY) and len(members) < spec.per_class_count:
-            raise ShortageError(
-                f"class {cls}: only {len(members)} samples for "
-                f"{spec.per_class_count} requested"
-            )
+        if spec.policy in (RF, ENTROPY) and len(members) < m:
+            raise ShortageError(f"class {cls}: only {len(members)} samples for {m} requested")
         if spec.policy == RF:
-            picks = _draw(members, spec.per_class_count, rng)
-        elif spec.policy == NBF_CE and len(wrong_pool) >= spec.per_class_count:
+            picks = _draw(members, m, rng)
+        elif spec.policy == ENTROPY:
+            picks = _top(members, prediction_entropy(probs[members]), m)
+        elif spec.policy == NBF_CE and len(wrong_pool) >= m:
             # the most confident errors; a class with too few errors falls
             # back as NBF does
-            picks = _top(wrong_pool, conf[wrong_pool], spec.per_class_count)
-        elif spec.policy in (NBF, NBF_CE):
+            picks = _top(wrong_pool, conf[wrong_pool], m)
+        else:
             picks = _take_with_fallback(
-                wrong_pool, right_pool, spec.per_class_count, cls,
-                spec.fallback_on_shortage, rng, shortage,
-            )
-        elif spec.policy == PBF:
-            picks = _take_with_fallback(
-                right_pool, wrong_pool, spec.per_class_count, cls,
-                spec.fallback_on_shortage, rng, shortage,
-            )
-        elif spec.policy == MIXED:
-            pf, nf = spec.mixed_counts
-            picks = _take_with_fallback(
-                right_pool, wrong_pool, pf, f"{cls}:pf",
+                right_pool, wrong_pool, pf, f"{cls}{pf_tag}",
                 spec.fallback_on_shortage, rng, shortage,
             ) if pf else []
-            remaining_wrong = np.setdiff1d(wrong_pool, picks)
-            remaining_right = np.setdiff1d(right_pool, picks)
             if nf:
                 picks = picks + _take_with_fallback(
-                    remaining_wrong, remaining_right, nf, f"{cls}:nf",
-                    spec.fallback_on_shortage, rng, shortage,
+                    np.setdiff1d(wrong_pool, picks), np.setdiff1d(right_pool, picks), nf,
+                    f"{cls}{nf_tag}", spec.fallback_on_shortage, rng, shortage,
                 )
-        elif spec.policy == ENTROPY:
-            picks = _top(members, prediction_entropy(probs[members]), spec.per_class_count)
-        else:
-            raise ConfigError(f"unhandled policy {spec.policy}")
         labeled.extend((int(i), int(cls)) for i in picks)
     labeled.sort()
     labeled_set = set(i for i, _ in labeled)

@@ -81,16 +81,8 @@ def make_data(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Dat
 
 
 def _build_data(cfg: ExperimentConfig, seed: int) -> DataBundle:
-    spec = cfg.dataset_spec()
-    kind = cfg.flat["dataset.kind"]
     stage = cfg.stage_hash("data")
-    data_seed = stage_seed(stage, seed, "generate")
-    if kind == "blobs":
-        source, target = data.make_blobs_pair(spec, data_seed)
-    elif kind == "moons":
-        source, target = data.make_moons_pair(spec, data_seed)
-    else:
-        source, target = data.make_binary_pair(spec, data_seed)
+    source, target = data.make_pair(cfg.dataset_spec(), stage_seed(stage, seed, "generate"))
     ratio = cfg.flat["split.ratio"]
     src_tr, src_te = data.split_train_test(source, ratio, stage_seed(stage, seed, "split-source"))
     tgt_tr, tgt_te = data.split_train_test(target, ratio, stage_seed(stage, seed, "split-target"))

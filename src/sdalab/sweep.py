@@ -182,7 +182,17 @@ def read_records_jsonl(path) -> SweepResult:
             doc = None
         if not isinstance(doc, dict):
             raise ConfigError(f"records {path} line {number}: not a JSON object")
+        # what aggregate_rows and format_table read: a string axis and cell,
+        # and on a record (a line with no "error") a string metric and a number
         axis = doc.get("axis", axis)
+        kinds = {"cell": str}
+        if "error" not in doc:
+            kinds.update(metric=str, value=(int, float))
+        bad = [key for key, kind in kinds.items() if not isinstance(doc.get(key), kind)]
+        if not isinstance(axis, str):
+            bad.append("axis")
+        if bad:
+            raise ConfigError(f"records {path} line {number}: bad or missing {', '.join(bad)}")
         (failures if "error" in doc else records).append(doc)
     return SweepResult(axis or "records", records, failures)
 

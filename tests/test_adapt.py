@@ -102,7 +102,7 @@ class CyclingSampler:
 
 @pytest.fixture(scope="module")
 def toy():
-    _, target = data.make_blobs_pair(data.BlobsSpec(samples_per_class=60), seed=3)
+    _, target = data.make_pair(data.BlobsSpec(samples_per_class=60), seed=3)
     split = make_split(target, per_class=3, seed=1)
     model = nn.MlpModel.init([2, 16, 16, 3], nn.SOFTMAX, np.random.default_rng(0))
     return target, split, model
@@ -946,7 +946,7 @@ class TestAdaptLoop:
     def test_improves_target_accuracy(self):
         # End-to-end sanity: source-trained model + RF feedback + pseudo-label
         # adaptation should lift target accuracy.
-        source, target = data.make_blobs_pair(data.BlobsSpec(samples_per_class=150), seed=11)
+        source, target = data.make_pair(data.BlobsSpec(samples_per_class=150), seed=11)
         t_train, t_test = data.split_train_test(target, 0.8, seed=11)
         model = nn.MlpModel.init([2, 32, 32, 3], nn.SOFTMAX, np.random.default_rng(11))
         adapt.train_supervised(
@@ -1167,7 +1167,7 @@ def binary_toy():
         blobs=data.BlobsSpec(samples_per_class=150), num_findings=2,
         prevalences=(0.45, 0.55),
     )
-    _, target = data.make_binary_pair(spec, seed=31)
+    _, target = data.make_pair(spec, seed=31)
     c = target.points.mean(axis=0)
     model = nn.MlpModel(
         [2, 2, 2], [np.eye(2), np.eye(2)],

@@ -211,7 +211,7 @@ class TestCommands:
     )
     def test_each_command_builds_each_stage_once(self, tmp_path, monkeypatch, command):
         calls = []
-        for module, name in ((data, "make_blobs_pair"), (adapt_mod, "train_supervised")):
+        for module, name in ((data, "make_pair"), (adapt_mod, "train_supervised")):
             real = getattr(module, name)
 
             def spy(*args, real=real, name=name, **kwargs):
@@ -221,7 +221,7 @@ class TestCommands:
             monkeypatch.setattr(module, name, spy)
         assert run_cli(command + ["--out", str(tmp_path)] + FAST_SETS) == 0
         # one dataset and one source model, whatever the command adapts
-        assert sorted(calls) == ["make_blobs_pair", "train_supervised"], calls
+        assert sorted(calls) == ["make_pair", "train_supervised"], calls
 
 
 class TestExitCodes:
@@ -329,6 +329,26 @@ class TestExitCodes:
         assert run_cli(["report", "--records", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: records {path} line 3: not a JSON object\n"
+        assert not (tmp_path / "records_aggregate.csv").exists()
+
+    @pytest.mark.parametrize("bad, keys", [
+        ({}, "cell, metric, value"),
+        ({"cell": "a", "seed": 0, "value": 0.5}, "metric"),
+        ({"cell": "a", "seed": 0, "metric": "test_acc", "value": "x"}, "value"),
+        ({"cell": 3, "seed": 0, "metric": "test_acc", "value": 0.5}, "cell"),
+        ({"axis": 5, "cell": "a", "seed": 0, "metric": "test_acc", "value": 0.5}, "axis"),
+        ({"axis": "k", "error": "boom", "seed": 0}, "cell"),
+        ({"axis": "k", "error": "boom", "cell": ["a"], "seed": 0}, "cell"),
+    ], ids=["empty", "no_metric", "text_value", "int_cell", "int_axis", "failure_no_cell",
+            "failure_list_cell"])
+    def test_records_line_missing_a_key_exits_2_naming_it(self, tmp_path, capsys, bad, keys):
+        path = tmp_path / "records.jsonl"
+        good = json.dumps({"axis": "k", "cell": "a", "seed": 0, "metric": "test_acc",
+                           "value": 0.5, "source_model_value": 0.4})
+        path.write_text(good + "\n\n" + json.dumps(bad) + "\n")
+        assert run_cli(["report", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: records {path} line 3: bad or missing {keys}\n"
         assert not (tmp_path / "records_aggregate.csv").exists()
 
     @pytest.mark.parametrize("ratio", ["0.999", "0.001"])

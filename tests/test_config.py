@@ -98,7 +98,7 @@ class TestValidation:
             ExperimentConfig({"rld.p": 1.5, "rld.enabled": True})
         with pytest.raises(ConfigError):
             ExperimentConfig({"feedback.policy": "nope"})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown dataset.kind 'images'"):
             ExperimentConfig({"dataset.kind": "images"})
 
     @pytest.mark.parametrize("key, value", [
@@ -172,19 +172,25 @@ class TestValidation:
         assert ExperimentConfig({}).feedback_spec().binary_mode_counts is None
 
 
-class TestTypedViews:
-    def test_model_dims_per_dataset(self):
-        assert ExperimentConfig({}).model_dims() == [2, 10, 10, 3]
-        assert ExperimentConfig({"dataset.kind": "moons"}).model_dims() == [2, 10, 10, 2]
-        cfg = ExperimentConfig({"dataset.kind": "binary", "dataset.num_findings": 5})
-        assert cfg.model_dims() == [2, 10, 10, 5]
-        assert cfg.head() == nn.SIGMOID
+# per kind: its spec, its head and its output count at dataset.num_findings = 5,
+# which only binary mode reads
+KIND_VIEWS = {
+    "blobs": (data.BlobsSpec, nn.SOFTMAX, 3),
+    "moons": (data.MoonsSpec, nn.SOFTMAX, 2),
+    "binary": (data.BinarySpec, nn.SIGMOID, 5),
+}
 
-    def test_dataset_specs(self):
-        assert isinstance(ExperimentConfig({}).dataset_spec(), data.BlobsSpec)
-        assert isinstance(
-            ExperimentConfig({"dataset.kind": "moons"}).dataset_spec(), data.MoonsSpec
-        )
+
+class TestTypedViews:
+    @pytest.mark.parametrize("kind", list(data.KINDS))
+    def test_each_kind_builds_its_spec_head_and_outputs(self, kind):
+        spec_cls, head, outputs = KIND_VIEWS[kind]
+        cfg = ExperimentConfig({"dataset.kind": kind, "dataset.num_findings": 5})
+        assert data.KINDS[kind] is spec_cls
+        assert type(cfg.dataset_spec()) is spec_cls
+        assert cfg.head() == head
+        assert cfg.model_dims() == [2, 10, 10, outputs]
+        assert cfg.model_dims()[-1] == cfg.dataset_spec().outputs
 
     def test_mixed_feedback_counts(self):
         cfg = ExperimentConfig(

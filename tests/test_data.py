@@ -14,14 +14,14 @@ from dataset_csv import read_dataset_csv
 class TestBlobs:
     def test_vanishing_noise_pins_points_to_centers(self):
         spec = data.BlobsSpec(std=1e-9, samples_per_class=20)
-        source, _ = data.make_blobs_pair(spec, seed=0)
+        source, _ = data.make_pair(spec, seed=0)
         for cls, center in enumerate(spec.class_centers):
             pts = source.points[source.labels == cls]
             assert np.max(np.linalg.norm(pts - np.asarray(center), axis=1)) < 1e-6
 
     def test_per_class_counts_exact(self):
         spec = data.BlobsSpec(samples_per_class=37)
-        source, target = data.make_blobs_pair(spec, seed=3)
+        source, target = data.make_pair(spec, seed=3)
         for ds in (source, target):
             counts = np.bincount(ds.labels, minlength=3)
             assert counts.tolist() == [37, 37, 37]
@@ -34,7 +34,7 @@ class TestBlobs:
         )
         diffs = []
         for seed in range(10):
-            source, target = data.make_blobs_pair(spec, seed=seed)
+            source, target = data.make_pair(spec, seed=seed)
             per_class = []
             for cls in range(3):
                 sm = source.points[source.labels == cls].mean(axis=0)
@@ -55,7 +55,7 @@ class TestBlobs:
         )
         errs = []
         for seed in range(10):
-            source, target = data.make_blobs_pair(spec, seed=seed)
+            source, target = data.make_pair(spec, seed=seed)
             c0 = target.points.mean(axis=0) - np.asarray(shift.translation)
             undone = (target.points - np.asarray(shift.translation) - c0) @ rot.T + c0
             per_class = []
@@ -80,7 +80,7 @@ class TestBlobs:
 class TestMoons:
     def test_vanishing_noise_lies_on_unit_half_circle(self):
         spec = data.MoonsSpec(samples_per_class=50, noise_std=1e-9)
-        source, _ = data.make_moons_pair(spec, seed=1)
+        source, _ = data.make_pair(spec, seed=1)
         upper = source.points[source.labels == 0]
         assert np.max(np.abs(np.linalg.norm(upper, axis=1) - 1.0)) < 1e-6
         assert np.min(upper[:, 1]) > -1e-6
@@ -93,14 +93,14 @@ class TestMoons:
             noise_std=1e-9,
             target_transform=data.ShiftSpec(translation=(0.0, 0.0), rotation=math.pi),
         )
-        source, target = data.make_moons_pair(spec, seed=2)
+        source, target = data.make_pair(spec, seed=2)
         rotated_upper = target.points[target.labels == 0]
         lower_skeleton = source.points[source.labels == 1]
         for p in rotated_upper:
             assert np.min(np.linalg.norm(lower_skeleton - p, axis=1)) < 1e-6
 
     def test_counts_and_two_classes(self):
-        source, target = data.make_moons_pair(data.MoonsSpec(samples_per_class=30), seed=5)
+        source, target = data.make_pair(data.MoonsSpec(samples_per_class=30), seed=5)
         assert np.bincount(source.labels).tolist() == [30, 30]
         assert target.num_classes == 2
 
@@ -178,14 +178,14 @@ class TestBinaryMode:
             num_findings=3,
             prevalences=(0.3, 0.5, 0.7),
         )
-        source, target = data.make_binary_pair(spec, seed=7)
+        source, target = data.make_pair(spec, seed=7)
         prev = source.findings.mean(axis=0)
         np.testing.assert_allclose(prev, [0.3, 0.5, 0.7], atol=0.01)
         assert target.findings.shape == (1200, 3)
 
     def test_findings_are_deterministic_linear_functions(self):
         spec = data.BinarySpec(num_findings=2)
-        source, _ = data.make_binary_pair(spec, seed=11)
+        source, _ = data.make_pair(spec, seed=11)
         bounds = data.finding_boundaries(spec, source.points, seed=11)
         np.testing.assert_array_equal(
             data.assign_findings(source.points, bounds), source.findings
@@ -199,7 +199,7 @@ class TestBinaryMode:
 class TestCsv:
     def test_round_trip_multiclass(self, tmp_path):
         spec = data.BlobsSpec(samples_per_class=15)
-        source, target = data.make_blobs_pair(spec, seed=13)
+        source, target = data.make_pair(spec, seed=13)
         s_train, s_test = data.split_train_test(source, 0.8, seed=13)
         path = tmp_path / "ds.csv"
         data.write_dataset_csv(
@@ -213,7 +213,7 @@ class TestCsv:
 
     def test_round_trip_with_findings(self, tmp_path):
         spec = data.BinarySpec(blobs=data.BlobsSpec(samples_per_class=10), num_findings=2)
-        source, _ = data.make_binary_pair(spec, seed=17)
+        source, _ = data.make_pair(spec, seed=17)
         path = tmp_path / "bin.csv"
         data.write_dataset_csv(path, [(source, "train")])
         back = read_dataset_csv(path)[(data.SOURCE, "train")]

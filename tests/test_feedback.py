@@ -9,7 +9,7 @@ from sdalab.errors import ConfigError, ShortageError
 
 def fixture_train(seed=0, per_class=40):
     spec = data.BlobsSpec(samples_per_class=per_class)
-    _, target = data.make_blobs_pair(spec, seed=seed)
+    _, target = data.make_pair(spec, seed=seed)
     return target
 
 
@@ -37,7 +37,7 @@ def setup():
         per_class_translation={0: (1.2, 0.66), 1: (-1.2, 0.66), 2: (0.0, -1.32)},
     )
     spec = data.BlobsSpec(samples_per_class=60, std=1.0, target_transform=shift)
-    source, target = data.make_blobs_pair(spec, seed=5)
+    source, target = data.make_pair(spec, seed=5)
     model = train_source_model(source, seed=5, epochs=12)
     preds = nn.predict(model, target.points)
     for cls in range(3):
@@ -259,6 +259,133 @@ class TestShortage:
         assert len(split.labeled) == 3
 
 
+
+def pinned_simulate_feedback(train, source_model, spec, seed):
+    """simulate_feedback as it drew pbf, nbf, nbf_ce and mixed with one branch
+    each, kept verbatim as the oracle for the single mixed path that serves
+    them all now."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    probs = nn.forward(source_model, train.points).probs
+    preds = nn.argmax_rows(probs)
+    conf = probs[np.arange(len(train)), preds]
+    correct = preds == train.labels
+    shortage: dict = {}
+    labeled = []
+    for cls in range(train.num_classes):
+        members = np.flatnonzero(train.labels == cls)
+        wrong_pool = members[~correct[members]]
+        right_pool = members[correct[members]]
+        if spec.policy == feedback.NBF_CE and len(wrong_pool) >= spec.per_class_count:
+            # the most confident errors; a class with too few errors falls
+            # back as NBF does
+            picks = feedback._top(wrong_pool, conf[wrong_pool], spec.per_class_count)
+        elif spec.policy in (feedback.NBF, feedback.NBF_CE):
+            picks = feedback._take_with_fallback(
+                wrong_pool, right_pool, spec.per_class_count, cls,
+                spec.fallback_on_shortage, rng, shortage,
+            )
+        elif spec.policy == feedback.PBF:
+            picks = feedback._take_with_fallback(
+                right_pool, wrong_pool, spec.per_class_count, cls,
+                spec.fallback_on_shortage, rng, shortage,
+            )
+        elif spec.policy == feedback.MIXED:
+            pf, nf = spec.mixed_counts
+            picks = feedback._take_with_fallback(
+                right_pool, wrong_pool, pf, f"{cls}:pf",
+                spec.fallback_on_shortage, rng, shortage,
+            ) if pf else []
+            remaining_wrong = np.setdiff1d(wrong_pool, picks)
+            remaining_right = np.setdiff1d(right_pool, picks)
+            if nf:
+                picks = picks + feedback._take_with_fallback(
+                    remaining_wrong, remaining_right, nf, f"{cls}:nf",
+                    spec.fallback_on_shortage, rng, shortage,
+                )
+        else:
+            raise ConfigError(f"unhandled policy {spec.policy}")
+        labeled.extend((int(i), int(cls)) for i in picks)
+    labeled.sort()
+    labeled_set = set(i for i, _ in labeled)
+    unlabeled = [int(i) for i in range(len(train)) if i not in labeled_set]
+    return feedback.TargetSplit(labeled, unlabeled, provenance={"shortage": shortage})
+
+
+def outcome(simulate, *args):
+    """(labeled, unlabeled, shortage items) of a draw, or the shortage it raised."""
+    try:
+        split = simulate(*args)
+    except ShortageError as exc:
+        return ("raised", str(exc))
+    return split.labeled, split.unlabeled, list(split.provenance["shortage"].items())
+
+
+# The setup fixture's classes hold 60 samples each, at least 6 of them wrong
+# and 6 right (17/43, 18/42 and 10/50 wrong/right with its stock numerics), so
+# quotas from 5 to 61 run from no shortage through filled ones to a pool too
+# short to fill; mixed (50, 15) fills its pf shortage from the errors that
+# its nf picks then lack.
+PINNED_CASES = [(feedback.PBF, m) for m in (5, 12, 45, 55, 61)] + [
+    (feedback.NBF, m) for m in (5, 12, 30, 55, 61)] + [
+    (feedback.NBF_CE, m) for m in (5, 12, 30, 61)] + [
+    (feedback.MIXED, counts) for counts in
+    ((2, 2), (0, 12), (12, 0), (20, 15), (40, 15), (45, 10), (50, 15), (61, 0))
+]
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("fallback", [feedback.FALLBACK_ERROR, feedback.FALLBACK_FILL])
+    @pytest.mark.parametrize("policy, count", PINNED_CASES, ids=lambda v: str(v))
+    def test_draws_match_the_per_policy_branches(self, setup, policy, count, fallback):
+        model, target, _ = setup
+        if policy == feedback.MIXED:
+            spec = feedback.FeedbackSpec(policy=policy, mixed_counts=count,
+                                         fallback_on_shortage=fallback)
+        else:
+            spec = feedback.FeedbackSpec(policy=policy, per_class_count=count,
+                                         fallback_on_shortage=fallback)
+        for seed in (0, 1):
+            args = (target, model, spec, seed)
+            assert outcome(feedback.simulate_feedback, *args) == outcome(
+                pinned_simulate_feedback, *args)
+
+    def test_the_cases_reach_every_outcome(self, setup):
+        model, target, _ = setup
+        reached = set()
+        for policy, count in PINNED_CASES:
+            key = "mixed_counts" if policy == feedback.MIXED else "per_class_count"
+            for fallback in (feedback.FALLBACK_ERROR, feedback.FALLBACK_FILL):
+                spec = feedback.FeedbackSpec(policy=policy, fallback_on_shortage=fallback,
+                                             **{key: count})
+                got = outcome(feedback.simulate_feedback, target, model, spec, 0)
+                kind = got[0] if got[0] == "raised" else ("filled" if got[2] else "full")
+                reached.add((policy, fallback, kind))
+        for policy in (feedback.PBF, feedback.NBF, feedback.NBF_CE, feedback.MIXED):
+            assert (policy, feedback.FALLBACK_ERROR, "raised") in reached
+            assert (policy, feedback.FALLBACK_ERROR, "full") in reached
+            assert (policy, feedback.FALLBACK_FILL, "filled") in reached
+            assert (policy, feedback.FALLBACK_FILL, "raised") in reached
+
+    def test_shortage_keys_name_the_pool_under_mixed_only(self, setup):
+        model, target, preds = setup
+        wrong = [int((preds[target.labels == c] != c).sum()) for c in range(3)]
+        right = [int((preds[target.labels == c] == c).sum()) for c in range(3)]
+
+        def shortage(**kwargs):
+            spec = feedback.FeedbackSpec(fallback_on_shortage=feedback.FALLBACK_FILL, **kwargs)
+            return feedback.simulate_feedback(target, model, spec, 0).provenance["shortage"]
+
+        m = max(right) - 1
+        assert shortage(policy=feedback.PBF, per_class_count=m) == {
+            str(c): m - right[c] for c in range(3) if right[c] < m}
+        m = max(wrong) - 1
+        assert shortage(policy=feedback.NBF, per_class_count=m) == {
+            str(c): m - wrong[c] for c in range(3) if wrong[c] < m}
+        assert shortage(policy=feedback.MIXED, mixed_counts=(1, m)) == {
+            f"{c}:nf": m - wrong[c] for c in range(3) if wrong[c] < m}
+        assert shortage(policy=feedback.MIXED, mixed_counts=(max(right) - 1, 1)) == {
+            f"{c}:pf": max(right) - 1 - right[c] for c in range(3) if right[c] < max(right) - 1}
+
 @pytest.fixture(scope="module")
 def binary_setup():
     spec = data.BinarySpec(
@@ -266,7 +393,7 @@ def binary_setup():
         num_findings=2,
         prevalences=(0.4, 0.5),
     )
-    _, target = data.make_binary_pair(spec, seed=21)
+    _, target = data.make_pair(spec, seed=21)
     # Hand-built model: hidden layer passes coordinates through (large bias
     # keeps ReLU active over the cloud), outputs are axis-aligned lines
     # through the target centroid. These cross the random finding

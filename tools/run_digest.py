@@ -60,6 +60,11 @@ MATRIX = [
     # one branch each of a path shared with the runs above: simulate_feedback's
     # nbf_ce pick, and the adapt config that rld enabled at k = 0 builds
     ("nbf_ce", {"feedback.policy": "nbf_ce"}),
+    # the single mixed path that draws pbf, and mixed with per-class error
+    # quotas that its pools fill from correct samples (shortages 1:nf, 2:nf)
+    ("pbf", {"feedback.policy": "pbf"}),
+    ("mixed_1_15", {"feedback.policy": "mixed", "feedback.pf_count": 1,
+                    "feedback.nf_count": 15}),
     ("rld_on_k0", {"rld.enabled": True, "adapt.k": 0}),
     # draw schedules the stock configs never reach: no unlabelled batch, and
     # a labelled pool (45 units) that is no multiple of the batch (16)
