@@ -19,7 +19,11 @@ counts that do not depend on the model. A step then computes only what
 the current model decides: the cosine_distant picks (written into the
 step's defending rows), FixMatch-lite's augmented views (written over
 their rows), the pseudo labels or FixMatch's mask (written into the
-targets), and the passes.
+targets), and the passes. The plan of all this is made once per run and
+reused every epoch: the draws' schedule and permutation tiles (_Draws),
+the layout arrays that every epoch is laid out in, the views each step
+reads (_Epoch), and the StepBuffers that the passes and each epoch's
+score run on.
 
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
@@ -192,8 +196,8 @@ class SoftmaxRule:
         return units, np.array(sorted(split.unlabeled), dtype=np.int64)
 
     @staticmethod
-    def score(model, labeled) -> float:
-        return metrics.top1_accuracy(model, labeled.points, labeled.labels)
+    def score(model, labeled, buffers=None) -> float:
+        return metrics.top1_accuracy(model, labeled.points, labeled.labels, buffers)
 
     def epoch_targets(self, labels, pseudo, n_outputs) -> tuple:
         """(targets, mask) of an epoch's scored rows, labels shaped (steps,
@@ -207,10 +211,10 @@ class SoftmaxRule:
         nn.argmax_rows(probs, out)
 
     @staticmethod
-    def loss(probs, rows, targets, bounds, counts, mask, work) -> tuple:
+    def loss(probs, row_cells, targets, bounds, counts, mask, work) -> tuple:
         """(losses, dprobs) of the terms in one cross-entropy pass, written
         into work (nn._LossArrays for len(probs) rows)."""
-        return nn._ce_terms(probs, rows, targets, bounds, counts, mask, work)
+        return nn._ce_terms(probs, row_cells, targets, bounds, counts, mask, work)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
@@ -263,8 +267,8 @@ class SigmoidRule:
         return units, np.setdiff1d(np.arange(len(train)), units[:, 0])
 
     @staticmethod
-    def score(model, labeled) -> float:
-        return metrics.mean_auroc(model, labeled)
+    def score(model, labeled, buffers=None) -> float:
+        return metrics.mean_auroc(model, labeled, buffers)
 
     def targets(self, labels) -> tuple:
         """(targets, mask), one row per label: the row holds the value at its
@@ -288,7 +292,7 @@ class SigmoidRule:
         np.greater_equal(probs, self.thresholds, out=out)
 
     @staticmethod
-    def loss(probs, rows, targets, bounds, counts, mask, work) -> tuple:
+    def loss(probs, row_cells, targets, bounds, counts, mask, work) -> tuple:
         """As SoftmaxRule.loss in one BCE pass; every row is scored, as
         binary mode runs pseudo-labelling only."""
         return nn._bce_terms(probs, targets, bounds, counts, mask, work)
@@ -317,7 +321,9 @@ def _views(cfg: AdaptConfig, u: int) -> int:
 
 
 class _Epoch:
-    """Every step of one epoch, laid out once (module docstring).
+    """Every step of one epoch, laid out once (module docstring). One run
+    lays out every epoch in the arrays of its first (build_minibatch's
+    into), so the views each step reads are cut once per run (cut).
 
     Row i of inputs holds step i's forward input, stacked: b labelled rows,
     u unlabelled rows, then defending[i] defending rows; under fixmatch_lite
@@ -327,20 +333,71 @@ class _Epoch:
     the step's scored rows, all but the weak view's, in the same order: the
     labelled ones, u pseudo-labelled ones (labels holds a placeholder
     there) and the defending ones; rows holds where each sits in the forward
-    input. Steps with fewer defending rows than the most leave their tails
-    unused, so each step's rows are a contiguous prefix of its row.
+    input, and row_cells the flat index of its first probability (row *
+    n_outputs). Steps with fewer defending rows than room leave their tails
+    unused, so each step's rows are a contiguous prefix of its row. index
+    holds the rows of train.points that inputs gathers, 0 in every
+    defending slot (whose points arrive from retrieval).
     """
 
-    def __init__(self, inputs, labels, b, u, defending, fallbacks, cfg, rule, n_outputs):
-        self.inputs, self.labels, self.b, self.u, self.rule = inputs, labels, b, u, rule
-        self.defending, self.fallbacks = defending, fallbacks
+    def __init__(self, steps, b, u, room, dim, cfg, rule, n_outputs):
+        self.b, self.u, self.room, self.rule, self.n_outputs = b, u, room, rule, n_outputs
         self.views = _views(cfg, u)
         self.head = b + self.views * u  # where the defending rows start
-        self.rows = np.arange(labels.shape[1])
+        self.index = np.zeros((steps, self.head + room), dtype=np.int64)
+        self.inputs = np.empty((*self.index.shape, dim))
+        self.labels = np.zeros((steps, b + u + room), dtype=np.int64)
+        self.rows = np.arange(b + u + room)
         self.rows[b:] += self.head - b - u
-        self.targets, self.mask = rule.epoch_targets(labels, slice(b, b + u), n_outputs)
-        if self.views == 2:
-            self.mask = np.ones(labels.shape)
+        self.row_cells = self.rows * n_outputs
+        self.unlabeled_rows = np.arange(u)
+        self.targets = self.mask = None
+        self.cuts = {}
+
+    def fill(self, points, picked, unlabeled, defending) -> None:
+        """Lay out an epoch's draws (build_minibatch) in place."""
+        b, u, head, steps = self.b, self.u, self.head, len(self.index)
+        d_points, d_labels, counts, fallbacks = defending or (
+            None, np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps
+        )
+        self.defending, self.fallbacks = counts, fallbacks
+        index, labels = self.index, self.labels
+        index[:, :b] = picked[..., 0]
+        for view in range(self.views):
+            index[:, b + view * u : b + (view + 1) * u] = unlabeled
+        points.take(index, axis=0, out=self.inputs)
+        labels[:, :b] = picked[..., 1]
+        if self.room:
+            used = np.arange(self.room) < np.array(counts)[:, None]
+            tail = labels[:, b + u :]
+            tail.fill(0)
+            tail[used] = d_labels
+            if d_points is not None:
+                self.inputs[:, head:][used] = d_points
+        targets, mask = self.rule.epoch_targets(labels, slice(b, b + u), self.n_outputs)
+        if self.targets is None:
+            self.targets, self.mask = targets, np.ones(labels.shape) if self.views == 2 else mask
+        elif targets is not self.targets:  # a rule that makes new arrays each epoch
+            self.targets[...] = targets
+            self.mask[...] = mask
+
+    def cut(self, i) -> tuple:
+        """Step i's views, made at first use for its defending count d: d,
+        its forward input, its targets, its mask (or None), its unlabelled
+        rows' targets and their count, its row_cells and its term bounds."""
+        d = self.defending[i]
+        found = self.cuts.get((i, d))
+        if found is None:
+            b, u = self.b, self.u
+            scored = b + u + d
+            targets = self.targets[i, :scored]
+            found = self.cuts[i, d] = (
+                d, self.inputs[i, : self.head + d], targets,
+                None if self.mask is None else self.mask[i, :scored],
+                targets[b : b + u], targets[b : b + u].size, self.row_cells[:scored],
+                ((0, b), (b, b + u), (b + u, scored)),
+            )
+        return found
 
     def put_defending(self, i, points) -> None:
         """Step i's defending points, retrieved as the step runs, into the
@@ -351,15 +408,14 @@ class _Epoch:
         self.inputs[i, self.head : self.head + d] = points
 
     def batch(self, i) -> "MiniBatch":
-        """Step i as a MiniBatch of views, its unlabelled points copied under
-        fixmatch_lite, where the step writes its views over their slots."""
+        """Step i as a MiniBatch of copies, which later epochs, laid out in
+        the same arrays, and fixmatch_lite's views leave alone."""
         b, u, d = self.b, self.u, self.defending[i]
-        unlabeled = self.inputs[i, b : b + u]
         return MiniBatch(
-            self.inputs[i, :b], self.labels[i, :b],
-            unlabeled.copy() if self.views == 2 else unlabeled,
-            self.inputs[i, self.head : self.head + d], self.labels[i, b + u : b + u + d],
-            self.fallbacks[i],
+            self.inputs[i, :b].copy(), self.labels[i, :b].copy(),
+            self.inputs[i, b : b + u].copy(),
+            self.inputs[i, self.head : self.head + d].copy(),
+            self.labels[i, b + u : b + u + d].copy(), self.fallbacks[i],
         )
 
 
@@ -371,6 +427,7 @@ def build_minibatch(
     cfg: AdaptConfig,
     rule,
     n_outputs: int,
+    into: Optional[_Epoch] = None,
 ) -> _Epoch:
     """Every step of one epoch, laid out from its draws: picked holds each
     step's labelled units (steps, b, 2), unlabeled its unlabelled sample
@@ -378,28 +435,22 @@ def build_minibatch(
     bank._retrieve_split gives them, None for no defending pairs. One
     gather from train.points fills the labelled and unlabelled rows of
     every step; the defending points go into their slots, unless they are
-    retrieved step by step (points None)."""
+    retrieved step by step (points None). The layout goes into the arrays
+    of into, an earlier epoch of the same run (the same draws' shapes, cfg
+    and rule), where its defending slots hold every step's rows; else into
+    new ones, with room for cfg.rld.k rows per labelled unit."""
     steps, u = unlabeled.shape
-    points, d_labels, counts, fallbacks = defending or (
-        None, np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps
-    )
-    room = max(counts)  # the most defending rows of any step
-    blank = np.zeros((steps, room), dtype=np.int64)
-    inputs = train.points[
-        np.concatenate([picked[..., 0], *[unlabeled] * _views(cfg, u), blank], axis=1)
-    ]
-    labels = np.concatenate([picked[..., 1], np.zeros((steps, u), dtype=np.int64), blank], axis=1)
-    if room:
-        used = np.arange(room) < np.array(counts)[:, None]
-        labels[:, -room:][used] = d_labels
-        if points is not None:
-            inputs[:, -room:][used] = points
-    return _Epoch(inputs, labels, picked.shape[1], u, counts, fallbacks, cfg, rule, n_outputs)
+    counts = [0] if defending is None else defending[2]
+    if into is None or max(counts) > into.room:
+        room = max(max(counts), cfg.rld.k * picked.shape[1] if cfg.rld is not None else 0)
+        into = _Epoch(steps, picked.shape[1], u, room, train.points.shape[1], cfg, rule, n_outputs)
+    into.fill(train.points, picked, unlabeled, defending)
+    return into
 
 
-def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tuple:
-    """Every step's draws for one epoch: labelled units shaped (steps, b, 2)
-    and unlabelled sample indices shaped (steps, mu*b).
+class _Draws:
+    """Every step's draws of an epoch, planned once per run and drawn each
+    epoch (draw): labelled units and unlabelled sample indices.
 
     Each pool is read without replacement through one permutation after
     another, drawn afresh each epoch: a pool of size P draws its first
@@ -408,34 +459,45 @@ def _draw_epoch(units, unlabeled_idx, spec: BatchSpec, n_steps: int, rng) -> tup
     is called in that order, as step-by-step cycling samplers would call it.
     Each permutation shuffles its own copy of the pool in place, which is
     what rng.permutation does, with the same draws. A pool's copies are the
-    rows of one (permutations, P) tile, and each run of its permutations
-    with no draw from the other pool between them is one rng.permuted call
-    over those rows, which draws what shuffling row after row draws.
+    rows of one (permutations, P) tile, refilled from the pool each epoch,
+    and each run of its permutations with no draw from the other pool
+    between them is one rng.permuted call over those rows (a block), which
+    draws what shuffling row after row draws.
     """
-    pools = [(np.arange(len(units)), spec.b)]
-    if spec.mu > 0:
-        pools.append((unlabeled_idx, spec.mu * spec.b))
-    schedule, orders = [], []  # schedule: (step, pool, permutation), step -1 as the epoch starts
-    for p, (pool, per_step) in enumerate(pools):
-        size = len(pool)
-        if size == 0:
-            raise ConfigError("cannot sample from an empty pool")
-        needed = -(-n_steps * per_step // size)
-        schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
-        order = np.empty((needed, size), pool.dtype)
-        order[:] = pool
-        orders.append(order)
-    for p, run in itertools.groupby(sorted(schedule), key=lambda event: event[1]):
-        rows = [j for _, _, j in run]  # consecutive permutations of pool p
-        block = orders[p][rows[0] : rows[-1] + 1]
-        rng.permuted(block, axis=1, out=block)
-    draws = [
-        order.reshape(-1)[: n_steps * per_step].reshape(n_steps, per_step)
-        for order, (_, per_step) in zip(orders, pools)
-    ]
-    if spec.mu == 0:
-        draws.append(np.empty((n_steps, 0), dtype=np.int64))
-    return units[draws[0]], draws[1]
+
+    def __init__(self, units, unlabeled_idx, spec: BatchSpec, n_steps: int):
+        pools = [(np.arange(len(units)), spec.b)]
+        if spec.mu > 0:
+            pools.append((unlabeled_idx, spec.mu * spec.b))
+        schedule, self.tiles = [], []  # schedule: (step, pool, permutation), step -1 as the epoch starts
+        for p, (pool, per_step) in enumerate(pools):
+            size = len(pool)
+            if size == 0:
+                raise ConfigError("cannot sample from an empty pool")
+            needed = -(-n_steps * per_step // size)
+            schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
+            self.tiles.append((np.empty((needed, size), pool.dtype), pool))
+        self.blocks = []  # in the order the rng shuffles them
+        for p, run in itertools.groupby(sorted(schedule), key=lambda event: event[1]):
+            rows = [j for _, _, j in run]  # consecutive permutations of pool p
+            self.blocks.append(self.tiles[p][0][rows[0] : rows[-1] + 1])
+        self.draws = [
+            tile.reshape(-1)[: n_steps * per_step].reshape(n_steps, per_step)
+            for (tile, _), (_, per_step) in zip(self.tiles, pools)
+        ]
+        if spec.mu == 0:
+            self.draws.append(np.empty((n_steps, 0), dtype=np.int64))
+        self.units = units
+
+    def draw(self, rng) -> tuple:
+        """One epoch's draws: labelled units shaped (steps, b, 2), a new
+        array, and unlabelled sample indices shaped (steps, mu*b), a view of
+        the plan that the next draw rewrites."""
+        for tile, pool in self.tiles:
+            tile[:] = pool
+        for block in self.blocks:
+            rng.permuted(block, axis=1, out=block)
+        return self.units[self.draws[0]], self.draws[1]
 
 
 def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) -> tuple:
@@ -446,12 +508,10 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) ->
     The weak view's rows get no target, so zero upstream gradient, which
     detaches them. Only what the model decides is computed here: the views,
     the pseudo labels (or FixMatch's mask) and the losses."""
-    b, u, d, rule = epoch.b, epoch.u, epoch.defending[i], epoch.rule
+    b, u, rule = epoch.b, epoch.u, epoch.rule
+    d, inputs, targets, mask, pseudo, n_pseudo, row_cells, bounds = epoch.cut(i)
     defending_at = epoch.head
     unlabeled_at = defending_at - u  # the strong view's rows under fixmatch
-    scored = b + u + d
-    inputs, targets = epoch.inputs[i, : defending_at + d], epoch.targets[i, :scored]
-    mask = None if epoch.mask is None else epoch.mask[i, :scored]
     fixmatch = epoch.views == 2
     if fixmatch:
         # weak view proposes the pseudo label, strong view takes the loss;
@@ -464,19 +524,18 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) ->
     # each term is a mean over its own rows (the unlabelled term's over its
     # target cells): the defending term's count is the actual pair count,
     # k*B under duplicate_labeled, maybe fewer under skip_with_flag
-    counts = [b, targets[b : b + u].size, d]
+    counts = [b, n_pseudo, d]
     if fixmatch:
         weak_probs = probs[b:unlabeled_at]
-        pseudo = nn.argmax_rows(weak_probs, targets[b : b + u])
-        passing = weak_probs[np.arange(u), pseudo] >= cfg.confidence_threshold
+        labels = nn.argmax_rows(weak_probs, pseudo)
+        passing = weak_probs[epoch.unlabeled_rows, labels] >= cfg.confidence_threshold
         mask[b : b + u] = passing
         counts[1] = int(np.count_nonzero(passing))
     else:
         # pseudo targets are detached: computed from probs, never differentiated
-        rule.pseudo_targets(probs[unlabeled_at:defending_at], targets[b : b + u])
-    bounds = ((0, b), (b, b + u), (b + u, scored))
+        rule.pseudo_targets(probs[unlabeled_at:defending_at], pseudo)
     (l_sup, l_unsup, l_rld), dprobs = rule.loss(
-        probs, epoch.rows[:scored], targets, bounds, counts, mask, work.rows(len(probs)).loss
+        probs, row_cells, targets, bounds, counts, mask, work.rows(len(probs)).loss
     )
     mask_rate = 1.0 if u else 0.0
     if fixmatch:
@@ -538,11 +597,13 @@ def adapt(
 
     augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points)
     state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
-    records = []
+    records, batches = [], None
     n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
+    # the epoch plan: the draws' here, the layout's in batches from the first epoch on
+    draws = _Draws(units, unlabeled_idx, cfg.batch, n_steps) if cfg.epochs else None
 
     for epoch in range(cfg.epochs):
-        picked, unlabeled = _draw_epoch(units, unlabeled_idx, cfg.batch, n_steps, batch_rng)
+        picked, unlabeled = draws.draw(batch_rng)
         cur_bank = defending = None
         if cfg.rld is not None:
             cur_bank = rule.bank(
@@ -553,7 +614,7 @@ def adapt(
                 cur_bank, *labeled, cfg.rld, retrieval_rng, epoch=epoch
             )
         batches = build_minibatch(
-            train, picked, unlabeled, defending, cfg, rule, model.output_dim
+            train, picked, unlabeled, defending, cfg, rule, model.output_dim, batches
         )
         l_sup = l_unsup = l_rld = mask_rate = 0.0  # the step sums: float64 adds
         for i in range(n_steps):
@@ -582,7 +643,7 @@ def adapt(
             "fallbacks": fallbacks,
         })
         if test_set is not None:
-            record["test_acc"] = float(rule.score(model, test_set))
+            record["test_acc"] = float(rule.score(model, test_set, buffers))
         records.append(record)
     return model, records
 
@@ -605,7 +666,8 @@ def train_supervised(
     """Plain shuffled minibatch CE (BCE for a sigmoid head) training; used
     for source pretraining. The labels are checked once, as the loss checks
     them, and each step takes the loss's gradient only. Each epoch gathers
-    its shuffled rows once and slices them per step."""
+    its shuffled rows once, into arrays whose step slices are cut once per
+    run."""
     softmax = model.head == nn.SOFTMAX
     targets = np.asarray(labels, dtype=np.int64 if softmax else np.float64)
     expect = (len(targets),) if softmax else (len(targets), model.output_dim)
@@ -613,12 +675,15 @@ def train_supervised(
         raise ShapeError(f"targets shape {targets.shape}, expected {expect}")
     targets = nn._checked_targets(targets, model.output_dim if softmax else None)
     state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
+    epoch_points, epoch_targets = np.empty_like(points), np.empty_like(targets)
+    steps = [(epoch_points[start : start + batch_size], epoch_targets[start : start + batch_size])
+             for start in range(0, len(points), batch_size)]
     for _ in range(epochs):
         order = rng.permutation(len(points))
-        epoch_points, epoch_targets = points[order], targets[order]
-        for start in range(0, len(order), batch_size):
-            stop = start + batch_size
-            trace = nn.forward(model, epoch_points[start:stop], buffers)
-            dprobs = nn._term_gradient(model, trace.probs, epoch_targets[start:stop], buffers)
+        points.take(order, axis=0, out=epoch_points)
+        targets.take(order, axis=0, out=epoch_targets)
+        for step_points, step_targets in steps:
+            trace = nn.forward(model, step_points, buffers)
+            dprobs = nn._term_gradient(model, trace.probs, step_targets, buffers)
             nn.sgd_step(model, nn.backward(model, trace, dprobs, buffers), sgd_cfg, state)
     return model

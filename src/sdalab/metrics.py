@@ -9,18 +9,20 @@ from .data import LabeledSet
 from .errors import ConfigError, MetricError
 
 
-def top1_accuracy(model: nn.MlpModel, points, labels) -> float:
-    """Fraction of samples whose predicted class equals ground truth."""
+def top1_accuracy(model: nn.MlpModel, points, labels, buffers=None) -> float:
+    """Fraction of samples whose predicted class equals ground truth; the
+    forward pass runs on buffers (nn.StepBuffers) if given."""
     points = np.asarray(points)
     if len(points) == 0:
         raise MetricError("accuracy of an empty set is undefined")
-    hits = nn.predict(model, points) == np.asarray(labels)
+    hits = nn.predict(model, points, buffers=buffers) == np.asarray(labels)
     return float(np.add.reduce(hits, dtype=np.float64) / hits.size)  # np.mean's arithmetic
 
 
-def mean_auroc(model: nn.MlpModel, dataset: LabeledSet) -> float:
-    """Average AUROC across findings; the binary-mode headline metric."""
-    probs = nn.forward(model, dataset.points).probs
+def mean_auroc(model: nn.MlpModel, dataset: LabeledSet, buffers=None) -> float:
+    """Average AUROC across findings; the binary-mode headline metric. The
+    forward pass runs on buffers (nn.StepBuffers) if given."""
+    probs = nn.forward(model, dataset.points, buffers).probs
     columns = auroc_columns(probs, dataset.findings)
     return float(np.add.reduce(columns) / len(columns))  # np.mean's arithmetic
 

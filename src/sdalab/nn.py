@@ -16,15 +16,17 @@ so some calls take a cheaper route to the bits of the plain form
   ``np.dot.__wrapped__``, ``_where`` is ``np.where.__wrapped__`` and
   ``_c_einsum`` is the ``c_einsum`` that ``np.einsum`` calls (unless asked
   to optimize). The wrappers only dispatch in Python before calling them,
-  at 0.3-4 us a call, so the bits are theirs. ``argmax_rows`` calls
-  ``ndarray.argmax``, which ``np.argmax`` calls.
+  at 0.3-4 us a call, so the bits are theirs. Where numpy keeps one of
+  them under no such name, the public function is bound instead, with the
+  same bits. ``argmax_rows`` calls ``ndarray.argmax``, which ``np.argmax``
+  calls.
 - 2-D products use ``_dot``, which gives the bits of ``@`` on the layouts
   the layers make: a C- or F-ordered left operand, or a row slice of one,
   times a C-ordered weight or its transpose. It need not elsewhere, for
   instance on a left operand with strided columns. Stacks of one-row passes
   keep ``@``: ``np.dot`` on 3-D operands forms another product.
 - Row max and row sum below 8 columns are column folds, in the order
-  numpy's axis-1 reduction takes there (``_Fold``).
+  numpy's axis-1 reduction takes there (``_fold_steps``).
 - Bias sums are ``_c_einsum('ij->j')`` from 2 columns, at every row count.
   There it sums the rows in order from +0.0, as ``np.add.reduce(axis=0)``
   does, so the two give the same bits (signed zeros, NaN and inf included),
@@ -38,9 +40,12 @@ A training loop hands one ``StepBuffers`` to each ``forward`` and
 ``backward`` and to the loss core. A pass runs on the buffers' plan for its
 row count (``_RowArrays``): every array it writes and every view of them it
 reads (the head's column views and fold column, the activations'
-transposes), and one ``ForwardTrace``, all made once. So a step allocates
-no array that scales with the batch, except the sigmoid head's temporaries
-(a sigmoid through ``where=``, and BCE's target picks by mask, ran slower).
+transposes, the loss core's views for each scored-value count and set of
+term bounds), and one ``ForwardTrace``, all made once and bound as the
+pass walks them. So a pass runs one flat loop over its plan's tuples, and
+a step allocates no array that scales with the batch, except the sigmoid
+head's temporaries (a sigmoid through ``where=``, and BCE's target picks by
+mask, ran slower).
 What a buffered call returns holds until the next call with the same
 buffers for the same row count. An unbuffered call runs on a new plan, so
 every array it returns is new. The buffers keep nothing of the model: the
@@ -49,13 +54,21 @@ may share them. ``out=`` keeps the bits: ``np.dot`` into a C-ordered array
 is the same BLAS call, a ufunc computes a cell alike wherever it goes, and
 ``sgd_step``'s ``theta*wd + g`` is ``g + wd*theta`` (IEEE ops commute).
 
-What is left is numpy's per-call floor. On a 64-row [2, 10, 10, 3] step
-(2-core Xeon, numpy 2.4.6, in-process minima) a forward pass takes about
-16 us: about 1 us per product and 0.8 us per ReLU, 1.4 us per bias add, and
-6 us for the softmax's seven numpy calls. A bias sum takes 0.8-1.7 us from
-1 to 176 rows, against 0.9-5.4 us for ``add.reduce``. Bias adds run one
-numpy inner loop per row on matrices this narrow, so they cost more than
-the products.
+What is left is mostly numpy's per-call floor. On a 64-row [2, 10, 10, 3]
+step (tools/pass_costs.py: 2-core Xeon, numpy 2.4.6, in-process minima) a
+forward pass takes about 14-15 us: about 1 us per product and 0.8 us per
+ReLU, 1.4 us per bias add, and 6 us for the softmax's seven numpy calls.
+The pretraining loss gradient takes about 5 us, a backward pass 17 us and
+``sgd_step`` 3.4 us, and a default pretraining (900 such steps) 37-41 ms:
+0.92-0.93x what it took before the passes walked plans bound once, and the
+loss core of a 128-row adaptation step 0.78-0.80x (interleaved runs of the
+tool). A bias sum takes 0.8-1.7 us from 1 to 176 rows, against 0.9-5.4 us
+for ``add.reduce``. Bias adds run one numpy inner loop per row on matrices
+this narrow, so they cost more than the products. The same numpy calls
+made straight-line, with every operand a local, take about 1.5 us less per
+forward or backward pass, where the passes cost about 3 us more before
+their plans: that rest is the input checks, the plan lookup and the loops
+over the plan's tuples.
 """
 
 from __future__ import annotations
@@ -69,17 +82,22 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
+# The C functions behind np.dot, np.where and np.einsum (module docstring).
+# Where numpy keeps one under none of these private names, the public
+# function stands in: it calls the same C function, so the bits agree.
+_dot = getattr(np.dot, "__wrapped__", np.dot)
+_where = getattr(np.where, "__wrapped__", np.where)
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:
+        _c_einsum = np.einsum
 
 # Floor applied to probabilities inside logs. Keeps losses finite; well below
 # every tolerance used in tests.
 PROB_EPS = 1e-12
-
-# The C functions behind np.dot and np.where (module docstring)
-_dot, _where = np.dot.__wrapped__, np.where.__wrapped__
 
 SOFTMAX = "softmax"
 SIGMOID = "sigmoid"
@@ -263,43 +281,56 @@ class StepBuffers:
         self.views = _weight_views(flat, layout), _bias_views(flat, layout)
 
     def rows(self, n):
-        if n not in self.by_rows:
-            self.by_rows[n] = _RowArrays(self.dims, self.head, n)
-        return self.by_rows[n]
+        plan = self.by_rows.get(n)
+        if plan is None:
+            plan = self.by_rows[n] = _RowArrays(self.dims, self.head, n, self.views)
+        return plan
 
 
 class _RowArrays:
-    """The plan of every pass over n rows: the arrays a forward pass, a
-    backward pass and the loss core write, and every view of them a pass
-    reads (the head's column views and their fold column; the activations'
-    transposes, which its one ForwardTrace keeps). What only backward or the
+    """The plan of every pass over n rows, bound once: the arrays a forward
+    pass, a backward pass and the loss core write, and every view of them a
+    pass reads, grouped as each pass walks them, so that a pass runs one
+    flat loop. forward walks ``hidden``, each hidden layer's (index, z, ReLU
+    out), then the head's z, ``logits``, and under softmax runs _softmax on
+    ``softmax_args`` (the head's column views as fold steps into ``col``).
+    backward walks ``back`` (the head's dz and its fold steps, then each
+    layer's operands, the last layer first), on the gradient views of the
+    StepBuffers that made the plan. What only backward or the
     loss reads is made at first use, so a forward pass alone, as unbuffered
     evaluation runs it, makes no more than it writes."""
 
-    def __init__(self, dims, head, n):
-        self.head = head
+    def __init__(self, dims, head, n, grad_views=None):
+        self.softmax, self.grad_views = head == SOFTMAX, grad_views
         self.z = [np.empty((n, w)) for w in dims[1:]]  # per layer, head last
         self.a = [np.empty((n, w)) for w in dims[1:-1]]  # per hidden layer
         self.probs, self.col = np.empty((n, dims[-1])), np.empty(n)  # col: the head's row folds
-        self.logit_fold, self.prob_fold = _Fold(self.z[-1], self.col), _Fold(self.probs, self.col)
         self.trace = ForwardTrace(None, self.z, self.a, self.probs, dims)
-        self.layers = tuple(zip(self.z, [*self.a, None]))  # (z, relu out or None) per layer
+        self.hidden = tuple(zip(range(len(self.a)), self.z, self.a))
+        self.logits = self.z[-1]
+        self.softmax_args = _softmax_args(self.logits, self.probs, self.col) if self.softmax else None
 
     @functools.cached_property
-    def dz(self):  # per layer, head last
-        return [np.empty(z.shape) for z in self.z]
-
-    @functools.cached_property
-    def relu(self):  # per hidden layer
-        return [np.empty(a.shape, bool) for a in self.a]
-
-    @functools.cached_property
-    def dz_fold(self):
-        return _Fold(self.dz[-1], self.col)
+    def back(self):
+        """(head dz, head fold, layers): the fold is None under sigmoid, else
+        (col, col as (n, 1), the head dz's fold steps); per layer, the last
+        first, (index, weight gradient, bias gradient, whether einsum sums
+        the bias, the dz of the layer below and its ReLU mask, both None at
+        the first layer)."""
+        dz = [np.empty(z.shape) for z in self.z]
+        relu = [np.empty(a.shape, bool) for a in self.a]
+        weight_grads, bias_grads = self.grad_views
+        layers = tuple(
+            (i, weight_grads[i], bias_grads[i], len(bias_grads[i]) > 1,
+             dz[i - 1] if i else None, relu[i - 1] if i else None)
+            for i in range(len(dz) - 1, -1, -1)
+        )
+        head = (self.col, self.col[:, None], _fold_steps(dz[-1], self.col)) if self.softmax else None
+        return dz[-1], head, layers
 
     @functools.cached_property
     def loss(self):
-        return _LossArrays(*self.probs.shape, self.head == SIGMOID)
+        return _LossArrays(*self.probs.shape, not self.softmax)
 
 
 class _LossArrays:
@@ -307,53 +338,86 @@ class _LossArrays:
     value's gradient and whether the floor spares it (one value per row
     under cross-entropy, its target's cell; per cell under BCE), and
     cross-entropy's flat cells (a row's first, then its target's), their
-    probabilities and the dprobs it scatters into."""
+    probabilities and the dprobs it scatters into; and the views of them
+    that each scored-value count and set of term bounds reads (``cut``)."""
 
     def __init__(self, n, width, per_cell=False):
         shape = (n, width) if per_cell else (n,)
         self.grads, self.above = np.empty(shape), np.empty(shape, bool)
         self.chosen, self.cells = np.empty(n), np.empty(n, np.intp)
         self.dprobs, self.first_cells = np.empty((n, width)), np.arange(0, n * width, width)
+        self.cuts = {}
+
+    def cut(self, m, bounds):
+        """_Cut of m scored values into terms at bounds, a tuple of (start,
+        stop) pairs, made at first use."""
+        key = m, bounds
+        found = self.cuts.get(key)
+        if found is None:
+            found = self.cuts[key] = _Cut(self, m, bounds)
+        return found
 
 
-class _Fold:
-    """A row fold of x planned once: x's column views, and acc and its
-    (n, 1) view, where it folds. Below 8 columns a fold runs ufunc over the
-    columns left to right, the order numpy's axis-1 reduction takes there,
-    so it gives the reduction's bits, unless a row holds only -0.0 (the
-    reduction may give +0.0). From 8 columns numpy sums pairwise; those
-    (and a single column) go to the reduction."""
+class _Cut:
+    """The views of work, _LossArrays, that one loss-core call reads for m
+    scored values whose terms sit at bounds: the first m cells,
+    probabilities, gradients and floor flags, each term's slice, and each
+    term's view of the probabilities and of the gradients."""
 
-    __slots__ = ("x", "acc", "column", "cols")
+    __slots__ = ("work", "cells", "chosen", "grads", "above", "slices", "chosen_terms",
+                 "grad_terms")
 
-    def __init__(self, x, acc):
-        self.x, self.acc, self.column = x, acc, acc[:, None]
-        self.cols = [x[:, j] for j in range(x.shape[1])] if 2 <= x.shape[1] < 8 else None
+    def __init__(self, work, m, bounds):
+        self.work, self.cells, self.chosen = work, work.cells[:m], work.chosen[:m]
+        self.grads, self.above = work.grads[:m], work.above[:m]
+        self.slices = tuple(slice(start, stop) for start, stop in bounds)
+        self.chosen_terms = tuple(self.chosen[s] for s in self.slices)
+        self.grad_terms = tuple(self.grads[s] for s in self.slices)
 
-    def __call__(self, ufunc):
-        """The (n, 1) fold of x by ufunc."""
-        cols, acc = self.cols, self.acc
-        if cols is None:
-            return ufunc.reduce(self.x, axis=1, keepdims=True)
-        ufunc(cols[0], cols[1], out=acc)
-        for j in range(2, len(cols)):
-            ufunc(acc, cols[j], out=acc)
-        return self.column
+
+def _fold_steps(x, acc):
+    """A row fold of x into acc planned once: below 8 columns, the operand
+    pairs of ufunc(left, right, out=acc) over x's columns left to right, the
+    order numpy's axis-1 reduction takes there, so the fold gives the
+    reduction's bits, unless a row holds only -0.0 (the reduction may give
+    +0.0). From 8 columns numpy sums pairwise; those (and a single column)
+    get None and go to the reduction."""
+    if not 2 <= x.shape[1] < 8:
+        return None
+    cols = [x[:, j] for j in range(x.shape[1])]
+    return ((cols[0], cols[1]), *((acc, col) for col in cols[2:]))
 
 
 def softmax_rows(logits):
     # The row max and row sum as column folds: the bits of .max() and .sum()
     # (a max of -0.0 for +0.0 only moves exp(+-0) = 1; a sum here is > 0).
     probs = np.empty(np.shape(logits))
-    col = np.empty(len(probs))
-    return _softmax(logits, _Fold(logits, col), _Fold(probs, col))
+    return _softmax(*_softmax_args(logits, probs, np.empty(len(probs))))
 
 
-def _softmax(logits, logit_fold, prob_fold):
-    """softmax_rows into prob_fold's array, with the given folds."""
-    e = np.subtract(logits, logit_fold(np.maximum), out=prob_fold.x)
+def _softmax_args(logits, probs, acc):
+    """_softmax's arguments for logits into probs, folding rows into acc."""
+    return logits, probs, acc, acc[:, None], _fold_steps(logits, acc), _fold_steps(probs, acc)
+
+
+def _softmax(logits, probs, acc, column, logit_steps, prob_steps):
+    """softmax_rows of logits into probs: the row max, then the row sum,
+    folds into acc by its _fold_steps (column is acc as (n, 1)), or by the
+    reduction where the steps are None."""
+    top = total = column
+    if logit_steps is None:
+        top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    else:
+        for left, right in logit_steps:
+            np.maximum(left, right, out=acc)
+    e = np.subtract(logits, top, out=probs)
     np.exp(e, out=e)
-    e /= prob_fold(np.add)
+    if prob_steps is None:
+        total = np.add.reduce(e, axis=1, keepdims=True)
+    else:
+        for left, right in prob_steps:
+            np.add(left, right, out=acc)
+    e /= total
     return e
 
 
@@ -368,7 +432,7 @@ def sigmoid(x, out=None):
 def _checked_inputs(model, inputs):
     # C-ordered, as np.dot's bits can depend on the layout (copies no C input)
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+    if inputs.ndim != 2 or inputs.shape[1] != model.layer_dims[0]:
         raise ShapeError(
             f"inputs shape {inputs.shape}, expected (batch, {model.input_dim})"
         )
@@ -380,14 +444,17 @@ def forward(model, inputs, buffers=None):
     the plan of buffers for len(inputs) rows, else in a new plan."""
     inputs, n = _checked_inputs(model, inputs), len(inputs)
     plan = _RowArrays(model.layer_dims, model.head, n) if buffers is None else buffers.rows(n)
+    weights, biases = model.weights, model.biases
     a = inputs
-    for w, b, (z, relu) in zip(model.weights, model.biases, plan.layers):
-        _dot(a, w, z)
-        z += b
-        if relu is not None:
-            a = np.maximum(z, 0.0, out=relu)
-    if model.head == SOFTMAX:
-        _softmax(z, plan.logit_fold, plan.prob_fold)
+    for i, z, relu in plan.hidden:
+        _dot(a, weights[i], z)
+        z += biases[i]
+        a = np.maximum(z, 0.0, out=relu)
+    z = plan.logits
+    _dot(a, weights[-1], z)
+    z += biases[-1]
+    if plan.softmax_args is not None:
+        _softmax(*plan.softmax_args)
     else:
         sigmoid(z, plan.probs)
     plan.trace.inputs = inputs
@@ -400,7 +467,7 @@ def _term_rows(terms, n_rows):
     name, in order, and each term's (start, stop) among those rows. rows is
     None when the terms cover every row, as the default single term does."""
     if terms is None:
-        return None, [(0, n_rows)]
+        return None, ((0, n_rows),)
     bounds, at, end = [], 0, 0
     for start, stop in terms:
         if not end <= start <= stop <= n_rows:
@@ -408,8 +475,8 @@ def _term_rows(terms, n_rows):
         bounds.append((at, at + stop - start))
         at, end = at + stop - start, stop
     if at == n_rows:
-        return None, bounds
-    return np.concatenate([np.arange(start, stop) for start, stop in terms]), bounds
+        return None, tuple(bounds)
+    return np.concatenate([np.arange(start, stop) for start, stop in terms]), tuple(bounds)
 
 
 def _counts(bounds, mask, cells_per_row):
@@ -419,30 +486,32 @@ def _counts(bounds, mask, cells_per_row):
     return [int(round(np.add.reduce(mask[start:stop], axis=None))) for start, stop in bounds]
 
 
-def _term_losses(chosen, sign, bounds, counts, mask, grads, above):
+def _term_losses(chosen, sign, counts, mask, cut, cell_terms):
     """The loss core of loss_ce and loss_bce, on checked arrays. ``chosen``
     holds each scored cell's probability of its target, ``sign`` -1 where
     that is p and +1 where it is 1 - p. Each cell's loss is -log of chosen
     floored at PROB_EPS, and its gradient sign / floored (0 where the floor
     binds: the clamped loss is flat there), both times ``mask`` if given.
-    Each term's loss is the pairwise sum of its rows' cells, bounds giving
-    its (start, stop), divided by its count; its gradient rows are divided
-    by the same count in place. A term with count 0 gets loss 0.0 and zero
-    gradient. chosen becomes the cells' losses; grads (and above, scratch)
-    are written. Returns (losses, grads)."""
-    cells = np.log(_floored(chosen, sign, grads, above), out=chosen)
+    Each term's loss is the pairwise sum of its cells, cell_terms giving
+    each term's view of chosen, divided by its count; its gradient rows,
+    cut.grad_terms, are divided by the same count in place. A term with
+    count 0 gets loss 0.0 and zero gradient. chosen becomes the cells'
+    losses; cut.grads (and cut.above, scratch) are written. Returns
+    (losses, grads)."""
+    grads = cut.grads
+    cells = np.log(_floored(chosen, sign, grads, cut.above), out=chosen)
     np.negative(cells, out=cells)
     if mask is not None:
         cells *= mask
         grads *= mask
     losses = []
-    for (start, stop), count in zip(bounds, counts):
+    for term_cells, term_grads, count in zip(cell_terms, cut.grad_terms, counts):
         if count:
-            losses.append(float(np.add.reduce(cells[start:stop], axis=None)) / count)
-            grads[start:stop] /= count
+            losses.append(float(np.add.reduce(term_cells, axis=None)) / count)
+            term_grads /= count
         else:
             losses.append(0.0)
-            grads[start:stop] = 0.0
+            term_grads.fill(0.0)
     return losses, grads
 
 
@@ -457,31 +526,33 @@ def _floored(chosen, sign, grads, above):
     return clamped
 
 
-def _ce_terms(probs, rows, targets, bounds, counts, mask=None, work=None):
-    """loss_ce on checked arrays: rows are the scored rows of probs, an
-    index array, and targets their classes. The scored cells are flat
-    indices into probs (take, then put into a zeroed dprobs). Writes into
-    work, the _LossArrays of len(probs) rows (default: new ones). Returns
+def _ce_terms(probs, row_cells, targets, bounds, counts, mask=None, work=None):
+    """loss_ce on checked arrays: row_cells holds the flat index in probs of
+    each scored row's first cell (row * width), and targets their classes.
+    The scored cells are flat indices into probs (take, then put into a
+    zeroed dprobs). Writes into work, the _LossArrays of len(probs) rows
+    (default: new ones), through its cut for len(row_cells) values at
+    bounds, a tuple of each term's (start, stop) among them. Returns
     (losses, dprobs)."""
-    work = work or _LossArrays(*probs.shape)
-    m = len(rows)
-    cells = np.multiply(rows, probs.shape[1], out=work.cells[:m])
-    cells += targets
+    cut = (work or _LossArrays(*probs.shape)).cut(len(row_cells), bounds)
+    cells = np.add(row_cells, targets, out=cut.cells)
     # "clip" reads without numpy's bounds-check buffer: targets are checked
-    chosen = probs.take(cells, out=work.chosen[:m], mode="clip")
-    losses, grads = _term_losses(chosen, -1.0, bounds, counts, mask, work.grads[:m], work.above[:m])
-    work.dprobs.fill(0.0)
-    work.dprobs.put(cells, grads)
-    return losses, work.dprobs
+    chosen = probs.take(cells, out=cut.chosen, mode="clip")
+    losses, grads = _term_losses(chosen, -1.0, counts, mask, cut, cut.chosen_terms)
+    dprobs = cut.work.dprobs
+    dprobs.fill(0.0)
+    dprobs.put(cells, grads)
+    return losses, dprobs
 
 
 def _bce_terms(scored, positive, bounds, counts, mask=None, work=None):
     """loss_bce on checked arrays, over every row of scored; positive says
     which target cells are 1. Writes into work, per-cell _LossArrays of
-    len(scored) rows (default: new ones). Returns (losses, dscored)."""
-    work = work or _LossArrays(*scored.shape, per_cell=True)
-    return _term_losses(*_bce_chosen(scored, positive), bounds, counts, mask,
-                        work.grads, work.above)
+    len(scored) rows (default: new ones), through its cut at bounds.
+    Returns (losses, dscored)."""
+    cut = (work or _LossArrays(*scored.shape, per_cell=True)).cut(len(scored), bounds)
+    chosen, sign = _bce_chosen(scored, positive)
+    return _term_losses(chosen, sign, counts, mask, cut, [chosen[s] for s in cut.slices])
 
 
 def loss_ce(probs, targets, terms=None, mask=None):
@@ -512,7 +583,7 @@ def loss_ce(probs, targets, terms=None, mask=None):
     _checked_targets(targets, probs.shape[1])
     mask = _checked_mask(mask, rows.shape)
     counts = _counts(bounds, mask, 1)
-    losses, dprobs = _ce_terms(probs, rows, targets, bounds, counts, mask)
+    losses, dprobs = _ce_terms(probs, rows * probs.shape[1], targets, bounds, counts, mask)
     return losses, dprobs, counts
 
 
@@ -610,12 +681,18 @@ def backward(model, trace, dprobs, buffers=None):
     if dprobs.shape != probs.shape:
         raise ShapeError(f"upstream gradient shape {dprobs.shape}, expected {probs.shape}")
     work = buffers or StepBuffers(model)
-    plan = work.rows(len(probs))
-    dz = np.multiply(dprobs, probs, out=plan.dz[-1])
-    if model.head == SOFTMAX:
+    dz_head, head, layers = work.rows(len(probs)).back
+    dz = np.multiply(dprobs, probs, out=dz_head)
+    if head is not None:
         # dz_j = p_j * (g_j - sum_k g_k p_k), rowwise. A loss_ce row of
         # g * p holds +0.0 off its target, so it is never a row of -0.0.
-        np.subtract(dprobs, plan.dz_fold(np.add), out=dz)
+        acc, total, steps = head
+        if steps is None:
+            total = np.add.reduce(dz, axis=1, keepdims=True)
+        else:
+            for left, right in steps:
+                np.add(left, right, out=acc)
+        np.subtract(dprobs, total, out=dz)
         dz *= probs
     else:
         dz *= 1.0 - probs
@@ -623,17 +700,16 @@ def backward(model, trace, dprobs, buffers=None):
     # Every entry is written below, so the vector needs no zero-fill. For
     # these 2-D float64 operands np.dot gives the bits of `@`, and writes
     # into a view at less cost than np.matmul(out=).
-    weight_grads, bias_grads = work.views
-    transposed = trace.transposed
-    for i in range(len(weight_grads) - 1, -1, -1):
-        _dot(transposed[i - 1] if i else trace.inputs.T, dz, weight_grads[i])
-        if len(bias_grads[i]) > 1:
-            _c_einsum("ij->j", dz, out=bias_grads[i])
+    weights, transposed, pre = model.weights, trace.transposed, trace.pre_activations
+    for i, weight_grad, bias_grad, einsum, dz_below, relu in layers:
+        _dot(transposed[i - 1] if i else trace.inputs.T, dz, weight_grad)
+        if einsum:
+            _c_einsum("ij->j", dz, out=bias_grad)
         else:
-            np.add.reduce(dz, axis=0, out=bias_grads[i])
-        if i > 0:
-            dz = _dot(dz, model.weights[i].T, plan.dz[i - 1])
-            dz *= np.greater(trace.pre_activations[i - 1], 0.0, out=plan.relu[i - 1])
+            np.add.reduce(dz, axis=0, out=bias_grad)
+        if i:
+            dz = _dot(dz, weights[i].T, dz_below)
+            dz *= np.greater(pre[i - 1], 0.0, out=relu)
     return work.gradient
 
 
@@ -690,9 +766,10 @@ def argmax_rows(matrix, out=None):
     return matrix.argmax(1, out)
 
 
-def predict(model, inputs, thresholds=None):
-    """Class index per sample (softmax) or 0/1 matrix vs thresholds (sigmoid)."""
-    probs = forward(model, inputs).probs
+def predict(model, inputs, thresholds=None, buffers=None):
+    """Class index per sample (softmax) or 0/1 matrix vs thresholds (sigmoid),
+    from a forward pass on buffers if given."""
+    probs = forward(model, inputs, buffers).probs
     if model.head == SOFTMAX:
         return argmax_rows(probs)
     if thresholds is None:

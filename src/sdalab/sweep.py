@@ -188,7 +188,9 @@ def read_records_jsonl(path) -> SweepResult:
         kinds = {"cell": str}
         if "error" not in doc:
             kinds.update(metric=str, value=(int, float))
-        bad = [key for key, kind in kinds.items() if not isinstance(doc.get(key), kind)]
+        # a JSON true or false is no number, though Python's bool subclasses int
+        bad = [key for key, kind in kinds.items()
+               if not isinstance(doc.get(key), kind) or isinstance(doc.get(key), bool)]
         if not isinstance(axis, str):
             bad.append("axis")
         if bad:

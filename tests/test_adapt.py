@@ -1,5 +1,6 @@
 """Tests for augmentation, batch assembly, engine steps, and the adapt loop."""
 
+import itertools
 import math
 from dataclasses import astuple, replace
 from typing import Callable, Optional
@@ -40,9 +41,7 @@ def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_r
     """An epoch's first batch as the adapt loop assembles it: the step's
     draws from rng, the defending pairs retrieved for its units, and the
     epoch laid out by build_minibatch, read back as step 0's MiniBatch."""
-    picked, unlabeled = adapt._draw_epoch(
-        units_of(split), np.array(split.unlabeled), spec, 1, rng
-    )
+    picked, unlabeled = adapt._Draws(units_of(split), np.array(split.unlabeled), spec, 1).draw(rng)
     defending = None
     if rld_cfg is not None:
         defending = bank._retrieve_split(
@@ -76,7 +75,7 @@ def one_step(model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, rng=Non
 class CyclingSampler:
     """Epoch-shuffled without-replacement cycling over a fixed index pool:
     the sampler the epoch loop drew its batches with before it drew a whole
-    epoch at once, kept verbatim as the oracle for adapt._draw_epoch."""
+    epoch at once, kept verbatim as the oracle for adapt._Draws."""
 
     def __init__(self, pool, rng: np.random.Generator):
         self.pool = np.asarray(pool, dtype=np.int64)
@@ -206,8 +205,9 @@ class TestDrawEpoch:
         n_steps = adapt.steps_per_epoch(labeled, pool, spec)
         seed = labeled * 1000 + pool * 10 + mu
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = adapt._Draws(units, unlabeled_idx, spec, n_steps)
         for _ in range(3):
-            picked, unlabeled = adapt._draw_epoch(units, unlabeled_idx, spec, n_steps, rng)
+            picked, unlabeled = draws.draw(rng)
             labeled_sampler = CyclingSampler(np.arange(labeled), ref_rng)
             unlabeled_sampler = CyclingSampler(unlabeled_idx, ref_rng) if mu else None
             assert picked.shape == (n_steps, 16, 2) and unlabeled.shape == (n_steps, mu * 16)
@@ -220,8 +220,64 @@ class TestDrawEpoch:
     def test_empty_pool_rejected(self):
         spec = adapt.BatchSpec(b=4, mu=1)
         with pytest.raises(ConfigError, match="empty pool"):
-            adapt._draw_epoch(np.zeros((0, 2), dtype=np.int64), np.arange(5), spec, 1,
-                              np.random.default_rng(0))
+            adapt._Draws(np.zeros((0, 2), dtype=np.int64), np.arange(5), spec, 1)
+
+
+def verbatim_draw_epoch(units, unlabeled_idx, spec, n_steps, rng):
+    """adapt's epoch draw as it was before its plan was made once per run,
+    kept verbatim as the oracle for the run's plan, adapt._Draws."""
+    pools = [(np.arange(len(units)), spec.b)]
+    if spec.mu > 0:
+        pools.append((unlabeled_idx, spec.mu * spec.b))
+    schedule, orders = [], []  # schedule: (step, pool, permutation), step -1 as the epoch starts
+    for p, (pool, per_step) in enumerate(pools):
+        size = len(pool)
+        if size == 0:
+            raise ConfigError("cannot sample from an empty pool")
+        needed = -(-n_steps * per_step // size)
+        schedule += [(j * size // per_step if j else -1, p, j) for j in range(needed)]
+        order = np.empty((needed, size), pool.dtype)
+        order[:] = pool
+        orders.append(order)
+    for p, run in itertools.groupby(sorted(schedule), key=lambda event: event[1]):
+        rows = [j for _, _, j in run]  # consecutive permutations of pool p
+        block = orders[p][rows[0] : rows[-1] + 1]
+        rng.permuted(block, axis=1, out=block)
+    draws = [
+        order.reshape(-1)[: n_steps * per_step].reshape(n_steps, per_step)
+        for order, (_, per_step) in zip(orders, pools)
+    ]
+    if spec.mu == 0:
+        draws.append(np.empty((n_steps, 0), dtype=np.int64))
+    return units[draws[0]], draws[1]
+
+
+class TestEpochPlan:
+    """A run makes its draw plan once and draws every epoch from it."""
+
+    # (labelled units, unlabelled pool, mu): the default labelled pool of 9
+    # units, smaller than one step's b = 16, with the default mu and mu = 0
+    @pytest.mark.parametrize("labeled, pool, mu", [
+        (9, 950, 7), (9, 950, 0), (9, 5, 1), (16, 112, 7), (45, 113, 1), (17, 1, 0), (48, 224, 7),
+    ])
+    def test_three_epochs_match_the_verbatim_draw(self, labeled, pool, mu):
+        spec = adapt.BatchSpec(b=16, mu=mu)
+        units = np.stack([np.arange(labeled) * 3 + 1, np.arange(labeled) % 4], axis=1)
+        unlabeled_idx = np.arange(pool) * 2
+        n_steps = adapt.steps_per_epoch(labeled, pool, spec)
+        draws = adapt._Draws(units, unlabeled_idx, spec, n_steps)
+        seed = labeled * 1000 + pool * 10 + mu
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            picked, unlabeled = draws.draw(rng)
+            want_picked, want_unlabeled = verbatim_draw_epoch(
+                units, unlabeled_idx, spec, n_steps, ref_rng
+            )
+            assert np.array_equal(picked, want_picked)
+            assert np.array_equal(unlabeled, want_unlabeled)
+            assert picked.dtype == want_picked.dtype and unlabeled.dtype == want_unlabeled.dtype
+            assert unlabeled.shape == (n_steps, mu * 16)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBuildMinibatch:
@@ -281,9 +337,9 @@ class TestBuildMinibatch:
         unlabeled_idx = np.array(split.unlabeled)
         cur_bank = bank.generate_bank(model, train.points[unlabeled_idx], unlabeled_idx, 1.0, 3)
         rld_cfg = bank.RldConfig(p=1.0, k=2, strategy=bank.COSINE_DISTANT)
-        picked, unlabeled = adapt._draw_epoch(
-            units_of(split), unlabeled_idx, adapt.BatchSpec(b=4, mu=1), 2, np.random.default_rng(5)
-        )
+        picked, unlabeled = adapt._Draws(
+            units_of(split), unlabeled_idx, adapt.BatchSpec(b=4, mu=1), 2
+        ).draw(np.random.default_rng(5))
         labeled = train.points[picked[..., 0]], picked[..., 1]
         defending = bank._retrieve_split(cur_bank, *labeled, rld_cfg, np.random.default_rng(6))
         epoch = adapt.build_minibatch(
@@ -848,6 +904,35 @@ class TestAdaptLoop:
         assert out is not model
         for a, b_ in zip(out.weights, model.weights):
             np.testing.assert_array_equal(a, b_)
+
+    def test_scoring_on_the_step_buffers_moves_nothing(self, toy, monkeypatch):
+        # a fixmatch_lite step is 16 + 2 * 112 = 240 rows, so a 240-row test
+        # set is scored in the very plan the steps run on; the records and
+        # the final model must be those of scoring on fresh arrays
+        train, split, model = toy
+        test_set = LabeledSet(np.concatenate([train.points, train.points[:60]]),
+                              np.concatenate([train.labels, train.labels[:60]]), data.TARGET)
+        assert len(test_set.points) == 240
+        cfg = adapt.AdaptConfig(
+            algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.6, epochs=3,
+            augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
+        )
+        forward, passes = nn.forward, []
+
+        def spy(m, inputs, buffers=None):
+            passes.append((len(inputs), buffers))
+            return forward(m, inputs, buffers)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        shared = adapt.adapt(model, split, train, cfg, seed=4, test_set=test_set)
+        steps = [b for n, b in passes if n == 240 and b is not None]
+        assert len({id(b) for b in steps}) == 1 and len(steps) > cfg.epochs  # steps and scores
+        monkeypatch.setattr(adapt.SoftmaxRule, "score", staticmethod(
+            lambda m, labeled, buffers=None: metrics.top1_accuracy(m, labeled.points, labeled.labels)
+        ))
+        fresh = adapt.adapt(model, split, train, cfg, seed=4, test_set=test_set)
+        assert shared[1] == fresh[1]
+        assert shared[0].params.tobytes() == fresh[0].params.tobytes()
 
     def test_identical_seed_identical_records(self, toy):
         train, split, model = toy

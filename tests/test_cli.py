@@ -339,8 +339,10 @@ class TestExitCodes:
         ({"axis": 5, "cell": "a", "seed": 0, "metric": "test_acc", "value": 0.5}, "axis"),
         ({"axis": "k", "error": "boom", "seed": 0}, "cell"),
         ({"axis": "k", "error": "boom", "cell": ["a"], "seed": 0}, "cell"),
+        ({"cell": "a", "seed": 0, "metric": "test_acc", "value": True}, "value"),
+        ({"cell": "a", "seed": 0, "metric": "test_acc", "value": False}, "value"),
     ], ids=["empty", "no_metric", "text_value", "int_cell", "int_axis", "failure_no_cell",
-            "failure_list_cell"])
+            "failure_list_cell", "true_value", "false_value"])
     def test_records_line_missing_a_key_exits_2_naming_it(self, tmp_path, capsys, bad, keys):
         path = tmp_path / "records.jsonl"
         good = json.dumps({"axis": "k", "cell": "a", "seed": 0, "metric": "test_acc",

@@ -525,6 +525,18 @@ class TestFeaturesAndSerialization:
             nn.MlpModel.from_json_dict({"format": "something-else"})
 
 
+def planned_fold(ufunc, x):
+    """The (n, 1) row fold of x by ufunc as forward and backward run it:
+    its nn._fold_steps into one accumulator, or the reduction."""
+    acc = np.empty(len(x))
+    steps = nn._fold_steps(x, acc)
+    if steps is None:
+        return ufunc.reduce(x, axis=1, keepdims=True)
+    for left, right in steps:
+        ufunc(left, right, out=acc)
+    return acc[:, None]
+
+
 class TestBitEqualityFacts:
     """What cosine_distant retrieval's array path rests on: each fact lets it
     compute a whole step at once and still get the bits of one point and one
@@ -657,11 +669,11 @@ class TestBitEqualityFacts:
                     np.maximum(top, x[:, j], out=top)
                 assert np.array_equal(total, np.add.reduce(x, axis=1)), (rows, cols)
                 assert np.array_equal(top, np.maximum.reduce(x, axis=1)), (rows, cols)
-        for cols in range(1, 13):  # the helper, reductions at the other widths included
+        for cols in range(1, 13):  # the plans' folds, reductions at the other widths included
             x = rng.normal(size=(int(rng.integers(1, 300)), cols))
             for ufunc in (np.add, np.maximum):
                 want = ufunc.reduce(x, axis=1, keepdims=True)
-                assert same_bits(nn._Fold(x, np.empty(len(x)))(ufunc), want)
+                assert same_bits(planned_fold(ufunc, x), want)
 
     def test_products_and_bias_sums_are_numpys_c_functions(self):
         # what np.dot, np.where and np.einsum call past their Python-level
@@ -673,6 +685,41 @@ class TestBitEqualityFacts:
         assert nn._dot is np.dot.__wrapped__
         assert nn._where is np.where.__wrapped__
         assert nn._c_einsum is c_einsum
+
+    @pytest.mark.parametrize("head, dims", [
+        (nn.SOFTMAX, [2, 10, 10, 3]), (nn.SOFTMAX, [2, 1, 10, 9]), (nn.SIGMOID, [2, 16, 10, 4]),
+    ])
+    def test_public_fallbacks_give_the_same_bits(self, monkeypatch, head, dims):
+        # where numpy lacks the private names, nn binds np.dot, np.where and
+        # np.einsum; one buffered forward, loss-gradient and backward pass
+        # through each binding must give the same bits
+        rng = np.random.default_rng(71)
+        x = rng.normal(scale=3.0, size=(64, 2))
+        if head == nn.SOFTMAX:
+            targets = rng.integers(0, dims[-1], size=64)
+        else:
+            targets = rng.random((64, dims[-1])) < 0.5
+
+        def one_pass():
+            model = make_model(dims, head=head, seed=72)
+            buffers = nn.StepBuffers(model)
+            trace = nn.forward(model, x, buffers)
+            dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
+            grads = nn.backward(model, trace, dprobs, buffers)
+            return [a.tobytes() for a in (trace.probs, dprobs, grads.flat)]
+
+        want = one_pass()
+        called = set()
+        for name, public in (("_dot", np.dot), ("_where", np.where), ("_c_einsum", np.einsum)):
+            def counted(*args, _name=name, _public=public, **kwargs):
+                called.add(_name)
+                return _public(*args, **kwargs)
+
+            monkeypatch.setattr(nn, name, counted)
+        got = one_pass()
+        monkeypatch.undo()
+        assert got == want
+        assert called == {"_dot", "_c_einsum"} | ({"_where"} if head == nn.SIGMOID else set())
 
     def test_einsum_column_sums_equal_row_axis_reductions(self):
         # backward's bias sums from 2 columns, at every row count: both sum
@@ -693,7 +740,7 @@ class TestBitEqualityFacts:
                 assert same_bits(got, want), (rows, cols)
 
     def test_permuted_rows_equal_row_by_row_shuffles(self):
-        # _draw_epoch's one call per run of a pool's permutations: rows of a
+        # adapt._Draws' one call per run of a pool's permutations: rows of a
         # block within a tile, as many as the run has
         for seed in range(40):
             for needed in (1, 2, 3, 16):
@@ -1729,7 +1776,7 @@ class TestLossCore:
             bounds = list(zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)))
             counts = [n if mask is None else int(np.count_nonzero(mask[a:b]))
                       for n, (a, b) in zip(sizes, bounds)]
-            got = nn._ce_terms(probs, rows, targets, bounds, counts, mask)
+            got = nn._ce_terms(probs, rows * 3, targets, tuple(bounds), counts, mask)
             assert counts == want[2]
             assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
             assert got[1].tobytes() == want[1].tobytes()
@@ -1750,7 +1797,7 @@ class TestLossCore:
                 if case % 3 == 0:
                     mask[sizes[0] : sizes[0] + sizes[1]] = 0.0  # a term whose count is 0
             want = nn.loss_bce(probs, targets, terms, mask)
-            bounds = terms
+            bounds = tuple(terms)
             counts = [4 * (b - a) if mask is None else int(np.count_nonzero(mask[a:b]))
                       for a, b in bounds]
             got = nn._bce_terms(probs, targets == 1.0, bounds, counts, mask)

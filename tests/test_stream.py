@@ -187,9 +187,9 @@ class TestRunStream:
         evaluated = []
         top1 = metrics.top1_accuracy
 
-        def counting(model, points, labels):
+        def counting(model, points, labels, buffers=None):
             evaluated.append(model)
-            return top1(model, points, labels)
+            return top1(model, points, labels, buffers)
 
         monkeypatch.setattr(metrics, "top1_accuracy", counting)
         for fb in (split, lone):

@@ -1,0 +1,147 @@
+"""Time one buffered training pass of each kind at the row counts the
+training loops run, and one default pretraining: the figures the nn module
+docstring quotes.
+
+    python3 tools/pass_costs.py                  # 7 rounds
+    python3 tools/pass_costs.py --rounds 1 --calls 50
+
+Run it from the root of a checkout. The model is the blobs default,
+[2, 10, 10, 3] with a softmax head, and each row count is one loop's step:
+64 rows a pretraining step, whose loss core is `nn._term_gradient`; 128 a
+pseudo-label step (16 labelled and 112 unlabelled rows); 176 an rld step at
+k = 3 (48 defending rows more); 240 a `fixmatch_lite` step (16 labelled
+rows, then the weak and the strong view of 112 unlabelled ones, 128 rows
+scored). From 128 rows the loss core is `nn._ce_terms` over the step's three
+terms. Every pass runs on one `nn.StepBuffers`, as the loops run theirs.
+
+A round times each item once: `--calls` calls in a row, divided by their
+count. The items' order rotates by one from round to round, so that a drift
+in the machine's speed falls on every item alike. It prints, per row count,
+the minimum over the rounds of the microseconds per call of `nn.forward`,
+the loss core, `nn.backward` and `nn.sgd_step`, then the minimum over the
+rounds of one pretraining at stock settings (seed 0, blobs), in
+milliseconds.
+"""
+
+import argparse
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import numpy as np  # noqa: E402
+
+from sdalab import adapt, nn, runner  # noqa: E402
+from sdalab.config import load_config, stage_seed  # noqa: E402
+
+ROW_COUNTS = (64, 128, 176, 240)
+PASSES = ("forward", "loss", "backward", "sgd_step")
+B, U = 16, 112  # the default labelled and unlabelled rows of an adaptation step
+
+
+def step_layout(n, width):
+    """(row_cells, bounds, counts) of the loss core's three terms in an
+    n-row adaptation step with width outputs, as adapt's step hands them
+    over: the flat index of each scored row's first cell, each term's
+    (start, stop) among the scored rows, and each term's count."""
+    views = 2 if n == B + 2 * U else 1
+    d = n - B - views * U
+    rows = np.concatenate([np.arange(B), np.arange(B + (views - 1) * U, n)])
+    return rows * width, ((0, B), (B, B + U), (B + U, B + U + d)), [B, U, d]
+
+
+def pass_items(rng):
+    """{(rows, pass): call}: one buffered call of each pass at each row
+    count, each on its own inputs, so the items may run in any order."""
+    model = nn.MlpModel.init([2, 10, 10, 3], nn.SOFTMAX, rng)
+    stepped = model.copy()
+    buffers, state = nn.StepBuffers(model), nn.SgdState.zeros_like(stepped)
+    sgd = nn.SgdConfig(1e-6, momentum=0.82, weight_decay=0.015)
+    items = {}
+    for n in ROW_COUNTS:
+        inputs = rng.normal(scale=3.0, size=(n, 2))
+        trace = nn.forward(model, inputs, buffers)
+        probs = trace.probs.copy()
+        if n == 64:
+            targets = rng.integers(0, 3, size=n)
+
+            def loss(probs=probs, targets=targets):
+                nn._term_gradient(model, probs, targets, buffers)
+        else:
+            row_cells, bounds, counts = step_layout(n, 3)
+            targets = rng.integers(0, 3, size=len(row_cells))
+
+            def loss(probs=probs, row_cells=row_cells, targets=targets, bounds=bounds,
+                     counts=counts):
+                nn._ce_terms(probs, row_cells, targets, bounds, counts, None,
+                             buffers.rows(len(probs)).loss)
+        dprobs = rng.normal(scale=0.01, size=probs.shape)
+        grads = nn.GradientSet._wrap(nn.backward(model, trace, dprobs, buffers).flat.copy(),
+                                     model._layout)
+        items[n, "forward"] = lambda inputs=inputs: nn.forward(model, inputs, buffers)
+        items[n, "loss"] = loss
+        # the plan's trace holds while only this item's forward pass rewrites it
+        items[n, "backward"] = lambda trace=trace, dprobs=dprobs: nn.backward(
+            model, trace, dprobs, buffers)
+        items[n, "sgd_step"] = lambda grads=grads: nn.sgd_step(stepped, grads, sgd, state)
+    return items
+
+
+def pretraining():
+    """One pretraining at stock settings, seed 0, as the runner's stage makes it."""
+    cfg = load_config(None, [])
+    source = runner.make_data(cfg, 0).source_train
+    seed = stage_seed(cfg.stage_hash("pretrain"), 0, "train")
+
+    def run():
+        rng = np.random.default_rng(seed)
+        model = nn.MlpModel.init(cfg.model_dims(), cfg.head(), rng)
+        adapt.train_supervised(
+            model, source.points, source.labels, cfg.pretrain_sgd(),
+            cfg.flat["pretrain.epochs"], cfg.flat["pretrain.batch_size"], rng,
+        )
+    return run
+
+
+def measure(items: dict, rounds: int, calls: dict) -> dict:
+    """{item: [seconds per call, one per round]}; calls[item] is how many
+    calls a round makes of it."""
+    names = list(items)
+    found = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            call, count = items[name], calls[name]
+            t0 = time.perf_counter()
+            for _ in range(count):
+                call()
+            found[name].append((time.perf_counter() - t0) / count)
+    return found
+
+
+def report(found: dict) -> list:
+    """The table's lines: the us per call of each pass at each row count
+    (minimum over the rounds), then the pretraining's ms."""
+    lines = [f"{'rows':>4}  " + "  ".join(f"{p:>8}" for p in PASSES) + "  (us per call)"]
+    for n in ROW_COUNTS:
+        lines.append(f"{n:>4}  " + "  ".join(f"{min(found[n, p]) * 1e6:>8.2f}" for p in PASSES))
+    lines.append(f"pretraining {min(found['pretraining']) * 1e3:.2f} ms")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--calls", type=int, default=2000, help="calls of each pass a round")
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or args.calls < 1:
+        ap.error("--rounds and --calls must be at least 1")
+    items = pass_items(np.random.default_rng(0))
+    calls = dict.fromkeys(items, args.calls)
+    items["pretraining"], calls["pretraining"] = pretraining(), 1
+    print("\n".join(report(measure(items, args.rounds, calls))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
