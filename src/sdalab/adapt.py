@@ -171,6 +171,7 @@ class SoftmaxRule:
 
     head = nn.SOFTMAX
     metric = "test_acc"
+    per_cell = False  # the loss scores one cell per row, its target's
 
     @staticmethod
     def labels_of(labeled):
@@ -211,10 +212,10 @@ class SoftmaxRule:
         nn.argmax_rows(probs, out)
 
     @staticmethod
-    def loss(probs, row_cells, targets, bounds, counts, mask, work) -> tuple:
+    def loss(probs, targets, counts, mask, plan) -> tuple:
         """(losses, dprobs) of the terms in one cross-entropy pass, written
-        into work (nn._LossArrays for len(probs) rows)."""
-        return nn._ce_terms(probs, row_cells, targets, bounds, counts, mask, work)
+        into plan (the step's nn._LossPlan)."""
+        return nn._ce_terms(probs, targets, counts, mask, plan)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
@@ -236,6 +237,7 @@ class SigmoidRule:
     thresholds: np.ndarray
     head = nn.SIGMOID
     metric = "mean_auroc"
+    per_cell = True  # the loss scores every cell of every row
 
     @staticmethod
     def labels_of(labeled):
@@ -292,10 +294,10 @@ class SigmoidRule:
         np.greater_equal(probs, self.thresholds, out=out)
 
     @staticmethod
-    def loss(probs, row_cells, targets, bounds, counts, mask, work) -> tuple:
+    def loss(probs, targets, counts, mask, plan) -> tuple:
         """As SoftmaxRule.loss in one BCE pass; every row is scored, as
         binary mode runs pseudo-labelling only."""
-        return nn._bce_terms(probs, targets, bounds, counts, mask, work)
+        return nn._bce_terms(probs, targets, counts, mask, plan)
 
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
@@ -323,7 +325,8 @@ def _views(cfg: AdaptConfig, u: int) -> int:
 class _Epoch:
     """Every step of one epoch, laid out once (module docstring). One run
     lays out every epoch in the arrays of its first (build_minibatch's
-    into), so the views each step reads are cut once per run (cut).
+    into), so the views each step reads are cut once per run (cut), and
+    the loss plan once per defending count.
 
     Row i of inputs holds step i's forward input, stacked: b labelled rows,
     u unlabelled rows, then defending[i] defending rows; under fixmatch_lite
@@ -332,12 +335,13 @@ class _Epoch:
     view there. Row i of labels, targets and mask (when there is a mask) holds
     the step's scored rows, all but the weak view's, in the same order: the
     labelled ones, u pseudo-labelled ones (labels holds a placeholder
-    there) and the defending ones; rows holds where each sits in the forward
-    input, and row_cells the flat index of its first probability (row *
-    n_outputs). Steps with fewer defending rows than room leave their tails
-    unused, so each step's rows are a contiguous prefix of its row. index
-    holds the rows of train.points that inputs gathers, 0 in every
-    defending slot (whose points arrive from retrieval).
+    there) and the defending ones; row_cells holds the flat index of each
+    one's first probability (its forward row * n_outputs), None where the
+    rule's loss scores every cell. Steps with fewer defending rows than
+    room leave their tails unused, so each step's rows are a contiguous
+    prefix of its row. index holds the rows of train.points that inputs
+    gathers, 0 in every defending slot (whose points arrive from
+    retrieval).
     """
 
     def __init__(self, steps, b, u, room, dim, cfg, rule, n_outputs):
@@ -347,12 +351,12 @@ class _Epoch:
         self.index = np.zeros((steps, self.head + room), dtype=np.int64)
         self.inputs = np.empty((*self.index.shape, dim))
         self.labels = np.zeros((steps, b + u + room), dtype=np.int64)
-        self.rows = np.arange(b + u + room)
-        self.rows[b:] += self.head - b - u
-        self.row_cells = self.rows * n_outputs
+        rows = np.arange(b + u + room)
+        rows[b:] += self.head - b - u
+        self.row_cells = None if rule.per_cell else rows * n_outputs
         self.unlabeled_rows = np.arange(u)
         self.targets = self.mask = None
-        self.cuts = {}
+        self.cuts, self.plans = {}, {}
 
     def fill(self, points, picked, unlabeled, defending) -> None:
         """Lay out an epoch's draws (build_minibatch) in place."""
@@ -384,18 +388,24 @@ class _Epoch:
     def cut(self, i) -> tuple:
         """Step i's views, made at first use for its defending count d: d,
         its forward input, its targets, its mask (or None), its unlabelled
-        rows' targets and their count, its row_cells and its term bounds."""
+        rows' targets and their count, and its loss plan, which every step
+        with d defending rows shares."""
         d = self.defending[i]
         found = self.cuts.get((i, d))
         if found is None:
             b, u = self.b, self.u
             scored = b + u + d
             targets = self.targets[i, :scored]
+            plan = self.plans.get(d)
+            if plan is None:
+                cells = None if self.row_cells is None else self.row_cells[:scored]
+                plan = self.plans[d] = nn._LossPlan(
+                    self.head + d, self.n_outputs, ((0, b), (b, b + u), (b + u, scored)), cells
+                )
             found = self.cuts[i, d] = (
                 d, self.inputs[i, : self.head + d], targets,
                 None if self.mask is None else self.mask[i, :scored],
-                targets[b : b + u], targets[b : b + u].size, self.row_cells[:scored],
-                ((0, b), (b, b + u), (b + u, scored)),
+                targets[b : b + u], targets[b : b + u].size, plan,
             )
         return found
 
@@ -509,7 +519,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) ->
     detaches them. Only what the model decides is computed here: the views,
     the pseudo labels (or FixMatch's mask) and the losses."""
     b, u, rule = epoch.b, epoch.u, epoch.rule
-    d, inputs, targets, mask, pseudo, n_pseudo, row_cells, bounds = epoch.cut(i)
+    d, inputs, targets, mask, pseudo, n_pseudo, plan = epoch.cut(i)
     defending_at = epoch.head
     unlabeled_at = defending_at - u  # the strong view's rows under fixmatch
     fixmatch = epoch.views == 2
@@ -534,9 +544,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) ->
     else:
         # pseudo targets are detached: computed from probs, never differentiated
         rule.pseudo_targets(probs[unlabeled_at:defending_at], pseudo)
-    (l_sup, l_unsup, l_rld), dprobs = rule.loss(
-        probs, row_cells, targets, bounds, counts, mask, work.rows(len(probs)).loss
-    )
+    (l_sup, l_unsup, l_rld), dprobs = rule.loss(probs, targets, counts, mask, plan)
     mask_rate = 1.0 if u else 0.0
     if fixmatch:
         # renormalize mean-over-passing to mu*B
@@ -667,7 +675,7 @@ def train_supervised(
     for source pretraining. The labels are checked once, as the loss checks
     them, and each step takes the loss's gradient only. Each epoch gathers
     its shuffled rows once, into arrays whose step slices are cut once per
-    run."""
+    run, and the steps of one row count share one loss plan."""
     softmax = model.head == nn.SOFTMAX
     targets = np.asarray(labels, dtype=np.int64 if softmax else np.float64)
     expect = (len(targets),) if softmax else (len(targets), model.output_dim)
@@ -676,14 +684,18 @@ def train_supervised(
     targets = nn._checked_targets(targets, model.output_dim if softmax else None)
     state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
     epoch_points, epoch_targets = np.empty_like(points), np.empty_like(targets)
-    steps = [(epoch_points[start : start + batch_size], epoch_targets[start : start + batch_size])
-             for start in range(0, len(points), batch_size)]
+    starts, width = range(0, len(points), batch_size), model.output_dim
+    rows = [min(batch_size, len(points) - start) for start in starts]
+    plans = {n: nn._LossPlan(n, width, ((0, n),), np.arange(n) * width if softmax else None)
+             for n in set(rows)}
+    steps = [(epoch_points[start : start + n], epoch_targets[start : start + n], plans[n])
+             for start, n in zip(starts, rows)]
     for _ in range(epochs):
         order = rng.permutation(len(points))
         points.take(order, axis=0, out=epoch_points)
         targets.take(order, axis=0, out=epoch_targets)
-        for step_points, step_targets in steps:
+        for step_points, step_targets, plan in steps:
             trace = nn.forward(model, step_points, buffers)
-            dprobs = nn._term_gradient(model, trace.probs, step_targets, buffers)
+            dprobs = nn._term_gradient(trace.probs, step_targets, plan)
             nn.sgd_step(model, nn.backward(model, trace, dprobs, buffers), sgd_cfg, state)
     return model

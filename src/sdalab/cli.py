@@ -46,7 +46,10 @@ def _add_command(sub, name, func, help, one_seed=True):
 def _load(args):
     cfg = load_config(args.config, args.overrides)
     out = args.out or cfg.output_dir()
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: {exc.strerror or exc}") from None
     return cfg, out
 
 

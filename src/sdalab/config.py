@@ -8,6 +8,7 @@ The full schema with defaults lives in DEFAULTS below and in the README.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import adapt as adapt_mod
@@ -120,15 +121,21 @@ def _coerce(key: str, value, default):
             return int(value)
         raise ConfigError(f"{key} expects an integer, got {value!r}")
     if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"{key} expects a number, got {value!r}")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{key} expects a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float's range
+            number = math.inf
+        if math.isfinite(number):  # JSON reads NaN and Infinity too
+            return number
+        raise ConfigError(f"{key} expects a finite number, got {value!r}")
     if isinstance(default, list):
         if isinstance(value, list) and all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
             return list(value)
-        if isinstance(value, int) and not isinstance(value, bool):
+        if key == "run.seeds" and isinstance(value, int) and not isinstance(value, bool):
             # shorthand: run.seeds = 10 means seeds 0..9
             return list(range(value))
         raise ConfigError(f"{key} expects a list of integers, got {value!r}")

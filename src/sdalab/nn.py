@@ -37,21 +37,24 @@ so some calls take a cheaper route to the bits of the plain form
   term is +-0, and adding +-0 changes no log it meets.
 
 A training loop hands one ``StepBuffers`` to each ``forward`` and
-``backward`` and to the loss core. A pass runs on the buffers' plan for its
-row count (``_RowArrays``): every array it writes and every view of them it
-reads (the head's column views and fold column, the activations'
-transposes, the loss core's views for each scored-value count and set of
-term bounds), and one ``ForwardTrace``, all made once and bound as the
-pass walks them. So a pass runs one flat loop over its plan's tuples, and
-a step allocates no array that scales with the batch, except the sigmoid
-head's temporaries (a sigmoid through ``where=``, and BCE's target picks by
-mask, ran slower).
+``backward``. A pass runs on the buffers' plan for its row count
+(``_RowArrays``): every array it writes and every view of them it reads
+(the head's column views and fold column, the activations' transposes),
+and one ``ForwardTrace``, all made once and bound as the pass walks them,
+so it runs one flat loop over the plan's tuples. The loss core runs on a
+``_LossPlan``: the arrays it writes and each term's views of them, for one
+layout of scored values and term bounds. A loop makes one per layout its
+steps take (an adaptation one per defending count, pretraining one per
+batch row count) and reuses it. So a step allocates no array that scales
+with the batch, except the sigmoid head's temporaries (a sigmoid through
+``where=``, and BCE's target picks by mask, ran slower).
 What a buffered call returns holds until the next call with the same
-buffers for the same row count. An unbuffered call runs on a new plan, so
-every array it returns is new. The buffers keep nothing of the model: the
-weights, and their transposes, are read per call, so models of one shape
-may share them. ``out=`` keeps the bits: ``np.dot`` into a C-ordered array
-is the same BLAS call, a ufunc computes a cell alike wherever it goes, and
+buffers for the same row count, or on the same loss plan. An unbuffered
+pass, and ``loss_ce`` or ``loss_bce``, runs on a new plan, so every array
+it returns is new. The buffers keep nothing of the model: the weights, and
+their transposes, are read per call, so models of one shape may share
+them. ``out=`` keeps the bits: ``np.dot`` into a C-ordered array is the
+same BLAS call, a ufunc computes a cell alike wherever it goes, and
 ``sgd_step``'s ``theta*wd + g`` is ``g + wd*theta`` (IEEE ops commute).
 
 What is left is mostly numpy's per-call floor. On a 64-row [2, 10, 10, 3]
@@ -59,16 +62,13 @@ step (tools/pass_costs.py: 2-core Xeon, numpy 2.4.6, in-process minima) a
 forward pass takes about 14-15 us: about 1 us per product and 0.8 us per
 ReLU, 1.4 us per bias add, and 6 us for the softmax's seven numpy calls.
 The pretraining loss gradient takes about 5 us, a backward pass 17 us and
-``sgd_step`` 3.4 us, and a default pretraining (900 such steps) 37-41 ms:
-0.92-0.93x what it took before the passes walked plans bound once, and the
-loss core of a 128-row adaptation step 0.78-0.80x (interleaved runs of the
-tool). A bias sum takes 0.8-1.7 us from 1 to 176 rows, against 0.9-5.4 us
-for ``add.reduce``. Bias adds run one numpy inner loop per row on matrices
+``sgd_step`` 3.4 us, and a default pretraining (900 such steps) 37-41 ms.
+A bias sum takes 0.8-1.7 us from 1 to 176 rows, against 0.9-5.4 us for
+``add.reduce``. Bias adds run one numpy inner loop per row on matrices
 this narrow, so they cost more than the products. The same numpy calls
 made straight-line, with every operand a local, take about 1.5 us less per
-forward or backward pass, where the passes cost about 3 us more before
-their plans: that rest is the input checks, the plan lookup and the loops
-over the plan's tuples.
+forward or backward pass: that rest is the input checks, the plan lookup
+and the loops over the plan's tuples.
 """
 
 from __future__ import annotations
@@ -289,16 +289,16 @@ class StepBuffers:
 
 class _RowArrays:
     """The plan of every pass over n rows, bound once: the arrays a forward
-    pass, a backward pass and the loss core write, and every view of them a
-    pass reads, grouped as each pass walks them, so that a pass runs one
-    flat loop. forward walks ``hidden``, each hidden layer's (index, z, ReLU
-    out), then the head's z, ``logits``, and under softmax runs _softmax on
+    and a backward pass write, and every view of them a pass reads, grouped
+    as each pass walks them, so that a pass runs one flat loop. forward
+    walks ``hidden``, each hidden layer's (index, z, ReLU out), then the
+    head's z, ``logits``, and under softmax runs _softmax on
     ``softmax_args`` (the head's column views as fold steps into ``col``).
     backward walks ``back`` (the head's dz and its fold steps, then each
     layer's operands, the last layer first), on the gradient views of the
-    StepBuffers that made the plan. What only backward or the
-    loss reads is made at first use, so a forward pass alone, as unbuffered
-    evaluation runs it, makes no more than it writes."""
+    StepBuffers that made the plan. What only backward reads is made at
+    first use, so a forward pass alone, as unbuffered evaluation runs it,
+    makes no more than it writes."""
 
     def __init__(self, dims, head, n, grad_views=None):
         self.softmax, self.grad_views = head == SOFTMAX, grad_views
@@ -328,51 +328,28 @@ class _RowArrays:
         head = (self.col, self.col[:, None], _fold_steps(dz[-1], self.col)) if self.softmax else None
         return dz[-1], head, layers
 
-    @functools.cached_property
-    def loss(self):
-        return _LossArrays(*self.probs.shape, not self.softmax)
 
+class _LossPlan:
+    """The loss core's arrays and views for one layout, made once and
+    reused by every call on it: probabilities of n rows and width outputs,
+    scored at row_cells, the flat index of each scored row's first cell
+    (row * width), one value per row, as cross-entropy scores them; or, with
+    row_cells None, at every cell, as BCE does. bounds holds each term's
+    (start, stop) among the scored values. The plan holds each value's
+    gradient and whether the floor spares it, and each term's view of the
+    gradients; under cross-entropy also the scored cells, their
+    probabilities, each term's view of those, and the dprobs it scatters
+    into."""
 
-class _LossArrays:
-    """The loss core's arrays for n rows of ``width`` outputs: each scored
-    value's gradient and whether the floor spares it (one value per row
-    under cross-entropy, its target's cell; per cell under BCE), and
-    cross-entropy's flat cells (a row's first, then its target's), their
-    probabilities and the dprobs it scatters into; and the views of them
-    that each scored-value count and set of term bounds reads (``cut``)."""
-
-    def __init__(self, n, width, per_cell=False):
-        shape = (n, width) if per_cell else (n,)
+    def __init__(self, n, width, bounds, row_cells=None):
+        self.row_cells, self.slices = row_cells, tuple(slice(start, stop) for start, stop in bounds)
+        shape = (n, width) if row_cells is None else (len(row_cells),)
         self.grads, self.above = np.empty(shape), np.empty(shape, bool)
-        self.chosen, self.cells = np.empty(n), np.empty(n, np.intp)
-        self.dprobs, self.first_cells = np.empty((n, width)), np.arange(0, n * width, width)
-        self.cuts = {}
-
-    def cut(self, m, bounds):
-        """_Cut of m scored values into terms at bounds, a tuple of (start,
-        stop) pairs, made at first use."""
-        key = m, bounds
-        found = self.cuts.get(key)
-        if found is None:
-            found = self.cuts[key] = _Cut(self, m, bounds)
-        return found
-
-
-class _Cut:
-    """The views of work, _LossArrays, that one loss-core call reads for m
-    scored values whose terms sit at bounds: the first m cells,
-    probabilities, gradients and floor flags, each term's slice, and each
-    term's view of the probabilities and of the gradients."""
-
-    __slots__ = ("work", "cells", "chosen", "grads", "above", "slices", "chosen_terms",
-                 "grad_terms")
-
-    def __init__(self, work, m, bounds):
-        self.work, self.cells, self.chosen = work, work.cells[:m], work.chosen[:m]
-        self.grads, self.above = work.grads[:m], work.above[:m]
-        self.slices = tuple(slice(start, stop) for start, stop in bounds)
-        self.chosen_terms = tuple(self.chosen[s] for s in self.slices)
         self.grad_terms = tuple(self.grads[s] for s in self.slices)
+        if row_cells is not None:
+            self.cells, self.chosen = np.empty(shape, np.intp), np.empty(shape)
+            self.dprobs = np.empty((n, width))
+            self.chosen_terms = tuple(self.chosen[s] for s in self.slices)
 
 
 def _fold_steps(x, acc):
@@ -486,7 +463,7 @@ def _counts(bounds, mask, cells_per_row):
     return [int(round(np.add.reduce(mask[start:stop], axis=None))) for start, stop in bounds]
 
 
-def _term_losses(chosen, sign, counts, mask, cut, cell_terms):
+def _term_losses(chosen, sign, counts, mask, plan, cell_terms):
     """The loss core of loss_ce and loss_bce, on checked arrays. ``chosen``
     holds each scored cell's probability of its target, ``sign`` -1 where
     that is p and +1 where it is 1 - p. Each cell's loss is -log of chosen
@@ -494,18 +471,18 @@ def _term_losses(chosen, sign, counts, mask, cut, cell_terms):
     binds: the clamped loss is flat there), both times ``mask`` if given.
     Each term's loss is the pairwise sum of its cells, cell_terms giving
     each term's view of chosen, divided by its count; its gradient rows,
-    cut.grad_terms, are divided by the same count in place. A term with
+    plan.grad_terms, are divided by the same count in place. A term with
     count 0 gets loss 0.0 and zero gradient. chosen becomes the cells'
-    losses; cut.grads (and cut.above, scratch) are written. Returns
+    losses; plan.grads (and plan.above, scratch) are written. Returns
     (losses, grads)."""
-    grads = cut.grads
-    cells = np.log(_floored(chosen, sign, grads, cut.above), out=chosen)
+    grads = plan.grads
+    cells = np.log(_floored(chosen, sign, grads, plan.above), out=chosen)
     np.negative(cells, out=cells)
     if mask is not None:
         cells *= mask
         grads *= mask
     losses = []
-    for term_cells, term_grads, count in zip(cell_terms, cut.grad_terms, counts):
+    for term_cells, term_grads, count in zip(cell_terms, plan.grad_terms, counts):
         if count:
             losses.append(float(np.add.reduce(term_cells, axis=None)) / count)
             term_grads /= count
@@ -526,33 +503,26 @@ def _floored(chosen, sign, grads, above):
     return clamped
 
 
-def _ce_terms(probs, row_cells, targets, bounds, counts, mask=None, work=None):
-    """loss_ce on checked arrays: row_cells holds the flat index in probs of
-    each scored row's first cell (row * width), and targets their classes.
-    The scored cells are flat indices into probs (take, then put into a
-    zeroed dprobs). Writes into work, the _LossArrays of len(probs) rows
-    (default: new ones), through its cut for len(row_cells) values at
-    bounds, a tuple of each term's (start, stop) among them. Returns
-    (losses, dprobs)."""
-    cut = (work or _LossArrays(*probs.shape)).cut(len(row_cells), bounds)
-    cells = np.add(row_cells, targets, out=cut.cells)
+def _ce_terms(probs, targets, counts, mask, plan):
+    """loss_ce on checked arrays, on plan, the _LossPlan of probs' rows
+    scored at its row_cells, whose classes targets holds: the scored cells
+    are flat indices into probs (take, then put into a zeroed dprobs).
+    Returns (losses, dprobs), dprobs the plan's."""
+    cells = np.add(plan.row_cells, targets, out=plan.cells)
     # "clip" reads without numpy's bounds-check buffer: targets are checked
-    chosen = probs.take(cells, out=cut.chosen, mode="clip")
-    losses, grads = _term_losses(chosen, -1.0, counts, mask, cut, cut.chosen_terms)
-    dprobs = cut.work.dprobs
-    dprobs.fill(0.0)
-    dprobs.put(cells, grads)
-    return losses, dprobs
+    chosen = probs.take(cells, out=plan.chosen, mode="clip")
+    losses, grads = _term_losses(chosen, -1.0, counts, mask, plan, plan.chosen_terms)
+    plan.dprobs.fill(0.0)
+    plan.dprobs.put(cells, grads)
+    return losses, plan.dprobs
 
 
-def _bce_terms(scored, positive, bounds, counts, mask=None, work=None):
-    """loss_bce on checked arrays, over every row of scored; positive says
-    which target cells are 1. Writes into work, per-cell _LossArrays of
-    len(scored) rows (default: new ones), through its cut at bounds.
-    Returns (losses, dscored)."""
-    cut = (work or _LossArrays(*scored.shape, per_cell=True)).cut(len(scored), bounds)
+def _bce_terms(scored, positive, counts, mask, plan):
+    """loss_bce on checked arrays, over every cell of scored, on plan, the
+    per-cell _LossPlan of its rows; positive says which target cells are 1.
+    Returns (losses, dscored), dscored the plan's grads."""
     chosen, sign = _bce_chosen(scored, positive)
-    return _term_losses(chosen, sign, counts, mask, cut, [chosen[s] for s in cut.slices])
+    return _term_losses(chosen, sign, counts, mask, plan, [chosen[s] for s in plan.slices])
 
 
 def loss_ce(probs, targets, terms=None, mask=None):
@@ -583,7 +553,8 @@ def loss_ce(probs, targets, terms=None, mask=None):
     _checked_targets(targets, probs.shape[1])
     mask = _checked_mask(mask, rows.shape)
     counts = _counts(bounds, mask, 1)
-    losses, dprobs = _ce_terms(probs, rows * probs.shape[1], targets, bounds, counts, mask)
+    plan = _LossPlan(*probs.shape, bounds, rows * probs.shape[1])
+    losses, dprobs = _ce_terms(probs, targets, counts, mask, plan)
     return losses, dprobs, counts
 
 
@@ -628,7 +599,7 @@ def loss_bce(probs, targets, terms=None, mask=None):
     mask = _checked_mask(mask, scored.shape)
     positive = _checked_targets(targets)
     counts = _counts(bounds, mask, probs.shape[1])
-    losses, grads = _bce_terms(scored, positive, bounds, counts, mask)
+    losses, grads = _bce_terms(scored, positive, counts, mask, _LossPlan(*scored.shape, bounds))
     if rows is None:
         return losses, grads, counts
     dprobs = np.zeros(probs.shape)
@@ -643,22 +614,21 @@ def _bce_chosen(scored, positive):
     return _where(positive, scored, 1.0 - scored), _where(positive, -1.0, 1.0)
 
 
-def _term_gradient(model, probs, targets, buffers):
-    """dprobs of model's loss for one unmasked term over every row, from the
-    loss's own cells without its values; targets from _checked_targets. It
-    is an array of the StepBuffers' plan for len(probs) rows, written in
-    place; it holds until the next such call."""
-    work = buffers.rows(len(probs)).loss
-    if model.head != SOFTMAX:
-        _floored(*_bce_chosen(probs, targets), work.grads, work.above)
-        work.grads /= probs.size
-        return work.grads
-    cells = np.add(work.first_cells, targets, out=work.cells)
-    _floored(probs.take(cells, out=work.chosen, mode="clip"), -1.0, work.grads, work.above)
-    work.grads /= len(probs)
-    work.dprobs.fill(0.0)
-    work.dprobs.put(cells, work.grads)
-    return work.dprobs
+def _term_gradient(probs, targets, plan):
+    """dprobs of the loss of one unmasked term over every row of probs, from
+    the loss's own cells without its values; targets from _checked_targets,
+    plan a _LossPlan of those rows (of their cells under BCE). It is an
+    array of the plan, written in place; it holds until the next such call."""
+    if plan.row_cells is None:
+        _floored(*_bce_chosen(probs, targets), plan.grads, plan.above)
+        plan.grads /= probs.size
+        return plan.grads
+    cells = np.add(plan.row_cells, targets, out=plan.cells)
+    _floored(probs.take(cells, out=plan.chosen, mode="clip"), -1.0, plan.grads, plan.above)
+    plan.grads /= len(probs)
+    plan.dprobs.fill(0.0)
+    plan.dprobs.put(cells, plan.grads)
+    return plan.dprobs
 
 
 def backward(model, trace, dprobs, buffers=None):

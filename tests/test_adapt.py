@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from sdalab import adapt, bank, data, feedback, metrics, nn
+from sdalab import adapt, bank, data, feedback, metrics, nn, runner
 from sdalab.config import ExperimentConfig
 from sdalab.data import LabeledSet
 from sdalab.errors import ConfigError, NumericError, ShapeError
@@ -1812,3 +1812,80 @@ class TestNoWrappersPerEpoch:
             for epochs in (1, 2)
         ]
         assert counts[0] == counts[1]
+
+
+def plans_made(monkeypatch, run) -> int:
+    """How many nn._LossPlan objects run() makes."""
+    made = []
+
+    class Counted(nn._LossPlan):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "_LossPlan", Counted)
+        run()
+    return len(made)
+
+
+PLAN_CASES = {
+    "pseudo_label": {},
+    "fixmatch_lite": WRAPPER_CASES["fixmatch_lite"],
+    "rld_cosine_distant": WRAPPER_CASES["rld_cosine_distant"],
+    "binary": dict(rld=bank.RldConfig(p=0.4, k=2)),
+    # finding 1 has no positive candidates at these thresholds, so steps
+    # skip a varying number of cells
+    "binary_skip_with_flag": dict(
+        rld=bank.RldConfig(p=0.4, k=2, empty_class_fallback=bank.SKIP_WITH_FLAG)
+    ),
+}
+
+
+class TestLossPlansPerRun:
+    """A training loop makes its loss plans once per run: adaptation one per
+    distinct defending count of its steps, pretraining one per batch row
+    count, however many epochs it runs."""
+
+    @pytest.mark.parametrize("case", list(PLAN_CASES))
+    def test_adapt(self, toy, binary_toy, monkeypatch, case):
+        train, fb, model = toy
+        thresholds = None
+        if case.startswith("binary"):
+            (train, model, fb), thresholds = binary_toy, [0.5, 0.5]
+            if case == "binary_skip_with_flag":
+                thresholds = [0.5, 1.01]
+        cfg = adapt.AdaptConfig(
+            sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2),
+            **PLAN_CASES[case],
+        )
+        made, counts = [], []
+        for epochs in (1, 3):
+            seen = set()
+            made.append(plans_made(monkeypatch, lambda: adapt.adapt(
+                model, fb, train, replace(cfg, epochs=epochs), seed=0, test_set=train,
+                thresholds=thresholds,
+                observer=lambda epoch, i, batch: seen.add(len(batch.defending_points)),
+            )))
+            counts.append(seen)
+        assert made == [len(seen) for seen in counts]
+        if case == "binary_skip_with_flag":
+            assert made[0] > 1  # steps of one epoch hold several counts
+        else:
+            assert made == [1, 1]
+
+    @pytest.mark.parametrize("kind, plans", [("blobs", 1), ("moons", 2)])
+    def test_train_supervised(self, monkeypatch, kind, plans):
+        # the source training set of the runner's pretraining stage
+        cfg = ExperimentConfig({"dataset.kind": kind})
+        source = runner.make_data(cfg, 0).source_train
+        assert len(source) == {"blobs": 960, "moons": 800}[kind]
+        model = nn.MlpModel.init(cfg.model_dims(), cfg.head(), np.random.default_rng(0))
+        made = [
+            plans_made(monkeypatch, lambda: adapt.train_supervised(
+                model.copy(), source.points, source.labels, nn.SgdConfig(0.05, momentum=0.9),
+                epochs=epochs, batch_size=64, rng=np.random.default_rng(0),
+            ))
+            for epochs in (1, 3)
+        ]
+        assert made == [plans, plans]

@@ -300,6 +300,40 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("overrides", [
+        ["adapt.learning_rate=NaN"],
+        ["adapt.algorithm=fixmatch_lite", "augment.scale_hi=Infinity"],
+    ])
+    def test_non_finite_numbers_exit_2_before_any_stage(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the config was rejected")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        monkeypatch.setattr(runner, "pretrain", no_stage)
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert run_cli(["adapt", "--out", str(tmp_path)] + FAST_SETS + sets) == 2
+        assert "expects a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["empty", "under_a_file"])
+    def test_output_directory_that_cannot_be_made_exits_2(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the directory was rejected")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        if where == "empty":
+            args, out, reason = ["--set", "output.dir="], "", "No such file or directory"
+        else:
+            (tmp_path / "file").write_text("")
+            out = str(tmp_path / "file" / "out")
+            args, reason = ["--out", out], "Not a directory"
+        assert run_cli(["gen-data"] + args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot make output directory {out!r}: {reason}\n"
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_text"])
     def test_unreadable_config_file_exits_2_in_one_line(self, tmp_path, capsys, kind):
         path = tmp_path / "exp.cfg"

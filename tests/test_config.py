@@ -1,5 +1,7 @@
 """Tests for config parsing, validation, hashing, and stage seeds."""
 
+import re
+
 import pytest
 
 from sdalab import adapt as adapt_mod
@@ -60,6 +62,25 @@ class TestValidation:
 
     def test_seed_shorthand(self):
         assert ExperimentConfig({"run.seeds": 4}).seeds() == [0, 1, 2, 3]
+
+    def test_only_seeds_take_the_integer_shorthand(self):
+        with pytest.raises(ConfigError, match=r"^model\.hidden expects a list of integers, got 10$"):
+            ExperimentConfig({"model.hidden": 10})
+
+    @pytest.mark.parametrize("key, text", [
+        ("adapt.learning_rate", "NaN"),
+        ("adapt.weight_decay", "NaN"),
+        ("pretrain.learning_rate", "Infinity"),
+        ("augment.weak_frac", "NaN"),
+        ("augment.scale_hi", "Infinity"),
+        ("adapt.momentum", "-Infinity"),
+        ("rld.p", "1e400"),  # JSON reads it as inf
+        pytest.param("split.ratio", "1" + "0" * 400, id="split.ratio-huge_int"),  # too big for float()
+    ])
+    def test_non_finite_numbers_rejected(self, key, text):
+        flat = apply_overrides({"adapt.algorithm": "fixmatch_lite"}, [f"{key}={text}"])
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} expects a finite number, got "):
+            ExperimentConfig(flat)
 
     def test_bad_types_rejected(self):
         for key, value in [

@@ -16,6 +16,19 @@ def make_model(dims, head=nn.SOFTMAX, seed=0):
     return nn.MlpModel.init(dims, head, rng)
 
 
+def term_plans(model):
+    """plan(n): the loss plan train_supervised gives model's n-row steps,
+    one per row count, made at first use."""
+    plans = {}
+
+    def plan(n):
+        if n not in plans:
+            cells = np.arange(n) * model.output_dim if model.head == nn.SOFTMAX else None
+            plans[n] = nn._LossPlan(n, model.output_dim, ((0, n),), cells)
+        return plans[n]
+    return plan
+
+
 def numeric_gradients(model, loss_fn, h=1e-4):
     """Central finite differences of loss_fn(model) over every parameter."""
     grads_w, grads_b = [], []
@@ -704,7 +717,7 @@ class TestBitEqualityFacts:
             model = make_model(dims, head=head, seed=72)
             buffers = nn.StepBuffers(model)
             trace = nn.forward(model, x, buffers)
-            dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
+            dprobs = nn._term_gradient(trace.probs, targets, term_plans(model)(64))
             grads = nn.backward(model, trace, dprobs, buffers)
             return [a.tobytes() for a in (trace.probs, dprobs, grads.flat)]
 
@@ -1631,7 +1644,7 @@ class TestStepBuffers:
         for buffered in (False, True):
             model = make_model([2, 10, 10, outputs], head=head, seed=61)
             buffers = nn.StepBuffers(model) if buffered else None
-            state = nn.SgdState.zeros_like(model)
+            plan, state = term_plans(model), nn.SgdState.zeros_like(model)
             record = []
             for x, labels in self.batches(head, outputs, counts):
                 trace = nn.forward(model, x, buffers)
@@ -1639,7 +1652,7 @@ class TestStepBuffers:
                 if buffered:
                     width = outputs if head == nn.SOFTMAX else None
                     targets = nn._checked_targets(np.asarray(labels), width)
-                    dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
+                    dprobs = nn._term_gradient(trace.probs, targets, plan(len(x)))
                 grads = nn.backward(model, trace, dprobs, buffers)
                 record += [[float(v).hex() for v in losses], trace.probs.tobytes(),
                            dprobs.tobytes(), grads.flat.tobytes()]
@@ -1661,14 +1674,14 @@ class TestStepBuffers:
             models = [make_model([2, 10, 10, outputs], head=head, seed=s) for s in (66, 67)]
             states = [nn.SgdState.zeros_like(m) for m in models]
             buffers = nn.StepBuffers(models[0]) if shared else None
-            records = [[], []]
+            plan, records = term_plans(models[0]), [[], []]
             for x, labels in self.batches(head, outputs, [16, 176, 64, 1], steps=12, seed=68):
                 width = outputs if head == nn.SOFTMAX else None
                 targets = nn._checked_targets(np.asarray(labels), width)
                 for model, state, record in zip(models, states, records):
                     trace = nn.forward(model, x, buffers)
                     if shared:
-                        dprobs = nn._term_gradient(model, trace.probs, targets, buffers)
+                        dprobs = nn._term_gradient(trace.probs, targets, plan(len(x)))
                     else:
                         dprobs = loss(trace.probs, labels)[1]
                     grads = nn.backward(model, trace, dprobs, buffers)
@@ -1776,7 +1789,8 @@ class TestLossCore:
             bounds = list(zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)))
             counts = [n if mask is None else int(np.count_nonzero(mask[a:b]))
                       for n, (a, b) in zip(sizes, bounds)]
-            got = nn._ce_terms(probs, rows * 3, targets, tuple(bounds), counts, mask)
+            plan = nn._LossPlan(*probs.shape, tuple(bounds), rows * 3)
+            got = nn._ce_terms(probs, targets, counts, mask, plan)
             assert counts == want[2]
             assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
             assert got[1].tobytes() == want[1].tobytes()
@@ -1800,7 +1814,8 @@ class TestLossCore:
             bounds = tuple(terms)
             counts = [4 * (b - a) if mask is None else int(np.count_nonzero(mask[a:b]))
                       for a, b in bounds]
-            got = nn._bce_terms(probs, targets == 1.0, bounds, counts, mask)
+            plan = nn._LossPlan(*probs.shape, bounds)
+            got = nn._bce_terms(probs, targets == 1.0, counts, mask, plan)
             assert counts == want[2]
             assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
             assert got[1].tobytes() == want[1].tobytes()

@@ -12,7 +12,10 @@ pseudo-label step (16 labelled and 112 unlabelled rows); 176 an rld step at
 k = 3 (48 defending rows more); 240 a `fixmatch_lite` step (16 labelled
 rows, then the weak and the strong view of 112 unlabelled ones, 128 rows
 scored). From 128 rows the loss core is `nn._ce_terms` over the step's three
-terms. Every pass runs on one `nn.StepBuffers`, as the loops run theirs.
+terms, on the step's loss plan: each such step is step 0 of a one-step
+epoch that `adapt.build_minibatch` lays out, as the adaptation loop lays
+out its epochs. Every pass runs on one `nn.StepBuffers`, as the loops run
+theirs.
 
 A round times each item once: `--calls` calls in a row, divided by their
 count. The items' order rotates by one from round to round, so that a drift
@@ -24,6 +27,7 @@ milliseconds.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -32,23 +36,38 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np  # noqa: E402
 
-from sdalab import adapt, nn, runner  # noqa: E402
+from sdalab import adapt, bank, data, nn, runner  # noqa: E402
 from sdalab.config import load_config, stage_seed  # noqa: E402
+from sdalab.data import LabeledSet  # noqa: E402
 
 ROW_COUNTS = (64, 128, 176, 240)
 PASSES = ("forward", "loss", "backward", "sgd_step")
 B, U = 16, 112  # the default labelled and unlabelled rows of an adaptation step
+# the (algorithm, k) of the 128-, 176- and 240-row adaptation steps
+STEPS = ((adapt.PSEUDO_LABEL, 0), (adapt.PSEUDO_LABEL, 3), (adapt.FIXMATCH_LITE, 0))
 
 
-def step_layout(n, width):
-    """(row_cells, bounds, counts) of the loss core's three terms in an
-    n-row adaptation step with width outputs, as adapt's step hands them
-    over: the flat index of each scored row's first cell, each term's
-    (start, stop) among the scored rows, and each term's count."""
-    views = 2 if n == B + 2 * U else 1
-    d = n - B - views * U
-    rows = np.concatenate([np.arange(B), np.arange(B + (views - 1) * U, n)])
-    return rows * width, ((0, B), (B, B + U), (B + U, B + U + d)), [B, U, d]
+def loss_steps(rng):
+    """(inputs, loss) of each step timed: loss(probs) runs the step's loss
+    core on probs. First a 64-row pretraining step, then each of STEPS with
+    the default B labelled and U unlabelled rows, and k defending rows per
+    labelled one, as adapt.build_minibatch lays it out: its forward input,
+    its scored rows' targets (random classes), mask, counts and loss plan."""
+    plan = nn._LossPlan(64, 3, ((0, 64),), np.arange(64) * 3)
+    yield rng.normal(scale=3.0, size=(64, 2)), functools.partial(
+        nn._term_gradient, targets=rng.integers(0, 3, size=64), plan=plan)
+    for algorithm, k in STEPS:
+        points = rng.normal(scale=3.0, size=(B + U + k * B, 2))
+        train = LabeledSet(points[: B + U], np.zeros(B + U, dtype=np.int64), data.TARGET)
+        picked = np.stack([np.arange(B), rng.integers(0, 3, size=B)], axis=1)[None]
+        defending = (points[B + U :], rng.integers(0, 3, size=k * B), [k * B], [0]) if k else None
+        cfg = adapt.AdaptConfig(algorithm=algorithm, rld=bank.RldConfig(k=k) if k else None)
+        epoch = adapt.build_minibatch(train, picked, np.arange(B, B + U)[None], defending, cfg,
+                                      adapt.SOFTMAX_RULE, 3)
+        d, inputs, targets, mask, pseudo, n_pseudo, plan = epoch.cut(0)
+        pseudo[:] = rng.integers(0, 3, size=n_pseudo)
+        yield inputs, functools.partial(nn._ce_terms, targets=targets, counts=[B, n_pseudo, d],
+                                        mask=mask, plan=plan)
 
 
 def pass_items(rng):
@@ -59,28 +78,15 @@ def pass_items(rng):
     buffers, state = nn.StepBuffers(model), nn.SgdState.zeros_like(stepped)
     sgd = nn.SgdConfig(1e-6, momentum=0.82, weight_decay=0.015)
     items = {}
-    for n in ROW_COUNTS:
-        inputs = rng.normal(scale=3.0, size=(n, 2))
+    for inputs, loss in loss_steps(rng):
+        n = len(inputs)
         trace = nn.forward(model, inputs, buffers)
         probs = trace.probs.copy()
-        if n == 64:
-            targets = rng.integers(0, 3, size=n)
-
-            def loss(probs=probs, targets=targets):
-                nn._term_gradient(model, probs, targets, buffers)
-        else:
-            row_cells, bounds, counts = step_layout(n, 3)
-            targets = rng.integers(0, 3, size=len(row_cells))
-
-            def loss(probs=probs, row_cells=row_cells, targets=targets, bounds=bounds,
-                     counts=counts):
-                nn._ce_terms(probs, row_cells, targets, bounds, counts, None,
-                             buffers.rows(len(probs)).loss)
         dprobs = rng.normal(scale=0.01, size=probs.shape)
         grads = nn.GradientSet._wrap(nn.backward(model, trace, dprobs, buffers).flat.copy(),
                                      model._layout)
         items[n, "forward"] = lambda inputs=inputs: nn.forward(model, inputs, buffers)
-        items[n, "loss"] = loss
+        items[n, "loss"] = functools.partial(loss, probs)
         # the plan's trace holds while only this item's forward pass rewrites it
         items[n, "backward"] = lambda trace=trace, dprobs=dprobs: nn.backward(
             model, trace, dprobs, buffers)
