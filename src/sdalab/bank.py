@@ -10,6 +10,7 @@ decision boundary through regions the model still classifies confidently.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,7 +79,8 @@ class CandidateBank:
     of rows in rows' order, and index_map, whose row c holds the positions in
     rows of class c's entries in ascending global index order, padded with
     the class's first position to the largest class's size. The constructor
-    builds every array once; they are read-only after.
+    builds every other array once; these two, which no other strategy reads,
+    are built on first read. All are read-only after.
     """
 
     def __init__(self, points, indices, class_rows, class_conf, p=1.0, epoch_stamp=0):
@@ -87,7 +89,7 @@ class CandidateBank:
         self.points = points
         self.indices = np.asarray(indices, dtype=np.int64)
         self.epoch_stamp = epoch_stamp
-        rows, conf, by_index = [], [], []
+        rows, conf = [], []
         for cand, cand_conf in zip(class_rows, class_conf):
             cand = np.asarray(cand, dtype=np.intp)
             cand_conf = np.asarray(cand_conf, dtype=np.float64)
@@ -95,19 +97,27 @@ class CandidateBank:
             keep = order[: top_fraction_count(p, len(cand))]
             rows.append(cand[keep])
             conf.append(cand_conf[keep])
-            by_index.append(np.argsort(self.indices[rows[-1]], kind="stable"))
         self.rows = np.concatenate(rows)
         self.conf = np.concatenate(conf)
         self.counts = np.array([len(r) for r in rows], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.no_entries = np.append(self.counts == 0, True)
-        self.entry_points = np.asarray(points, dtype=np.float64)[self.rows]
-        self.index_map = np.repeat(self.offsets[:-1, None], self.counts.max(), axis=1)
-        for c, order in enumerate(by_index):
-            self.index_map[c, : len(order)] += order
-        for array in (self.rows, self.conf, self.counts, self.offsets, self.no_entries,
-                      self.entry_points, self.index_map):
+        for array in (self.rows, self.conf, self.counts, self.offsets, self.no_entries):
             array.setflags(write=False)
+
+    @cached_property
+    def entry_points(self) -> np.ndarray:
+        entry_points = np.asarray(self.points, dtype=np.float64)[self.rows]
+        entry_points.setflags(write=False)
+        return entry_points
+
+    @cached_property
+    def index_map(self) -> np.ndarray:
+        index_map = np.repeat(self.offsets[:-1, None], self.counts.max(), axis=1)
+        for c in range(self.num_classes):
+            index_map[c, : self.counts[c]] += np.argsort(self.class_indices(c), kind="stable")
+        index_map.setflags(write=False)
+        return index_map
 
     @property
     def num_classes(self) -> int:
@@ -239,24 +249,21 @@ def _choices_each(rng: np.random.Generator, sizes: np.ndarray, k: int,
 def _kmeans_runs(bank: CandidateBank, labels, n_clusters: int, rng) -> dict:
     """One k-means run per labeled point on its class's bank slice, as
     {class: (positions, centroids)}: the positions in labels of the class's
-    points and their runs' centroids, shaped (runs, clusters, dim). A class
-    whose slice is empty has no entry.
+    points and their runs' centroids, shaped (runs, clusters, dim). Every
+    label must be a class with entries.
 
     Each run's forgy init (min(clusters, n) distinct rows of the class's n)
     is drawn in labeled order by one _choices call, so the rng advances
     exactly as one run after another would advance it; the runs of one
     class then iterate together.
     """
-    classes = np.minimum(labels, bank.num_classes)  # past the bank's classes: size 0
-    sizes = np.append(bank.counts, 0)[classes]
-    live = np.flatnonzero(sizes)
-    inits = _choices(rng, sizes[live], n_clusters, replace=False)
-    order = np.argsort(classes[live], kind="stable")
-    found, starts = np.unique(classes[live][order], return_index=True)
+    inits = _choices(rng, bank.counts[labels], n_clusters, replace=False)
+    order = np.argsort(labels, kind="stable")
+    found, starts = np.unique(labels[order], return_index=True)
     runs = {}
     for cls, group in zip(found.tolist(), np.split(order, starts[1:])):
         width = min(n_clusters, bank.class_size(cls))
-        runs[cls] = (live[group], _lloyd(bank.class_points(cls), inits[group, :width]))
+        runs[cls] = (group, _lloyd(bank.class_points(cls), inits[group, :width]))
     return runs
 
 
@@ -277,6 +284,9 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     assignment repeats: its update would then recompute the same centroids
     bit for bit, and so would every later one. The live runs stay a prefix
     of buffers made once per call, which every step writes through out=.
+    The points' coordinates, repeated run by run, serve both the distances
+    and the member sums, so each subtraction is one contiguous pass per
+    coordinate and cluster over every live run's points.
     """
     dim, n = points.shape[1], len(points)
     runs, n_clusters = init_rows.shape
@@ -295,12 +305,14 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     m = runs
     for iteration in range(20):
         parts, now, mask = work[:, :, :m], assign[:m], hit[:m]
-        dist = _squared_distances(coords, centroids, parts)
-        now.fill(0)
-        nearest = dist[0]  # kept at the running minimum
-        for c in range(1, n_clusters):
+        repeated = weights[:, : m * n].reshape(dim, 1, m, n)
+        dist = _squared_distances(repeated, centroids, parts)
+        # with one cluster, dist[0] < dist[0] leaves every point in it
+        np.copyto(now, np.less(dist[min(1, n_clusters - 1)], dist[0], out=mask))
+        nearest = dist[0]  # kept at the running minimum of the clusters before c
+        for c in range(2, n_clusters):
+            np.minimum(nearest, dist[c - 1], out=nearest)
             np.putmask(now, np.less(dist[c], nearest, out=mask), c)
-            np.minimum(nearest, dist[c], out=nearest)
         if iteration:
             moved = np.not_equal(now, previous[:m], out=mask).any(axis=1)
             if not moved.all():
@@ -326,13 +338,14 @@ def _lloyd(points: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
 def _squared_distances(coords: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The squared distance of every point from every centroid, shaped
     (a, b, n): work[0], the rest of work (dim, a, b, n) overwritten. coords
-    holds the n points coordinate first, (dim, n); centroids is shaped
-    (dim, a, b). Each is (x0 - c0)**2 + (x1 - c1)**2 + ..., summed one
-    coordinate at a time from the first."""
+    holds the n points coordinate first, shaped to broadcast against work:
+    (dim, 1, 1, n), or (dim, 1, b, n) with the points repeated along b;
+    centroids is shaped (dim, a, b). Each is (x0 - c0)**2 + (x1 - c1)**2 +
+    ..., summed one coordinate at a time from the first."""
     # each centroid is spread over its row before the subtraction: numpy
     # subtracts a broadcast per-row scalar several times slower
     np.copyto(work, centroids[..., None])
-    np.square(np.subtract(coords[:, None, None], work, out=work), out=work)
+    np.square(np.subtract(coords, work, out=work), out=work)
     for part in work[1:]:
         work[0] += part
     return work[0]
@@ -353,7 +366,8 @@ def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndar
     ties to the lower row, NaN last.
     """
     work = np.empty((points.shape[1], *centroids.shape[:2], len(points)))
-    dist = _squared_distances(points.T, centroids.transpose(2, 0, 1), work)  # (runs, clusters, n)
+    coords = points.T[:, None, None]
+    dist = _squared_distances(coords, centroids.transpose(2, 0, 1), work)  # (runs, clusters, n)
     runs, n_clusters, n = dist.shape
     depth = min(-(-k // n_clusters), n)
     dist = np.negative(np.sqrt(dist, out=dist), out=dist).reshape(runs * n_clusters, n)
@@ -413,7 +427,8 @@ def _cosine_picks(
     return picks
 
 
-_ABOVE_MIN = np.nextafter(np.finfo(np.float64).min, 0.0)
+_LOWEST = np.finfo(np.float64).min
+_ABOVE_MIN = np.nextafter(_LOWEST, 0.0)
 
 
 def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
@@ -431,7 +446,7 @@ def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
     sqrt of the largest float where finite) is either of those two floats.
     """
     np.maximum(dist, _ABOVE_MIN, out=dist)  # -inf rises; NaN stays NaN
-    np.fmax(dist, np.finfo(np.float64).min, out=dist)  # NaN rises below it
+    np.fmax(dist, _LOWEST, out=dist)  # NaN rises below it
     np.putmask(dist, np.arange(dist.shape[1]) >= sizes[:, None], -np.inf)
     at = np.arange(len(dist))
     picks = np.empty((len(dist), min(k, dist.shape[1])), dtype=np.intp)

@@ -116,12 +116,18 @@ def cmd_adapt(args) -> int:
 
 
 def _write_aggregate(result, csv_path, table_path) -> None:
-    """Write a sweep's aggregate as CSV and as a table, and print the table."""
+    """Write a sweep's aggregate as CSV and as a table, and print the table.
+    A path that cannot be written is a ConfigError naming it."""
     rows = result.aggregate_rows()
-    sweep_mod.write_aggregate_csv(csv_path, rows)
     table = sweep_mod.format_table(rows)
-    with open(table_path, "w") as fh:
-        fh.write(table)
+    path = csv_path
+    try:
+        sweep_mod.write_aggregate_csv(csv_path, rows)
+        path = table_path
+        with open(table_path, "w") as fh:
+            fh.write(table)
+    except OSError as exc:
+        raise ConfigError(f"cannot write aggregate {path}: {exc.strerror or exc}") from None
     print(table, end="")
 
 

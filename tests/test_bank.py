@@ -548,7 +548,10 @@ class TestKMeansCenter:
         rng = np.random.default_rng(42)
         for case in range(30):
             b = tied_bank(rng, n=int(rng.integers(6, 200)))
-            lab_y = rng.integers(0, 4, size=12)  # class 3 is not in the bank
+            drawn = rng.integers(0, 4, size=12)
+            # retrieval serves only labels of classes with entries
+            lab_y = np.array([y for y in drawn.tolist() if y < b.num_classes and b.class_size(y)],
+                             dtype=np.int64)
             clusters = int(rng.integers(1, 9))
             rng_fast, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
             centroids_of = {}
@@ -558,10 +561,8 @@ class TestKMeansCenter:
                 for i, c in zip(positions, centroids):
                     assert lab_y[i] == cls
                     centroids_of[i] = c
+            assert sorted(centroids_of) == list(range(len(lab_y)))
             for i, y in enumerate(lab_y):
-                if y >= b.num_classes or not b.class_size(int(y)):
-                    assert i not in centroids_of
-                    continue
                 want = reference_kmeans(b.class_points(int(y)), clusters, rng_ref)
                 assert np.array_equal(centroids_of[i], want)
             assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
@@ -1093,6 +1094,55 @@ class TestBinaryBanks:
                 dropped = [i for i in members if i not in set(kept)]
                 if kept and dropped:
                     assert min(conf[kept]) >= max(conf[dropped]) - 1e-15
+
+
+COSINE_ONLY = ("entry_points", "index_map")
+
+
+def eager_cosine_arrays(b):
+    """entry_points and index_map as the constructor once built them:
+    the entries' points in rows' order, and each class's offset plus the
+    stable argsort of its entries' global indices, padded with its first
+    position."""
+    entry_points = np.asarray(b.points, dtype=np.float64)[b.rows]
+    index_map = np.empty((b.num_classes, max(b.sizes())), dtype=np.intp)
+    for c in range(b.num_classes):
+        order = np.argsort(b.indices[b.class_rows(c)], kind="stable")
+        index_map[c] = b.offsets[c]
+        index_map[c, : len(order)] += order
+    return entry_points, index_map
+
+
+class TestLazyCosineArrays:
+    @pytest.mark.parametrize("strategy", bank.MODEL_FREE)
+    def test_model_free_retrieval_builds_no_cosine_array(self, strategy):
+        _, b = small_bank()
+        cfg = bank.RldConfig(k=3, strategy=strategy)
+        rng = np.random.default_rng(3)
+        bank.retrieve_defending(b, rng.normal(size=(8, 2)), rng.integers(0, 4, size=8), cfg, rng)
+        assert not set(COSINE_ONLY) & set(vars(b))
+
+    def test_binary_banks_and_their_concat_build_no_cosine_array(self):
+        model = random_model(19, dims=(2, 8, 3), head=nn.SIGMOID)
+        pts = np.random.default_rng(19).normal(scale=2.0, size=(40, 2))
+        banks = bank.generate_bank_binary(model, pts, np.arange(40), 0.4, [0.5, 0.45, 0.6])
+        merged = bank.CandidateBank.concat(banks)
+        for b in banks + [merged]:
+            assert not set(COSINE_ONLY) & set(vars(b))
+
+    def test_first_read_gives_the_eager_arrays_read_only(self):
+        rng = np.random.default_rng(50)
+        model = random_model(19, dims=(2, 8, 3), head=nn.SIGMOID)
+        pts = rng.normal(scale=2.0, size=(40, 2))
+        banks = bank.generate_bank_binary(model, pts, rng.permutation(1000)[:40], 0.4,
+                                          [0.5, 0.45, 0.6])
+        cases = [small_bank()[1], tied_bank(rng, empty_class=1), bank.CandidateBank.concat(banks)]
+        for b in cases:
+            want = eager_cosine_arrays(b)
+            for name, expected in zip(COSINE_ONLY, want):
+                got = getattr(b, name)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+                assert not got.flags.writeable and getattr(b, name) is got
 
 
 class TestConfigValidation:

@@ -387,6 +387,23 @@ class TestExitCodes:
         assert err == f"error: records {path} line 3: bad or missing {keys}\n"
         assert not (tmp_path / "records_aggregate.csv").exists()
 
+    @pytest.mark.parametrize("target", ["csv", "table"])
+    def test_aggregate_path_that_cannot_be_written_exits_2_naming_it(self, tmp_path, capsys,
+                                                                     target):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps({"axis": "k", "cell": "a", "seed": 0, "metric": "test_acc",
+                                    "value": 0.5, "source_model_value": 0.4}) + "\n")
+        args = ["report", "--records", str(path)]
+        if target == "csv":  # in a directory that does not exist
+            unwritable, reason = tmp_path / "nowhere" / "x.csv", "No such file or directory"
+            args += ["--out-csv", str(unwritable)]
+        else:  # the table beside the records is a directory
+            unwritable, reason = tmp_path / "records_aggregate.txt", "Is a directory"
+            unwritable.mkdir()
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write aggregate {unwritable}: {reason}\n"
+
     @pytest.mark.parametrize("ratio", ["0.999", "0.001"])
     def test_split_ratio_that_empties_a_side_exits_2_before_pretraining(
         self, tmp_path, monkeypatch, capsys, ratio
