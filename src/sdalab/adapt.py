@@ -211,12 +211,6 @@ class SoftmaxRule:
     def pseudo_targets(probs, out) -> None:
         nn.argmax_rows(probs, out)
 
-    @staticmethod
-    def loss(probs, targets, counts, mask, plan) -> tuple:
-        """(losses, dprobs) of the terms in one cross-entropy pass, written
-        into plan (the step's nn._LossPlan)."""
-        return nn._ce_terms(probs, targets, counts, mask, plan)
-
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.generate_bank(
             model, points, indices, p, model.output_dim, epoch_stamp=epoch
@@ -237,7 +231,7 @@ class SigmoidRule:
     thresholds: np.ndarray
     head = nn.SIGMOID
     metric = "mean_auroc"
-    per_cell = True  # the loss scores every cell of every row
+    per_cell = True  # the loss scores every cell of every row: no weak view here
 
     @staticmethod
     def labels_of(labeled):
@@ -293,12 +287,6 @@ class SigmoidRule:
     def pseudo_targets(self, probs, out) -> None:
         np.greater_equal(probs, self.thresholds, out=out)
 
-    @staticmethod
-    def loss(probs, targets, counts, mask, plan) -> tuple:
-        """As SoftmaxRule.loss in one BCE pass; every row is scored, as
-        binary mode runs pseudo-labelling only."""
-        return nn._bce_terms(probs, targets, counts, mask, plan)
-
     def bank(self, model, points, indices, p, epoch) -> bank_mod.CandidateBank:
         return bank_mod.CandidateBank.concat(
             bank_mod.generate_bank_binary(
@@ -337,9 +325,9 @@ class _Epoch:
     labelled ones, u pseudo-labelled ones (labels holds a placeholder
     there) and the defending ones; row_cells holds the flat index of each
     one's first probability (its forward row * n_outputs), None where the
-    rule's loss scores every cell. Steps with fewer defending rows than
-    room leave their tails unused, so each step's rows are a contiguous
-    prefix of its row. index holds the rows of train.points that inputs
+    loss scores every cell (rule.per_cell). Steps with fewer defending rows
+    than room leave their tails unused, so each step's rows are a
+    contiguous prefix of its row. index holds the rows of train.points that inputs
     gathers, 0 in every defending slot (whose points arrive from
     retrieval).
     """
@@ -544,7 +532,7 @@ def _step(model, epoch: _Epoch, i, cfg, augmenter, rng, work: nn.StepBuffers) ->
     else:
         # pseudo targets are detached: computed from probs, never differentiated
         rule.pseudo_targets(probs[unlabeled_at:defending_at], pseudo)
-    (l_sup, l_unsup, l_rld), dprobs = rule.loss(probs, targets, counts, mask, plan)
+    (l_sup, l_unsup, l_rld), dprobs = nn._terms(probs, targets, counts, mask, plan)
     mask_rate = 1.0 if u else 0.0
     if fixmatch:
         # renormalize mean-over-passing to mu*B

@@ -7,8 +7,8 @@ failure, 4 feedback shortage.
 """
 
 import argparse
+import contextlib
 import itertools
-import json
 import os
 import sys
 
@@ -20,7 +20,7 @@ from . import stream as stream_mod
 from . import sweep as sweep_mod
 from .config import load_config
 from .errors import ConfigError, MetricError, NumericError, ShapeError, ShortageError
-from .runner import JSON_SEPARATORS, StageCache
+from .runner import StageCache, stable_json
 
 
 def _add_command(sub, name, func, help, one_seed=True):
@@ -53,6 +53,16 @@ def _load(args):
     return cfg, out
 
 
+@contextlib.contextmanager
+def _writing(name):
+    """Turn an OSError from writing the output called name (its path, or
+    more) into a ConfigError naming it with the system's reason: exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from None
+
+
 def _one_seed(cfg, args):
     return args.seed if args.seed is not None else cfg.seeds()[0]
 
@@ -62,15 +72,9 @@ def cmd_gen_data(args) -> int:
     seed = _one_seed(cfg, args)
     d = runner.make_data(cfg, seed)
     path = os.path.join(out, f"dataset_seed{seed}.csv")
-    data.write_dataset_csv(
-        path,
-        [
-            (d.source_train, "train"),
-            (d.source_test, "test"),
-            (d.target_train, "train"),
-            (d.target_test, "test"),
-        ],
-    )
+    with _writing(path):
+        data.write_dataset_csv(path, [(d.source_train, "train"), (d.source_test, "test"),
+                                      (d.target_train, "train"), (d.target_test, "test")])
     print(f"wrote {path}")
     return 0
 
@@ -80,7 +84,8 @@ def cmd_pretrain(args) -> int:
     seed = _one_seed(cfg, args)
     pre = runner.pretrain(cfg, seed)
     model_path = os.path.join(out, f"model_seed{seed}.json")
-    pre.model.save(model_path)
+    with _writing(model_path):
+        pre.model.save(model_path)
     doc = {
         "seed": seed,
         "source_test": pre.source_test_acc,
@@ -90,8 +95,8 @@ def cmd_pretrain(args) -> int:
         doc["thresholds"] = pre.thresholds
         doc["degenerate_thresholds"] = pre.degenerate_flags
     metrics_path = os.path.join(out, f"pretrain_seed{seed}.json")
-    with open(metrics_path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=JSON_SEPARATORS))
+    with _writing(metrics_path), open(metrics_path, "w") as fh:
+        fh.write(stable_json(doc))
     print(f"wrote {model_path} and {metrics_path}")
     print(f"source test {pre.source_test_acc:.4f}  target test {pre.target_test_acc:.4f}")
     return 0
@@ -102,9 +107,10 @@ def cmd_adapt(args) -> int:
     seed = _one_seed(cfg, args)
     record = runner.run_single(cfg, seed)
     log_path = os.path.join(out, f"run_seed{seed}.jsonl")
-    runner.write_run_log(log_path, record.rows)
+    with _writing(log_path):
+        runner.write_run_log(log_path, record.rows)
     metrics_path = os.path.join(out, f"metrics_seed{seed}.json")
-    with open(metrics_path, "w") as fh:
+    with _writing(metrics_path), open(metrics_path, "w") as fh:
         fh.write(record.metrics_json())
     print(f"wrote {log_path} and {metrics_path}")
     print(
@@ -120,14 +126,10 @@ def _write_aggregate(result, csv_path, table_path) -> None:
     A path that cannot be written is a ConfigError naming it."""
     rows = result.aggregate_rows()
     table = sweep_mod.format_table(rows)
-    path = csv_path
-    try:
+    with _writing(f"aggregate {csv_path}"):
         sweep_mod.write_aggregate_csv(csv_path, rows)
-        path = table_path
-        with open(table_path, "w") as fh:
-            fh.write(table)
-    except OSError as exc:
-        raise ConfigError(f"cannot write aggregate {path}: {exc.strerror or exc}") from None
+    with _writing(f"aggregate {table_path}"), open(table_path, "w") as fh:
+        fh.write(table)
     print(table, end="")
 
 
@@ -142,7 +144,8 @@ def cmd_sweep(args) -> int:
 
     result = sweep_mod.run_sweep(cfg, args.axis, StageCache(), progress)
     records_path = os.path.join(out, f"records_{args.axis}.jsonl")
-    sweep_mod.write_records_jsonl(records_path, result)
+    with _writing(records_path):
+        sweep_mod.write_records_jsonl(records_path, result)
     csv_path = os.path.join(out, f"aggregate_{args.axis}.csv")
     table_path = os.path.join(out, f"aggregate_{args.axis}.txt")
     _write_aggregate(result, csv_path, table_path)
@@ -172,8 +175,8 @@ def cmd_stream(args) -> int:
         runner.adapt_seed(cfg, seed), test_set=d.target_test,
     )
     path = os.path.join(out, f"stream_seed{seed}.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(records, sort_keys=True, separators=JSON_SEPARATORS))
+    with _writing(path), open(path, "w") as fh:
+        fh.write(stable_json(records))
     for rec in records:
         print(
             f"checkpoint {rec['fraction']:.2f}: items {rec['items_seen']}, "
@@ -228,15 +231,13 @@ def cmd_plot(args) -> int:
     for name, model in panels:
         grid = metrics.decision_grid(model, bounds, args.resolution)
         path = os.path.join(out, f"{name}_seed{seed}.svg")
-        svgplot.write_panel(
-            path,
-            grid,
-            scatter_points=d.target_test.points,
-            scatter_labels=d.target_test.labels,
-            highlight_points=d.target_train.points[labeled_idx],
-            highlight_labels=split.labeled_labels(),
-            title=f"{name} (seed {seed})",
-        )
+        with _writing(path):
+            svgplot.write_panel(
+                path, grid, scatter_points=d.target_test.points,
+                scatter_labels=d.target_test.labels,
+                highlight_points=d.target_train.points[labeled_idx],
+                highlight_labels=split.labeled_labels(), title=f"{name} (seed {seed})",
+            )
         paths.append(path)
     print("wrote " + ", ".join(paths))
     return 0

@@ -41,9 +41,10 @@ A training loop hands one ``StepBuffers`` to each ``forward`` and
 (``_RowArrays``): every array it writes and every view of them it reads
 (the head's column views and fold column, the activations' transposes),
 and one ``ForwardTrace``, all made once and bound as the pass walks them,
-so it runs one flat loop over the plan's tuples. The loss core runs on a
-``_LossPlan``: the arrays it writes and each term's views of them, for one
-layout of scored values and term bounds. A loop makes one per layout its
+so it runs one flat loop over the plan's tuples. Both heads' losses run
+one core, ``_terms``, on a ``_LossPlan``: the arrays it writes and each
+term's views of them, for one layout of scored values and term bounds,
+which picks the head's gather and scatter. A loop makes one per layout its
 steps take (an adaptation one per defending count, pretraining one per
 batch row count) and reuses it. So a step allocates no array that scales
 with the batch, except the sigmoid head's temporaries (a sigmoid through
@@ -61,7 +62,7 @@ What is left is mostly numpy's per-call floor. On a 64-row [2, 10, 10, 3]
 step (tools/pass_costs.py: 2-core Xeon, numpy 2.4.6, in-process minima) a
 forward pass takes about 14-15 us: about 1 us per product and 0.8 us per
 ReLU, 1.4 us per bias add, and 6 us for the softmax's seven numpy calls.
-The pretraining loss gradient takes about 5 us, a backward pass 17 us and
+The pretraining loss gradient takes about 6 us, a backward pass 17 us and
 ``sgd_step`` 3.4 us, and a default pretraining (900 such steps) 37-41 ms.
 A bias sum takes 0.8-1.7 us from 1 to 176 rows, against 0.9-5.4 us for
 ``add.reduce``. Bias adds run one numpy inner loop per row on matrices
@@ -330,23 +331,25 @@ class _RowArrays:
 
 
 class _LossPlan:
-    """The loss core's arrays and views for one layout, made once and
-    reused by every call on it: probabilities of n rows and width outputs,
-    scored at row_cells, the flat index of each scored row's first cell
-    (row * width), one value per row, as cross-entropy scores them; or, with
-    row_cells None, at every cell, as BCE does. bounds holds each term's
-    (start, stop) among the scored values. The plan holds each value's
-    gradient and whether the floor spares it, and each term's view of the
-    gradients; under cross-entropy also the scored cells, their
-    probabilities, each term's view of those, and the dprobs it scatters
-    into."""
+    """The arrays and views of the loss core (_terms) for one layout, made
+    once and reused by every call on it: probabilities of n rows and width
+    outputs, scored at row_cells, the flat index of each scored row's first
+    cell (row * width), one value per row, as cross-entropy scores them; or,
+    with row_cells None, at every cell, as BCE does. The layout binds the
+    head's gather and scatter. bounds holds each term's (start, stop) among
+    the scored values. The plan holds each value's gradient and whether the
+    floor spares it, and each term's view of the gradients; under
+    cross-entropy also the scored cells, their probabilities, each term's
+    view of those, and the dprobs it scatters into."""
 
     def __init__(self, n, width, bounds, row_cells=None):
         self.row_cells, self.slices = row_cells, tuple(slice(start, stop) for start, stop in bounds)
         shape = (n, width) if row_cells is None else (len(row_cells),)
         self.grads, self.above = np.empty(shape), np.empty(shape, bool)
         self.grad_terms = tuple(self.grads[s] for s in self.slices)
+        self.gather, self.scatter = _gather_cells, _scatter_cells
         if row_cells is not None:
+            self.gather, self.scatter = _gather_rows, _scatter_rows
             self.cells, self.chosen = np.empty(shape, np.intp), np.empty(shape)
             self.dprobs = np.empty((n, width))
             self.chosen_terms = tuple(self.chosen[s] for s in self.slices)
@@ -463,18 +466,17 @@ def _counts(bounds, mask, cells_per_row):
     return [int(round(np.add.reduce(mask[start:stop], axis=None))) for start, stop in bounds]
 
 
-def _term_losses(chosen, sign, counts, mask, plan, cell_terms):
-    """The loss core of loss_ce and loss_bce, on checked arrays. ``chosen``
-    holds each scored cell's probability of its target, ``sign`` -1 where
-    that is p and +1 where it is 1 - p. Each cell's loss is -log of chosen
-    floored at PROB_EPS, and its gradient sign / floored (0 where the floor
-    binds: the clamped loss is flat there), both times ``mask`` if given.
-    Each term's loss is the pairwise sum of its cells, cell_terms giving
-    each term's view of chosen, divided by its count; its gradient rows,
-    plan.grad_terms, are divided by the same count in place. A term with
-    count 0 gets loss 0.0 and zero gradient. chosen becomes the cells'
-    losses; plan.grads (and plan.above, scratch) are written. Returns
-    (losses, grads)."""
+def _terms(probs, targets, counts, mask, plan):
+    """The loss core of loss_ce and loss_bce, on checked arrays, on plan,
+    whose layout binds the head's gather and scatter: cross-entropy scores
+    each row at its class in targets, BCE each cell (targets: which are 1).
+    A scored value's loss is -log of its probability of its target floored
+    at PROB_EPS, and its gradient sign / floored (0 where the floor binds:
+    the clamped loss is flat there), both times ``mask`` if given. A term's
+    loss is the pairwise sum of its values over its count, and its
+    gradients, plan.grad_terms, are divided by the count in place; count 0
+    gives loss 0.0 and zero gradient. Returns (losses, dprobs of the plan)."""
+    chosen, sign, cell_terms = plan.gather(probs, targets, plan)
     grads = plan.grads
     cells = np.log(_floored(chosen, sign, grads, plan.above), out=chosen)
     np.negative(cells, out=cells)
@@ -489,7 +491,37 @@ def _term_losses(chosen, sign, counts, mask, plan, cell_terms):
         else:
             losses.append(0.0)
             term_grads.fill(0.0)
-    return losses, grads
+    return losses, plan.scatter(grads, plan)
+
+
+def _gather_rows(probs, targets, plan):
+    """Cross-entropy's gather: (each row's probability of its class, taken
+    at its flat cell into plan.chosen, the sign of d(-log)/d(p), each
+    term's view of chosen)."""
+    cells = np.add(plan.row_cells, targets, out=plan.cells)
+    # "clip" reads without numpy's bounds-check buffer: targets are checked
+    return probs.take(cells, out=plan.chosen, mode="clip"), -1.0, plan.chosen_terms
+
+
+def _scatter_rows(grads, plan):
+    """Cross-entropy's scatter: grads put at their cells of a zeroed dprobs."""
+    plan.dprobs.fill(0.0)
+    plan.dprobs.put(plan.cells, grads)
+    return plan.dprobs
+
+
+def _gather_cells(probs, positive, plan):
+    """BCE's gather, as _gather_rows for every cell, into new arrays (np.where
+    ran faster than writes into buffers by mask); the term views are made
+    only as they are read, as _term_gradient reads none."""
+    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1]
+    chosen = _where(positive, probs, 1.0 - probs)
+    return chosen, _where(positive, -1.0, 1.0), map(chosen.__getitem__, plan.slices)
+
+
+def _scatter_cells(grads, plan):
+    """BCE's scatter: every cell is scored, so grads are dprobs."""
+    return grads
 
 
 def _floored(chosen, sign, grads, above):
@@ -501,28 +533,6 @@ def _floored(chosen, sign, grads, above):
     grads.fill(0.0)
     np.divide(sign, clamped, out=grads, where=above)
     return clamped
-
-
-def _ce_terms(probs, targets, counts, mask, plan):
-    """loss_ce on checked arrays, on plan, the _LossPlan of probs' rows
-    scored at its row_cells, whose classes targets holds: the scored cells
-    are flat indices into probs (take, then put into a zeroed dprobs).
-    Returns (losses, dprobs), dprobs the plan's."""
-    cells = np.add(plan.row_cells, targets, out=plan.cells)
-    # "clip" reads without numpy's bounds-check buffer: targets are checked
-    chosen = probs.take(cells, out=plan.chosen, mode="clip")
-    losses, grads = _term_losses(chosen, -1.0, counts, mask, plan, plan.chosen_terms)
-    plan.dprobs.fill(0.0)
-    plan.dprobs.put(cells, grads)
-    return losses, plan.dprobs
-
-
-def _bce_terms(scored, positive, counts, mask, plan):
-    """loss_bce on checked arrays, over every cell of scored, on plan, the
-    per-cell _LossPlan of its rows; positive says which target cells are 1.
-    Returns (losses, dscored), dscored the plan's grads."""
-    chosen, sign = _bce_chosen(scored, positive)
-    return _term_losses(chosen, sign, counts, mask, plan, [chosen[s] for s in plan.slices])
 
 
 def loss_ce(probs, targets, terms=None, mask=None):
@@ -554,7 +564,7 @@ def loss_ce(probs, targets, terms=None, mask=None):
     mask = _checked_mask(mask, rows.shape)
     counts = _counts(bounds, mask, 1)
     plan = _LossPlan(*probs.shape, bounds, rows * probs.shape[1])
-    losses, dprobs = _ce_terms(probs, targets, counts, mask, plan)
+    losses, dprobs = _terms(probs, targets, counts, mask, plan)
     return losses, dprobs, counts
 
 
@@ -599,7 +609,7 @@ def loss_bce(probs, targets, terms=None, mask=None):
     mask = _checked_mask(mask, scored.shape)
     positive = _checked_targets(targets)
     counts = _counts(bounds, mask, probs.shape[1])
-    losses, grads = _bce_terms(scored, positive, counts, mask, _LossPlan(*scored.shape, bounds))
+    losses, grads = _terms(scored, positive, counts, mask, _LossPlan(*scored.shape, bounds))
     if rows is None:
         return losses, grads, counts
     dprobs = np.zeros(probs.shape)
@@ -607,28 +617,15 @@ def loss_bce(probs, targets, terms=None, mask=None):
     return losses, dprobs, counts
 
 
-def _bce_chosen(scored, positive):
-    """Each cell's probability of its target, and the sign of d(that)/d(scored),
-    as new arrays (np.where ran faster than writes into buffers by mask)."""
-    # -(t log p + (1 - t) log q) for t in {0, 1} and p in [0, 1]
-    return _where(positive, scored, 1.0 - scored), _where(positive, -1.0, 1.0)
-
-
 def _term_gradient(probs, targets, plan):
     """dprobs of the loss of one unmasked term over every row of probs, from
     the loss's own cells without its values; targets from _checked_targets,
     plan a _LossPlan of those rows (of their cells under BCE). It is an
     array of the plan, written in place; it holds until the next such call."""
-    if plan.row_cells is None:
-        _floored(*_bce_chosen(probs, targets), plan.grads, plan.above)
-        plan.grads /= probs.size
-        return plan.grads
-    cells = np.add(plan.row_cells, targets, out=plan.cells)
-    _floored(probs.take(cells, out=plan.chosen, mode="clip"), -1.0, plan.grads, plan.above)
-    plan.grads /= len(probs)
-    plan.dprobs.fill(0.0)
-    plan.dprobs.put(cells, plan.grads)
-    return plan.dprobs
+    chosen, sign, _ = plan.gather(probs, targets, plan)
+    _floored(chosen, sign, plan.grads, plan.above)
+    plan.grads /= plan.grads.size
+    return plan.scatter(plan.grads, plan)
 
 
 def backward(model, trace, dprobs, buffers=None):

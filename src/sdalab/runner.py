@@ -20,7 +20,10 @@ from . import adapt as adapt_mod
 from . import data, nn
 from .config import ExperimentConfig, stage_seed
 
-JSON_SEPARATORS = (",", ":")
+
+def stable_json(doc) -> str:
+    """doc as the byte-stable JSON of every output file: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -57,7 +60,7 @@ class RunRecord:
             "final": self.final,
             "flags": self.flags,
         }
-        return json.dumps(doc, sort_keys=True, separators=JSON_SEPARATORS)
+        return stable_json(doc)
 
 
 class StageCache:
@@ -164,4 +167,4 @@ def run_single(cfg: ExperimentConfig, seed: int, cache: StageCache = None) -> Ru
 def write_run_log(path, rows) -> None:
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=JSON_SEPARATORS) + "\n")
+            fh.write(stable_json(row) + "\n")

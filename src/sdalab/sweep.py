@@ -15,7 +15,7 @@ from . import feedback
 from .config import ExperimentConfig, read_text
 from .errors import ConfigError, SdalabError
 from .metrics import mean_std
-from .runner import JSON_SEPARATORS, StageCache, run_single
+from .runner import StageCache, run_single, stable_json
 
 # Batch compositions (unlabeled, defending, labeled) with B=16.
 RATIO_CELLS = [
@@ -164,11 +164,11 @@ def run_sweep(
 def write_records_jsonl(path, result: SweepResult) -> None:
     with open(path, "w") as fh:
         for rec in result.records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=JSON_SEPARATORS) + "\n")
+            fh.write(stable_json(rec) + "\n")
         for failure in result.failures:
             doc = {"axis": result.axis, "error": failure["error"],
                    "cell": failure["cell"], "seed": failure["seed"]}
-            fh.write(json.dumps(doc, sort_keys=True, separators=JSON_SEPARATORS) + "\n")
+            fh.write(stable_json(doc) + "\n")
 
 
 def read_records_jsonl(path) -> SweepResult:

@@ -743,7 +743,7 @@ def rejected_before_any_pass(monkeypatch, model, batch, cfg, rule):
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass ran before the rejection")
 
-    for name in ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms"):
+    for name in ("forward", "backward", "loss_ce", "loss_bce", "_terms"):
         monkeypatch.setattr(nn, name, no_pass)
     points = np.concatenate([batch.labeled_points, batch.unlabeled_points])
     findings = np.zeros((len(points), len(rule.thresholds)), dtype=np.int64)
@@ -870,20 +870,27 @@ class TestOneLossPass:
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, args))
                 return fn(*args, **kwargs)
             return wrapper
 
-        names = ("forward", "backward", "loss_ce", "loss_bce", "_ce_terms", "_bce_terms")
-        for name in names:
+        for name in ("forward", "backward", "loss_ce", "loss_bce", "_terms"):
             monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
         one_step(model, batch, cfg, rule, aug, np.random.default_rng(9))
         monkeypatch.undo()
         # the step's targets are checked as the batch is laid out, so its one
-        # loss pass goes to the unchecked core of loss_ce or loss_bce
-        losses = [name for name in calls if "loss" in name or "terms" in name]
-        assert calls.count("forward") == 1 and calls.count("backward") == 1
-        assert losses == ["_ce_terms" if head == nn.SOFTMAX else "_bce_terms"]
+        # loss pass goes to the unchecked core of loss_ce and loss_bce, on a
+        # plan that scores one cell a row under softmax and every cell under
+        # sigmoid
+        names = [name for name, _ in calls]
+        assert names.count("forward") == 1 and names.count("backward") == 1
+        losses = [(name, args) for name, args in calls if "loss" in name or "terms" in name]
+        assert [name for name, _ in losses] == ["_terms"]
+        probs, plan = losses[0][1][0], losses[0][1][4]
+        if head == nn.SOFTMAX:
+            assert plan.row_cells is not None and plan.grads.shape == (len(plan.row_cells),)
+        else:
+            assert plan.row_cells is None and plan.grads.shape == probs.shape
 
 
 class TestAdaptLoop:
@@ -1444,7 +1451,7 @@ class TestEntryPointHeads:
         def no_work(*args, **kwargs):
             raise AssertionError("a bank or a pass ran before the rejection")
 
-        for name in ("forward", "backward", "_ce_terms", "_bce_terms"):
+        for name in ("forward", "backward", "_terms"):
             monkeypatch.setattr(nn, name, no_work)
         for name in ("generate_bank", "generate_bank_binary"):
             monkeypatch.setattr(bank, name, no_work)

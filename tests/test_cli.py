@@ -404,6 +404,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: cannot write aggregate {unwritable}: {reason}\n"
 
+    @pytest.mark.parametrize("args, name", [
+        (["adapt"], "run_seed0.jsonl"),
+        (["gen-data"], "dataset_seed0.csv"),
+        (["pretrain"], "model_seed0.json"),
+        (["stream", "--cap", "300"], "stream_seed0.json"),
+        (["sweep", "--axis", "method", "--set", "run.seeds=[0]"], "records_method.jsonl"),
+        (["plot", "--resolution", "4"], "source_seed0.svg"),
+    ], ids=["adapt", "gen-data", "pretrain", "stream", "sweep", "plot"])
+    def test_output_file_that_cannot_be_written_exits_2_naming_it(self, tmp_path, capsys,
+                                                                  args, name):
+        unwritable = tmp_path / name  # a directory where the command writes its file
+        unwritable.mkdir()
+        assert run_cli(args + ["--out", str(tmp_path)] + FAST_SETS) == 2
+        err = capsys.readouterr().err  # a sweep's progress lines come first
+        assert err.splitlines()[-1] == f"error: cannot write {unwritable}: Is a directory"
+        assert err.count("error:") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("ratio", ["0.999", "0.001"])
     def test_split_ratio_that_empties_a_side_exits_2_before_pretraining(
         self, tmp_path, monkeypatch, capsys, ratio

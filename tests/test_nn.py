@@ -1767,8 +1767,9 @@ def loss_core_case(rng, head, n_terms_rows, skip, outputs=3):
 
 
 class TestLossCore:
-    """The rules call the loss core on arrays checked once per epoch; it must
-    give the bits of the public, checked loss_ce and loss_bce."""
+    """The step calls the loss core on arrays checked once per epoch; under
+    either head's plan it must give the bits of the public, checked loss_ce
+    and loss_bce."""
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("skip", [0, 5])
@@ -1790,7 +1791,7 @@ class TestLossCore:
             counts = [n if mask is None else int(np.count_nonzero(mask[a:b]))
                       for n, (a, b) in zip(sizes, bounds)]
             plan = nn._LossPlan(*probs.shape, tuple(bounds), rows * 3)
-            got = nn._ce_terms(probs, targets, counts, mask, plan)
+            got = nn._terms(probs, targets, counts, mask, plan)
             assert counts == want[2]
             assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
             assert got[1].tobytes() == want[1].tobytes()
@@ -1815,7 +1816,7 @@ class TestLossCore:
             counts = [4 * (b - a) if mask is None else int(np.count_nonzero(mask[a:b]))
                       for a, b in bounds]
             plan = nn._LossPlan(*probs.shape, bounds)
-            got = nn._bce_terms(probs, targets == 1.0, counts, mask, plan)
+            got = nn._terms(probs, targets == 1.0, counts, mask, plan)
             assert counts == want[2]
             assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
             assert got[1].tobytes() == want[1].tobytes()

@@ -1,7 +1,12 @@
 """tools/pass_costs.py, run for one short round."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
+
+from sdalab import nn
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "pass_costs.py"
 spec = importlib.util.spec_from_file_location("pass_costs", TOOL)
@@ -12,11 +17,24 @@ spec.loader.exec_module(pass_costs)
 def test_one_round_prints_every_pass_and_the_pretraining(capsys):
     assert pass_costs.main(["--rounds", "1", "--calls", "3"]) == 0
     header, *rows, last = capsys.readouterr().out.splitlines()
-    assert header.split() == ["rows", *pass_costs.PASSES, "(us", "per", "call)"]
-    assert [int(r.split()[0]) for r in rows] == list(pass_costs.ROW_COUNTS)
+    assert header.split() == ["head", "rows", *pass_costs.PASSES, "(us", "per", "call)"]
+    assert [(r.split()[0], int(r.split()[1])) for r in rows] == list(pass_costs.STEP_ROWS)
     for r in rows:
-        assert len(r.split()) == 1 + len(pass_costs.PASSES)
-        assert all(float(us) > 0 for us in r.split()[1:])
+        assert len(r.split()) == 2 + len(pass_costs.PASSES)
+        assert all(float(us) > 0 for us in r.split()[2:])
     label, ms, unit = last.split()
     assert label == "pretraining" and unit == "ms" and float(ms) > 0
 
+
+def test_binary_row_is_a_sigmoid_pseudo_label_step_under_bce():
+    steps = list(pass_costs.loss_steps(np.random.default_rng(0)))
+    assert len(steps) == len(pass_costs.STEP_ROWS) and pass_costs.STEP_ROWS[-1] == ("bce", 128)
+    model, inputs, loss = steps[-1]
+    assert model.layer_dims == [2, 10, 10, 4] and model.head == nn.SIGMOID
+    assert len(inputs) == 128
+    # the BCE path of the one loss core: every cell of the 128 rows scored
+    plan = loss.keywords["plan"]
+    assert loss.func is nn._terms and plan.row_cells is None
+    losses, dprobs = loss(nn.forward(model, inputs).probs)
+    assert len(losses) == 3 and all(math.isfinite(v) for v in losses)
+    assert dprobs.shape == (128, 4)

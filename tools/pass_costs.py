@@ -5,23 +5,25 @@ docstring quotes.
     python3 tools/pass_costs.py                  # 7 rounds
     python3 tools/pass_costs.py --rounds 1 --calls 50
 
-Run it from the root of a checkout. The model is the blobs default,
-[2, 10, 10, 3] with a softmax head, and each row count is one loop's step:
-64 rows a pretraining step, whose loss core is `nn._term_gradient`; 128 a
+Run it from the root of a checkout. The softmax ("ce") rows run the blobs
+default model, [2, 10, 10, 3], and each row count is one loop's step: 64
+rows a pretraining step, whose loss core is `nn._term_gradient`; 128 a
 pseudo-label step (16 labelled and 112 unlabelled rows); 176 an rld step at
 k = 3 (48 defending rows more); 240 a `fixmatch_lite` step (16 labelled
 rows, then the weak and the strong view of 112 unlabelled ones, 128 rows
-scored). From 128 rows the loss core is `nn._ce_terms` over the step's three
-terms, on the step's loss plan: each such step is step 0 of a one-step
-epoch that `adapt.build_minibatch` lays out, as the adaptation loop lays
-out its epochs. Every pass runs on one `nn.StepBuffers`, as the loops run
-theirs.
+scored). The sigmoid ("bce") row runs the binary default model, [2, 10, 10,
+4], on a 128-row pseudo-label step over its 4 findings. From 128 rows the
+loss core is `nn._terms` over the step's three terms, on the step's loss
+plan, which picks cross-entropy or BCE: each such step is step 0 of a
+one-step epoch that `adapt.build_minibatch` lays out under the head's rule,
+as the adaptation loop lays out its epochs. Every pass runs on one
+`nn.StepBuffers` per model, as the loops run theirs.
 
 A round times each item once: `--calls` calls in a row, divided by their
 count. The items' order rotates by one from round to round, so that a drift
-in the machine's speed falls on every item alike. It prints, per row count,
-the minimum over the rounds of the microseconds per call of `nn.forward`,
-the loss core, `nn.backward` and `nn.sgd_step`, then the minimum over the
+in the machine's speed falls on every item alike. It prints, per step, the
+minimum over the rounds of the microseconds per call of `nn.forward`, the
+loss core, `nn.backward` and `nn.sgd_step`, then the minimum over the
 rounds of one pretraining at stock settings (seed 0, blobs), in
 milliseconds.
 """
@@ -40,57 +42,73 @@ from sdalab import adapt, bank, data, nn, runner  # noqa: E402
 from sdalab.config import load_config, stage_seed  # noqa: E402
 from sdalab.data import LabeledSet  # noqa: E402
 
-ROW_COUNTS = (64, 128, 176, 240)
+# (head's loss, rows) of each step timed, in the order loss_steps yields them
+STEP_ROWS = (("ce", 64), ("ce", 128), ("ce", 176), ("ce", 240), ("bce", 128))
 PASSES = ("forward", "loss", "backward", "sgd_step")
 B, U = 16, 112  # the default labelled and unlabelled rows of an adaptation step
-# the (algorithm, k) of the 128-, 176- and 240-row adaptation steps
+# the (algorithm, k) of the 128-, 176- and 240-row softmax adaptation steps
 STEPS = ((adapt.PSEUDO_LABEL, 0), (adapt.PSEUDO_LABEL, 3), (adapt.FIXMATCH_LITE, 0))
+FINDINGS = 4
+
+
+def epoch_step(rng, algorithm, k, rule, n_outputs):
+    """Step 0 of a one-step epoch of B labelled rows, U unlabelled ones and
+    k defending rows per labelled one, as adapt.build_minibatch lays it out
+    under rule, with random labels and pseudo targets: its forward input,
+    and the loss core over its scored rows on its loss plan."""
+    sigmoid = rule.head == nn.SIGMOID
+    n_labels = 2 * n_outputs if sigmoid else n_outputs  # a finding's cell, or a class
+    points = rng.normal(scale=3.0, size=(B + U + k * B, 2))
+    train = LabeledSet(points[: B + U], np.zeros(B + U, dtype=np.int64), data.TARGET)
+    picked = np.stack([np.arange(B), rng.integers(0, n_labels, size=B)], axis=1)[None]
+    defending = (points[B + U :], rng.integers(0, n_labels, size=k * B), [k * B], [0]) if k else None
+    cfg = adapt.AdaptConfig(algorithm=algorithm, rld=bank.RldConfig(k=k) if k else None)
+    epoch = adapt.build_minibatch(train, picked, np.arange(B, B + U)[None], defending, cfg,
+                                  rule, n_outputs)
+    d, inputs, targets, mask, pseudo, n_pseudo, plan = epoch.cut(0)
+    pseudo[...] = rng.integers(0, 2 if sigmoid else n_outputs, size=pseudo.shape)
+    return inputs, functools.partial(nn._terms, targets=targets, counts=[B, n_pseudo, d],
+                                     mask=mask, plan=plan)
 
 
 def loss_steps(rng):
-    """(inputs, loss) of each step timed: loss(probs) runs the step's loss
-    core on probs. First a 64-row pretraining step, then each of STEPS with
-    the default B labelled and U unlabelled rows, and k defending rows per
-    labelled one, as adapt.build_minibatch lays it out: its forward input,
-    its scored rows' targets (random classes), mask, counts and loss plan."""
+    """(model, inputs, loss) of each step of STEP_ROWS: loss(probs) runs the
+    step's loss core on probs. First a 64-row softmax pretraining step, then
+    each of STEPS, then a sigmoid pseudo-label step."""
+    model = nn.MlpModel.init([2, 10, 10, 3], nn.SOFTMAX, rng)
     plan = nn._LossPlan(64, 3, ((0, 64),), np.arange(64) * 3)
-    yield rng.normal(scale=3.0, size=(64, 2)), functools.partial(
+    yield model, rng.normal(scale=3.0, size=(64, 2)), functools.partial(
         nn._term_gradient, targets=rng.integers(0, 3, size=64), plan=plan)
     for algorithm, k in STEPS:
-        points = rng.normal(scale=3.0, size=(B + U + k * B, 2))
-        train = LabeledSet(points[: B + U], np.zeros(B + U, dtype=np.int64), data.TARGET)
-        picked = np.stack([np.arange(B), rng.integers(0, 3, size=B)], axis=1)[None]
-        defending = (points[B + U :], rng.integers(0, 3, size=k * B), [k * B], [0]) if k else None
-        cfg = adapt.AdaptConfig(algorithm=algorithm, rld=bank.RldConfig(k=k) if k else None)
-        epoch = adapt.build_minibatch(train, picked, np.arange(B, B + U)[None], defending, cfg,
-                                      adapt.SOFTMAX_RULE, 3)
-        d, inputs, targets, mask, pseudo, n_pseudo, plan = epoch.cut(0)
-        pseudo[:] = rng.integers(0, 3, size=n_pseudo)
-        yield inputs, functools.partial(nn._ce_terms, targets=targets, counts=[B, n_pseudo, d],
-                                        mask=mask, plan=plan)
+        yield (model, *epoch_step(rng, algorithm, k, adapt.SOFTMAX_RULE, 3))
+    binary = nn.MlpModel.init([2, 10, 10, FINDINGS], nn.SIGMOID, rng)
+    rule = adapt.SigmoidRule(np.full(FINDINGS, 0.5))
+    yield (binary, *epoch_step(rng, adapt.PSEUDO_LABEL, 0, rule, FINDINGS))
 
 
 def pass_items(rng):
-    """{(rows, pass): call}: one buffered call of each pass at each row
-    count, each on its own inputs, so the items may run in any order."""
-    model = nn.MlpModel.init([2, 10, 10, 3], nn.SOFTMAX, rng)
-    stepped = model.copy()
-    buffers, state = nn.StepBuffers(model), nn.SgdState.zeros_like(stepped)
+    """{(head's loss, rows, pass): call}: one buffered call of each pass of
+    each step, each on its own inputs, so the items may run in any order.
+    Each model has its own buffers, and a copy that sgd_step steps."""
     sgd = nn.SgdConfig(1e-6, momentum=0.82, weight_decay=0.015)
-    items = {}
-    for inputs, loss in loss_steps(rng):
-        n = len(inputs)
+    items, kits = {}, {}
+    for (loss_name, n), (model, inputs, loss) in zip(STEP_ROWS, loss_steps(rng)):
+        if model.head not in kits:
+            stepped = model.copy()
+            kits[model.head] = nn.StepBuffers(model), stepped, nn.SgdState.zeros_like(stepped)
+        buffers, stepped, state = kits[model.head]
         trace = nn.forward(model, inputs, buffers)
         probs = trace.probs.copy()
         dprobs = rng.normal(scale=0.01, size=probs.shape)
         grads = nn.GradientSet._wrap(nn.backward(model, trace, dprobs, buffers).flat.copy(),
                                      model._layout)
-        items[n, "forward"] = lambda inputs=inputs: nn.forward(model, inputs, buffers)
-        items[n, "loss"] = functools.partial(loss, probs)
+        items[loss_name, n, "forward"] = functools.partial(nn.forward, model, inputs, buffers)
+        items[loss_name, n, "loss"] = functools.partial(loss, probs)
         # the plan's trace holds while only this item's forward pass rewrites it
-        items[n, "backward"] = lambda trace=trace, dprobs=dprobs: nn.backward(
-            model, trace, dprobs, buffers)
-        items[n, "sgd_step"] = lambda grads=grads: nn.sgd_step(stepped, grads, sgd, state)
+        items[loss_name, n, "backward"] = functools.partial(nn.backward, model, trace, dprobs,
+                                                            buffers)
+        items[loss_name, n, "sgd_step"] = functools.partial(nn.sgd_step, stepped, grads, sgd,
+                                                            state)
     return items
 
 
@@ -126,11 +144,12 @@ def measure(items: dict, rounds: int, calls: dict) -> dict:
 
 
 def report(found: dict) -> list:
-    """The table's lines: the us per call of each pass at each row count
+    """The table's lines: the us per call of each pass of each step
     (minimum over the rounds), then the pretraining's ms."""
-    lines = [f"{'rows':>4}  " + "  ".join(f"{p:>8}" for p in PASSES) + "  (us per call)"]
-    for n in ROW_COUNTS:
-        lines.append(f"{n:>4}  " + "  ".join(f"{min(found[n, p]) * 1e6:>8.2f}" for p in PASSES))
+    lines = [f"head  {'rows':>4}  " + "  ".join(f"{p:>8}" for p in PASSES) + "  (us per call)"]
+    for loss_name, n in STEP_ROWS:
+        lines.append(f"{loss_name:<4}  {n:>4}  " + "  ".join(
+            f"{min(found[loss_name, n, p]) * 1e6:>8.2f}" for p in PASSES))
     lines.append(f"pretraining {min(found['pretraining']) * 1e3:.2f} ms")
     return lines
 

@@ -4,10 +4,11 @@ A run's digest covers its metrics document and every epoch row of its run
 log; a capped stream replay's covers its checkpoint records and the weights
 of its last model. One constructed case, retrieval_ties, covers retrieval
 from a bank built so that tie-breaks decide the picks, which the runs'
-banks never need. Three CLI cases, cli_stream, cli_plot and
-cli_pretrain_binary, cover the files that `sdalab stream`, `sdalab plot`
-and a binary `sdalab pretrain` (its model, thresholds and degenerate flags)
-write (not their stdout, which names the output directory). Two checkouts
+banks never need. Four CLI cases, cli_stream, cli_plot,
+cli_pretrain_binary and cli_gen_data, cover the files that `sdalab
+stream`, `sdalab plot`, a binary `sdalab pretrain` (its model, thresholds
+and degenerate flags) and `sdalab gen-data` (the dataset CSV) write (not
+their stdout, which names the output directory). Two checkouts
 whose totals agree wrote the same bytes for every run of the matrix. A last
 line gives the sha256 of the records_method.jsonl that `sdalab sweep --axis
 method` writes at its default seed 0 (the acceptance gate's determinism
@@ -84,6 +85,10 @@ MATRIX = [
     # cosine_distant at hidden widths [16, 10], where a class slice of one
     # feature pass over the bank need not have the bits of a pass over it alone
     ("rld_cosine_h16_10", {**RLD, "model.hidden": [16, 10]}),
+    # the entropy policy, and binary feedback below its pools' sizes, so that
+    # each finding's draw runs (at the stock 40 every pool is taken whole)
+    ("entropy", {"feedback.policy": "entropy"}),
+    ("binary_fb5", {"dataset.kind": "binary", "feedback.fp_count": 5, "feedback.fn_count": 5}),
 ]
 
 STREAM_CAP = 120  # binds: the unlabelled stream is longer, one batch (7*16) fits
@@ -93,6 +98,7 @@ CLI_CASES = [
     ("cli_stream", ["stream", "--cap", "300"]),
     ("cli_plot", ["plot", "--resolution", "16"]),
     ("cli_pretrain_binary", ["pretrain", "--set", "dataset.kind=binary"]),
+    ("cli_gen_data", ["gen-data"]),
 ]
 
 
@@ -101,7 +107,7 @@ def _sha(text: str) -> str:
 
 
 def _rows(rows) -> str:
-    return "\n".join(json.dumps(r, sort_keys=True, separators=runner.JSON_SEPARATORS) for r in rows)
+    return "\n".join(runner.stable_json(r) for r in rows)
 
 
 def run_digest(cfg: ExperimentConfig, seed: int, cache: runner.StageCache) -> str:
