@@ -11,19 +11,20 @@ the head's one object: the runner's stages read their per-head steps there.
 
 Each epoch starts by laying out everything the model does not decide, for
 every step at once (build_minibatch): the batch indices, drawn in the
-order step-by-step drawing takes; the candidate bank and, unless the
-strategy reads the model (cosine_distant), the defending pairs of the
-whole epoch; each step's stacked input rows, from one gather; and each
-step's loss targets and mask, checked once, with the term bounds and the
-counts that do not depend on the model. A step then computes only what
-the current model decides: the cosine_distant picks (written into the
-step's defending rows), FixMatch-lite's augmented views (written over
-their rows), the pseudo labels or FixMatch's mask (written into the
-targets), and the passes. The plan of all this is made once per run and
-reused every epoch: the draws' schedule and permutation tiles (_Draws),
-the layout arrays that every epoch is laid out in, the views each step
-reads (_Epoch), and the StepBuffers that the passes and each epoch's
-score run on.
+order step-by-step drawing takes; the candidate bank and the defending
+pairs of the whole epoch, or, where the strategy reads the model
+(cosine_distant), the epoch's retrieval plan (bank.CosinePlan); each
+step's stacked input rows, from one gather; and each step's loss targets
+and mask, checked once, with the term bounds and the counts that do not
+depend on the model. A step then computes only what the current model
+decides: the cosine_distant features, dot products and picks (the plan's
+step writes the picked points into the step's defending rows),
+FixMatch-lite's augmented views (written over their rows), the pseudo
+labels or FixMatch's mask (written into the targets), and the passes. The
+plan of all this is made once per run and reused every epoch: the draws'
+schedule and permutation tiles (_Draws), the layout arrays that every
+epoch is laid out in, the views each step reads (_Epoch), and the
+StepBuffers that the passes and each epoch's score run on.
 
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
@@ -353,6 +354,9 @@ class _Epoch:
             None, np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps
         )
         self.defending, self.fallbacks = counts, fallbacks
+        self.retrieval = None  # the plan whose steps retrieve their points
+        if isinstance(d_points, bank_mod.CosinePlan):
+            self.retrieval, d_points = d_points, None
         index, labels = self.index, self.labels
         index[:, :b] = picked[..., 0]
         for view in range(self.views):
@@ -397,13 +401,11 @@ class _Epoch:
             )
         return found
 
-    def put_defending(self, i, points) -> None:
-        """Step i's defending points, retrieved as the step runs, into the
-        slot laid out for them (their labels are there already)."""
-        d = self.defending[i]
-        if len(points) != d:
-            raise ShapeError(f"step {i} retrieved {len(points)} defending points for {d} rows")
-        self.inputs[i, self.head : self.head + d] = points
+    def defending_slot(self, i) -> np.ndarray:
+        """The rows laid out for step i's defending points, which a plan's
+        step retrieves into as the step runs (their labels are there
+        already)."""
+        return self.inputs[i, self.head : self.head + self.defending[i]]
 
     def batch(self, i) -> "MiniBatch":
         """Step i as a MiniBatch of copies, which later epochs, laid out in
@@ -433,10 +435,12 @@ def build_minibatch(
     bank._retrieve_split gives them, None for no defending pairs. One
     gather from train.points fills the labelled and unlabelled rows of
     every step; the defending points go into their slots, unless they are
-    retrieved step by step (points None). The layout goes into the arrays
-    of into, an earlier epoch of the same run (the same draws' shapes, cfg
-    and rule), where its defending slots hold every step's rows; else into
-    new ones, with room for cfg.rld.k rows per labelled unit."""
+    retrieved step by step (points a bank.CosinePlan, kept as the epoch's
+    retrieval, whose steps write defending_slot). The layout goes into the
+    arrays of into, an earlier epoch of the same run (the same draws'
+    shapes, cfg and rule), where its defending slots hold every step's
+    rows; else into new ones, with room for cfg.rld.k rows per labelled
+    unit."""
     steps, u = unlabeled.shape
     counts = [0] if defending is None else defending[2]
     if into is None or max(counts) > into.room:
@@ -574,7 +578,8 @@ def adapt(
     perturb the baseline's draws. Each epoch draws every step's batch
     indices at its start, in the order step-by-step drawing takes, then
     builds its bank. Retrieval runs once per epoch unless the strategy reads
-    the model; then each step retrieves from the model as trained so far.
+    the model; then the epoch lays out its retrieval plan and each step
+    retrieves from the model as trained so far.
     """
     rule = SOFTMAX_RULE if thresholds is None else SigmoidRule(np.asarray(thresholds, dtype=float))
     if model.head != rule.head:
@@ -613,13 +618,11 @@ def adapt(
             train, picked, unlabeled, defending, cfg, rule, model.output_dim, batches
         )
         l_sup = l_unsup = l_rld = mask_rate = 0.0  # the step sums: float64 adds
+        retrieval = batches.retrieval
         for i in range(n_steps):
-            if defending is not None and defending[0] is None:
+            if retrieval is not None:
                 # the strategy reads the model: retrieve from it as trained so far
-                batches.put_defending(i, bank_mod.retrieve_defending(
-                    cur_bank, labeled[0][i], labeled[1][i], cfg.rld, retrieval_rng,
-                    model=model, epoch=epoch,
-                )[0])
+                bank_mod.retrieve_step(retrieval, i, model, batches.defending_slot(i))
             if observer is not None:
                 observer(epoch, i, batches.batch(i))
             losses, grads = _step(model, batches, i, cfg, augmenter, augment_rng, buffers)

@@ -6,6 +6,18 @@ During the epoch, every labeled sample in a mini-batch pulls k "defending"
 samples that share its ground-truth label out of the bank; training on them
 with that shared pseudo label keeps a biased labeled batch from dragging the
 decision boundary through regions the model still classifies confidently.
+
+Adaptation retrieves once per epoch what the model does not decide, for
+every step at once (_retrieve_split): a model-free strategy's rows, drawn
+in the rng order of one call per step; for cosine_distant, which reads the
+model as trained so far, a CosinePlan, laid out from every step's labels
+with a few vectorised calls (class order, per-class blocks, index-order
+columns, padding, wrap and fallback rows) and holding the arrays that the
+steps write. A cosine_distant step (retrieve_step) then computes only the
+features, dot products and picks of the current model, and writes its
+defending points into its slot of the epoch's layout. retrieve_defending
+serves one batch on its own; under cosine_distant it runs a one-step plan,
+so the picks have one implementation.
 """
 
 import math
@@ -382,49 +394,192 @@ def _cosine_picks(
     """Rows of the k retrieved points of each labeled point, shaped (n, k):
     its class's entries by cosine distance from it in penultimate features,
     farthest first, ties by ascending global index; fewer entries than k
-    wrap around. Every label must be a class with entries.
+    wrap around. Every label must be a class with entries. They are the
+    picks of a one-step CosinePlan, as retrieve_step makes them."""
+    plan = CosinePlan(bank, points[None], labels[None], k)
+    _place_picks(plan, 0, model)
+    return bank.rows.take(plan.tables[0]).reshape(len(labels), k)
+
+
+class CosinePlan:
+    """cosine_distant retrieval for the steps of one epoch, laid out from
+    every step's labeled points and labels, (steps, b, dim) and (steps,
+    b): everything that the picks need and the model does not decide.
+    retrieve_step then runs one step on the model as trained so far.
+
+    A step takes its points that are served (their class has entries) in
+    class order, by label, stable, the ones that fall back last; served[i]
+    counts the served. own_in[i] holds the points in that order and
+    classes[i] their classes. blocks[i] lists
+    (lo, hi, first, last) for each class with points in the step: its
+    entries are rows lo:hi of the bank's feature pass and its points are
+    first:last. A point's distances are laid out in its class's row of
+    bank.index_map (its entries' positions in bank.rows in ascending
+    global index order, padded), and class_pad marks each class's columns
+    past its size. wrap[i, s, t] is the flat position, in the (rounds, b)
+    knock-out picks, of the round that point s's t-th pick reads (t
+    modulo its class's size). The step's output rows are positions in
+    source: the entries' points, then every step's labeled points.
+    tables[i] holds them, counts[i] rows: k per labeled point, in labeled
+    order, a point that falls back under duplicate_labeled repeating
+    itself, and under skip_with_flag k per served point only. slots[i]
+    says where the picks of the step's served points, in class order, go
+    in tables[i]. A step writes only the picks.
+
+    The arrays that every step writes are made once per plan, at its first
+    step (_CosineWork). A step takes its points' columns and padding from
+    the per-class tables: laid out for every point of the epoch, they
+    filled fresh pages that cost more than they saved.
+    """
+
+    def __init__(self, bank: CandidateBank, points, labels, k: int, skip: bool = False):
+        points = np.asarray(points, dtype=np.float64)
+        steps, b = labels.shape
+        self.bank, self.k, self.b = bank, k, b
+        n_classes, entries = bank.num_classes, len(bank.rows)
+        falls_back = bank.no_entries.take(labels, mode="clip")  # labels are >= 0
+        key = np.where(falls_back, n_classes, labels)  # falling back ranks last
+        at = np.arange(steps)[:, None]
+        order = key.argsort(axis=1, kind="stable")
+        ranked = key[at, order]
+        served = ranked < n_classes
+        self.served = served.sum(axis=1).tolist()
+        self.own_in = points[at, order]
+        per_class = np.bincount((ranked + (n_classes + 1) * at).ravel(),
+                                minlength=steps * (n_classes + 1)).reshape(steps, -1)
+        starts = np.zeros((steps, n_classes + 1), dtype=np.intp)
+        np.cumsum(per_class[:, :n_classes], axis=1, out=starts[:, 1:])
+        spans = list(zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist()))
+        self.blocks = [[(lo, hi, first, last) for (lo, hi), first, last in zip(spans, row, row[1:])
+                        if first < last] for row in starts.tolist()]
+        self.classes = np.minimum(ranked, n_classes - 1)  # a falling-back point reads no row
+        sizes = np.maximum(bank.counts, 1)[:, None]
+        self.class_pad = np.arange(bank.index_map.shape[1]) >= sizes
+        self.wrap = (np.arange(k) % sizes).take(self.classes, axis=0) * b + np.arange(b)[:, None]
+        out_rows = order
+        if skip:  # a point's rank among the step's served points, in labeled order
+            out_rows = (np.cumsum(~falls_back, axis=1) - 1)[at, order]
+        self.slots = (out_rows[..., None] * k + np.arange(k)).reshape(steps, b * k)
+        self.counts = [k * (n if skip else b) for n in self.served]
+        table = (entries + np.arange(steps * b)).reshape(steps, b).repeat(k, axis=1)
+        self.tables = [row[:count] for row, count in zip(table, self.counts)]
+        self.source = np.concatenate([bank.entry_points, points.reshape(-1, points.shape[-1])])
+        self.work = None
+
+    def work_for(self, model: nn.MlpModel) -> "_CosineWork":
+        """The arrays that the steps write, made at the first step for the
+        model's shape, which training keeps."""
+        if self.work is None:
+            self.work = _CosineWork(self, model)
+        return self.work
+
+
+class _CosineWork:
+    """The arrays that a CosinePlan's steps write, for one model shape:
+    passes, the bank's feature passes, each (inputs, one array per hidden
+    layer); feats, their last layer, over every entry; its squares and
+    norms; and, for up to b served points, the one-row passes' layers,
+    their norms, the dot products, the index-order columns and their
+    positions among the dot products, denominators, quotients, distances,
+    padding and picks. row_starts and col_base hold where each point's row
+    starts in the dot products and in the columns. cuts[n] holds the views
+    that a step with n served points reads (cut)."""
+
+    def __init__(self, plan: CosinePlan, model: nn.MlpModel):
+        bank, b, k = plan.bank, plan.b, plan.k
+        entries, width = len(bank.rows), bank.index_map.shape[1]
+        widths = model.layer_dims[1:-1]
+        layers = [np.empty((entries, h)) for h in widths]
+        # a class slice of one pass over the bank has the bits of a pass over
+        # the slice alone at these widths (_place_picks)
+        if widths == [10, 10] or max(model.layer_dims[1:-2], default=0) <= 7:
+            self.passes = [(bank.entry_points, layers)]
+        else:
+            self.passes = [(bank.entry_points[lo:hi], [layer[lo:hi] for layer in layers])
+                           for lo, hi in zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())
+                           if lo < hi]
+        self.feats = layers[-1]
+        self.squares, self.norms = np.empty_like(self.feats), np.empty(entries)
+        self.own_layers = [np.empty((b, 1, h)) for h in widths]
+        self.own_squares = np.empty((b, 1, 1))
+        self.dots = np.empty((b, entries, 1))
+        self.cols, self.dots_at = np.empty((b, width), np.intp), np.empty((b, width), np.intp)
+        self.denom, self.quotients = np.empty((b, width)), np.empty((b, width))
+        self.dist, self.positive = np.empty((b, width)), np.empty((b, width), dtype=bool)
+        self.pad = np.empty((b, width), dtype=bool)
+        self.rounds = np.empty((min(k, width), b), dtype=np.intp)
+        self.columns, self.chosen = np.empty((b, k), dtype=np.intp), np.empty((b, k), dtype=np.intp)
+        self.at = np.arange(b)
+        self.row_starts, self.col_base = self.at[:, None] * entries, self.at[:, None] * width
+        self.cuts = {}
+
+    def cut(self, n: int) -> tuple:
+        found = self.cuts[n] = (
+            [layer[:n] for layer in self.own_layers], self.own_squares[:n],
+            self.own_squares[:n, 0], self.cols[:n], self.dots_at[:n], self.denom[:n],
+            self.quotients[:n], self.dist[:n], self.positive[:n], self.pad[:n],
+            list(self.rounds[:, :n]), self.columns[:n], self.chosen[:n], self.at[:n],
+            self.row_starts[:n], self.col_base[:n],
+        )
+        return found
+
+
+def retrieve_step(plan: CosinePlan, i: int, model: nn.MlpModel, out: np.ndarray) -> None:
+    """The defending points of step i of plan, retrieved from the model as
+    trained so far, written into out, shaped (plan.counts[i], dim): rows in
+    the order retrieve_defending gives them for the step's labeled points."""
+    if plan.served[i]:
+        _place_picks(plan, i, model)
+    plan.source.take(plan.tables[i], axis=0, out=out, mode="clip")
+
+
+def _place_picks(plan: CosinePlan, i: int, model: nn.MlpModel) -> None:
+    """Write the k picks of each served point of step i into plan.tables[i]
+    (CosinePlan), as positions in bank.rows: its class's entries by cosine
+    distance from it in penultimate features, farthest first, ties by
+    ascending global index; fewer entries than k wrap around.
 
     The picks are those of one point at a time with its own one-row feature
     pass against a feature pass over its class's rows, bit for bit: a class
     slice of one pass over the bank has the bits of a pass over the slice
     alone if no hidden layer past the first has over 7 inputs, and at the
     default widths [10, 10] (tests/test_nn.py); at other widths each class
-    takes a pass of its own. Stacked one-row passes and products have the
-    bits of one-row ones. The points are taken in class order so that each
-    class's dot products are one stacked matrix-vector product with its
-    slice, the only other per-class call; the slice stays the matrix because
-    a row's bits depend on the matrix's height and the row's place in it,
-    so a product with the whole bank would move last bits. index_map then
-    lays each point's distances out in its class's index order, where
-    _farthest's first maximum is the entry that lexsort on the index ranks
-    first. A zero norm counts as orthogonal: its cosine is 0, its distance 1.
+    takes a pass of its own (_CosineWork). Stacked one-row passes and
+    products have the bits of one-row ones. The points are taken in class
+    order so that each class's dot products are one stacked matrix-vector
+    product with its slice, the only other per-class call; the slice stays
+    the matrix because a row's bits depend on the matrix's height and the
+    row's place in it, so a product with the whole bank would move last
+    bits. index_map then lays each point's distances out in its class's
+    index order, where _farthest's first maximum is the entry that lexsort
+    on the index ranks first. A zero norm counts as orthogonal: its cosine
+    is 0, its distance 1.
     """
-    offsets = bank.offsets.tolist()
-    if model.layer_dims[1:-1] == [10, 10] or max(model.layer_dims[1:-2], default=0) <= 7:
-        feats = nn.penultimate_features(model, bank.entry_points)
-    else:  # other widths: one pass per class slice
-        feats = np.concatenate([nn.penultimate_features(model, bank.entry_points[lo:hi])
-                                for lo, hi in zip(offsets, offsets[1:]) if lo < hi])
-    norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
-    order = labels.argsort(kind="stable")
-    labels = labels[order]
-    own = nn.one_row_features(model, points[order])
-    own_norms = np.sqrt((own[:, None, :] @ own[:, :, None])[:, 0, 0])
-    n, entries = len(labels), len(bank.rows)
-    dots = np.empty((n, entries))  # a point reads its own class's columns only
-    bounds = labels.searchsorted(np.arange(bank.num_classes + 1)).tolist()
-    for lo, hi, first, last in zip(offsets, offsets[1:], bounds, bounds[1:]):
-        if first < last:  # points first:last are of this class
-            dots[first:last, lo:hi] = (feats[lo:hi] @ own[first:last, :, None])[:, :, 0]
-    cols = bank.index_map[labels]
-    denom = own_norms[:, None] * norms.take(cols)
-    at = np.arange(n)[:, None]
-    dist = np.divide(dots.take(cols + entries * at), denom, out=np.zeros(denom.shape),
-                     where=denom > 0.0)
+    n = plan.served[i]
+    work = plan.work_for(model)
+    (own_layers, own_squares, own_norms, cols, dots_at, denom, quotients, dist, positive, pad,
+     rounds, columns, chosen, at, row_starts, col_base) = work.cuts.get(n) or work.cut(n)
+    for inputs, layers in work.passes:
+        nn.penultimate_features(model, inputs, layers)
+    feats, norms = work.feats, work.norms
+    np.add.reduce(np.multiply(feats, feats, out=work.squares), axis=1, out=norms)
+    np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
+    own = nn.one_row_features(model, plan.own_in[i, :n], own_layers)
+    np.sqrt(np.matmul(own[:, None, :], own[:, :, None], out=own_squares), out=own_squares)
+    dots = work.dots  # a point reads its own class's columns only
+    for lo, hi, first, last in plan.blocks[i]:
+        np.matmul(feats[lo:hi], own[first:last, :, None], out=dots[first:last, lo:hi])
+    classes = plan.classes[i, :n]
+    plan.bank.index_map.take(classes, axis=0, out=cols, mode="clip")
+    np.multiply(own_norms, norms.take(cols, out=denom, mode="clip"), out=denom)
+    dots.take(np.add(cols, row_starts, out=dots_at), out=quotients, mode="clip")
+    dist.fill(0.0)
+    np.divide(quotients, denom, out=dist, where=np.greater(denom, 0.0, out=positive))
     np.subtract(1.0, dist, out=dist)
-    picks = np.empty((n, k), dtype=np.intp)
-    picks[order] = bank.rows.take(cols[at, _farthest(dist, bank.counts[labels], k)])
-    return picks
+    _knock_out(dist, plan.class_pad.take(classes, axis=0, out=pad, mode="clip"), rounds, at)
+    work.rounds.take(plan.wrap[i, :n], out=columns, mode="clip")
+    cols.take(np.add(columns, col_base, out=columns), out=chosen, mode="clip")
+    plan.tables[i].put(plan.slots[i, : n * plan.k], chosen)
 
 
 _LOWEST = np.finfo(np.float64).min
@@ -436,24 +591,31 @@ def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
     entries of dist, shaped (n, k), as ``np.argsort(-dist[i, :sizes[i]],
     kind="stable")`` ranks them: ties go to the lower column and NaN ranks
     last. A row with fewer than k entries repeats them from its first.
-    Overwrites dist.
+    Overwrites dist."""
+    n, width = dist.shape
+    rounds = np.empty((min(k, width), n), dtype=np.intp)
+    at = np.arange(n)
+    _knock_out(dist, np.arange(width) >= sizes[:, None], rounds, at)
+    return rounds.T[at[:, None], np.arange(k) % sizes[:, None]]
 
-    k rounds of argmax, each knocking its pick out with -inf: argmax
-    returns the first maximum, and -0.0 equals 0.0 under it as under the
-    sort. So that -inf stays below every entry, an entry of -inf first
+
+def _knock_out(dist: np.ndarray, pad: np.ndarray, rounds: np.ndarray, at: np.ndarray) -> None:
+    """_farthest's rounds: rounds[r] gets each row's r-th pick among its
+    columns that pad leaves, at = np.arange(len(dist)). Overwrites dist.
+
+    len(rounds) rounds of argmax, each knocking its pick out with -inf:
+    argmax returns the first maximum, and -0.0 equals 0.0 under it as under
+    the sort. So that -inf stays below every entry, an entry of -inf first
     becomes the float just above the lowest finite one, and NaN the lowest
-    finite one; no cosine distance or negated point distance (at most
-    sqrt of the largest float where finite) is either of those two floats.
+    finite one; no cosine distance or negated point distance (at most sqrt
+    of the largest float where finite) is either of those two floats.
     """
     np.maximum(dist, _ABOVE_MIN, out=dist)  # -inf rises; NaN stays NaN
     np.fmax(dist, _LOWEST, out=dist)  # NaN rises below it
-    np.putmask(dist, np.arange(dist.shape[1]) >= sizes[:, None], -np.inf)
-    at = np.arange(len(dist))
-    picks = np.empty((len(dist), min(k, dist.shape[1])), dtype=np.intp)
-    for r in range(picks.shape[1]):
-        picks[:, r] = dist.argmax(axis=1)
-        dist[at, picks[:, r]] = -np.inf
-    return picks[at[:, None], np.arange(k) % sizes[:, None]]
+    np.putmask(dist, pad, -np.inf)
+    for picks in rounds:
+        dist.argmax(axis=1, out=picks)
+        dist[at, picks] = -np.inf
 
 
 def retrieve_defending(
@@ -476,10 +638,7 @@ def retrieve_defending(
     order, would take, and yields the same values. Those draws fix the
     picks, so the rest works per class.
     """
-    if epoch is not None and epoch != bank.epoch_stamp:
-        raise ConfigError(
-            f"stale candidate bank: stamped epoch {bank.epoch_stamp}, now {epoch}"
-        )
+    _check_stamp(bank, epoch)
     if cfg.strategy == COSINE_DISTANT and model is None:
         raise ConfigError("cosine_distant retrieval needs the model for features")
     points = np.asarray(labeled_points, dtype=np.float64)
@@ -522,6 +681,11 @@ def retrieve_defending(
     return bank.points.take(rows.ravel(), axis=0), out_lab, fallbacks
 
 
+def _check_stamp(bank: CandidateBank, epoch: Optional[int]) -> None:
+    if epoch is not None and epoch != bank.epoch_stamp:
+        raise ConfigError(f"stale candidate bank: stamped epoch {bank.epoch_stamp}, now {epoch}")
+
+
 def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.ndarray:
     """Whether each labeled point falls back, shaped as labels: its class
     has no bank entries, under a strategy that retrieves from the point's
@@ -554,9 +718,9 @@ def _retrieve_split(
     the rng in the order of one call per group after another, which gives
     each group the rows its own call would give: an epoch's draws are one
     rng call for the words that one rng.choice call per point would take.
-    cosine_distant reads the model, so its points are left to one call per
-    group as training goes (points is None); its labels are known already
-    (_own_labels).
+    cosine_distant reads the model, so in place of its points it gives the
+    groups' CosinePlan, whose retrieve_step writes a group's points as
+    training goes; its labels are known already (_own_labels).
     """
     groups, size = labeled_labels.shape
     falls_back = _falls_back(bank, labeled_labels, cfg)
@@ -567,7 +731,8 @@ def _retrieve_split(
             epoch=epoch,
         )
     else:
-        points = None
+        _check_stamp(bank, epoch)
+        points = CosinePlan(bank, labeled_points, labeled_labels, cfg.k, skip)
         labels = _own_labels(labeled_labels, falls_back, cfg)
     fallbacks = falls_back.sum(axis=1)
     served = size - fallbacks if skip else np.full(groups, size)

@@ -8,6 +8,7 @@ failure, 4 feedback shortage.
 
 import argparse
 import contextlib
+import errno
 import itertools
 import os
 import sys
@@ -63,6 +64,15 @@ def _writing(name):
         raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
+def _refuse_directories(*paths, what=""):
+    """Refuse, before any stage runs, an output path that is a directory:
+    the ConfigError that writing it would raise (_writing), what naming
+    the kind of output as there."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {what}{path}: {os.strerror(errno.EISDIR)}")
+
+
 def _one_seed(cfg, args):
     return args.seed if args.seed is not None else cfg.seeds()[0]
 
@@ -70,8 +80,9 @@ def _one_seed(cfg, args):
 def cmd_gen_data(args) -> int:
     cfg, out = _load(args)
     seed = _one_seed(cfg, args)
-    d = runner.make_data(cfg, seed)
     path = os.path.join(out, f"dataset_seed{seed}.csv")
+    _refuse_directories(path)
+    d = runner.make_data(cfg, seed)
     with _writing(path):
         data.write_dataset_csv(path, [(d.source_train, "train"), (d.source_test, "test"),
                                       (d.target_train, "train"), (d.target_test, "test")])
@@ -82,8 +93,10 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg, out = _load(args)
     seed = _one_seed(cfg, args)
-    pre = runner.pretrain(cfg, seed)
     model_path = os.path.join(out, f"model_seed{seed}.json")
+    metrics_path = os.path.join(out, f"pretrain_seed{seed}.json")
+    _refuse_directories(model_path, metrics_path)
+    pre = runner.pretrain(cfg, seed)
     with _writing(model_path):
         pre.model.save(model_path)
     doc = {
@@ -94,7 +107,6 @@ def cmd_pretrain(args) -> int:
     if pre.thresholds is not None:
         doc["thresholds"] = pre.thresholds
         doc["degenerate_thresholds"] = pre.degenerate_flags
-    metrics_path = os.path.join(out, f"pretrain_seed{seed}.json")
     with _writing(metrics_path), open(metrics_path, "w") as fh:
         fh.write(stable_json(doc))
     print(f"wrote {model_path} and {metrics_path}")
@@ -105,11 +117,12 @@ def cmd_pretrain(args) -> int:
 def cmd_adapt(args) -> int:
     cfg, out = _load(args)
     seed = _one_seed(cfg, args)
-    record = runner.run_single(cfg, seed)
     log_path = os.path.join(out, f"run_seed{seed}.jsonl")
+    metrics_path = os.path.join(out, f"metrics_seed{seed}.json")
+    _refuse_directories(log_path, metrics_path)
+    record = runner.run_single(cfg, seed)
     with _writing(log_path):
         runner.write_run_log(log_path, record.rows)
-    metrics_path = os.path.join(out, f"metrics_seed{seed}.json")
     with _writing(metrics_path), open(metrics_path, "w") as fh:
         fh.write(record.metrics_json())
     print(f"wrote {log_path} and {metrics_path}")
@@ -135,6 +148,11 @@ def _write_aggregate(result, csv_path, table_path) -> None:
 
 def cmd_sweep(args) -> int:
     cfg, out = _load(args)
+    records_path = os.path.join(out, f"records_{args.axis}.jsonl")
+    csv_path = os.path.join(out, f"aggregate_{args.axis}.csv")
+    table_path = os.path.join(out, f"aggregate_{args.axis}.txt")
+    _refuse_directories(records_path)
+    _refuse_directories(csv_path, table_path, what="aggregate ")
     total = len(sweep_mod.axis_cells(args.axis, cfg)) * len(cfg.seeds())
     finished = itertools.count(1)
 
@@ -143,11 +161,8 @@ def cmd_sweep(args) -> int:
         print(f"[{next(finished)}/{total}] {cell} {seed} {value:.4f}", file=sys.stderr)
 
     result = sweep_mod.run_sweep(cfg, args.axis, StageCache(), progress)
-    records_path = os.path.join(out, f"records_{args.axis}.jsonl")
     with _writing(records_path):
         sweep_mod.write_records_jsonl(records_path, result)
-    csv_path = os.path.join(out, f"aggregate_{args.axis}.csv")
-    table_path = os.path.join(out, f"aggregate_{args.axis}.txt")
     _write_aggregate(result, csv_path, table_path)
     for failure in result.failures:
         print(f"failed cell {failure['cell']} seed {failure['seed']}: {failure['error']}")
@@ -157,6 +172,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_stream(args) -> int:
     cfg, out = _load(args)
+    seed = _one_seed(cfg, args)
+    path = os.path.join(out, f"stream_seed{seed}.json")
+    _refuse_directories(path)
     if cfg.head() != nn.SOFTMAX:
         raise ConfigError("streaming mode supports the multiclass datasets only")
     stream_cfg = stream_mod.StreamConfig(
@@ -164,7 +182,6 @@ def cmd_stream(args) -> int:
     )
     acfg = cfg.adapt_config()
     stream_mod.check_memory_fits(stream_cfg, acfg)
-    seed = _one_seed(cfg, args)
     cache = StageCache()
     d = runner.make_data(cfg, seed, cache)
     stream_mod.checkpoint_positions(stream_cfg, len(d.target_train))  # before any costly stage
@@ -174,7 +191,6 @@ def cmd_stream(args) -> int:
         pre.model, d.target_train, split, stream_cfg, acfg,
         runner.adapt_seed(cfg, seed), test_set=d.target_test,
     )
-    path = os.path.join(out, f"stream_seed{seed}.json")
     with _writing(path), open(path, "w") as fh:
         fh.write(stable_json(records))
     for rec in records:
@@ -205,10 +221,13 @@ def _plot_bounds(points, margin=0.08):
 
 def cmd_plot(args) -> int:
     cfg, out = _load(args)
+    seed = _one_seed(cfg, args)
+    paths = {name: os.path.join(out, f"{name}_seed{seed}.svg")
+             for name in ("source", "baseline", "rld")}
+    _refuse_directories(*paths.values())
     if cfg.head() != nn.SOFTMAX:
         raise ConfigError("plotting supports the multiclass datasets only")
     metrics.check_resolution(args.resolution)
-    seed = _one_seed(cfg, args)
     cache = StageCache()
     d = runner.make_data(cfg, seed, cache)
     pre = runner.pretrain(cfg, seed, cache)
@@ -227,10 +246,9 @@ def cmd_plot(args) -> int:
         np.vstack([d.source_train.points, d.target_train.points])
     )
     labeled_idx = split.labeled_indices()
-    paths = []
     for name, model in panels:
         grid = metrics.decision_grid(model, bounds, args.resolution)
-        path = os.path.join(out, f"{name}_seed{seed}.svg")
+        path = paths[name]
         with _writing(path):
             svgplot.write_panel(
                 path, grid, scatter_points=d.target_test.points,
@@ -238,8 +256,7 @@ def cmd_plot(args) -> int:
                 highlight_points=d.target_train.points[labeled_idx],
                 highlight_labels=split.labeled_labels(), title=f"{name} (seed {seed})",
             )
-        paths.append(path)
-    print("wrote " + ", ".join(paths))
+    print("wrote " + ", ".join(paths.values()))
     return 0
 
 

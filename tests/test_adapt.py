@@ -330,9 +330,10 @@ class TestBuildMinibatch:
             assert any(label_of[i] == y for i in matches)
 
     def test_step_retrieval_fills_its_slot_or_raises(self, toy):
-        # cosine_distant's points arrive as the step runs; a retrieval of
-        # the wrong length must not pass, a single row (which would
-        # broadcast over the slot) included
+        # cosine_distant's points arrive as the step runs, written by the
+        # epoch plan's step into the slot laid out for them; a slot of the
+        # wrong length must not pass, a single row (which would broadcast
+        # an assignment over the slot) included
         train, split, model = toy
         unlabeled_idx = np.array(split.unlabeled)
         cur_bank = bank.generate_bank(model, train.points[unlabeled_idx], unlabeled_idx, 1.0, 3)
@@ -348,10 +349,12 @@ class TestBuildMinibatch:
         points, labels, _ = bank.retrieve_defending(
             cur_bank, labeled[0][1], labeled[1][1], rld_cfg, None, model=model
         )
-        for wrong in (points[:1], points[:-1], np.concatenate([points, points[:1]])):
-            with pytest.raises(ShapeError, match="step 1 retrieved"):
-                epoch.put_defending(1, wrong)
-        epoch.put_defending(1, points)
+        slot = epoch.defending_slot(1)
+        assert len(slot) == len(points)
+        for wrong in (slot[:1], slot[:-1], np.empty((len(slot) + 1, 2))):
+            with pytest.raises(ValueError, match="output array does not match"):
+                bank.retrieve_step(epoch.retrieval, 1, model, wrong)
+        bank.retrieve_step(epoch.retrieval, 1, model, slot)
         mb = epoch.batch(1)
         assert np.array_equal(mb.defending_points, points)
         assert np.array_equal(mb.defending_labels, labels)
@@ -1728,14 +1731,19 @@ class TestEpochRetrieval:
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     def test_one_retrieval_per_epoch_unless_the_model_is_read(self, toy, monkeypatch, strategy):
         train, split, model = toy
-        calls = []
-        original = bank.retrieve_defending
+        calls, steps = [], []
+        original, original_step = bank.retrieve_defending, bank.retrieve_step
 
         def spy(*args, **kwargs):
             calls.append(len(args[1]))
             return original(*args, **kwargs)
 
+        def step_spy(plan, i, model, out):
+            steps.append((i, len(out)))
+            return original_step(plan, i, model, out)
+
         monkeypatch.setattr(bank, "retrieve_defending", spy)
+        monkeypatch.setattr(bank, "retrieve_step", step_spy)
         cfg = adapt.AdaptConfig(
             epochs=3, batch=adapt.BatchSpec(b=8, mu=2),
             rld=bank.RldConfig(p=0.4, k=2, strategy=strategy),
@@ -1743,9 +1751,87 @@ class TestEpochRetrieval:
         adapt.adapt(model, split, train, cfg, seed=0)
         n_steps = adapt.steps_per_epoch(len(split.labeled), len(split.unlabeled), cfg.batch)
         if strategy in bank.MODEL_FREE:
-            assert calls == [n_steps * 8] * 3
+            assert calls == [n_steps * 8] * 3 and steps == []
         else:
-            assert calls == [8] * (3 * n_steps)
+            # the epoch's plan retrieves k rows for each of the 8 labelled
+            # points at every step, through the bank module's step function
+            assert calls == [] and steps == [(i, 2 * 8) for i in range(n_steps)] * 3
+
+
+def retrieve_by_calls(patch) -> None:
+    """Make adapt's cosine_distant steps take their rows from one
+    bank.retrieve_defending call each, on the labelled points and labels
+    that the epoch laid out, in place of the epoch plan's steps."""
+    epochs = []
+    split = bank._retrieve_split
+
+    def laid_out(cur_bank, points, labels, cfg, rng, epoch=None):
+        epochs.append((cur_bank, points, labels, cfg, epoch))
+        return split(cur_bank, points, labels, cfg, rng, epoch=epoch)
+
+    def one_call(plan, i, model, out):
+        cur_bank, points, labels, cfg, epoch = epochs[-1]
+        rows = bank.retrieve_defending(cur_bank, points[i], labels[i], cfg, None, model, epoch)[0]
+        assert rows.shape == out.shape
+        out[...] = rows
+
+    patch.setattr(bank, "_retrieve_split", laid_out)
+    patch.setattr(bank, "retrieve_step", one_call)
+
+
+COSINE_RUNS = {
+    # the default widths, where one feature pass serves the whole bank
+    "blobs": dict(hidden=[10, 10]),
+    # widths where each class takes a feature pass of its own
+    "blobs_h16": dict(hidden=[16, 16]),
+    "binary": dict(),
+    "fixmatch_lite": dict(
+        hidden=[10, 10], algorithm=adapt.FIXMATCH_LITE, confidence_threshold=0.6,
+        augment=adapt.AugmenterSpec(0.03, 0.15, (0.9, 1.1)),
+    ),
+    # one or two entries a class, and none in class 2 at first: picks wrap
+    # past a class's size, and points of class 2 are skipped
+    "skip_tiny_bank": dict(hidden=[10, 10], p=0.01, skip=True),
+}
+
+
+class TestCosinePlanRun:
+    @pytest.mark.parametrize("case", list(COSINE_RUNS))
+    def test_matches_one_retrieval_call_per_step(self, toy, binary_toy, monkeypatch, case):
+        spec = dict(COSINE_RUNS[case])
+        train, fb, model = toy
+        thresholds = None
+        if case == "binary":
+            (train, model, fb), thresholds = binary_toy, [0.5, 1.01]
+        else:
+            model = nn.MlpModel.init([2, *spec.pop("hidden"), 3], nn.SOFTMAX,
+                                     np.random.default_rng(7))
+            model = adapt.train_supervised(
+                model, train.points, train.labels, nn.SgdConfig(0.05, momentum=0.9),
+                epochs=5, batch_size=32, rng=np.random.default_rng(0),
+            )
+        if spec.pop("skip", False):
+            model.biases[-1][2] = -30.0  # nothing is pseudo-labelled 2
+        rld = bank.RldConfig(
+            p=spec.pop("p", 0.4), k=3, strategy=bank.COSINE_DISTANT,
+            empty_class_fallback=bank.SKIP_WITH_FLAG if case == "skip_tiny_bank"
+            else bank.DUPLICATE_LABELED,
+        )
+        cfg = adapt.AdaptConfig(
+            epochs=3, sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2),
+            rld=rld, **spec,
+        )
+        out, records = adapt.adapt(model, fb, train, cfg, 4, test_set=train, thresholds=thresholds)
+        with monkeypatch.context() as patch:
+            retrieve_by_calls(patch)
+            ref_out, ref_records = adapt.adapt(
+                model, fb, train, cfg, 4, test_set=train, thresholds=thresholds
+            )
+        assert records == ref_records
+        assert np.array_equal(out.params, ref_out.params)
+        if case == "skip_tiny_bank":
+            assert max(max(r["bank"]["sizes"]) for r in records) < rld.k
+            assert records[0]["bank"]["fallbacks"] > 0  # training revives class 2 later
 
 
 # numpy's Python-level functions whose C code the training path calls
@@ -1775,6 +1861,11 @@ WRAPPER_CASES = {
     ),
     "binary": dict(rld=bank.RldConfig(p=0.4, k=2)),
     "rld_cosine_distant": dict(rld=bank.RldConfig(p=0.4, k=2, strategy=bank.COSINE_DISTANT)),
+    # finding 1 has no positive candidates at thresholds [0.5, 1.01], so
+    # steps skip a varying number of cells
+    "binary_cosine_distant_skip_with_flag": dict(rld=bank.RldConfig(
+        p=0.4, k=2, strategy=bank.COSINE_DISTANT, empty_class_fallback=bank.SKIP_WITH_FLAG,
+    )),
     "rld_kmeans_center": dict(
         rld=bank.RldConfig(p=0.4, k=3, strategy=bank.KMEANS_CENTER, kmeans_clusters=3)
     ),
@@ -1789,8 +1880,10 @@ class TestNoWrappersPerEpoch:
     def test_adapt(self, toy, binary_toy, monkeypatch, case):
         train, fb, model = toy
         thresholds = None
-        if case == "binary":
+        if case.startswith("binary"):
             (train, model, fb), thresholds = binary_toy, [0.5, 0.5]
+            if case.endswith("skip_with_flag"):
+                thresholds = [0.5, 1.01]
         cfg = adapt.AdaptConfig(
             sgd=nn.SgdConfig(0.01, momentum=0.9), batch=adapt.BatchSpec(b=8, mu=2),
             **WRAPPER_CASES[case],

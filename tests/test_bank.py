@@ -218,6 +218,35 @@ def sized_bank(rng, sizes, base=None):
     return pool_bank(pts, globals_, np.split(rng.permutation(n), np.cumsum(sizes)[:-1]))
 
 
+def drifted(model, steps, seed):
+    """model, then steps - 1 copies, each the one before with every
+    parameter scaled by a factor of its own near 1, as training moves a
+    model between steps (a zero parameter stays zero)."""
+    rng = np.random.default_rng(seed)
+    models = [model]
+    for _ in range(steps - 1):
+        moved = models[-1].copy()
+        moved.params *= 1.0 + 0.05 * rng.normal(size=moved.params.shape)
+        models.append(moved)
+    return models
+
+
+def assert_plan_matches(b, points, labels, models, cfg):
+    """Lay out (steps, n) labeled points and labels as one epoch
+    (bank._retrieve_split): step i of its CosinePlan, run on models[i],
+    must write the rows, and the epoch lay out the labels, counts and
+    fallbacks, that retrieve_defending gives for step i alone."""
+    plan, got_labels, counts, fallbacks = bank._retrieve_split(b, points, labels, cfg, None)
+    assert isinstance(plan, bank.CosinePlan)
+    step_labels = np.split(got_labels, np.cumsum(counts)[:-1])
+    for i, model in enumerate(models):
+        want = bank.retrieve_defending(b, points[i], labels[i], cfg, None, model=model)
+        out = np.full((counts[i], points.shape[2]), np.nan)
+        bank.retrieve_step(plan, i, model, out)
+        assert np.array_equal(out, want[0]), f"step {i}"
+        assert np.array_equal(step_labels[i], want[1]) and fallbacks[i] == want[2]
+
+
 def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
     rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = bank.retrieve_defending(b, lab_pts, lab_y, cfg, rng_fast, model=model)
@@ -658,8 +687,9 @@ class TestRetrieveSplit:
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
     def test_matches_one_call_per_group(self, strategy, fallback):
-        # cosine_distant leaves its points to the step (None) but lays out
-        # its labels and counts, which must be the ones its calls give
+        # cosine_distant leaves its points to the step (a CosinePlan, whose
+        # steps write them) but lays out its labels and counts, which must
+        # be the ones its calls give
         model = random_model(47)
         rng = np.random.default_rng(47)
         for case in range(8):
@@ -675,17 +705,22 @@ class TestRetrieveSplit:
             got, got_labels, counts, fallbacks = bank._retrieve_split(
                 b, points, labels, cfg, rng_split
             )
-            assert (got is None) == (strategy not in bank.MODEL_FREE)
+            assert isinstance(got, bank.CosinePlan) == (strategy not in bank.MODEL_FREE)
             assert len(counts) == len(fallbacks) == groups
             cuts = np.cumsum(counts)[:-1]
-            got_points = [None] * groups if got is None else np.split(got, cuts)
+            if isinstance(got, bank.CosinePlan):
+                got_points = [np.empty((count, 2)) for count in counts]
+                for i, out in enumerate(got_points):
+                    bank.retrieve_step(got, i, model, out)
+            else:
+                got_points = np.split(got, cuts)
             for pts, labs, count, flagged, group_points, group_labels in zip(
                 got_points, np.split(got_labels, cuts), counts, fallbacks, points, labels
             ):
                 want = bank.retrieve_defending(
                     b, group_points, group_labels, cfg, rng_each, model=model
                 )
-                assert pts is None or np.array_equal(pts, want[0])
+                assert np.array_equal(pts, want[0])
                 assert np.array_equal(labs, want[1]) and labs.dtype == want[1].dtype
                 assert count == len(want[0]) and type(count) is int
                 assert flagged == want[2] and type(flagged) is int
@@ -756,10 +791,17 @@ class TestCosineDistant:
 
     @staticmethod
     def check(b, lab_pts, lab_y, model, ks=(1, 3, 40), seed=0):
+        """One call against the per-point reference, and an epoch of three
+        steps (the points, reversed, and rolled), the model moving between
+        steps, against one call per step."""
+        lab_pts, lab_y = np.asarray(lab_pts, dtype=np.float64), np.asarray(lab_y)
+        epoch = [np.stack([x, x[::-1], np.roll(x, 5, axis=0)]) for x in (lab_pts, lab_y)]
+        models = drifted(model, 3, seed)
         for k in ks:
             for fallback in (bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG):
                 cfg = bank.RldConfig(k=k, strategy=bank.COSINE_DISTANT, empty_class_fallback=fallback)
                 assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=model)
+                assert_plan_matches(b, *epoch, models, cfg)
 
     def test_one_row_classes_inside_the_whole_bank_pass(self):
         model = random_model(34)

@@ -421,6 +421,29 @@ class TestExitCodes:
         assert err.splitlines()[-1] == f"error: cannot write {unwritable}: Is a directory"
         assert err.count("error:") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("args, name", [
+        (["adapt"], "metrics_seed0.json"),
+        (["gen-data"], "dataset_seed0.csv"),
+        (["pretrain"], "pretrain_seed0.json"),
+        (["stream", "--cap", "300"], "stream_seed0.json"),
+        (["sweep", "--axis", "method", "--set", "run.seeds=[0,1,2,3,4]"],
+         "aggregate_method.txt"),
+        (["plot", "--resolution", "4"], "rld_seed0.svg"),
+    ], ids=["adapt", "gen-data", "pretrain", "stream", "sweep", "plot"])
+    def test_output_path_that_is_a_directory_exits_2_before_any_stage(
+        self, tmp_path, monkeypatch, capsys, args, name
+    ):
+        # each command's last output, which it writes after the whole run
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran before the output path was refused")
+
+        monkeypatch.setattr(runner, "make_data", no_stage)
+        unwritable = tmp_path / name
+        unwritable.mkdir()
+        assert run_cli(args + ["--out", str(tmp_path)] + FAST_SETS) == 2
+        what = "aggregate " if name.startswith("aggregate") else ""
+        assert capsys.readouterr().err == f"error: cannot write {what}{unwritable}: Is a directory\n"
+
     @pytest.mark.parametrize("ratio", ["0.999", "0.001"])
     def test_split_ratio_that_empties_a_side_exits_2_before_pretraining(
         self, tmp_path, monkeypatch, capsys, ratio

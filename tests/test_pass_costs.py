@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sdalab import nn
+from sdalab import bank, nn
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "pass_costs.py"
 spec = importlib.util.spec_from_file_location("pass_costs", TOOL)
@@ -16,7 +16,7 @@ spec.loader.exec_module(pass_costs)
 
 def test_one_round_prints_every_pass_and_the_pretraining(capsys):
     assert pass_costs.main(["--rounds", "1", "--calls", "3"]) == 0
-    header, *rows, last = capsys.readouterr().out.splitlines()
+    header, *rows, last, retrieval = capsys.readouterr().out.splitlines()
     assert header.split() == ["head", "rows", *pass_costs.PASSES, "(us", "per", "call)"]
     assert [(r.split()[0], int(r.split()[1])) for r in rows] == list(pass_costs.STEP_ROWS)
     for r in rows:
@@ -24,6 +24,26 @@ def test_one_round_prints_every_pass_and_the_pretraining(capsys):
         assert all(float(us) > 0 for us in r.split()[2:])
     label, ms, unit = last.split()
     assert label == "pretraining" and unit == "ms" and float(ms) > 0
+    words = retrieval.split()
+    assert words[:2] == ["cosine_distant", "retrieval"] and words[3:] == ["us", "per", "step"]
+    assert float(words[2]) > 0
+
+
+def test_retrieval_row_is_a_cosine_epoch_as_the_loop_runs_it(monkeypatch):
+    # epoch 0 of the stock blobs rld run: one bank.retrieve_step call a
+    # step, looked up in the bank module, each writing k = 3 rows for each
+    # of 16 labelled points into its slot
+    calls = []
+    original = bank.retrieve_step
+
+    def spy(plan, i, model, out):
+        calls.append((i, plan.b, out.shape))
+        original(plan, i, model, out)
+
+    monkeypatch.setattr(bank, "retrieve_step", spy)
+    run, steps = pass_costs.cosine_retrieval()
+    run()
+    assert steps > 1 and calls == [(i, 16, (48, 2)) for i in range(steps)]
 
 
 def test_binary_row_is_a_sigmoid_pseudo_label_step_under_bce():

@@ -1,6 +1,6 @@
 """Time one buffered training pass of each kind at the row counts the
-training loops run, and one default pretraining: the figures the nn module
-docstring quotes.
+training loops run, one default pretraining, and one `cosine_distant`
+retrieval step: the figures the nn module docstring and README quote.
 
     python3 tools/pass_costs.py                  # 7 rounds
     python3 tools/pass_costs.py --rounds 1 --calls 50
@@ -19,13 +19,21 @@ one-step epoch that `adapt.build_minibatch` lays out under the head's rule,
 as the adaptation loop lays out its epochs. Every pass runs on one
 `nn.StepBuffers` per model, as the loops run theirs.
 
+The retrieval row runs epoch 0 of the stock blobs rld run (seed 0,
+`adapt.k = 3`, the default `cosine_distant`) as `adapt.adapt` runs it:
+the epoch's bank from the pretrained model, its draws (16 labelled points
+a step), the epoch's retrieval layout (`bank._retrieve_split`, once) and
+every step's `bank.retrieve_step` into its slot of the epoch's layout, on
+the pretrained model. A call is the whole epoch's retrieval; the row gives
+it per step, the layout's share included.
+
 A round times each item once: `--calls` calls in a row, divided by their
 count. The items' order rotates by one from round to round, so that a drift
 in the machine's speed falls on every item alike. It prints, per step, the
 minimum over the rounds of the microseconds per call of `nn.forward`, the
 loss core, `nn.backward` and `nn.sgd_step`, then the minimum over the
 rounds of one pretraining at stock settings (seed 0, blobs), in
-milliseconds.
+milliseconds, and of a `cosine_distant` step's retrieval, in microseconds.
 """
 
 import argparse
@@ -128,6 +136,33 @@ def pretraining():
     return run
 
 
+def cosine_retrieval():
+    """(call, steps): call runs epoch 0's cosine_distant retrieval of the
+    stock blobs rld run, seed 0, as adapt.adapt runs it (module docstring)."""
+    cfg = load_config(None, ["rld.enabled=true", "adapt.k=3"])
+    acfg = cfg.adapt_config()
+    train = runner.make_data(cfg, 0).target_train
+    model = runner.pretrain(cfg, 0).model
+    units, pool = adapt.SOFTMAX_RULE.units(runner.make_feedback(cfg, 0), train)
+    batch_ss, _, retrieval_ss = np.random.SeedSequence(runner.adapt_seed(cfg, 0)).spawn(3)
+    steps = adapt.steps_per_epoch(len(units), len(pool), acfg.batch)
+    picked, unlabeled = adapt._Draws(units, pool, acfg.batch, steps).draw(
+        np.random.default_rng(batch_ss))
+    cur_bank = adapt.SOFTMAX_RULE.bank(model, train.points[pool], pool, acfg.rld.p, 0)
+    labeled = train.points[picked[..., 0]], picked[..., 1]
+    rng = np.random.default_rng(retrieval_ss)
+    defending = bank._retrieve_split(cur_bank, *labeled, acfg.rld, rng, epoch=0)
+    epoch = adapt.build_minibatch(train, picked, unlabeled, defending, acfg, adapt.SOFTMAX_RULE,
+                                  model.output_dim)
+    assert isinstance(epoch.retrieval, bank.CosinePlan) and len(picked[0]) == 16
+
+    def run():
+        plan = bank._retrieve_split(cur_bank, *labeled, acfg.rld, rng, epoch=0)[0]
+        for i in range(steps):
+            bank.retrieve_step(plan, i, model, epoch.defending_slot(i))
+    return run, steps
+
+
 def measure(items: dict, rounds: int, calls: dict) -> dict:
     """{item: [seconds per call, one per round]}; calls[item] is how many
     calls a round makes of it."""
@@ -143,14 +178,17 @@ def measure(items: dict, rounds: int, calls: dict) -> dict:
     return found
 
 
-def report(found: dict) -> list:
+def report(found: dict, steps: int) -> list:
     """The table's lines: the us per call of each pass of each step
-    (minimum over the rounds), then the pretraining's ms."""
+    (minimum over the rounds), then the pretraining's ms, then the us of a
+    cosine_distant step's retrieval, a call's time over its steps."""
     lines = [f"head  {'rows':>4}  " + "  ".join(f"{p:>8}" for p in PASSES) + "  (us per call)"]
     for loss_name, n in STEP_ROWS:
         lines.append(f"{loss_name:<4}  {n:>4}  " + "  ".join(
             f"{min(found[loss_name, n, p]) * 1e6:>8.2f}" for p in PASSES))
     lines.append(f"pretraining {min(found['pretraining']) * 1e3:.2f} ms")
+    per_step = min(found["retrieval"]) / steps
+    lines.append(f"cosine_distant retrieval {per_step * 1e6:.2f} us per step")
     return lines
 
 
@@ -164,7 +202,9 @@ def main(argv=None) -> int:
     items = pass_items(np.random.default_rng(0))
     calls = dict.fromkeys(items, args.calls)
     items["pretraining"], calls["pretraining"] = pretraining(), 1
-    print("\n".join(report(measure(items, args.rounds, calls))))
+    items["retrieval"], steps = cosine_retrieval()
+    calls["retrieval"] = max(1, args.calls // 20)
+    print("\n".join(report(measure(items, args.rounds, calls), steps)))
     return 0
 
 

@@ -76,11 +76,15 @@ MATRIX = [
     ("kmeans_c2_k5", {**RLD, "rld.strategy": "kmeans_center", "adapt.k": 5,
                       "rld.kmeans_clusters": 2}),
     ("kmeans_skip", {**RLD, "rld.strategy": "kmeans_center", "rld.fallback": "skip_with_flag"}),
+    # the default strategy's epoch plan under skip_with_flag, whose steps
+    # write fewer rows when a point falls back
+    ("cosine_skip", {**RLD, "rld.strategy": "cosine_distant", "rld.fallback": "skip_with_flag"}),
 ] + [
     # banks of one to three entries a class (p = 0.005), so some classes
-    # hold fewer than k: the draws that take one rng.choice call per point
+    # hold fewer than k: the draws that take one rng.choice call per point,
+    # and cosine_distant picks that wrap past a class's size
     (f"tiny_bank_{s}", {**RLD, "rld.strategy": s, "rld.p": 0.005})
-    for s in ("class_aware_random", "kmeans_center")
+    for s in ("class_aware_random", "kmeans_center", "cosine_distant")
 ] + [
     # cosine_distant at hidden widths [16, 10], where a class slice of one
     # feature pass over the bank need not have the bits of a pass over it alone
