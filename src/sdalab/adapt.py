@@ -11,20 +11,22 @@ the head's one object: the runner's stages read their per-head steps there.
 
 Each epoch starts by laying out everything the model does not decide, for
 every step at once (build_minibatch): the batch indices, drawn in the
-order step-by-step drawing takes; the candidate bank and the defending
-pairs of the whole epoch, or, where the strategy reads the model
-(cosine_distant), the epoch's retrieval plan (bank.CosinePlan); each
-step's stacked input rows, from one gather; and each step's loss targets
-and mask, checked once, with the term bounds and the counts that do not
-depend on the model. A step then computes only what the current model
-decides: the cosine_distant features, dot products and picks (the plan's
-step writes the picked points into the step's defending rows),
-FixMatch-lite's augmented views (written over their rows), the pseudo
-labels or FixMatch's mask (written into the targets), and the passes. The
+order step-by-step drawing takes; the candidate bank and the epoch's one
+retrieval plan (bank.RetrievalPlan), whatever the strategy, with every
+step's defending labels and counts; each step's stacked input rows, from
+one gather; and each step's loss targets and mask, checked once, with the
+term bounds and the counts that do not depend on the model. A step then
+writes its defending points into its rows (the plan's step: one take, after
+the cosine_distant features, dot products and picks, which read the model)
+and computes only what the current model decides: FixMatch-lite's
+augmented views (written over their rows), the pseudo labels or
+FixMatch's mask (written into the targets), and the passes. The
 plan of all this is made once per run and reused every epoch: the draws'
 schedule and permutation tiles (_Draws), the layout arrays that every
 epoch is laid out in, the views each step reads (_Epoch), and the
-StepBuffers that the passes and each epoch's score run on.
+StepBuffers that the passes and each epoch's score run on, and the
+arrays that the cosine_distant picks write, which each epoch's retrieval
+plan hands on to the next.
 
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
@@ -329,8 +331,8 @@ class _Epoch:
     loss scores every cell (rule.per_cell). Steps with fewer defending rows
     than room leave their tails unused, so each step's rows are a
     contiguous prefix of its row. index holds the rows of train.points that inputs
-    gathers, 0 in every defending slot (whose points arrive from
-    retrieval).
+    gathers, 0 in every defending slot, whose points the retrieval plan's
+    step writes (defending_slot).
     """
 
     def __init__(self, steps, b, u, room, dim, cfg, rule, n_outputs):
@@ -347,16 +349,14 @@ class _Epoch:
         self.targets = self.mask = None
         self.cuts, self.plans = {}, {}
 
-    def fill(self, points, picked, unlabeled, defending) -> None:
+    def fill(self, points, picked, unlabeled, plan) -> None:
         """Lay out an epoch's draws (build_minibatch) in place."""
-        b, u, head, steps = self.b, self.u, self.head, len(self.index)
-        d_points, d_labels, counts, fallbacks = defending or (
-            None, np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps
+        b, u, steps = self.b, self.u, len(self.index)
+        d_labels, counts, fallbacks = (
+            (np.zeros(0, dtype=np.int64), [0] * steps, [0] * steps) if plan is None
+            else (plan.labels, plan.counts, plan.fallbacks)
         )
         self.defending, self.fallbacks = counts, fallbacks
-        self.retrieval = None  # the plan whose steps retrieve their points
-        if isinstance(d_points, bank_mod.CosinePlan):
-            self.retrieval, d_points = d_points, None
         index, labels = self.index, self.labels
         index[:, :b] = picked[..., 0]
         for view in range(self.views):
@@ -364,12 +364,9 @@ class _Epoch:
         points.take(index, axis=0, out=self.inputs)
         labels[:, :b] = picked[..., 1]
         if self.room:
-            used = np.arange(self.room) < np.array(counts)[:, None]
             tail = labels[:, b + u :]
             tail.fill(0)
-            tail[used] = d_labels
-            if d_points is not None:
-                self.inputs[:, head:][used] = d_points
+            tail[np.arange(self.room) < np.array(counts)[:, None]] = d_labels
         targets, mask = self.rule.epoch_targets(labels, slice(b, b + u), self.n_outputs)
         if self.targets is None:
             self.targets, self.mask = targets, np.ones(labels.shape) if self.views == 2 else mask
@@ -402,9 +399,9 @@ class _Epoch:
         return found
 
     def defending_slot(self, i) -> np.ndarray:
-        """The rows laid out for step i's defending points, which a plan's
-        step retrieves into as the step runs (their labels are there
-        already)."""
+        """The rows laid out for step i's defending points, which the
+        retrieval plan's step writes as the step runs (their labels are
+        there already)."""
         return self.inputs[i, self.head : self.head + self.defending[i]]
 
     def batch(self, i) -> "MiniBatch":
@@ -423,7 +420,7 @@ def build_minibatch(
     train: LabeledSet,
     picked: np.ndarray,
     unlabeled: np.ndarray,
-    defending: Optional[tuple],
+    plan,
     cfg: AdaptConfig,
     rule,
     n_outputs: int,
@@ -431,22 +428,20 @@ def build_minibatch(
 ) -> _Epoch:
     """Every step of one epoch, laid out from its draws: picked holds each
     step's labelled units (steps, b, 2), unlabeled its unlabelled sample
-    indices (steps, mu*b), and defending the epoch's defending rows as
-    bank._retrieve_split gives them, None for no defending pairs. One
-    gather from train.points fills the labelled and unlabelled rows of
-    every step; the defending points go into their slots, unless they are
-    retrieved step by step (points a bank.CosinePlan, kept as the epoch's
-    retrieval, whose steps write defending_slot). The layout goes into the
-    arrays of into, an earlier epoch of the same run (the same draws'
-    shapes, cfg and rule), where its defending slots hold every step's
-    rows; else into new ones, with room for cfg.rld.k rows per labelled
-    unit."""
+    indices (steps, mu*b), and plan the epoch's bank.RetrievalPlan, None
+    for no defending pairs. One gather from train.points fills the
+    labelled and unlabelled rows of every step, and the plan's defending
+    labels go into their slots; its steps write their points into
+    defending_slot as the steps run. The layout goes into the arrays of
+    into, an earlier epoch of the same run (the same draws' shapes, cfg and
+    rule), where its defending slots hold every step's rows; else into new
+    ones, with room for cfg.rld.k rows per labelled unit."""
     steps, u = unlabeled.shape
-    counts = [0] if defending is None else defending[2]
+    counts = [0] if plan is None else plan.counts
     if into is None or max(counts) > into.room:
         room = max(max(counts), cfg.rld.k * picked.shape[1] if cfg.rld is not None else 0)
         into = _Epoch(steps, picked.shape[1], u, room, train.points.shape[1], cfg, rule, n_outputs)
-    into.fill(train.points, picked, unlabeled, defending)
+    into.fill(train.points, picked, unlabeled, plan)
     return into
 
 
@@ -577,9 +572,11 @@ def adapt(
     retrieval) spawn from the seed, so enabling defending samples cannot
     perturb the baseline's draws. Each epoch draws every step's batch
     indices at its start, in the order step-by-step drawing takes, then
-    builds its bank. Retrieval runs once per epoch unless the strategy reads
-    the model; then the epoch lays out its retrieval plan and each step
-    retrieves from the model as trained so far.
+    builds its bank and lays out its one retrieval plan, for every strategy:
+    a model-free strategy draws every step's rows there, from the retrieval
+    substream in the order of one draw per step. Each step then takes its
+    defending rows from the plan (bank.retrieve_step), cosine_distant's
+    after picking them from the model as trained so far.
     """
     rule = SOFTMAX_RULE if thresholds is None else SigmoidRule(np.asarray(thresholds, dtype=float))
     if model.head != rule.head:
@@ -598,31 +595,29 @@ def adapt(
 
     augmenter = Augmenter(cfg.augment or AugmenterSpec(), train.points)
     state, buffers = nn.SgdState.zeros_like(model), nn.StepBuffers(model)
-    records, batches = [], None
+    records, batches, plan = [], None, None
     n_steps = steps_per_epoch(len(units), len(unlabeled_idx), cfg.batch)
     # the epoch plan: the draws' here, the layout's in batches from the first epoch on
     draws = _Draws(units, unlabeled_idx, cfg.batch, n_steps) if cfg.epochs else None
 
     for epoch in range(cfg.epochs):
         picked, unlabeled = draws.draw(batch_rng)
-        cur_bank = defending = None
+        cur_bank = None
         if cfg.rld is not None:
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )
-            labeled = train.points[picked[..., 0]], picked[..., 1]
-            defending = bank_mod._retrieve_split(
-                cur_bank, *labeled, cfg.rld, retrieval_rng, epoch=epoch
+            plan = bank_mod.RetrievalPlan(
+                cur_bank, train.points[picked[..., 0]], picked[..., 1], cfg.rld, retrieval_rng,
+                epoch, plan,
             )
         batches = build_minibatch(
-            train, picked, unlabeled, defending, cfg, rule, model.output_dim, batches
+            train, picked, unlabeled, plan, cfg, rule, model.output_dim, batches
         )
         l_sup = l_unsup = l_rld = mask_rate = 0.0  # the step sums: float64 adds
-        retrieval = batches.retrieval
         for i in range(n_steps):
-            if retrieval is not None:
-                # the strategy reads the model: retrieve from it as trained so far
-                bank_mod.retrieve_step(retrieval, i, model, batches.defending_slot(i))
+            if plan is not None:
+                bank_mod.retrieve_step(plan, i, model, batches.defending_slot(i))
             if observer is not None:
                 observer(epoch, i, batches.batch(i))
             losses, grads = _step(model, batches, i, cfg, augmenter, augment_rng, buffers)

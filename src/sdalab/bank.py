@@ -7,19 +7,16 @@ samples that share its ground-truth label out of the bank; training on them
 with that shared pseudo label keeps a biased labeled batch from dragging the
 decision boundary through regions the model still classifies confidently.
 
-Adaptation retrieves once per epoch what the model does not decide, for
-every step at once (_retrieve_split): a model-free strategy's rows, drawn
-in the rng order of one call per step; for cosine_distant, which reads the
-model as trained so far, a CosinePlan, laid out from every step's labels
-with a few vectorised calls (class order, per-class blocks, index-order
-columns, padding, wrap and fallback rows) and holding the arrays that the
-steps write. A cosine_distant step (retrieve_step) then computes only the
-features, dot products and picks of the current model, and writes its
-defending points into its slot of the epoch's layout. retrieve_defending
-serves one batch on its own; under cosine_distant it runs a one-step plan,
-so the picks have one implementation.
+Adaptation lays out one RetrievalPlan per epoch, whatever the strategy:
+each step's served and falling-back points, defending labels and counts,
+and its output rows as positions in one source array, which a model-free
+strategy draws there. cosine_distant reads the model as trained so far, so
+its step (retrieve_step) first picks its rows; every step then writes its
+defending points into its slot with one take. retrieve_defending serves
+one batch on its own, as a one-step plan.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -388,154 +385,193 @@ def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndar
     return order[:, pick % n_clusters, (pick // n_clusters) % n]
 
 
-def _cosine_picks(
-    bank: CandidateBank, model: nn.MlpModel, points: np.ndarray, labels: np.ndarray, k: int
-) -> np.ndarray:
-    """Rows of the k retrieved points of each labeled point, shaped (n, k):
-    its class's entries by cosine distance from it in penultimate features,
-    farthest first, ties by ascending global index; fewer entries than k
-    wrap around. Every label must be a class with entries. They are the
-    picks of a one-step CosinePlan, as retrieve_step makes them."""
-    plan = CosinePlan(bank, points[None], labels[None], k)
-    _place_picks(plan, 0, model)
-    return bank.rows.take(plan.tables[0]).reshape(len(labels), k)
+class RetrievalPlan:
+    """Retrieval for the steps of one epoch, laid out once from the bank,
+    every step's labeled points and labels, (steps, b, dim) and (steps, b),
+    the RldConfig and the retrieval rng: all that the model does not decide.
 
+    A point is served when its class has entries (always under
+    unconditioned_random, which draws from every class), else it falls
+    back. source holds the bank's entry points, in rows' order, then every
+    step's labeled points. tables[i] holds step i's output rows as
+    positions in source, counts[i] of them: k per labeled point, in labeled
+    order, one that falls back repeating itself under duplicate_labeled;
+    under skip_with_flag k per served point only. served[i] and
+    fallbacks[i] count the step's points of each kind; labels holds every
+    step's defending labels, step after step.
 
-class CosinePlan:
-    """cosine_distant retrieval for the steps of one epoch, laid out from
-    every step's labeled points and labels, (steps, b, dim) and (steps,
-    b): everything that the picks need and the model does not decide.
-    retrieve_step then runs one step on the model as trained so far.
-
-    A step takes its points that are served (their class has entries) in
-    class order, by label, stable, the ones that fall back last; served[i]
-    counts the served. own_in[i] holds the points in that order and
-    classes[i] their classes. blocks[i] lists
-    (lo, hi, first, last) for each class with points in the step: its
-    entries are rows lo:hi of the bank's feature pass and its points are
+    A model-free strategy fills the tables here, drawing over the epoch's
+    served points in labeled order, so it reads the rng as one
+    retrieve_defending call per step would. cosine_distant (reads_model)
+    lays out its picks' inputs, and each step writes the picks
+    (_place_picks): it takes its served points in class order, by label,
+    stable; own_in[i] holds them and classes[i] their classes. blocks[i]
+    lists (lo, hi, first, last) for each class with points in the step:
+    its entries are rows lo:hi of the bank's feature pass, its points
     first:last. A point's distances are laid out in its class's row of
-    bank.index_map (its entries' positions in bank.rows in ascending
-    global index order, padded), and class_pad marks each class's columns
-    past its size. wrap[i, s, t] is the flat position, in the (rounds, b)
-    knock-out picks, of the round that point s's t-th pick reads (t
-    modulo its class's size). The step's output rows are positions in
-    source: the entries' points, then every step's labeled points.
-    tables[i] holds them, counts[i] rows: k per labeled point, in labeled
-    order, a point that falls back under duplicate_labeled repeating
-    itself, and under skip_with_flag k per served point only. slots[i]
-    says where the picks of the step's served points, in class order, go
-    in tables[i]. A step writes only the picks.
-
-    The arrays that every step writes are made once per plan, at its first
-    step (_CosineWork). A step takes its points' columns and padding from
-    the per-class tables: laid out for every point of the epoch, they
-    filled fresh pages that cost more than they saved.
+    bank.index_map, class_pad marking each class's columns past its size
+    (tables per class: per point of the epoch, they filled fresh pages that
+    cost more than they saved). wrap[i, s, t] is the flat position, in the
+    (rounds, b) knock-out picks, of the round that point s's t-th pick
+    reads (t modulo its class's size). slots[i] says where the picks of the
+    step's served points, in class order, go in tables[i]. previous, the
+    run's plan of the epoch before, hands on the arrays that the picks
+    write (_CosineWork).
     """
 
-    def __init__(self, bank: CandidateBank, points, labels, k: int, skip: bool = False):
+    def __init__(self, bank: CandidateBank, points, labels, cfg: RldConfig, rng,
+                 epoch: Optional[int] = None, previous: Optional["RetrievalPlan"] = None):
+        if epoch is not None and epoch != bank.epoch_stamp:
+            raise ConfigError(
+                f"stale candidate bank: stamped epoch {bank.epoch_stamp}, now {epoch}")
         points = np.asarray(points, dtype=np.float64)
-        steps, b = labels.shape
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size and labels.min() < 0:
+            raise ShapeError(f"labels must be >= 0, got {int(labels.min())}")
+        (steps, b), k, n_classes, entries = labels.shape, cfg.k, bank.num_classes, len(bank.rows)
+        skip = cfg.empty_class_fallback == SKIP_WITH_FLAG
         self.bank, self.k, self.b = bank, k, b
-        n_classes, entries = bank.num_classes, len(bank.rows)
+        self.reads_model = cfg.strategy == COSINE_DISTANT
+        self.work = None if previous is None else previous.work
         falls_back = bank.no_entries.take(labels, mode="clip")  # labels are >= 0
-        key = np.where(falls_back, n_classes, labels)  # falling back ranks last
-        at = np.arange(steps)[:, None]
-        order = key.argsort(axis=1, kind="stable")
-        ranked = key[at, order]
-        served = ranked < n_classes
-        self.served = served.sum(axis=1).tolist()
-        self.own_in = points[at, order]
-        per_class = np.bincount((ranked + (n_classes + 1) * at).ravel(),
-                                minlength=steps * (n_classes + 1)).reshape(steps, -1)
-        starts = np.zeros((steps, n_classes + 1), dtype=np.intp)
-        np.cumsum(per_class[:, :n_classes], axis=1, out=starts[:, 1:])
-        spans = list(zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist()))
-        self.blocks = [[(lo, hi, first, last) for (lo, hi), first, last in zip(spans, row, row[1:])
-                        if first < last] for row in starts.tolist()]
-        self.classes = np.minimum(ranked, n_classes - 1)  # a falling-back point reads no row
-        sizes = np.maximum(bank.counts, 1)[:, None]
-        self.class_pad = np.arange(bank.index_map.shape[1]) >= sizes
-        self.wrap = (np.arange(k) % sizes).take(self.classes, axis=0) * b + np.arange(b)[:, None]
-        out_rows = order
-        if skip:  # a point's rank among the step's served points, in labeled order
-            out_rows = (np.cumsum(~falls_back, axis=1) - 1)[at, order]
-        self.slots = (out_rows[..., None] * k + np.arange(k)).reshape(steps, b * k)
-        self.counts = [k * (n if skip else b) for n in self.served]
-        table = (entries + np.arange(steps * b)).reshape(steps, b).repeat(k, axis=1)
-        self.tables = [row[:count] for row, count in zip(table, self.counts)]
-        self.source = np.concatenate([bank.entry_points, points.reshape(-1, points.shape[-1])])
-        self.work = None
+        if cfg.strategy == UNCONDITIONED_RANDOM:  # it draws from every class
+            falls_back[...] = False
+        some_fall_back = bool(np.count_nonzero(falls_back))
+        self.fallbacks = falls_back.sum(axis=1).tolist() if some_fall_back else [0] * steps
+        served = ~falls_back.ravel() if some_fall_back else slice(None)
+        self.served = [b - n for n in self.fallbacks]
+        flat = labels.ravel()
+        own = flat[served]  # the served points' labels, in labeled order
+        self.labels = (own if skip else flat).repeat(k)  # unless the strategy draws others
+        if cfg.strategy == KMEANS_CENTER:
+            picks = np.empty((len(own), k), dtype=np.intp)
+            for cls, (positions, centroids) in _kmeans_runs(
+                    bank, own, cfg.kmeans_clusters, rng).items():
+                nearest = _nearest_picks(bank.class_points(cls), centroids, k)
+                picks[positions] = bank.offsets[cls] + nearest
+        elif cfg.strategy == CLASS_AWARE_RANDOM:
+            picks = bank.offsets[own][:, None] + _choices(rng, bank.counts[own], k, replace=True)
+        elif cfg.strategy == UNCONDITIONED_RANDOM:
+            picks = _choices(rng, np.full(len(own), entries), k, replace=True)
+            self.labels = np.repeat(np.arange(n_classes), bank.counts)[picks.ravel()]
+        else:  # the picks' inputs; each step writes its picks
+            picks = np.empty((len(own), k), dtype=np.intp)
+            key = np.where(falls_back, n_classes, labels)  # falling back ranks last
+            at = np.arange(steps)[:, None]
+            order = key.argsort(axis=1, kind="stable")
+            ranked = key[at, order]
+            self.own_in = points[at, order]
+            per_class = np.bincount((ranked + (n_classes + 1) * at).ravel(),
+                                    minlength=steps * (n_classes + 1)).reshape(steps, -1)
+            starts = np.zeros((steps, n_classes + 1), dtype=np.intp)
+            np.cumsum(per_class[:, :n_classes], axis=1, out=starts[:, 1:])
+            spans = list(zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist()))
+            self.blocks = [[(lo, hi, first, last) for (lo, hi), first, last
+                            in zip(spans, row, row[1:]) if first < last]
+                           for row in starts.tolist()]
+            self.classes = np.minimum(ranked, n_classes - 1)  # a falling-back point reads no row
+            sizes = np.maximum(bank.counts, 1)[:, None]
+            self.class_pad = np.arange(bank.index_map.shape[1]) >= sizes
+            wraps = (np.arange(k) % sizes).take(self.classes, axis=0)
+            self.wrap = wraps * b + np.arange(b)[:, None]
+            if skip:  # a point's rank among the step's served points, in labeled order
+                order = (np.cumsum(~falls_back, axis=1) - 1)[at, order]
+            self.slots = (order[..., None] * k + np.arange(k)).reshape(steps, b * k)
+        table = picks
+        if some_fall_back and not skip:  # a point that falls back repeats itself k times
+            table = np.arange(entries, entries + steps * b).repeat(k).reshape(-1, k)
+            table[served] = picks
+        table = table.ravel()
+        self.counts = [k * n for n in self.served] if skip else [k * b] * steps
+        ends = list(itertools.accumulate(self.counts))
+        self.tables = [table[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        # the entry points gathered here: only cosine_distant builds bank.entry_points
+        labeled = points.reshape(steps * b, bank.points.shape[1])  # [] has no width of its own
+        self.source = np.concatenate([bank.points.take(bank.rows, axis=0), labeled])
 
     def work_for(self, model: nn.MlpModel) -> "_CosineWork":
-        """The arrays that the steps write, made at the first step for the
-        model's shape, which training keeps."""
-        if self.work is None:
-            self.work = _CosineWork(self, model)
-        return self.work
+        """The run's arrays that the picks write (made at the first step, for
+        the model's shape, and anew for a bank they cannot hold), cut to the bank."""
+        work, bank = self.work, self.bank
+        if (work is None or work.shape != (model.layer_dims, self.b, self.k)
+                or len(bank.rows) > work.capacity):
+            capacity = len(bank.rows) + bank.num_classes
+            work = self.work = _CosineWork(model, self.b, self.k, capacity)
+        if work.bank is not bank:
+            work.bind(bank)
+        return work
 
 
 class _CosineWork:
-    """The arrays that a CosinePlan's steps write, for one model shape:
-    passes, the bank's feature passes, each (inputs, one array per hidden
-    layer); feats, their last layer, over every entry; its squares and
-    norms; and, for up to b served points, the one-row passes' layers,
-    their norms, the dot products, the index-order columns and their
-    positions among the dot products, denominators, quotients, distances,
-    padding and picks. row_starts and col_base hold where each point's row
-    starts in the dot products and in the columns. cuts[n] holds the views
-    that a step with n served points reads (cut)."""
+    """The arrays that cosine_distant's picks write, made once per run for
+    a model shape, b points a step and k picks, with room for capacity
+    entries: the first bank's plus one a class, the largest bank that pool
+    and p give (a class of n candidates keeps ceil(p n) < p n + 1). Each is
+    flat and cut, as a C-ordered view of its first cells, to a bank
+    (bind: the bank's feature passes, each (inputs, one array per hidden
+    layer), their last layer feats, its squares and norms, the dot
+    products) and to a step's n served points (cuts[n], as _place_picks
+    unpacks it).
+    """
 
-    def __init__(self, plan: CosinePlan, model: nn.MlpModel):
-        bank, b, k = plan.bank, plan.b, plan.k
-        entries, width = len(bank.rows), bank.index_map.shape[1]
-        widths = model.layer_dims[1:-1]
-        layers = [np.empty((entries, h)) for h in widths]
+    def __init__(self, model: nn.MlpModel, b: int, k: int, capacity: int):
+        self.shape, self.b, self.k, self.capacity = (list(model.layer_dims), b, k), b, k, capacity
+        self.widths = model.layer_dims[1:-1]
+        # one per hidden layer, then the squares, norms and dot products
+        self.cells = [np.empty(capacity * h) for h in [*self.widths, self.widths[-1], 1, b]]
+        self.step_cells = [np.empty(b * capacity, dtype) for dtype in (
+            np.intp, np.intp, np.float64, np.float64, np.float64, bool, bool)]
+        self.own_layers = [np.empty((b, 1, h)) for h in self.widths]
+        self.own_squares = np.empty((b, 1, 1))
+        self.rounds = np.empty((k, b), dtype=np.intp)
+        self.columns, self.chosen = np.empty((b, k), dtype=np.intp), np.empty((b, k), dtype=np.intp)
+        self.at = np.arange(b)
+        self.bank = None
+
+    def bind(self, bank: CandidateBank) -> None:
+        entries = self.entries = len(bank.rows)
+        *layers, self.squares, norms, dots = (
+            cells[: entries * h].reshape(entries, h)
+            for cells, h in zip(self.cells, [*self.widths, self.widths[-1], 1, self.b]))
+        self.feats, self.norms = layers[-1], norms[:, 0]
+        self.dots = dots.reshape(self.b, entries, 1)
         # a class slice of one pass over the bank has the bits of a pass over
         # the slice alone at these widths (_place_picks)
-        if widths == [10, 10] or max(model.layer_dims[1:-2], default=0) <= 7:
+        if self.widths == [10, 10] or max(self.widths[:-1], default=0) <= 7:
             self.passes = [(bank.entry_points, layers)]
         else:
             self.passes = [(bank.entry_points[lo:hi], [layer[lo:hi] for layer in layers])
                            for lo, hi in zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())
                            if lo < hi]
-        self.feats = layers[-1]
-        self.squares, self.norms = np.empty_like(self.feats), np.empty(entries)
-        self.own_layers = [np.empty((b, 1, h)) for h in widths]
-        self.own_squares = np.empty((b, 1, 1))
-        self.dots = np.empty((b, entries, 1))
-        self.cols, self.dots_at = np.empty((b, width), np.intp), np.empty((b, width), np.intp)
-        self.denom, self.quotients = np.empty((b, width)), np.empty((b, width))
-        self.dist, self.positive = np.empty((b, width)), np.empty((b, width), dtype=bool)
-        self.pad = np.empty((b, width), dtype=bool)
-        self.rounds = np.empty((min(k, width), b), dtype=np.intp)
-        self.columns, self.chosen = np.empty((b, k), dtype=np.intp), np.empty((b, k), dtype=np.intp)
-        self.at = np.arange(b)
-        self.row_starts, self.col_base = self.at[:, None] * entries, self.at[:, None] * width
-        self.cuts = {}
+        self.width = bank.index_map.shape[1]
+        self.bank, self.cuts = bank, {}
 
     def cut(self, n: int) -> tuple:
+        width = self.width
         found = self.cuts[n] = (
             [layer[:n] for layer in self.own_layers], self.own_squares[:n],
-            self.own_squares[:n, 0], self.cols[:n], self.dots_at[:n], self.denom[:n],
-            self.quotients[:n], self.dist[:n], self.positive[:n], self.pad[:n],
-            list(self.rounds[:, :n]), self.columns[:n], self.chosen[:n], self.at[:n],
-            self.row_starts[:n], self.col_base[:n],
+            self.own_squares[:n, 0], *(cells[: n * width].reshape(n, width)
+                                       for cells in self.step_cells),
+            list(self.rounds[: min(self.k, width), :n]), self.columns[:n], self.chosen[:n],
+            self.at[:n], self.at[:n, None] * self.entries, self.at[:n, None] * width,
         )
         return found
 
 
-def retrieve_step(plan: CosinePlan, i: int, model: nn.MlpModel, out: np.ndarray) -> None:
-    """The defending points of step i of plan, retrieved from the model as
-    trained so far, written into out, shaped (plan.counts[i], dim): rows in
-    the order retrieve_defending gives them for the step's labeled points."""
-    if plan.served[i]:
+def retrieve_step(plan: RetrievalPlan, i: int, model: Optional[nn.MlpModel],
+                  out: np.ndarray) -> None:
+    """The defending points of step i of plan, written into out, shaped
+    (plan.counts[i], dim), with one take from plan.source: rows in the
+    order retrieve_defending gives them for the step's labeled points.
+    cosine_distant first picks them from the model as trained so far."""
+    if plan.reads_model and plan.served[i]:
         _place_picks(plan, i, model)
     plan.source.take(plan.tables[i], axis=0, out=out, mode="clip")
 
 
-def _place_picks(plan: CosinePlan, i: int, model: nn.MlpModel) -> None:
+def _place_picks(plan: RetrievalPlan, i: int, model: nn.MlpModel) -> None:
     """Write the k picks of each served point of step i into plan.tables[i]
-    (CosinePlan), as positions in bank.rows: its class's entries by cosine
+    (RetrievalPlan), as positions in bank.rows: its class's entries by cosine
     distance from it in penultimate features, farthest first, ties by
     ascending global index; fewer entries than k wrap around.
 
@@ -618,125 +654,23 @@ def _knock_out(dist: np.ndarray, pad: np.ndarray, rounds: np.ndarray, at: np.nda
         dist[at, picks] = -np.inf
 
 
-def retrieve_defending(
-    bank: CandidateBank,
-    labeled_points: np.ndarray,
-    labeled_labels,
-    cfg: RldConfig,
-    rng: np.random.Generator,
-    model: Optional[nn.MlpModel] = None,
-    epoch: Optional[int] = None,
-) -> tuple:
-    """k defending (point, pseudo-label) pairs per labeled sample.
+def retrieve_defending(bank: CandidateBank, labeled_points: np.ndarray, labeled_labels,
+                       cfg: RldConfig, rng: np.random.Generator,
+                       model: Optional[nn.MlpModel] = None, epoch: Optional[int] = None) -> tuple:
+    """k defending (point, pseudo-label) pairs per labeled sample: the one
+    step of a RetrievalPlan laid out for these points alone.
 
     Returns (points, labels, fallback_events). With DuplicateLabeled the output
-    always has k * len(labeled) rows; SkipWithFlag may return fewer.
-
-    The model-free strategies draw every served point's rows with one
-    _choices call (unconditioned_random serves every point): one rng call
-    takes the words that one rng.choice call per served point, in labeled
-    order, would take, and yields the same values. Those draws fix the
-    picks, so the rest works per class.
+    always has k * len(labeled) rows; SkipWithFlag may return fewer. The
+    points have the labeled points' width, however many rows there are.
     """
-    _check_stamp(bank, epoch)
     if cfg.strategy == COSINE_DISTANT and model is None:
         raise ConfigError("cosine_distant retrieval needs the model for features")
     points = np.asarray(labeled_points, dtype=np.float64)
-    labels = np.asarray(labeled_labels, dtype=np.int64)
-    if len(labels) and labels.min() < 0:
-        raise ShapeError(f"labels must be >= 0, got {int(labels.min())}")
-    falls_back = _falls_back(bank, labels, cfg)
-    fallbacks = int(np.count_nonzero(falls_back))
-    served = np.flatnonzero(~falls_back) if fallbacks else slice(None)  # indexes labels
-    labels_served = labels[served]
-    out_lab = None  # the served points' own labels, unless the strategy draws others
-    # rows: the k rows in bank.points of each served point
-    if cfg.strategy == KMEANS_CENTER:
-        rows = np.empty((len(labels_served), cfg.k), dtype=np.intp)
-        runs = _kmeans_runs(bank, labels_served, cfg.kmeans_clusters, rng)
-        for cls, (positions, centroids) in runs.items():
-            picks = _nearest_picks(bank.class_points(cls), centroids, cfg.k)
-            rows[positions] = bank.class_rows(cls)[picks]
-    elif cfg.strategy == CLASS_AWARE_RANDOM:
-        draws = _choices(rng, bank.counts[labels_served], cfg.k, replace=True)
-        rows = bank.rows[bank.offsets[labels_served][:, None] + draws]
-    elif cfg.strategy == UNCONDITIONED_RANDOM:  # from every class; no point falls back
-        draws = _choices(rng, np.full(len(labels), len(bank.rows)), cfg.k, replace=True)
-        rows = bank.rows[draws]
-        out_lab = np.repeat(np.arange(bank.num_classes), bank.counts)[draws.ravel()]
-    elif len(labels_served):  # COSINE_DISTANT, with a point to serve
-        rows = _cosine_picks(bank, model, points[served], labels_served, cfg.k)
-    else:
-        rows = np.zeros((0, cfg.k), dtype=np.intp)
-    if out_lab is None:
-        out_lab = _own_labels(labels, falls_back, cfg)
-    if fallbacks and cfg.empty_class_fallback == DUPLICATE_LABELED:
-        # a point that falls back repeats itself k times: its rows index the
-        # labeled points, appended to bank.points
-        table = np.repeat(np.arange(len(labels))[:, None] + len(bank.points), cfg.k, axis=1)
-        table[served] = rows
-        return np.concatenate([bank.points, points])[table.ravel()], out_lab, fallbacks
-    if not rows.size:
-        return np.zeros((0, 2)), np.zeros(0, dtype=np.int64), fallbacks
-    return bank.points.take(rows.ravel(), axis=0), out_lab, fallbacks
-
-
-def _check_stamp(bank: CandidateBank, epoch: Optional[int]) -> None:
-    if epoch is not None and epoch != bank.epoch_stamp:
-        raise ConfigError(f"stale candidate bank: stamped epoch {bank.epoch_stamp}, now {epoch}")
-
-
-def _falls_back(bank: CandidateBank, labels: np.ndarray, cfg: RldConfig) -> np.ndarray:
-    """Whether each labeled point falls back, shaped as labels: its class
-    has no bank entries, under a strategy that retrieves from the point's
-    own class."""
-    if cfg.strategy == UNCONDITIONED_RANDOM:
-        return np.zeros(labels.shape, dtype=bool)
-    return bank.no_entries.take(labels, mode="clip")  # labels are >= 0
-
-
-def _own_labels(labels: np.ndarray, falls_back: np.ndarray, cfg: RldConfig) -> np.ndarray:
-    """The defending labels of the labeled points that are served, flat:
-    each point's own label k times, as every strategy but
-    unconditioned_random labels its rows. Under SkipWithFlag a point that
-    falls back is not served; otherwise every point is."""
-    if cfg.empty_class_fallback == SKIP_WITH_FLAG:
-        labels = labels[~falls_back]
-    return labels.repeat(cfg.k)
-
-
-def _retrieve_split(
-    bank: CandidateBank, labeled_points: np.ndarray, labeled_labels: np.ndarray,
-    cfg: RldConfig, rng: np.random.Generator, epoch: Optional[int] = None,
-) -> tuple:
-    """retrieve_defending's rows for groups of labeled points, shaped
-    (groups, size, ...), laid out group after group: (points, labels,
-    counts, fallbacks), the last two per group as lists of ints. A point
-    yields k rows, or none when it falls back under SkipWithFlag.
-
-    A strategy in MODEL_FREE retrieves for every group in one call, drawing
-    the rng in the order of one call per group after another, which gives
-    each group the rows its own call would give: an epoch's draws are one
-    rng call for the words that one rng.choice call per point would take.
-    cosine_distant reads the model, so in place of its points it gives the
-    groups' CosinePlan, whose retrieve_step writes a group's points as
-    training goes; its labels are known already (_own_labels).
-    """
-    groups, size = labeled_labels.shape
-    falls_back = _falls_back(bank, labeled_labels, cfg)
-    skip = cfg.empty_class_fallback == SKIP_WITH_FLAG
-    if cfg.strategy in MODEL_FREE:
-        points, labels, _ = retrieve_defending(
-            bank, labeled_points.reshape(groups * size, -1), labeled_labels.ravel(), cfg, rng,
-            epoch=epoch,
-        )
-    else:
-        _check_stamp(bank, epoch)
-        points = CosinePlan(bank, labeled_points, labeled_labels, cfg.k, skip)
-        labels = _own_labels(labeled_labels, falls_back, cfg)
-    fallbacks = falls_back.sum(axis=1)
-    served = size - fallbacks if skip else np.full(groups, size)
-    return points, labels, (cfg.k * served).tolist(), fallbacks.tolist()
+    plan = RetrievalPlan(bank, points[None], np.asarray(labeled_labels)[None], cfg, rng, epoch)
+    out = np.empty((plan.counts[0], plan.source.shape[1]))
+    retrieve_step(plan, 0, model, out)
+    return out, plan.labels, plan.fallbacks[0]
 
 
 def generate_bank_binary(

@@ -213,32 +213,42 @@ def test_criterion_05_batch_composition(capsys):
 
 
 def test_criterion_06_defending_label_contract(capsys, monkeypatch):
+    # every step's defending rows, as the epoch's retrieval plan writes them
     counts = {"pairs": 0, "violations": 0, "fallback_rows": 0}
-    real = bank_mod.retrieve_defending
+    real_plan, real_step = bank_mod.RetrievalPlan, bank_mod.retrieve_step
 
-    def checked(bank, lpts, llabs, cfg, rng, model=None, epoch=None):
-        pts, labs, fb = real(bank, lpts, llabs, cfg, rng, model=model, epoch=epoch)
-        labels = np.asarray(llabs, dtype=np.int64)
-        assert len(pts) == len(labels) * cfg.k  # duplicate_labeled keeps k*B rows
-        for i, y in enumerate(labels):
-            block = slice(i * cfg.k, (i + 1) * cfg.k)
-            for pt, lab in zip(pts[block], labs[block]):
+    class Plan(real_plan):
+        """The plan, holding the labelled points and labels it serves."""
+
+        def __init__(self, bank, lpts, llabs, *args):
+            super().__init__(bank, lpts, llabs, *args)
+            self.lpts, self.llabs = lpts, np.asarray(llabs, dtype=np.int64)
+
+    def checked(plan, i, model, out):
+        real_step(plan, i, model, out)
+        bank, k, lpts, labels = plan.bank, plan.k, plan.lpts[i], plan.llabs[i]
+        labs = np.split(plan.labels, np.cumsum(plan.counts)[:-1])[i]
+        fb = plan.fallbacks[i]
+        assert len(out) == len(labels) * k  # duplicate_labeled keeps k*B rows
+        for j, y in enumerate(labels):
+            block = slice(j * k, (j + 1) * k)
+            for pt, lab in zip(out[block], labs[block]):
                 counts["pairs"] += 1
                 if int(lab) != int(y):
                     counts["violations"] += 1
                     continue
                 cls_pts = bank.class_points(int(y))
                 member = len(cls_pts) > 0 and bool(np.all(cls_pts == pt, axis=1).any())
-                duplicated = bool(np.array_equal(pt, lpts[i]))
+                duplicated = bool(np.array_equal(pt, lpts[j]))
                 if member:
                     continue
                 if duplicated and fb > 0:
                     counts["fallback_rows"] += 1  # flagged, allowed by contract
                 else:
                     counts["violations"] += 1
-        return pts, labs, fb
 
-    monkeypatch.setattr(bank_mod, "retrieve_defending", checked)
+    monkeypatch.setattr(bank_mod, "RetrievalPlan", Plan)
+    monkeypatch.setattr(bank_mod, "retrieve_step", checked)
     cfg = ExperimentConfig(
         {"rld.enabled": True, "adapt.k": 3, "rld.strategy": "class_aware_random"}
     )

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,36 +40,43 @@ def units_of(split):
 
 def draw_batch(train, split, spec, rng, cur_bank=None, rld_cfg=None, retrieval_rng=None):
     """An epoch's first batch as the adapt loop assembles it: the step's
-    draws from rng, the defending pairs retrieved for its units, and the
-    epoch laid out by build_minibatch, read back as step 0's MiniBatch."""
+    draws from rng, the epoch's retrieval plan for its units, and the epoch
+    laid out by build_minibatch, read back as step 0's MiniBatch once the
+    plan's step 0 has written its defending points."""
     picked, unlabeled = adapt._Draws(units_of(split), np.array(split.unlabeled), spec, 1).draw(rng)
-    defending = None
+    plan = None
     if rld_cfg is not None:
-        defending = bank._retrieve_split(
+        plan = bank.RetrievalPlan(
             cur_bank, train.points[picked[..., 0]], picked[..., 1], rld_cfg, retrieval_rng
         )
     cfg = adapt.AdaptConfig(batch=spec)
     n_outputs = int(train.labels.max()) + 1
-    return adapt.build_minibatch(
-        train, picked, unlabeled, defending, cfg, adapt.SOFTMAX_RULE, n_outputs
-    ).batch(0)
+    epoch = adapt.build_minibatch(
+        train, picked, unlabeled, plan, cfg, adapt.SOFTMAX_RULE, n_outputs
+    )
+    if plan is not None:
+        bank.retrieve_step(plan, 0, None, epoch.defending_slot(0))
+    return epoch.batch(0)
 
 
 def one_step(model, batch, cfg, rule=adapt.SOFTMAX_RULE, augmenter=None, rng=None):
     """The epoch loop's step on one batch: the batch laid out as a one-step
-    epoch by adapt.build_minibatch, as the loop lays out its epochs, then
-    adapt._step; fixmatch_lite draws its views from rng, weak first.
+    epoch by adapt.build_minibatch, as the loop lays out its epochs, its
+    defending points written into their slot as a plan's step writes them,
+    then adapt._step; fixmatch_lite draws its views from rng, weak first.
     Returns (losses, gradients)."""
     b, u, d = (len(batch.labeled_points), len(batch.unlabeled_points),
                len(batch.defending_points))
     train = LabeledSet(np.concatenate([batch.labeled_points, batch.unlabeled_points]),
                        np.zeros(b + u), data.TARGET)
     picked = np.stack([np.arange(b), batch.labeled_labels], axis=1).astype(np.int64)
-    defending = (batch.defending_points, np.asarray(batch.defending_labels, dtype=np.int64),
-                 [d], [batch.fallback_events])
+    # what build_minibatch reads of a retrieval plan
+    plan = SimpleNamespace(labels=np.asarray(batch.defending_labels, dtype=np.int64),
+                           counts=[d], fallbacks=[batch.fallback_events])
     epoch = adapt.build_minibatch(
-        train, picked[None], np.arange(b, b + u)[None], defending, cfg, rule, model.output_dim
+        train, picked[None], np.arange(b, b + u)[None], plan, cfg, rule, model.output_dim
     )
+    epoch.defending_slot(0)[...] = batch.defending_points
     return adapt._step(model, epoch, 0, cfg, augmenter, rng, nn.StepBuffers(model))
 
 
@@ -330,7 +338,7 @@ class TestBuildMinibatch:
             assert any(label_of[i] == y for i in matches)
 
     def test_step_retrieval_fills_its_slot_or_raises(self, toy):
-        # cosine_distant's points arrive as the step runs, written by the
+        # the defending points arrive as the step runs, written by the
         # epoch plan's step into the slot laid out for them; a slot of the
         # wrong length must not pass, a single row (which would broadcast
         # an assignment over the slot) included
@@ -342,9 +350,9 @@ class TestBuildMinibatch:
             units_of(split), unlabeled_idx, adapt.BatchSpec(b=4, mu=1), 2
         ).draw(np.random.default_rng(5))
         labeled = train.points[picked[..., 0]], picked[..., 1]
-        defending = bank._retrieve_split(cur_bank, *labeled, rld_cfg, np.random.default_rng(6))
+        plan = bank.RetrievalPlan(cur_bank, *labeled, rld_cfg, np.random.default_rng(6))
         epoch = adapt.build_minibatch(
-            train, picked, unlabeled, defending, adapt.AdaptConfig(), adapt.SOFTMAX_RULE, 3
+            train, picked, unlabeled, plan, adapt.AdaptConfig(), adapt.SOFTMAX_RULE, 3
         )
         points, labels, _ = bank.retrieve_defending(
             cur_bank, labeled[0][1], labeled[1][1], rld_cfg, None, model=model
@@ -353,8 +361,8 @@ class TestBuildMinibatch:
         assert len(slot) == len(points)
         for wrong in (slot[:1], slot[:-1], np.empty((len(slot) + 1, 2))):
             with pytest.raises(ValueError, match="output array does not match"):
-                bank.retrieve_step(epoch.retrieval, 1, model, wrong)
-        bank.retrieve_step(epoch.retrieval, 1, model, slot)
+                bank.retrieve_step(plan, 1, model, wrong)
+        bank.retrieve_step(plan, 1, model, slot)
         mb = epoch.batch(1)
         assert np.array_equal(mb.defending_points, points)
         assert np.array_equal(mb.defending_labels, labels)
@@ -1730,19 +1738,29 @@ class TestEpochRetrieval:
 
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     def test_one_retrieval_per_epoch_unless_the_model_is_read(self, toy, monkeypatch, strategy):
+        # every strategy lays out one plan an epoch, over every step's 8
+        # labelled points, and retrieves through one bank.retrieve_step call
+        # a step, both looked up in the bank module; none calls
+        # retrieve_defending
         train, split, model = toy
-        calls, steps = [], []
-        original, original_step = bank.retrieve_defending, bank.retrieve_step
+        calls, plans, steps = [], [], []
+        original, original_plan, original_step = (
+            bank.retrieve_defending, bank.RetrievalPlan, bank.retrieve_step)
 
         def spy(*args, **kwargs):
             calls.append(len(args[1]))
             return original(*args, **kwargs)
+
+        def plan_spy(cur_bank, points, labels, *args):
+            plans.append(labels.shape)
+            return original_plan(cur_bank, points, labels, *args)
 
         def step_spy(plan, i, model, out):
             steps.append((i, len(out)))
             return original_step(plan, i, model, out)
 
         monkeypatch.setattr(bank, "retrieve_defending", spy)
+        monkeypatch.setattr(bank, "RetrievalPlan", plan_spy)
         monkeypatch.setattr(bank, "retrieve_step", step_spy)
         cfg = adapt.AdaptConfig(
             epochs=3, batch=adapt.BatchSpec(b=8, mu=2),
@@ -1750,32 +1768,34 @@ class TestEpochRetrieval:
         )
         adapt.adapt(model, split, train, cfg, seed=0)
         n_steps = adapt.steps_per_epoch(len(split.labeled), len(split.unlabeled), cfg.batch)
-        if strategy in bank.MODEL_FREE:
-            assert calls == [n_steps * 8] * 3 and steps == []
-        else:
-            # the epoch's plan retrieves k rows for each of the 8 labelled
-            # points at every step, through the bank module's step function
-            assert calls == [] and steps == [(i, 2 * 8) for i in range(n_steps)] * 3
+        assert calls == [] and plans == [(n_steps, 8)] * 3
+        # k rows for each of the 8 labelled points at every step
+        assert steps == [(i, 2 * 8) for i in range(n_steps)] * 3
 
 
 def retrieve_by_calls(patch) -> None:
     """Make adapt's cosine_distant steps take their rows from one
     bank.retrieve_defending call each, on the labelled points and labels
-    that the epoch laid out, in place of the epoch plan's steps."""
+    that the epoch's plan was laid out from, in place of the plan's steps.
+    The calls run on the bank module's own plan and step."""
     epochs = []
-    split = bank._retrieve_split
+    plan_class, step = bank.RetrievalPlan, bank.retrieve_step
 
-    def laid_out(cur_bank, points, labels, cfg, rng, epoch=None):
+    def laid_out(cur_bank, points, labels, cfg, rng, epoch=None, previous=None):
         epochs.append((cur_bank, points, labels, cfg, epoch))
-        return split(cur_bank, points, labels, cfg, rng, epoch=epoch)
+        return plan_class(cur_bank, points, labels, cfg, rng, epoch, previous)
 
     def one_call(plan, i, model, out):
         cur_bank, points, labels, cfg, epoch = epochs[-1]
-        rows = bank.retrieve_defending(cur_bank, points[i], labels[i], cfg, None, model, epoch)[0]
+        with pytest.MonkeyPatch.context() as own:
+            own.setattr(bank, "RetrievalPlan", plan_class)
+            own.setattr(bank, "retrieve_step", step)
+            rows = bank.retrieve_defending(
+                cur_bank, points[i], labels[i], cfg, None, model, epoch)[0]
         assert rows.shape == out.shape
         out[...] = rows
 
-    patch.setattr(bank, "_retrieve_split", laid_out)
+    patch.setattr(bank, "RetrievalPlan", laid_out)
     patch.setattr(bank, "retrieve_step", one_call)
 
 

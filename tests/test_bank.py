@@ -233,18 +233,17 @@ def drifted(model, steps, seed):
 
 def assert_plan_matches(b, points, labels, models, cfg):
     """Lay out (steps, n) labeled points and labels as one epoch
-    (bank._retrieve_split): step i of its CosinePlan, run on models[i],
-    must write the rows, and the epoch lay out the labels, counts and
-    fallbacks, that retrieve_defending gives for step i alone."""
-    plan, got_labels, counts, fallbacks = bank._retrieve_split(b, points, labels, cfg, None)
-    assert isinstance(plan, bank.CosinePlan)
-    step_labels = np.split(got_labels, np.cumsum(counts)[:-1])
+    (bank.RetrievalPlan): its step i, run on models[i], must write the
+    rows, and the plan lay out the labels, counts and fallbacks, that
+    retrieve_defending gives for step i alone."""
+    plan = bank.RetrievalPlan(b, points, labels, cfg, None)
+    step_labels = np.split(plan.labels, np.cumsum(plan.counts)[:-1])
     for i, model in enumerate(models):
         want = bank.retrieve_defending(b, points[i], labels[i], cfg, None, model=model)
-        out = np.full((counts[i], points.shape[2]), np.nan)
+        out = np.full((plan.counts[i], points.shape[2]), np.nan)
         bank.retrieve_step(plan, i, model, out)
         assert np.array_equal(out, want[0]), f"step {i}"
-        assert np.array_equal(step_labels[i], want[1]) and fallbacks[i] == want[2]
+        assert np.array_equal(step_labels[i], want[1]) and plan.fallbacks[i] == want[2]
 
 
 def assert_same_retrieval(b, lab_pts, lab_y, cfg, seed, model=None):
@@ -684,13 +683,15 @@ class TestRandomStrategiesMatchOracle:
 
 
 class TestRetrieveSplit:
+    """An epoch's bank.RetrievalPlan, split back into its steps."""
+
     @pytest.mark.parametrize("strategy", bank.STRATEGIES)
     @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
     def test_matches_one_call_per_group(self, strategy, fallback):
-        # cosine_distant leaves its points to the step (a CosinePlan, whose
-        # steps write them) but lays out its labels and counts, which must
-        # be the ones its calls give
-        model = random_model(47)
+        # every strategy's step writes its points with one take, the model
+        # moving between steps, and the plan lays out its labels, counts
+        # and fallbacks: each must be what one retrieve_defending call per
+        # step gives, and the plan must read the rng as those calls do
         rng = np.random.default_rng(47)
         for case in range(8):
             b = tied_bank(rng, n=int(rng.integers(6, 60)), empty_class=case % 3)
@@ -701,30 +702,41 @@ class TestRetrieveSplit:
                 k=int(rng.integers(1, 5)), strategy=strategy,
                 kmeans_clusters=int(rng.integers(1, 8)), empty_class_fallback=fallback,
             )
-            rng_split, rng_each = np.random.default_rng(case), np.random.default_rng(case)
-            got, got_labels, counts, fallbacks = bank._retrieve_split(
-                b, points, labels, cfg, rng_split
-            )
-            assert isinstance(got, bank.CosinePlan) == (strategy not in bank.MODEL_FREE)
-            assert len(counts) == len(fallbacks) == groups
-            cuts = np.cumsum(counts)[:-1]
-            if isinstance(got, bank.CosinePlan):
-                got_points = [np.empty((count, 2)) for count in counts]
-                for i, out in enumerate(got_points):
-                    bank.retrieve_step(got, i, model, out)
-            else:
-                got_points = np.split(got, cuts)
-            for pts, labs, count, flagged, group_points, group_labels in zip(
-                got_points, np.split(got_labels, cuts), counts, fallbacks, points, labels
-            ):
-                want = bank.retrieve_defending(
-                    b, group_points, group_labels, cfg, rng_each, model=model
-                )
-                assert np.array_equal(pts, want[0])
+            rng_plan, rng_each = np.random.default_rng(case), np.random.default_rng(case)
+            plan = bank.RetrievalPlan(b, points, labels, cfg, rng_plan)
+            assert len(plan.counts) == len(plan.fallbacks) == len(plan.tables) == groups
+            step_labels = np.split(plan.labels, np.cumsum(plan.counts)[:-1])
+            for i, model in enumerate(drifted(random_model(47), groups, case)):
+                out = np.full((plan.counts[i], 2), np.nan)
+                bank.retrieve_step(plan, i, model, out)
+                want = bank.retrieve_defending(b, points[i], labels[i], cfg, rng_each, model=model)
+                assert np.array_equal(out, want[0])
+                labs, count, flagged = step_labels[i], plan.counts[i], plan.fallbacks[i]
                 assert np.array_equal(labs, want[1]) and labs.dtype == want[1].dtype
                 assert count == len(want[0]) and type(count) is int
                 assert flagged == want[2] and type(flagged) is int
-            assert rng_split.bit_generator.state == rng_each.bit_generator.state
+            assert rng_plan.bit_generator.state == rng_each.bit_generator.state
+
+
+class TestEmptyResult:
+    @pytest.mark.parametrize("strategy", bank.STRATEGIES)
+    @pytest.mark.parametrize("fallback", [bank.DUPLICATE_LABELED, bank.SKIP_WITH_FLAG])
+    def test_keeps_the_points_width(self, strategy, fallback):
+        # 3-column points: a call that serves no point gives no rows of the
+        # points' width, as a call that serves some gives rows of it
+        rng = np.random.default_rng(54)
+        pts = rng.normal(size=(12, 3))
+        b = bank.CandidateBank(pts, np.arange(12), [np.arange(7), np.arange(7, 12), []],
+                               [np.full(7, 0.9), np.full(5, 0.8), []])
+        model = random_model(54, dims=(3, 8, 3))
+        cfg = bank.RldConfig(k=2, strategy=strategy, empty_class_fallback=fallback)
+        calls = {"none": (np.zeros((0, 3)), []), "served": (rng.normal(size=(2, 3)), [0, 1])}
+        if fallback == bank.SKIP_WITH_FLAG and strategy != bank.UNCONDITIONED_RANDOM:
+            calls["falls back"] = (rng.normal(size=(2, 3)), [2, 5])  # class 2 has no entries
+        for name, (lab_pts, lab_y) in calls.items():
+            got, labs, _ = bank.retrieve_defending(b, lab_pts, lab_y, cfg, rng, model=model)
+            assert got.shape == (2 * len(lab_y) if name == "served" else 0, 3), name
+            assert len(labs) == len(got) and labs.dtype == np.int64
 
 
 class TestRepeatedLabeledPoints:
@@ -969,6 +981,16 @@ def argsort_cosine_picks(b, model, points, labels, k):
     return np.stack(picks)
 
 
+def cosine_picks(b, model, points, labels, k):
+    """Rows of the k cosine_distant picks of each labeled point, shaped (n,
+    k), as the step of a one-step bank.RetrievalPlan writes them into its
+    table. Every label must be a class with entries."""
+    cfg = bank.RldConfig(k=k, strategy=bank.COSINE_DISTANT)
+    plan = bank.RetrievalPlan(b, points[None], labels[None], cfg, None)
+    bank.retrieve_step(plan, 0, model, np.empty((len(labels) * k, points.shape[1])))
+    return b.rows.take(plan.tables[0]).reshape(len(labels), k)
+
+
 class TestCosineNonFinite:
     def test_overflowing_features_rank_as_the_sort_ranks_them(self):
         # points of 1e300 give infinite features and norms: distances of 1
@@ -987,7 +1009,7 @@ class TestCosineNonFinite:
                 lab_pts[::3] *= 1e300
                 labels = rng.integers(0, 3, size=16)
                 for k in (3, 40):
-                    got = bank._cosine_picks(b, model, lab_pts, labels, k)
+                    got = cosine_picks(b, model, lab_pts, labels, k)
                     assert np.array_equal(got, argsort_cosine_picks(b, model, lab_pts, labels, k))
 
 

@@ -16,7 +16,7 @@ spec.loader.exec_module(pass_costs)
 
 def test_one_round_prints_every_pass_and_the_pretraining(capsys):
     assert pass_costs.main(["--rounds", "1", "--calls", "3"]) == 0
-    header, *rows, last, retrieval = capsys.readouterr().out.splitlines()
+    header, *rows, last, cosine, kmeans = capsys.readouterr().out.splitlines()
     assert header.split() == ["head", "rows", *pass_costs.PASSES, "(us", "per", "call)"]
     assert [(r.split()[0], int(r.split()[1])) for r in rows] == list(pass_costs.STEP_ROWS)
     for r in rows:
@@ -24,26 +24,52 @@ def test_one_round_prints_every_pass_and_the_pretraining(capsys):
         assert all(float(us) > 0 for us in r.split()[2:])
     label, ms, unit = last.split()
     assert label == "pretraining" and unit == "ms" and float(ms) > 0
-    words = retrieval.split()
-    assert words[:2] == ["cosine_distant", "retrieval"] and words[3:] == ["us", "per", "step"]
-    assert float(words[2]) > 0
+    for strategy, line in zip(pass_costs.RETRIEVALS, (cosine, kmeans)):
+        words = line.split()
+        assert words[:2] == [strategy, "retrieval"] and words[3:] == ["us", "per", "step"]
+        assert float(words[2]) > 0
+    assert pass_costs.RETRIEVALS == (bank.COSINE_DISTANT, bank.KMEANS_CENTER)
 
 
 def test_retrieval_row_is_a_cosine_epoch_as_the_loop_runs_it(monkeypatch):
-    # epoch 0 of the stock blobs rld run: one bank.retrieve_step call a
-    # step, looked up in the bank module, each writing k = 3 rows for each
-    # of 16 labelled points into its slot
-    calls = []
-    original = bank.retrieve_step
+    # epoch 0 of the stock blobs rld run: one plan, then one
+    # bank.retrieve_step call a step, each looked up in the bank module,
+    # each step writing k = 3 rows for each of 16 labelled points into its slot
+    check_retrieval_row(monkeypatch, bank.COSINE_DISTANT)
+
+
+def test_kmeans_row_is_a_model_free_epoch_as_the_loop_runs_it(monkeypatch):
+    # the same epoch under kmeans_center, whose plan draws every step's
+    # picks from the same rng state at each call
+    check_retrieval_row(monkeypatch, bank.KMEANS_CENTER)
+
+
+def check_retrieval_row(monkeypatch, strategy) -> None:
+    """Run the retrieval row of strategy twice: each call must lay out one
+    plan under strategy over 16 labelled points a step and take one
+    retrieve_step a step, the two calls writing the same rows."""
+    plans, calls, written = [], [], []
+    original_plan, original_step = bank.RetrievalPlan, bank.retrieve_step
+
+    def plan_spy(cur_bank, points, labels, cfg, *args):
+        plans.append((labels.shape, cfg.strategy))
+        return original_plan(cur_bank, points, labels, cfg, *args)
 
     def spy(plan, i, model, out):
-        calls.append((i, plan.b, out.shape))
-        original(plan, i, model, out)
+        calls.append((i, out.shape))
+        original_step(plan, i, model, out)
+        written.append(out.copy())
 
+    monkeypatch.setattr(bank, "RetrievalPlan", plan_spy)
     monkeypatch.setattr(bank, "retrieve_step", spy)
-    run, steps = pass_costs.cosine_retrieval()
+    run, steps = pass_costs.retrieval(strategy)
+    for seen in (plans, calls, written):  # the set-up's plan and step
+        seen.clear()
     run()
-    assert steps > 1 and calls == [(i, 16, (48, 2)) for i in range(steps)]
+    run()
+    assert steps > 1 and plans == [((steps, 16), strategy)] * 2
+    assert calls == [(i, (48, 2)) for i in range(steps)] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(written[:steps], written[steps:]))
 
 
 def test_binary_row_is_a_sigmoid_pseudo_label_step_under_bce():

@@ -1,6 +1,7 @@
 """Time one buffered training pass of each kind at the row counts the
-training loops run, one default pretraining, and one `cosine_distant`
-retrieval step: the figures the nn module docstring and README quote.
+training loops run, one default pretraining, and one retrieval step under
+`cosine_distant` and under `kmeans_center`: the figures the nn module
+docstring and README quote.
 
     python3 tools/pass_costs.py                  # 7 rounds
     python3 tools/pass_costs.py --rounds 1 --calls 50
@@ -19,13 +20,16 @@ one-step epoch that `adapt.build_minibatch` lays out under the head's rule,
 as the adaptation loop lays out its epochs. Every pass runs on one
 `nn.StepBuffers` per model, as the loops run theirs.
 
-The retrieval row runs epoch 0 of the stock blobs rld run (seed 0,
-`adapt.k = 3`, the default `cosine_distant`) as `adapt.adapt` runs it:
-the epoch's bank from the pretrained model, its draws (16 labelled points
-a step), the epoch's retrieval layout (`bank._retrieve_split`, once) and
+The retrieval rows run epoch 0 of the stock blobs rld run (seed 0,
+`adapt.k = 3`) under the strategy they name, as `adapt.adapt` runs an
+epoch: the epoch's bank from the pretrained model, its draws (16 labelled
+points a step), the epoch's `bank.RetrievalPlan`, laid out once, and
 every step's `bank.retrieve_step` into its slot of the epoch's layout, on
-the pretrained model. A call is the whole epoch's retrieval; the row gives
-it per step, the layout's share included.
+the pretrained model. Each call replays the same epoch from the same rng
+state, as an epoch after a run's first: its bank is new to the arrays that
+the `cosine_distant` picks write, which the plan of the call before hands
+on. A call is the whole epoch's retrieval; the row gives it per step,
+the plan's share included.
 
 A round times each item once: `--calls` calls in a row, divided by their
 count. The items' order rotates by one from round to round, so that a drift
@@ -33,7 +37,8 @@ in the machine's speed falls on every item alike. It prints, per step, the
 minimum over the rounds of the microseconds per call of `nn.forward`, the
 loss core, `nn.backward` and `nn.sgd_step`, then the minimum over the
 rounds of one pretraining at stock settings (seed 0, blobs), in
-milliseconds, and of a `cosine_distant` step's retrieval, in microseconds.
+milliseconds, and of a step's retrieval under each strategy, in
+microseconds.
 """
 
 import argparse
@@ -41,6 +46,7 @@ import functools
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -57,6 +63,7 @@ B, U = 16, 112  # the default labelled and unlabelled rows of an adaptation step
 # the (algorithm, k) of the 128-, 176- and 240-row softmax adaptation steps
 STEPS = ((adapt.PSEUDO_LABEL, 0), (adapt.PSEUDO_LABEL, 3), (adapt.FIXMATCH_LITE, 0))
 FINDINGS = 4
+RETRIEVALS = (bank.COSINE_DISTANT, bank.KMEANS_CENTER)  # the strategies of the retrieval rows
 
 
 def epoch_step(rng, algorithm, k, rule, n_outputs):
@@ -69,10 +76,13 @@ def epoch_step(rng, algorithm, k, rule, n_outputs):
     points = rng.normal(scale=3.0, size=(B + U + k * B, 2))
     train = LabeledSet(points[: B + U], np.zeros(B + U, dtype=np.int64), data.TARGET)
     picked = np.stack([np.arange(B), rng.integers(0, n_labels, size=B)], axis=1)[None]
-    defending = (points[B + U :], rng.integers(0, n_labels, size=k * B), [k * B], [0]) if k else None
+    # what build_minibatch reads of a retrieval plan
+    plan = SimpleNamespace(labels=rng.integers(0, n_labels, size=k * B), counts=[k * B],
+                           fallbacks=[0]) if k else None
     cfg = adapt.AdaptConfig(algorithm=algorithm, rld=bank.RldConfig(k=k) if k else None)
-    epoch = adapt.build_minibatch(train, picked, np.arange(B, B + U)[None], defending, cfg,
+    epoch = adapt.build_minibatch(train, picked, np.arange(B, B + U)[None], plan, cfg,
                                   rule, n_outputs)
+    epoch.defending_slot(0)[...] = points[B + U :]
     d, inputs, targets, mask, pseudo, n_pseudo, plan = epoch.cut(0)
     pseudo[...] = rng.integers(0, 2 if sigmoid else n_outputs, size=pseudo.shape)
     return inputs, functools.partial(nn._terms, targets=targets, counts=[B, n_pseudo, d],
@@ -136,10 +146,11 @@ def pretraining():
     return run
 
 
-def cosine_retrieval():
-    """(call, steps): call runs epoch 0's cosine_distant retrieval of the
-    stock blobs rld run, seed 0, as adapt.adapt runs it (module docstring)."""
-    cfg = load_config(None, ["rld.enabled=true", "adapt.k=3"])
+def retrieval(strategy):
+    """(call, steps): call runs epoch 0's retrieval of the stock blobs rld
+    run, seed 0, under strategy, as adapt.adapt runs an epoch after its
+    first (module docstring)."""
+    cfg = load_config(None, ["rld.enabled=true", "adapt.k=3", f"rld.strategy={strategy}"])
     acfg = cfg.adapt_config()
     train = runner.make_data(cfg, 0).target_train
     model = runner.pretrain(cfg, 0).model
@@ -148,18 +159,26 @@ def cosine_retrieval():
     steps = adapt.steps_per_epoch(len(units), len(pool), acfg.batch)
     picked, unlabeled = adapt._Draws(units, pool, acfg.batch, steps).draw(
         np.random.default_rng(batch_ss))
-    cur_bank = adapt.SOFTMAX_RULE.bank(model, train.points[pool], pool, acfg.rld.p, 0)
+    # two equal banks, taken in turn, so each call's bank is new to the plan before it
+    banks = [adapt.SOFTMAX_RULE.bank(model, train.points[pool], pool, acfg.rld.p, 0)
+             for _ in range(2)]
     labeled = train.points[picked[..., 0]], picked[..., 1]
     rng = np.random.default_rng(retrieval_ss)
-    defending = bank._retrieve_split(cur_bank, *labeled, acfg.rld, rng, epoch=0)
-    epoch = adapt.build_minibatch(train, picked, unlabeled, defending, acfg, adapt.SOFTMAX_RULE,
-                                  model.output_dim)
-    assert isinstance(epoch.retrieval, bank.CosinePlan) and len(picked[0]) == 16
+    state = rng.bit_generator.state
+    last = {"plan": bank.RetrievalPlan(banks[0], *labeled, acfg.rld, rng, 0), "calls": 0}
+    epoch = adapt.build_minibatch(train, picked, unlabeled, last["plan"], acfg,
+                                  adapt.SOFTMAX_RULE, model.output_dim)
+    bank.retrieve_step(last["plan"], 0, model, epoch.defending_slot(0))  # the run's first step
+    assert acfg.rld.strategy == strategy and len(picked[0]) == 16
 
     def run():
-        plan = bank._retrieve_split(cur_bank, *labeled, acfg.rld, rng, epoch=0)[0]
+        rng.bit_generator.state = state
+        last["calls"] += 1
+        plan = bank.RetrievalPlan(banks[last["calls"] % 2], *labeled, acfg.rld, rng, 0,
+                                  last["plan"])
         for i in range(steps):
             bank.retrieve_step(plan, i, model, epoch.defending_slot(i))
+        last["plan"] = plan
     return run, steps
 
 
@@ -181,14 +200,15 @@ def measure(items: dict, rounds: int, calls: dict) -> dict:
 def report(found: dict, steps: int) -> list:
     """The table's lines: the us per call of each pass of each step
     (minimum over the rounds), then the pretraining's ms, then the us of a
-    cosine_distant step's retrieval, a call's time over its steps."""
+    step's retrieval under each of RETRIEVALS, a call's time over its steps."""
     lines = [f"head  {'rows':>4}  " + "  ".join(f"{p:>8}" for p in PASSES) + "  (us per call)"]
     for loss_name, n in STEP_ROWS:
         lines.append(f"{loss_name:<4}  {n:>4}  " + "  ".join(
             f"{min(found[loss_name, n, p]) * 1e6:>8.2f}" for p in PASSES))
     lines.append(f"pretraining {min(found['pretraining']) * 1e3:.2f} ms")
-    per_step = min(found["retrieval"]) / steps
-    lines.append(f"cosine_distant retrieval {per_step * 1e6:.2f} us per step")
+    for strategy in RETRIEVALS:
+        per_step = min(found[strategy]) / steps
+        lines.append(f"{strategy} retrieval {per_step * 1e6:.2f} us per step")
     return lines
 
 
@@ -202,8 +222,9 @@ def main(argv=None) -> int:
     items = pass_items(np.random.default_rng(0))
     calls = dict.fromkeys(items, args.calls)
     items["pretraining"], calls["pretraining"] = pretraining(), 1
-    items["retrieval"], steps = cosine_retrieval()
-    calls["retrieval"] = max(1, args.calls // 20)
+    for strategy in RETRIEVALS:
+        items[strategy], steps = retrieval(strategy)
+        calls[strategy] = max(1, args.calls // 20)
     print("\n".join(report(measure(items, args.rounds, calls), steps)))
     return 0
 
