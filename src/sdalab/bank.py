@@ -198,41 +198,24 @@ def _choices(rng: np.random.Generator, sizes, k: int, replace: bool) -> np.ndarr
     ``rng.choice(n, size=n, replace=False)`` in its first n columns, the
     rest -1.
 
-    It mirrors numpy 2's Generator.choice without replacement
-    (numpy/random/_generator.pyx): Floyd's algorithm takes, for j = n-k ..
-    n-1, v in [0, j], and keeps v unless an earlier pick holds it, else j;
-    then _shuffle_int swaps column i with a draw in [0, i] for i = k-1 ..
-    1. A draw in [0, j] for j < 2**32 - 1 is random_bounded_uint64's
-    Lemire path (buffered_bounded_lemire_uint32 in
-    numpy/random/src/distributions/distributions.c): one 32-bit word w
-    gives (w * (j+1)) >> 32, and only where (w * (j+1)) mod 2**32 < j+1
-    may w be rejected for a further word; j = 0 takes no word. So all the
-    rows' words are one ``rng.integers(0, 2**32, dtype=np.uint32)`` call,
-    which reads the same next_uint32 stream, its buffered half included.
-    Where a word may be rejected, or a row leaves that path (n < k, numpy's
-    tail shuffle at n > 10000 with k > n // 50, or n >= 2**32), the rng is
-    set back and each row is drawn by its own call. tests/test_bank.py
-    checks the values and the state against the calls, so a numpy whose
-    choice draws otherwise fails there.
+    Such a call runs Floyd's algorithm: for j = n-k .. n-1 it draws v in
+    [0, j] and keeps v unless an earlier pick holds it, else j; then it
+    swaps column i with a draw in [0, i] for i = k-1 .. 1. Each is the
+    bounded draw of ``rng.integers(0, j + 1)``, none for j = 0, and
+    ``rng.integers`` over an array of bounds makes them cell after cell: so
+    every row's draws are one call. A row with n < k, or in numpy's tail
+    shuffle (n > 10000 with k > n // 50), takes one call a row.
+    tests/test_bank.py checks the values and the state against the calls.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rows = len(sizes)
-    if rows and (sizes.min() < k or sizes.max() >= 1 << 32
-                 or np.any((sizes > 10000) & (k > sizes // 50))):
+    if rows and (sizes.min() < k or np.any((sizes > 10000) & (k > sizes // 50))):
         return _choices_each(rng, sizes, k, replace)
     # a row's bounds j + 1 in draw order: Floyd's, then the shuffle's
-    bounds = np.empty((rows, 2 * k - 1), dtype=np.uint64)
+    bounds = np.empty((rows, 2 * k - 1), dtype=np.int64)
     bounds[:, :k] = sizes[:, None] + np.arange(1 - k, 1)
     bounds[:, k:] = np.arange(k, 1, -1)
-    drawn = bounds > 1
-    words = np.zeros(bounds.shape, np.uint64)
-    state = rng.bit_generator.state
-    words[drawn] = rng.integers(0, 1 << 32, size=np.count_nonzero(drawn), dtype=np.uint32)
-    scaled = np.multiply(words, bounds, out=words)
-    if np.any(((scaled & 0xFFFFFFFF) < bounds) & drawn):
-        rng.bit_generator.state = state
-        return _choices_each(rng, sizes, k, replace)
-    values = (scaled >> 32).astype(np.int64)
+    values = rng.integers(0, bounds)
     out = np.empty((rows, k), dtype=np.int64)
     for t in range(k):
         taken = (out[:, :t] == values[:, t, None]).any(axis=1)
@@ -371,7 +354,7 @@ def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndar
     sums a point's coordinates, so its bits, and so the ties, are norm's.
 
     The orders are a stable argsort's, taken only as deep as the picks
-    read: _farthest on the negated distances ranks them nearest first,
+    read: _knock_out on the negated distances ranks them nearest first,
     ties to the lower row, NaN last.
     """
     work = np.empty((points.shape[1], *centroids.shape[:2], len(points)))
@@ -380,7 +363,9 @@ def _nearest_picks(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndar
     runs, n_clusters, n = dist.shape
     depth = min(-(-k // n_clusters), n)
     dist = np.negative(np.sqrt(dist, out=dist), out=dist).reshape(runs * n_clusters, n)
-    order = _farthest(dist, np.full(len(dist), n), depth).reshape(runs, n_clusters, depth)
+    rounds = np.empty((depth, len(dist)), dtype=np.intp)
+    _knock_out(dist, np.zeros(dist.shape, bool), rounds, np.arange(len(dist)))
+    order = rounds.T.reshape(runs, n_clusters, depth)
     pick = np.arange(k)
     return order[:, pick % n_clusters, (pick // n_clusters) % n]
 
@@ -587,7 +572,7 @@ def _place_picks(plan: RetrievalPlan, i: int, model: nn.MlpModel) -> None:
     the matrix because a row's bits depend on the matrix's height and the
     row's place in it, so a product with the whole bank would move last
     bits. index_map then lays each point's distances out in its class's
-    index order, where _farthest's first maximum is the entry that lexsort
+    index order, where _knock_out's first maximum is the entry that lexsort
     on the index ranks first. A zero norm counts as orthogonal: its cosine
     is 0, its distance 1.
     """
@@ -622,22 +607,12 @@ _LOWEST = np.finfo(np.float64).min
 _ABOVE_MIN = np.nextafter(_LOWEST, 0.0)
 
 
-def _farthest(dist: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k largest of row i's first sizes[i] (at least 1)
-    entries of dist, shaped (n, k), as ``np.argsort(-dist[i, :sizes[i]],
-    kind="stable")`` ranks them: ties go to the lower column and NaN ranks
-    last. A row with fewer than k entries repeats them from its first.
-    Overwrites dist."""
-    n, width = dist.shape
-    rounds = np.empty((min(k, width), n), dtype=np.intp)
-    at = np.arange(n)
-    _knock_out(dist, np.arange(width) >= sizes[:, None], rounds, at)
-    return rounds.T[at[:, None], np.arange(k) % sizes[:, None]]
-
-
 def _knock_out(dist: np.ndarray, pad: np.ndarray, rounds: np.ndarray, at: np.ndarray) -> None:
-    """_farthest's rounds: rounds[r] gets each row's r-th pick among its
-    columns that pad leaves, at = np.arange(len(dist)). Overwrites dist.
+    """rounds[r] gets each row's r-th pick among its columns that pad
+    leaves, as ``np.argsort(-row, kind="stable")`` ranks them: ties go to
+    the lower column and NaN ranks last; a round past a row's count of
+    columns left holds no pick of it. at = np.arange(len(dist)). Overwrites
+    dist.
 
     len(rounds) rounds of argmax, each knocking its pick out with -inf:
     argmax returns the first maximum, and -0.0 equals 0.0 under it as under

@@ -403,9 +403,18 @@ def choice_batch(case, rng):
         k = int(rng.integers(201, 240))
         return (50 * k + rng.integers(-60, 60, size=int(rng.integers(1, 4)))).tolist(), k
     if case == "rejecting":
-        # Lemire's rejection test fires on most words, so the batch replays
+        # numpy's bounded draw rejects a word often at bounds this near 2**32
         k = int(rng.integers(2, 5))
         return rng.integers(3 << 30, 1 << 32, size=int(rng.integers(6, 12))).tolist(), k
+    if case == "huge":
+        # bounds past 2**32 draw 64-bit words; those at 2**32 draw a whole 32-bit one
+        k = int(rng.integers(1, 7))
+        sizes = rng.integers(k, 90, size=rows)
+        huge = rng.random(rows) < 0.5
+        sizes[huge] = rng.integers(1 << 32, 1 << 62, size=np.count_nonzero(huge))
+        edge = rng.random(rows) < 0.2
+        sizes[edge] = (1 << 32) + rng.integers(-1, k + 1, size=np.count_nonzero(edge))
+        return sizes.tolist(), k
     k = int(rng.integers(2 if case == "short" else 1, 7))
     sizes = rng.integers(k, 90, size=rows)
     if case == "n_equals_k":  # the draw in [0, 0] takes no word
@@ -418,7 +427,7 @@ def choice_batch(case, rng):
 
 class TestChoices:
     @pytest.mark.parametrize(
-        "case", ["empty", "small", "n_equals_k", "short", "rejecting", "tail"]
+        "case", ["empty", "small", "n_equals_k", "short", "rejecting", "huge", "tail"]
     )
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
@@ -433,8 +442,8 @@ class TestChoices:
         assert got.shape == (len(sizes), k) and got.dtype == np.int64
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
-        if case == "rejecting" or any(n < k for n in sizes):
-            assert each.called
+        # one rng.integers call unless a row is short or in numpy's tail shuffle
+        assert each.called == any(n < k or (n > 10000 and k > n // 50) for n in sizes)
 
     def test_an_epoch_of_small_classes_takes_one_rng_call(self):
         # blobs-sized: 144 points an epoch, each class's bank above k
@@ -926,8 +935,9 @@ class TestCosineDistant:
 
 
 class TestFarthest:
-    """bank._farthest, k knock-out rounds of argmax, against a stable
-    argsort of each row's entries."""
+    """bank._knock_out, rounds of argmax over each row's first sizes[i]
+    entries (the rest padded out), wrapped to k picks a row, against a
+    stable argsort of those entries."""
 
     @staticmethod
     def argsort_picks(dist, sizes, k):
@@ -935,7 +945,11 @@ class TestFarthest:
                          for row, size in zip(dist, sizes)])
 
     def check(self, dist, sizes, k):
-        got = bank._farthest(dist.copy(), sizes, k)
+        n, width = dist.shape
+        rounds = np.empty((min(k, width), n), dtype=np.intp)
+        at = np.arange(n)
+        bank._knock_out(dist.copy(), np.arange(width) >= sizes[:, None], rounds, at)
+        got = rounds.T[at[:, None], np.arange(k) % sizes[:, None]]
         assert np.array_equal(got, self.argsort_picks(dist, sizes, k)), (dist, sizes, k)
 
     def test_ties_signed_zeros_one_entry_rows_and_k_past_the_size(self):

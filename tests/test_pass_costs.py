@@ -16,7 +16,7 @@ spec.loader.exec_module(pass_costs)
 
 def test_one_round_prints_every_pass_and_the_pretraining(capsys):
     assert pass_costs.main(["--rounds", "1", "--calls", "3"]) == 0
-    header, *rows, last, cosine, kmeans = capsys.readouterr().out.splitlines()
+    header, *rows, last, cosine, kmeans, random = capsys.readouterr().out.splitlines()
     assert header.split() == ["head", "rows", *pass_costs.PASSES, "(us", "per", "call)"]
     assert [(r.split()[0], int(r.split()[1])) for r in rows] == list(pass_costs.STEP_ROWS)
     for r in rows:
@@ -24,11 +24,12 @@ def test_one_round_prints_every_pass_and_the_pretraining(capsys):
         assert all(float(us) > 0 for us in r.split()[2:])
     label, ms, unit = last.split()
     assert label == "pretraining" and unit == "ms" and float(ms) > 0
-    for strategy, line in zip(pass_costs.RETRIEVALS, (cosine, kmeans)):
+    for strategy, line in zip(pass_costs.RETRIEVALS, (cosine, kmeans, random)):
         words = line.split()
         assert words[:2] == [strategy, "retrieval"] and words[3:] == ["us", "per", "step"]
         assert float(words[2]) > 0
-    assert pass_costs.RETRIEVALS == (bank.COSINE_DISTANT, bank.KMEANS_CENTER)
+    assert pass_costs.RETRIEVALS == (bank.COSINE_DISTANT, bank.KMEANS_CENTER,
+                                     bank.CLASS_AWARE_RANDOM)
 
 
 def test_retrieval_row_is_a_cosine_epoch_as_the_loop_runs_it(monkeypatch):
@@ -42,6 +43,12 @@ def test_kmeans_row_is_a_model_free_epoch_as_the_loop_runs_it(monkeypatch):
     # the same epoch under kmeans_center, whose plan draws every step's
     # picks from the same rng state at each call
     check_retrieval_row(monkeypatch, bank.KMEANS_CENTER)
+
+
+def test_class_aware_row_is_a_model_free_epoch_as_the_loop_runs_it(monkeypatch):
+    # the same epoch under class_aware_random, whose plan draws every
+    # step's picks with one bank._choices call
+    check_retrieval_row(monkeypatch, bank.CLASS_AWARE_RANDOM)
 
 
 def check_retrieval_row(monkeypatch, strategy) -> None:

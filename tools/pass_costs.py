@@ -1,7 +1,7 @@
 """Time one buffered training pass of each kind at the row counts the
 training loops run, one default pretraining, and one retrieval step under
-`cosine_distant` and under `kmeans_center`: the figures the nn module
-docstring and README quote.
+`cosine_distant`, `kmeans_center` and `class_aware_random`: the figures the
+nn module docstring and README quote.
 
     python3 tools/pass_costs.py                  # 7 rounds
     python3 tools/pass_costs.py --rounds 1 --calls 50
@@ -63,7 +63,8 @@ B, U = 16, 112  # the default labelled and unlabelled rows of an adaptation step
 # the (algorithm, k) of the 128-, 176- and 240-row softmax adaptation steps
 STEPS = ((adapt.PSEUDO_LABEL, 0), (adapt.PSEUDO_LABEL, 3), (adapt.FIXMATCH_LITE, 0))
 FINDINGS = 4
-RETRIEVALS = (bank.COSINE_DISTANT, bank.KMEANS_CENTER)  # the strategies of the retrieval rows
+# the strategies of the retrieval rows
+RETRIEVALS = (bank.COSINE_DISTANT, bank.KMEANS_CENTER, bank.CLASS_AWARE_RANDOM)
 
 
 def epoch_step(rng, algorithm, k, rule, n_outputs):
