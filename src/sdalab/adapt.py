@@ -361,7 +361,7 @@ class _Epoch:
         index[:, :b] = picked[..., 0]
         for view in range(self.views):
             index[:, b + view * u : b + (view + 1) * u] = unlabeled
-        points.take(index, axis=0, out=self.inputs)
+        points.take(index, axis=0, out=self.inputs, mode="clip")  # the epoch's own draws
         labels[:, :b] = picked[..., 1]
         if self.room:
             tail = labels[:, b + u :]

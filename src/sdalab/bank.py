@@ -11,9 +11,11 @@ Adaptation lays out one RetrievalPlan per epoch, whatever the strategy:
 each step's served and falling-back points, defending labels and counts,
 and its output rows as positions in one source array, which a model-free
 strategy draws there. cosine_distant reads the model as trained so far, so
-its step (retrieve_step) first picks its rows; every step then writes its
-defending points into its slot with one take. retrieve_defending serves
-one batch on its own, as a one-step plan.
+its step (retrieve_step) first picks its rows, from one feature pass over
+the bank, each point's own one-row pass and one product of the step's
+points against the whole bank; every step then writes its defending points
+into its slot with one take. retrieve_defending serves one batch on its
+own, as a one-step plan.
 """
 
 import itertools
@@ -389,18 +391,17 @@ class RetrievalPlan:
     served points in labeled order, so it reads the rng as one
     retrieve_defending call per step would. cosine_distant (reads_model)
     lays out its picks' inputs, and each step writes the picks
-    (_place_picks): it takes its served points in class order, by label,
-    stable; own_in[i] holds them and classes[i] their classes. blocks[i]
-    lists (lo, hi, first, last) for each class with points in the step:
-    its entries are rows lo:hi of the bank's feature pass, its points
-    first:last. A point's distances are laid out in its class's row of
-    bank.index_map, class_pad marking each class's columns past its size
-    (tables per class: per point of the epoch, they filled fresh pages that
-    cost more than they saved). wrap[i, s, t] is the flat position, in the
-    (rounds, b) knock-out picks, of the round that point s's t-th pick
-    reads (t modulo its class's size). slots[i] says where the picks of the
-    step's served points, in class order, go in tables[i]. previous, the
-    run's plan of the epoch before, hands on the arrays that the picks
+    (_place_picks) of all b of its points, in labeled order, against the
+    whole bank. classes[i] holds each point's class, clipped to the bank's
+    (a falling-back point's picks go nowhere). A point's distances are
+    laid out in its class's row of bank.index_map, class_pad marking each
+    class's columns past its size (tables per class: per point of the
+    epoch, they filled fresh pages that cost more than they saved).
+    wrap[i, s, t] is the flat position, in the (rounds, b) knock-out picks,
+    of the round that point s's t-th pick reads (t modulo its class's
+    size). slots[i] says where the picks of the step's served points go in
+    tables[i], and kept[i] which of the step's points they are. previous,
+    the run's plan of the epoch before, hands on the arrays that the picks
     write (_CosineWork).
     """
 
@@ -441,27 +442,19 @@ class RetrievalPlan:
             self.labels = np.repeat(np.arange(n_classes), bank.counts)[picks.ravel()]
         else:  # the picks' inputs; each step writes its picks
             picks = np.empty((len(own), k), dtype=np.intp)
-            key = np.where(falls_back, n_classes, labels)  # falling back ranks last
-            at = np.arange(steps)[:, None]
-            order = key.argsort(axis=1, kind="stable")
-            ranked = key[at, order]
-            self.own_in = points[at, order]
-            per_class = np.bincount((ranked + (n_classes + 1) * at).ravel(),
-                                    minlength=steps * (n_classes + 1)).reshape(steps, -1)
-            starts = np.zeros((steps, n_classes + 1), dtype=np.intp)
-            np.cumsum(per_class[:, :n_classes], axis=1, out=starts[:, 1:])
-            spans = list(zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist()))
-            self.blocks = [[(lo, hi, first, last) for (lo, hi), first, last
-                            in zip(spans, row, row[1:]) if first < last]
-                           for row in starts.tolist()]
-            self.classes = np.minimum(ranked, n_classes - 1)  # a falling-back point reads no row
+            self.points = points
+            self.classes = np.minimum(labels, n_classes - 1)  # past the bank: picks go nowhere
             sizes = np.maximum(bank.counts, 1)[:, None]
             self.class_pad = np.arange(bank.index_map.shape[1]) >= sizes
             wraps = (np.arange(k) % sizes).take(self.classes, axis=0)
             self.wrap = wraps * b + np.arange(b)[:, None]
-            if skip:  # a point's rank among the step's served points, in labeled order
-                order = (np.cumsum(~falls_back, axis=1) - 1)[at, order]
-            self.slots = (order[..., None] * k + np.arange(k)).reshape(steps, b * k)
+            # a served point's picks follow the rows of the step's points
+            # before it that have rows: the served ones, or under
+            # duplicate_labeled every one
+            self.kept = ~falls_back
+            rank = np.cumsum(self.kept | (not skip), axis=1) - 1
+            self.slots = [(row[kept, None] * k + np.arange(k)).ravel()
+                          for row, kept in zip(rank, self.kept)]
         table = picks
         if some_fall_back and not skip:  # a point that falls back repeats itself k times
             table = np.arange(entries, entries + steps * b).repeat(k).reshape(-1, k)
@@ -492,11 +485,10 @@ class _CosineWork:
     a model shape, b points a step and k picks, with room for capacity
     entries: the first bank's plus one a class, the largest bank that pool
     and p give (a class of n candidates keeps ceil(p n) < p n + 1). Each is
-    flat and cut, as a C-ordered view of its first cells, to a bank
-    (bind: the bank's feature passes, each (inputs, one array per hidden
-    layer), their last layer feats, its squares and norms, the dot
-    products) and to a step's n served points (cuts[n], as _place_picks
-    unpacks it).
+    flat and cut, as a C-ordered view of its first cells, to a bank (bind:
+    the feature pass over it, one array per hidden layer, its last layer's
+    squares and norms, the step's dot products, and the step's (b, width)
+    arrays laid out in index_map's columns, as _place_picks unpacks them).
     """
 
     def __init__(self, model: nn.MlpModel, b: int, k: int, capacity: int):
@@ -514,33 +506,15 @@ class _CosineWork:
         self.bank = None
 
     def bind(self, bank: CandidateBank) -> None:
-        entries = self.entries = len(bank.rows)
-        *layers, self.squares, norms, dots = (
+        b, entries, width = self.b, len(bank.rows), bank.index_map.shape[1]
+        *self.layers, self.squares, norms, dots = (
             cells[: entries * h].reshape(entries, h)
-            for cells, h in zip(self.cells, [*self.widths, self.widths[-1], 1, self.b]))
-        self.feats, self.norms = layers[-1], norms[:, 0]
-        self.dots = dots.reshape(self.b, entries, 1)
-        # a class slice of one pass over the bank has the bits of a pass over
-        # the slice alone at these widths (_place_picks)
-        if self.widths == [10, 10] or max(self.widths[:-1], default=0) <= 7:
-            self.passes = [(bank.entry_points, layers)]
-        else:
-            self.passes = [(bank.entry_points[lo:hi], [layer[lo:hi] for layer in layers])
-                           for lo, hi in zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())
-                           if lo < hi]
-        self.width = bank.index_map.shape[1]
-        self.bank, self.cuts = bank, {}
-
-    def cut(self, n: int) -> tuple:
-        width = self.width
-        found = self.cuts[n] = (
-            [layer[:n] for layer in self.own_layers], self.own_squares[:n],
-            self.own_squares[:n, 0], *(cells[: n * width].reshape(n, width)
-                                       for cells in self.step_cells),
-            list(self.rounds[: min(self.k, width), :n]), self.columns[:n], self.chosen[:n],
-            self.at[:n], self.at[:n, None] * self.entries, self.at[:n, None] * width,
-        )
-        return found
+            for cells, h in zip(self.cells, [*self.widths, self.widths[-1], 1, b]))
+        self.norms, self.dots = norms[:, 0], dots.reshape(b, entries)
+        self.step = (*(cells[: b * width].reshape(b, width) for cells in self.step_cells),
+                     list(self.rounds[: min(self.k, width)]),
+                     self.at[:, None] * entries, self.at[:, None] * width)
+        self.bank = bank
 
 
 def retrieve_step(plan: RetrievalPlan, i: int, model: Optional[nn.MlpModel],
@@ -560,47 +534,36 @@ def _place_picks(plan: RetrievalPlan, i: int, model: nn.MlpModel) -> None:
     distance from it in penultimate features, farthest first, ties by
     ascending global index; fewer entries than k wrap around.
 
-    The picks are those of one point at a time with its own one-row feature
-    pass against a feature pass over its class's rows, bit for bit: a class
-    slice of one pass over the bank has the bits of a pass over the slice
-    alone if no hidden layer past the first has over 7 inputs, and at the
-    default widths [10, 10] (tests/test_nn.py); at other widths each class
-    takes a pass of its own (_CosineWork). Stacked one-row passes and
-    products have the bits of one-row ones. The points are taken in class
-    order so that each class's dot products are one stacked matrix-vector
-    product with its slice, the only other per-class call; the slice stays
-    the matrix because a row's bits depend on the matrix's height and the
-    row's place in it, so a product with the whole bank would move last
-    bits. index_map then lays each point's distances out in its class's
+    The bank's features are one pass over its entry points, each point's
+    its own one-row pass (stacked one-row passes have the bits of one-row
+    ones), and the dot products one product of the step's b points, in
+    labeled order, against the whole bank; a point reads its class's
+    columns of it. index_map lays each point's distances out in its class's
     index order, where _knock_out's first maximum is the entry that lexsort
     on the index ranks first. A zero norm counts as orthogonal: its cosine
     is 0, its distance 1.
     """
-    n = plan.served[i]
     work = plan.work_for(model)
-    (own_layers, own_squares, own_norms, cols, dots_at, denom, quotients, dist, positive, pad,
-     rounds, columns, chosen, at, row_starts, col_base) = work.cuts.get(n) or work.cut(n)
-    for inputs, layers in work.passes:
-        nn.penultimate_features(model, inputs, layers)
-    feats, norms = work.feats, work.norms
+    cols, dots_at, denom, quotients, dist, positive, pad, rounds, row_starts, col_base = work.step
+    feats, norms = nn.penultimate_features(model, plan.bank.entry_points, work.layers), work.norms
     np.add.reduce(np.multiply(feats, feats, out=work.squares), axis=1, out=norms)
     np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
-    own = nn.one_row_features(model, plan.own_in[i, :n], own_layers)
-    np.sqrt(np.matmul(own[:, None, :], own[:, :, None], out=own_squares), out=own_squares)
-    dots = work.dots  # a point reads its own class's columns only
-    for lo, hi, first, last in plan.blocks[i]:
-        np.matmul(feats[lo:hi], own[first:last, :, None], out=dots[first:last, lo:hi])
-    classes = plan.classes[i, :n]
+    own = nn.one_row_features(model, plan.points[i], work.own_layers)
+    own_squares = np.matmul(own[:, None, :], own[:, :, None], out=work.own_squares)
+    own_norms = np.sqrt(own_squares, out=own_squares)[:, 0]
+    dots = nn._dot(own, feats.T, work.dots)
+    classes = plan.classes[i]
     plan.bank.index_map.take(classes, axis=0, out=cols, mode="clip")
     np.multiply(own_norms, norms.take(cols, out=denom, mode="clip"), out=denom)
     dots.take(np.add(cols, row_starts, out=dots_at), out=quotients, mode="clip")
     dist.fill(0.0)
     np.divide(quotients, denom, out=dist, where=np.greater(denom, 0.0, out=positive))
     np.subtract(1.0, dist, out=dist)
-    _knock_out(dist, plan.class_pad.take(classes, axis=0, out=pad, mode="clip"), rounds, at)
-    work.rounds.take(plan.wrap[i, :n], out=columns, mode="clip")
+    _knock_out(dist, plan.class_pad.take(classes, axis=0, out=pad, mode="clip"), rounds, work.at)
+    columns, chosen = work.columns, work.chosen
+    work.rounds.take(plan.wrap[i], out=columns, mode="clip")
     cols.take(np.add(columns, col_base, out=columns), out=chosen, mode="clip")
-    plan.tables[i].put(plan.slots[i, : n * plan.k], chosen)
+    plan.tables[i].put(plan.slots[i], chosen[plan.kept[i]] if plan.fallbacks[i] else chosen)
 
 
 _LOWEST = np.finfo(np.float64).min

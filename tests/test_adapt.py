@@ -1800,9 +1800,9 @@ def retrieve_by_calls(patch) -> None:
 
 
 COSINE_RUNS = {
-    # the default widths, where one feature pass serves the whole bank
+    # the default widths
     "blobs": dict(hidden=[10, 10]),
-    # widths where each class takes a feature pass of its own
+    # widths where a class slice of the bank's feature pass has bits of its own
     "blobs_h16": dict(hidden=[16, 16]),
     "binary": dict(),
     "fixmatch_lite": dict(

@@ -72,14 +72,25 @@ def reference_nearest_per_centroid(points, centroids, k):
     return picks
 
 
-def reference_cosine_distance(a, b):
+def reference_cosine_distance(a, b, dots):
+    """1 - cos between a and each row of b, given their dot products; a
+    zero norm counts as orthogonal."""
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b, axis=1)
     denom = na * nb
     sim = np.zeros(len(b))
     ok = denom > 0.0
-    sim[ok] = (b[ok] @ a) / denom[ok]
+    sim[ok] = dots[ok] / denom[ok]
     return 1.0 - sim
+
+
+def reference_cosine_inputs(b, model, points):
+    """The bank's features from one pass over its entry points, each
+    point's from a pass of its own, and the dot products of the points,
+    in the order given, against the whole bank, shaped (points, entries)."""
+    feats = nn.forward(model, b.entry_points).activations[-1]
+    own = np.concatenate([nn.forward(model, x[None, :]).activations[-1] for x in points])
+    return feats, own, own @ feats.T
 
 
 # Lloyd's algorithm as batched before it stopped at the fixed point: always 20
@@ -130,14 +141,14 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
     def class_points(cls):
         return b.points[b.class_rows(cls)]
 
-    def features(x):
-        return nn.forward(model, x).activations[-1]
-
     labels = np.asarray(labeled_labels, dtype=np.int64)
     out_pts, out_lab, fallbacks = [], [], 0
     if cfg.strategy == bank.UNCONDITIONED_RANDOM:
         pool = [(int(r), cls) for cls in range(b.num_classes) for r in b.class_rows(cls)]
-    for x, y in zip(labeled_points, labels):
+    if cfg.strategy == bank.COSINE_DISTANT:
+        feats, own, dots = reference_cosine_inputs(
+            b, model, np.asarray(labeled_points, dtype=np.float64))
+    for j, (x, y) in enumerate(zip(labeled_points, labels)):
         cls = int(y)
         size = b.class_size(cls) if cls < b.num_classes else 0
         if cfg.strategy == bank.UNCONDITIONED_RANDOM:
@@ -163,9 +174,9 @@ def reference_retrieve(b, labeled_points, labeled_labels, cfg, rng, model=None):
                 out_pts.append(pts[r])
                 out_lab.append(cls)
         else:
-            feat_x = features(np.asarray(x, dtype=float)[None, :])[0]
+            lo, hi = b.offsets[cls], b.offsets[cls + 1]
             cand_pts = class_points(cls)
-            dist = reference_cosine_distance(feat_x, features(cand_pts))
+            dist = reference_cosine_distance(own[j], feats[lo:hi], dots[j, lo:hi])
             order = sorted(
                 range(len(cand_pts)), key=lambda r: (-dist[r], b.class_indices(cls)[r])
             )
@@ -896,36 +907,39 @@ class TestCosineDistant:
         # bank points that differ from one point in their last bits have
         # cosine distances that differ in their last bits: the order among
         # them holds only if every product, norm and quotient has the bits
-        # of the per-point computation. Class sizes take every residue mod
-        # 4, as a matrix-vector product runs its last rows through other
-        # kernels.
-        model = random_model(41, dims=(2, 10, 10, 3))
-        rng = np.random.default_rng(41)
+        # of the reference's one product against the whole bank. Class
+        # sizes take every residue mod 4, as a matrix-vector product with
+        # a class slice would run its last rows through other kernels. At
+        # [16, 10] a class slice of the feature pass has bits of its own too.
         sizes = [[40, 37, 42], [37, 42, 39], [42, 39, 41], [39, 41, 40]]
-        for case in range(20):
-            x = rng.normal(scale=2.0, size=2)
-            base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
-            b = sized_bank(rng, sizes[case % 4], base=base)
-            lab_pts = rng.normal(scale=2.0, size=(16, 2))
-            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, ks=(40,), seed=case)
+        for dims in ((2, 10, 10, 3), (2, 16, 10, 3)):
+            model = random_model(41, dims=dims)
+            rng = np.random.default_rng(41)
+            for case in range(20):
+                x = rng.normal(scale=2.0, size=2)
+                base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
+                b = sized_bank(rng, sizes[case % 4], base=base)
+                lab_pts = rng.normal(scale=2.0, size=(16, 2))
+                self.check(b, lab_pts, rng.integers(0, 3, size=16), model, ks=(40,), seed=case)
 
     def test_picks_at_a_width_where_slice_features_move(self):
         # at hidden widths [16, 10] a row of one feature pass over the whole
         # bank need not have the bits of a pass over its class slice alone
-        # (30 of the 60 slices below differ), so retrieval takes a pass per class;
-        # the picks are the per-class reference's, random banks and near
-        # ties alike
-        model = random_model(42, dims=(2, 16, 10, 3))
-        rng = np.random.default_rng(42)
-        for case in range(20):
-            sizes = rng.integers(1, 50, size=3).tolist()
-            base = None
-            if case % 2:
-                x = rng.normal(scale=2.0, size=2)
-                base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
-            b = sized_bank(rng, sizes, base=base)
-            lab_pts = rng.normal(scale=2.0, size=(16, 2))
-            self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
+        # (30 of the 60 slices below differ); [3, 12] and [12, 3] put the
+        # wide layer last and first. The picks are the reference's, from
+        # one pass over the bank, random banks and near ties alike.
+        for seed, dims in ((42, (2, 16, 10, 3)), (43, (2, 3, 12, 3)), (44, (2, 12, 3, 3))):
+            model = random_model(seed, dims=dims)
+            rng = np.random.default_rng(seed)
+            for case in range(20):
+                sizes = rng.integers(1, 50, size=3).tolist()
+                base = None
+                if case % 2:
+                    x = rng.normal(scale=2.0, size=2)
+                    base = x * (1.0 + rng.integers(-8, 9, size=(40, 2)) * np.finfo(float).eps)
+                b = sized_bank(rng, sizes, base=base)
+                lab_pts = rng.normal(scale=2.0, size=(16, 2))
+                self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
 
     def test_requires_model(self):
         model, b = small_bank(seed=23)
@@ -980,17 +994,17 @@ class TestFarthest:
 
 
 def argsort_cosine_picks(b, model, points, labels, k):
-    """Per point, the class slice's cosine distances as reference_retrieve
+    """Per point, its class's cosine distances as reference_retrieve
     computes them, ranked by a stable argsort over the class's entries in
     index order, which puts NaN distances last (reference_retrieve's
     Python sort has no order for NaN)."""
+    feats, own, dots = reference_cosine_inputs(b, model, points)
     picks = []
-    for x, cls in zip(points, labels):
-        rows = b.class_rows(int(cls))
-        feats = nn.forward(model, b.points[rows]).activations[-1]
-        own = nn.forward(model, x[None, :]).activations[-1][0]
+    for j, cls in enumerate(labels.tolist()):
+        lo, hi = b.offsets[cls], b.offsets[cls + 1]
+        rows = b.class_rows(cls)
         by_index = np.argsort(b.indices[rows], kind="stable")
-        dist = reference_cosine_distance(own, feats)[by_index]
+        dist = reference_cosine_distance(own[j], feats[lo:hi], dots[j, lo:hi])[by_index]
         picks.append(rows[by_index][np.argsort(-dist, kind="stable")[np.arange(k) % len(rows)]])
     return np.stack(picks)
 

@@ -552,26 +552,27 @@ def planned_fold(ufunc, x):
 
 class TestBitEqualityFacts:
     """What cosine_distant retrieval's array path rests on: each fact lets it
-    compute a whole step at once and still get the bits of one point and one
-    class slice at a time. Random widths, depths, scales and bank sizes; if
-    a numpy or BLAS change breaks a fact, the test named after it fails. The
-    last three facts are what the training step's cheaper calls rest on:
-    np.dot for `@`, and column folds for axis-1 reductions.
+    compute a whole step at once and still get the bits of one point at a
+    time. Random widths, depths, scales and bank sizes; if a numpy or BLAS
+    change breaks a fact, the test named after it fails. The last three
+    facts are what the training step's cheaper calls rest on: np.dot for
+    `@`, and column folds for axis-1 reductions.
 
-    The row-subset fact depends on the layer shapes. With OpenBLAS 0.3.31 on
+    Retrieval takes one feature pass over the whole bank and one product
+    of a step's points against it, so it no longer rests on the row-subset
+    and class-slice facts; their tests pin them as facts of the host. The
+    row-subset fact depends on the layer shapes. With OpenBLAS 0.3.31 on
     an AVX-512 x86-64 CPU, a row's bits also depend on the rows around it in
     a layer with 8 or more inputs and 1 output, or with 16 or more inputs
     and an output width of 1, 2 or 3 modulo 8. Its test draws the shapes
     the fact covers: any first layer (2 inputs), then layers of at most 7
-    inputs, or the default hidden widths [10, 10]. At other widths the
-    retrieval takes one feature pass per class slice.
+    inputs, or the default hidden widths [10, 10].
 
     A matrix-vector product's bits for a row depend on the matrix's height
     and the row's place in it (OpenBLAS runs the last height % 4 rows
     through narrower kernels), so a product with the whole bank does not
-    give a row the bits of its product with its class slice; retrieval
-    keeps one product per class slice, and the height test pins what that
-    product gives.
+    give a row the bits of its product with its class slice; the height
+    test pins what a product with one slice gives.
     """
 
     CASES = 150
@@ -635,9 +636,9 @@ class TestBitEqualityFacts:
     FEATURE_WIDTHS = (2, 3, 4, 5, 6, 8, 10, 16, 24)
 
     def test_class_slice_products_equal_per_point_products_at_every_height(self):
-        # cosine_distant's one per-class call: a class slice times every
-        # point of the class, stacked, against each point's own
-        # matrix-vector product with the slice, for slices of 1 to 400 rows
+        # a class slice times every point of the class, stacked, against
+        # each point's own matrix-vector product with the slice, for slices
+        # of 1 to 400 rows
         rng = np.random.default_rng(11)
         for width in self.FEATURE_WIDTHS:
             for height in range(1, 401):

@@ -86,8 +86,8 @@ MATRIX = [
     (f"tiny_bank_{s}", {**RLD, "rld.strategy": s, "rld.p": 0.005})
     for s in ("class_aware_random", "kmeans_center", "cosine_distant")
 ] + [
-    # cosine_distant at hidden widths [16, 10], where a class slice of one
-    # feature pass over the bank need not have the bits of a pass over it alone
+    # cosine_distant at hidden widths [16, 10]: its picks read one feature
+    # pass over the whole bank, whose class slices have bits of their own there
     ("rld_cosine_h16_10", {**RLD, "model.hidden": [16, 10]}),
     # the entropy policy, and binary feedback below its pools' sizes, so that
     # each finding's draw runs (at the stock 40 every pool is taken whole)
