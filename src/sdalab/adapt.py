@@ -24,9 +24,7 @@ FixMatch's mask (written into the targets), and the passes. The
 plan of all this is made once per run and reused every epoch: the draws'
 schedule and permutation tiles (_Draws), the layout arrays that every
 epoch is laid out in, the views each step reads (_Epoch), and the
-StepBuffers that the passes and each epoch's score run on, and the
-arrays that the cosine_distant picks write, which each epoch's retrieval
-plan hands on to the next.
+StepBuffers that the passes and each epoch's score run on.
 
 Each step sums three terms. The supervised term fits the labelled units.
 The unlabelled term depends on the algorithm: pseudo-labelling trains each
@@ -607,10 +605,8 @@ def adapt(
             cur_bank = rule.bank(
                 model, train.points[unlabeled_idx], unlabeled_idx, cfg.rld.p, epoch
             )
-            plan = bank_mod.RetrievalPlan(
-                cur_bank, train.points[picked[..., 0]], picked[..., 1], cfg.rld, retrieval_rng,
-                epoch, plan,
-            )
+            plan = bank_mod.RetrievalPlan(cur_bank, train.points[picked[..., 0]], picked[..., 1],
+                                          cfg.rld, retrieval_rng, epoch)
         batches = build_minibatch(
             train, picked, unlabeled, plan, cfg, rule, model.output_dim, batches
         )

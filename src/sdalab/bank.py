@@ -399,14 +399,14 @@ class RetrievalPlan:
     epoch, they filled fresh pages that cost more than they saved).
     wrap[i, s, t] is the flat position, in the (rounds, b) knock-out picks,
     of the round that point s's t-th pick reads (t modulo its class's
-    size). slots[i] says where the picks of the step's served points go in
-    tables[i], and kept[i] which of the step's points they are. previous,
-    the run's plan of the epoch before, hands on the arrays that the picks
-    write (_CosineWork).
+    size), and row_starts and col_base the flat offsets of each point's row
+    in the (b, entries) dot products and in its (b, width) columns. slots[i]
+    says where the picks of the step's served points go in tables[i], and
+    kept[i] which of the step's points they are.
     """
 
     def __init__(self, bank: CandidateBank, points, labels, cfg: RldConfig, rng,
-                 epoch: Optional[int] = None, previous: Optional["RetrievalPlan"] = None):
+                 epoch: Optional[int] = None):
         if epoch is not None and epoch != bank.epoch_stamp:
             raise ConfigError(
                 f"stale candidate bank: stamped epoch {bank.epoch_stamp}, now {epoch}")
@@ -418,7 +418,6 @@ class RetrievalPlan:
         skip = cfg.empty_class_fallback == SKIP_WITH_FLAG
         self.bank, self.k, self.b = bank, k, b
         self.reads_model = cfg.strategy == COSINE_DISTANT
-        self.work = None if previous is None else previous.work
         falls_back = bank.no_entries.take(labels, mode="clip")  # labels are >= 0
         if cfg.strategy == UNCONDITIONED_RANDOM:  # it draws from every class
             falls_back[...] = False
@@ -445,9 +444,12 @@ class RetrievalPlan:
             self.points = points
             self.classes = np.minimum(labels, n_classes - 1)  # past the bank: picks go nowhere
             sizes = np.maximum(bank.counts, 1)[:, None]
-            self.class_pad = np.arange(bank.index_map.shape[1]) >= sizes
+            width = bank.index_map.shape[1]
+            self.class_pad = np.arange(width) >= sizes
+            self.at = np.arange(b)
             wraps = (np.arange(k) % sizes).take(self.classes, axis=0)
-            self.wrap = wraps * b + np.arange(b)[:, None]
+            self.wrap = wraps * b + self.at[:, None]
+            self.row_starts, self.col_base = self.at[:, None] * entries, self.at[:, None] * width
             # a served point's picks follow the rows of the step's points
             # before it that have rows: the served ones, or under
             # duplicate_labeled every one
@@ -466,55 +468,6 @@ class RetrievalPlan:
         # the entry points gathered here: only cosine_distant builds bank.entry_points
         labeled = points.reshape(steps * b, bank.points.shape[1])  # [] has no width of its own
         self.source = np.concatenate([bank.points.take(bank.rows, axis=0), labeled])
-
-    def work_for(self, model: nn.MlpModel) -> "_CosineWork":
-        """The run's arrays that the picks write (made at the first step, for
-        the model's shape, and anew for a bank they cannot hold), cut to the bank."""
-        work, bank = self.work, self.bank
-        if (work is None or work.shape != (model.layer_dims, self.b, self.k)
-                or len(bank.rows) > work.capacity):
-            capacity = len(bank.rows) + bank.num_classes
-            work = self.work = _CosineWork(model, self.b, self.k, capacity)
-        if work.bank is not bank:
-            work.bind(bank)
-        return work
-
-
-class _CosineWork:
-    """The arrays that cosine_distant's picks write, made once per run for
-    a model shape, b points a step and k picks, with room for capacity
-    entries: the first bank's plus one a class, the largest bank that pool
-    and p give (a class of n candidates keeps ceil(p n) < p n + 1). Each is
-    flat and cut, as a C-ordered view of its first cells, to a bank (bind:
-    the feature pass over it, one array per hidden layer, its last layer's
-    squares and norms, the step's dot products, and the step's (b, width)
-    arrays laid out in index_map's columns, as _place_picks unpacks them).
-    """
-
-    def __init__(self, model: nn.MlpModel, b: int, k: int, capacity: int):
-        self.shape, self.b, self.k, self.capacity = (list(model.layer_dims), b, k), b, k, capacity
-        self.widths = model.layer_dims[1:-1]
-        # one per hidden layer, then the squares, norms and dot products
-        self.cells = [np.empty(capacity * h) for h in [*self.widths, self.widths[-1], 1, b]]
-        self.step_cells = [np.empty(b * capacity, dtype) for dtype in (
-            np.intp, np.intp, np.float64, np.float64, np.float64, bool, bool)]
-        self.own_layers = [np.empty((b, 1, h)) for h in self.widths]
-        self.own_squares = np.empty((b, 1, 1))
-        self.rounds = np.empty((k, b), dtype=np.intp)
-        self.columns, self.chosen = np.empty((b, k), dtype=np.intp), np.empty((b, k), dtype=np.intp)
-        self.at = np.arange(b)
-        self.bank = None
-
-    def bind(self, bank: CandidateBank) -> None:
-        b, entries, width = self.b, len(bank.rows), bank.index_map.shape[1]
-        *self.layers, self.squares, norms, dots = (
-            cells[: entries * h].reshape(entries, h)
-            for cells, h in zip(self.cells, [*self.widths, self.widths[-1], 1, b]))
-        self.norms, self.dots = norms[:, 0], dots.reshape(b, entries)
-        self.step = (*(cells[: b * width].reshape(b, width) for cells in self.step_cells),
-                     list(self.rounds[: min(self.k, width)]),
-                     self.at[:, None] * entries, self.at[:, None] * width)
-        self.bank = bank
 
 
 def retrieve_step(plan: RetrievalPlan, i: int, model: Optional[nn.MlpModel],
@@ -543,26 +496,24 @@ def _place_picks(plan: RetrievalPlan, i: int, model: nn.MlpModel) -> None:
     on the index ranks first. A zero norm counts as orthogonal: its cosine
     is 0, its distance 1.
     """
-    work = plan.work_for(model)
-    cols, dots_at, denom, quotients, dist, positive, pad, rounds, row_starts, col_base = work.step
-    feats, norms = nn.penultimate_features(model, plan.bank.entry_points, work.layers), work.norms
-    np.add.reduce(np.multiply(feats, feats, out=work.squares), axis=1, out=norms)
-    np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
-    own = nn.one_row_features(model, plan.points[i], work.own_layers)
-    own_squares = np.matmul(own[:, None, :], own[:, :, None], out=work.own_squares)
+    bank = plan.bank
+    feats = nn.penultimate_features(model, bank.entry_points)
+    norms = np.sqrt(np.add.reduce(feats * feats, axis=1))  # np.linalg.norm's arithmetic
+    own = nn.one_row_features(model, plan.points[i])
+    own_squares = np.matmul(own[:, None, :], own[:, :, None])
     own_norms = np.sqrt(own_squares, out=own_squares)[:, 0]
-    dots = nn._dot(own, feats.T, work.dots)
+    dots = nn._dot(own, feats.T)
     classes = plan.classes[i]
-    plan.bank.index_map.take(classes, axis=0, out=cols, mode="clip")
-    np.multiply(own_norms, norms.take(cols, out=denom, mode="clip"), out=denom)
-    dots.take(np.add(cols, row_starts, out=dots_at), out=quotients, mode="clip")
-    dist.fill(0.0)
-    np.divide(quotients, denom, out=dist, where=np.greater(denom, 0.0, out=positive))
+    cols = bank.index_map.take(classes, axis=0, mode="clip")
+    denom = np.multiply(own_norms, norms.take(cols, mode="clip"))
+    quotients = dots.take(cols + plan.row_starts, mode="clip")
+    dist = np.zeros(denom.shape)
+    np.divide(quotients, denom, out=dist, where=denom > 0.0)
     np.subtract(1.0, dist, out=dist)
-    _knock_out(dist, plan.class_pad.take(classes, axis=0, out=pad, mode="clip"), rounds, work.at)
-    columns, chosen = work.columns, work.chosen
-    work.rounds.take(plan.wrap[i], out=columns, mode="clip")
-    cols.take(np.add(columns, col_base, out=columns), out=chosen, mode="clip")
+    rounds = np.empty((min(plan.k, cols.shape[1]), plan.b), dtype=np.intp)
+    _knock_out(dist, plan.class_pad.take(classes, axis=0, mode="clip"), rounds, plan.at)
+    columns = rounds.take(plan.wrap[i], mode="clip")
+    chosen = cols.take(columns + plan.col_base, mode="clip")
     plan.tables[i].put(plan.slots[i], chosen[plan.kept[i]] if plan.fallbacks[i] else chosen)
 
 

@@ -749,28 +749,25 @@ def predict(model, inputs, thresholds=None, buffers=None):
     return (probs >= thresholds).astype(np.int64)
 
 
-def penultimate_features(model, inputs, out=None):
+def penultimate_features(model, inputs):
     """Activations of the last hidden layer, one row per input.
 
     Runs the hidden layers only, with the same arithmetic as forward(), so
     the rows equal ``forward(model, inputs).activations[-1]`` bit for bit.
-    out, when given, holds one C-ordered (len(inputs), width) array per
-    hidden layer, which the pass writes; the result is the last.
     """
-    return _hidden_layers(model, _checked_inputs(model, inputs), _dot, out)
+    return _hidden_layers(model, _checked_inputs(model, inputs), _dot)
 
 
-def one_row_features(model, inputs, out=None):
+def one_row_features(model, inputs):
     """penultimate_features of each input on its own, as a stack of one-row
     passes: row i has the bits of ``penultimate_features(model, inputs[i:i + 1])[0]``,
-    which one pass over several rows does not promise. out, when given,
-    holds one C-ordered (len(inputs), 1, width) array per hidden layer."""
-    return _hidden_layers(model, _checked_inputs(model, inputs)[:, None, :], np.matmul, out)[:, 0]
+    which one pass over several rows does not promise."""
+    return _hidden_layers(model, _checked_inputs(model, inputs)[:, None, :], np.matmul)[:, 0]
 
 
-def _hidden_layers(model, a, product, out=None):
-    for j, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
-        a = product(a, w) if out is None else product(a, w, out[j])
+def _hidden_layers(model, a, product):
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = product(a, w)
         a += b
         np.maximum(a, 0.0, out=a)
     return a

@@ -1781,9 +1781,9 @@ def retrieve_by_calls(patch) -> None:
     epochs = []
     plan_class, step = bank.RetrievalPlan, bank.retrieve_step
 
-    def laid_out(cur_bank, points, labels, cfg, rng, epoch=None, previous=None):
+    def laid_out(cur_bank, points, labels, cfg, rng, epoch=None):
         epochs.append((cur_bank, points, labels, cfg, epoch))
-        return plan_class(cur_bank, points, labels, cfg, rng, epoch, previous)
+        return plan_class(cur_bank, points, labels, cfg, rng, epoch)
 
     def one_call(plan, i, model, out):
         cur_bank, points, labels, cfg, epoch = epochs[-1]

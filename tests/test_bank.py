@@ -941,6 +941,31 @@ class TestCosineDistant:
                 lab_pts = rng.normal(scale=2.0, size=(16, 2))
                 self.check(b, lab_pts, rng.integers(0, 3, size=16), model, seed=case)
 
+    def test_two_plans_stepped_in_turn(self):
+        # two plans over banks of different sizes and class counts, the
+        # second larger than the first's entries plus one a class, stepped
+        # A0, B0, A1, B1, A2, B2 on drifting models: each step must give the
+        # rows, and its plan the labels, counts and fallbacks, of one
+        # retrieve_defending call for that step alone
+        rng = np.random.default_rng(48)
+        for case in range(6):
+            banks = (sized_bank(rng, [12, 0, 20]), sized_bank(rng, [40, 3, 55, 9]))
+            epochs = [(rng.normal(scale=2.0, size=(3, 16, 2)), rng.integers(0, 5, size=(3, 16)))
+                      for _ in banks]  # 3 is past the first bank's classes, 4 past both
+            models = drifted(random_model(48), 6, case)
+            for k, fallback in ((3, bank.DUPLICATE_LABELED), (40, bank.SKIP_WITH_FLAG)):
+                cfg = bank.RldConfig(k=k, strategy=bank.COSINE_DISTANT, empty_class_fallback=fallback)
+                plans = [bank.RetrievalPlan(b, *epoch, cfg, None) for b, epoch in zip(banks, epochs)]
+                for turn, model in enumerate(models):
+                    i, which = divmod(turn, 2)
+                    b, plan, (points, labels) = banks[which], plans[which], epochs[which]
+                    want = bank.retrieve_defending(b, points[i], labels[i], cfg, None, model=model)
+                    out = np.full((plan.counts[i], 2), np.nan)
+                    bank.retrieve_step(plan, i, model, out)
+                    assert np.array_equal(out, want[0]), (case, k, turn)
+                    step_labels = np.split(plan.labels, np.cumsum(plan.counts)[:-1])[i]
+                    assert np.array_equal(step_labels, want[1]) and plan.fallbacks[i] == want[2]
+
     def test_requires_model(self):
         model, b = small_bank(seed=23)
         cfg = bank.RldConfig(k=1, strategy=bank.COSINE_DISTANT)

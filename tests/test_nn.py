@@ -551,16 +551,24 @@ def planned_fold(ufunc, x):
 
 
 class TestBitEqualityFacts:
-    """What cosine_distant retrieval's array path rests on: each fact lets it
-    compute a whole step at once and still get the bits of one point at a
-    time. Random widths, depths, scales and bank sizes; if a numpy or BLAS
-    change breaks a fact, the test named after it fails. The last three
-    facts are what the training step's cheaper calls rest on: np.dot for
-    `@`, and column folds for axis-1 reductions.
+    """Numpy and BLAS facts that the lab's bit-for-bit contracts rest on, one
+    test each, over random widths, depths, scales and bank sizes; if a numpy
+    or BLAS change breaks a fact, the test named after it fails.
 
-    Retrieval takes one feature pass over the whole bank and one product
-    of a step's points against it, so it no longer rests on the row-subset
-    and class-slice facts; their tests pin them as facts of the host. The
+    cosine_distant retrieval reads four of them, which let a step take all
+    its points at once and still get the bits of one point at a time:
+    stacked one-row passes equal one-row passes (each point's own
+    features), square-rooted stacked dots equal the vector norm (its
+    norm), row norms by add.reduce equal np.linalg.norm (the bank's
+    norms), and a stacked product on a slice view equals one on a fresh
+    copy (a step's one-row passes run on its slice of the epoch's points).
+    The tests after the class-slice one pin what the training step's
+    cheaper calls rest on: np.dot for `@`, column folds for axis-1
+    reductions, and numpy's C functions behind its wrappers.
+
+    Two are facts of the host only: retrieval takes one feature pass over
+    the whole bank and one product of a step's points against it, so it
+    reads neither the row-subset fact nor the class-slice products. The
     row-subset fact depends on the layer shapes. With OpenBLAS 0.3.31 on
     an AVX-512 x86-64 CPU, a row's bits also depend on the rows around it in
     a layer with 8 or more inputs and 1 output, or with 16 or more inputs

@@ -26,10 +26,9 @@ epoch: the epoch's bank from the pretrained model, its draws (16 labelled
 points a step), the epoch's `bank.RetrievalPlan`, laid out once, and
 every step's `bank.retrieve_step` into its slot of the epoch's layout, on
 the pretrained model. Each call replays the same epoch from the same rng
-state, as an epoch after a run's first: its bank is new to the arrays that
-the `cosine_distant` picks write, which the plan of the call before hands
-on. A call is the whole epoch's retrieval; the row gives it per step,
-the plan's share included.
+state, laying out its own plan over the same bank, as an epoch after a
+run's first. A call is the whole epoch's retrieval; the row gives it per
+step, the plan's share included.
 
 A round times each item once: `--calls` calls in a row, divided by their
 count. The items' order rotates by one from round to round, so that a drift
@@ -160,26 +159,21 @@ def retrieval(strategy):
     steps = adapt.steps_per_epoch(len(units), len(pool), acfg.batch)
     picked, unlabeled = adapt._Draws(units, pool, acfg.batch, steps).draw(
         np.random.default_rng(batch_ss))
-    # two equal banks, taken in turn, so each call's bank is new to the plan before it
-    banks = [adapt.SOFTMAX_RULE.bank(model, train.points[pool], pool, acfg.rld.p, 0)
-             for _ in range(2)]
+    cur_bank = adapt.SOFTMAX_RULE.bank(model, train.points[pool], pool, acfg.rld.p, 0)
     labeled = train.points[picked[..., 0]], picked[..., 1]
     rng = np.random.default_rng(retrieval_ss)
     state = rng.bit_generator.state
-    last = {"plan": bank.RetrievalPlan(banks[0], *labeled, acfg.rld, rng, 0), "calls": 0}
-    epoch = adapt.build_minibatch(train, picked, unlabeled, last["plan"], acfg,
-                                  adapt.SOFTMAX_RULE, model.output_dim)
-    bank.retrieve_step(last["plan"], 0, model, epoch.defending_slot(0))  # the run's first step
+    plan = bank.RetrievalPlan(cur_bank, *labeled, acfg.rld, rng, 0)
+    epoch = adapt.build_minibatch(train, picked, unlabeled, plan, acfg, adapt.SOFTMAX_RULE,
+                                  model.output_dim)
+    bank.retrieve_step(plan, 0, model, epoch.defending_slot(0))  # the run's first step
     assert acfg.rld.strategy == strategy and len(picked[0]) == 16
 
     def run():
         rng.bit_generator.state = state
-        last["calls"] += 1
-        plan = bank.RetrievalPlan(banks[last["calls"] % 2], *labeled, acfg.rld, rng, 0,
-                                  last["plan"])
+        plan = bank.RetrievalPlan(cur_bank, *labeled, acfg.rld, rng, 0)
         for i in range(steps):
             bank.retrieve_step(plan, i, model, epoch.defending_slot(i))
-        last["plan"] = plan
     return run, steps
 
 
